@@ -3,24 +3,36 @@
 Alternates natural-gradient reward ascent with constraint descent, gated on
 estimated constraint values against the limits plus a tolerance eta. Critic
 is either an exact dense solve or tabular TD(0) from on-policy samples.
-Every transition visited during the run is logged for downstream off-policy
-estimation.
+
+Every sampled draw, whether an episode step or a TD(0) chain step, goes
+through one batched inverse-CDF sampler that steps all rollouts together and
+reproduces one `Generator.choice` call per draw, bit for bit. A run records
+the exact objectives (J_0..J_p) of every iterate. Its transition log is
+built on first read of `outcome.dataset`: with the Exact critic no sample
+feeds control flow, so the episodes are drawn, from the run's seed, only
+when something reads them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
-from .cmdp import (SoftmaxPolicy, _fmt, expected_objective_from_values,
-                   policy_evaluation_exact, policy_from_logits)
+from .cmdp import (SoftmaxPolicy, ValueTable, _fmt, all_objectives,
+                   expected_objective_from_values, policy_evaluation_exact,
+                   policy_from_logits)
 from .dice import TrajectoryDataset
 from .errors import DegenerateRun, InvalidInput, SamplerError
 
 EXACT = "Exact"
 TD_SAMPLED = "TdSampled"
+
+# Generator.choice rejects probability rows whose sum is off by more than this
+CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -45,6 +57,8 @@ class CrpoConfig:
             raise InvalidInput("tolerance must be nonnegative")
         if self.critic_mode not in (EXACT, TD_SAMPLED):
             raise InvalidInput(f"unknown critic_mode {self.critic_mode!r}")
+        if self.episodes_per_step < 1 or self.episode_horizon < 1:
+            raise InvalidInput("episodes_per_step and episode_horizon must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -52,9 +66,21 @@ class CrpoOutcome:
     returned_policy: SoftmaxPolicy
     reward_steps: tuple            # indices where reward ascent happened
     constraint_steps: tuple        # per-constraint index tuples
-    dataset: TrajectoryDataset
     per_step_estimates: np.ndarray  # (M, p) estimated constraint values
+    iterate_objectives: np.ndarray  # (M, p+1) exact J_0..J_p of every iterate
+    returned_step: int             # iterate index of returned_policy
+    log_builder: Callable = field(repr=False, compare=False)
     all_iterates: tuple = None
+
+    @cached_property
+    def dataset(self):
+        """The run's transition log (a TrajectoryDataset), built on first read."""
+        return self.log_builder()
+
+    @property
+    def returned_objectives(self):
+        """Exact (J_0, ..., J_p) of the returned policy."""
+        return self.iterate_objectives[self.returned_step]
 
     def to_json(self):
         doc = {
@@ -105,44 +131,88 @@ def npg_softmax_step(logits, q_estimate, alpha, direction, gamma):
     return np.asarray(logits, dtype=float) + sign * (alpha / (1.0 - gamma)) * q
 
 
-def sample_episode(cmdp, probs, horizon, rng):
-    """One on-policy rollout of fixed horizon; returns index arrays."""
-    try:
-        s = rng.choice(cmdp.n_states, p=cmdp.initial_dist)
-    except ValueError as exc:
-        raise SamplerError("initial distribution sampling failed") from exc
-    states = np.empty(horizon, dtype=int)
-    actions = np.empty(horizon, dtype=int)
-    nexts = np.empty(horizon, dtype=int)
-    for t in range(horizon):
-        a = rng.choice(cmdp.n_actions, p=probs[s])
-        s2 = rng.choice(cmdp.n_states, p=cmdp.transition[s, a])
-        states[t], actions[t], nexts[t] = s, a, s2
-        s = s2
-    return states, actions, nexts
+def _cdf(table, what):
+    """Normalized cumulative rows of a probability table (last axis).
+
+    Checked as `Generator.choice` checks its p: no NaN or negative entry, and
+    every row summing to 1 within CHOICE_ATOL. Normalized the way choice
+    normalizes, cumsum(p) / cumsum(p)[-1], so draws match it bit for bit.
+    """
+    table = np.asarray(table, dtype=float)
+    if np.isnan(table).any() or (table < 0).any() \
+            or np.abs(table.sum(axis=-1) - 1.0).max() > CHOICE_ATOL:
+        raise SamplerError(f"{what} is not a table of probability rows")
+    cdf = np.cumsum(table, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
+def _draw(cdf_rows, u):
+    """One inverse-CDF draw per row: count(cdf <= u), as Generator.choice."""
+    return (cdf_rows <= u[:, None]).sum(axis=1)
+
+
+def _rollout(cmdp, policy_cdf, row_policy, u):
+    """Walk every row of uniforms u (n, w) along s_0 ~ rho, a_0 ~ pi(s_0),
+    s_1 ~ P(s_0, a_0), a_1 ~ pi(s_1), ..., one uniform per draw, all rows
+    stepped together; row i acts with policy table row_policy[i].
+
+    Returns the (n, w) drawn indices: states in even columns, actions in odd.
+    """
+    trans_cdf = _cdf(cmdp.transition, "transition kernel")
+    x = np.empty(u.shape, dtype=np.intp)
+    x[:, 0] = _draw(_cdf(cmdp.initial_dist, "initial distribution"), u[:, 0])
+    for j in range(1, u.shape[1]):
+        if j % 2:
+            x[:, j] = _draw(policy_cdf[row_policy, x[:, j - 1]], u[:, j])
+        else:
+            x[:, j] = _draw(trans_cdf[x[:, j - 2], x[:, j - 1]], u[:, j])
+    return x
+
+
+def sample_episode(cmdp, probs, horizon, rng, episodes=1):
+    """On-policy rollouts of fixed horizon, all stepped together.
+
+    probs is one (S, A) policy table or a stack (k, S, A) of them; each table
+    runs `episodes` rollouts, table after table. The draws are those of one
+    `rng.choice` per initial state, action and next state, episode after
+    episode. Returns (states, actions, next_states), each of shape
+    (k * episodes, horizon).
+    """
+    policy_cdf = _cdf(probs, "policy")
+    if policy_cdf.ndim == 2:
+        policy_cdf = policy_cdf[None]
+    row_policy = np.repeat(np.arange(len(policy_cdf)), episodes)
+    x = _rollout(cmdp, policy_cdf, row_policy,
+                 rng.random((row_policy.size, 1 + 2 * horizon)))
+    return x[:, :-1:2], x[:, 1::2], x[:, 2::2]
 
 
 def _td_q(cmdp, probs, objective_index, config, rng):
-    """Tabular TD(0) on Q from on-policy samples (SARSA-style targets)."""
+    """Tabular TD(0) on Q from on-policy samples (SARSA-style targets).
+
+    The chain restarts from rho after every `horizon` updates. Its path does
+    not depend on q, so it is sampled first, one reset segment a row: a
+    segment draws s_0, a_0, s_1, a_1, ..., s_H, a_H (2 + 2H draws), the last
+    one only as far as the K updates reach. Only the scalar updates run in
+    order, on Python floats, which round as numpy scalars do.
+    """
     c = cmdp.objective_table(objective_index)
-    q = np.zeros((cmdp.n_states, cmdp.n_actions))
+    a_n = cmdp.n_actions
     horizon = max(2, config.episode_horizon)
-    s = rng.choice(cmdp.n_states, p=cmdp.initial_dist)
-    a = rng.choice(cmdp.n_actions, p=probs[s])
-    t = 0
-    for _ in range(config.td_iterations):
-        s2 = rng.choice(cmdp.n_states, p=cmdp.transition[s, a])
-        a2 = rng.choice(cmdp.n_actions, p=probs[s2])
-        target = c[s, a] + cmdp.discount * q[s2, a2]
-        q[s, a] += config.td_step_size * (target - q[s, a])
-        t += 1
-        if t >= horizon:
-            s = rng.choice(cmdp.n_states, p=cmdp.initial_dist)
-            a = rng.choice(cmdp.n_actions, p=probs[s])
-            t = 0
-        else:
-            s, a = s2, a2
-    return q
+    k = max(0, config.td_iterations)
+    width = 2 + 2 * horizon
+    u = np.zeros((k // horizon + 1) * width)
+    rng.random(out=u[:2 + 2 * k + 2 * (k // horizon)])
+    u = u.reshape(-1, width)
+    x = _rollout(cmdp, _cdf(probs, "policy")[None], np.zeros(len(u), dtype=np.intp), u)
+    sa = (x[:, :-2:2] * a_n + x[:, 1:-2:2]).ravel()[:k]    # (s, a) of each update
+    sa_next = (x[:, 2::2] * a_n + x[:, 3::2]).ravel()[:k]  # (s', a') of its target
+    step, gamma, cost = config.td_step_size, cmdp.discount, c.ravel().tolist()
+    q = [0.0] * c.size
+    for i, j in zip(sa.tolist(), sa_next.tolist()):
+        qi = q[i]
+        q[i] = qi + step * (cost[i] + gamma * q[j] - qi)
+    return np.array(q).reshape(c.shape)
 
 
 def td_critic(cmdp, policy, objective_index, config, rng=None):
@@ -151,8 +221,6 @@ def td_critic(cmdp, policy, objective_index, config, rng=None):
         return policy_evaluation_exact(cmdp, policy, objective_index)
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    from .cmdp import ValueTable
-
     q = _td_q(cmdp, policy.probs, objective_index, config, rng)
     v = (policy.probs * q).sum(axis=1)
     return ValueTable(v=v, q=q, objective_index=objective_index)
@@ -165,14 +233,36 @@ def _discounted_weights(states, actions, t, gamma, s_n, a_n):
     return w / w.sum()
 
 
+def _log_dataset(cmdp, steps, states, actions, nexts):
+    """Transition log of `steps` CRPO steps from (episodes, horizon) arrays
+    in (step, episode) order."""
+    step, episode, t = np.indices(
+        (steps, states.shape[0] // steps, states.shape[1])).reshape(3, -1)
+    s, a = states.ravel(), actions.ravel()
+    return TrajectoryDataset.from_samples(
+        cmdp.n_states, cmdp.n_actions, step=step, episode=episode, t=t,
+        s=s, a=a, r=cmdp.reward[s, a], c=cmdp.costs[:, s, a].T,
+        s_next=nexts.ravel(), initial_states=states[:, 0])
+
+
+def _sampled_log(cmdp, policies, config):
+    """Draw every episode of an Exact-critic run: they are the first draws of
+    the run's generator, so they are drawn again from its seed."""
+    episodes = sample_episode(cmdp, policies, config.episode_horizon,
+                              np.random.default_rng(config.rng_seed),
+                              config.episodes_per_step)
+    return _log_dataset(cmdp, len(policies), *episodes)
+
+
 def run_crpo(cmdp, init_policy, config, shrinkage=0.0):
     """CRPO loop: gate on estimated constraint values, ascend or descend.
 
     At each of M steps, estimate every constraint value; if all are within
     their limit plus tolerance, take a natural-gradient ascent step on the
     reward, otherwise descend on the most-violated constraint (ties to the
-    lowest index). Returns the uniform draw from the reward-step snapshots
-    plus the full transition log.
+    lowest index). Returns the uniform draw from the reward-step snapshots,
+    the exact objectives of every iterate, and the transition log (built when
+    first read).
     """
     if config.steps < 1:
         raise InvalidInput("steps must be >= 1")
@@ -183,43 +273,41 @@ def run_crpo(cmdp, init_policy, config, shrinkage=0.0):
     gamma = cmdp.discount
     alpha = config.learning_rate
     eta = config.tolerance
+    horizon = config.episode_horizon
+    exact = config.critic_mode == EXACT
+    if exact:
+        # the episodes feed no decision: skip their draws here, so the final
+        # draw sees the same stream, and make them when the log is read
+        rng.bit_generator.advance(
+            config.steps * config.episodes_per_step * (1 + 2 * horizon))
+    else:
+        episodes = []
 
     logits = np.array(init_policy.logits, dtype=float)
     snapshots = []
     reward_steps = []
     constraint_steps = [[] for _ in range(p)]
     estimates = np.zeros((config.steps, p))
-    log_step, log_ep, log_t = [], [], []
-    log_s, log_a, log_next = [], [], []
-    initial_states = []
+    objectives = np.zeros((config.steps, p + 1))
 
     for m in range(config.steps):
         policy = policy_from_logits(logits)
         snapshots.append(policy)
-        probs = policy.probs
 
-        for e in range(config.episodes_per_step):
-            st, ac, nx = sample_episode(cmdp, probs, config.episode_horizon, rng)
-            n = st.size
-            log_step.append(np.full(n, m))
-            log_ep.append(np.full(n, e))
-            log_t.append(np.arange(n))
-            log_s.append(st)
-            log_a.append(ac)
-            log_next.append(nx)
-            initial_states.append(st[0])
-
-        if config.critic_mode == EXACT:
+        if exact:
             values = [policy_evaluation_exact(cmdp, policy, i) for i in range(p + 1)]
-            j_bar = np.array([expected_objective_from_values(cmdp, values[i])
-                              for i in range(1, p + 1)])
+            objectives[m] = [expected_objective_from_values(cmdp, v) for v in values]
+            j_bar = objectives[m, 1:]
         else:
+            st, ac, nx = sample_episode(cmdp, policy.probs, horizon, rng,
+                                        config.episodes_per_step)
+            episodes.append((st, ac, nx))
             values = [td_critic(cmdp, policy, i, config, rng) for i in range(p + 1)]
-            st = np.concatenate(log_s[-config.episodes_per_step:])
-            ac = np.concatenate(log_a[-config.episodes_per_step:])
-            tt = np.concatenate(log_t[-config.episodes_per_step:])
-            w = _discounted_weights(st, ac, tt, gamma, cmdp.n_states, cmdp.n_actions)
+            tt = np.broadcast_to(np.arange(horizon), st.shape)
+            w = _discounted_weights(st.ravel(), ac.ravel(), tt.ravel(), gamma,
+                                    cmdp.n_states, cmdp.n_actions)
             j_bar = np.array([(w * values[i].q).sum() for i in range(1, p + 1)])
+            objectives[m] = all_objectives(cmdp, policy)
         estimates[m] = j_bar
 
         excess = j_bar - cmdp.limits - eta
@@ -231,28 +319,26 @@ def run_crpo(cmdp, init_policy, config, shrinkage=0.0):
             constraint_steps[worst].append(m)
             logits = npg_softmax_step(logits, values[worst + 1], alpha, "Descent", gamma)
 
-    s_arr = np.concatenate(log_s)
-    a_arr = np.concatenate(log_a)
-    dataset = TrajectoryDataset.from_samples(
-        cmdp.n_states, cmdp.n_actions,
-        step=np.concatenate(log_step), episode=np.concatenate(log_ep),
-        t=np.concatenate(log_t), s=s_arr, a=a_arr,
-        r=cmdp.reward[s_arr, a_arr],
-        c=cmdp.costs[:, s_arr, a_arr].T,
-        s_next=np.concatenate(log_next),
-        initial_states=np.array(initial_states))
-
+    if exact:
+        policies = np.array([pol.probs for pol in snapshots])
+        log_builder = partial(_sampled_log, cmdp, policies, config)
+    else:
+        log_builder = partial(_log_dataset, cmdp, config.steps,
+                              *(np.concatenate(arrays) for arrays in zip(*episodes)))
     outcome_args = dict(
         reward_steps=tuple(reward_steps),
         constraint_steps=tuple(tuple(v) for v in constraint_steps),
-        dataset=dataset,
         per_step_estimates=estimates,
+        iterate_objectives=objectives,
+        log_builder=log_builder,
         all_iterates=tuple(snapshots) if config.store_all_iterates else None,
     )
     if not reward_steps:
         raise DegenerateRun(
             "no reward-ascent step occurred; returned policy undefined",
             last_policy=snapshots[-1],
-            outcome=CrpoOutcome(returned_policy=snapshots[-1], **outcome_args))
+            outcome=CrpoOutcome(returned_policy=snapshots[-1],
+                                returned_step=config.steps - 1, **outcome_args))
     chosen = reward_steps[rng.integers(len(reward_steps))]
-    return CrpoOutcome(returned_policy=snapshots[chosen], **outcome_args)
+    return CrpoOutcome(returned_policy=snapshots[chosen], returned_step=chosen,
+                       **outcome_args)

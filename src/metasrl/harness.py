@@ -141,18 +141,6 @@ def _uniform_init(dims, shrink):
     return project_table_shrinkage_simplex(np.full((s_n, a_n), 1.0 / a_n), shrink)
 
 
-def _curves(cmdp, outcome):
-    """Exact per-step reward and constraint values of the CRPO iterates."""
-    m = len(outcome.all_iterates)
-    rewards = np.zeros(m)
-    costs = np.zeros((m, cmdp.n_costs))
-    for i, pol in enumerate(outcome.all_iterates):
-        j = all_objectives(cmdp, pol)
-        rewards[i] = j[0]
-        costs[i] = j[1:]
-    return rewards, costs
-
-
 def _run_task(cmdp, init_table, crpo_cfg, seed):
     cfg = replace(crpo_cfg, rng_seed=seed)
     policy = SoftmaxPolicy(logits=np.log(np.maximum(init_table, 1e-300)))
@@ -193,9 +181,9 @@ def run_experiment(config, tasks=None):
     if config.holdout_test_task:
         if len(tasks) < 2:
             raise InvalidInput("need at least 2 tasks to hold one out")
-        train_tasks, test_task = tasks[:-1], tasks[-1]
+        train_tasks = tasks[:-1]
     else:
-        train_tasks, test_task = tasks, None
+        train_tasks = tasks
 
     oracles = solve_oracles(train_tasks)
     dims = (tasks[0].n_states, tasks[0].n_actions)
@@ -230,24 +218,26 @@ def run_experiment(config, tasks=None):
                 shrinkage=meta_cfg.shrinkage,
                 rate_floor=meta_cfg.rate_floor)
 
-            for t, cmdp in enumerate(train_tasks):
+            for t, cmdp in enumerate(tasks):
+                is_test = t == len(train_tasks)    # the held-out task, if any
                 t0 = time.monotonic()
-                if strategy == "MetaSrl":
-                    init_table = state.init_policy
-                    alpha = state.learning_rate
-                elif t == 0:
-                    init_table = _uniform_init(dims, meta_cfg.shrinkage)
-                    alpha = config.crpo.learning_rate
-                else:
-                    init_table = baseline_init(strategy, history, rng,
-                                               meta_cfg.shrinkage, dims)
-                    alpha = config.crpo.learning_rate
-                kappas[run, t] = alpha
-                crpo_cfg = replace(config.crpo, learning_rate=alpha)
-                try:
+                try:  # per-run failures never abort the sweep
+                    if strategy == "MetaSrl":
+                        init_table = state.init_policy
+                        alpha = state.learning_rate
+                    elif t == 0:
+                        init_table = _uniform_init(dims, meta_cfg.shrinkage)
+                        alpha = config.crpo.learning_rate
+                    else:
+                        init_table = baseline_init(strategy, history, rng,
+                                                   meta_cfg.shrinkage, dims)
+                        alpha = config.crpo.learning_rate
+                    if not is_test:
+                        kappas[run, t] = alpha
+                    crpo_cfg = replace(config.crpo, learning_rate=alpha)
                     outcome, degenerate = _run_task(cmdp, init_table, crpo_cfg,
                                                     int(task_seeds[t]))
-                except Exception as exc:  # per-run failures never abort the sweep
+                except Exception as exc:
                     records.append(RunRecord(
                         strategy=strategy, task_index=t, seed=run,
                         per_step_reward=np.zeros(config.crpo.steps),
@@ -255,20 +245,24 @@ def run_experiment(config, tasks=None):
                         final_objectives=np.zeros(cmdp.n_costs + 1),
                         taog_contribution=np.nan,
                         tacv_contribution=np.full(cmdp.n_costs, np.nan),
+                        is_test=is_test,
                         error=f"{type(exc).__name__}: {exc}"))
                     continue
                 pi_hat = outcome.returned_policy
-                j = all_objectives(cmdp, pi_hat)
-                per_task_j[run, t] = j
-                rewards, costs = _curves(cmdp, outcome)
+                j = outcome.returned_objectives
                 records.append(RunRecord(
                     strategy=strategy, task_index=t, seed=run,
-                    per_step_reward=rewards, per_step_costs=costs,
+                    per_step_reward=outcome.iterate_objectives[:, 0],
+                    per_step_costs=outcome.iterate_objectives[:, 1:],
                     final_objectives=j,
-                    taog_contribution=float(oracles[t].objective_values[0] - j[0]),
+                    taog_contribution=(np.nan if is_test else
+                                       float(oracles[t].objective_values[0] - j[0])),
                     tacv_contribution=j[1:] - cmdp.limits,
-                    degenerate=degenerate,
+                    is_test=is_test, degenerate=degenerate,
                     wall_clock=time.monotonic() - t0))
+                if is_test:
+                    continue
+                per_task_j[run, t] = j
                 history.append(np.array(pi_hat.probs))
                 last_outcomes[t] = outcome
 
@@ -280,28 +274,6 @@ def run_experiment(config, tasks=None):
                         nu_hat, pi_hat, TablePolicy(probs=state.init_policy))
                     state = meta_update(state, nu_hat, pi_hat,
                                         config.crpo.steps, constants)
-
-            if test_task is not None:
-                t0 = time.monotonic()
-                if strategy == "MetaSrl":
-                    init_table, alpha = state.init_policy, state.learning_rate
-                else:
-                    init_table = baseline_init(strategy, history, rng,
-                                               meta_cfg.shrinkage, dims)
-                    alpha = config.crpo.learning_rate
-                crpo_cfg = replace(config.crpo, learning_rate=alpha)
-                outcome, degenerate = _run_task(test_task, init_table, crpo_cfg,
-                                                int(task_seeds[-1]))
-                j = all_objectives(test_task, outcome.returned_policy)
-                rewards, costs = _curves(test_task, outcome)
-                records.append(RunRecord(
-                    strategy=strategy, task_index=len(train_tasks), seed=run,
-                    per_step_reward=rewards, per_step_costs=costs,
-                    final_objectives=j,
-                    taog_contribution=np.nan,
-                    tacv_contribution=j[1:] - test_task.limits,
-                    is_test=True, degenerate=degenerate,
-                    wall_clock=time.monotonic() - t0))
 
         j_mean = per_task_j.mean(axis=0)
         reports[strategy] = regret_report(

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written from scratch (value iteration,
-vectorized Monte-Carlo rollouts, finite differences, scipy-based constrained
-minimization) rather than calling into the package under test.
+vectorized Monte-Carlo rollouts, per-draw episode and TD(0) samplers,
+finite differences, scipy-based constrained minimization) rather than
+calling into the package under test.
 """
 
 import numpy as np
@@ -63,6 +64,43 @@ def monte_carlo_objective(cmdp, probs, objective_index, n_steps, seed):
         s = (u[:, None] > trans_cdf[s, a]).sum(axis=1)
         w *= gamma
     return returns.mean(), returns.std(ddof=1) / np.sqrt(n_ep)
+
+
+def sample_episode_reference(cmdp, probs, horizon, rng):
+    """One rollout of fixed horizon, one rng.choice per draw."""
+    s = rng.choice(cmdp.n_states, p=cmdp.initial_dist)
+    states = np.empty(horizon, dtype=int)
+    actions = np.empty(horizon, dtype=int)
+    nexts = np.empty(horizon, dtype=int)
+    for t in range(horizon):
+        a = rng.choice(cmdp.n_actions, p=probs[s])
+        s2 = rng.choice(cmdp.n_states, p=cmdp.transition[s, a])
+        states[t], actions[t], nexts[t] = s, a, s2
+        s = s2
+    return states, actions, nexts
+
+
+def td_q_reference(cmdp, probs, objective_index, config, rng):
+    """Tabular TD(0) on Q, stepping the chain one rng.choice at a time."""
+    c = cmdp.objective_table(objective_index)
+    q = np.zeros((cmdp.n_states, cmdp.n_actions))
+    horizon = max(2, config.episode_horizon)
+    s = rng.choice(cmdp.n_states, p=cmdp.initial_dist)
+    a = rng.choice(cmdp.n_actions, p=probs[s])
+    t = 0
+    for _ in range(config.td_iterations):
+        s2 = rng.choice(cmdp.n_states, p=cmdp.transition[s, a])
+        a2 = rng.choice(cmdp.n_actions, p=probs[s2])
+        target = c[s, a] + cmdp.discount * q[s2, a2]
+        q[s, a] += config.td_step_size * (target - q[s, a])
+        t += 1
+        if t >= horizon:
+            s = rng.choice(cmdp.n_states, p=cmdp.initial_dist)
+            a = rng.choice(cmdp.n_actions, p=probs[s])
+            t = 0
+        else:
+            s, a = s2, a2
+    return q
 
 
 def central_difference(fn, x, step=1e-6):

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metasrl.cmdp import (SoftmaxPolicy, TabularCmdp, all_objectives,
-                          expected_objective, policy_evaluation_exact,
-                          policy_from_logits)
+from metasrl import crpo
+from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, TabularCmdp,
+                          all_objectives, expected_objective,
+                          policy_evaluation_exact, policy_from_logits)
 from metasrl.crpo import (CrpoConfig, compute_eta, npg_softmax_step, run_crpo,
-                          suboptimality_bound, td_critic)
-from metasrl.errors import DegenerateRun, InvalidInput
+                          sample_episode, suboptimality_bound, td_critic)
+from metasrl.errors import DegenerateRun, InvalidInput, SamplerError
 from metasrl.lp import solve_optimal_lp
+from metasrl.taskgen import GridSpec, gen_frozen_lake
 
-from oracles import random_cmdp
+from oracles import (random_cmdp, sample_episode_reference, td_q_reference)
 
 
 class TestBoundFormulas:
@@ -178,3 +180,171 @@ class TestRunCrpo:
             out = exc.outcome
         flat = sorted(out.reward_steps + sum(out.constraint_steps, ()))
         assert flat == list(range(cfg.steps))
+
+
+def _with_zero_entries(cmdp, rng):
+    """A policy table on cmdp with one zero-probability action in most rows."""
+    probs = rng.dirichlet(np.ones(cmdp.n_actions), size=cmdp.n_states)
+    probs[np.arange(0, cmdp.n_states, 2), 0] = 0.0
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def _same_state(rng_a, rng_b):
+    return rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+class TestBatchedSampler:
+    """The batched sampler against the per-draw rng.choice loops: same
+    arrays and the same generator state afterwards."""
+
+    @pytest.mark.parametrize("episodes", [1, 5])
+    def test_episodes_match_reference(self, episodes):
+        cmdp = gen_frozen_lake(GridSpec(seed=2))
+        probs = _with_zero_entries(cmdp, np.random.default_rng(0))
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = sample_episode(cmdp, probs, 60, rng, episodes)
+        ref = [sample_episode_reference(cmdp, probs, 60, ref_rng)
+               for _ in range(episodes)]
+        for got_arr, ref_arr in zip(got, zip(*ref)):
+            assert np.array_equal(got_arr, np.array(ref_arr))
+        assert _same_state(rng, ref_rng)
+
+    def test_policy_stack_on_16x16_grid(self):
+        cmdp = gen_frozen_lake(GridSpec(rows=16, cols=16, seed=1))
+        gen = np.random.default_rng(1)
+        stack = np.array([_with_zero_entries(cmdp, gen) for _ in range(3)])
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = sample_episode(cmdp, stack, 60, rng, 5)
+        ref = [sample_episode_reference(cmdp, probs, 60, ref_rng)
+               for probs in stack for _ in range(5)]
+        for got_arr, ref_arr in zip(got, zip(*ref)):
+            assert np.array_equal(got_arr, np.array(ref_arr))
+        assert _same_state(rng, ref_rng)
+
+    @pytest.mark.parametrize("iterations,horizon", [
+        (0, 50), (7, 1), (120, 60), (10_000, 50)])
+    def test_td_chain_matches_reference(self, iterations, horizon):
+        cmdp = random_cmdp(np.random.default_rng(3), n_states=5, n_costs=2)
+        probs = _with_zero_entries(cmdp, np.random.default_rng(4))
+        cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=iterations,
+                         td_step_size=0.05, episode_horizon=horizon)
+        for index in range(cmdp.n_costs + 1):
+            rng, ref_rng = np.random.default_rng(index), np.random.default_rng(index)
+            got = td_critic(cmdp, TablePolicy(probs=probs), index, cfg, rng)
+            assert np.array_equal(
+                got.q, td_q_reference(cmdp, probs, index, cfg, ref_rng))
+            assert _same_state(rng, ref_rng)
+
+    def test_td_chain_on_16x16_grid(self):
+        cmdp = gen_frozen_lake(GridSpec(rows=16, cols=16, seed=1))
+        probs = _with_zero_entries(cmdp, np.random.default_rng(5))
+        cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=500,
+                         episode_horizon=60)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = td_critic(cmdp, TablePolicy(probs=probs), 1, cfg, rng)
+        assert np.array_equal(got.q, td_q_reference(cmdp, probs, 1, cfg, ref_rng))
+        assert _same_state(rng, ref_rng)
+
+    @pytest.mark.parametrize("row", [[0.5, 0.4, 0.1 + 1e-7], [0.5, 0.6, -0.1],
+                                     [0.5, np.nan, 0.5], [0.5, 0.4, 0.0]])
+    def test_bad_policy_raises(self, row):
+        cmdp = random_cmdp(np.random.default_rng(6))
+        probs = np.full((4, 3), 1.0 / 3.0)
+        probs[2] = row
+        with pytest.raises(ValueError):  # rng.choice refuses the row as well
+            np.random.default_rng(0).choice(3, p=probs[2])
+        cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=10)
+        with pytest.raises(SamplerError):
+            td_critic(cmdp, TablePolicy(probs=probs), 0, cfg,
+                      np.random.default_rng(0))
+        with pytest.raises(SamplerError):
+            sample_episode(cmdp, probs, 5, np.random.default_rng(0))
+
+    def test_ties_resolve_as_choice(self):
+        # a uniform equal to a CDF step picks the next index, as
+        # Generator.choice's searchsorted(cdf, u, side="right") does
+        class Halves:
+            def random(self, shape):
+                return np.full(shape, 0.5)
+
+        cmdp = random_cmdp(np.random.default_rng(6))
+        probs = np.tile([0.5, 0.5, 0.0], (4, 1))
+        _, actions, _ = sample_episode(cmdp, probs, 5, Halves())
+        assert np.all(actions == np.searchsorted([0.5, 1.0, 1.0], 0.5, side="right"))
+
+    def test_rows_within_choice_tolerance_accepted(self):
+        cmdp = random_cmdp(np.random.default_rng(6))
+        probs = np.full((4, 3), 1.0 / 3.0)
+        probs[2] = [0.5, 0.4, 0.1 + 1e-9]
+        rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+        got = sample_episode(cmdp, probs, 30, rng)
+        ref = sample_episode_reference(cmdp, probs, 30, ref_rng)
+        assert all(np.array_equal(g[0], r) for g, r in zip(got, ref))
+
+
+class TestRunCrpoStreams:
+    """run_crpo replayed draw by draw with the per-draw references."""
+
+    def _replay(self, mode, seed):
+        cmdp = random_cmdp(np.random.default_rng(seed), n_costs=2,
+                           feasible_margin=0.05)
+        cfg = CrpoConfig(learning_rate=0.5, steps=6, tolerance=0.05,
+                         critic_mode=mode, td_iterations=50, td_step_size=0.2,
+                         episodes_per_step=3, episode_horizon=7, rng_seed=seed)
+        try:
+            out = run_crpo(cmdp, SoftmaxPolicy.uniform(4, 3), cfg)
+        except DegenerateRun as exc:
+            out = exc.outcome
+        rng = np.random.default_rng(seed)
+        episodes = []
+        for pol in out.all_iterates:
+            episodes += [sample_episode_reference(cmdp, pol.probs, 7, rng)
+                         for _ in range(3)]
+            if mode == "TdSampled":
+                for i in range(3):
+                    td_q_reference(cmdp, pol.probs, i, cfg, rng)
+        states, actions, nexts = (np.concatenate(a) for a in zip(*episodes))
+        ds = out.dataset
+        assert np.array_equal(ds.s, states) and np.array_equal(ds.a, actions)
+        assert np.array_equal(ds.s_next, nexts)
+        assert np.array_equal(ds.initial_states, states[::7])
+        assert np.array_equal(ds.step, np.repeat(np.arange(6), 21))
+        assert np.array_equal(ds.episode, np.tile(np.repeat(np.arange(3), 7), 6))
+        assert np.array_equal(ds.t, np.tile(np.arange(7), 18))
+        if out.reward_steps:
+            chosen = out.reward_steps[rng.integers(len(out.reward_steps))]
+            assert out.returned_policy is out.all_iterates[chosen]
+        return cmdp, out
+
+    @pytest.mark.parametrize("mode", ["Exact", "TdSampled"])
+    def test_streams_match_reference(self, mode):
+        for seed in range(3):
+            self._replay(mode, seed)
+
+    @pytest.mark.parametrize("mode", ["Exact", "TdSampled"])
+    def test_iterate_objectives_are_exact(self, mode):
+        cmdp, out = self._replay(mode, 4)
+        for m, pol in enumerate(out.all_iterates):
+            assert np.array_equal(out.iterate_objectives[m], all_objectives(cmdp, pol))
+        assert np.array_equal(out.returned_objectives,
+                              all_objectives(cmdp, out.returned_policy))
+
+    def test_exact_log_sampled_only_when_read(self, monkeypatch):
+        calls = []
+        original = crpo.sample_episode
+        monkeypatch.setattr(crpo, "sample_episode",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        cmdp = random_cmdp(np.random.default_rng(0), feasible_margin=0.05)
+        cfg = CrpoConfig(learning_rate=0.5, steps=5, tolerance=0.05, rng_seed=3)
+        out = run_crpo(cmdp, SoftmaxPolicy.uniform(4, 3), cfg)
+        assert calls == []
+        assert out.dataset is out.dataset
+        assert calls == [1]
+
+    def test_without_stored_iterates(self):
+        cmdp = random_cmdp(np.random.default_rng(1), feasible_margin=0.05)
+        cfg = CrpoConfig(learning_rate=0.5, steps=5, tolerance=0.05,
+                         store_all_iterates=False)
+        out = run_crpo(cmdp, SoftmaxPolicy.uniform(4, 3), cfg)
+        assert out.all_iterates is None
+        assert out.iterate_objectives.shape == (5, 2)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from metasrl import harness
 from metasrl.crpo import CrpoConfig
 from metasrl.dice import DiceConfig
 from metasrl.errors import InvalidInput
@@ -131,6 +132,37 @@ class TestRunExperiment:
         for rec in records:
             assert rec.per_step_reward.shape == (5,)
             assert rec.per_step_costs.shape == (5, 1)
+
+
+    def test_held_out_failure_is_recorded(self, monkeypatch):
+        tasks = tiny_tasks(3)
+        run_crpo = harness.run_crpo
+
+        def failing_on_test_task(cmdp, *args, **kwargs):
+            if cmdp is tasks[-1]:
+                raise RuntimeError("held-out task failed")
+            return run_crpo(cmdp, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_crpo", failing_on_test_task)
+        records, reports = run_experiment(tiny_config(), tasks=tasks)
+        assert len(records) == 2 * 2 * 3
+        for rec in records:
+            if rec.is_test:
+                assert rec.task_index == 2
+                assert rec.error == "RuntimeError: held-out task failed"
+            else:
+                assert rec.error is None
+        assert set(reports) == {"Random", "MetaSrl"}
+
+    def test_without_stored_iterates(self):
+        crpo_cfg = CrpoConfig(learning_rate=0.5, steps=5, tolerance=0.05,
+                              episodes_per_step=1, episode_horizon=2,
+                              store_all_iterates=False)
+        records, reports = run_experiment(tiny_config(crpo=crpo_cfg),
+                                          tasks=tiny_tasks(3))
+        assert len(records) == 2 * 2 * 3
+        assert all(rec.error is None for rec in records)
+        assert all(rec.per_step_costs.shape == (5, 1) for rec in records)
 
 
 class TestExportReport:
