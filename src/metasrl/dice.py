@@ -147,22 +147,27 @@ class DiceConfig:
             raise InvalidInput("sgd_steps must be >= 1")
 
 
-def _bellman_matrix(dataset, target_policy, gamma):
-    """G with (Gz)(s,a) = z(s,a) - gamma sum_{s'} p_hat(s'|s,a) sum_a' pi(a'|s') z(s',a')."""
-    s_n, a_n = dataset.n_states, dataset.n_actions
-    n = s_n * a_n
-    probs = target_policy.probs
-    # (s,a) x (s',a') expected-next operator
-    pp = np.einsum("sat,tb->satb", dataset.p_hat, probs).reshape(n, n)
-    return np.eye(n) - gamma * pp
-
-
 def dualdice_fit(dataset, target_policy, gamma, config=None):
     """Fit correction ratios omega = nu_pi(s,a)/d_data(s,a) from off-policy data.
 
     DirectSolve minimizes the quadratic objective exactly via its normal
-    equations; Sgd runs stochastic steps on the minimax surrogate. Output
-    is clipped at 0 and zeroed on uncovered pairs.
+    equations G^T D G z = (1-gamma) b, where G = I - gamma P_hat^pi is the
+    (SA)x(SA) Bellman matrix and D = diag(d_data). It works on the k covered
+    pairs C only: D vanishes off C, so G^T D G = G_C^T D_C G_C, and G_C has
+    full row rank k because ||gamma P_hat^pi||_inf <= gamma < 1. With the
+    k x k matrix H = G_C G_C^T, the min-norm solution is
+    z = G_C^T H^-1 D_C^-1 H^-1 G_C r (r = (1-gamma) b), so the covered
+    ratios are omega_C = G_C z = D_C^-1 H^-1 G_C r: one k x k solve, cost
+    O(k^2 SA), and no (SA)x(SA) matrix. When k < SA the objective J(z) is
+    unbounded below whenever b has a component outside the row space of
+    G_C; DirectSolve then returns the min-norm least-squares point of the
+    normal equations, as a dense lstsq would. Every least-squares point
+    differs from it by a null vector of G_C, so omega_C does not depend on
+    that choice.
+
+    Sgd runs stochastic steps on the minimax surrogate. Output is clipped
+    at 0 and zeroed on uncovered pairs, and a CoverageWarning is raised
+    when any pair is uncovered.
     """
     if config is None:
         config = DiceConfig()
@@ -171,26 +176,24 @@ def dualdice_fit(dataset, target_policy, gamma, config=None):
     if dataset.d_sa.sum() <= 0:
         raise InvalidInput("empty dataset")
     s_n, a_n = dataset.n_states, dataset.n_actions
-    n = s_n * a_n
-    d = dataset.d_sa.reshape(n)
     covered = dataset.d_sa > 0
-    b = (dataset.rho_hat[:, None] * target_policy.probs).reshape(n)
 
     if config.solver == "DirectSolve":
-        g = _bellman_matrix(dataset, target_policy, gamma)
-        normal = g.T @ (d[:, None] * g)
-        rhs = (1.0 - gamma) * b
-        rank = np.linalg.matrix_rank(normal, tol=1e-10)
-        z = np.linalg.lstsq(normal, rhs, rcond=None)[0]
-        omega = (g @ z).reshape(s_n, a_n)
-        if rank < n:
-            warnings.warn("data left correction ratios underdetermined on "
-                          "uncovered state-action pairs", CoverageWarning)
+        probs = target_policy.probs
+        rows = np.flatnonzero(covered)
+        # G_C: row (s,a) is e_(s,a) - gamma p_hat(s'|s,a) pi(a'|s')
+        g_c = -gamma * (dataset.p_hat[covered][:, :, None]
+                        * probs[None]).reshape(rows.size, s_n * a_n)
+        g_c[np.arange(rows.size), rows] += 1.0
+        rhs = (1.0 - gamma) * (dataset.rho_hat[:, None] * probs).reshape(-1)
+        y = np.linalg.solve(g_c @ g_c.T, g_c @ rhs)
+        omega = np.zeros((s_n, a_n))
+        omega[covered] = y / dataset.d_sa[covered]
     else:
         omega = _sgd_fit(dataset, target_policy, gamma, config)
-        if not covered.all():
-            warnings.warn("data left correction ratios underdetermined on "
-                          "uncovered state-action pairs", CoverageWarning)
+    if not covered.all():
+        warnings.warn("data left correction ratios underdetermined on "
+                      "uncovered state-action pairs", CoverageWarning)
 
     omega = np.maximum(omega, 0.0)
     omega[~covered] = 0.0
@@ -242,14 +245,17 @@ def kl_loss_and_grad(nu_hat, pi_hat, phi):
     """Visitation-weighted KL loss E_nu[D_KL(pi_hat | phi)] and its gradient.
 
     The gradient is with respect to phi's probability table:
-    d/d phi(a|s) = -nu(s) pi_hat(a|s) / phi(a|s).
+    d/d phi(a|s) = -nu(s) pi_hat(a|s) / phi(a|s). pi_hat may have zero
+    entries (0 log 0 = 0), as LP-optimal policies do.
     """
     nu = nu_hat.nu
     p = pi_hat.probs
     q = phi.probs if hasattr(phi, "probs") else np.asarray(phi, dtype=float)
     if np.any(q <= 0):
         raise InvalidInput("phi rows must be strictly positive")
-    per_state = (p * (np.log(p) - np.log(q))).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * (np.log(p) - np.log(q))
+    per_state = np.where(p > 0, terms, 0.0).sum(axis=1)
     loss = float(nu @ per_state)
     grad = -nu[:, None] * p / q
     return loss, grad

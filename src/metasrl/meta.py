@@ -20,39 +20,45 @@ from .errors import InvalidInput
 
 
 def project_simplex(v):
-    """Euclidean projection onto the standard probability simplex (sort-based)."""
+    """Euclidean projection onto the probability simplex (sort-based).
+
+    Projects each vector along the last axis of v, so a table is projected
+    row by row in one pass.
+    """
     v = np.asarray(v, dtype=float)
-    n = v.size
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
+    n = v.shape[-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
     idx = np.arange(1, n + 1)
     cond = u + (1.0 - css) / idx > 0
-    k = idx[cond][-1]
-    tau = (css[k - 1] - 1.0) / k
+    cond[..., 0] = True     # u_1 + (1 - u_1) = 1, unless rounding ate it
+    # k = the last index (1-based) where cond holds
+    k = n - np.argmax(cond[..., ::-1], axis=-1)[..., None]
+    tau = (np.take_along_axis(css, k - 1, axis=-1) - 1.0) / k
     return np.maximum(v - tau, 0.0)
 
 
 def project_row_shrinkage_simplex(v, shrink):
-    """Projection onto {a : sum a = 1, a_i >= shrink}.
+    """Projection onto {a : sum a = 1, a_i >= shrink}, along the last axis.
 
     Substituting b = (a - shrink)/(1 - n*shrink) reduces the problem to a
     standard simplex projection (the substitution is a scaled translation,
     so it preserves the Euclidean minimizer).
     """
     v = np.asarray(v, dtype=float)
-    n = v.size
+    n = v.shape[-1]
     if not (0.0 <= shrink < 1.0 / n):
         raise InvalidInput("shrinkage must lie in [0, 1/n)")
     scale = 1.0 - n * shrink
     if scale == 0.0:
-        return np.full(n, shrink)
+        return np.full(v.shape, shrink)
     b = project_simplex((v - shrink) / scale)
     return shrink + scale * b
 
 
 def project_table_shrinkage_simplex(table, shrink):
-    table = np.asarray(table, dtype=float)
-    return np.vstack([project_row_shrinkage_simplex(row, shrink) for row in table])
+    """Project every row of an (S, A) table onto the shrinkage simplex."""
+    return project_row_shrinkage_simplex(table, shrink)
 
 
 def inexact_ogd_step(x, grad_hat, beta, projector):

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from scratch (value iteration,
 vectorized Monte-Carlo rollouts, per-draw episode and TD(0) samplers,
-finite differences, scipy-based constrained minimization) rather than
-calling into the package under test.
+a dense DualDICE solve, row-by-row simplex projections, finite
+differences, scipy-based constrained minimization) rather than calling
+into the package under test.
 """
 
 import numpy as np
@@ -101,6 +102,50 @@ def td_q_reference(cmdp, probs, objective_index, config, rng):
         else:
             s, a = s2, a2
     return q
+
+
+def dualdice_direct_reference(dataset, probs, gamma):
+    """DualDICE on the dense (SA)x(SA) normal equations G^T D G z = (1-gamma) b.
+
+    Min-norm lstsq, omega = G z clipped at 0 and zeroed on uncovered pairs.
+    """
+    s_n, a_n = dataset.n_states, dataset.n_actions
+    n = s_n * a_n
+    next_op = np.einsum("sat,tb->satb", dataset.p_hat, probs).reshape(n, n)
+    g = np.eye(n) - gamma * next_op
+    d = dataset.d_sa.reshape(n)
+    normal = g.T @ (d[:, None] * g)
+    rhs = (1.0 - gamma) * (dataset.rho_hat[:, None] * probs).reshape(n)
+    z = np.linalg.lstsq(normal, rhs, rcond=None)[0]
+    omega = np.maximum((g @ z).reshape(s_n, a_n), 0.0)
+    omega[dataset.d_sa <= 0] = 0.0
+    return omega
+
+
+def project_simplex_reference(v):
+    """Sort-based Euclidean projection of one vector onto the simplex."""
+    v = np.asarray(v, dtype=float)
+    n = v.size
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    idx = np.arange(1, n + 1)
+    k = idx[u + (1.0 - css) / idx > 0][-1]
+    tau = (css[k - 1] - 1.0) / k
+    return np.maximum(v - tau, 0.0)
+
+
+def project_table_shrinkage_reference(table, shrink):
+    """Row by row projection onto {a : sum a = 1, a_i >= shrink}."""
+    rows = []
+    for v in np.asarray(table, dtype=float):
+        n = v.size
+        scale = 1.0 - n * shrink
+        if scale == 0.0:
+            rows.append(np.full(n, shrink))
+        else:
+            rows.append(shrink + scale
+                        * project_simplex_reference((v - shrink) / scale))
+    return np.vstack(rows)
 
 
 def central_difference(fn, x, step=1e-6):

@@ -1,15 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, VisitationDistribution,
                           policy_from_logits, visitation_exact)
+from metasrl.crpo import CrpoConfig, run_crpo
 from metasrl.dice import (CorrectionTable, DiceConfig, TrajectoryDataset,
                           dualdice_fit, error_decomposition, kl_loss_and_grad,
                           visitation_from_corrections)
-from metasrl.errors import (CoverageWarning, DegenerateEstimate, InvalidInput)
+from metasrl.errors import (CoverageWarning, DegenerateEstimate,
+                            DegenerateRun, InvalidInput)
+from metasrl.lp import solve_optimal_lp
+from metasrl.taskgen import GridSpec, gen_frozen_lake
 
-from oracles import central_difference, random_cmdp
+from oracles import central_difference, dualdice_direct_reference, random_cmdp
 
 
 def exact_dataset(cmdp, behavior):
@@ -18,6 +24,30 @@ def exact_dataset(cmdp, behavior):
     vis = visitation_exact(cmdp, behavior)
     return TrajectoryDataset.from_distribution(
         vis.nu_sa, cmdp.transition, cmdp.initial_dist)
+
+
+def gridworld_log(size, seed):
+    """The transition log and returned policy of a CRPO run on a gridworld,
+    with the test_09 CRPO settings."""
+    cmdp = gen_frozen_lake(GridSpec(rows=size, cols=size, seed=seed))
+    config = CrpoConfig(learning_rate=1.0, steps=8, tolerance=0.05,
+                        episodes_per_step=5, episode_horizon=60,
+                        rng_seed=seed)
+    try:
+        outcome = run_crpo(
+            cmdp, SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions), config)
+    except DegenerateRun as exc:
+        outcome = exc.outcome
+    return cmdp, outcome.dataset, outcome.returned_policy
+
+
+def assert_matches_dense(ds, target, gamma):
+    """DirectSolve agrees with the dense min-norm lstsq to 1e-9 relative."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageWarning)
+        omega = dualdice_fit(ds, target, gamma).omega
+    ref = dualdice_direct_reference(ds, target.probs, gamma)
+    assert np.max(np.abs(omega - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
 class TestDirectSolve:
@@ -55,6 +85,49 @@ class TestDirectSolve:
             corr = dualdice_fit(ds, target, cmdp.discount)
         assert corr.omega[0, 0] == 0.0
         assert not corr.coverage_mask[0, 0]
+
+    def test_full_coverage_does_not_warn(self):
+        rng = np.random.default_rng(2)
+        cmdp = random_cmdp(rng)
+        ds = exact_dataset(cmdp, SoftmaxPolicy.uniform(4, 3))
+        target = policy_from_logits(rng.standard_normal((4, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CoverageWarning)
+            corr = dualdice_fit(ds, target, cmdp.discount)
+        assert corr.coverage_mask.all()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_dense_reference_on_exact_datasets(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        s_n, a_n = int(rng.integers(2, 9)), int(rng.integers(2, 5))
+        cmdp = random_cmdp(rng, n_states=s_n, n_actions=a_n,
+                           gamma=float(rng.uniform(0.5, 0.99)))
+        behavior = policy_from_logits(rng.standard_normal((s_n, a_n)))
+        target = policy_from_logits(2.0 * rng.standard_normal((s_n, a_n)))
+        assert_matches_dense(exact_dataset(cmdp, behavior), target,
+                             cmdp.discount)
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.booleans(), min_size=12, max_size=12).filter(any))
+    @example(0, [True] + [False] * 11)
+    @example(1, [False] * 11 + [True])
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_reference_on_partial_coverage(self, seed, mask):
+        rng = np.random.default_rng(seed)
+        cmdp = random_cmdp(rng)
+        d_sa = rng.dirichlet(np.ones(12)).reshape(4, 3)
+        d_sa[~np.reshape(mask, (4, 3))] = 0.0
+        ds = TrajectoryDataset.from_distribution(
+            d_sa, cmdp.transition, cmdp.initial_dist)
+        target = policy_from_logits(rng.standard_normal((4, 3)))
+        assert_matches_dense(ds, target, cmdp.discount)
+
+    @pytest.mark.parametrize("size,seed", [(4, 0), (4, 97), (8, 0), (8, 97),
+                                           (16, 0)])
+    def test_matches_dense_reference_on_gridworld_logs(self, size, seed):
+        cmdp, ds, pi_hat = gridworld_log(size, seed)
+        assert 0 < np.count_nonzero(ds.d_sa) < ds.d_sa.size
+        assert_matches_dense(ds, pi_hat, cmdp.discount)
 
     def test_invalid_gamma(self):
         cmdp = random_cmdp(np.random.default_rng(3))
@@ -153,6 +226,27 @@ class TestKlLoss:
         assert abs(loss - expect) < 1e-12
         assert np.allclose(grad, [[-1.5, -0.5]])
 
+    def test_lp_optimal_policy_with_zero_entries(self):
+        cmdp = gen_frozen_lake(GridSpec(seed=2))
+        sol = solve_optimal_lp(cmdp)
+        p = sol.policy.probs
+        assert np.any(p == 0.0)
+        phi = TablePolicy(probs=np.full(p.shape, 1.0 / p.shape[1]))
+        loss, grad = kl_loss_and_grad(sol.visitation, sol.policy, phi)
+        pos = p > 0
+        terms = np.zeros_like(p)
+        terms[pos] = p[pos] * np.log(p[pos] * p.shape[1])
+        assert abs(loss - sol.visitation.nu @ terms.sum(axis=1)) < 1e-12
+        assert np.all(grad[~pos] == 0.0)
+
+    def test_positive_rows_keep_the_plain_formula(self):
+        rng = np.random.default_rng(8)
+        nu = VisitationDistribution(nu=rng.dirichlet(np.ones(5)), nu_sa=None)
+        p = rng.dirichlet(np.ones(3), size=5)
+        q = rng.dirichlet(np.ones(3), size=5)
+        loss, _ = kl_loss_and_grad(nu, TablePolicy(probs=p), q)
+        assert loss == float(nu.nu @ (p * (np.log(p) - np.log(q))).sum(axis=1))
+
     def test_rejects_nonpositive_phi(self):
         nu = VisitationDistribution(nu=np.array([1.0]), nu_sa=None)
         pi = TablePolicy(probs=np.array([[0.5, 0.5]]))
@@ -193,6 +287,23 @@ class TestErrorDecomposition:
             d = error_decomposition(*self._parts(seed))
             assert abs(d["total"] - (d["A"] + d["B"] + d["C"])) <= 1e-10
             assert abs(d["total"]) <= abs(d["A"]) + abs(d["B"]) + abs(d["C"]) + 1e-10
+
+    def test_finite_with_lp_optimal_policy(self):
+        """The terms are finite when pi* is the LP oracle's policy, whose
+        rows touch the simplex boundary."""
+        cmdp, ds, pi_hat = gridworld_log(4, 2)
+        sol = solve_optimal_lp(cmdp)
+        assert np.any(sol.policy.probs == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CoverageWarning)
+            corr = dualdice_fit(ds, pi_hat, cmdp.discount)
+        nu_hat = visitation_from_corrections(ds, corr)
+        phi = TablePolicy(probs=np.full(pi_hat.probs.shape, 0.25))
+        d = error_decomposition(sol.visitation, sol.policy,
+                                visitation_exact(cmdp, pi_hat), nu_hat,
+                                pi_hat, phi)
+        assert all(np.isfinite(v) for v in d.values())
+        assert abs(d["total"] - (d["A"] + d["B"] + d["C"])) <= 1e-10
 
     def test_zero_when_identical(self):
         nu, pi, _, _, _, phi = self._parts(0)

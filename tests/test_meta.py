@@ -17,7 +17,8 @@ from metasrl.meta import (MetaLearnerState, SimConstants,
                           rate_regret_objective, sim_loss_and_grad,
                           static_regret_bound)
 
-from oracles import central_difference, project_shrinkage_qp, minimize_average_kl
+from oracles import (central_difference, minimize_average_kl,
+                     project_shrinkage_qp, project_table_shrinkage_reference)
 
 finite_vec = arrays(np.float64, st.integers(2, 6),
                     elements=st.floats(-10, 10, allow_nan=False))
@@ -71,6 +72,28 @@ class TestProjections:
         assert np.allclose(out.sum(axis=1), 1.0)
         assert np.all(out >= 0.01 - 1e-12)
         assert np.allclose(out[1], [0.2, 0.3, 0.5])
+
+    def test_table_projection_matches_row_loop(self):
+        rng = np.random.default_rng(1)
+        for i in range(600):
+            s_n, a_n = int(rng.integers(1, 20)), int(rng.integers(1, 6))
+            tab = rng.standard_normal((s_n, a_n)) * [0.01, 1.0, 10.0][i % 3]
+            if (i // 4) % 2:
+                tab = np.round(tab, 1)              # ties within rows
+                tab[0] = tab[0, 0]
+            shrink = [0.0, 0.999 / a_n, 0.999999 / a_n,
+                      rng.random() / a_n][i % 4]
+            assert np.array_equal(project_table_shrinkage_simplex(tab, shrink),
+                                  project_table_shrinkage_reference(tab, shrink))
+
+    @pytest.mark.parametrize("a_n", [2, 3, 4, 5, 7])
+    def test_table_projection_at_shrink_just_below_one_over_n(self, a_n):
+        # (v - shrink)/scale is huge here, and u_1 + (1 - u_1) rounds to 0
+        shrink = float(np.nextafter(1.0 / a_n, 0.0))
+        tab = np.random.default_rng(a_n).standard_normal((6, a_n))
+        out = project_table_shrinkage_simplex(tab, shrink)
+        assert np.max(np.abs(out.sum(axis=1) - 1.0)) < 1e-12
+        assert np.all(out >= shrink)
 
 
 class TestOgd:
