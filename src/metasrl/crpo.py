@@ -5,8 +5,10 @@ estimated constraint values against the limits plus a tolerance eta. Critic
 is either an exact dense solve or tabular TD(0) from on-policy samples.
 
 Every sampled draw, whether an episode step or a TD(0) chain step, goes
-through one batched inverse-CDF sampler that steps all rollouts together and
-reproduces one `Generator.choice` call per draw, bit for bit. A run records
+through one batched rollout that steps all rollouts together and reproduces
+one `Generator.choice` call per draw, bit for bit; its inverse-CDF draw and
+the checks on each probability table live in `metasrl.sampling`, which the
+SGD DICE fit shares. A run records
 the exact objectives (J_0..J_p) of every iterate. Its transition log is
 built on first read of `outcome.dataset`: with the Exact critic no sample
 feeds control flow, so the episodes are drawn, from the run's seed, only
@@ -26,13 +28,11 @@ from .cmdp import (SoftmaxPolicy, ValueTable, _fmt, all_objectives,
                    expected_objective_from_values, policy_evaluation_exact,
                    policy_from_logits)
 from .dice import TrajectoryDataset
-from .errors import DegenerateRun, InvalidInput, SamplerError
+from .errors import DegenerateRun, InvalidInput
+from .sampling import cdf, draw
 
 EXACT = "Exact"
 TD_SAMPLED = "TdSampled"
-
-# Generator.choice rejects probability rows whose sum is off by more than this
-CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -131,26 +131,6 @@ def npg_softmax_step(logits, q_estimate, alpha, direction, gamma):
     return np.asarray(logits, dtype=float) + sign * (alpha / (1.0 - gamma)) * q
 
 
-def _cdf(table, what):
-    """Normalized cumulative rows of a probability table (last axis).
-
-    Checked as `Generator.choice` checks its p: no NaN or negative entry, and
-    every row summing to 1 within CHOICE_ATOL. Normalized the way choice
-    normalizes, cumsum(p) / cumsum(p)[-1], so draws match it bit for bit.
-    """
-    table = np.asarray(table, dtype=float)
-    if np.isnan(table).any() or (table < 0).any() \
-            or np.abs(table.sum(axis=-1) - 1.0).max() > CHOICE_ATOL:
-        raise SamplerError(f"{what} is not a table of probability rows")
-    cdf = np.cumsum(table, axis=-1)
-    return cdf / cdf[..., -1:]
-
-
-def _draw(cdf_rows, u):
-    """One inverse-CDF draw per row: count(cdf <= u), as Generator.choice."""
-    return (cdf_rows <= u[:, None]).sum(axis=1)
-
-
 def _rollout(cmdp, policy_cdf, row_policy, u):
     """Walk every row of uniforms u (n, w) along s_0 ~ rho, a_0 ~ pi(s_0),
     s_1 ~ P(s_0, a_0), a_1 ~ pi(s_1), ..., one uniform per draw, all rows
@@ -158,14 +138,14 @@ def _rollout(cmdp, policy_cdf, row_policy, u):
 
     Returns the (n, w) drawn indices: states in even columns, actions in odd.
     """
-    trans_cdf = _cdf(cmdp.transition, "transition kernel")
+    trans_cdf = cdf(cmdp.transition, "transition kernel")
     x = np.empty(u.shape, dtype=np.intp)
-    x[:, 0] = _draw(_cdf(cmdp.initial_dist, "initial distribution"), u[:, 0])
+    x[:, 0] = draw(cdf(cmdp.initial_dist, "initial distribution"), u[:, 0])
     for j in range(1, u.shape[1]):
         if j % 2:
-            x[:, j] = _draw(policy_cdf[row_policy, x[:, j - 1]], u[:, j])
+            x[:, j] = draw(policy_cdf[row_policy, x[:, j - 1]], u[:, j])
         else:
-            x[:, j] = _draw(trans_cdf[x[:, j - 2], x[:, j - 1]], u[:, j])
+            x[:, j] = draw(trans_cdf[x[:, j - 2], x[:, j - 1]], u[:, j])
     return x
 
 
@@ -178,7 +158,7 @@ def sample_episode(cmdp, probs, horizon, rng, episodes=1):
     episode. Returns (states, actions, next_states), each of shape
     (k * episodes, horizon).
     """
-    policy_cdf = _cdf(probs, "policy")
+    policy_cdf = cdf(probs, "policy")
     if policy_cdf.ndim == 2:
         policy_cdf = policy_cdf[None]
     row_policy = np.repeat(np.arange(len(policy_cdf)), episodes)
@@ -204,7 +184,7 @@ def _td_q(cmdp, probs, objective_index, config, rng):
     u = np.zeros((k // horizon + 1) * width)
     rng.random(out=u[:2 + 2 * k + 2 * (k // horizon)])
     u = u.reshape(-1, width)
-    x = _rollout(cmdp, _cdf(probs, "policy")[None], np.zeros(len(u), dtype=np.intp), u)
+    x = _rollout(cmdp, cdf(probs, "policy")[None], np.zeros(len(u), dtype=np.intp), u)
     sa = (x[:, :-2:2] * a_n + x[:, 1:-2:2]).ravel()[:k]    # (s, a) of each update
     sa_next = (x[:, 2::2] * a_n + x[:, 3::2]).ravel()[:k]  # (s', a') of its target
     step, gamma, cost = config.td_step_size, cmdp.discount, c.ravel().tolist()

@@ -4,6 +4,10 @@ The fit minimizes J(z) = 1/2 E_d[(z - T^pi z)^2] - (1-gamma) E_{rho,pi}[z]
 over a fully tabular z, then recovers the correction ratios
 omega(s,a) = (z - B^pi z)(s,a), the estimated visitation nu_hat, and the
 visitation-weighted KL loss the meta-learner descends on.
+
+The Sgd solver's draws reproduce the stream of one `Generator` call per
+draw bit for bit: they are made in one batch by `metasrl.sampling`, which
+the CRPO sampler shares.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoverageWarning, DegenerateEstimate, InvalidInput
+from .sampling import cdf, draw, draw_stream
 
 COUNT_TOL = 1e-12
+SGD_CHUNK = 1024    # Sgd steps drawn at a time: bounds the draw arrays
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,8 @@ class DiceConfig:
             raise InvalidInput(f"unknown DICE solver {self.solver!r}")
         if self.solver == "Sgd" and self.sgd_steps < 1:
             raise InvalidInput("sgd_steps must be >= 1")
+        if self.solver == "Sgd" and not 0.0 < self.sgd_step_size < np.inf:
+            raise InvalidInput("sgd_step_size must be positive and finite")
 
 
 def dualdice_fit(dataset, target_policy, gamma, config=None):
@@ -165,9 +173,13 @@ def dualdice_fit(dataset, target_policy, gamma, config=None):
     differs from it by a null vector of G_C, so omega_C does not depend on
     that choice.
 
-    Sgd runs stochastic steps on the minimax surrogate. Output is clipped
-    at 0 and zeroed on uncovered pairs, and a CoverageWarning is raised
-    when any pair is uncovered.
+    Sgd runs `sgd_steps` stochastic steps on the minimax surrogate, seeded
+    by `rng_seed`. Its draws reproduce the per-draw Generator stream (one
+    `integers`, `choice`, `integers`, `choice` a step) bit for bit, made in
+    one batch; only the O(K) scalar updates run in a Python loop.
+
+    Output is clipped at 0 and zeroed on uncovered pairs, and a
+    CoverageWarning is raised when any pair is uncovered.
     """
     if config is None:
         config = DiceConfig()
@@ -201,28 +213,42 @@ def dualdice_fit(dataset, target_policy, gamma, config=None):
 
 
 def _sgd_fit(dataset, target_policy, gamma, config):
-    """K stochastic saddle-point steps on J(z, zeta); returns z - B^pi z on data."""
-    rng = np.random.default_rng(config.rng_seed)
+    """K stochastic saddle-point steps on J(z, zeta); returns z - B^pi z on data.
+
+    Each step draws a logged transition (s, a, s'), a' ~ pi(s'), a logged
+    initial state s_0 and a_0 ~ pi(s_0): rng.integers, rng.choice,
+    rng.integers, rng.choice, in that order. No draw depends on z, so the
+    steps are drawn ahead, SGD_CHUNK at a time, in batches that reproduce
+    that per-draw stream bit for bit. Only the scalar updates run one by
+    one, on Python floats, which round as numpy scalars do.
+    """
     s_n, a_n = dataset.n_states, dataset.n_actions
-    z = np.zeros((s_n, a_n))
-    zeta = np.zeros((s_n, a_n))
-    probs = target_policy.probs
-    n_tr = dataset.s.size
-    if n_tr == 0 or dataset.initial_states.size == 0:
+    n_tr, n_init = dataset.s.size, dataset.initial_states.size
+    if n_tr == 0 or n_init == 0:
         raise InvalidInput("Sgd solver needs sampled transitions")
-    lr = config.sgd_step_size
-    for _ in range(config.sgd_steps):
-        i = rng.integers(n_tr)
-        s, a, s2 = dataset.s[i], dataset.a[i], dataset.s_next[i]
-        a2 = rng.choice(a_n, p=probs[s2])
-        s0 = dataset.initial_states[rng.integers(dataset.initial_states.size)]
-        a0 = rng.choice(a_n, p=probs[s0])
-        resid = z[s, a] - gamma * z[s2, a2] - zeta[s, a]
-        # ascent in zeta, descent in z
-        zeta[s, a] += lr * resid
-        z[s, a] -= lr * zeta[s, a]
-        z[s2, a2] += lr * gamma * zeta[s, a]
-        z[s0, a0] += lr * (1.0 - gamma)
+    probs = target_policy.probs
+    policy_cdf = cdf(probs, "target policy")
+    rng = np.random.default_rng(config.rng_seed)
+    gamma, lr = float(gamma), float(config.sgd_step_size)
+    lr_gamma, lr_init = lr * gamma, lr * (1.0 - gamma)
+    z = [0.0] * (s_n * a_n)
+    zeta = [0.0] * (s_n * a_n)
+    for start in range(0, config.sgd_steps, SGD_CHUNK):
+        i, u_next, j, u_init = draw_stream(
+            rng, (n_tr, None, n_init, None),
+            min(SGD_CHUNK, config.sgd_steps - start))
+        s2, s0 = dataset.s_next[i], dataset.initial_states[j]
+        sa = dataset.s[i] * a_n + dataset.a[i]
+        sa_next = s2 * a_n + draw(policy_cdf[s2], u_next)
+        sa_init = s0 * a_n + draw(policy_cdf[s0], u_init)
+        for k, k2, k0 in zip(sa.tolist(), sa_next.tolist(), sa_init.tolist()):
+            resid = z[k] - gamma * z[k2] - zeta[k]
+            # ascent in zeta, descent in z
+            zeta[k] += lr * resid
+            z[k] -= lr * zeta[k]
+            z[k2] += lr_gamma * zeta[k]
+            z[k0] += lr_init
+    z = np.array(z).reshape(s_n, a_n)
     # omega = z - gamma * expected next z under p_hat and the target policy
     next_z = np.einsum("sat,tb,tb->sa", dataset.p_hat, probs, z)
     return z - gamma * next_z

@@ -3,8 +3,9 @@ sequence, collect per-step learning curves and regret reports, and export
 reproducible artifacts.
 
 All exports are deterministic functions of the config (seeds derived from
-master_seed via SeedSequence spawning, one child per (strategy, run)); no
-timestamps or wall-clock values are written to disk.
+master_seed via SeedSequence spawning, one child per (strategy, run), and
+each DICE fit seeded from the DICE seed and its task's seed); no timestamps
+or wall-clock values are written to disk.
 """
 
 from __future__ import annotations
@@ -153,6 +154,14 @@ def _run_task(cmdp, init_table, crpo_cfg, seed):
     return outcome, degenerate
 
 
+def _dice_seed(dice_seed, task_seed):
+    """Seed of one task's DICE fit, apart from its CRPO seed: every (run,
+    task) pair draws its own stream, so averaging over runs averages the
+    DICE noise too."""
+    seq = np.random.SeedSequence([dice_seed, int(task_seed)])
+    return int(seq.generate_state(1)[0])
+
+
 def solve_oracles(cmdps):
     """LP oracle per task, re-validated by exact policy evaluation."""
     oracles = []
@@ -267,8 +276,10 @@ def run_experiment(config, tasks=None):
                 last_outcomes[t] = outcome
 
                 if strategy == "MetaSrl":
+                    dice_cfg = replace(config.dice, rng_seed=_dice_seed(
+                        config.dice.rng_seed, task_seeds[t]))
                     corrections = dualdice_fit(outcome.dataset, pi_hat,
-                                               cmdp.discount, config.dice)
+                                               cmdp.discount, dice_cfg)
                     nu_hat = visitation_from_corrections(outcome.dataset, corrections)
                     kl_terms[run, t], _ = kl_loss_and_grad(
                         nu_hat, pi_hat, TablePolicy(probs=state.init_policy))

@@ -1,8 +1,8 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written from scratch (value iteration,
-vectorized Monte-Carlo rollouts, per-draw episode and TD(0) samplers,
-a dense DualDICE solve, row-by-row simplex projections, finite
+vectorized Monte-Carlo rollouts, per-draw episode, TD(0) and SGD DICE
+samplers, a dense DualDICE solve, row-by-row simplex projections, finite
 differences, scipy-based constrained minimization) rather than calling
 into the package under test.
 """
@@ -118,6 +118,33 @@ def dualdice_direct_reference(dataset, probs, gamma):
     rhs = (1.0 - gamma) * (dataset.rho_hat[:, None] * probs).reshape(n)
     z = np.linalg.lstsq(normal, rhs, rcond=None)[0]
     omega = np.maximum((g @ z).reshape(s_n, a_n), 0.0)
+    omega[dataset.d_sa <= 0] = 0.0
+    return omega
+
+
+def sgd_fit_reference(dataset, probs, gamma, config):
+    """DualDICE by SGD, one rng.integers / rng.choice call per draw.
+
+    omega = z - gamma P_hat^pi z, clipped at 0 and zeroed on uncovered pairs.
+    """
+    rng = np.random.default_rng(config.rng_seed)
+    s_n, a_n = dataset.n_states, dataset.n_actions
+    z = np.zeros((s_n, a_n))
+    zeta = np.zeros((s_n, a_n))
+    lr = config.sgd_step_size
+    for _ in range(config.sgd_steps):
+        i = rng.integers(dataset.s.size)
+        s, a, s2 = dataset.s[i], dataset.a[i], dataset.s_next[i]
+        a2 = rng.choice(a_n, p=probs[s2])
+        s0 = dataset.initial_states[rng.integers(dataset.initial_states.size)]
+        a0 = rng.choice(a_n, p=probs[s0])
+        resid = z[s, a] - gamma * z[s2, a2] - zeta[s, a]
+        zeta[s, a] += lr * resid
+        z[s, a] -= lr * zeta[s, a]
+        z[s2, a2] += lr * gamma * zeta[s, a]
+        z[s0, a0] += lr * (1.0 - gamma)
+    next_z = np.einsum("sat,tb,tb->sa", dataset.p_hat, probs, z)
+    omega = np.maximum(z - gamma * next_z, 0.0)
     omega[dataset.d_sa <= 0] = 0.0
     return omega
 

@@ -11,11 +11,12 @@ from metasrl.dice import (CorrectionTable, DiceConfig, TrajectoryDataset,
                           dualdice_fit, error_decomposition, kl_loss_and_grad,
                           visitation_from_corrections)
 from metasrl.errors import (CoverageWarning, DegenerateEstimate,
-                            DegenerateRun, InvalidInput)
+                            DegenerateRun, InvalidInput, SamplerError)
 from metasrl.lp import solve_optimal_lp
 from metasrl.taskgen import GridSpec, gen_frozen_lake
 
-from oracles import central_difference, dualdice_direct_reference, random_cmdp
+from oracles import (central_difference, dualdice_direct_reference,
+                     random_cmdp, sgd_fit_reference)
 
 
 def exact_dataset(cmdp, behavior):
@@ -159,6 +160,78 @@ class TestSgdSolver:
         nu = visitation_from_corrections(ds, corr).nu
         ref = visitation_exact(cmdp, target).nu
         assert np.max(np.abs(nu - ref)) < 0.1
+
+
+def sgd_omega(ds, target, gamma, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CoverageWarning)
+        return dualdice_fit(ds, target, gamma, cfg).omega
+
+
+def small_log(n_tr, n_init, seed=0):
+    """A sampled log of n_tr transitions and n_init initial states on a
+    random 4x3 CMDP, with a random target policy."""
+    rng = np.random.default_rng(seed)
+    cmdp = random_cmdp(rng)
+    s, a = rng.integers(4, size=n_tr), rng.integers(3, size=n_tr)
+    ds = TrajectoryDataset.from_samples(
+        4, 3, step=np.zeros(n_tr, int), episode=np.zeros(n_tr, int),
+        t=np.ones(n_tr, int), s=s, a=a, r=cmdp.reward[s, a],
+        c=cmdp.costs[:, s, a].T, s_next=rng.integers(4, size=n_tr),
+        initial_states=rng.integers(4, size=n_init))
+    return cmdp, ds, policy_from_logits(rng.standard_normal((4, 3)))
+
+
+class TestSgdDraws:
+    """The batched Sgd fit against the per-draw rng.integers / rng.choice
+    loop: the same omega, bit for bit."""
+
+    @pytest.mark.parametrize("size,seed", [(4, 0), (4, 97), (8, 0), (8, 97)])
+    @pytest.mark.parametrize("steps", [1, 7, 10_000])
+    def test_matches_reference_on_gridworld_logs(self, size, seed, steps):
+        cmdp, ds, pi_hat = gridworld_log(size, seed)
+        for rng_seed in (0, 12345):
+            cfg = DiceConfig(solver="Sgd", sgd_steps=steps, rng_seed=rng_seed)
+            assert np.array_equal(
+                sgd_omega(ds, pi_hat, cmdp.discount, cfg),
+                sgd_fit_reference(ds, pi_hat.probs, cmdp.discount, cfg))
+
+    @pytest.mark.parametrize("n_tr,n_init", [(50, 1), (1, 3), (1, 1)])
+    def test_integers_of_one_draw_nothing(self, n_tr, n_init):
+        cmdp, ds, target = small_log(n_tr, n_init)
+        for rng_seed in (0, 7):
+            cfg = DiceConfig(solver="Sgd", sgd_steps=501, sgd_step_size=0.1,
+                             rng_seed=rng_seed)
+            assert np.array_equal(
+                sgd_omega(ds, target, cmdp.discount, cfg),
+                sgd_fit_reference(ds, target.probs, cmdp.discount, cfg))
+
+    @pytest.mark.parametrize("row", [[0.5, 0.4, 0.1 + 1e-7], [0.5, 0.6, -0.1],
+                                     [0.5, np.nan, 0.5], [0.5, 0.4, 0.0]])
+    def test_bad_policy_raises(self, row):
+        cmdp, ds, _ = small_log(50, 5)
+        probs = np.full((4, 3), 1.0 / 3.0)
+        probs[ds.s_next[0]] = row
+        with pytest.raises(ValueError):  # rng.choice refuses the row as well
+            np.random.default_rng(0).choice(3, p=probs[ds.s_next[0]])
+        with pytest.raises(SamplerError):
+            dualdice_fit(ds, TablePolicy(probs=probs), cmdp.discount,
+                         DiceConfig(solver="Sgd", sgd_steps=100))
+
+    def test_rows_within_choice_tolerance_accepted(self):
+        cmdp, ds, _ = small_log(50, 5)
+        probs = np.full((4, 3), 1.0 / 3.0)
+        probs[ds.s_next[0]] = [0.5, 0.4, 0.1 + 1e-9]
+        cfg = DiceConfig(solver="Sgd", sgd_steps=300)
+        assert np.array_equal(
+            sgd_omega(ds, TablePolicy(probs=probs), cmdp.discount, cfg),
+            sgd_fit_reference(ds, probs, cmdp.discount, cfg))
+
+    @pytest.mark.parametrize("step_size", [np.nan, np.inf, -0.05, 0.0])
+    def test_step_size_must_be_positive_and_finite(self, step_size):
+        with pytest.raises(InvalidInput):
+            DiceConfig(solver="Sgd", sgd_step_size=step_size)
+        DiceConfig(sgd_step_size=step_size)   # DirectSolve takes no step
 
 
 class TestDataset:

@@ -154,6 +154,32 @@ class TestRunExperiment:
                 assert rec.error is None
         assert set(reports) == {"Random", "MetaSrl"}
 
+    def test_every_dice_fit_draws_its_own_stream(self, monkeypatch):
+        crpo_seeds, dice_seeds = [], []
+        run_crpo, fit = harness.run_crpo, harness.dualdice_fit
+
+        def recording_crpo(cmdp, policy, cfg, *args):
+            crpo_seeds.append(cfg.rng_seed)
+            return run_crpo(cmdp, policy, cfg, *args)
+
+        def recording_fit(dataset, target, gamma, cfg):
+            assert cfg.solver == "Sgd" and cfg.sgd_steps == 50
+            dice_seeds.append(cfg.rng_seed)
+            return fit(dataset, target, gamma, cfg)
+
+        monkeypatch.setattr(harness, "run_crpo", recording_crpo)
+        monkeypatch.setattr(harness, "dualdice_fit", recording_fit)
+        cfg = tiny_config(strategies=("MetaSrl",),
+                          dice=DiceConfig(solver="Sgd", sgd_steps=50))
+        records, _ = run_experiment(cfg, tasks=tiny_tasks(3))
+        assert all(rec.error is None for rec in records)
+        # 2 runs x 2 training tasks, each fit with its own seed, none of
+        # them a CRPO seed
+        assert len(dice_seeds) == len(set(dice_seeds)) == 4
+        assert not set(dice_seeds) & set(crpo_seeds)
+        run_experiment(cfg, tasks=tiny_tasks(3))
+        assert dice_seeds[4:] == dice_seeds[:4]
+
     def test_without_stored_iterates(self):
         crpo_cfg = CrpoConfig(learning_rate=0.5, steps=5, tolerance=0.05,
                               episodes_per_step=1, episode_horizon=2,
