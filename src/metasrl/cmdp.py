@@ -227,23 +227,30 @@ def transition_under_policy(cmdp, probs):
     return np.einsum("sa,sat->st", probs, cmdp.transition)
 
 
-def policy_evaluation_exact(cmdp, policy, objective_index):
-    """Solve (I - gamma P_pi) V = c_pi exactly by a dense LU solve."""
+def policy_evaluation_exact(cmdp, policy):
+    """Value tables (V_i, Q_i) of every objective i = 0..p of one policy.
+
+    All p+1 Bellman systems (I - gamma P_pi) V_i = c_pi,i share one matrix,
+    so they are solved against one LU factorisation with the stacked
+    (S, p+1) right-hand side; every column must pass the residual check.
+    Returns the tuple of p+1 ValueTables, reward first.
+    """
     _check_dims(cmdp, policy)
     probs = policy.probs
-    c = cmdp.objective_table(objective_index)
+    tables = np.concatenate([cmdp.reward[None], cmdp.costs])
     p_pi = transition_under_policy(cmdp, probs)
-    c_pi = (probs * c).sum(axis=1)
+    c_pi = (probs * tables).sum(axis=2).T
     a = np.eye(cmdp.n_states) - cmdp.discount * p_pi
     try:
         v = np.linalg.solve(a, c_pi)
     except np.linalg.LinAlgError as exc:  # cannot occur for gamma < 1
         raise NumericalFailure("singular Bellman system") from exc
     residual = np.max(np.abs(a @ v - c_pi))
-    if residual > SOLVE_TOL:
+    if not residual <= SOLVE_TOL:
         raise NumericalFailure(f"Bellman residual {residual:.3e} exceeds tolerance")
-    q = c + cmdp.discount * cmdp.transition @ v
-    return ValueTable(v=v, q=q, objective_index=objective_index)
+    step = cmdp.discount * cmdp.transition
+    return tuple(ValueTable(v=v_i, q=tables[i] + step @ v_i, objective_index=i)
+                 for i, v_i in enumerate(np.ascontiguousarray(v.T)))
 
 
 def visitation_exact(cmdp, policy):
@@ -261,16 +268,17 @@ def visitation_exact(cmdp, policy):
     return VisitationDistribution(nu=nu, nu_sa=nu[:, None] * probs)
 
 
-def expected_objective(cmdp, policy, objective_index):
-    """J_i(pi) = E_rho[V_i(s)] for the chosen objective."""
-    vt = policy_evaluation_exact(cmdp, policy, objective_index)
-    return float(cmdp.initial_dist @ vt.v)
-
-
-def expected_objective_from_values(cmdp, vt):
-    return float(cmdp.initial_dist @ vt.v)
+def objective_values(cmdp, values):
+    """Vector (J_0, ..., J_p), J_i = E_rho[V_i(s)], of one policy's value tables."""
+    return np.array([cmdp.initial_dist @ vt.v for vt in values])
 
 
 def all_objectives(cmdp, policy):
     """Vector (J_0, J_1, ..., J_p)."""
-    return np.array([expected_objective(cmdp, policy, i) for i in range(cmdp.n_costs + 1)])
+    return objective_values(cmdp, policy_evaluation_exact(cmdp, policy))
+
+
+def expected_objective(cmdp, policy, objective_index):
+    """J_i(pi) = E_rho[V_i(s)] for the chosen objective."""
+    cmdp.objective_table(objective_index)  # InvalidInput when out of range
+    return float(all_objectives(cmdp, policy)[objective_index])

@@ -8,11 +8,13 @@ Every sampled draw, whether an episode step or a TD(0) chain step, goes
 through one batched rollout that steps all rollouts together and reproduces
 one `Generator.choice` call per draw, bit for bit; its inverse-CDF draw and
 the checks on each probability table live in `metasrl.sampling`, which the
-SGD DICE fit shares. A run records
-the exact objectives (J_0..J_p) of every iterate. Its transition log is
-built on first read of `outcome.dataset`: with the Exact critic no sample
-feeds control flow, so the episodes are drawn, from the run's seed, only
-when something reads them.
+SGD DICE fit shares. The exact critic evaluates all p+1 objectives of an
+iterate against one factorisation of its Bellman matrix, and that one solve
+also gives the exact objectives (J_0..J_p) that a run records for every
+iterate, whichever critic steers it. A run's transition log is built on
+first read of `outcome.dataset`: with the Exact critic no sample feeds
+control flow, so the episodes are drawn, from the run's seed, only when
+something reads them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .cmdp import (SoftmaxPolicy, ValueTable, _fmt, all_objectives,
-                   expected_objective_from_values, policy_evaluation_exact,
+                   objective_values, policy_evaluation_exact,
                    policy_from_logits)
 from .dice import TrajectoryDataset
 from .errors import DegenerateRun, InvalidInput
@@ -198,7 +200,8 @@ def _td_q(cmdp, probs, objective_index, config, rng):
 def td_critic(cmdp, policy, objective_index, config, rng=None):
     """Critic: exact dense solve, or K_in tabular TD(0) updates from samples."""
     if config.critic_mode == EXACT:
-        return policy_evaluation_exact(cmdp, policy, objective_index)
+        cmdp.objective_table(objective_index)  # InvalidInput when out of range
+        return policy_evaluation_exact(cmdp, policy)[objective_index]
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
     q = _td_q(cmdp, policy.probs, objective_index, config, rng)
@@ -275,8 +278,8 @@ def run_crpo(cmdp, init_policy, config, shrinkage=0.0):
         snapshots.append(policy)
 
         if exact:
-            values = [policy_evaluation_exact(cmdp, policy, i) for i in range(p + 1)]
-            objectives[m] = [expected_objective_from_values(cmdp, v) for v in values]
+            values = policy_evaluation_exact(cmdp, policy)
+            objectives[m] = objective_values(cmdp, values)
             j_bar = objectives[m, 1:]
         else:
             st, ac, nx = sample_episode(cmdp, policy.probs, horizon, rng,

@@ -1,16 +1,17 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written from scratch (value iteration,
-vectorized Monte-Carlo rollouts, per-draw episode, TD(0) and SGD DICE
-samplers, a dense DualDICE solve, row-by-row simplex projections, finite
-differences, scipy-based constrained minimization) rather than calling
-into the package under test.
+one dense Bellman solve per objective, vectorized Monte-Carlo rollouts,
+per-draw episode, TD(0) and SGD DICE samplers, a dense DualDICE solve,
+row-by-row simplex projections, finite differences, scipy-based constrained
+minimization) rather than calling into the package under test.
 """
 
 import numpy as np
 import scipy.optimize
 
-from metasrl.cmdp import TabularCmdp
+from metasrl.cmdp import TabularCmdp, ValueTable
+from metasrl.errors import NumericalFailure
 
 
 def value_iteration(cmdp, tol=1e-12, max_iter=200_000):
@@ -23,6 +24,25 @@ def value_iteration(cmdp, tol=1e-12, max_iter=200_000):
             return float(cmdp.initial_dist @ v_new)
         v = v_new
     raise RuntimeError("value iteration did not converge")
+
+
+def policy_evaluation_reference(cmdp, policy):
+    """Value tables of every objective, one dense solve per objective: P_pi
+    is rebuilt and (I - gamma P_pi) refactorised for each one."""
+    probs = policy.probs
+    values = []
+    for i in range(cmdp.n_costs + 1):
+        c = cmdp.objective_table(i)
+        p_pi = np.einsum("sa,sat->st", probs, cmdp.transition)
+        c_pi = (probs * c).sum(axis=1)
+        a = np.eye(cmdp.n_states) - cmdp.discount * p_pi
+        v = np.linalg.solve(a, c_pi)
+        residual = np.max(np.abs(a @ v - c_pi))
+        if residual > 1e-10:
+            raise NumericalFailure(f"Bellman residual {residual:.3e}")
+        q = c + cmdp.discount * cmdp.transition @ v
+        values.append(ValueTable(v=v, q=q, objective_index=i))
+    return tuple(values)
 
 
 def monte_carlo_visitation(cmdp, probs, n_rollouts, seed):

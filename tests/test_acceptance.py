@@ -267,21 +267,24 @@ def test_08_similarity_center_matches_numerical_minimizer():
     assert time.monotonic() - t0 < 30.0
 
 
+# the strategy comparison of test_09; examples/test09.json holds the same config
+TEST09_CONFIG = ExperimentConfig(
+    task_source=TaskSequenceConfig(
+        mode="HighSimilarity", num_tasks=11, base=GridSpec(seed=2), seed=2),
+    strategies=("Random", "Pretrained", "SimpleAverage", "FAL", "MetaSrl"),
+    runs_per_strategy=10,
+    crpo=CrpoConfig(learning_rate=1.0, steps=8, tolerance=0.05,
+                    episodes_per_step=5, episode_horizon=60),
+    meta=MetaConfig(ogd_step_init=0.5),
+    master_seed=0)
+
+
 def test_09_meta_learning_beats_baselines_on_similar_tasks():
     """Shared-structure gridworld sequence: the meta learner's optimality gap
     shrinks over tasks, and on the held-out task its final constraint
     violation is no worse than any baseline while matching Random's reward."""
     t0 = time.monotonic()
-    config = ExperimentConfig(
-        task_source=TaskSequenceConfig(
-            mode="HighSimilarity", num_tasks=11, base=GridSpec(seed=2),
-            seed=2),
-        strategies=("Random", "Pretrained", "SimpleAverage", "FAL", "MetaSrl"),
-        runs_per_strategy=10,
-        crpo=CrpoConfig(learning_rate=1.0, steps=8, tolerance=0.05,
-                        episodes_per_step=5, episode_horizon=60),
-        meta=MetaConfig(ogd_step_init=0.5),
-        master_seed=0)
+    config = TEST09_CONFIG
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         records, _ = run_experiment(config)

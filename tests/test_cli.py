@@ -4,6 +4,12 @@ import os
 import pytest
 
 from metasrl.cli import main
+from metasrl.harness import ExperimentConfig
+
+from test_acceptance import TEST09_CONFIG
+
+EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "examples")
 
 
 def write_json(path, doc):
@@ -102,6 +108,12 @@ class TestRun:
         cfg = write_json(tmp_path / "run.json", RUN_DOC)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x"),
                      "--strategy", "Bogus"]) == 2
+
+
+class TestExampleConfig:
+    def test_test09_example_is_the_test_09_config(self):
+        with open(os.path.join(EXAMPLES, "test09.json")) as fh:
+            assert ExperimentConfig.from_json(json.load(fh)) == TEST09_CONFIG
 
 
 class TestReport:

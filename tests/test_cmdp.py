@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 from metasrl.cmdp import (SoftmaxPolicy, TabularCmdp, all_objectives,
                           expected_objective, policy_evaluation_exact,
                           policy_from_logits, visitation_exact)
-from metasrl.errors import InvalidInput
+from metasrl.errors import InvalidInput, NumericalFailure
+from metasrl.taskgen import GridSpec, gen_frozen_lake
 
-from oracles import monte_carlo_objective, random_cmdp
+from oracles import (monte_carlo_objective, policy_evaluation_reference,
+                     random_cmdp)
 
 
 def two_state_cycle(gamma=0.5):
@@ -58,34 +60,88 @@ class TestPolicyEvaluation:
                             discount=cmdp.discount,
                             initial_dist=cmdp.initial_dist, c_max=1.0)
         pol = SoftmaxPolicy.uniform(4, 3)
-        vt = policy_evaluation_exact(const, pol, 0)
+        vt = policy_evaluation_exact(const, pol)[0]
         assert np.allclose(vt.v, 0.7 / (1 - const.discount), atol=1e-10)
 
     def test_zero_reward(self):
         cmdp = random_cmdp(np.random.default_rng(1))
-        vt = policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(4, 3), 1)
+        vt = policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(4, 3))[1]
         assert vt.objective_index == 1
         vt0 = policy_evaluation_exact(
             TabularCmdp(transition=cmdp.transition,
                         reward=np.zeros((4, 3)), costs=cmdp.costs,
                         limits=cmdp.limits, discount=cmdp.discount,
                         initial_dist=cmdp.initial_dist, c_max=1.0),
-            SoftmaxPolicy.uniform(4, 3), 0)
+            SoftmaxPolicy.uniform(4, 3))[0]
         assert np.allclose(vt0.v, 0.0) and np.allclose(vt0.q, 0.0)
 
     def test_two_state_cycle(self):
         cmdp = two_state_cycle()
-        vt = policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(2, 2), 0)
+        vt = policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(2, 2))[0]
         assert abs(vt.v[0] - 4.0 / 3.0) < 1e-12
         assert abs(vt.v[1] - 2.0 / 3.0) < 1e-12
 
     def test_bellman_consistency(self):
         cmdp = random_cmdp(np.random.default_rng(2))
         pol = policy_from_logits(np.random.default_rng(3).standard_normal((4, 3)))
-        vt = policy_evaluation_exact(cmdp, pol, 0)
+        vt = policy_evaluation_exact(cmdp, pol)[0]
         assert np.max(np.abs((pol.probs * vt.q).sum(axis=1) - vt.v)) < 1e-10
         assert np.all(vt.v >= -1e-12)
         assert np.all(vt.v <= cmdp.c_max / (1 - cmdp.discount) + 1e-12)
+
+
+def evaluator_cases():
+    """(cmdp, policy) pairs: 8 random CMDPs with p = 1, 2, 3 and the 4x4,
+    8x8 and 16x16 gridworlds, each under a random softmax policy."""
+    rng = np.random.default_rng(20)
+    cases = [random_cmdp(rng, n_states=int(rng.integers(2, 9)),
+                         n_actions=int(rng.integers(2, 5)), n_costs=1 + k % 3,
+                         gamma=float(rng.uniform(0.5, 0.99)))
+             for k in range(8)]
+    cases += [gen_frozen_lake(GridSpec(rows=n, cols=n, seed=2)) for n in (4, 8, 16)]
+    return [pytest.param(cmdp, policy_from_logits(
+        rng.standard_normal((cmdp.n_states, cmdp.n_actions))), id=f"case{k}")
+            for k, cmdp in enumerate(cases)]
+
+
+def close(x, ref):
+    return np.all(np.abs(x - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+class TestOneFactorisation:
+    """All p+1 objectives solved against one LU factorisation agree with one
+    dense solve per objective."""
+
+    @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
+    def test_matches_per_objective_solves(self, cmdp, pol):
+        values = policy_evaluation_exact(cmdp, pol)
+        ref = policy_evaluation_reference(cmdp, pol)
+        assert len(values) == cmdp.n_costs + 1
+        for i, (vt, rt) in enumerate(zip(values, ref)):
+            assert vt.objective_index == i
+            assert close(vt.v, rt.v) and close(vt.q, rt.q)
+        assert close(all_objectives(cmdp, pol),
+                     np.array([cmdp.initial_dist @ rt.v for rt in ref]))
+
+    @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
+    def test_q_is_one_backup_of_its_own_v(self, cmdp, pol):
+        for i, vt in enumerate(policy_evaluation_exact(cmdp, pol)):
+            assert np.array_equal(
+                vt.q, cmdp.objective_table(i) + cmdp.discount * cmdp.transition @ vt.v)
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_residual_checked_on_every_column(self, monkeypatch, column):
+        cmdp = random_cmdp(np.random.default_rng(12), n_costs=2)
+        solve = np.linalg.solve
+
+        def perturbed(a, b):
+            x = solve(a, b)
+            x[:, column] += 1e-6
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        with pytest.raises(NumericalFailure):
+            policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(4, 3))
 
 
 class TestVisitation:

@@ -12,7 +12,8 @@ from metasrl.errors import DegenerateRun, InvalidInput, SamplerError
 from metasrl.lp import solve_optimal_lp
 from metasrl.taskgen import GridSpec, gen_frozen_lake
 
-from oracles import (random_cmdp, sample_episode_reference, td_q_reference)
+from oracles import (policy_evaluation_reference, random_cmdp,
+                     sample_episode_reference, td_q_reference)
 
 
 class TestBoundFormulas:
@@ -61,7 +62,7 @@ class TestNpgStep:
     def test_ascent_increases_greedy_mass(self):
         cmdp = random_cmdp(np.random.default_rng(0))
         pol = SoftmaxPolicy.uniform(4, 3)
-        vt = policy_evaluation_exact(cmdp, pol, 0)
+        vt = policy_evaluation_exact(cmdp, pol)[0]
         new = policy_from_logits(
             npg_softmax_step(pol.logits, vt, 0.5, "Ascent", cmdp.discount))
         greedy = vt.q.argmax(axis=1)
@@ -75,7 +76,7 @@ class TestTdCritic:
         pol = SoftmaxPolicy.uniform(4, 3)
         cfg = CrpoConfig(critic_mode="Exact")
         vt = td_critic(cmdp, pol, 0, cfg)
-        ref = policy_evaluation_exact(cmdp, pol, 0)
+        ref = policy_evaluation_exact(cmdp, pol)[0]
         assert np.array_equal(vt.q, ref.q)
 
     def test_sampled_mode_converges(self):
@@ -84,7 +85,7 @@ class TestTdCritic:
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=400_000,
                          td_step_size=0.01, episode_horizon=40)
         vt = td_critic(cmdp, pol, 0, cfg, rng=np.random.default_rng(3))
-        ref = policy_evaluation_exact(cmdp, pol, 0)
+        ref = policy_evaluation_exact(cmdp, pol)[0]
         assert np.max(np.abs(vt.q - ref.q)) < 0.15
 
 
@@ -348,3 +349,39 @@ class TestRunCrpoStreams:
         out = run_crpo(cmdp, SoftmaxPolicy.uniform(4, 3), cfg)
         assert out.all_iterates is None
         assert out.iterate_objectives.shape == (5, 2)
+
+
+def _crpo_decisions(cmdp, init, cfg):
+    try:
+        out = run_crpo(cmdp, init, cfg)
+    except DegenerateRun as exc:
+        out = exc.outcome
+    return out.reward_steps, out.constraint_steps, out.returned_step, out
+
+
+def _decision_cases():
+    """6 random CMDPs (p = 1..3) and test_09-style 4x4 and 16x16 gridworlds."""
+    rng = np.random.default_rng(30)
+    cases = []
+    for k in range(6):
+        cmdp = random_cmdp(rng, n_costs=1 + k % 3, feasible_margin=0.0)
+        cfg = CrpoConfig(learning_rate=0.5, steps=30, tolerance=0.02, rng_seed=k)
+        cases.append(pytest.param(cmdp, cfg, id=f"random{k}"))
+    for n in (4, 16):
+        cmdp = gen_frozen_lake(GridSpec(rows=n, cols=n, seed=2))
+        cfg = CrpoConfig(learning_rate=1.0, steps=8, tolerance=0.05,
+                         episodes_per_step=5, episode_horizon=60, rng_seed=n)
+        cases.append(pytest.param(cmdp, cfg, id=f"grid{n}"))
+    return cases
+
+
+class TestOneFactorisationDecisions:
+    @pytest.mark.parametrize("cmdp, cfg", _decision_cases())
+    def test_same_steps_as_per_objective_solves(self, monkeypatch, cmdp, cfg):
+        init = SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions)
+        *decisions, out = _crpo_decisions(cmdp, init, cfg)
+        monkeypatch.setattr(crpo, "policy_evaluation_exact", policy_evaluation_reference)
+        *ref_decisions, ref = _crpo_decisions(cmdp, init, cfg)
+        assert decisions == ref_decisions
+        err = np.abs(out.iterate_objectives - ref.iterate_objectives)
+        assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(ref.iterate_objectives)))

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from metasrl.dice import DiceConfig
 from metasrl.errors import InvalidInput
 from metasrl.harness import (ExperimentConfig, MetaConfig, baseline_init,
                              export_report, run_experiment, solve_oracles)
+from metasrl.lp import solve_optimal_lp
 from metasrl.taskgen import GridSpec, TaskSequenceConfig
 
 from oracles import random_cmdp
@@ -89,6 +91,16 @@ class TestSolveOracles:
         oracles = solve_oracles(tasks)
         assert len(oracles) == 3
         assert all(o.feasible for o in oracles)
+
+    def test_every_objective_is_revalidated(self, monkeypatch):
+        """A cost value J_1 off by 1e-3 fails re-validation, not only J_0."""
+        def off_in_j1(cmdp):
+            sol = solve_optimal_lp(cmdp)
+            return replace(sol, objective_values=sol.objective_values + [0.0, 1e-3])
+
+        monkeypatch.setattr(harness, "solve_optimal_lp", off_in_j1)
+        with pytest.raises(InvalidInput, match="J_1"):
+            solve_oracles(tiny_tasks(1))
 
 
 class TestRunExperiment:
