@@ -1,18 +1,27 @@
 """Exact finite-CMDP machinery: policies, values, visitations, serialization.
 
 All quantities use the discounted infinite-horizon convention: the reward is
-objective index 0 and the p cost functions are indices 1..p.  Everything here
-is a dense linear-algebra computation; no sampling.
+objective index 0 and the p cost functions are indices 1..p.  No sampling
+happens here.
+
+A CMDP keeps its dense (S, A, S) kernel, which the LP oracle, the JSON form
+and the Bellman LU read, and builds on first use one successor view of it:
+the nonzero entries of each row, (S, A, K) with K the largest row count
+(at most 3 on the gridworlds). P_pi, the Q backup and the sampler's
+next-state CDF are computed from that view, so their cost grows with S*A*K
+rather than S*A*S; only the Bellman solve itself stays a dense S x S LU.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidInput, NumericalFailure
+from .sampling import cdf
 
 PROB_TOL = 1e-12
 SOLVE_TOL = 1e-10
@@ -30,7 +39,8 @@ class TabularCmdp:
 
     transition has shape (S, A, S); reward (S, A); costs (p, S, A);
     limits (p,); initial_dist (S,).  Infinite limits are encoded by any
-    value >= c_max/(1-gamma) + 1.
+    value >= c_max/(1-gamma) + 1.  The successor view and its CDF are built
+    from the kernel on first use and cached on the instance.
     """
 
     transition: np.ndarray
@@ -64,17 +74,21 @@ class TabularCmdp:
             raise InvalidInput("one limit per cost table required")
         if not (0.0 < self.discount < 1.0):
             raise InvalidInput("discount must lie strictly inside (0, 1)")
-        if self.c_max <= 0:
+        # every check below fails on NaN, which compares false
+        if not self.c_max > 0:
             raise InvalidInput("c_max must be positive")
-        if np.any(self.transition < -PROB_TOL):
-            raise InvalidInput("negative transition probability")
+        if np.isnan(self.limits).any():
+            raise InvalidInput("limits must not be NaN")
+        if not self.transition.min() >= -PROB_TOL:
+            raise InvalidInput("negative or NaN transition probability")
         rowsums = self.transition.sum(axis=2)
-        if np.max(np.abs(rowsums - 1.0)) > PROB_TOL:
+        if not np.max(np.abs(rowsums - 1.0)) <= PROB_TOL:
             raise InvalidInput("transition rows must sum to 1")
-        if np.any(self.initial_dist < -PROB_TOL) or abs(self.initial_dist.sum() - 1.0) > PROB_TOL:
+        rho = self.initial_dist
+        if not (rho.min() >= -PROB_TOL and abs(rho.sum() - 1.0) <= PROB_TOL):
             raise InvalidInput("initial_dist must be a probability vector")
         tables = np.concatenate([self.reward[None], self.costs], axis=0)
-        if np.any(tables < -PROB_TOL) or np.any(tables > self.c_max + PROB_TOL):
+        if not (tables.min() >= -PROB_TOL and tables.max() <= self.c_max + PROB_TOL):
             raise InvalidInput("reward/cost entries must lie in [0, c_max]")
 
     @property
@@ -88,6 +102,29 @@ class TabularCmdp:
     @property
     def n_costs(self):
         return self.costs.shape[0]
+
+    @cached_property
+    def successors(self):
+        """(idx, prob), each (S, A, K): the states with a nonzero (!= 0)
+        probability in each kernel row, ascending, and those probabilities,
+        padded with probability 0 up to K, the largest count of any row."""
+        nonzero = self.transition != 0
+        counts = nonzero.sum(axis=2)
+        shape = counts.shape + (counts.max(),)
+        idx = np.zeros(shape, dtype=np.intp)
+        prob = np.zeros(shape)
+        slot = np.arange(shape[2]) < counts[..., None]
+        idx[slot] = np.nonzero(nonzero)[2]
+        prob[slot] = self.transition[nonzero]
+        idx.setflags(write=False)
+        prob.setflags(write=False)
+        return idx, prob
+
+    @cached_property
+    def successor_cdf(self):
+        """Normalized cumulative successor rows (S, A, K), as the sampler
+        draws them: checked once, by `sampling.cdf`, when first built."""
+        return _as_readonly(cdf(self.successors[1], "transition kernel"))
 
     def objective_table(self, objective_index):
         """Reward table for index 0, cost table i for index i >= 1."""
@@ -223,8 +260,15 @@ def _check_dims(cmdp, policy):
 
 
 def transition_under_policy(cmdp, probs):
-    """State-to-state kernel P_pi(s'|s) = sum_a pi(a|s) P(s'|s,a)."""
-    return np.einsum("sa,sat->st", probs, cmdp.transition)
+    """State-to-state kernel P_pi(s'|s) = sum_a pi(a|s) P(s'|s,a), one
+    weighted bincount over the successor view. Each entry adds its terms in
+    ascending a, as the dense sum over a does, and the omitted zeros add
+    nothing, so it equals the dense einsum bit for bit."""
+    idx, prob = cmdp.successors
+    s_n = cmdp.n_states
+    bins = (idx + np.arange(0, s_n * s_n, s_n)[:, None, None]).ravel()
+    weights = (probs[:, :, None] * prob).ravel()
+    return np.bincount(bins, weights, minlength=s_n * s_n).reshape(s_n, s_n)
 
 
 def policy_evaluation_exact(cmdp, policy):
@@ -233,7 +277,8 @@ def policy_evaluation_exact(cmdp, policy):
     All p+1 Bellman systems (I - gamma P_pi) V_i = c_pi,i share one matrix,
     so they are solved against one LU factorisation with the stacked
     (S, p+1) right-hand side; every column must pass the residual check.
-    Returns the tuple of p+1 ValueTables, reward first.
+    Each Q_i = c_i + gamma sum_k prob_k V_i(idx_k) is backed up over the
+    successor view. Returns the tuple of p+1 ValueTables, reward first.
     """
     _check_dims(cmdp, policy)
     probs = policy.probs
@@ -248,8 +293,10 @@ def policy_evaluation_exact(cmdp, policy):
     residual = np.max(np.abs(a @ v - c_pi))
     if not residual <= SOLVE_TOL:
         raise NumericalFailure(f"Bellman residual {residual:.3e} exceeds tolerance")
-    step = cmdp.discount * cmdp.transition
-    return tuple(ValueTable(v=v_i, q=tables[i] + step @ v_i, objective_index=i)
+    idx, prob = cmdp.successors
+    step = cmdp.discount * prob
+    return tuple(ValueTable(v=v_i, q=tables[i] + (step * v_i[idx]).sum(-1),
+                            objective_index=i)
                  for i, v_i in enumerate(np.ascontiguousarray(v.T)))
 
 

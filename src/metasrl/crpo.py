@@ -2,16 +2,18 @@
 
 Alternates natural-gradient reward ascent with constraint descent, gated on
 estimated constraint values against the limits plus a tolerance eta. Critic
-is either an exact dense solve or tabular TD(0) from on-policy samples.
+is either an exact Bellman solve or tabular TD(0) from on-policy samples.
 
 Every sampled draw, whether an episode step or a TD(0) chain step, goes
 through one batched rollout that steps all rollouts together and reproduces
 one `Generator.choice` call per draw, bit for bit; its inverse-CDF draw and
 the checks on each probability table live in `metasrl.sampling`, which the
-SGD DICE fit shares. The exact critic evaluates all p+1 objectives of an
-iterate against one factorisation of its Bellman matrix, and that one solve
-also gives the exact objectives (J_0..J_p) that a run records for every
-iterate, whichever critic steers it. A run's transition log is built on
+SGD DICE fit shares. Next states are drawn over the CMDP's successor CDF
+(K <= 3 entries a row on the gridworlds), which the CMDP builds, checks and
+caches once. The exact critic evaluates all p+1 objectives of an iterate
+against one factorisation of its Bellman matrix, and that one solve also
+gives the exact objectives (J_0..J_p) that a run records for every iterate,
+whichever critic steers it. A run's transition log is built on
 first read of `outcome.dataset`: with the Exact critic no sample feeds
 control flow, so the episodes are drawn, from the run's seed, only when
 something reads them.
@@ -139,15 +141,21 @@ def _rollout(cmdp, policy_cdf, row_policy, u):
     stepped together; row i acts with policy table row_policy[i].
 
     Returns the (n, w) drawn indices: states in even columns, actions in odd.
+    A next state is drawn over its (s, a)'s successor CDF and mapped back to
+    its state index. That is the dense draw bit for bit: the omitted zeros
+    add nothing to the cumulative sums, and the padded slots sit at 1.0,
+    above every uniform.
     """
-    trans_cdf = cdf(cmdp.transition, "transition kernel")
+    succ = cmdp.successors[0]
+    succ_cdf = cmdp.successor_cdf
     x = np.empty(u.shape, dtype=np.intp)
     x[:, 0] = draw(cdf(cmdp.initial_dist, "initial distribution"), u[:, 0])
     for j in range(1, u.shape[1]):
         if j % 2:
             x[:, j] = draw(policy_cdf[row_policy, x[:, j - 1]], u[:, j])
         else:
-            x[:, j] = draw(trans_cdf[x[:, j - 2], x[:, j - 1]], u[:, j])
+            s, a = x[:, j - 2], x[:, j - 1]
+            x[:, j] = succ[s, a, draw(succ_cdf[s, a], u[:, j])]
     return x
 
 

@@ -69,11 +69,12 @@ class TrajectoryDataset:
         counts = np.zeros((self.n_states, self.n_actions))
         np.add.at(counts, (self.s, self.a), 1.0)
         d = counts / counts.sum()
-        trans = np.zeros((self.n_states, self.n_actions, self.n_states))
-        np.add.at(trans, (self.s, self.a, self.s_next), 1.0)
-        p = np.zeros_like(trans)
+        # transition counts, divided in place on the seen pairs into p_hat;
+        # unseen rows hold no counts and stay 0
+        p = np.zeros((self.n_states, self.n_actions, self.n_states))
+        np.add.at(p, (self.s, self.a, self.s_next), 1.0)
         seen = counts > 0
-        p[seen] = trans[seen] / counts[seen][:, None]
+        p[seen] /= counts[seen][:, None]
         rho = np.zeros(self.n_states)
         np.add.at(rho, self.initial_states, 1.0)
         if rho.sum() == 0:

@@ -21,7 +21,7 @@ from . import __version__
 from .cmdp import SoftmaxPolicy, TablePolicy, all_objectives, _fmt
 from .crpo import CrpoConfig, run_crpo
 from .dice import DiceConfig, dualdice_fit, kl_loss_and_grad, visitation_from_corrections
-from .errors import DegenerateRun, InvalidInput
+from .errors import DegenerateRun, InvalidInput, NumericalFailure
 from .lp import solve_optimal_lp
 from .meta import (MetaLearnerState, SimConstants, meta_update,
                    project_table_shrinkage_simplex, regret_report)
@@ -164,7 +164,8 @@ def _dice_seed(dice_seed, task_seed):
 
 def solve_oracles(cmdps):
     """LP oracle per task; every objective J_0..J_p it reports is re-validated
-    by exact policy evaluation of its policy."""
+    by exact policy evaluation of its policy, and a miss beyond 1e-6 raises
+    NumericalFailure."""
     oracles = []
     for cmdp in cmdps:
         sol = solve_optimal_lp(cmdp)
@@ -172,8 +173,8 @@ def solve_oracles(cmdps):
             err = np.abs(all_objectives(cmdp, sol.policy) - sol.objective_values)
             i = int(np.argmax(err))
             if not err[i] <= 1e-6:
-                raise InvalidInput(f"LP oracle J_{i} is off by {err[i]:.3e} "
-                                   "from exact evaluation of its policy")
+                raise NumericalFailure(f"LP oracle J_{i} is off by {err[i]:.3e} "
+                                       "from exact evaluation of its policy")
         oracles.append(sol)
     return oracles
 

@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written from scratch (value iteration,
-one dense Bellman solve per objective, vectorized Monte-Carlo rollouts,
-per-draw episode, TD(0) and SGD DICE samplers, a dense DualDICE solve,
+one dense Bellman solve per objective, per-row successor lists, einsum
+state kernels, the two-array empirical kernel, vectorized Monte-Carlo
+rollouts, per-draw episode, TD(0) and SGD DICE samplers, a dense DualDICE solve,
 row-by-row simplex projections, finite differences, scipy-based constrained
 minimization) rather than calling into the package under test.
 """
@@ -43,6 +44,56 @@ def policy_evaluation_reference(cmdp, policy):
         q = c + cmdp.discount * cmdp.transition @ v
         values.append(ValueTable(v=v, q=q, objective_index=i))
     return tuple(values)
+
+
+def successor_arrays(transition):
+    """(idx, prob) of shape (S, A, K): each kernel row's nonzero entries from
+    np.nonzero of that row, padded with index 0 and probability 0 up to K."""
+    s_n, a_n, _ = transition.shape
+    rows = [np.nonzero(transition[s, a])[0]
+            for s in range(s_n) for a in range(a_n)]
+    k = max(r.size for r in rows)
+    idx = np.zeros((s_n * a_n, k), dtype=int)
+    prob = np.zeros((s_n * a_n, k))
+    for i, r in enumerate(rows):
+        idx[i, :r.size] = r
+        prob[i, :r.size] = transition[i // a_n, i % a_n, r]
+    return idx.reshape(s_n, a_n, k), prob.reshape(s_n, a_n, k)
+
+
+def q_backup_reference(cmdp, objective_index, v):
+    """Q = c + gamma sum_k prob_k v(idx_k) over the successor arrays."""
+    idx, prob = successor_arrays(cmdp.transition)
+    return cmdp.objective_table(objective_index) \
+        + (cmdp.discount * prob * v[idx]).sum(-1)
+
+
+def transition_under_policy_reference(cmdp, probs):
+    """P_pi(s'|s) by a dense einsum over the (S, A, S) kernel."""
+    return np.einsum("sa,sat->st", probs, cmdp.transition)
+
+
+def visitation_reference(cmdp, probs):
+    """Discounted state visitation from the einsum P_pi:
+    nu = (1-gamma) rho + gamma P_pi^T nu, clipped at 0 and normalized."""
+    p_pi = transition_under_policy_reference(cmdp, probs)
+    a = np.eye(cmdp.n_states) - cmdp.discount * p_pi.T
+    nu = np.linalg.solve(a, (1.0 - cmdp.discount) * cmdp.initial_dist)
+    nu = np.maximum(nu, 0.0)
+    return nu / nu.sum()
+
+
+def empirical_kernel_reference(dataset):
+    """p_hat(s'|s,a) = n(s,a,s')/n(s,a) on seen pairs, 0 elsewhere, built in
+    a second array from the transition counts."""
+    counts = np.zeros((dataset.n_states, dataset.n_actions))
+    np.add.at(counts, (dataset.s, dataset.a), 1.0)
+    trans = np.zeros((dataset.n_states, dataset.n_actions, dataset.n_states))
+    np.add.at(trans, (dataset.s, dataset.a, dataset.s_next), 1.0)
+    p = np.zeros_like(trans)
+    seen = counts > 0
+    p[seen] = trans[seen] / counts[seen][:, None]
+    return p
 
 
 def monte_carlo_visitation(cmdp, probs, n_rollouts, seed):

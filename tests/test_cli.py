@@ -1,10 +1,13 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from metasrl import harness
 from metasrl.cli import main
 from metasrl.harness import ExperimentConfig
+from metasrl.lp import solve_optimal_lp
 
 from test_acceptance import TEST09_CONFIG
 
@@ -103,6 +106,17 @@ class TestRun:
         rcfg = write_json(tmp_path / "run2.json", run_doc)
         out = str(tmp_path / "from_dir")
         assert main(["run", "--config", rcfg, "--out", out]) == 0
+
+    def test_oracle_revalidation_failure_exit_3(self, tmp_path, capsys, monkeypatch):
+        def off_in_j1(cmdp):
+            sol = solve_optimal_lp(cmdp)
+            return replace(sol, objective_values=sol.objective_values + [0.0, 1e-3])
+
+        monkeypatch.setattr(harness, "solve_optimal_lp", off_in_j1)
+        cfg = write_json(tmp_path / "run.json", RUN_DOC)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err
+        assert "runtime failure: NumericalFailure" in err and "J_1" in err
 
     def test_bad_strategy_exit_2(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", RUN_DOC)

@@ -4,12 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from metasrl.cmdp import (SoftmaxPolicy, TabularCmdp, all_objectives,
                           expected_objective, policy_evaluation_exact,
-                          policy_from_logits, visitation_exact)
+                          policy_from_logits, transition_under_policy,
+                          visitation_exact)
 from metasrl.errors import InvalidInput, NumericalFailure
 from metasrl.taskgen import GridSpec, gen_frozen_lake
 
 from oracles import (monte_carlo_objective, policy_evaluation_reference,
-                     random_cmdp)
+                     q_backup_reference, random_cmdp, successor_arrays,
+                     transition_under_policy_reference, visitation_reference)
 
 
 def two_state_cycle(gamma=0.5):
@@ -126,8 +128,7 @@ class TestOneFactorisation:
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
     def test_q_is_one_backup_of_its_own_v(self, cmdp, pol):
         for i, vt in enumerate(policy_evaluation_exact(cmdp, pol)):
-            assert np.array_equal(
-                vt.q, cmdp.objective_table(i) + cmdp.discount * cmdp.transition @ vt.v)
+            assert np.array_equal(vt.q, q_backup_reference(cmdp, i, vt.v))
 
     @pytest.mark.parametrize("column", [0, 1, 2])
     def test_residual_checked_on_every_column(self, monkeypatch, column):
@@ -142,6 +143,48 @@ class TestOneFactorisation:
         monkeypatch.setattr(np.linalg, "solve", perturbed)
         with pytest.raises(NumericalFailure):
             policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(4, 3))
+
+
+class TestSuccessorView:
+    @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
+    def test_scatters_back_to_the_kernel(self, cmdp, pol):
+        idx, prob = cmdp.successors
+        dense = np.zeros_like(cmdp.transition)
+        s, a, _ = np.indices(idx.shape)
+        np.add.at(dense, (s, a, idx), prob)
+        assert np.array_equal(dense, cmdp.transition)
+        ref_idx, ref_prob = successor_arrays(cmdp.transition)
+        assert np.array_equal(prob, ref_prob)
+        assert np.array_equal(idx[prob != 0], ref_idx[ref_prob != 0])
+        if np.all(cmdp.transition > 0):  # a random dense kernel: K = S
+            assert idx.shape[2] == cmdp.n_states
+
+    def test_padded_entries_have_probability_zero(self):
+        cmdp = gen_frozen_lake(GridSpec(rows=8, cols=8, seed=2))
+        idx, prob = cmdp.successors
+        counts = (cmdp.transition != 0).sum(axis=2)
+        padded = np.arange(idx.shape[2]) >= counts[..., None]
+        assert padded.any()
+        assert np.all(prob[padded] == 0.0) and np.all(prob[~padded] != 0.0)
+
+    def test_built_once_on_first_use(self):
+        cmdp = gen_frozen_lake(GridSpec(rows=4, cols=4, seed=2))
+        assert "successors" not in vars(cmdp)
+        assert cmdp.successors is cmdp.successors
+        assert not cmdp.successors[0].flags.writeable
+        assert not cmdp.successors[1].flags.writeable
+
+    @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
+    def test_transition_under_policy_matches_einsum(self, cmdp, pol):
+        assert np.array_equal(transition_under_policy(cmdp, pol.probs),
+                              transition_under_policy_reference(cmdp, pol.probs))
+
+    @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
+    def test_visitation_matches_einsum_reference(self, cmdp, pol):
+        vis = visitation_exact(cmdp, pol)
+        nu = visitation_reference(cmdp, pol.probs)
+        assert np.array_equal(vis.nu, nu)
+        assert np.array_equal(vis.nu_sa, nu[:, None] * pol.probs)
 
 
 class TestVisitation:
@@ -233,6 +276,20 @@ class TestSerialization:
                         costs=good.costs, limits=good.limits,
                         discount=good.discount,
                         initial_dist=good.initial_dist, c_max=1.0)
+
+    @pytest.mark.parametrize("field", ["transition", "reward", "costs",
+                                       "limits", "initial_dist", "c_max"])
+    def test_nan_rejected(self, field):
+        good = random_cmdp(np.random.default_rng(13))
+        fields = {name: np.array(getattr(good, name)) for name in
+                  ("transition", "reward", "costs", "limits", "initial_dist")}
+        fields.update(discount=good.discount, c_max=good.c_max)
+        if field == "c_max":
+            fields["c_max"] = np.nan
+        else:
+            fields[field].flat[0] = np.nan
+        with pytest.raises(InvalidInput):
+            TabularCmdp(**fields)
 
     def test_all_objectives_shape(self):
         cmdp = random_cmdp(np.random.default_rng(11), n_costs=2)

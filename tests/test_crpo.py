@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metasrl import crpo
+from metasrl import cmdp as cmdp_module, crpo
 from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, TabularCmdp,
                           all_objectives, expected_objective,
                           policy_evaluation_exact, policy_from_logits)
@@ -281,6 +281,36 @@ class TestBatchedSampler:
         got = sample_episode(cmdp, probs, 30, rng)
         ref = sample_episode_reference(cmdp, probs, 30, ref_rng)
         assert all(np.array_equal(g[0], r) for g, r in zip(got, ref))
+
+    def test_kernel_checked_once_per_cmdp(self, monkeypatch):
+        checked = []
+        original = cmdp_module.cdf
+
+        def counting_cdf(table, what):
+            checked.append(what)
+            return original(table, what)
+
+        monkeypatch.setattr(cmdp_module, "cdf", counting_cdf)
+        cmdp = gen_frozen_lake(GridSpec(seed=2))
+        probs = _with_zero_entries(cmdp, np.random.default_rng(0))
+        rng = np.random.default_rng(3)
+        sample_episode(cmdp, probs, 20, rng, 2)
+        sample_episode(cmdp, probs, 20, rng, 2)
+        assert checked == ["transition kernel"]
+
+    def test_negative_kernel_entry_raises(self):
+        # -1e-13 passes the CMDP's own checks but not Generator.choice's
+        base = random_cmdp(np.random.default_rng(6))
+        transition = np.array(base.transition)
+        transition[1, 2, :2] = [0.5 + 1e-13, -1e-13]
+        transition[1, 2, 2:] = 0.5 / (base.n_states - 2)
+        cmdp = TabularCmdp(transition=transition, reward=base.reward,
+                           costs=base.costs, limits=base.limits,
+                           discount=base.discount,
+                           initial_dist=base.initial_dist, c_max=base.c_max)
+        with pytest.raises(SamplerError):
+            sample_episode(cmdp, np.full((4, 3), 1.0 / 3.0), 5,
+                           np.random.default_rng(0))
 
 
 class TestRunCrpoStreams:

@@ -16,7 +16,7 @@ from metasrl.lp import solve_optimal_lp
 from metasrl.taskgen import GridSpec, gen_frozen_lake
 
 from oracles import (central_difference, dualdice_direct_reference,
-                     random_cmdp, sgd_fit_reference)
+                     empirical_kernel_reference, random_cmdp, sgd_fit_reference)
 
 
 def exact_dataset(cmdp, behavior):
@@ -244,6 +244,11 @@ class TestDataset:
         assert np.allclose(ds.d_sa, [[0.5, 0.25], [0.0, 0.25]])
         assert np.allclose(ds.rho_hat, [1.0, 0.0])
         assert abs(ds.p_hat[0, 0, 1] - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("size", [4, 16])
+    def test_empirical_kernel_matches_two_array_construction(self, size):
+        _, ds, _ = gridworld_log(size, 2)
+        assert np.array_equal(ds.p_hat, empirical_kernel_reference(ds))
 
     def test_csv_format(self):
         ds = TrajectoryDataset.from_samples(

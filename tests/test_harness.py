@@ -8,7 +8,7 @@ import pytest
 from metasrl import harness
 from metasrl.crpo import CrpoConfig
 from metasrl.dice import DiceConfig
-from metasrl.errors import InvalidInput
+from metasrl.errors import InvalidInput, NumericalFailure
 from metasrl.harness import (ExperimentConfig, MetaConfig, baseline_init,
                              export_report, run_experiment, solve_oracles)
 from metasrl.lp import solve_optimal_lp
@@ -99,7 +99,7 @@ class TestSolveOracles:
             return replace(sol, objective_values=sol.objective_values + [0.0, 1e-3])
 
         monkeypatch.setattr(harness, "solve_optimal_lp", off_in_j1)
-        with pytest.raises(InvalidInput, match="J_1"):
+        with pytest.raises(NumericalFailure, match="J_1"):
             solve_oracles(tiny_tasks(1))
 
 
