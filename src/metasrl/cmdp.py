@@ -4,12 +4,20 @@ All quantities use the discounted infinite-horizon convention: the reward is
 objective index 0 and the p cost functions are indices 1..p.  No sampling
 happens here.
 
-A CMDP keeps its dense (S, A, S) kernel, which the LP oracle, the JSON form
-and the Bellman LU read, and builds on first use one successor view of it:
-the nonzero entries of each row, (S, A, K) with K the largest row count
-(at most 3 on the gridworlds). P_pi, the Q backup and the sampler's
-next-state CDF are computed from that view, so their cost grows with S*A*K
-rather than S*A*S; only the Bellman solve itself stays a dense S x S LU.
+A CMDP keeps its dense (S, A, S) kernel, which the LP oracle and the JSON
+form read, and builds on first use one successor view of it: the nonzero
+entries of each row, (S, A, K) with K the largest row count (at most 3 on the
+gridworlds). P_pi, the Q backup and the sampler's next-state CDF are computed
+from that view, so their cost grows with S*A*K rather than S*A*S.
+
+The Bellman solves use one state order, fixed per CMDP and independent of the
+policy: first the n core states, from which some state with rho > 0 can be
+reached, then the rest, T. No successor of a T state is a core state, under
+any action, so in that order I - gamma P_pi is block upper-triangular for
+every policy, and its two diagonal blocks are factorised apart. On the
+gridworlds T holds the holes, the goal, the absorbing state and any cell
+walled off from the start (77 to 143 of the 257 states of the 16x16 grids of
+seeds 0-2); on dense kernels it is empty, a 0 x 0 block.
 """
 
 from __future__ import annotations
@@ -39,8 +47,9 @@ class TabularCmdp:
 
     transition has shape (S, A, S); reward (S, A); costs (p, S, A);
     limits (p,); initial_dist (S,).  Infinite limits are encoded by any
-    value >= c_max/(1-gamma) + 1.  The successor view and its CDF are built
-    from the kernel on first use and cached on the instance.
+    value >= c_max/(1-gamma) + 1.  The successor view, its CDF and the
+    block order of the Bellman solves are built from the kernel on first use
+    and cached on the instance.
     """
 
     transition: np.ndarray
@@ -119,6 +128,35 @@ class TabularCmdp:
         idx.setflags(write=False)
         prob.setflags(write=False)
         return idx, prob
+
+    @cached_property
+    def block_order(self):
+        """(order, n): the state order of the Bellman solves, read-only. The n
+        core states, those from which a state with rho > 0 can be reached,
+        come first, then the closed set T of the others; each part ascending."""
+        idx, prob = self.successors
+        live = prob != 0
+        core = self.initial_dist > 0
+        while True:  # grow the core by every state with a successor in it
+            grown = core | (core[idx] & live).any(axis=(1, 2))
+            if np.array_equal(grown, core):
+                break
+            core = grown
+        order = np.concatenate([np.flatnonzero(core), np.flatnonzero(~core)])
+        order.setflags(write=False)
+        return order, int(core.sum())
+
+    @cached_property
+    def block_bins(self):
+        """(S, A, K) flat positions, read-only: successor-view entry (s, a, k)
+        sits at row rank(s), column rank(idx[s, a, k]) of the block-ordered
+        S x S matrix, rank(s) being the position of s in `block_order`."""
+        order = self.block_order[0]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        bins = rank[:, None, None] * order.size + rank[self.successors[0]]
+        bins.setflags(write=False)
+        return bins
 
     @cached_property
     def successor_cdf(self):
@@ -264,53 +302,85 @@ def transition_under_policy(cmdp, probs):
     weighted bincount over the successor view. Each entry adds its terms in
     ascending a, as the dense sum over a does, and the omitted zeros add
     nothing, so it equals the dense einsum bit for bit."""
-    idx, prob = cmdp.successors
+    idx = cmdp.successors[0]
     s_n = cmdp.n_states
-    bins = (idx + np.arange(0, s_n * s_n, s_n)[:, None, None]).ravel()
-    weights = (probs[:, :, None] * prob).ravel()
-    return np.bincount(bins, weights, minlength=s_n * s_n).reshape(s_n, s_n)
+    return _policy_kernel(cmdp, idx + np.arange(0, s_n * s_n, s_n)[:, None, None], probs)
+
+
+def _policy_kernel(cmdp, bins, probs):
+    """P_pi scattered to the flat positions `bins` of the successor view."""
+    s_n = cmdp.n_states
+    weights = (probs[:, :, None] * cmdp.successors[1]).ravel()
+    return np.bincount(bins.ravel(), weights, minlength=s_n * s_n).reshape(s_n, s_n)
+
+
+def _block_bellman_matrix(cmdp, probs):
+    """(I - gamma P_pi, order, n): the Bellman matrix in block order, built
+    as one array over `block_bins` and scaled in place. Every entry gathers
+    the same terms in the same order as in P_pi, so this is bit for bit the
+    permuted np.eye(S) - gamma P_pi."""
+    order, n = cmdp.block_order
+    a = _policy_kernel(cmdp, cmdp.block_bins, probs)
+    a *= cmdp.discount
+    np.subtract(0.0, a, out=a)  # 0 - x, not -x: zeros keep their + sign
+    a.reshape(-1)[::len(a) + 1] += 1.0
+    return a, order, n
+
+
+def _solve(a, b):
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:  # cannot occur for gamma < 1
+        raise NumericalFailure("singular Bellman system") from exc
 
 
 def policy_evaluation_exact(cmdp, policy):
     """Value tables (V_i, Q_i) of every objective i = 0..p of one policy.
 
-    All p+1 Bellman systems (I - gamma P_pi) V_i = c_pi,i share one matrix,
-    so they are solved against one LU factorisation with the stacked
-    (S, p+1) right-hand side; every column must pass the residual check.
-    Each Q_i = c_i + gamma sum_k prob_k V_i(idx_k) is backed up over the
+    All p+1 Bellman systems (I - gamma P_pi) V_i = c_pi,i share one matrix.
+    In block order it is [[A_CC, A_CT], [0, A_TT]], so V_T is solved from
+    A_TT first and V_C from A_CC against c_C - A_CT V_T, each block with one
+    LU and the stacked (., p+1) right-hand side; every column of the whole
+    system must then pass the residual check. Each
+    Q_i = c_i + gamma sum_k prob_k V_i(idx_k) is backed up over the
     successor view. Returns the tuple of p+1 ValueTables, reward first.
     """
     _check_dims(cmdp, policy)
     probs = policy.probs
     tables = np.concatenate([cmdp.reward[None], cmdp.costs])
-    p_pi = transition_under_policy(cmdp, probs)
-    c_pi = (probs * tables).sum(axis=2).T
-    a = np.eye(cmdp.n_states) - cmdp.discount * p_pi
-    try:
-        v = np.linalg.solve(a, c_pi)
-    except np.linalg.LinAlgError as exc:  # cannot occur for gamma < 1
-        raise NumericalFailure("singular Bellman system") from exc
+    a, order, n = _block_bellman_matrix(cmdp, probs)
+    c_pi = (probs * tables).sum(axis=2).T[order]
+    v = np.empty_like(c_pi)
+    v[n:] = _solve(a[n:, n:], c_pi[n:])
+    v[:n] = _solve(a[:n, :n], c_pi[:n] - a[:n, n:] @ v[n:])
     residual = np.max(np.abs(a @ v - c_pi))
     if not residual <= SOLVE_TOL:
         raise NumericalFailure(f"Bellman residual {residual:.3e} exceeds tolerance")
+    v_states = np.empty((len(tables), len(order)))
+    v_states[:, order] = v.T
     idx, prob = cmdp.successors
     step = cmdp.discount * prob
     return tuple(ValueTable(v=v_i, q=tables[i] + (step * v_i[idx]).sum(-1),
                             objective_index=i)
-                 for i, v_i in enumerate(np.ascontiguousarray(v.T)))
+                 for i, v_i in enumerate(v_states))
 
 
 def visitation_exact(cmdp, policy):
     """Discounted state (and state-action) visitation, by a linear solve.
 
-    nu solves nu = (1-gamma) rho + gamma P_pi^T nu.
+    nu solves (I - gamma P_pi)^T nu = (1-gamma) rho. In block order that
+    system is lower block-triangular: nu_C comes from A_CC^T, then nu_T
+    from A_TT^T against its share of (1-gamma) rho less A_CT^T nu_C.
     """
     _check_dims(cmdp, policy)
     probs = policy.probs
-    p_pi = transition_under_policy(cmdp, probs)
-    a = np.eye(cmdp.n_states) - cmdp.discount * p_pi.T
-    nu = np.linalg.solve(a, (1.0 - cmdp.discount) * cmdp.initial_dist)
-    nu = np.maximum(nu, 0.0)
+    a, order, n = _block_bellman_matrix(cmdp, probs)
+    b = (1.0 - cmdp.discount) * cmdp.initial_dist[order]
+    nu_block = np.empty_like(b)
+    nu_block[:n] = _solve(a[:n, :n].T, b[:n])
+    nu_block[n:] = _solve(a[n:, n:].T, b[n:] - a[:n, n:].T @ nu_block[:n])
+    nu = np.empty_like(nu_block)
+    nu[order] = np.maximum(nu_block, 0.0)
     nu = nu / nu.sum()
     return VisitationDistribution(nu=nu, nu_sa=nu[:, None] * probs)
 

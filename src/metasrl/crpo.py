@@ -21,14 +21,13 @@ something reads them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 
-from .cmdp import (SoftmaxPolicy, ValueTable, _fmt, all_objectives,
+from .cmdp import (SoftmaxPolicy, ValueTable, all_objectives,
                    objective_values, policy_evaluation_exact,
                    policy_from_logits)
 from .dice import TrajectoryDataset
@@ -85,15 +84,6 @@ class CrpoOutcome:
     def returned_objectives(self):
         """Exact (J_0, ..., J_p) of the returned policy."""
         return self.iterate_objectives[self.returned_step]
-
-    def to_json(self):
-        doc = {
-            "returned_policy": _fmt(self.returned_policy.probs),
-            "reward_steps": list(self.reward_steps),
-            "constraint_steps": [list(v) for v in self.constraint_steps],
-            "per_step_estimates": _fmt(self.per_step_estimates),
-        }
-        return json.dumps(doc, sort_keys=True)
 
 
 def compute_eta(dims, alpha, m_steps, kl_bound, gamma, c_max, p):
@@ -206,10 +196,12 @@ def _td_q(cmdp, probs, objective_index, config, rng):
 
 
 def td_critic(cmdp, policy, objective_index, config, rng=None):
-    """Critic: exact dense solve, or K_in tabular TD(0) updates from samples."""
-    if config.critic_mode == EXACT:
-        cmdp.objective_table(objective_index)  # InvalidInput when out of range
-        return policy_evaluation_exact(cmdp, policy)[objective_index]
+    """Sampled critic: K_in tabular TD(0) updates from on-policy samples.
+    The Exact critic is `policy_evaluation_exact`, which `run_crpo` calls
+    itself; an Exact config is refused here."""
+    if config.critic_mode != TD_SAMPLED:
+        raise InvalidInput(f"td_critic needs critic_mode {TD_SAMPLED!r}, "
+                           f"not {config.critic_mode!r}")
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
     q = _td_q(cmdp, policy.probs, objective_index, config, rng)

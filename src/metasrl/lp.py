@@ -29,9 +29,10 @@ class _Infeasible(Exception):
 
 def _pivot(tab, obj, basis, row, col):
     tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and abs(tab[i, col]) > 0.0:
-            tab[i] -= tab[i, col] * tab[row]
+    factors = tab[:, col].copy()
+    factors[row] = 0.0
+    rows = np.flatnonzero(np.abs(factors) > 0.0)
+    tab[rows] -= factors[rows, None] * tab[row]
     obj -= obj[col] * tab[row]
     basis[row] = col
 
@@ -42,20 +43,18 @@ def _run_simplex(tab, obj, basis, allowed):
     allowed marks columns permitted to enter the basis.
     """
     for it in range(MAX_ITER):
-        enter = -1
-        for j in range(tab.shape[1] - 1):
-            if allowed[j] and obj[j] < -PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        entering = np.flatnonzero(allowed & (obj[:-1] < -PIVOT_TOL))
+        if entering.size == 0:
             return
-        # ratio test, ties broken by smallest basis index (Bland)
+        enter = int(entering[0])
+        # ratio test, ties broken by smallest basis index (Bland), folded in
+        # row order: the tolerance makes the winner depend on that order
+        rows = np.flatnonzero(tab[:, enter] > PIVOT_TOL)
+        ratios = tab[rows, -1] / tab[rows, enter]
         leave, best, best_basis = -1, np.inf, -1
-        for i in range(tab.shape[0]):
-            if tab[i, enter] > PIVOT_TOL:
-                ratio = tab[i, -1] / tab[i, enter]
-                if ratio < best - PIVOT_TOL or (ratio < best + PIVOT_TOL and basis[i] < best_basis):
-                    leave, best, best_basis = i, ratio, basis[i]
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best - PIVOT_TOL or (ratio < best + PIVOT_TOL and basis[i] < best_basis):
+                leave, best, best_basis = i, ratio, basis[i]
         if leave < 0:
             raise NumericalFailure("LP is unbounded", best_bound=float(-obj[-1]))
         _pivot(tab, obj, basis, leave, enter)

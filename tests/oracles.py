@@ -2,11 +2,13 @@
 
 Everything here is deliberately written from scratch (value iteration,
 one dense Bellman solve per objective, per-row successor lists, einsum
-state kernels, the two-array empirical kernel, vectorized Monte-Carlo
+state kernels, a breadth-first search for the states that reach the start, the two-array empirical kernel, vectorized Monte-Carlo
 rollouts, per-draw episode, TD(0) and SGD DICE samplers, a dense DualDICE solve,
-row-by-row simplex projections, finite differences, scipy-based constrained
-minimization) rather than calling into the package under test.
+row-by-row simplex projections and simplex pivots, finite differences, scipy-based constrained
+minimization and linear programming) rather than calling into the package under test.
 """
+
+from collections import deque
 
 import numpy as np
 import scipy.optimize
@@ -46,6 +48,58 @@ def policy_evaluation_reference(cmdp, policy):
     return tuple(values)
 
 
+def occupancy_lp_reference(cmdp):
+    """Optimal J_0 of the occupancy-measure LP, solved by scipy's HiGHS."""
+    s_n, a_n = cmdp.n_states, cmdp.n_actions
+    n, gamma = s_n * a_n, cmdp.discount
+    flow = np.repeat(np.eye(s_n), a_n, axis=1) - gamma * cmdp.transition.reshape(n, s_n).T
+    active = cmdp.limits < cmdp.infinite_limit() - 1e-9
+    res = scipy.optimize.linprog(
+        -cmdp.reward.reshape(n) / (1.0 - gamma),
+        A_ub=cmdp.costs[active].reshape(-1, n) / (1.0 - gamma),
+        b_ub=cmdp.limits[active], A_eq=flow,
+        b_eq=(1.0 - gamma) * cmdp.initial_dist, bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS: {res.message}")
+    return -res.fun
+
+
+def pivot_reference(tab, obj, basis, row, col):
+    """One simplex pivot on a tableau, row by row."""
+    tab[row] /= tab[row, col]
+    for i in range(tab.shape[0]):
+        if i != row and abs(tab[i, col]) > 0.0:
+            tab[i] -= tab[i, col] * tab[row]
+    obj -= obj[col] * tab[row]
+    basis[row] = col
+
+
+def run_simplex_reference(tab, obj, basis, allowed, pivot_tol, max_iter):
+    """Bland-rule simplex, scanning columns and rows one at a time: the first
+    allowed column of negative reduced cost enters, and the ratio test keeps
+    the row of smallest ratio, ties (within pivot_tol) to the smallest basis
+    index, in row order."""
+    for _ in range(max_iter):
+        enter = -1
+        for j in range(tab.shape[1] - 1):
+            if allowed[j] and obj[j] < -pivot_tol:
+                enter = j
+                break
+        if enter < 0:
+            return
+        leave, best, best_basis = -1, np.inf, -1
+        for i in range(tab.shape[0]):
+            if tab[i, enter] > pivot_tol:
+                ratio = tab[i, -1] / tab[i, enter]
+                if ratio < best - pivot_tol or (ratio < best + pivot_tol
+                                                and basis[i] < best_basis):
+                    leave, best, best_basis = i, ratio, basis[i]
+        if leave < 0:
+            raise NumericalFailure("LP is unbounded", best_bound=float(-obj[-1]))
+        pivot_reference(tab, obj, basis, leave, enter)
+    raise NumericalFailure("simplex iteration cap reached", best_bound=float(-obj[-1]))
+
+
 def successor_arrays(transition):
     """(idx, prob) of shape (S, A, K): each kernel row's nonzero entries from
     np.nonzero of that row, padded with index 0 and probability 0 up to K."""
@@ -80,6 +134,44 @@ def visitation_reference(cmdp, probs):
     a = np.eye(cmdp.n_states) - cmdp.discount * p_pi.T
     nu = np.linalg.solve(a, (1.0 - cmdp.discount) * cmdp.initial_dist)
     nu = np.maximum(nu, 0.0)
+    return nu / nu.sum()
+
+
+def core_states_reference(cmdp):
+    """The set of states from which some state with rho > 0 can be reached,
+    by a plain breadth-first search backwards over the dense kernel."""
+    transition = cmdp.transition.tolist()
+    preds = [set() for _ in range(cmdp.n_states)]
+    for s, rows in enumerate(transition):
+        for row in rows:
+            for t, p in enumerate(row):
+                if p != 0:
+                    preds[t].add(s)
+    core = {s for s, r in enumerate(cmdp.initial_dist.tolist()) if r > 0}
+    queue = deque(core)
+    while queue:
+        for s in preds[queue.popleft()]:
+            if s not in core:
+                core.add(s)
+                queue.append(s)
+    return core
+
+
+def visitation_block_reference(cmdp, probs):
+    """Discounted state visitation by the two block solves: the einsum
+    I - gamma P_pi, permuted to the core states (ascending) then the rest
+    (ascending) as found by `core_states_reference`, solved transposed for
+    the core first and then for the rest; clipped at 0 and normalized."""
+    core = core_states_reference(cmdp)
+    order = sorted(core) + sorted(set(range(cmdp.n_states)) - core)
+    n = len(core)
+    p_pi = transition_under_policy_reference(cmdp, probs)
+    a = (np.eye(cmdp.n_states) - cmdp.discount * p_pi)[np.ix_(order, order)]
+    b = (1.0 - cmdp.discount) * cmdp.initial_dist[order]
+    nu_core = np.linalg.solve(a[:n, :n].T, b[:n])
+    nu_rest = np.linalg.solve(a[n:, n:].T, b[n:] - a[:n, n:].T @ nu_core)
+    nu = np.empty(cmdp.n_states)
+    nu[order] = np.maximum(np.concatenate([nu_core, nu_rest]), 0.0)
     return nu / nu.sum()
 
 

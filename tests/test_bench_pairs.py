@@ -1,0 +1,46 @@
+import importlib.util
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "scripts", "bench_pairs.py")
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+SPEC = {"end_to_end": [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.1},
+                       {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1}]}
+
+
+def runs(run_s, rate):
+    return [{"metrics": {"run_s": {"value": a}, "rate": {"value": b}}}
+            for a, b in zip(run_s, rate)]
+
+
+def test_one_pair_on_the_same_checkout():
+    proc = subprocess.run(
+        [sys.executable, SCRIPT, ROOT, ROOT, "--workload", "sampled_grid4",
+         "--pairs", "1", "--seconds", "0.5"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
+    assert "pair 1/1 (parent first): run_s " in out
+    for name in ("run_s", "setup_s", "peak_rss_mb"):
+        assert f"  {name} " in out and "wins " in out
+    assert "parent: failed 0/" in out and "change: failed 0/" in out
+
+
+def test_verdicts_follow_wins_spread_and_bound():
+    parent = runs([1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.0, 1.02, 0.98], [1.0] * 10)
+    faster = runs([0.7] * 9 + [1.2], [1.5] * 10)
+    rows = {r[0]: r for r in bench_pairs.summarize(SPEC, parent, faster)}
+    assert rows["run_s"][5] == 9 and rows["run_s"][6] == "gain"
+    assert rows["rate"][5] == 10 and rows["rate"][6] == "gain"
+    slower = runs([1.2] * 10, [0.95] * 10)
+    rows = {r[0]: r for r in bench_pairs.summarize(SPEC, parent, slower)}
+    assert rows["run_s"][5] == 0 and rows["run_s"][6] == "worse beyond bound"
+    assert rows["rate"][6] == "within bound"
+    eight_wins = runs([0.7] * 8 + [1.2] * 2, [1.0] * 10)
+    rows = {r[0]: r for r in bench_pairs.summarize(SPEC, parent, eight_wins)}
+    assert rows["run_s"][6] == "within bound" and rows["rate"][5] == 0

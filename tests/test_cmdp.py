@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metasrl import cmdp as cmdp_module
 from metasrl.cmdp import (SoftmaxPolicy, TabularCmdp, all_objectives,
                           expected_objective, policy_evaluation_exact,
                           policy_from_logits, transition_under_policy,
@@ -9,9 +10,11 @@ from metasrl.cmdp import (SoftmaxPolicy, TabularCmdp, all_objectives,
 from metasrl.errors import InvalidInput, NumericalFailure
 from metasrl.taskgen import GridSpec, gen_frozen_lake
 
-from oracles import (monte_carlo_objective, policy_evaluation_reference,
-                     q_backup_reference, random_cmdp, successor_arrays,
-                     transition_under_policy_reference, visitation_reference)
+from oracles import (core_states_reference, monte_carlo_objective,
+                     policy_evaluation_reference, q_backup_reference,
+                     random_cmdp, successor_arrays,
+                     transition_under_policy_reference,
+                     visitation_block_reference, visitation_reference)
 
 
 def two_state_cycle(gamma=0.5):
@@ -93,14 +96,21 @@ class TestPolicyEvaluation:
 
 
 def evaluator_cases():
-    """(cmdp, policy) pairs: 8 random CMDPs with p = 1, 2, 3 and the 4x4,
-    8x8 and 16x16 gridworlds, each under a random softmax policy."""
+    """(cmdp, policy) pairs: 8 random CMDPs with p = 1, 2, 3, the 4x4, 8x8
+    and 16x16 gridworlds, and the 8x8 one with random reward and cost
+    tables, each under a random softmax policy."""
     rng = np.random.default_rng(20)
     cases = [random_cmdp(rng, n_states=int(rng.integers(2, 9)),
                          n_actions=int(rng.integers(2, 5)), n_costs=1 + k % 3,
                          gamma=float(rng.uniform(0.5, 0.99)))
              for k in range(8)]
     cases += [gen_frozen_lake(GridSpec(rows=n, cols=n, seed=2)) for n in (4, 8, 16)]
+    # the 8x8 kernel with random tables: T states earn reward and cost, so
+    # the core values depend on V_T through the off-diagonal block
+    grid, tables = cases[-2], np.random.default_rng(21).random((3, 65, 4))
+    cases.append(TabularCmdp(
+        transition=grid.transition, reward=tables[0], costs=tables[1:], limits=np.ones(2),
+        discount=grid.discount, initial_dist=grid.initial_dist, c_max=1.0))
     return [pytest.param(cmdp, policy_from_logits(
         rng.standard_normal((cmdp.n_states, cmdp.n_actions))), id=f"case{k}")
             for k, cmdp in enumerate(cases)]
@@ -182,9 +192,83 @@ class TestSuccessorView:
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
     def test_visitation_matches_einsum_reference(self, cmdp, pol):
         vis = visitation_exact(cmdp, pol)
-        nu = visitation_reference(cmdp, pol.probs)
+        nu = visitation_block_reference(cmdp, pol.probs)
         assert np.array_equal(vis.nu, nu)
         assert np.array_equal(vis.nu_sa, nu[:, None] * pol.probs)
+        dense = visitation_reference(cmdp, pol.probs)
+        assert np.max(np.abs(vis.nu - dense)) <= 1e-14
+
+
+def gridworld_cases():
+    return [gen_frozen_lake(GridSpec(rows=n, cols=n, seed=seed))
+            for n in (4, 5, 8, 16) for seed in range(3)]
+
+
+class TestBlockOrder:
+    """The core states (those that reach a state with rho > 0) come first,
+    the closed set T of the others last."""
+
+    @pytest.mark.parametrize("cmdp", [case.values[0] for case in evaluator_cases()]
+                             + gridworld_cases())
+    def test_core_and_rest_match_a_plain_search(self, cmdp):
+        order, n = cmdp.block_order
+        core = core_states_reference(cmdp)
+        assert sorted(order) == list(range(cmdp.n_states))
+        assert list(order[:n]) == sorted(core)
+        assert list(order[n:]) == sorted(set(range(cmdp.n_states)) - core)
+
+    @pytest.mark.parametrize("cmdp", gridworld_cases())
+    def test_rest_is_closed_under_every_action(self, cmdp):
+        order, n = cmdp.block_order
+        core, rest = order[:n], order[n:]
+        assert rest.size > 0  # holes, goal and the absorbing state
+        assert not np.any(cmdp.transition[np.ix_(rest, np.arange(cmdp.n_actions), core)])
+        assert np.all(cmdp.initial_dist[rest] == 0)
+
+    def test_rest_is_empty_on_dense_kernels(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            cmdp = random_cmdp(rng, n_states=int(rng.integers(1, 9)))
+            order, n = cmdp.block_order
+            assert n == cmdp.n_states
+            assert np.array_equal(order, np.arange(cmdp.n_states))
+
+    def test_cached_and_read_only(self):
+        cmdp = gen_frozen_lake(GridSpec(rows=4, cols=4, seed=2))
+        assert "block_order" not in vars(cmdp)
+        assert "block_bins" not in vars(cmdp)
+        assert cmdp.block_order is cmdp.block_order
+        assert cmdp.block_bins is cmdp.block_bins
+        assert not cmdp.block_order[0].flags.writeable
+        assert not cmdp.block_bins.flags.writeable
+
+    @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
+    def test_bins_scatter_back_to_the_permuted_kernel(self, cmdp, pol):
+        order, _ = cmdp.block_order
+        prob = cmdp.successors[1]
+        s_n = cmdp.n_states
+        permuted = cmdp.transition[np.ix_(order, np.arange(cmdp.n_actions), order)]
+        for a in range(cmdp.n_actions):
+            flat = np.zeros(s_n * s_n)
+            np.add.at(flat, cmdp.block_bins[:, a], prob[:, a])
+            assert np.array_equal(flat.reshape(s_n, s_n), permuted[:, a])
+
+    @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
+    def test_bellman_matrix_is_the_permuted_dense_one_bit_for_bit(self, cmdp, pol):
+        a, order, n = cmdp_module._block_bellman_matrix(cmdp, pol.probs)
+        dense = np.eye(cmdp.n_states) - cmdp.discount \
+            * transition_under_policy_reference(cmdp, pol.probs)
+        assert n == cmdp.block_order[1]
+        assert np.array_equal(a.view(np.int64), dense[np.ix_(order, order)].view(np.int64))
+
+    @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
+    def test_values_and_visitation_match_full_lu(self, cmdp, pol):
+        for vt, rt in zip(policy_evaluation_exact(cmdp, pol),
+                          policy_evaluation_reference(cmdp, pol)):
+            assert np.max(np.abs(vt.v - rt.v)) <= 1e-13
+            assert np.max(np.abs(vt.q - rt.q)) <= 1e-13
+        nu = visitation_exact(cmdp, pol).nu
+        assert np.max(np.abs(nu - visitation_reference(cmdp, pol.probs))) <= 1e-13
 
 
 class TestVisitation:

@@ -71,13 +71,11 @@ class TestNpgStep:
 
 
 class TestTdCritic:
-    def test_exact_mode_matches_dense_solve(self):
+    def test_exact_mode_refused(self):
         cmdp = random_cmdp(np.random.default_rng(1))
-        pol = SoftmaxPolicy.uniform(4, 3)
-        cfg = CrpoConfig(critic_mode="Exact")
-        vt = td_critic(cmdp, pol, 0, cfg)
-        ref = policy_evaluation_exact(cmdp, pol)[0]
-        assert np.array_equal(vt.q, ref.q)
+        with pytest.raises(InvalidInput, match="TdSampled"):
+            td_critic(cmdp, SoftmaxPolicy.uniform(4, 3), 0,
+                      CrpoConfig(critic_mode="Exact"))
 
     def test_sampled_mode_converges(self):
         cmdp = random_cmdp(np.random.default_rng(2), n_states=3, n_actions=2)
