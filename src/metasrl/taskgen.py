@@ -7,12 +7,18 @@ both always frozen. Reaching the goal pays goal_reward once and the episode
 absorbs; stepping into a hole incurs one unit of cost (scaled by hole_cost)
 and absorbs. A dedicated absorbing state is appended so the discounted
 infinite-horizon formulation applies exactly.
+
+Cells are numbered r * cols + c. A CMDP is built with array operations:
+each (cell, action) row has three outcomes, the intended move of MOVES and
+the two perpendicular slips of PERP, each clipped at the border, and one
+bincount scatters them into the dense kernel. The reward and cost tables are
+read off that kernel densely, so the CMDP is the same bit for bit as a
+per-cell loop of += writes would build.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +51,10 @@ class GridSpec:
             raise InvalidInput("grid needs at least 2x2 cells")
         if not (0.0 <= self.frozen_prob <= 1.0 and 0.0 <= self.slip_prob <= 1.0):
             raise InvalidInput("probabilities must lie in [0, 1]")
+        for name in ("goal_reward", "hole_cost"):
+            value = getattr(self, name)
+            if not value >= 0.0:  # NaN fails too
+                raise InvalidInput(f"{name} must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,20 +72,30 @@ class TaskSequenceConfig:
             raise InvalidInput("num_tasks must be >= 1")
 
 
+def _move_targets(rows, cols):
+    """(rows*cols, 4): the flat cell r*cols + c that each move of MOVES
+    leads to from each flat cell, staying put at the border."""
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    dr, dc = np.array(MOVES).T
+    return (np.clip(r[:, None] + dr, 0, rows - 1) * cols
+            + np.clip(c[:, None] + dc, 0, cols - 1))
+
+
 def _goal_reachable(frozen, rows, cols):
     """BFS over frozen cells under deterministic moves, holes blocking."""
-    start, goal = (0, 0), (rows - 1, cols - 1)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        r, c = queue.popleft()
-        if (r, c) == goal:
+    goal = rows * cols - 1
+    targets = _move_targets(rows, cols).tolist()
+    open_cells = frozen.ravel().tolist()
+    seen = [False] * (goal + 1)
+    seen[0] = True
+    queue = [0]
+    for s in queue:  # grows while it is read
+        if s == goal:
             return True
-        for dr, dc in MOVES:
-            nr, nc = min(max(r + dr, 0), rows - 1), min(max(c + dc, 0), cols - 1)
-            if frozen[nr, nc] and (nr, nc) not in seen:
-                seen.add((nr, nc))
-                queue.append((nr, nc))
+        for t in targets[s]:
+            if open_cells[t] and not seen[t]:
+                seen[t] = True
+                queue.append(t)
     return False
 
 
@@ -87,46 +107,50 @@ def _sample_grid(spec, rng):
 
 
 def grid_to_cmdp(frozen, spec):
-    """Build the tabular CMDP for an explicit frozen/hole bitmap."""
+    """Build the tabular CMDP for an explicit frozen/hole bitmap.
+
+    Every (state, action) row gets three outcomes, the intended move and then
+    the two perpendicular slips of PERP; a terminal row (hole, goal or the
+    absorbing state) sends all its mass to the absorbing state instead. One
+    bincount adds the outcomes up in that order, as a += loop over them would.
+    """
     rows, cols = spec.rows, spec.cols
     n_cells = rows * cols
     n_states = n_cells + 1          # + absorbing
     absorbing = n_cells
     goal = n_cells - 1
     n_actions = 4
-    p = np.zeros((n_states, n_actions, n_states))
     holes = ~frozen
+    terminal = np.append(holes.reshape(-1), True)   # + absorbing
+    terminal[goal] = True
 
-    for r in range(rows):
-        for c in range(cols):
-            s = r * cols + c
-            terminal = holes[r, c] or s == goal
-            for a in range(n_actions):
-                if terminal:
-                    p[s, a, absorbing] = 1.0
-                    continue
-                outcomes = [(a, 1.0 - spec.slip_prob)]
-                for perp in PERP[a]:
-                    outcomes.append((perp, spec.slip_prob / 2.0))
-                for move, prob in outcomes:
-                    dr, dc = MOVES[move]
-                    nr = min(max(r + dr, 0), rows - 1)
-                    nc = min(max(c + dc, 0), cols - 1)
-                    p[s, a, nr * cols + nc] += prob
-    p[absorbing, :, absorbing] = 1.0
+    outcomes = [(a,) + PERP[a] for a in range(n_actions)]
+    dest = np.empty((n_states, n_actions, 3), dtype=np.intp)
+    dest[:n_cells] = _move_targets(rows, cols)[:, outcomes]
+    dest[terminal] = absorbing
+    prob = np.empty((n_states, n_actions, 3))
+    prob[:] = (1.0 - spec.slip_prob, spec.slip_prob / 2.0, spec.slip_prob / 2.0)
+    prob[terminal] = (1.0, 0.0, 0.0)
+    row_offsets = np.arange(n_states * n_actions) * n_states
+    bins = row_offsets.reshape(n_states, n_actions, 1) + dest
+    p = np.bincount(bins.reshape(-1), prob.reshape(-1),
+                    minlength=row_offsets.size * n_states)
+    p = p.reshape(n_states, n_actions, n_states)
 
     hole_states = np.zeros(n_states)
     hole_states[:n_cells] = holes.reshape(-1)
     reward = spec.goal_reward * p[:, :, goal]
     cost = spec.hole_cost * (p * hole_states[None, None, :]).sum(axis=2)
+    initial_dist = np.zeros(n_states)
+    initial_dist[0] = 1.0
     return TabularCmdp(
         transition=p,
         reward=reward,
         costs=cost[None],
         limits=np.array([spec.cost_limit]),
         discount=spec.discount,
-        initial_dist=np.eye(n_states)[0],
-        c_max=max(spec.goal_reward, abs(spec.hole_cost), 1e-12),
+        initial_dist=initial_dist,
+        c_max=max(spec.goal_reward, spec.hole_cost, 1e-12),
     )
 
 
@@ -210,18 +234,9 @@ def gen_task_sequence(config):
 
 def grid_ascii(frozen):
     """Render a bitmap for inspection: S start, G goal, . frozen, H hole."""
-    rows, cols = frozen.shape
-    lines = []
-    for r in range(rows):
-        chars = []
-        for c in range(cols):
-            if (r, c) == (0, 0):
-                chars.append("S")
-            elif (r, c) == (rows - 1, cols - 1):
-                chars.append("G")
-            else:
-                chars.append("." if frozen[r, c] else "H")
-        lines.append("".join(chars))
+    lines = ["".join("." if cell else "H" for cell in row) for row in frozen.tolist()]
+    lines[-1] = lines[-1][:-1] + "G"
+    lines[0] = "S" + lines[0][1:]
     return lines
 
 

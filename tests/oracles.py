@@ -1,6 +1,7 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written from scratch (value iteration,
+the gridworld builder's per-cell loop and its tuple breadth-first search,
 one dense Bellman solve per objective, per-row successor lists, einsum
 state kernels, a breadth-first search for the states that reach the start, the two-array empirical kernel, vectorized Monte-Carlo
 rollouts, per-draw episode, TD(0) and SGD DICE samplers, a dense DualDICE solve,
@@ -15,6 +16,7 @@ import scipy.optimize
 
 from metasrl.cmdp import TabularCmdp, ValueTable
 from metasrl.errors import NumericalFailure
+from metasrl.taskgen import MOVES, PERP
 
 
 def value_iteration(cmdp, tol=1e-12, max_iter=200_000):
@@ -98,6 +100,67 @@ def run_simplex_reference(tab, obj, basis, allowed, pivot_tol, max_iter):
             raise NumericalFailure("LP is unbounded", best_bound=float(-obj[-1]))
         pivot_reference(tab, obj, basis, leave, enter)
     raise NumericalFailure("simplex iteration cap reached", best_bound=float(-obj[-1]))
+
+
+def goal_reachable_reference(frozen, rows, cols):
+    """BFS over frozen cells under deterministic moves, holes blocking."""
+    start, goal = (0, 0), (rows - 1, cols - 1)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        r, c = queue.popleft()
+        if (r, c) == goal:
+            return True
+        for dr, dc in MOVES:
+            nr, nc = min(max(r + dr, 0), rows - 1), min(max(c + dc, 0), cols - 1)
+            if frozen[nr, nc] and (nr, nc) not in seen:
+                seen.add((nr, nc))
+                queue.append((nr, nc))
+    return False
+
+
+def grid_to_cmdp_reference(frozen, spec):
+    """Build the tabular CMDP for an explicit frozen/hole bitmap."""
+    rows, cols = spec.rows, spec.cols
+    n_cells = rows * cols
+    n_states = n_cells + 1          # + absorbing
+    absorbing = n_cells
+    goal = n_cells - 1
+    n_actions = 4
+    p = np.zeros((n_states, n_actions, n_states))
+    holes = ~frozen
+
+    for r in range(rows):
+        for c in range(cols):
+            s = r * cols + c
+            terminal = holes[r, c] or s == goal
+            for a in range(n_actions):
+                if terminal:
+                    p[s, a, absorbing] = 1.0
+                    continue
+                outcomes = [(a, 1.0 - spec.slip_prob)]
+                for perp in PERP[a]:
+                    outcomes.append((perp, spec.slip_prob / 2.0))
+                for move, prob in outcomes:
+                    dr, dc = MOVES[move]
+                    nr = min(max(r + dr, 0), rows - 1)
+                    nc = min(max(c + dc, 0), cols - 1)
+                    p[s, a, nr * cols + nc] += prob
+    p[absorbing, :, absorbing] = 1.0
+
+    hole_states = np.zeros(n_states)
+    hole_states[:n_cells] = holes.reshape(-1)
+    reward = spec.goal_reward * p[:, :, goal]
+    cost = spec.hole_cost * (p * hole_states[None, None, :]).sum(axis=2)
+    return TabularCmdp(
+        transition=p,
+        reward=reward,
+        costs=cost[None],
+        limits=np.array([spec.cost_limit]),
+        discount=spec.discount,
+        initial_dist=np.eye(n_states)[0],
+        c_max=max(spec.goal_reward, abs(spec.hole_cost), 1e-12),
+    )
 
 
 def successor_arrays(transition):

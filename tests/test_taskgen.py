@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from metasrl import taskgen
 from metasrl.cmdp import SoftmaxPolicy, expected_objective
 from metasrl.errors import GenerationFailure, InvalidInput
 from metasrl.lp import solve_optimal_lp
@@ -14,6 +15,32 @@ from metasrl.taskgen import (GridSpec, TaskSequenceConfig, _goal_reachable,
                              quadratic_stream, synthetic_kl_stream,
                              write_task_sequence)
 
+from oracles import goal_reachable_reference, grid_to_cmdp_reference
+
+CMDP_ARRAYS = ("transition", "reward", "costs", "limits", "initial_dist")
+
+
+def assert_same_cmdp(a, b):
+    """Every field equal, the arrays bit for bit."""
+    for name in CMDP_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert a.discount == b.discount and a.c_max == b.c_max
+
+
+def grid_family(rows, cols, rng):
+    """All frozen, holes along every border (start and goal kept frozen, or
+    not), and random bitmaps at frozen probability 0.3 and 0.7."""
+    border = np.ones((rows, cols), dtype=bool)
+    border[[0, -1]] = border[:, [0, -1]] = False
+    kept = border.copy()
+    kept[0, 0] = kept[-1, -1] = True
+    return [np.ones((rows, cols), dtype=bool), border, kept,
+            rng.random((rows, cols)) < 0.3, rng.random((rows, cols)) < 0.7]
+
+
+SIZES = [(n, n) for n in range(2, 17)] + [(2, 7), (7, 2), (3, 5)]
+
 
 class TestGridSpec:
     def test_validation(self):
@@ -21,6 +48,14 @@ class TestGridSpec:
             GridSpec(rows=1)
         with pytest.raises(InvalidInput):
             GridSpec(frozen_prob=1.5)
+
+    def test_negative_goal_reward_is_named(self):
+        with pytest.raises(InvalidInput, match="goal_reward"):
+            GridSpec(goal_reward=-0.5)
+
+    def test_negative_hole_cost_is_named(self):
+        with pytest.raises(InvalidInput, match="hole_cost"):
+            GridSpec(hole_cost=-1.0)
 
 
 class TestGridToCmdp:
@@ -65,7 +100,36 @@ class TestGridToCmdp:
         assert cmdp.transition[0, 0, 0] >= 2.0 / 3.0 - 1e-12
 
 
+class TestGridToCmdpMatchesTheLoop:
+    """The array build against the per-cell += loop, bit for bit."""
+
+    @pytest.mark.parametrize("rows, cols", SIZES)
+    def test_grid_family(self, rows, cols):
+        rng = np.random.default_rng(rows * 100 + cols)
+        for frozen in grid_family(rows, cols, rng):
+            specs = [GridSpec(rows=rows, cols=cols, slip_prob=slip)
+                     for slip in (0.0, 0.2, 1.0 / 3.0, 1.0)]
+            specs += [GridSpec(rows=rows, cols=cols, slip_prob=0.2, goal_reward=0.0),
+                      GridSpec(rows=rows, cols=cols, slip_prob=0.2, hole_cost=0.0)]
+            for spec in specs:
+                assert_same_cmdp(grid_to_cmdp(frozen, spec),
+                                 grid_to_cmdp_reference(frozen, spec))
+
+
 class TestReachability:
+    def test_matches_the_tuple_search(self):
+        rng = np.random.default_rng(8)
+        reachable = 0
+        for _ in range(2000):
+            rows, cols = (int(n) for n in rng.integers(2, 12, size=2))
+            frozen = rng.random((rows, cols)) < rng.random()
+            if rng.random() < 0.5:
+                frozen[0, 0] = frozen[-1, -1] = True
+            expected = goal_reachable_reference(frozen, rows, cols)
+            assert _goal_reachable(frozen, rows, cols) == expected
+            reachable += expected
+        assert 200 < reachable < 1800   # both answers well represented
+
     def test_blocked_goal(self):
         frozen = np.array([[True, False], [False, True]])
         assert not _goal_reachable(frozen, 2, 2)
@@ -140,9 +204,35 @@ class TestTaskSequence:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["num_tasks"] == 3
 
+    @pytest.mark.parametrize("mode", ["HighSimilarity", "LowSimilarity"])
+    def test_same_sequence_as_the_references(self, mode, monkeypatch, tmp_path):
+        cfg = TaskSequenceConfig(mode=mode, num_tasks=6,
+                                 base=GridSpec(rows=5, cols=6, seed=4), seed=9)
+        cmdps, grids, manifest = gen_task_sequence(cfg)
+        write_task_sequence(cfg, str(tmp_path / "array"))
+        monkeypatch.setattr(taskgen, "grid_to_cmdp", grid_to_cmdp_reference)
+        monkeypatch.setattr(taskgen, "_goal_reachable", goal_reachable_reference)
+        ref_cmdps, ref_grids, ref_manifest = gen_task_sequence(cfg)
+        write_task_sequence(cfg, str(tmp_path / "loop"))
+        for a, b in zip(cmdps, ref_cmdps, strict=True):
+            assert_same_cmdp(a, b)
+        for a, b in zip(grids, ref_grids, strict=True):
+            assert np.array_equal(a, b)
+        assert manifest == ref_manifest
+        names = sorted(os.listdir(tmp_path / "loop"))
+        assert sorted(os.listdir(tmp_path / "array")) == names
+        assert len(names) == 7
+        for name in names:
+            assert (tmp_path / "array" / name).read_bytes() \
+                == (tmp_path / "loop" / name).read_bytes()
+
     def test_grid_ascii(self):
         frozen = np.array([[True, False], [True, True]])
         assert grid_ascii(frozen) == ["SH", ".G"]
+        frozen = np.array([[False, True, False, True],
+                           [True, False, True, True],
+                           [True, True, True, False]])
+        assert grid_ascii(frozen) == ["S.H.", ".H..", "...G"]
 
 
 class TestSyntheticStreams:
