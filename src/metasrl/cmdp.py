@@ -49,8 +49,7 @@ class TabularCmdp:
     limits (p,); initial_dist (S,).  Infinite limits are encoded by any
     value >= c_max/(1-gamma) + 1.  The successor view, its CDF and the
     block order of the Bellman solves are built from the kernel on first use
-    and cached on the instance; `harness.solve_oracles` caches the LP oracle
-    there too, as `lp_oracle`, once it has passed re-validation.
+    and cached on the instance.
     """
 
     transition: np.ndarray
@@ -134,29 +133,15 @@ class TabularCmdp:
     def block_order(self):
         """(order, n): the state order of the Bellman solves, read-only. The n
         core states, those from which a state with rho > 0 can be reached,
-        come first, then the closed set T of the others; each part ascending.
-        The core grows by one breadth-first search backwards over the
-        successor view."""
+        come first, then the closed set T of the others; each part ascending."""
         idx, prob = self.successors
-        s_n = self.n_states
         live = prob != 0
-        # predecessor lists, grouped by state: is_pred[t, s] when s has t as
-        # a successor under some action. S x S bools are 1/(8A) of the dense
-        # kernel; an argsort instead would map in over 100 kB of numpy's
-        # sort code on its first call, which shows in peak RSS
-        is_pred = np.zeros((s_n, s_n), dtype=bool)
-        is_pred[idx[live], np.nonzero(live)[0]] = True
-        succ, preds = np.divmod(np.flatnonzero(is_pred), s_n)
-        preds = preds.tolist()
-        bounds = np.cumsum(np.bincount(succ + 1, minlength=s_n + 1)).tolist()
-        core = (self.initial_dist > 0).tolist()
-        queue = [s for s in range(s_n) if core[s]]
-        for t in queue:  # breadth-first, backwards; grows while it is read
-            for s in preds[bounds[t]:bounds[t + 1]]:
-                if not core[s]:
-                    core[s] = True
-                    queue.append(s)
-        core = np.array(core)
+        core = self.initial_dist > 0
+        while True:  # grow the core by every state with a successor in it
+            grown = core | (core[idx] & live).any(axis=(1, 2))
+            if np.array_equal(grown, core):
+                break
+            core = grown
         order = np.concatenate([np.flatnonzero(core), np.flatnonzero(~core)])
         order.setflags(write=False)
         return order, int(core.sum())

@@ -165,24 +165,16 @@ def _dice_seed(dice_seed, task_seed):
 def solve_oracles(cmdps):
     """LP oracle per task; every objective J_0..J_p it reports is re-validated
     by exact policy evaluation of its policy, and a miss beyond 1e-6 raises
-    NumericalFailure.
-
-    A solution is cached on its CMDP instance once it has passed, so a task
-    is solved once however often it is asked for. A solve that raises or
-    fails re-validation is not cached, and raises again on the next call.
-    """
+    NumericalFailure."""
     oracles = []
     for cmdp in cmdps:
-        sol = vars(cmdp).get("lp_oracle")
-        if sol is None:
-            sol = solve_optimal_lp(cmdp)
-            if sol.feasible:
-                err = np.abs(all_objectives(cmdp, sol.policy) - sol.objective_values)
-                i = int(np.argmax(err))
-                if not err[i] <= 1e-6:
-                    raise NumericalFailure(f"LP oracle J_{i} is off by {err[i]:.3e} "
-                                           "from exact evaluation of its policy")
-            vars(cmdp)["lp_oracle"] = sol
+        sol = solve_optimal_lp(cmdp)
+        if sol.feasible:
+            err = np.abs(all_objectives(cmdp, sol.policy) - sol.objective_values)
+            i = int(np.argmax(err))
+            if not err[i] <= 1e-6:
+                raise NumericalFailure(f"LP oracle J_{i} is off by {err[i]:.3e} "
+                                       "from exact evaluation of its policy")
         oracles.append(sol)
     return oracles
 

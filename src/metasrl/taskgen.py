@@ -234,9 +234,18 @@ def gen_task_sequence(config):
 
 def grid_ascii(frozen):
     """Render a bitmap for inspection: S start, G goal, . frozen, H hole."""
-    lines = ["".join("." if cell else "H" for cell in row) for row in frozen.tolist()]
-    lines[-1] = lines[-1][:-1] + "G"
-    lines[0] = "S" + lines[0][1:]
+    rows, cols = frozen.shape
+    lines = []
+    for r in range(rows):
+        chars = []
+        for c in range(cols):
+            if (r, c) == (0, 0):
+                chars.append("S")
+            elif (r, c) == (rows - 1, cols - 1):
+                chars.append("G")
+            else:
+                chars.append("." if frozen[r, c] else "H")
+        lines.append("".join(chars))
     return lines
 
 

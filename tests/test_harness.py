@@ -103,70 +103,6 @@ class TestSolveOracles:
             solve_oracles(tiny_tasks(1))
 
 
-def count_solves(monkeypatch):
-    """Route harness.solve_optimal_lp through a counter; returns the count."""
-    calls = []
-
-    def counted(cmdp):
-        calls.append(cmdp)
-        return solve_optimal_lp(cmdp)
-
-    monkeypatch.setattr(harness, "solve_optimal_lp", counted)
-    return calls
-
-
-class TestOracleCache:
-    def test_second_call_solves_nothing(self, monkeypatch):
-        calls = count_solves(monkeypatch)
-        tasks = tiny_tasks()
-        first = solve_oracles(tasks)
-        assert len(calls) == 3
-        again = solve_oracles(tasks)
-        assert len(calls) == 3
-        assert all(a is b for a, b in zip(first, again))
-
-    def test_run_experiment_reuses_the_oracles(self, monkeypatch):
-        calls = count_solves(monkeypatch)
-        tasks = tiny_tasks(4)
-        solve_oracles(tasks[:-1])
-        assert len(calls) == 3
-        run_experiment(tiny_config(runs_per_strategy=1), tasks=tasks)
-        assert len(calls) == 3
-
-    def test_fresh_cmdps_are_solved_again(self, monkeypatch):
-        calls = count_solves(monkeypatch)
-        solve_oracles(tiny_tasks(2))
-        solve_oracles(tiny_tasks(2))
-        assert len(calls) == 4
-
-    def test_failed_revalidation_is_not_cached(self, monkeypatch):
-        def off_in_j0(cmdp):
-            calls.append(cmdp)
-            sol = solve_optimal_lp(cmdp)
-            return replace(sol, objective_values=sol.objective_values + [1e-3, 0.0])
-
-        calls = []
-        monkeypatch.setattr(harness, "solve_optimal_lp", off_in_j0)
-        tasks = tiny_tasks(1)
-        for attempt in (1, 2):
-            with pytest.raises(NumericalFailure, match="J_0"):
-                solve_oracles(tasks)
-            assert len(calls) == attempt
-
-    def test_failed_solve_is_not_cached(self, monkeypatch):
-        def failing(cmdp):
-            calls.append(cmdp)
-            raise NumericalFailure("simplex iteration cap reached")
-
-        calls = []
-        monkeypatch.setattr(harness, "solve_optimal_lp", failing)
-        tasks = tiny_tasks(1)
-        for attempt in (1, 2):
-            with pytest.raises(NumericalFailure, match="cap"):
-                solve_oracles(tasks)
-            assert len(calls) == attempt
-
-
 class TestRunExperiment:
     def test_record_shape_and_holdout(self):
         cfg = tiny_config()
