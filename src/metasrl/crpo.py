@@ -216,15 +216,11 @@ def _discounted_weights(states, actions, t, gamma, s_n, a_n):
     return w / w.sum()
 
 
-def _log_dataset(cmdp, steps, states, actions, nexts):
-    """Transition log of `steps` CRPO steps from (episodes, horizon) arrays
-    in (step, episode) order."""
-    step, episode, t = np.indices(
-        (steps, states.shape[0] // steps, states.shape[1])).reshape(3, -1)
-    s, a = states.ravel(), actions.ravel()
+def _log_dataset(cmdp, states, actions, nexts):
+    """Transition log from (episodes, horizon) arrays in (step, episode)
+    order."""
     return TrajectoryDataset.from_samples(
-        cmdp.n_states, cmdp.n_actions, step=step, episode=episode, t=t,
-        s=s, a=a, r=cmdp.reward[s, a], c=cmdp.costs[:, s, a].T,
+        cmdp.n_states, cmdp.n_actions, s=states.ravel(), a=actions.ravel(),
         s_next=nexts.ravel(), initial_states=states[:, 0])
 
 
@@ -234,10 +230,10 @@ def _sampled_log(cmdp, policies, config):
     episodes = sample_episode(cmdp, policies, config.episode_horizon,
                               np.random.default_rng(config.rng_seed),
                               config.episodes_per_step)
-    return _log_dataset(cmdp, len(policies), *episodes)
+    return _log_dataset(cmdp, *episodes)
 
 
-def run_crpo(cmdp, init_policy, config, shrinkage=0.0):
+def run_crpo(cmdp, init_policy, config):
     """CRPO loop: gate on estimated constraint values, ascend or descend.
 
     At each of M steps, estimate every constraint value; if all are within
@@ -247,10 +243,6 @@ def run_crpo(cmdp, init_policy, config, shrinkage=0.0):
     the exact objectives of every iterate, and the transition log (built when
     first read).
     """
-    if config.steps < 1:
-        raise InvalidInput("steps must be >= 1")
-    if np.any(init_policy.probs < shrinkage - 1e-12):
-        raise InvalidInput("initial policy leaves the shrinkage simplex")
     rng = np.random.default_rng(config.rng_seed)
     p = cmdp.n_costs
     gamma = cmdp.discount
@@ -306,7 +298,7 @@ def run_crpo(cmdp, init_policy, config, shrinkage=0.0):
         policies = np.array([pol.probs for pol in snapshots])
         log_builder = partial(_sampled_log, cmdp, policies, config)
     else:
-        log_builder = partial(_log_dataset, cmdp, config.steps,
+        log_builder = partial(_log_dataset, cmdp,
                               *(np.concatenate(arrays) for arrays in zip(*episodes)))
     outcome_args = dict(
         reward_steps=tuple(reward_steps),

@@ -5,21 +5,20 @@ over a fully tabular z, then recovers the correction ratios
 omega(s,a) = (z - B^pi z)(s,a), the estimated visitation nu_hat, and the
 visitation-weighted KL loss the meta-learner descends on.
 
-The Sgd solver's draws reproduce the stream of one `Generator` call per
-draw bit for bit: they are made in one batch by `metasrl.sampling`, which
-the CRPO sampler shares.
+The Sgd solver draws its steps with numpy's batch calls, `rng.integers` and
+`rng.random`, and turns the uniforms into target-policy actions with the
+inverse-CDF draw of `metasrl.sampling`, which the CRPO sampler shares.
 """
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CoverageWarning, DegenerateEstimate, InvalidInput
-from .sampling import cdf, draw, draw_stream
+from .sampling import cdf, draw
 
 COUNT_TOL = 1e-12
 SGD_CHUNK = 1024    # Sgd steps drawn at a time: bounds the draw arrays
@@ -27,21 +26,17 @@ SGD_CHUNK = 1024    # Sgd steps drawn at a time: bounds the draw arrays
 
 @dataclass(frozen=True)
 class TrajectoryDataset:
-    """Off-policy transition tuples plus the empirical quantities DICE needs.
+    """Off-policy transitions (s, a, s') and initial states, plus the
+    empirical quantities DICE needs.
 
-    transitions is a structured record of parallel arrays; d_sa, p_hat and
-    rho_hat are either empirical (from samples) or exact (from_distribution).
+    s, a and s_next are parallel arrays; d_sa, p_hat and rho_hat are either
+    empirical (from samples) or exact (from_distribution).
     """
 
     n_states: int
     n_actions: int
-    step: np.ndarray        # outer CRPO step index per transition
-    episode: np.ndarray
-    t: np.ndarray           # within-episode time
     s: np.ndarray
     a: np.ndarray
-    r: np.ndarray
-    c: np.ndarray           # (n_transitions, p)
     s_next: np.ndarray
     initial_states: np.ndarray
     d_sa: np.ndarray = field(default=None)      # (S, A) data distribution
@@ -83,14 +78,9 @@ class TrajectoryDataset:
         return d, p, rho
 
     @classmethod
-    def from_samples(cls, n_states, n_actions, step, episode, t, s, a, r, c,
-                     s_next, initial_states):
-        arrays = [np.asarray(x) for x in (step, episode, t, s, a, r, c, s_next)]
-        return cls(n_states=n_states, n_actions=n_actions,
-                   step=arrays[0], episode=arrays[1], t=arrays[2],
-                   s=arrays[3], a=arrays[4], r=arrays[5],
-                   c=np.atleast_2d(np.asarray(c)).reshape(len(arrays[3]), -1),
-                   s_next=arrays[7],
+    def from_samples(cls, n_states, n_actions, s, a, s_next, initial_states):
+        return cls(n_states=n_states, n_actions=n_actions, s=np.asarray(s),
+                   a=np.asarray(a), s_next=np.asarray(s_next),
                    initial_states=np.asarray(initial_states))
 
     @classmethod
@@ -100,44 +90,16 @@ class TrajectoryDataset:
         s_n, a_n = d_sa.shape
         empty = np.zeros(0, dtype=int)
         return cls(n_states=s_n, n_actions=a_n,
-                   step=empty, episode=empty, t=empty,
-                   s=empty, a=empty, r=np.zeros(0),
-                   c=np.zeros((0, 1)), s_next=empty, initial_states=empty,
+                   s=empty, a=empty, s_next=empty, initial_states=empty,
                    d_sa=d_sa / d_sa.sum(),
                    p_hat=np.asarray(transition, dtype=float),
                    rho_hat=np.asarray(initial_dist, dtype=float))
-
-    @property
-    def counts(self):
-        return self.d_sa
-
-    def to_csv(self):
-        p = self.c.shape[1]
-        cost_cols = ",".join(f"c_{i + 1}" for i in range(p))
-        buf = io.StringIO()
-        buf.write(f"step,episode,t,s,a,r,{cost_cols},s_next,s0_flag\n")
-        for i in range(self.s.size):
-            costs = ",".join(f"{v:.17g}" for v in self.c[i])
-            buf.write(f"{self.step[i]},{self.episode[i]},{self.t[i]},"
-                      f"{self.s[i]},{self.a[i]},{self.r[i]:.17g},{costs},"
-                      f"{self.s_next[i]},{1 if self.t[i] == 0 else 0}\n")
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)
 class CorrectionTable:
     omega: np.ndarray
     coverage_mask: np.ndarray
-
-    def to_csv(self):
-        buf = io.StringIO()
-        buf.write("s,a,omega,covered\n")
-        s_n, a_n = self.omega.shape
-        for s in range(s_n):
-            for a in range(a_n):
-                buf.write(f"{s},{a},{self.omega[s, a]:.17g},"
-                          f"{1 if self.coverage_mask[s, a] else 0}\n")
-        return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -175,9 +137,8 @@ def dualdice_fit(dataset, target_policy, gamma, config=None):
     that choice.
 
     Sgd runs `sgd_steps` stochastic steps on the minimax surrogate, seeded
-    by `rng_seed`. Its draws reproduce the per-draw Generator stream (one
-    `integers`, `choice`, `integers`, `choice` a step) bit for bit, made in
-    one batch; only the O(K) scalar updates run in a Python loop.
+    by `rng_seed`. Its draws are made ahead in batches of numpy calls; only
+    the O(K) scalar updates run in a Python loop.
 
     Output is clipped at 0 and zeroed on uncovered pairs, and a
     CoverageWarning is raised when any pair is uncovered.
@@ -217,10 +178,11 @@ def _sgd_fit(dataset, target_policy, gamma, config):
     """K stochastic saddle-point steps on J(z, zeta); returns z - B^pi z on data.
 
     Each step draws a logged transition (s, a, s'), a' ~ pi(s'), a logged
-    initial state s_0 and a_0 ~ pi(s_0): rng.integers, rng.choice,
-    rng.integers, rng.choice, in that order. No draw depends on z, so the
-    steps are drawn ahead, SGD_CHUNK at a time, in batches that reproduce
-    that per-draw stream bit for bit. Only the scalar updates run one by
+    initial state s_0 and a_0 ~ pi(s_0). No draw depends on z, so the steps
+    are drawn ahead, SGD_CHUNK steps at a time, with four batch calls a
+    chunk: rng.integers for the transitions, rng.random for a', rng.integers
+    for the initial states and rng.random for a_0; the actions are the
+    inverse-CDF draws of those uniforms. Only the scalar updates run one by
     one, on Python floats, which round as numpy scalars do.
     """
     s_n, a_n = dataset.n_states, dataset.n_actions
@@ -235,9 +197,9 @@ def _sgd_fit(dataset, target_policy, gamma, config):
     z = [0.0] * (s_n * a_n)
     zeta = [0.0] * (s_n * a_n)
     for start in range(0, config.sgd_steps, SGD_CHUNK):
-        i, u_next, j, u_init = draw_stream(
-            rng, (n_tr, None, n_init, None),
-            min(SGD_CHUNK, config.sgd_steps - start))
+        k = min(SGD_CHUNK, config.sgd_steps - start)
+        i, u_next = rng.integers(n_tr, size=k), rng.random(k)
+        j, u_init = rng.integers(n_init, size=k), rng.random(k)
         s2, s0 = dataset.s_next[i], dataset.initial_states[j]
         sa = dataset.s[i] * a_n + dataset.a[i]
         sa_next = s2 * a_n + draw(policy_cdf[s2], u_next)

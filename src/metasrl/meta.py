@@ -149,14 +149,6 @@ def rate_regret_objective(kappa, u_init, inexactness, t_tasks, v_hat_sq,
 
 
 @dataclass(frozen=True)
-class TaskRecord:
-    nu_hat: object           # VisitationDistribution
-    pi_hat: object           # policy (probs used)
-    kl_term: float
-    kappa_used: float
-
-
-@dataclass(frozen=True)
 class MetaLearnerState:
     init_policy: np.ndarray          # (S, A) probability table in the shrinkage simplex
     learning_rate: float
@@ -165,7 +157,6 @@ class MetaLearnerState:
     inner_updates: int = 1
     shrinkage: float = 1e-3
     rate_floor: float = 1e-4
-    history: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "init_policy",
@@ -188,7 +179,7 @@ def meta_update(state, nu_hat, pi_hat, m_steps, constants):
 
     The initialization takes K projected OGD steps on the plug-in KL loss;
     the learning rate takes one OGD step on the rate surrogate, floored at
-    rate_floor. Returns a new state with the task appended to history.
+    rate_floor. Returns the new state.
     """
     kl_term, _ = kl_loss_and_grad(nu_hat, pi_hat, TablePolicy(probs=state.init_policy))
     kl_term = max(kl_term, 0.0)  # guard against rounding just below zero
@@ -205,10 +196,7 @@ def meta_update(state, nu_hat, pi_hat, m_steps, constants):
     kappa_next = max(state.rate_floor,
                      state.learning_rate - state.ogd_step_sim * sim_grad)
 
-    record = TaskRecord(nu_hat=nu_hat, pi_hat=pi_hat, kl_term=float(kl_term),
-                        kappa_used=state.learning_rate)
-    return replace(state, init_policy=phi_next, learning_rate=kappa_next,
-                   history=state.history + (record,))
+    return replace(state, init_policy=phi_next, learning_rate=kappa_next)
 
 
 def closed_form_similarity_center(history, shrink):

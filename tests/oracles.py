@@ -349,8 +349,11 @@ def dualdice_direct_reference(dataset, probs, gamma):
 
 
 def sgd_fit_reference(dataset, probs, gamma, config):
-    """DualDICE by SGD, one rng.integers / rng.choice call per draw.
+    """DualDICE by SGD, one step at a time.
 
+    The draws come 1024 steps at a time from four batch calls:
+    rng.integers(n_tr, size=k), rng.random(k), rng.integers(n_init, size=k),
+    rng.random(k). Each action is count(cumsum(p)/cumsum(p)[-1] <= u).
     omega = z - gamma P_hat^pi z, clipped at 0 and zeroed on uncovered pairs.
     """
     rng = np.random.default_rng(config.rng_seed)
@@ -358,17 +361,28 @@ def sgd_fit_reference(dataset, probs, gamma, config):
     z = np.zeros((s_n, a_n))
     zeta = np.zeros((s_n, a_n))
     lr = config.sgd_step_size
-    for _ in range(config.sgd_steps):
-        i = rng.integers(dataset.s.size)
-        s, a, s2 = dataset.s[i], dataset.a[i], dataset.s_next[i]
-        a2 = rng.choice(a_n, p=probs[s2])
-        s0 = dataset.initial_states[rng.integers(dataset.initial_states.size)]
-        a0 = rng.choice(a_n, p=probs[s0])
-        resid = z[s, a] - gamma * z[s2, a2] - zeta[s, a]
-        zeta[s, a] += lr * resid
-        z[s, a] -= lr * zeta[s, a]
-        z[s2, a2] += lr * gamma * zeta[s, a]
-        z[s0, a0] += lr * (1.0 - gamma)
+
+    def action(state, u):
+        c = np.cumsum(probs[state])
+        return int(np.count_nonzero(c / c[-1] <= u))
+
+    for start in range(0, config.sgd_steps, 1024):
+        k = min(1024, config.sgd_steps - start)
+        tr = rng.integers(dataset.s.size, size=k)
+        u_next = rng.random(k)
+        init = rng.integers(dataset.initial_states.size, size=k)
+        u_init = rng.random(k)
+        for n in range(k):
+            i = tr[n]
+            s, a, s2 = dataset.s[i], dataset.a[i], dataset.s_next[i]
+            a2 = action(s2, u_next[n])
+            s0 = dataset.initial_states[init[n]]
+            a0 = action(s0, u_init[n])
+            resid = z[s, a] - gamma * z[s2, a2] - zeta[s, a]
+            zeta[s, a] += lr * resid
+            z[s, a] -= lr * zeta[s, a]
+            z[s2, a2] += lr * gamma * zeta[s, a]
+            z[s0, a0] += lr * (1.0 - gamma)
     next_z = np.einsum("sat,tb,tb->sa", dataset.p_hat, probs, z)
     omega = np.maximum(z - gamma * next_z, 0.0)
     omega[dataset.d_sa <= 0] = 0.0

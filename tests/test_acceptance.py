@@ -134,9 +134,7 @@ def test_04_dice_exact_recovery_and_sample_trend():
         s_next = np.array([rng.choice(4, p=cmdp.transition[s[i], a[i]])
                            for i in range(n)])
         ds = TrajectoryDataset.from_samples(
-            4, 3, step=np.zeros(n, int), episode=np.zeros(n, int),
-            t=np.ones(n, int), s=s, a=a, r=cmdp.reward[s, a],
-            c=cmdp.costs[:, s, a].T, s_next=s_next,
+            4, 3, s=s, a=a, s_next=s_next,
             initial_states=rng.choice(4, size=max(10, n // 10),
                                       p=cmdp.initial_dist))
         with warnings.catch_warnings():

@@ -204,8 +204,8 @@ class TestRunExperiment:
 
 
 class TestExportReport:
-    def _run(self, tmp_path, fmt="csv"):
-        cfg = tiny_config()
+    def _run(self, tmp_path, fmt="csv", cfg=None):
+        cfg = cfg or tiny_config()
         records, reports = run_experiment(cfg, tasks=tiny_tasks(3))
         out = str(tmp_path / "out")
         written = export_report(records, reports, out, fmt=fmt, config=cfg)
@@ -225,14 +225,17 @@ class TestExportReport:
         assert os.path.exists(os.path.join(out, "environment.json"))
 
     def test_byte_identical_reruns(self, tmp_path):
-        out_a, _ = self._run(tmp_path / "a")
-        out_b, _ = self._run(tmp_path / "b")
-        for name in sorted(os.listdir(out_a)):
-            with open(os.path.join(out_a, name), "rb") as fh:
-                a = fh.read()
-            with open(os.path.join(out_b, name), "rb") as fh:
-                b = fh.read()
-            assert a == b, name
+        sgd = tiny_config(strategies=("MetaSrl",),
+                          dice=DiceConfig(solver="Sgd", sgd_steps=50))
+        for k, cfg in enumerate([tiny_config(), sgd]):
+            out_a, _ = self._run(tmp_path / f"a{k}", cfg=cfg)
+            out_b, _ = self._run(tmp_path / f"b{k}", cfg=cfg)
+            for name in sorted(os.listdir(out_a)):
+                with open(os.path.join(out_a, name), "rb") as fh:
+                    a = fh.read()
+                with open(os.path.join(out_b, name), "rb") as fh:
+                    b = fh.read()
+                assert a == b, name
 
     def test_json_format(self, tmp_path):
         out, _ = self._run(tmp_path, fmt="json")
