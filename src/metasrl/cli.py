@@ -20,15 +20,10 @@ def _load_json(path):
 
 
 def cmd_gen_tasks(args):
-    from .taskgen import GridSpec, TaskSequenceConfig, write_task_sequence
+    from .taskgen import TaskSequenceConfig, write_task_sequence
 
     doc = _load_json(args.config)
-    source = doc.get("task_source", doc)
-    cfg = TaskSequenceConfig(
-        mode=source["mode"], num_tasks=source["num_tasks"],
-        base=GridSpec(**source.get("base", {})),
-        low_sim_prob_range=tuple(source.get("low_sim_prob_range", (0.3, 0.7))),
-        seed=source.get("seed", 0))
+    cfg = TaskSequenceConfig.from_dict(doc.get("task_source", doc))
     write_task_sequence(cfg, args.out)
     print(f"wrote {cfg.num_tasks} tasks to {args.out}")
     return 0
@@ -44,8 +39,8 @@ def cmd_run(args):
         config = dataclasses.replace(config, strategies=(args.strategy,))
     records, reports = run_experiment(config)
     n_costs = max(len(r.tacv) for r in reports.values()) if reports else 1
-    written = export_report(records, reports, args.out, fmt="csv",
-                            config=config, n_costs=n_costs)
+    written = export_report(records, reports, args.out, config=config,
+                            n_costs=n_costs)
     print("\n".join(written))
     return 0
 

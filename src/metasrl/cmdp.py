@@ -205,10 +205,9 @@ class TabularCmdp:
 
 
 def _fmt(x):
-    """Decimal serialization with 17 significant digits (exact round trip)."""
-    if np.isscalar(x) or isinstance(x, float):
-        return float(f"{float(x):.17g}")
-    return [_fmt(v) for v in np.asarray(x)]
+    """Python floats (nested lists for arrays) for json, which writes each
+    float64 as its shortest repr that reads back exactly."""
+    return np.asarray(x, dtype=float).tolist()
 
 
 @dataclass(frozen=True)
@@ -227,14 +226,6 @@ class SoftmaxPolicy:
     @property
     def probs(self):
         return self.cached_probs
-
-    @classmethod
-    def from_probs(cls, probs):
-        """Build a policy from a probability table (rows strictly positive)."""
-        probs = np.asarray(probs, dtype=float)
-        if np.any(probs <= 0):
-            raise InvalidInput("from_probs requires strictly positive rows")
-        return cls(logits=np.log(probs))
 
     @classmethod
     def uniform(cls, n_states, n_actions):
@@ -393,9 +384,3 @@ def objective_values(cmdp, values):
 def all_objectives(cmdp, policy):
     """Vector (J_0, J_1, ..., J_p)."""
     return objective_values(cmdp, policy_evaluation_exact(cmdp, policy))
-
-
-def expected_objective(cmdp, policy, objective_index):
-    """J_i(pi) = E_rho[V_i(s)] for the chosen objective."""
-    cmdp.objective_table(objective_index)  # InvalidInput when out of range
-    return float(all_objectives(cmdp, policy)[objective_index])

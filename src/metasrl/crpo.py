@@ -311,7 +311,6 @@ def run_crpo(cmdp, init_policy, config):
     if not reward_steps:
         raise DegenerateRun(
             "no reward-ascent step occurred; returned policy undefined",
-            last_policy=snapshots[-1],
             outcome=CrpoOutcome(returned_policy=snapshots[-1],
                                 returned_step=config.steps - 1, **outcome_args))
     chosen = reward_steps[rng.integers(len(reward_steps))]

@@ -14,11 +14,11 @@ class NumericalFailure(RuntimeError):
 
 
 class DegenerateRun(RuntimeError):
-    """CRPO finished without any reward-ascent step; carries the last iterate."""
+    """CRPO finished without any reward-ascent step; its outcome returns the
+    last iterate."""
 
-    def __init__(self, message, last_policy=None, outcome=None):
+    def __init__(self, message, outcome=None):
         super().__init__(message)
-        self.last_policy = last_policy
         self.outcome = outcome
 
 

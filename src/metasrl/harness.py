@@ -18,14 +18,14 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .cmdp import SoftmaxPolicy, TablePolicy, all_objectives, _fmt
+from .cmdp import SoftmaxPolicy, TablePolicy, all_objectives
 from .crpo import CrpoConfig, run_crpo
 from .dice import DiceConfig, dualdice_fit, kl_loss_and_grad, visitation_from_corrections
 from .errors import DegenerateRun, InvalidInput, NumericalFailure
 from .lp import solve_optimal_lp
 from .meta import (MetaLearnerState, SimConstants, meta_update,
                    project_table_shrinkage_simplex, regret_report)
-from .taskgen import GridSpec, TaskSequenceConfig, gen_task_sequence, load_task_sequence
+from .taskgen import TaskSequenceConfig, gen_task_sequence, load_task_sequence
 
 STRATEGIES = ("Random", "Pretrained", "SimpleAverage", "FAL", "MetaSrl")
 
@@ -66,11 +66,7 @@ class ExperimentConfig:
             doc = json.loads(doc)
         source = doc["task_source"]
         if isinstance(source, dict):
-            base = GridSpec(**source.get("base", {}))
-            source = TaskSequenceConfig(
-                mode=source["mode"], num_tasks=source["num_tasks"], base=base,
-                low_sim_prob_range=tuple(source.get("low_sim_prob_range", (0.3, 0.7))),
-                seed=source.get("seed", 0))
+            source = TaskSequenceConfig.from_dict(source)
         return cls(
             task_source=source,
             strategies=tuple(doc.get("strategies", STRATEGIES)),
@@ -205,37 +201,39 @@ def run_experiment(config, tasks=None):
     meta_cfg = config.meta
     kappa1 = meta_cfg.initial_rate if meta_cfg.initial_rate is not None \
         else config.crpo.learning_rate
+    meta_start = MetaLearnerState(
+        init_policy=_uniform_init(dims, meta_cfg.shrinkage),
+        learning_rate=max(kappa1, meta_cfg.rate_floor),
+        ogd_step_init=meta_cfg.ogd_step_init,
+        ogd_step_sim=meta_cfg.ogd_step_sim,
+        inner_updates=meta_cfg.inner_updates,
+        shrinkage=meta_cfg.shrinkage,
+        rate_floor=meta_cfg.rate_floor)
 
+    n_runs, n_train = config.runs_per_strategy, len(train_tasks)
     seed_root = np.random.SeedSequence(config.master_seed)
-    children = seed_root.spawn(len(config.strategies) * config.runs_per_strategy)
+    children = seed_root.spawn(len(config.strategies) * n_runs)
     records = []
     reports = {}
 
     for si, strategy in enumerate(config.strategies):
-        per_task_j = np.zeros((config.runs_per_strategy, len(train_tasks),
-                               tasks[0].n_costs + 1))
-        kl_terms = np.zeros((config.runs_per_strategy, len(train_tasks)))
-        kappas = np.zeros((config.runs_per_strategy, len(train_tasks)))
-        last_outcomes = [None] * len(train_tasks)
-        for run in range(config.runs_per_strategy):
-            child = children[si * config.runs_per_strategy + run]
+        # (run, task) entries of failed runs stay NaN
+        per_task_j = np.full((n_runs, n_train, tasks[0].n_costs + 1), np.nan)
+        kl_terms = np.full((n_runs, n_train), np.nan)
+        kappas = np.full((n_runs, n_train), np.nan)
+        last_outcomes = [None] * n_train
+        for run in range(n_runs):
+            child = children[si * n_runs + run]
             rng = np.random.default_rng(child)
-            task_seeds = child.generate_state(len(train_tasks) + 1, dtype=np.uint32)
+            task_seeds = child.generate_state(n_train + 1, dtype=np.uint32)
             history = []
-            state = MetaLearnerState(
-                init_policy=_uniform_init(dims, meta_cfg.shrinkage),
-                learning_rate=max(kappa1, meta_cfg.rate_floor),
-                ogd_step_init=meta_cfg.ogd_step_init,
-                ogd_step_sim=meta_cfg.ogd_step_sim,
-                inner_updates=meta_cfg.inner_updates,
-                shrinkage=meta_cfg.shrinkage,
-                rate_floor=meta_cfg.rate_floor)
+            state = meta_start if strategy == "MetaSrl" else None
 
             for t, cmdp in enumerate(tasks):
-                is_test = t == len(train_tasks)    # the held-out task, if any
+                is_test = t == n_train    # the held-out task, if any
                 t0 = time.monotonic()
                 try:  # per-run failures never abort the sweep
-                    if strategy == "MetaSrl":
+                    if state is not None:
                         init_table = state.init_policy
                         alpha = state.learning_rate
                     elif t == 0:
@@ -245,11 +243,22 @@ def run_experiment(config, tasks=None):
                         init_table = baseline_init(strategy, history, rng,
                                                    meta_cfg.shrinkage, dims)
                         alpha = config.crpo.learning_rate
-                    if not is_test:
-                        kappas[run, t] = alpha
                     crpo_cfg = replace(config.crpo, learning_rate=alpha)
                     outcome, degenerate = _run_task(cmdp, init_table, crpo_cfg,
                                                     int(task_seeds[t]))
+                    pi_hat = outcome.returned_policy
+                    kl_term, next_state = 0.0, state
+                    if state is not None and not is_test:   # the learning step
+                        dice_cfg = replace(config.dice, rng_seed=_dice_seed(
+                            config.dice.rng_seed, task_seeds[t]))
+                        corrections = dualdice_fit(outcome.dataset, pi_hat,
+                                                   cmdp.discount, dice_cfg)
+                        nu_hat = visitation_from_corrections(outcome.dataset,
+                                                             corrections)
+                        kl_term, _ = kl_loss_and_grad(
+                            nu_hat, pi_hat, TablePolicy(probs=state.init_policy))
+                        next_state = meta_update(state, nu_hat, pi_hat,
+                                                 config.crpo.steps, constants)
                 except Exception as exc:
                     records.append(RunRecord(
                         strategy=strategy, task_index=t, seed=run,
@@ -261,7 +270,6 @@ def run_experiment(config, tasks=None):
                         is_test=is_test,
                         error=f"{type(exc).__name__}: {exc}"))
                     continue
-                pi_hat = outcome.returned_policy
                 j = outcome.returned_objectives
                 records.append(RunRecord(
                     strategy=strategy, task_index=t, seed=run,
@@ -276,28 +284,27 @@ def run_experiment(config, tasks=None):
                 if is_test:
                     continue
                 per_task_j[run, t] = j
+                kl_terms[run, t] = kl_term
+                kappas[run, t] = alpha
                 history.append(np.array(pi_hat.probs))
                 last_outcomes[t] = outcome
+                state = next_state
 
-                if strategy == "MetaSrl":
-                    dice_cfg = replace(config.dice, rng_seed=_dice_seed(
-                        config.dice.rng_seed, task_seeds[t]))
-                    corrections = dualdice_fit(outcome.dataset, pi_hat,
-                                               cmdp.discount, dice_cfg)
-                    nu_hat = visitation_from_corrections(outcome.dataset, corrections)
-                    kl_terms[run, t], _ = kl_loss_and_grad(
-                        nu_hat, pi_hat, TablePolicy(probs=state.init_policy))
-                    state = meta_update(state, nu_hat, pi_hat,
-                                        config.crpo.steps, constants)
-
-        j_mean = per_task_j.mean(axis=0)
         reports[strategy] = regret_report(
             oracles, last_outcomes, train_tasks,
-            kl_terms=kl_terms.mean(axis=0),
-            kappas=kappas.mean(axis=0),
-            shrink=meta_cfg.shrinkage,
-            j_hat=[j_mean[t] for t in range(len(train_tasks))])
+            j_hat=_mean_of_successes(per_task_j),
+            kl_terms=_mean_of_successes(kl_terms),
+            kappas=_mean_of_successes(kappas),
+            shrink=meta_cfg.shrinkage)
     return records, reports
+
+
+def _mean_of_successes(per_run):
+    """Mean over the runs (axis 0) of the entries that are not NaN; NaN
+    where no run succeeded."""
+    ok = ~np.isnan(per_run)
+    with np.errstate(invalid="ignore"):   # 0/0 where no run succeeded
+        return np.where(ok, per_run, 0.0).sum(axis=0) / ok.sum(axis=0)
 
 
 def _curve_table(records, strategy, n_costs):
@@ -324,11 +331,12 @@ def _curve_table(records, strategy, n_costs):
     return rows
 
 
-def export_report(records, reports, out_dir, fmt="csv", config=None, n_costs=1):
+def export_report(records, reports, out_dir, config=None, n_costs=1):
     """Write learning-curve tables, regret summaries and the config snapshot.
 
-    Byte-identical for identical inputs: fixed column order, sorted keys,
-    17-significant-digit floats, no timestamps.
+    Byte-identical for identical inputs: fixed column order, sorted keys, no
+    timestamps. The CSV files write floats with 17 significant digits, the
+    JSON files as their shortest repr that reads back exactly.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = []
@@ -341,20 +349,13 @@ def export_report(records, reports, out_dir, fmt="csv", config=None, n_costs=1):
                           f"cost_{i + 1}_stderr"]
         header = ["task", "is_test", "step", "reward_mean", "reward_std",
                   "reward_stderr"] + cost_cols
-        if fmt == "csv":
-            path = os.path.join(out_dir, f"curves_{strategy}.csv")
-            with open(path, "w") as fh:
-                fh.write(",".join(header) + "\n")
-                for row in rows:
-                    fh.write(",".join(
-                        str(v) if isinstance(v, (int, np.integer))
-                        else f"{v:.17g}" for v in row) + "\n")
-        else:
-            path = os.path.join(out_dir, f"curves_{strategy}.json")
-            with open(path, "w") as fh:
-                json.dump([dict(zip(header, [_fmt(v) if isinstance(v, float)
-                                             else int(v) for v in row]))
-                           for row in rows], fh, sort_keys=True, indent=2)
+        path = os.path.join(out_dir, f"curves_{strategy}.csv")
+        with open(path, "w") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(
+                    str(v) if isinstance(v, (int, np.integer))
+                    else f"{v:.17g}" for v in row) + "\n")
         written.append(path)
         if strategy in reports:
             rp = os.path.join(out_dir, f"regret_{strategy}.json")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cmdp import TablePolicy, _fmt
+from .cmdp import TablePolicy, _fmt, visitation_exact
 from .dice import kl_loss_and_grad
 from .errors import InvalidInput
 
@@ -170,9 +170,6 @@ class MetaLearnerState:
         if self.inner_updates < 1:
             raise InvalidInput("inner_updates must be >= 1")
 
-    def init_as_policy(self):
-        return TablePolicy(probs=self.init_policy)
-
 
 def meta_update(state, nu_hat, pi_hat, m_steps, constants):
     """One meta-step after a finished task.
@@ -266,40 +263,36 @@ class RegretReport:
         return header + "".join(rows)
 
 
-def regret_report(oracle_solutions, outcomes, cmdps, comparators=None,
-                  nu_hats=None, kl_terms=None, kappas=None,
-                  inexactness=None, shrink=0.0, j_hat=None):
+def regret_report(oracle_solutions, outcomes, cmdps, j_hat, kl_terms, kappas,
+                  shrink, comparators=None):
     """Task-averaged optimality gap, constraint violations and similarity stats.
 
-    j_hat optionally supplies per-task objective vectors (J_0..J_p) of the
-    returned policies, e.g. seed averages; otherwise the single returned
-    policy of each outcome is evaluated exactly.
+    j_hat[t] (J_0..J_p), kl_terms[t] and kappas[t] are task t's means over
+    its successful runs, and outcomes[t] is one of those runs. A task with
+    none has outcome None and NaN means: it exports NaN, and the similarity
+    center and KL statistics skip it.
     """
-    from .cmdp import all_objectives, visitation_exact
-
     t_tasks = len(cmdps)
     if len(oracle_solutions) != t_tasks or len(outcomes) != t_tasks:
         raise InvalidInput("misaligned task lists")
-    p = cmdps[0].n_costs
-    gaps = np.zeros(t_tasks)
-    viol = np.zeros((t_tasks, p))
-    history = []
-    per_task = []
-    for t in range(t_tasks):
-        cmdp = cmdps[t]
-        pol = outcomes[t].returned_policy
-        j = np.asarray(j_hat[t]) if j_hat is not None else all_objectives(cmdp, pol)
-        gaps[t] = oracle_solutions[t].objective_values[0] - j[0]
-        viol[t] = j[1:] - cmdp.limits
-        nu = nu_hats[t] if nu_hats is not None else visitation_exact(cmdp, pol)
-        history.append((nu, pol))
+    j_hat = np.asarray(j_hat, dtype=float)
+    kl_terms = np.asarray(kl_terms, dtype=float)
+    gaps = np.array([sol.objective_values[0] for sol in oracle_solutions]) - j_hat[:, 0]
+    viol = j_hat[:, 1:] - np.array([cmdp.limits for cmdp in cmdps])
+    done = [t for t in range(t_tasks) if outcomes[t] is not None]
+    history = [(visitation_exact(cmdps[t], outcomes[t].returned_policy),
+                outcomes[t].returned_policy) for t in done]
+    kl_done = kl_terms[done]
 
-    center, d_hat_sq = closed_form_similarity_center(history, shrink)
-    phi_star = TablePolicy(probs=center)
-    kl_at_center = np.array([kl_loss_and_grad(nu, pol, phi_star)[0]
-                             for nu, pol in history])
-    static_regret = float((np.asarray(kl_terms) - kl_at_center).sum()) \
-        if kl_terms is not None else 0.0
+    def kl_at(tables):
+        """Each done task's KL loss at its own initialization table."""
+        return np.array([kl_loss_and_grad(nu, pol, TablePolicy(probs=tab))[0]
+                         for (nu, pol), tab in zip(history, tables)])
+
+    d_hat_sq = static_regret = np.nan
+    if done:
+        center, d_hat_sq = closed_form_similarity_center(history, shrink)
+        static_regret = float((kl_done - kl_at([center] * len(done))).sum())
 
     path, sq_path, v_hat_sq, dynamic_regret = 0.0, 0.0, d_hat_sq, static_regret
     if comparators is not None:
@@ -309,27 +302,19 @@ def regret_report(oracle_solutions, outcomes, cmdps, comparators=None,
         diffs = [np.linalg.norm(comp[i] - comp[i - 1]) for i in range(1, t_tasks)]
         path = float(np.sum(diffs))
         sq_path = float(np.sum(np.square(diffs)))
-        kl_at_comp = np.array([kl_loss_and_grad(history[t][0], history[t][1],
-                                                TablePolicy(probs=comp[t]))[0]
-                               for t in range(t_tasks)])
-        v_hat_sq = float(kl_at_comp.mean())
-        if kl_terms is not None:
-            dynamic_regret = float((np.asarray(kl_terms) - kl_at_comp).sum())
+        if done:
+            kl_at_comp = kl_at([comp[t] for t in done])
+            v_hat_sq = float(kl_at_comp.mean())
+            dynamic_regret = float((kl_done - kl_at_comp).sum())
 
-    inex = np.zeros(t_tasks) if inexactness is None else np.asarray(inexactness, dtype=float)
-    kl_terms_arr = np.asarray(kl_terms, dtype=float) if kl_terms is not None \
-        else np.zeros(t_tasks)
-    kappa_arr = np.asarray(kappas, dtype=float) if kappas is not None \
-        else np.zeros(t_tasks)
-    for t in range(t_tasks):
-        per_task.append({
-            "task": t,
-            "taog": float(gaps[t]),
-            "tacv": [float(v) for v in viol[t]],
-            "kl_term": float(kl_terms_arr[t]),
-            "kappa": float(kappa_arr[t]),
-            "inexactness": float(inex[t]),
-        })
+    per_task = [{
+        "task": t,
+        "taog": float(gaps[t]),
+        "tacv": [float(v) for v in viol[t]],
+        "kl_term": float(kl_terms[t]),
+        "kappa": float(kappas[t]),
+        "inexactness": 0.0,
+    } for t in range(t_tasks)]
     return RegretReport(
         taog=float(gaps.mean()),
         tacv=viol.mean(axis=0),
@@ -340,7 +325,7 @@ def regret_report(oracle_solutions, outcomes, cmdps, comparators=None,
         v_hat_sq=v_hat_sq,
         path_length=path,
         sq_path_length=sq_path,
-        inexactness_proxy=inex,
+        inexactness_proxy=np.zeros(t_tasks),
         per_task=per_task,
     )
 

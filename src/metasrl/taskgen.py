@@ -71,6 +71,14 @@ class TaskSequenceConfig:
         if self.num_tasks < 1:
             raise InvalidInput("num_tasks must be >= 1")
 
+    @classmethod
+    def from_dict(cls, doc):
+        """The config of a parsed JSON task-source object."""
+        return cls(mode=doc["mode"], num_tasks=doc["num_tasks"],
+                   base=GridSpec(**doc.get("base", {})),
+                   low_sim_prob_range=tuple(doc.get("low_sim_prob_range", (0.3, 0.7))),
+                   seed=doc.get("seed", 0))
+
 
 def _move_targets(rows, cols):
     """(rows*cols, 4): the flat cell r*cols + c that each move of MOVES
@@ -178,21 +186,19 @@ def gen_task_sequence(config):
     """
     seeds = np.random.SeedSequence(config.seed).spawn(config.num_tasks + 1)
     rng = np.random.default_rng(seeds[0])
-    base_spec = GridSpec(**{**config.base.__dict__, "seed": config.base.seed})
     cmdps, grids, notes = [], [], []
 
     if config.mode == HIGH_SIMILARITY:
-        base_grid = gen_grid(base_spec)
-        cmdps.append(grid_to_cmdp(base_grid, base_spec))
+        base_grid = gen_grid(config.base)
+        cmdps.append(grid_to_cmdp(base_grid, config.base))
         grids.append(base_grid)
-        notes.append({"flip": None, "frozen_prob": base_spec.frozen_prob})
-        rows, cols = base_spec.rows, base_spec.cols
+        notes.append({"flip": None, "frozen_prob": config.base.frozen_prob})
+        rows, cols = config.base.rows, config.base.cols
         flippable = [(r, c) for r in range(rows) for c in range(cols)
                      if (r, c) not in ((0, 0), (rows - 1, cols - 1))]
         if config.num_tasks - 1 > len(flippable):
             raise InvalidInput("more tasks than flippable cells")
         order = list(rng.permutation(len(flippable)))
-        used = 0
         while len(cmdps) < config.num_tasks:
             if not order:
                 raise GenerationFailure("ran out of reachability-preserving flips")
@@ -201,16 +207,15 @@ def gen_task_sequence(config):
             grid[r, c] = ~grid[r, c]
             if not _goal_reachable(grid, rows, cols):
                 continue
-            used += 1
-            cmdps.append(grid_to_cmdp(grid, base_spec))
+            cmdps.append(grid_to_cmdp(grid, config.base))
             grids.append(grid)
             notes.append({"flip": [int(r), int(c)],
-                          "frozen_prob": base_spec.frozen_prob})
+                          "frozen_prob": config.base.frozen_prob})
     else:
         lo, hi = config.low_sim_prob_range
         for t in range(config.num_tasks):
             prob = float(lo + (hi - lo) * rng.random())
-            spec = GridSpec(**{**base_spec.__dict__,
+            spec = GridSpec(**{**config.base.__dict__,
                                "frozen_prob": prob,
                                "seed": int(seeds[t + 1].generate_state(1)[0])})
             grid = gen_grid(spec)
@@ -222,7 +227,7 @@ def gen_task_sequence(config):
         "mode": config.mode,
         "num_tasks": config.num_tasks,
         "seed": config.seed,
-        "base": dict(base_spec.__dict__),
+        "base": dict(config.base.__dict__),
         "tasks": [{
             "index": t,
             "grid": grid_ascii(grids[t]),

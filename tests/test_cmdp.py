@@ -1,13 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metasrl import cmdp as cmdp_module
+from metasrl import cmdp as cmdp_module, meta as meta_module
 from metasrl.cmdp import (SoftmaxPolicy, TabularCmdp, all_objectives,
-                          expected_objective, policy_evaluation_exact,
-                          policy_from_logits, transition_under_policy,
-                          visitation_exact)
+                          policy_evaluation_exact, policy_from_logits,
+                          transition_under_policy, visitation_exact)
 from metasrl.errors import InvalidInput, NumericalFailure
+from metasrl.meta import RegretReport
 from metasrl.taskgen import GridSpec, gen_frozen_lake
 
 from oracles import (core_states_reference, monte_carlo_objective,
@@ -309,13 +311,13 @@ class TestExpectedObjective:
                              costs=np.zeros((1, 4, 3)), limits=cmdp.limits,
                              discount=cmdp.discount,
                              initial_dist=cmdp.initial_dist, c_max=1.0)
-        assert expected_objective(zeroed, SoftmaxPolicy.uniform(4, 3), 1) == 0.0
+        assert all_objectives(zeroed, SoftmaxPolicy.uniform(4, 3))[1] == 0.0
 
     def test_matches_monte_carlo(self):
         rng = np.random.default_rng(7)
         cmdp = random_cmdp(rng, n_states=3)
         pol = SoftmaxPolicy.uniform(3, 3)
-        exact = expected_objective(cmdp, pol, 0)
+        exact = all_objectives(cmdp, pol)[0]
         mc, stderr = monte_carlo_objective(cmdp, pol.probs, 0, 10 ** 6, seed=8)
         assert abs(exact - mc) <= 3 * stderr
 
@@ -329,7 +331,7 @@ class TestExpectedObjective:
             (cmdp.n_states, cmdp.n_actions)))
         vis = visitation_exact(cmdp, pol)
         for i in range(cmdp.n_costs + 1):
-            j = expected_objective(cmdp, pol, i)
+            j = all_objectives(cmdp, pol)[i]
             occ = (vis.nu_sa * cmdp.objective_table(i)).sum() / (1 - cmdp.discount)
             assert abs(j - occ) <= 1e-8
 
@@ -342,6 +344,38 @@ class TestSerialization:
         assert again.to_json() == text
         assert np.array_equal(again.transition, cmdp.transition)
         assert np.array_equal(again.reward, cmdp.reward)
+
+    def test_json_bytes_match_the_17_digit_round_trip(self, monkeypatch):
+        """Exported floats are written as json writes each float64: the same
+        bytes as a round trip through 17 significant digits, which is exact."""
+        def fmt_17g(x):
+            if np.isscalar(x) or isinstance(x, float):
+                return float(f"{float(x):.17g}")
+            return [fmt_17g(v) for v in np.asarray(x)]
+
+        specials = [0.1, 1.0 / 3.0, 5e-324, -0.0]
+        cmdp = TabularCmdp(
+            transition=np.ones((1, 4, 1)), reward=np.array([specials]),
+            costs=np.zeros((6, 1, 4)),
+            limits=np.array([np.inf, -np.inf] + specials), discount=1.0 / 3.0,
+            initial_dist=np.array([1.0]), c_max=1.0)
+        report = RegretReport(
+            taog=np.nan, tacv=np.array([np.inf, -np.inf]),
+            tacv_clipped=np.array(specials), static_regret=-0.0,
+            dynamic_regret=5e-324, d_hat_sq=1.0 / 3.0, v_hat_sq=0.1,
+            path_length=np.float64(np.nan), sq_path_length=-np.inf,
+            inexactness_proxy=np.zeros(2))
+        for text, value in [("NaN", np.nan), ("Infinity", np.inf),
+                            ("-Infinity", -np.inf), ("-0.0", -0.0),
+                            ("5e-324", 5e-324), ("0.1", 0.1),
+                            ("0.3333333333333333", 1.0 / 3.0)]:
+            assert json.dumps(cmdp_module._fmt(value)) == text
+        ours = cmdp.to_json(), report.to_json()
+        assert '"limits": [Infinity, -Infinity, 0.1, 0.3333333333333333, ' \
+            '5e-324, -0.0]' in ours[0]
+        monkeypatch.setattr(cmdp_module, "_fmt", fmt_17g)
+        monkeypatch.setattr(meta_module, "_fmt", fmt_17g)
+        assert (cmdp.to_json(), report.to_json()) == ours
 
     def test_invariant_rejections(self):
         good = random_cmdp(np.random.default_rng(10))

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from metasrl import cmdp as cmdp_module, crpo
 from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, TabularCmdp,
-                          all_objectives, expected_objective,
-                          policy_evaluation_exact, policy_from_logits)
+                          all_objectives, policy_evaluation_exact,
+                          policy_from_logits)
 from metasrl.crpo import (CrpoConfig, compute_eta, npg_softmax_step, run_crpo,
                           sample_episode, suboptimality_bound, td_critic)
 from metasrl.errors import DegenerateRun, InvalidInput, SamplerError
@@ -117,7 +117,7 @@ class TestRunCrpo:
         for m in (0, cfg.steps - 1):
             pol = out.all_iterates[m]
             assert abs(out.per_step_estimates[m, 0]
-                       - expected_objective(cmdp, pol, 1)) < 1e-10
+                       - all_objectives(cmdp, pol)[1]) < 1e-10
 
     def test_returned_policy_is_reward_snapshot(self):
         cmdp, cfg, out = self._run(seed=3)
@@ -146,7 +146,7 @@ class TestRunCrpo:
         with pytest.raises(DegenerateRun) as exc:
             run_crpo(cmdp, SoftmaxPolicy.uniform(4, 3), cfg)
         assert exc.value.outcome.reward_steps == ()
-        assert exc.value.last_policy is not None
+        assert exc.value.outcome.returned_policy is not None
 
     def test_near_optimal_on_desk_problem(self):
         rng = np.random.default_rng(6)

@@ -1,4 +1,3 @@
-import json
 import os
 from dataclasses import replace
 
@@ -166,6 +165,85 @@ class TestRunExperiment:
                 assert rec.error is None
         assert set(reports) == {"Random", "MetaSrl"}
 
+    def test_learning_step_failure_is_recorded(self, monkeypatch):
+        """A failed meta update becomes the task's error record; the meta
+        state stays as it was and the run goes on to the next task."""
+        tasks = tiny_tasks(4)
+        states = []                 # the state each meta_update call starts from
+        meta_update = harness.meta_update
+
+        def failing_on_task_1(state, *args):
+            states.append(state)
+            if len(states) % 3 == 2:    # task 1 of each run
+                raise InvalidInput("non-finite gradient")
+            return meta_update(state, *args)
+
+        monkeypatch.setattr(harness, "meta_update", failing_on_task_1)
+        records, reports = run_experiment(tiny_config(strategies=("MetaSrl",)),
+                                          tasks=tasks)
+        assert len(records) == 2 * 4
+        for rec in records:
+            assert rec.error == ("InvalidInput: non-finite gradient"
+                                 if rec.task_index == 1 else None)
+        for run in range(2):
+            s0, s1, s2 = states[3 * run:3 * run + 3]
+            assert s1 is not s0
+            assert s2 is s1         # task 1's update did not land
+        task_1 = reports["MetaSrl"].per_task[1]
+        assert np.isnan(task_1["taog"]) and np.isnan(task_1["kl_term"])
+        assert np.isfinite(reports["MetaSrl"].per_task[2]["taog"])
+        assert np.isfinite(reports["MetaSrl"].d_hat_sq)
+
+    def test_diverging_sgd_dice_does_not_abort_the_sweep(self):
+        cfg = tiny_config(strategies=("Random", "MetaSrl"),
+                          dice=DiceConfig(solver="Sgd", sgd_steps=2000,
+                                          sgd_step_size=1e6))
+        records, reports = run_experiment(cfg, tasks=tiny_tasks(3))
+        meta = [rec for rec in records if rec.strategy == "MetaSrl"]
+        assert all(rec.error == "InvalidInput: non-finite gradient"
+                   for rec in meta if not rec.is_test)
+        assert all(rec.error is None for rec in records if rec.strategy == "Random")
+        assert np.isnan(reports["MetaSrl"].taog)
+        assert np.isnan(reports["MetaSrl"].static_regret)
+        assert np.isfinite(reports["Random"].taog)
+
+    def test_task_failing_in_every_run(self):
+        """Pretrained:2 has no third policy before task 2, so tasks 1 and 2
+        fail in every run; the report reads NaN there and goes on."""
+        tasks = tiny_tasks(4)
+        records, reports = run_experiment(
+            tiny_config(strategies=("Pretrained:2",)), tasks=tasks)
+        for rec in records:
+            assert (rec.error is None) == (rec.task_index == 0)
+        report = reports["Pretrained:2"]
+        gaps = [row["taog"] for row in report.per_task]
+        assert np.isfinite(gaps[0]) and np.isnan(gaps[1:]).all()
+        assert np.isnan(report.taog)
+        # task 0 alone has runs, and a baseline's KL term is 0
+        assert np.isfinite(report.d_hat_sq)
+        assert report.static_regret == pytest.approx(-report.d_hat_sq)
+
+    def test_failed_runs_do_not_enter_the_task_mean(self, monkeypatch):
+        tasks = tiny_tasks(3)
+        run_crpo = harness.run_crpo
+        task_1_calls = []
+
+        def failing_once_on_task_1(cmdp, *args, **kwargs):
+            if cmdp is tasks[1]:
+                task_1_calls.append(cmdp)
+                if len(task_1_calls) == 1:
+                    raise RuntimeError("first run of task 1 failed")
+            return run_crpo(cmdp, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_crpo", failing_once_on_task_1)
+        cfg = tiny_config(strategies=("Random",), holdout_test_task=False)
+        records, reports = run_experiment(cfg, tasks=tasks)
+        task_1 = [rec for rec in records if rec.task_index == 1]
+        assert [rec.error is None for rec in task_1] == [False, True]
+        row = reports["Random"].per_task[1]
+        assert row["taog"] == task_1[1].taog_contribution
+        assert row["tacv"] == list(task_1[1].tacv_contribution)
+
     def test_every_dice_fit_draws_its_own_stream(self, monkeypatch):
         crpo_seeds, dice_seeds = [], []
         run_crpo, fit = harness.run_crpo, harness.dualdice_fit
@@ -204,11 +282,11 @@ class TestRunExperiment:
 
 
 class TestExportReport:
-    def _run(self, tmp_path, fmt="csv", cfg=None):
+    def _run(self, tmp_path, cfg=None):
         cfg = cfg or tiny_config()
         records, reports = run_experiment(cfg, tasks=tiny_tasks(3))
         out = str(tmp_path / "out")
-        written = export_report(records, reports, out, fmt=fmt, config=cfg)
+        written = export_report(records, reports, out, config=cfg)
         return out, written
 
     def test_csv_files_and_headers(self, tmp_path):
@@ -236,12 +314,6 @@ class TestExportReport:
                 with open(os.path.join(out_b, name), "rb") as fh:
                     b = fh.read()
                 assert a == b, name
-
-    def test_json_format(self, tmp_path):
-        out, _ = self._run(tmp_path, fmt="json")
-        path = os.path.join(out, "curves_Random.json")
-        rows = json.loads(open(path).read())
-        assert rows and {"task", "is_test", "step", "reward_mean"} <= set(rows[0])
 
     def test_no_timestamps(self, tmp_path):
         out, _ = self._run(tmp_path)

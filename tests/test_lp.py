@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metasrl.cmdp import (SoftmaxPolicy, TabularCmdp, all_objectives,
-                          expected_objective, policy_from_logits,
-                          visitation_exact)
+                          policy_from_logits, visitation_exact)
 from metasrl import lp
 from metasrl.errors import NumericalFailure
 from metasrl.harness import solve_oracles
@@ -52,7 +51,7 @@ class TestSolveOptimalLp:
         pol = SoftmaxPolicy.uniform(4, 1)
         assert sol.feasible
         assert abs(sol.objective_values[0]
-                   - expected_objective(cmdp, pol, 0)) < 1e-8
+                   - all_objectives(cmdp, pol)[0]) < 1e-8
 
     def test_unconstrained_matches_value_iteration(self):
         for seed in range(10):
@@ -111,7 +110,7 @@ class TestSolveOptimalLp:
         assert np.all(sol.objective_values[1:] <= cmdp.limits + 1e-8)
         # uniform policy is feasible by construction, so it is a lower bound
         uni = SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions)
-        assert expected_objective(cmdp, uni, 0) <= sol.objective_values[0] + 1e-7
+        assert all_objectives(cmdp, uni)[0] <= sol.objective_values[0] + 1e-7
 
 
 def check_grid_against_highs(size, seed):

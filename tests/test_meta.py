@@ -1,11 +1,12 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from metasrl.cmdp import TablePolicy, VisitationDistribution
+from metasrl.cmdp import TablePolicy, TabularCmdp, VisitationDistribution
 from metasrl.dice import kl_loss_and_grad
 from metasrl.errors import InvalidInput
 from metasrl.meta import (MetaLearnerState, SimConstants,
@@ -14,8 +15,8 @@ from metasrl.meta import (MetaLearnerState, SimConstants,
                           inexact_multi_ogd, inexact_ogd_step, kappa_star,
                           meta_update, project_row_shrinkage_simplex,
                           project_simplex, project_table_shrinkage_simplex,
-                          rate_regret_objective, sim_loss_and_grad,
-                          static_regret_bound)
+                          rate_regret_objective, regret_report,
+                          sim_loss_and_grad, static_regret_bound)
 
 from oracles import (central_difference, minimize_average_kl,
                      project_shrinkage_qp, project_table_shrinkage_reference)
@@ -173,9 +174,9 @@ class TestMetaUpdate:
         nu = VisitationDistribution(nu=np.array([0.7, 0.3]), nu_sa=None)
         pi = TablePolicy(probs=np.array([[0.9, 0.1], [0.2, 0.8]]))
         c = SimConstants.from_problem(0.9, 1.0, 2, 2)
-        before, _ = kl_loss_and_grad(nu, pi, state.init_as_policy())
+        before, _ = kl_loss_and_grad(nu, pi, TablePolicy(probs=state.init_policy))
         new = meta_update(state, nu, pi, m_steps=10, constants=c)
-        after, _ = kl_loss_and_grad(nu, pi, new.init_as_policy())
+        after, _ = kl_loss_and_grad(nu, pi, TablePolicy(probs=new.init_policy))
         assert after < before
 
     def test_rate_floor(self):
@@ -268,6 +269,69 @@ class TestRegretBounds:
         lo = dynamic_regret_bound(path=0.0, sq_path=0.0, **args)
         hi = dynamic_regret_bound(path=3.0, sq_path=9.0, **args)
         assert lo < hi
+
+
+class TestRegretReport:
+    """A 3-task stream on a one-state CMDP, whose visitation is 1 on that
+    state, so every KL term is the KL of one action row."""
+
+    cmdp = TabularCmdp(transition=np.ones((1, 2, 1)), reward=np.zeros((1, 2)),
+                       costs=np.zeros((1, 1, 2)), limits=np.array([0.3]),
+                       discount=0.9, initial_dist=np.array([1.0]), c_max=1.0)
+    oracles = [SimpleNamespace(objective_values=np.array([v, 0.0]))
+               for v in (1.0, 2.0, 3.0)]
+    j_hat = [[0.5, 0.2], [1.5, 0.4], [2.0, 0.3]]
+    pis = ([[0.5, 0.5]], [[0.6, 0.4]], [[0.5, 0.5]])
+    comparators = ([[0.5, 0.5]], [[0.6, 0.4]], [[0.8, 0.2]])
+    kl_terms = [0.1, 0.2, 0.3]
+
+    def report(self, outcomes, j_hat, kl_terms):
+        return regret_report(self.oracles, outcomes, [self.cmdp] * 3, j_hat=j_hat,
+                             kl_terms=kl_terms, kappas=[0.5, 0.5, 0.5], shrink=0.0,
+                             comparators=self.comparators)
+
+    def outcomes(self):
+        return [SimpleNamespace(returned_policy=TablePolicy(probs=np.array(p)))
+                for p in self.pis]
+
+    def test_comparator_branch_by_hand(self):
+        rep = self.report(self.outcomes(), self.j_hat, self.kl_terms)
+        # comparator steps (0.1, -0.1) and (0.2, -0.2)
+        assert rep.path_length == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-15)
+        assert rep.sq_path_length == pytest.approx(0.02 + 0.08, abs=1e-15)
+        # only task 2 differs from its comparator:
+        # KL((.5, .5) | (.8, .2)) = .5 ln(.5/.8) + .5 ln(.5/.2) = ln 1.25
+        assert rep.v_hat_sq == pytest.approx(np.log(1.25) / 3, abs=1e-15)
+        assert rep.dynamic_regret == pytest.approx(0.6 - np.log(1.25), abs=1e-15)
+        # the center is the mean row (8/15, 7/15)
+        kl_center = lambda p: p * np.log(p * 15 / 8) + (1 - p) * np.log((1 - p) * 15 / 7)
+        d_hat_sq = (2 * kl_center(0.5) + kl_center(0.6)) / 3
+        assert rep.d_hat_sq == pytest.approx(d_hat_sq, abs=1e-15)
+        assert rep.static_regret == pytest.approx(0.6 - 3 * d_hat_sq, abs=1e-15)
+        assert rep.taog == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert rep.tacv_clipped == pytest.approx([0.1 / 3], abs=1e-15)
+        assert [row["kl_term"] for row in rep.per_task] == self.kl_terms
+
+    def test_task_without_runs_is_skipped(self):
+        outcomes = self.outcomes()
+        outcomes[1] = None
+        j_hat = [self.j_hat[0], [np.nan, np.nan], self.j_hat[2]]
+        rep = self.report(outcomes, j_hat, [0.1, np.nan, 0.3])
+        assert np.isnan(rep.per_task[1]["taog"]) and np.isnan(rep.taog)
+        assert np.isnan(rep.per_task[1]["kl_term"])
+        # tasks 0 and 2 both learned (.5, .5): that is the center
+        assert rep.d_hat_sq == 0.0
+        assert rep.static_regret == pytest.approx(0.4, abs=1e-15)
+        assert rep.path_length == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-15)
+        assert rep.v_hat_sq == pytest.approx(np.log(1.25) / 2, abs=1e-15)
+        assert rep.dynamic_regret == pytest.approx(0.4 - np.log(1.25), abs=1e-15)
+
+    def test_misaligned_comparators(self):
+        with pytest.raises(InvalidInput):
+            regret_report(self.oracles, self.outcomes(), [self.cmdp] * 3,
+                          j_hat=self.j_hat, kl_terms=self.kl_terms,
+                          kappas=[0.5] * 3, shrink=0.0,
+                          comparators=self.comparators[:2])
 
 
 class TestEpsilonSubgradient:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from metasrl import taskgen
-from metasrl.cmdp import SoftmaxPolicy, expected_objective
+from metasrl.cmdp import SoftmaxPolicy, all_objectives
 from metasrl.errors import GenerationFailure, InvalidInput
 from metasrl.lp import solve_optimal_lp
 from metasrl.meta import closed_form_similarity_center
@@ -155,8 +155,7 @@ class TestGenFrozenLake:
     def test_uniform_policy_objectives_bounded(self):
         cmdp = gen_frozen_lake(GridSpec(seed=1))
         pol = SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions)
-        j0 = expected_objective(cmdp, pol, 0)
-        j1 = expected_objective(cmdp, pol, 1)
+        j0, j1 = all_objectives(cmdp, pol)
         assert 0.0 <= j0 <= cmdp.c_max / (1 - cmdp.discount)
         assert 0.0 <= j1 <= cmdp.c_max / (1 - cmdp.discount)
 
