@@ -42,6 +42,10 @@ def cmd_run(args):
     written = export_report(records, reports, args.out, config=config,
                             n_costs=n_costs)
     print("\n".join(written))
+    failed = sum(rec.error is not None for rec in records)
+    if failed:
+        print(f"{failed} of {len(records)} task runs failed; see "
+              f"{os.path.join(args.out, 'errors.csv')}", file=sys.stderr)
     return 0
 
 

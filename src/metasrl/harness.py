@@ -10,6 +10,7 @@ or wall-clock values are written to disk.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import time
@@ -57,8 +58,7 @@ class ExperimentConfig:
         if not self.strategies:
             raise InvalidInput("strategies must be nonempty")
         for s in self.strategies:
-            if s.split(":")[0] not in STRATEGIES:
-                raise InvalidInput(f"unknown strategy {s!r}")
+            parse_strategy(s)
 
     @classmethod
     def from_json(cls, doc):
@@ -111,43 +111,68 @@ class RunRecord:
     wall_clock: float = 0.0
 
 
-def baseline_init(strategy, history, rng, shrink, dims):
-    """Initialization policy table for a non-meta strategy.
-
-    history is the list of previously learned policy tables (task order).
-    """
-    s_n, a_n = dims
-    name, _, arg = strategy.partition(":")
-    if name == "Random":
-        table = rng.dirichlet(np.ones(a_n), size=s_n)
-        return project_table_shrinkage_simplex(table, shrink)
-    if not history:
-        raise InvalidInput(f"{name} needs at least one prior policy")
-    if name == "Pretrained":
-        idx = int(arg) if arg else 0
-        table = history[idx]
-    elif name in ("SimpleAverage", "FAL"):
-        table = np.mean(history, axis=0)
-    else:
-        raise InvalidInput(f"unknown strategy {strategy!r}")
-    return project_table_shrinkage_simplex(table, shrink)
+def parse_strategy(name):
+    """(kind, index) of a strategy name: kind is one of STRATEGIES, and index
+    is Pretrained's policy index (0 unless given as "Pretrained:i")."""
+    kind, sep, arg = name.partition(":")
+    if kind not in STRATEGIES or sep and not (
+            kind == "Pretrained" and arg.isascii() and arg.isdigit()):
+        raise InvalidInput(f"unknown strategy {name!r}")
+    return kind, int(arg) if sep else 0
 
 
-def _uniform_init(dims, shrink):
-    s_n, a_n = dims
-    return project_table_shrinkage_simplex(np.full((s_n, a_n), 1.0 / a_n), shrink)
+class Baseline:
+    """Random, Pretrained[:i], SimpleAverage and FAL: a fixed rule over the
+    policies the run has learned so far, after the uniform table on task 0."""
+
+    def __init__(self, name, rng, uniform, alpha, shrink):
+        self.kind, self.index = parse_strategy(name)
+        self.rng, self.uniform, self.alpha, self.shrink = rng, uniform, alpha, shrink
+        self.history = []
+
+    def init(self, t):
+        if t == 0:
+            return self.uniform, self.alpha
+        if self.kind == "Random":
+            table = self.rng.dirichlet(np.ones(self.uniform.shape[1]),
+                                       size=self.uniform.shape[0])
+        elif len(self.history) <= self.index:   # index is 0 for the averages
+            raise InvalidInput(f"{self.kind} needs {self.index + 1} prior "
+                               f"policies, the run has {len(self.history)}")
+        elif self.kind == "Pretrained":
+            table = self.history[self.index]
+        else:
+            table = np.mean(self.history, axis=0)
+        return project_table_shrinkage_simplex(table, self.shrink), self.alpha
+
+    def learn(self, cmdp, outcome, task_seed):
+        self.history.append(np.array(outcome.returned_policy.probs))
+        return 0.0
 
 
-def _run_task(cmdp, init_table, crpo_cfg, seed):
-    cfg = replace(crpo_cfg, rng_seed=seed)
-    policy = SoftmaxPolicy(logits=np.log(np.maximum(init_table, 1e-300)))
-    degenerate = False
-    try:
-        outcome = run_crpo(cmdp, policy, cfg)
-    except DegenerateRun as exc:
-        outcome = exc.outcome
-        degenerate = True
-    return outcome, degenerate
+class MetaSrl:
+    """The meta-learned initialization and learning rate: each training task
+    fits DICE to the CRPO log, and the meta update moves the state."""
+
+    def __init__(self, state, dice_cfg, steps, constants):
+        self.state, self.dice, self.steps, self.constants = \
+            state, dice_cfg, steps, constants
+
+    def init(self, t):
+        return self.state.init_policy, self.state.learning_rate
+
+    def learn(self, cmdp, outcome, task_seed):
+        """The task's KL term; the state changes only if every stage succeeds."""
+        pi_hat = outcome.returned_policy
+        dice_cfg = replace(self.dice, rng_seed=_dice_seed(self.dice.rng_seed,
+                                                          task_seed))
+        corrections = dualdice_fit(outcome.dataset, pi_hat, cmdp.discount, dice_cfg)
+        nu_hat = visitation_from_corrections(outcome.dataset, corrections)
+        kl_term, _ = kl_loss_and_grad(
+            nu_hat, pi_hat, TablePolicy(probs=self.state.init_policy))
+        self.state = meta_update(self.state, nu_hat, pi_hat, self.steps,
+                                 self.constants)
+        return kl_term
 
 
 def _dice_seed(dice_seed, task_seed):
@@ -195,14 +220,19 @@ def run_experiment(config, tasks=None):
         train_tasks = tasks
 
     oracles = solve_oracles(train_tasks)
+    for t, sol in enumerate(oracles):
+        if not sol.feasible:
+            raise InvalidInput(f"training task {t} has no policy within its cost limits")
     dims = (tasks[0].n_states, tasks[0].n_actions)
     constants = SimConstants.from_problem(
         tasks[0].discount, tasks[0].c_max, dims[0], dims[1])
     meta_cfg = config.meta
     kappa1 = meta_cfg.initial_rate if meta_cfg.initial_rate is not None \
         else config.crpo.learning_rate
+    uniform = project_table_shrinkage_simplex(np.full(dims, 1.0 / dims[1]),
+                                              meta_cfg.shrinkage)
     meta_start = MetaLearnerState(
-        init_policy=_uniform_init(dims, meta_cfg.shrinkage),
+        init_policy=uniform,
         learning_rate=max(kappa1, meta_cfg.rate_floor),
         ogd_step_init=meta_cfg.ogd_step_init,
         ogd_step_sim=meta_cfg.ogd_step_sim,
@@ -216,7 +246,7 @@ def run_experiment(config, tasks=None):
     records = []
     reports = {}
 
-    for si, strategy in enumerate(config.strategies):
+    for si, name in enumerate(config.strategies):
         # (run, task) entries of failed runs stay NaN
         per_task_j = np.full((n_runs, n_train, tasks[0].n_costs + 1), np.nan)
         kl_terms = np.full((n_runs, n_train), np.nan)
@@ -224,73 +254,47 @@ def run_experiment(config, tasks=None):
         last_outcomes = [None] * n_train
         for run in range(n_runs):
             child = children[si * n_runs + run]
-            rng = np.random.default_rng(child)
             task_seeds = child.generate_state(n_train + 1, dtype=np.uint32)
-            history = []
-            state = meta_start if strategy == "MetaSrl" else None
+            strategy = (MetaSrl(meta_start, config.dice, config.crpo.steps, constants)
+                        if name == "MetaSrl" else
+                        Baseline(name, np.random.default_rng(child), uniform,
+                                 config.crpo.learning_rate, meta_cfg.shrinkage))
 
             for t, cmdp in enumerate(tasks):
                 is_test = t == n_train    # the held-out task, if any
                 t0 = time.monotonic()
                 try:  # per-run failures never abort the sweep
-                    if state is not None:
-                        init_table = state.init_policy
-                        alpha = state.learning_rate
-                    elif t == 0:
-                        init_table = _uniform_init(dims, meta_cfg.shrinkage)
-                        alpha = config.crpo.learning_rate
-                    else:
-                        init_table = baseline_init(strategy, history, rng,
-                                                   meta_cfg.shrinkage, dims)
-                        alpha = config.crpo.learning_rate
-                    crpo_cfg = replace(config.crpo, learning_rate=alpha)
-                    outcome, degenerate = _run_task(cmdp, init_table, crpo_cfg,
-                                                    int(task_seeds[t]))
-                    pi_hat = outcome.returned_policy
-                    kl_term, next_state = 0.0, state
-                    if state is not None and not is_test:   # the learning step
-                        dice_cfg = replace(config.dice, rng_seed=_dice_seed(
-                            config.dice.rng_seed, task_seeds[t]))
-                        corrections = dualdice_fit(outcome.dataset, pi_hat,
-                                                   cmdp.discount, dice_cfg)
-                        nu_hat = visitation_from_corrections(outcome.dataset,
-                                                             corrections)
-                        kl_term, _ = kl_loss_and_grad(
-                            nu_hat, pi_hat, TablePolicy(probs=state.init_policy))
-                        next_state = meta_update(state, nu_hat, pi_hat,
-                                                 config.crpo.steps, constants)
+                    table, alpha = strategy.init(t)
+                    policy = SoftmaxPolicy(logits=np.log(np.maximum(table, 1e-300)))
+                    crpo_cfg = replace(config.crpo, learning_rate=alpha,
+                                       rng_seed=int(task_seeds[t]))
+                    try:
+                        outcome, degenerate = run_crpo(cmdp, policy, crpo_cfg), False
+                    except DegenerateRun as exc:
+                        outcome, degenerate = exc.outcome, True
+                    kl_term = 0.0 if is_test else strategy.learn(cmdp, outcome,
+                                                                 task_seeds[t])
+                    curves, j, error = (outcome.iterate_objectives,
+                                        outcome.returned_objectives, None)
                 except Exception as exc:
-                    records.append(RunRecord(
-                        strategy=strategy, task_index=t, seed=run,
-                        per_step_reward=np.zeros(config.crpo.steps),
-                        per_step_costs=np.zeros((config.crpo.steps, cmdp.n_costs)),
-                        final_objectives=np.zeros(cmdp.n_costs + 1),
-                        taog_contribution=np.nan,
-                        tacv_contribution=np.full(cmdp.n_costs, np.nan),
-                        is_test=is_test,
-                        error=f"{type(exc).__name__}: {exc}"))
-                    continue
-                j = outcome.returned_objectives
+                    curves = np.full((config.crpo.steps, cmdp.n_costs + 1), np.nan)
+                    j, degenerate, error = curves[-1], False, f"{type(exc).__name__}: {exc}"
                 records.append(RunRecord(
-                    strategy=strategy, task_index=t, seed=run,
-                    per_step_reward=outcome.iterate_objectives[:, 0],
-                    per_step_costs=outcome.iterate_objectives[:, 1:],
+                    strategy=name, task_index=t, seed=run,
+                    per_step_reward=curves[:, 0], per_step_costs=curves[:, 1:],
                     final_objectives=j,
                     taog_contribution=(np.nan if is_test else
                                        float(oracles[t].objective_values[0] - j[0])),
                     tacv_contribution=j[1:] - cmdp.limits,
-                    is_test=is_test, degenerate=degenerate,
+                    is_test=is_test, degenerate=degenerate, error=error,
                     wall_clock=time.monotonic() - t0))
-                if is_test:
-                    continue
-                per_task_j[run, t] = j
-                kl_terms[run, t] = kl_term
-                kappas[run, t] = alpha
-                history.append(np.array(pi_hat.probs))
-                last_outcomes[t] = outcome
-                state = next_state
+                if error is None and not is_test:
+                    per_task_j[run, t] = j
+                    kl_terms[run, t] = kl_term
+                    kappas[run, t] = alpha
+                    last_outcomes[t] = outcome
 
-        reports[strategy] = regret_report(
+        reports[name] = regret_report(
             oracles, last_outcomes, train_tasks,
             j_hat=_mean_of_successes(per_task_j),
             kl_terms=_mean_of_successes(kl_terms),
@@ -332,7 +336,8 @@ def _curve_table(records, strategy, n_costs):
 
 
 def export_report(records, reports, out_dir, config=None, n_costs=1):
-    """Write learning-curve tables, regret summaries and the config snapshot.
+    """Write learning-curve tables, regret summaries and the config snapshot,
+    and errors.csv (one row a failed task run) when any run failed.
 
     Byte-identical for identical inputs: fixed column order, sorted keys, no
     timestamps. The CSV files write floats with 17 significant digits, the
@@ -366,6 +371,15 @@ def export_report(records, reports, out_dir, config=None, n_costs=1):
             with open(rc, "w") as fh:
                 fh.write(reports[strategy].to_csv())
             written.append(rc)
+    failed = [rec for rec in records if rec.error is not None]
+    if failed:
+        ep = os.path.join(out_dir, "errors.csv")
+        with open(ep, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["strategy", "run", "task", "is_test", "error"])
+            writer.writerows([rec.strategy, rec.seed, rec.task_index,
+                              int(rec.is_test), rec.error] for rec in failed)
+        written.append(ep)
     if config is not None:
         cp = os.path.join(out_dir, "config.json")
         with open(cp, "w") as fh:

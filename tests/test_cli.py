@@ -69,8 +69,9 @@ class TestRun:
         cfg = write_json(tmp_path / "run.json", RUN_DOC)
         out = str(tmp_path / "run_out")
         assert main(["run", "--config", cfg, "--out", out]) == 0
-        capsys.readouterr()
+        assert "failed" not in capsys.readouterr().err
         files = os.listdir(out)
+        assert "errors.csv" not in files
         assert "curves_Random.csv" in files
         assert "regret_MetaSrl.json" in files
         assert "config.json" in files
@@ -117,6 +118,29 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err
         assert "runtime failure: NumericalFailure" in err and "J_1" in err
+
+    def test_bad_strategy_argument_exit_2(self, tmp_path, capsys):
+        for name in ("MetaSrl:x", "Pretrained:-1"):
+            cfg = write_json(tmp_path / "run.json", {**RUN_DOC, "strategies": [name]})
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+            assert f"unknown strategy {name!r}" in capsys.readouterr().err
+
+    def test_infeasible_training_task_exit_2(self, tmp_path, capsys):
+        doc = {**RUN_DOC, "task_source": {
+            **TASK_DOC, "base": {**TASK_DOC["base"], "cost_limit": -0.1}}}
+        cfg = write_json(tmp_path / "run.json", doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        assert "training task 0 has no policy" in capsys.readouterr().err
+
+    def test_failed_task_runs_reported_exit_0(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "run.json",
+                         {**RUN_DOC, "strategies": ["Pretrained:2"]})
+        out = str(tmp_path / "x")
+        assert main(["run", "--config", cfg, "--out", out]) == 0
+        err = capsys.readouterr().err
+        # tasks 1 and 2 of each of the 2 runs have no third policy to start from
+        assert f"4 of 6 task runs failed; see {os.path.join(out, 'errors.csv')}" in err
+        assert os.path.exists(os.path.join(out, "errors.csv"))
 
     def test_bad_strategy_exit_2(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", RUN_DOC)

@@ -1,3 +1,4 @@
+import csv
 import os
 from dataclasses import replace
 
@@ -8,9 +9,11 @@ from metasrl import harness
 from metasrl.crpo import CrpoConfig
 from metasrl.dice import DiceConfig
 from metasrl.errors import InvalidInput, NumericalFailure
-from metasrl.harness import (ExperimentConfig, MetaConfig, baseline_init,
-                             export_report, run_experiment, solve_oracles)
+from metasrl.harness import (Baseline, ExperimentConfig, MetaConfig,
+                             export_report, parse_strategy, run_experiment,
+                             solve_oracles)
 from metasrl.lp import solve_optimal_lp
+from metasrl.meta import project_table_shrinkage_simplex
 from metasrl.taskgen import GridSpec, TaskSequenceConfig
 
 from oracles import random_cmdp
@@ -50,38 +53,65 @@ class TestExperimentConfig:
             tiny_config(strategies=("Bogus",))
         with pytest.raises(InvalidInput):
             tiny_config(runs_per_strategy=0)
+        # only Pretrained takes an argument, and only an integer >= 0
+        for name in ("MetaSrl:x", "Pretrained:abc", "SimpleAverage:2",
+                     "Random:zz", "FAL:0", "Pretrained:-1", "Pretrained:",
+                     "Pretrained:1.5", "Random:"):
+            with pytest.raises(InvalidInput, match="unknown strategy"):
+                tiny_config(strategies=(name,))
 
     def test_pretrained_arg_allowed(self):
         cfg = tiny_config(strategies=("Pretrained:2",))
         assert cfg.strategies == ("Pretrained:2",)
+        assert parse_strategy("Pretrained:2") == ("Pretrained", 2)
+        assert parse_strategy("Pretrained") == ("Pretrained", 0)
+        assert parse_strategy("MetaSrl") == ("MetaSrl", 0)
 
 
-class TestBaselineInit:
+def baseline(name, history=(), seed=0, shrink=0.0, dims=(1, 2)):
+    uniform = np.full(dims, 1.0 / dims[1])
+    strategy = Baseline(name, np.random.default_rng(seed), uniform, 0.5, shrink)
+    strategy.history = [np.asarray(h) for h in history]
+    return strategy
+
+
+class TestBaseline:
     def test_random_feasible(self):
-        rng = np.random.default_rng(0)
-        table = baseline_init("Random", [], rng, 0.01, (3, 2))
+        strategy = baseline("Random", shrink=0.01, dims=(3, 2))
+        table, alpha = strategy.init(1)
+        assert alpha == 0.5
         assert np.allclose(table.sum(axis=1), 1.0)
         assert np.all(table >= 0.01 - 1e-12)
 
     def test_pretrained_picks_index(self):
-        rng = np.random.default_rng(1)
-        hist = [np.array([[0.9, 0.1]]), np.array([[0.2, 0.8]])]
-        table = baseline_init("Pretrained:1", hist, rng, 0.0, (1, 2))
-        assert np.allclose(table, hist[1])
-        table0 = baseline_init("Pretrained", hist, rng, 0.0, (1, 2))
-        assert np.allclose(table0, hist[0])
+        hist = [[[0.9, 0.1]], [[0.2, 0.8]]]
+        assert np.allclose(baseline("Pretrained:1", hist).init(2)[0], hist[1])
+        assert np.allclose(baseline("Pretrained", hist).init(2)[0], hist[0])
 
     def test_average(self):
-        rng = np.random.default_rng(2)
-        hist = [np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])]
+        hist = [[[1.0, 0.0]], [[0.0, 1.0]]]
         for name in ("SimpleAverage", "FAL"):
-            table = baseline_init(name, hist, rng, 0.0, (1, 2))
+            table, _ = baseline(name, hist).init(2)
             assert np.allclose(table, [[0.5, 0.5]])
 
-    def test_empty_history_rejected(self):
-        rng = np.random.default_rng(3)
-        with pytest.raises(InvalidInput):
-            baseline_init("SimpleAverage", [], rng, 0.0, (1, 2))
+    def test_too_short_history_rejected(self):
+        with pytest.raises(InvalidInput, match="needs 1 prior"):
+            baseline("SimpleAverage").init(1)
+        with pytest.raises(InvalidInput, match="needs 3 prior"):
+            baseline("Pretrained:2", [[[1.0, 0.0]], [[0.0, 1.0]]]).init(2)
+
+    def test_random_generator_draw_order(self):
+        """Task 0 takes the uniform table without a draw; each later task
+        makes one dirichlet draw from the run's generator, in task order."""
+        shrink, dims = 1e-3, (3, 2)
+        strategy = baseline("Random", seed=5, shrink=shrink, dims=dims)
+        reference = np.random.default_rng(5)
+        assert np.array_equal(strategy.init(0)[0], strategy.uniform)
+        for t in (1, 2, 3):
+            draw = reference.dirichlet(np.ones(dims[1]), size=dims[0])
+            assert np.array_equal(strategy.init(t)[0],
+                                  project_table_shrinkage_simplex(draw, shrink))
+        assert strategy.rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestSolveOracles:
@@ -215,6 +245,10 @@ class TestRunExperiment:
             tiny_config(strategies=("Pretrained:2",)), tasks=tasks)
         for rec in records:
             assert (rec.error is None) == (rec.task_index == 0)
+            if rec.error is not None:   # a failed run's numbers are NaN
+                assert np.isnan(rec.final_objectives).all()
+                assert np.isnan(rec.per_step_reward).all()
+                assert rec.per_step_costs.shape == (5, 1)
         report = reports["Pretrained:2"]
         gaps = [row["taog"] for row in report.per_task]
         assert np.isfinite(gaps[0]) and np.isnan(gaps[1:]).all()
@@ -222,6 +256,17 @@ class TestRunExperiment:
         # task 0 alone has runs, and a baseline's KL term is 0
         assert np.isfinite(report.d_hat_sq)
         assert report.static_regret == pytest.approx(-report.d_hat_sq)
+
+    def test_infeasible_training_task_rejected_before_any_run(self, monkeypatch):
+        tasks = tiny_tasks(4)
+        tasks[1] = replace(tasks[1], limits=np.array([-0.1]))
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("CRPO ran")
+
+        monkeypatch.setattr(harness, "run_crpo", no_run)
+        with pytest.raises(InvalidInput, match="training task 1 has no policy"):
+            run_experiment(tiny_config(), tasks=tasks)
 
     def test_failed_runs_do_not_enter_the_task_mean(self, monkeypatch):
         tasks = tiny_tasks(3)
@@ -301,6 +346,7 @@ class TestExportReport:
         assert os.path.exists(os.path.join(out, "regret_MetaSrl.csv"))
         assert os.path.exists(os.path.join(out, "config.json"))
         assert os.path.exists(os.path.join(out, "environment.json"))
+        assert not os.path.exists(os.path.join(out, "errors.csv"))  # no run failed
 
     def test_byte_identical_reruns(self, tmp_path):
         sgd = tiny_config(strategies=("MetaSrl",),
@@ -314,6 +360,29 @@ class TestExportReport:
                 with open(os.path.join(out_b, name), "rb") as fh:
                     b = fh.read()
                 assert a == b, name
+
+    def test_failed_runs_go_to_errors_csv(self, tmp_path, monkeypatch):
+        tasks = tiny_tasks(3)
+        run_crpo = harness.run_crpo
+
+        def failing_on_task_1(cmdp, *args, **kwargs):
+            if cmdp is tasks[1]:
+                raise RuntimeError("task 1 failed, with a comma")
+            return run_crpo(cmdp, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_crpo", failing_on_task_1)
+        cfg = tiny_config()
+        records, reports = run_experiment(cfg, tasks=tasks)
+        out = str(tmp_path / "out")
+        written = export_report(records, reports, out, config=cfg)
+        path = os.path.join(out, "errors.csv")
+        assert path in written
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["strategy", "run", "task", "is_test", "error"]
+        assert rows[1:] == [
+            [strategy, str(run), "1", "0", "RuntimeError: task 1 failed, with a comma"]
+            for strategy in ("Random", "MetaSrl") for run in range(2)]
 
     def test_no_timestamps(self, tmp_path):
         out, _ = self._run(tmp_path)
