@@ -4,9 +4,12 @@
 Runs `perfbench/run.py --workload W --seed S --seconds T --trace 0` in each
 checkout, PAIRS times, with the parent first in odd pairs and the change
 first in even ones, so that slow drift of the host hits both sides alike.
-Prints every pair, then for each end-to-end metric of the change's
-BENCHMARK.json: each side's median and quartiles, the ratio of the medians,
-how many pairs the change won (ties count for neither side) and a verdict:
+--workload takes one workload or a comma-separated list; each pair then runs
+every listed workload on both sides, one workload after the other. Prints
+every pair, then one block per workload with, for each end-to-end metric of
+the change's BENCHMARK.json: each side's median and quartiles, the ratio of
+the medians, how many pairs the change won (ties count for neither side) and
+a verdict:
 
 - "gain" when the change won at least nine pairs in ten and its median is
   better than the parent's by more than the parent's interquartile range;
@@ -14,12 +17,13 @@ how many pairs the change won (ties count for neither side) and a verdict:
   than the metric's bound;
 - "within bound" otherwise.
 
-Failed and attempted operations are summed per side. Uses the standard
-library only; each run is its own process, started in its checkout.
+Failed and attempted operations are summed per side and workload. Uses the
+standard library only; each run is its own process, started in its checkout.
 
 Example:
     git archive HEAD~1 | tar -x -C ../parent
-    python3 scripts/bench_pairs.py ../parent . --workload meta_grid16 --pairs 10
+    python3 scripts/bench_pairs.py ../parent . --pairs 10 \
+        --workload sweep_grid4,meta_grid16,sampled_grid4
 """
 
 import argparse
@@ -75,39 +79,47 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="checkout of the parent commit")
     parser.add_argument("change", help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload name or a comma-separated list of them")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=25)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    workloads = args.workload.split(",")
+    if not all(workloads):
+        parser.error("--workload names must be nonempty")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     names = [m["name"] for m in spec["end_to_end"]]
-    runs = {"parent": [], "change": []}
+    runs = {w: {"parent": [], "change": []} for w in workloads}
     for k in range(args.pairs):
         sides = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in sides:
-            runs[side].append(run_once(getattr(args, side), args.workload,
-                                       args.seed, args.seconds))
-        values = "  ".join(
-            f"{n} {runs['parent'][-1]['metrics'][n]['value']:.6g} -> "
-            f"{runs['change'][-1]['metrics'][n]['value']:.6g}" for n in names)
-        print(f"pair {k + 1}/{args.pairs} ({sides[0]} first): {values}", flush=True)
+        for w in workloads:
+            for side in sides:
+                runs[w][side].append(run_once(getattr(args, side), w,
+                                              args.seed, args.seconds))
+            values = "  ".join(
+                f"{n} {runs[w]['parent'][-1]['metrics'][n]['value']:.6g} -> "
+                f"{runs[w]['change'][-1]['metrics'][n]['value']:.6g}" for n in names)
+            print(f"{w} pair {k + 1}/{args.pairs} ({sides[0]} first): {values}",
+                  flush=True)
 
-    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of "
-          f"--seconds {args.seconds:g}; median [q1, q3]")
-    for name, unit, pq, cq, ratio, wins, verdict in summarize(
-            spec, runs["parent"], runs["change"]):
-        print(f"  {name:12s} parent {pq[1]:.6g} [{pq[0]:.6g}, {pq[2]:.6g}] {unit}"
-              f"  change {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}] {unit}"
-              f"  change/parent {ratio:.4g}  wins {wins}/{args.pairs}  {verdict}")
-    for side, side_runs in runs.items():
-        failed = sum(r["failed"] for r in side_runs)
-        attempted = sum(r["attempted"] for r in side_runs)
-        correct = all(r["correct"] for r in side_runs)
-        print(f"  {side}: failed {failed}/{attempted}, correct {str(correct).lower()}")
+    for w in workloads:
+        print(f"\n{w} seed {args.seed}, {args.pairs} pairs of "
+              f"--seconds {args.seconds:g}; median [q1, q3]")
+        for name, unit, pq, cq, ratio, wins, verdict in summarize(
+                spec, runs[w]["parent"], runs[w]["change"]):
+            print(f"  {name:12s} parent {pq[1]:.6g} [{pq[0]:.6g}, {pq[2]:.6g}] {unit}"
+                  f"  change {cq[1]:.6g} [{cq[0]:.6g}, {cq[2]:.6g}] {unit}"
+                  f"  change/parent {ratio:.4g}  wins {wins}/{args.pairs}  {verdict}")
+        for side, side_runs in runs[w].items():
+            failed = sum(r["failed"] for r in side_runs)
+            attempted = sum(r["attempted"] for r in side_runs)
+            correct = all(r["correct"] for r in side_runs)
+            print(f"  {side}: failed {failed}/{attempted}, "
+                  f"correct {str(correct).lower()}")
     return 0
 
 

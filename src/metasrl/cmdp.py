@@ -4,11 +4,15 @@ All quantities use the discounted infinite-horizon convention: the reward is
 objective index 0 and the p cost functions are indices 1..p.  No sampling
 happens here.
 
-A CMDP keeps its dense (S, A, S) kernel, which the LP oracle and the JSON
-form read, and builds on first use one successor view of it: the nonzero
-entries of each row, (S, A, K) with K the largest row count (at most 3 on the
-gridworlds). P_pi, the Q backup and the sampler's next-state CDF are computed
-from that view, so their cost grows with S*A*K rather than S*A*S.
+A CMDP stores its kernel as entries (idx, prob): entry (s, a, k) puts mass
+prob[s, a, k] on state idx[s, a, k]. The gridworlds hand over K = 3 entries
+a row, the intended move and its two slips; a dense kernel P is the entries
+(np.arange(S), P). On first use the CMDP builds one successor view of the
+kernel: each row's states with nonzero mass, ascending, (S, A, K) with K the
+largest row count (at most 3 on the gridworlds). P_pi, the Q backup and the
+sampler's next-state CDF are computed from that view, so their cost grows
+with S*A*K rather than S*A*S. Only the LP oracle and the JSON form read the
+dense (S, A, S) kernel, which `transition` rebuilds on every read.
 
 The Bellman solves use one state order, fixed per CMDP and independent of the
 policy: first the n core states, from which some state with rho > 0 can be
@@ -45,14 +49,18 @@ def _as_readonly(a):
 class TabularCmdp:
     """A finite CMDP with one reward table and p cost tables.
 
-    transition has shape (S, A, S); reward (S, A); costs (p, S, A);
-    limits (p,); initial_dist (S,).  Infinite limits are encoded by any
-    value >= c_max/(1-gamma) + 1.  The successor view, its CDF and the
-    block order of the Bellman solves are built from the kernel on first use
-    and cached on the instance.
+    kernel is (idx, prob): prob has shape (S, A, K) and entry (s, a, k) puts
+    mass prob[s, a, k] on state idx[s, a, k]. idx may be any integer array
+    that broadcasts against prob, and is stored as a read-only view of
+    prob's shape. A row may name a state more than once, so a dense
+    (S, A, S) kernel P is (np.arange(S), P). reward has shape
+    (S, A); costs (p, S, A); limits (p,); initial_dist (S,).  Infinite
+    limits are encoded by any value >= c_max/(1-gamma) + 1.  The successor
+    view, its CDF and the block order of the Bellman solves are built from
+    the kernel on first use and cached on the instance.
     """
 
-    transition: np.ndarray
+    kernel: tuple
     reward: np.ndarray
     costs: np.ndarray
     limits: np.ndarray
@@ -61,7 +69,15 @@ class TabularCmdp:
     c_max: float
 
     def __post_init__(self):
-        object.__setattr__(self, "transition", _as_readonly(self.transition))
+        idx, prob = np.asarray(self.kernel[0]), _as_readonly(self.kernel[1])
+        if idx.dtype.kind not in "iu":
+            raise InvalidInput("kernel idx must be an integer array")
+        try:  # a read-only view of prob's shape
+            idx = np.broadcast_to(idx.astype(np.intp, copy=False), prob.shape)
+        except ValueError:
+            raise InvalidInput(f"kernel idx of shape {idx.shape} does not "
+                               f"broadcast against prob of shape {prob.shape}") from None
+        object.__setattr__(self, "kernel", (idx, prob))
         object.__setattr__(self, "reward", _as_readonly(self.reward))
         costs = np.asarray(self.costs, dtype=float)
         if costs.ndim == 2:
@@ -72,9 +88,12 @@ class TabularCmdp:
         self._validate()
 
     def _validate(self):
-        s, a, s2 = self.transition.shape
-        if s != s2:
-            raise InvalidInput("transition must have shape (S, A, S)")
+        idx, prob = self.kernel
+        if prob.ndim != 3 or 0 in prob.shape:
+            raise InvalidInput("kernel prob must have shape (S, A, K), none of them 0")
+        s, a, _ = prob.shape
+        if idx.min() < 0 or idx.max() >= s:
+            raise InvalidInput("kernel idx out of range")
         if self.reward.shape != (s, a):
             raise InvalidInput("reward shape mismatch")
         if self.costs.shape[1:] != (s, a):
@@ -88,43 +107,76 @@ class TabularCmdp:
             raise InvalidInput("c_max must be positive")
         if np.isnan(self.limits).any():
             raise InvalidInput("limits must not be NaN")
-        if not self.transition.min() >= -PROB_TOL:
+        if not prob.min() >= -PROB_TOL:
             raise InvalidInput("negative or NaN transition probability")
-        rowsums = self.transition.sum(axis=2)
+        rowsums = prob.sum(axis=2)
         if not np.max(np.abs(rowsums - 1.0)) <= PROB_TOL:
             raise InvalidInput("transition rows must sum to 1")
         rho = self.initial_dist
         if not (rho.min() >= -PROB_TOL and abs(rho.sum() - 1.0) <= PROB_TOL):
             raise InvalidInput("initial_dist must be a probability vector")
-        tables = np.concatenate([self.reward[None], self.costs], axis=0)
+        tables = self.objective_tables
         if not (tables.min() >= -PROB_TOL and tables.max() <= self.c_max + PROB_TOL):
             raise InvalidInput("reward/cost entries must lie in [0, c_max]")
 
     @property
     def n_states(self):
-        return self.transition.shape[0]
+        return self.kernel[1].shape[0]
 
     @property
     def n_actions(self):
-        return self.transition.shape[1]
+        return self.kernel[1].shape[1]
 
     @property
     def n_costs(self):
         return self.costs.shape[0]
 
     @cached_property
+    def objective_tables(self):
+        """(p+1, S, A), read-only: the reward table, then the cost tables."""
+        return _as_readonly(np.concatenate([self.reward[None], self.costs]))
+
+    def _entry_keys(self):
+        """(S*A*K,) flat position s*A*S + a*S + idx[s, a, k] of each kernel
+        entry in the dense kernel, in entry order."""
+        s_n, a_n, _ = self.kernel[1].shape
+        rows = np.arange(s_n * a_n).reshape(s_n, a_n, 1) * s_n
+        return (rows + self.kernel[0]).ravel()
+
+    @property
+    def transition(self):
+        """The dense (S, A, S) kernel, read-only and rebuilt on every read:
+        each row's entries for one state added in k order."""
+        s_n, a_n, _ = self.kernel[1].shape
+        p = np.bincount(self._entry_keys(), self.kernel[1].ravel(),
+                        minlength=s_n * a_n * s_n).reshape(s_n, a_n, s_n)
+        p.setflags(write=False)
+        return p
+
+    @cached_property
     def successors(self):
-        """(idx, prob), each (S, A, K): the states with a nonzero (!= 0)
-        probability in each kernel row, ascending, and those probabilities,
-        padded with probability 0 up to K, the largest count of any row."""
-        nonzero = self.transition != 0
-        counts = nonzero.sum(axis=2)
+        """(idx, prob), each (S, A, K) and read-only: the states with a
+        nonzero (!= 0) total in each kernel row, ascending, and those totals,
+        padded with index 0 and probability 0 up to K, the largest count of
+        any row. A state's total adds the row's entries for it in k order."""
+        s_n, a_n, _ = self.kernel[1].shape
+        weights = self.kernel[1].ravel()
+        nonzero = weights != 0   # adding a zero changes no nonzero total
+        keys, weights = self._entry_keys()[nonzero], weights[nonzero]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        totals = np.bincount(np.cumsum(first) - 1, weights[order])
+        live = totals != 0
+        row, state = np.divmod(keys[first][live], s_n)
+        counts = np.bincount(row, minlength=s_n * a_n).reshape(s_n, a_n)
         shape = counts.shape + (counts.max(),)
         idx = np.zeros(shape, dtype=np.intp)
         prob = np.zeros(shape)
         slot = np.arange(shape[2]) < counts[..., None]
-        idx[slot] = np.nonzero(nonzero)[2]
-        prob[slot] = self.transition[nonzero]
+        idx[slot] = state
+        prob[slot] = totals[live]
         idx.setflags(write=False)
         prob.setflags(write=False)
         return idx, prob
@@ -166,10 +218,8 @@ class TabularCmdp:
 
     def objective_table(self, objective_index):
         """Reward table for index 0, cost table i for index i >= 1."""
-        if objective_index == 0:
-            return self.reward
-        if 1 <= objective_index <= self.n_costs:
-            return self.costs[objective_index - 1]
+        if 0 <= objective_index <= self.n_costs:
+            return self.objective_tables[objective_index]
         raise InvalidInput(f"objective_index {objective_index} out of range")
 
     def infinite_limit(self):
@@ -193,8 +243,9 @@ class TabularCmdp:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
+        transition = np.array(doc["transition"], dtype=float)
         return cls(
-            transition=np.array(doc["transition"], dtype=float),
+            kernel=(np.arange(len(transition)), transition),
             reward=np.array(doc["reward"], dtype=float),
             costs=np.array(doc["costs"], dtype=float),
             limits=np.array(doc["limits"], dtype=float),
@@ -338,7 +389,7 @@ def policy_evaluation_exact(cmdp, policy):
     """
     _check_dims(cmdp, policy)
     probs = policy.probs
-    tables = np.concatenate([cmdp.reward[None], cmdp.costs])
+    tables = cmdp.objective_tables
     a, order, n = _block_bellman_matrix(cmdp, probs)
     c_pi = (probs * tables).sum(axis=2).T[order]
     v = np.empty_like(c_pi)

@@ -205,13 +205,19 @@ def run_experiment(config, tasks=None):
 
     Returns (records, reports) where reports maps strategy name to its
     RegretReport over the training tasks. The last task is held out as the
-    test task when holdout_test_task is set.
+    test task when holdout_test_task is set. Every task must have the
+    n_states, n_actions and n_costs of task 0.
     """
     if tasks is None:
         if isinstance(config.task_source, TaskSequenceConfig):
             tasks, _, _ = gen_task_sequence(config.task_source)
         else:
             tasks = load_task_sequence(config.task_source)
+    shapes = [(task.n_states, task.n_actions, task.n_costs) for task in tasks]
+    for t, shape in enumerate(shapes):
+        if shape != shapes[0]:
+            raise InvalidInput(f"task {t} has (n_states, n_actions, n_costs) = "
+                               f"{shape}, task 0 has {shapes[0]}")
     if config.holdout_test_task:
         if len(tasks) < 2:
             raise InvalidInput("need at least 2 tasks to hold one out")

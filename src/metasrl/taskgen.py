@@ -10,10 +10,11 @@ infinite-horizon formulation applies exactly.
 
 Cells are numbered r * cols + c. A CMDP is built with array operations:
 each (cell, action) row has three outcomes, the intended move of MOVES and
-the two perpendicular slips of PERP, each clipped at the border, and one
-bincount scatters them into the dense kernel. The reward and cost tables are
-read off that kernel densely, so the CMDP is the same bit for bit as a
-per-cell loop of += writes would build.
+the two perpendicular slips of PERP, each clipped at the border, and those
+(S, A, 3) destinations and probabilities are the CMDP's kernel entries as
+they stand. The reward and cost tables add each row's outcomes that reach
+the goal or a hole, in outcome order, so the CMDP is the same bit for bit
+as a per-cell loop of += writes into a dense kernel would build.
 """
 
 from __future__ import annotations
@@ -119,8 +120,9 @@ def grid_to_cmdp(frozen, spec):
 
     Every (state, action) row gets three outcomes, the intended move and then
     the two perpendicular slips of PERP; a terminal row (hole, goal or the
-    absorbing state) sends all its mass to the absorbing state instead. One
-    bincount adds the outcomes up in that order, as a += loop over them would.
+    absorbing state) sends all its mass to the absorbing state instead.
+    Those outcomes are the kernel entries; a row may name a state twice
+    where a move is clipped at the border.
     """
     rows, cols = spec.rows, spec.cols
     n_cells = rows * cols
@@ -128,9 +130,9 @@ def grid_to_cmdp(frozen, spec):
     absorbing = n_cells
     goal = n_cells - 1
     n_actions = 4
-    holes = ~frozen
-    terminal = np.append(holes.reshape(-1), True)   # + absorbing
-    terminal[goal] = True
+    holes = np.append(~frozen.reshape(-1), False)   # + absorbing
+    terminal = holes.copy()
+    terminal[goal] = terminal[absorbing] = True
 
     outcomes = [(a,) + PERP[a] for a in range(n_actions)]
     dest = np.empty((n_states, n_actions, 3), dtype=np.intp)
@@ -139,20 +141,13 @@ def grid_to_cmdp(frozen, spec):
     prob = np.empty((n_states, n_actions, 3))
     prob[:] = (1.0 - spec.slip_prob, spec.slip_prob / 2.0, spec.slip_prob / 2.0)
     prob[terminal] = (1.0, 0.0, 0.0)
-    row_offsets = np.arange(n_states * n_actions) * n_states
-    bins = row_offsets.reshape(n_states, n_actions, 1) + dest
-    p = np.bincount(bins.reshape(-1), prob.reshape(-1),
-                    minlength=row_offsets.size * n_states)
-    p = p.reshape(n_states, n_actions, n_states)
 
-    hole_states = np.zeros(n_states)
-    hole_states[:n_cells] = holes.reshape(-1)
-    reward = spec.goal_reward * p[:, :, goal]
-    cost = spec.hole_cost * (p * hole_states[None, None, :]).sum(axis=2)
+    reward = spec.goal_reward * (prob * (dest == goal)).sum(axis=2)
+    cost = spec.hole_cost * (prob * holes[dest]).sum(axis=2)
     initial_dist = np.zeros(n_states)
     initial_dist[0] = 1.0
     return TabularCmdp(
-        transition=p,
+        kernel=(dest, prob),
         reward=reward,
         costs=cost[None],
         limits=np.array([spec.cost_limit]),

@@ -22,8 +22,9 @@ from metasrl.taskgen import MOVES, PERP
 def value_iteration(cmdp, tol=1e-12, max_iter=200_000):
     """Optimal unconstrained value via V(s) = max_a [c0 + gamma P V]."""
     v = np.zeros(cmdp.n_states)
+    transition = cmdp.transition
     for _ in range(max_iter):
-        q = cmdp.reward + cmdp.discount * cmdp.transition @ v
+        q = cmdp.reward + cmdp.discount * transition @ v
         v_new = q.max(axis=1)
         if np.max(np.abs(v_new - v)) < tol * (1.0 - cmdp.discount):
             return float(cmdp.initial_dist @ v_new)
@@ -153,7 +154,7 @@ def grid_to_cmdp_reference(frozen, spec):
     reward = spec.goal_reward * p[:, :, goal]
     cost = spec.hole_cost * (p * hole_states[None, None, :]).sum(axis=2)
     return TabularCmdp(
-        transition=p,
+        kernel=(np.arange(len(p)), p),
         reward=reward,
         costs=cost[None],
         limits=np.array([spec.cost_limit]),
@@ -295,13 +296,14 @@ def monte_carlo_objective(cmdp, probs, objective_index, n_steps, seed):
 
 def sample_episode_reference(cmdp, probs, horizon, rng):
     """One rollout of fixed horizon, one rng.choice per draw."""
+    transition = cmdp.transition
     s = rng.choice(cmdp.n_states, p=cmdp.initial_dist)
     states = np.empty(horizon, dtype=int)
     actions = np.empty(horizon, dtype=int)
     nexts = np.empty(horizon, dtype=int)
     for t in range(horizon):
         a = rng.choice(cmdp.n_actions, p=probs[s])
-        s2 = rng.choice(cmdp.n_states, p=cmdp.transition[s, a])
+        s2 = rng.choice(cmdp.n_states, p=transition[s, a])
         states[t], actions[t], nexts[t] = s, a, s2
         s = s2
     return states, actions, nexts
@@ -310,13 +312,14 @@ def sample_episode_reference(cmdp, probs, horizon, rng):
 def td_q_reference(cmdp, probs, objective_index, config, rng):
     """Tabular TD(0) on Q, stepping the chain one rng.choice at a time."""
     c = cmdp.objective_table(objective_index)
+    transition = cmdp.transition
     q = np.zeros((cmdp.n_states, cmdp.n_actions))
     horizon = max(2, config.episode_horizon)
     s = rng.choice(cmdp.n_states, p=cmdp.initial_dist)
     a = rng.choice(cmdp.n_actions, p=probs[s])
     t = 0
     for _ in range(config.td_iterations):
-        s2 = rng.choice(cmdp.n_states, p=cmdp.transition[s, a])
+        s2 = rng.choice(cmdp.n_states, p=transition[s, a])
         a2 = rng.choice(cmdp.n_actions, p=probs[s2])
         target = c[s, a] + cmdp.discount * q[s2, a2]
         q[s, a] += config.td_step_size * (target - q[s, a])
@@ -493,6 +496,6 @@ def random_cmdp(rng, n_states=4, n_actions=3, n_costs=1, gamma=0.8,
         v = np.linalg.solve(np.eye(n_states) - gamma * p_pi, c_pi)
         margin = feasible_margin if feasible_margin is not None else 0.0
         limits[i] = float(rho @ v) + margin
-    return TabularCmdp(transition=transition, reward=reward, costs=costs,
-                       limits=limits, discount=gamma, initial_dist=rho,
+    return TabularCmdp(kernel=(np.arange(n_states), transition), reward=reward,
+                       costs=costs, limits=limits, discount=gamma, initial_dist=rho,
                        c_max=1.0)

@@ -39,7 +39,7 @@ def test_01_lp_oracle_matches_value_iteration():
         n_states = int(rng.integers(4, 7))
         cmdp = random_cmdp(rng, n_states=n_states, n_actions=3)
         relaxed = type(cmdp)(
-            transition=cmdp.transition, reward=cmdp.reward, costs=cmdp.costs,
+            kernel=cmdp.kernel, reward=cmdp.reward, costs=cmdp.costs,
             limits=np.array([cmdp.infinite_limit()]), discount=cmdp.discount,
             initial_dist=cmdp.initial_dist, c_max=cmdp.c_max)
         sol = solve_optimal_lp(relaxed)
@@ -131,7 +131,8 @@ def test_04_dice_exact_recovery_and_sample_trend():
         flat = visitation_exact(cmdp, behavior).nu_sa.reshape(-1)
         idx = rng.choice(12, size=n, p=flat)
         s, a = idx // 3, idx % 3
-        s_next = np.array([rng.choice(4, p=cmdp.transition[s[i], a[i]])
+        transition = cmdp.transition
+        s_next = np.array([rng.choice(4, p=transition[s[i], a[i]])
                            for i in range(n)])
         ds = TrajectoryDataset.from_samples(
             4, 3, s=s, a=a, s_next=s_next,

@@ -44,3 +44,30 @@ def test_verdicts_follow_wins_spread_and_bound():
     eight_wins = runs([0.7] * 8 + [1.2] * 2, [1.0] * 10)
     rows = {r[0]: r for r in bench_pairs.summarize(SPEC, parent, eight_wins)}
     assert rows["run_s"][6] == "within bound" and rows["rate"][5] == 0
+
+
+def test_a_workload_list_runs_every_workload_in_every_pair(monkeypatch, capsys):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((checkout, workload))
+        value = 1.0 if checkout == "old" else 0.5
+        return {"metrics": {n: {"value": value} for n in ("run_s", "setup_s",
+                                                          "peak_rss_mb")},
+                "failed": int(workload == "b"), "attempted": 3, "correct": True}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.chdir(ROOT)   # the change's BENCHMARK.json
+    assert bench_pairs.main(["old", ".", "--workload", "a,b", "--pairs", "2",
+                             "--seconds", "1"]) == 0
+    assert calls == [("old", "a"), (".", "a"), ("old", "b"), (".", "b"),
+                     (".", "a"), ("old", "a"), (".", "b"), ("old", "b")]
+    out = capsys.readouterr().out
+    assert "a pair 1/2 (parent first): run_s 1 -> 0.5" in out
+    assert "b pair 2/2 (change first): run_s 1 -> 0.5" in out
+    blocks = out.split("\n\n")[1:]
+    assert [b.split()[0] for b in blocks] == ["a", "b"]
+    for block, failed in zip(blocks, (0, 2)):
+        assert block.count("wins 2/2  gain") == 3
+        assert f"parent: failed {failed}/6" in block
+        assert f"change: failed {failed}/6" in block

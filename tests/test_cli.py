@@ -8,6 +8,7 @@ from metasrl import harness
 from metasrl.cli import main
 from metasrl.harness import ExperimentConfig
 from metasrl.lp import solve_optimal_lp
+from metasrl.taskgen import GridSpec, gen_frozen_lake
 
 from test_acceptance import TEST09_CONFIG
 
@@ -107,6 +108,21 @@ class TestRun:
         rcfg = write_json(tmp_path / "run2.json", run_doc)
         out = str(tmp_path / "from_dir")
         assert main(["run", "--config", rcfg, "--out", out]) == 0
+
+    def test_mixed_task_shapes_exit_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "tasks.json", TASK_DOC)
+        tasks_dir = tmp_path / "tasks"
+        assert main(["gen-tasks", "--config", cfg, "--out", str(tasks_dir)]) == 0
+        # a 4x4 grid among the 3x3 ones, as the held-out task
+        odd = gen_frozen_lake(GridSpec(rows=4, cols=4, seed=2))
+        (tasks_dir / "task_002.json").write_text(odd.to_json())
+        run_doc = {**RUN_DOC, "task_source": str(tasks_dir)}
+        rcfg = write_json(tmp_path / "run.json", run_doc)
+        out = tmp_path / "x"
+        assert main(["run", "--config", rcfg, "--out", str(out)]) == 2
+        assert "task 2 has (n_states, n_actions, n_costs) = (17, 4, 1), " \
+            "task 0 has (10, 4, 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oracle_revalidation_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         def off_in_j1(cmdp):

@@ -8,6 +8,7 @@ from metasrl import cmdp as cmdp_module, meta as meta_module
 from metasrl.cmdp import (SoftmaxPolicy, TabularCmdp, all_objectives,
                           policy_evaluation_exact, policy_from_logits,
                           transition_under_policy, visitation_exact)
+from metasrl.crpo import sample_episode
 from metasrl.errors import InvalidInput, NumericalFailure
 from metasrl.meta import RegretReport
 from metasrl.taskgen import GridSpec, gen_frozen_lake
@@ -23,7 +24,7 @@ def two_state_cycle(gamma=0.5):
     p = np.zeros((2, 2, 2))
     p[0, :, 1] = 1.0
     p[1, :, 0] = 1.0
-    return TabularCmdp(transition=p,
+    return TabularCmdp(kernel=(np.arange(len(p)), p),
                        reward=np.array([[1.0, 1.0], [0.0, 0.0]]),
                        costs=np.zeros((1, 2, 2)),
                        limits=np.array([100.0]),
@@ -61,7 +62,7 @@ class TestPolicyEvaluation:
     def test_constant_reward(self):
         rng = np.random.default_rng(0)
         cmdp = random_cmdp(rng)
-        const = TabularCmdp(transition=cmdp.transition,
+        const = TabularCmdp(kernel=cmdp.kernel,
                             reward=np.full((4, 3), 0.7),
                             costs=cmdp.costs, limits=cmdp.limits,
                             discount=cmdp.discount,
@@ -75,7 +76,7 @@ class TestPolicyEvaluation:
         vt = policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(4, 3))[1]
         assert vt.objective_index == 1
         vt0 = policy_evaluation_exact(
-            TabularCmdp(transition=cmdp.transition,
+            TabularCmdp(kernel=cmdp.kernel,
                         reward=np.zeros((4, 3)), costs=cmdp.costs,
                         limits=cmdp.limits, discount=cmdp.discount,
                         initial_dist=cmdp.initial_dist, c_max=1.0),
@@ -96,6 +97,17 @@ class TestPolicyEvaluation:
         assert np.all(vt.v >= -1e-12)
         assert np.all(vt.v <= cmdp.c_max / (1 - cmdp.discount) + 1e-12)
 
+    def test_objective_tables_built_once(self):
+        cmdp = random_cmdp(np.random.default_rng(16), n_costs=2)
+        tables = cmdp.objective_tables
+        assert tables is cmdp.objective_tables and not tables.flags.writeable
+        assert np.array_equal(tables, np.concatenate([cmdp.reward[None], cmdp.costs]))
+        for i in range(3):
+            assert np.shares_memory(cmdp.objective_table(i), tables)
+            assert np.array_equal(cmdp.objective_table(i), tables[i])
+        with pytest.raises(InvalidInput):
+            cmdp.objective_table(3)
+
 
 def evaluator_cases():
     """(cmdp, policy) pairs: 8 random CMDPs with p = 1, 2, 3, the 4x4, 8x8
@@ -111,7 +123,7 @@ def evaluator_cases():
     # the core values depend on V_T through the off-diagonal block
     grid, tables = cases[-2], np.random.default_rng(21).random((3, 65, 4))
     cases.append(TabularCmdp(
-        transition=grid.transition, reward=tables[0], costs=tables[1:], limits=np.ones(2),
+        kernel=grid.kernel, reward=tables[0], costs=tables[1:], limits=np.ones(2),
         discount=grid.discount, initial_dist=grid.initial_dist, c_max=1.0))
     return [pytest.param(cmdp, policy_from_logits(
         rng.standard_normal((cmdp.n_states, cmdp.n_actions))), id=f"case{k}")
@@ -201,6 +213,92 @@ class TestSuccessorView:
         assert np.max(np.abs(vis.nu - dense)) <= 1e-14
 
 
+def entry_cmdp(idx, prob):
+    """A CMDP on the kernel entries (idx, prob), all other fields trivial."""
+    s_n, a_n, _ = np.shape(prob)
+    return TabularCmdp(kernel=(idx, prob), reward=np.zeros((s_n, a_n)),
+                       costs=np.zeros((1, s_n, a_n)), limits=np.ones(1),
+                       discount=0.9, initial_dist=np.eye(s_n)[0], c_max=1.0)
+
+
+class TestKernelEntries:
+    """The kernel as entries (idx, prob), against hand-computed views."""
+
+    def test_repeated_states_merge_in_entry_order(self):
+        idx = np.array([[[1, 1, 1], [0, 1, 0]], [[1, 0, 0], [1, 0, 0]]])
+        prob = np.array([[[0.7, 0.2, 0.1], [0.1, 0.6, 0.3]],
+                         [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]])
+        cmdp = entry_cmdp(idx, prob)
+        in_order = (0.7 + 0.2) + 0.1
+        assert in_order != 0.7 + (0.2 + 0.1)   # the order shows in the total
+        succ_idx, succ_prob = cmdp.successors
+        assert succ_idx.tolist() == [[[1, 0], [0, 1]], [[1, 0], [1, 0]]]
+        assert succ_prob.tolist() == [[[in_order, 0.0], [0.1 + 0.3, 0.6]],
+                                      [[1.0, 0.0], [1.0, 0.0]]]
+        assert cmdp.transition.tolist() == [[[0.0, in_order], [0.1 + 0.3, 0.6]],
+                                            [[0.0, 1.0], [0.0, 1.0]]]
+        assert not cmdp.transition.flags.writeable
+
+    def test_dense_kernel_is_its_own_entries(self):
+        cmdp = random_cmdp(np.random.default_rng(15))
+        idx, prob = cmdp.kernel   # from (np.arange(S), P)
+        assert idx.shape == prob.shape and not idx.flags.writeable
+        assert np.array_equal(idx, np.broadcast_to(np.arange(cmdp.n_states), prob.shape))
+        assert np.array_equal(cmdp.transition, prob)
+        again = TabularCmdp(kernel=(np.array(idx), prob),
+                            reward=cmdp.reward, costs=cmdp.costs, limits=cmdp.limits,
+                            discount=cmdp.discount, initial_dist=cmdp.initial_dist,
+                            c_max=cmdp.c_max)
+        for ours, theirs in zip(again.successors, cmdp.successors):
+            assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("slip", [0.0, 1.0])
+    def test_entries_that_total_zero_are_dropped(self, slip):
+        cmdp = gen_frozen_lake(GridSpec(rows=5, cols=5, slip_prob=slip, seed=1))
+        idx, prob = cmdp.successors
+        ref_idx, ref_prob = successor_arrays(cmdp.transition)
+        assert np.array_equal(prob, ref_prob)
+        assert np.array_equal(idx[prob != 0], ref_idx[ref_prob != 0])
+        assert idx.shape[2] == (1 if slip == 0.0 else 2)
+        # the zero-mass entries are in the kernel, not in the view
+        assert (cmdp.kernel[1] == 0).sum() > (prob == 0).sum()
+
+    @pytest.mark.parametrize("idx, prob, match", [
+        ([[[0, 2]]], [[[0.5, 0.5]]], "out of range"),
+        ([[[0, -1]]], [[[0.5, 0.5]]], "out of range"),
+        ([[[0.0, 0.0]]], [[[0.5, 0.5]]], "integer"),
+        ([[[0, 0, 0]]], [[[0.5, 0.5]]], "broadcast"),
+        ([[[0], [0]]], [[[0.5, 0.5]]], "broadcast"),
+        ([0], [[0.5, 0.5]], "shape"),
+        ([0], np.ones((1, 1, 0)), "shape"),
+        ([[[0, 0]]], [[[0.5, np.nan]]], "NaN"),
+    ])
+    def test_bad_entries_rejected(self, idx, prob, match):
+        with pytest.raises(InvalidInput, match=match):
+            TabularCmdp(kernel=(np.array(idx), np.array(prob)), reward=np.zeros((1, 1)),
+                        costs=np.zeros((1, 1, 1)), limits=np.ones(1), discount=0.9,
+                        initial_dist=np.ones(1), c_max=1.0)
+
+    def test_16x16_round_trip_keeps_the_view_and_the_bytes(self):
+        cmdp = gen_frozen_lake(GridSpec(rows=16, cols=16, seed=1))
+        text = cmdp.to_json()
+        again = TabularCmdp.from_json(text)
+        assert again.to_json() == text
+        for ours, theirs in zip(again.successors, cmdp.successors):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+
+    def test_16x16_grid_stores_no_dense_array(self):
+        cmdp = gen_frozen_lake(GridSpec(rows=16, cols=16, seed=1))
+        pol = SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions)
+        policy_evaluation_exact(cmdp, pol)
+        sample_episode(cmdp, pol.probs, 10, np.random.default_rng(0))
+        dense = cmdp.n_states * cmdp.n_actions * cmdp.n_states
+        stored = [a for value in vars(cmdp).values()
+                  for a in (value if isinstance(value, tuple) else (value,))]
+        assert {"successors", "successor_cdf", "block_bins"} <= set(vars(cmdp))
+        assert all(np.size(a) < dense for a in stored)
+
+
 def gridworld_cases():
     return [gen_frozen_lake(GridSpec(rows=n, cols=n, seed=seed))
             for n in (4, 5, 8, 16) for seed in range(3)]
@@ -275,7 +373,7 @@ class TestBlockOrder:
 
 class TestVisitation:
     def test_single_absorbing_state(self):
-        cmdp = TabularCmdp(transition=np.ones((1, 2, 1)),
+        cmdp = TabularCmdp(kernel=(np.arange(1), np.ones((1, 2, 1))),
                            reward=np.zeros((1, 2)), costs=np.zeros((1, 1, 2)),
                            limits=np.array([1.0]), discount=0.9,
                            initial_dist=np.array([1.0]), c_max=1.0)
@@ -285,7 +383,7 @@ class TestVisitation:
     def test_zero_discount_limit(self):
         rng = np.random.default_rng(4)
         base = random_cmdp(rng)
-        cmdp = TabularCmdp(transition=base.transition, reward=base.reward,
+        cmdp = TabularCmdp(kernel=base.kernel, reward=base.reward,
                            costs=base.costs, limits=base.limits,
                            discount=1e-12, initial_dist=base.initial_dist,
                            c_max=1.0)
@@ -307,7 +405,7 @@ class TestVisitation:
 class TestExpectedObjective:
     def test_zero_cost(self):
         cmdp = random_cmdp(np.random.default_rng(6))
-        zeroed = TabularCmdp(transition=cmdp.transition, reward=cmdp.reward,
+        zeroed = TabularCmdp(kernel=cmdp.kernel, reward=cmdp.reward,
                              costs=np.zeros((1, 4, 3)), limits=cmdp.limits,
                              discount=cmdp.discount,
                              initial_dist=cmdp.initial_dist, c_max=1.0)
@@ -355,7 +453,7 @@ class TestSerialization:
 
         specials = [0.1, 1.0 / 3.0, 5e-324, -0.0]
         cmdp = TabularCmdp(
-            transition=np.ones((1, 4, 1)), reward=np.array([specials]),
+            kernel=(np.arange(1), np.ones((1, 4, 1))), reward=np.array([specials]),
             costs=np.zeros((6, 1, 4)),
             limits=np.array([np.inf, -np.inf] + specials), discount=1.0 / 3.0,
             initial_dist=np.array([1.0]), c_max=1.0)
@@ -382,15 +480,15 @@ class TestSerialization:
         bad_p = np.array(good.transition)
         bad_p[0, 0, 0] += 0.1
         with pytest.raises(InvalidInput):
-            TabularCmdp(transition=bad_p, reward=good.reward, costs=good.costs,
-                        limits=good.limits, discount=good.discount,
+            TabularCmdp(kernel=(np.arange(len(bad_p)), bad_p), reward=good.reward,
+                        costs=good.costs, limits=good.limits, discount=good.discount,
                         initial_dist=good.initial_dist, c_max=1.0)
         with pytest.raises(InvalidInput):
-            TabularCmdp(transition=good.transition, reward=good.reward,
+            TabularCmdp(kernel=good.kernel, reward=good.reward,
                         costs=good.costs, limits=good.limits, discount=1.0,
                         initial_dist=good.initial_dist, c_max=1.0)
         with pytest.raises(InvalidInput):
-            TabularCmdp(transition=good.transition, reward=good.reward + 5.0,
+            TabularCmdp(kernel=good.kernel, reward=good.reward + 5.0,
                         costs=good.costs, limits=good.limits,
                         discount=good.discount,
                         initial_dist=good.initial_dist, c_max=1.0)
@@ -400,10 +498,14 @@ class TestSerialization:
     def test_nan_rejected(self, field):
         good = random_cmdp(np.random.default_rng(13))
         fields = {name: np.array(getattr(good, name)) for name in
-                  ("transition", "reward", "costs", "limits", "initial_dist")}
-        fields.update(discount=good.discount, c_max=good.c_max)
+                  ("reward", "costs", "limits", "initial_dist")}
+        prob = np.array(good.kernel[1])
+        fields.update(kernel=(good.kernel[0], prob), discount=good.discount,
+                      c_max=good.c_max)
         if field == "c_max":
             fields["c_max"] = np.nan
+        elif field == "transition":  # the kernel's probabilities
+            prob.flat[0] = np.nan
         else:
             fields[field].flat[0] = np.nan
         with pytest.raises(InvalidInput):

@@ -137,7 +137,7 @@ class TestRunCrpo:
     def test_degenerate_run(self):
         rng = np.random.default_rng(5)
         base = random_cmdp(rng)
-        cmdp = TabularCmdp(transition=base.transition, reward=base.reward,
+        cmdp = TabularCmdp(kernel=base.kernel, reward=base.reward,
                            costs=np.ones((1, 4, 3)),
                            limits=np.array([0.5]),  # J_1 is always 1/(1-gamma)
                            discount=base.discount,
@@ -300,8 +300,8 @@ class TestBatchedSampler:
         transition = np.array(base.transition)
         transition[1, 2, :2] = [0.5 + 1e-13, -1e-13]
         transition[1, 2, 2:] = 0.5 / (base.n_states - 2)
-        cmdp = TabularCmdp(transition=transition, reward=base.reward,
-                           costs=base.costs, limits=base.limits,
+        cmdp = TabularCmdp(kernel=(np.arange(base.n_states), transition),
+                           reward=base.reward, costs=base.costs, limits=base.limits,
                            discount=base.discount,
                            initial_dist=base.initial_dist, c_max=base.c_max)
         with pytest.raises(SamplerError):

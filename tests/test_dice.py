@@ -147,7 +147,8 @@ class TestSgdSolver:
         n = 40_000
         s = rng.choice(3, size=n)
         a = rng.choice(2, size=n)
-        s_next = np.array([rng.choice(3, p=cmdp.transition[s[i], a[i]])
+        transition = cmdp.transition
+        s_next = np.array([rng.choice(3, p=transition[s[i], a[i]])
                            for i in range(n)])
         ds = TrajectoryDataset.from_samples(
             3, 2, s=s, a=a, s_next=s_next,

@@ -268,6 +268,21 @@ class TestRunExperiment:
         with pytest.raises(InvalidInput, match="training task 1 has no policy"):
             run_experiment(tiny_config(), tasks=tasks)
 
+    @pytest.mark.parametrize("odd", [dict(n_states=5), dict(n_actions=2),
+                                     dict(n_costs=2)])
+    def test_mixed_task_shapes_rejected_before_any_solve(self, monkeypatch, odd):
+        tasks = tiny_tasks(4)
+        tasks[2] = random_cmdp(np.random.default_rng(1), feasible_margin=0.1, **odd)
+        tasks.append(random_cmdp(np.random.default_rng(2), n_states=6))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("an oracle was solved")
+
+        monkeypatch.setattr(harness, "solve_optimal_lp", no_solve)
+        with pytest.raises(InvalidInput, match=r"^task 2 has \(n_states, n_actions, "
+                           r"n_costs\) = \(\d, \d, \d\), task 0 has \(4, 3, 1\)$"):
+            run_experiment(tiny_config(), tasks=tasks)
+
     def test_failed_runs_do_not_enter_the_task_mean(self, monkeypatch):
         tasks = tiny_tasks(3)
         run_crpo = harness.run_crpo

@@ -40,7 +40,7 @@ class TestSolveOptimalLp:
     def test_single_action_is_policy_evaluation(self):
         rng = np.random.default_rng(0)
         transition = rng.dirichlet(np.ones(4), size=(4, 1))
-        cmdp = TabularCmdp(transition=transition,
+        cmdp = TabularCmdp(kernel=(np.arange(len(transition)), transition),
                            reward=rng.random((4, 1)),
                            costs=rng.random((1, 4, 1)),
                            limits=np.array([1e9]),
@@ -58,7 +58,7 @@ class TestSolveOptimalLp:
             rng = np.random.default_rng(seed)
             cmdp = random_cmdp(rng)
             relaxed = TabularCmdp(
-                transition=cmdp.transition, reward=cmdp.reward,
+                kernel=cmdp.kernel, reward=cmdp.reward,
                 costs=cmdp.costs, limits=np.array([cmdp.infinite_limit()]),
                 discount=cmdp.discount, initial_dist=cmdp.initial_dist,
                 c_max=1.0)
@@ -69,7 +69,7 @@ class TestSolveOptimalLp:
     def test_infeasible_detected(self):
         rng = np.random.default_rng(3)
         base = random_cmdp(rng)
-        cmdp = TabularCmdp(transition=base.transition, reward=base.reward,
+        cmdp = TabularCmdp(kernel=base.kernel, reward=base.reward,
                            costs=np.ones((1, 4, 3)), limits=np.array([0.0]),
                            discount=base.discount,
                            initial_dist=base.initial_dist, c_max=1.0)
@@ -160,7 +160,7 @@ def lp_cases():
     cases = [random_cmdp(np.random.default_rng(seed), n_costs=1 + seed % 2,
                          feasible_margin=0.05 * (seed % 3)) for seed in range(6)]
     base = random_cmdp(np.random.default_rng(3))
-    cases.append(TabularCmdp(transition=base.transition, reward=base.reward,
+    cases.append(TabularCmdp(kernel=base.kernel, reward=base.reward,
                              costs=np.ones((1, 4, 3)), limits=np.array([0.0]),
                              discount=base.discount,
                              initial_dist=base.initial_dist, c_max=1.0))

@@ -275,9 +275,10 @@ class TestRegretReport:
     """A 3-task stream on a one-state CMDP, whose visitation is 1 on that
     state, so every KL term is the KL of one action row."""
 
-    cmdp = TabularCmdp(transition=np.ones((1, 2, 1)), reward=np.zeros((1, 2)),
-                       costs=np.zeros((1, 1, 2)), limits=np.array([0.3]),
-                       discount=0.9, initial_dist=np.array([1.0]), c_max=1.0)
+    cmdp = TabularCmdp(kernel=(np.arange(1), np.ones((1, 2, 1))),
+                       reward=np.zeros((1, 2)), costs=np.zeros((1, 1, 2)),
+                       limits=np.array([0.3]), discount=0.9,
+                       initial_dist=np.array([1.0]), c_max=1.0)
     oracles = [SimpleNamespace(objective_values=np.array([v, 0.0]))
                for v in (1.0, 2.0, 3.0)]
     j_hat = [[0.5, 0.2], [1.5, 0.4], [2.0, 0.3]]

@@ -205,25 +205,33 @@ class TestTaskSequence:
 
     @pytest.mark.parametrize("mode", ["HighSimilarity", "LowSimilarity"])
     def test_same_sequence_as_the_references(self, mode, monkeypatch, tmp_path):
-        cfg = TaskSequenceConfig(mode=mode, num_tasks=6,
-                                 base=GridSpec(rows=5, cols=6, seed=4), seed=9)
+        # a 16x16 grid below frozen probability 0.7 rarely reaches its goal
+        for base, prob_range in [(GridSpec(rows=5, cols=6, seed=4), (0.3, 0.7)),
+                                 (GridSpec(rows=16, cols=16, seed=4), (0.7, 0.9))]:
+            cfg = TaskSequenceConfig(mode=mode, num_tasks=6, base=base,
+                                     low_sim_prob_range=prob_range, seed=9)
+            with monkeypatch.context() as patch:
+                self._assert_same_sequence(cfg, patch, tmp_path / f"{base.rows}")
+
+    @staticmethod
+    def _assert_same_sequence(cfg, monkeypatch, out):
         cmdps, grids, manifest = gen_task_sequence(cfg)
-        write_task_sequence(cfg, str(tmp_path / "array"))
+        write_task_sequence(cfg, str(out / "array"))
         monkeypatch.setattr(taskgen, "grid_to_cmdp", grid_to_cmdp_reference)
         monkeypatch.setattr(taskgen, "_goal_reachable", goal_reachable_reference)
         ref_cmdps, ref_grids, ref_manifest = gen_task_sequence(cfg)
-        write_task_sequence(cfg, str(tmp_path / "loop"))
+        write_task_sequence(cfg, str(out / "loop"))
         for a, b in zip(cmdps, ref_cmdps, strict=True):
             assert_same_cmdp(a, b)
         for a, b in zip(grids, ref_grids, strict=True):
             assert np.array_equal(a, b)
         assert manifest == ref_manifest
-        names = sorted(os.listdir(tmp_path / "loop"))
-        assert sorted(os.listdir(tmp_path / "array")) == names
+        names = sorted(os.listdir(out / "loop"))
+        assert sorted(os.listdir(out / "array")) == names
         assert len(names) == 7
         for name in names:
-            assert (tmp_path / "array" / name).read_bytes() \
-                == (tmp_path / "loop" / name).read_bytes()
+            assert (out / "array" / name).read_bytes() \
+                == (out / "loop" / name).read_bytes()
 
     def test_grid_ascii(self):
         frozen = np.array([[True, False], [True, True]])
