@@ -185,15 +185,23 @@ class TabularCmdp:
     def block_order(self):
         """(order, n): the state order of the Bellman solves, read-only. The n
         core states, those from which a state with rho > 0 can be reached,
-        come first, then the closed set T of the others; each part ascending."""
+        come first, then the closed set T of the others; each part ascending.
+        The core is one breadth-first search backwards from the states with
+        rho > 0, over predecessor lists grouped by successor with one argsort."""
         idx, prob = self.successors
         live = prob != 0
-        core = self.initial_dist > 0
-        while True:  # grow the core by every state with a successor in it
-            grown = core | (core[idx] & live).any(axis=(1, 2))
-            if np.array_equal(grown, core):
-                break
-            core = grown
+        succ = idx[live]
+        by_succ = np.argsort(succ, kind="stable")
+        preds = np.nonzero(live)[0][by_succ].tolist()  # source state of each entry
+        starts = np.searchsorted(succ[by_succ], np.arange(self.n_states + 1)).tolist()
+        queue = np.flatnonzero(self.initial_dist > 0).tolist()
+        seen = (self.initial_dist > 0).tolist()
+        for t in queue:  # the queue grows while it is walked
+            for s in preds[starts[t]:starts[t + 1]]:
+                if not seen[s]:
+                    seen[s] = True
+                    queue.append(s)
+        core = np.array(seen)
         order = np.concatenate([np.flatnonzero(core), np.flatnonzero(~core)])
         order.setflags(write=False)
         return order, int(core.sum())

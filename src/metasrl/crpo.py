@@ -2,7 +2,8 @@
 
 Alternates natural-gradient reward ascent with constraint descent, gated on
 estimated constraint values against the limits plus a tolerance eta. Critic
-is either an exact Bellman solve or tabular TD(0) from on-policy samples.
+is either an exact Bellman solve or tabular TD(0) from on-policy samples,
+one chain a step for all p+1 objectives.
 
 Every sampled draw, whether an episode step or a TD(0) chain step, goes
 through one batched rollout that steps all rollouts together and reproduces
@@ -167,16 +168,17 @@ def sample_episode(cmdp, probs, horizon, rng, episodes=1):
     return x[:, :-1:2], x[:, 1::2], x[:, 2::2]
 
 
-def _td_q(cmdp, probs, objective_index, config, rng):
-    """Tabular TD(0) on Q from on-policy samples (SARSA-style targets).
+def _td_q(cmdp, probs, config, rng):
+    """Tabular TD(0) on Q from on-policy samples (SARSA-style targets), for
+    every objective i = 0..p from one chain; returns the p+1 (S, A) tables.
 
     The chain restarts from rho after every `horizon` updates. Its path does
     not depend on q, so it is sampled first, one reset segment a row: a
     segment draws s_0, a_0, s_1, a_1, ..., s_H, a_H (2 + 2H draws), the last
-    one only as far as the K updates reach. Only the scalar updates run in
-    order, on Python floats, which round as numpy scalars do.
+    one only as far as the K updates reach. Then each objective runs its K
+    scalar updates in order over the same (s, a) -> (s', a') steps, on Python
+    floats, which round as numpy scalars do.
     """
-    c = cmdp.objective_table(objective_index)
     a_n = cmdp.n_actions
     horizon = max(2, config.episode_horizon)
     k = max(0, config.td_iterations)
@@ -187,26 +189,31 @@ def _td_q(cmdp, probs, objective_index, config, rng):
     x = _rollout(cmdp, cdf(probs, "policy")[None], np.zeros(len(u), dtype=np.intp), u)
     sa = (x[:, :-2:2] * a_n + x[:, 1:-2:2]).ravel()[:k]    # (s, a) of each update
     sa_next = (x[:, 2::2] * a_n + x[:, 3::2]).ravel()[:k]  # (s', a') of its target
-    step, gamma, cost = config.td_step_size, cmdp.discount, c.ravel().tolist()
-    q = [0.0] * c.size
-    for i, j in zip(sa.tolist(), sa_next.tolist()):
-        qi = q[i]
-        q[i] = qi + step * (cost[i] + gamma * q[j] - qi)
-    return np.array(q).reshape(c.shape)
+    sa, sa_next = sa.tolist(), sa_next.tolist()
+    step, gamma = config.td_step_size, cmdp.discount
+    tables = []
+    for c in cmdp.objective_tables:
+        cost = c.ravel().tolist()
+        q = [0.0] * c.size
+        for i, j in zip(sa, sa_next):
+            qi = q[i]
+            q[i] = qi + step * (cost[i] + gamma * q[j] - qi)
+        tables.append(np.array(q).reshape(c.shape))
+    return tables
 
 
-def td_critic(cmdp, policy, objective_index, config, rng=None):
-    """Sampled critic: K_in tabular TD(0) updates from on-policy samples.
-    The Exact critic is `policy_evaluation_exact`, which `run_crpo` calls
-    itself; an Exact config is refused here."""
+def td_critic(cmdp, policy, config, rng=None):
+    """Sampled critic: K_in tabular TD(0) updates of every objective from one
+    on-policy chain. Returns the tuple of p+1 ValueTables, reward first, as
+    `policy_evaluation_exact` does. That is the Exact critic, which
+    `run_crpo` calls itself; an Exact config is refused here."""
     if config.critic_mode != TD_SAMPLED:
         raise InvalidInput(f"td_critic needs critic_mode {TD_SAMPLED!r}, "
                            f"not {config.critic_mode!r}")
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    q = _td_q(cmdp, policy.probs, objective_index, config, rng)
-    v = (policy.probs * q).sum(axis=1)
-    return ValueTable(v=v, q=q, objective_index=objective_index)
+    return tuple(ValueTable(v=(policy.probs * q).sum(axis=1), q=q, objective_index=i)
+                 for i, q in enumerate(_td_q(cmdp, policy.probs, config, rng)))
 
 
 def _discounted_weights(states, actions, t, gamma, s_n, a_n):
@@ -277,7 +284,7 @@ def run_crpo(cmdp, init_policy, config):
             st, ac, nx = sample_episode(cmdp, policy.probs, horizon, rng,
                                         config.episodes_per_step)
             episodes.append((st, ac, nx))
-            values = [td_critic(cmdp, policy, i, config, rng) for i in range(p + 1)]
+            values = td_critic(cmdp, policy, config, rng)
             tt = np.broadcast_to(np.arange(horizon), st.shape)
             w = _discounted_weights(st.ravel(), ac.ravel(), tt.ravel(), gamma,
                                     cmdp.n_states, cmdp.n_actions)

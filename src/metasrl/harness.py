@@ -19,9 +19,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .cmdp import SoftmaxPolicy, TablePolicy, all_objectives
+from .cmdp import SoftmaxPolicy, all_objectives
 from .crpo import CrpoConfig, run_crpo
-from .dice import DiceConfig, dualdice_fit, kl_loss_and_grad, visitation_from_corrections
+from .dice import DiceConfig, dualdice_fit, visitation_from_corrections
 from .errors import DegenerateRun, InvalidInput, NumericalFailure
 from .lp import solve_optimal_lp
 from .meta import (MetaLearnerState, SimConstants, meta_update,
@@ -168,11 +168,9 @@ class MetaSrl:
                                                           task_seed))
         corrections = dualdice_fit(outcome.dataset, pi_hat, cmdp.discount, dice_cfg)
         nu_hat = visitation_from_corrections(outcome.dataset, corrections)
-        kl_term, _ = kl_loss_and_grad(
-            nu_hat, pi_hat, TablePolicy(probs=self.state.init_policy))
         self.state = meta_update(self.state, nu_hat, pi_hat, self.steps,
                                  self.constants)
-        return kl_term
+        return self.state.kl_term
 
 
 def _dice_seed(dice_seed, task_seed):

@@ -157,6 +157,7 @@ class MetaLearnerState:
     inner_updates: int = 1
     shrinkage: float = 1e-3
     rate_floor: float = 1e-4
+    kl_term: float | None = None     # the last update's plug-in KL loss, unclamped
 
     def __post_init__(self):
         object.__setattr__(self, "init_policy",
@@ -176,10 +177,10 @@ def meta_update(state, nu_hat, pi_hat, m_steps, constants):
 
     The initialization takes K projected OGD steps on the plug-in KL loss;
     the learning rate takes one OGD step on the rate surrogate, floored at
-    rate_floor. Returns the new state.
+    rate_floor. Returns the new state, which keeps the task's KL loss at
+    the old initialization as `kl_term`.
     """
     kl_term, _ = kl_loss_and_grad(nu_hat, pi_hat, TablePolicy(probs=state.init_policy))
-    kl_term = max(kl_term, 0.0)  # guard against rounding just below zero
 
     def grad(phi_table):
         _, g = kl_loss_and_grad(nu_hat, pi_hat, TablePolicy(probs=phi_table))
@@ -189,11 +190,14 @@ def meta_update(state, nu_hat, pi_hat, m_steps, constants):
     phi_next = inexact_multi_ogd(state.init_policy, grad, state.ogd_step_init,
                                  state.inner_updates, projector)
 
-    _, sim_grad = sim_loss_and_grad(state.learning_rate, kl_term, m_steps, constants)
+    # the clamp guards the rate gradient against rounding just below zero
+    _, sim_grad = sim_loss_and_grad(state.learning_rate, max(kl_term, 0.0),
+                                    m_steps, constants)
     kappa_next = max(state.rate_floor,
                      state.learning_rate - state.ogd_step_sim * sim_grad)
 
-    return replace(state, init_policy=phi_next, learning_rate=kappa_next)
+    return replace(state, init_policy=phi_next, learning_rate=kappa_next,
+                   kl_term=kl_term)
 
 
 def closed_form_similarity_center(history, shrink):

@@ -221,6 +221,21 @@ def core_states_reference(cmdp):
     return core
 
 
+def block_order_reference(cmdp):
+    """(order, n) of `TabularCmdp.block_order` by the numpy fixpoint: the
+    core grows by every state with a live successor entry in it, one round
+    per search level, until it stops growing."""
+    idx, prob = cmdp.successors
+    live = prob != 0
+    core = cmdp.initial_dist > 0
+    while True:
+        grown = core | (core[idx] & live).any(axis=(1, 2))
+        if np.array_equal(grown, core):
+            break
+        core = grown
+    return np.concatenate([np.flatnonzero(core), np.flatnonzero(~core)]), int(core.sum())
+
+
 def visitation_block_reference(cmdp, probs):
     """Discounted state visitation by the two block solves: the einsum
     I - gamma P_pi, permuted to the core states (ascending) then the rest

@@ -13,7 +13,8 @@ from metasrl.errors import InvalidInput, NumericalFailure
 from metasrl.meta import RegretReport
 from metasrl.taskgen import GridSpec, gen_frozen_lake
 
-from oracles import (core_states_reference, monte_carlo_objective,
+from oracles import (block_order_reference, core_states_reference,
+                     monte_carlo_objective,
                      policy_evaluation_reference, q_backup_reference,
                      random_cmdp, successor_arrays,
                      transition_under_policy_reference,
@@ -304,6 +305,27 @@ def gridworld_cases():
             for n in (4, 5, 8, 16) for seed in range(3)]
 
 
+def block_order_cases():
+    """Dense random CMDPs; random CMDPs whose rows reach at most two states,
+    the upper half of them closed, with rho on one state of the lower half;
+    and 4x4 and 16x16 gridworlds."""
+    rng = np.random.default_rng(15)
+    cases = [random_cmdp(rng, n_states=n) for n in (1, 3, 6, 9)]
+    for n in (2, 5, 8, 12, 20):
+        base = random_cmdp(rng, n_states=n)
+        transition = np.zeros_like(base.transition)
+        for s, a in np.ndindex(n, base.n_actions):
+            low = n // 2 if s >= n // 2 else 0
+            np.add.at(transition[s, a], rng.integers(low, n, size=2),
+                      rng.dirichlet(np.ones(2)))
+        cases.append(TabularCmdp(
+            kernel=(np.arange(n), transition), reward=base.reward,
+            costs=base.costs, limits=base.limits, discount=base.discount,
+            initial_dist=np.eye(n)[rng.integers(n // 2)], c_max=base.c_max))
+    return cases + [gen_frozen_lake(GridSpec(rows=n, cols=n, seed=seed))
+                    for n in (4, 16) for seed in range(3)]
+
+
 class TestBlockOrder:
     """The core states (those that reach a state with rho > 0) come first,
     the closed set T of the others last."""
@@ -324,6 +346,12 @@ class TestBlockOrder:
         assert rest.size > 0  # holes, goal and the absorbing state
         assert not np.any(cmdp.transition[np.ix_(rest, np.arange(cmdp.n_actions), core)])
         assert np.all(cmdp.initial_dist[rest] == 0)
+
+    @pytest.mark.parametrize("cmdp", block_order_cases())
+    def test_search_matches_the_fixpoint(self, cmdp):
+        order, n = cmdp.block_order
+        ref_order, ref_n = block_order_reference(cmdp)
+        assert n == ref_n and np.array_equal(order, ref_order)
 
     def test_rest_is_empty_on_dense_kernels(self):
         rng = np.random.default_rng(14)

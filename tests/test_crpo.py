@@ -74,17 +74,25 @@ class TestTdCritic:
     def test_exact_mode_refused(self):
         cmdp = random_cmdp(np.random.default_rng(1))
         with pytest.raises(InvalidInput, match="TdSampled"):
-            td_critic(cmdp, SoftmaxPolicy.uniform(4, 3), 0,
+            td_critic(cmdp, SoftmaxPolicy.uniform(4, 3),
                       CrpoConfig(critic_mode="Exact"))
 
-    def test_sampled_mode_converges(self):
+    def _long_chain(self):
         cmdp = random_cmdp(np.random.default_rng(2), n_states=3, n_actions=2)
         pol = SoftmaxPolicy.uniform(3, 2)
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=400_000,
                          td_step_size=0.01, episode_horizon=40)
-        vt = td_critic(cmdp, pol, 0, cfg, rng=np.random.default_rng(3))
-        ref = policy_evaluation_exact(cmdp, pol)[0]
-        assert np.max(np.abs(vt.q - ref.q)) < 0.15
+        values = td_critic(cmdp, pol, cfg, rng=np.random.default_rng(3))
+        return values, policy_evaluation_exact(cmdp, pol)
+
+    def test_sampled_mode_converges(self):
+        values, exact = self._long_chain()
+        assert np.max(np.abs(values[0].q - exact[0].q)) < 0.15
+
+    def test_cost_critic_converges_on_the_shared_chain(self):
+        values, exact = self._long_chain()
+        assert len(values) == 2 and values[1].objective_index == 1
+        assert np.max(np.abs(values[1].q - exact[1].q)) < 0.15
 
 
 class TestRunCrpo:
@@ -225,11 +233,15 @@ class TestBatchedSampler:
         probs = _with_zero_entries(cmdp, np.random.default_rng(4))
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=iterations,
                          td_step_size=0.05, episode_horizon=horizon)
-        for index in range(cmdp.n_costs + 1):
-            rng, ref_rng = np.random.default_rng(index), np.random.default_rng(index)
-            got = td_critic(cmdp, TablePolicy(probs=probs), index, cfg, rng)
+        rng = np.random.default_rng(iterations)
+        got = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
+        assert len(got) == cmdp.n_costs + 1
+        for index, vt in enumerate(got):
+            ref_rng = np.random.default_rng(iterations)
+            assert vt.objective_index == index
             assert np.array_equal(
-                got.q, td_q_reference(cmdp, probs, index, cfg, ref_rng))
+                vt.q, td_q_reference(cmdp, probs, index, cfg, ref_rng))
+            # one chain: the generator ends where one objective's chain ends
             assert _same_state(rng, ref_rng)
 
     def test_td_chain_on_16x16_grid(self):
@@ -237,10 +249,12 @@ class TestBatchedSampler:
         probs = _with_zero_entries(cmdp, np.random.default_rng(5))
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=500,
                          episode_horizon=60)
-        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        got = td_critic(cmdp, TablePolicy(probs=probs), 1, cfg, rng)
-        assert np.array_equal(got.q, td_q_reference(cmdp, probs, 1, cfg, ref_rng))
-        assert _same_state(rng, ref_rng)
+        rng = np.random.default_rng(9)
+        got = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
+        for index, vt in enumerate(got):
+            ref_rng = np.random.default_rng(9)
+            assert np.array_equal(vt.q, td_q_reference(cmdp, probs, index, cfg, ref_rng))
+            assert _same_state(rng, ref_rng)
 
     @pytest.mark.parametrize("row", [[0.5, 0.4, 0.1 + 1e-7], [0.5, 0.6, -0.1],
                                      [0.5, np.nan, 0.5], [0.5, 0.4, 0.0]])
@@ -252,7 +266,7 @@ class TestBatchedSampler:
             np.random.default_rng(0).choice(3, p=probs[2])
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=10)
         with pytest.raises(SamplerError):
-            td_critic(cmdp, TablePolicy(probs=probs), 0, cfg,
+            td_critic(cmdp, TablePolicy(probs=probs), cfg,
                       np.random.default_rng(0))
         with pytest.raises(SamplerError):
             sample_episode(cmdp, probs, 5, np.random.default_rng(0))
@@ -327,9 +341,8 @@ class TestRunCrpoStreams:
         for pol in out.all_iterates:
             episodes += [sample_episode_reference(cmdp, pol.probs, 7, rng)
                          for _ in range(3)]
-            if mode == "TdSampled":
-                for i in range(3):
-                    td_q_reference(cmdp, pol.probs, i, cfg, rng)
+            if mode == "TdSampled":  # one chain serves all three critics
+                td_q_reference(cmdp, pol.probs, 0, cfg, rng)
         states, actions, nexts = (np.concatenate(a) for a in zip(*episodes))
         ds = out.dataset
         assert np.array_equal(ds.s, states) and np.array_equal(ds.a, actions)

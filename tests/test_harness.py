@@ -366,7 +366,10 @@ class TestExportReport:
     def test_byte_identical_reruns(self, tmp_path):
         sgd = tiny_config(strategies=("MetaSrl",),
                           dice=DiceConfig(solver="Sgd", sgd_steps=50))
-        for k, cfg in enumerate([tiny_config(), sgd]):
+        td = tiny_config(crpo=CrpoConfig(learning_rate=0.5, steps=5, tolerance=0.05,
+                                         critic_mode="TdSampled", td_iterations=40,
+                                         episodes_per_step=1, episode_horizon=4))
+        for k, cfg in enumerate([tiny_config(), sgd, td]):
             out_a, _ = self._run(tmp_path / f"a{k}", cfg=cfg)
             out_b, _ = self._run(tmp_path / f"b{k}", cfg=cfg)
             for name in sorted(os.listdir(out_a)):

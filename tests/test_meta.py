@@ -178,6 +178,7 @@ class TestMetaUpdate:
         new = meta_update(state, nu, pi, m_steps=10, constants=c)
         after, _ = kl_loss_and_grad(nu, pi, TablePolicy(probs=new.init_policy))
         assert after < before
+        assert state.kl_term is None and new.kl_term == before
 
     def test_rate_floor(self):
         state = self._state(ogd_step_sim=100.0, learning_rate=0.2,
