@@ -12,7 +12,10 @@ the medians, how many pairs the change won (ties count for neither side) and
 a verdict:
 
 - "gain" when the change won at least nine pairs in ten and its median is
-  better than the parent's by more than the parent's interquartile range;
+  better than the parent's by more than the parent's interquartile range
+  and by more than a tenth of the metric's bound (a relative change, as
+  the bound is), so that a steady shift far inside the bound, such as code
+  layout moving a memory metric with no spread, is not called a gain;
 - "worse beyond bound" when its median is worse than the parent's by more
   than the metric's bound;
 - "within bound" otherwise.
@@ -64,7 +67,8 @@ def summarize(spec, parent_runs, change_runs):
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         pq, cq = quartiles(parent), quartiles(change)
         gain = (pq[1] - cq[1]) if lower else (cq[1] - pq[1])
-        if 10 * wins >= 9 * len(parent) and gain > pq[2] - pq[0]:
+        if 10 * wins >= 9 * len(parent) and gain > max(
+                pq[2] - pq[0], metric["bound"] / 10 * pq[1]):
             verdict = "gain"
         elif -gain > metric["bound"] * pq[1]:
             verdict = "worse beyond bound"

@@ -3,10 +3,12 @@
 Alternates natural-gradient reward ascent with constraint descent, gated on
 estimated constraint values against the limits plus a tolerance eta. Critic
 is either an exact Bellman solve or tabular TD(0) from on-policy samples,
-one chain a step for all p+1 objectives.
+one chain a step for all p+1 objectives. A TdSampled step is one call of
+`td_critic`, which draws the step's episodes and its TD(0) chain in one
+rollout and returns the p+1 value tables together with the episodes.
 
 Every sampled draw, whether an episode step or a TD(0) chain step, goes
-through one batched rollout that steps all rollouts together and reproduces
+through one batched rollout that steps all rows together and reproduces
 one `Generator.choice` call per draw, bit for bit; its inverse-CDF draw and
 the checks on each probability table live in `metasrl.sampling`, which the
 SGD DICE fit shares. Next states are drawn over the CMDP's successor CDF
@@ -22,6 +24,7 @@ something reads them.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
@@ -53,16 +56,27 @@ class CrpoConfig:
     store_all_iterates: bool = True
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidInput("learning_rate must be positive")
-        if self.steps < 1:
-            raise InvalidInput("steps must be >= 1")
-        if self.tolerance < 0:
+        if not 0.0 < self.learning_rate < np.inf:   # NaN fails too
+            raise InvalidInput("learning_rate must be positive and finite")
+        if not _is_count(self.steps, 1):
+            raise InvalidInput("steps must be an integer >= 1")
+        if not self.tolerance >= 0.0:
             raise InvalidInput("tolerance must be nonnegative")
         if self.critic_mode not in (EXACT, TD_SAMPLED):
             raise InvalidInput(f"unknown critic_mode {self.critic_mode!r}")
-        if self.episodes_per_step < 1 or self.episode_horizon < 1:
-            raise InvalidInput("episodes_per_step and episode_horizon must be >= 1")
+        if not _is_count(self.td_iterations, 0):
+            raise InvalidInput("td_iterations must be an integer >= 0")
+        if not 0.0 <= self.td_step_size < np.inf:
+            raise InvalidInput("td_step_size must be nonnegative and finite")
+        if not (_is_count(self.episodes_per_step, 1)
+                and _is_count(self.episode_horizon, 1)):
+            raise InvalidInput("episodes_per_step and episode_horizon must be "
+                               "integers >= 1")
+
+
+def _is_count(value, least):
+    """Whether value is an integer, Python or numpy, no less than least."""
+    return isinstance(value, numbers.Integral) and value >= least
 
 
 @dataclass(frozen=True)
@@ -135,19 +149,26 @@ def _rollout(cmdp, policy_cdf, row_policy, u):
     A next state is drawn over its (s, a)'s successor CDF and mapped back to
     its state index. That is the dense draw bit for bit: the omitted zeros
     add nothing to the cumulative sums, and the padded slots sit at 1.0,
-    above every uniform.
+    above every uniform. The walk steps through a transposed copy of u, so
+    each step reads and writes one contiguous row, and keeps the CDF tables
+    transposed, as `draw` takes them.
     """
     succ = cmdp.successors[0]
-    succ_cdf = cmdp.successor_cdf
+    a_n, k = succ.shape[1:]
+    succ = succ.ravel()
+    succ_cdf = np.ascontiguousarray(cmdp.successor_cdf.reshape(-1, k).T)  # (K, SA)
+    policy_cdf = np.ascontiguousarray(policy_cdf.reshape(-1, a_n).T)      # (A, tables*S)
+    table_start = row_policy * cmdp.n_states
+    u = np.ascontiguousarray(u.T)
     x = np.empty(u.shape, dtype=np.intp)
-    x[:, 0] = draw(cdf(cmdp.initial_dist, "initial distribution"), u[:, 0])
-    for j in range(1, u.shape[1]):
+    x[0] = draw(cdf(cmdp.initial_dist, "initial distribution")[:, None], u[0])
+    for j in range(1, len(u)):
         if j % 2:
-            x[:, j] = draw(policy_cdf[row_policy, x[:, j - 1]], u[:, j])
+            x[j] = draw(policy_cdf.take(table_start + x[j - 1], axis=1), u[j])
         else:
-            s, a = x[:, j - 2], x[:, j - 1]
-            x[:, j] = succ[s, a, draw(succ_cdf[s, a], u[:, j])]
-    return x
+            sa = x[j - 2] * a_n + x[j - 1]
+            x[j] = succ.take(sa * k + draw(succ_cdf.take(sa, axis=1), u[j]))
+    return x.T
 
 
 def sample_episode(cmdp, probs, horizon, rng, episodes=1):
@@ -168,27 +189,19 @@ def sample_episode(cmdp, probs, horizon, rng, episodes=1):
     return x[:, :-1:2], x[:, 1::2], x[:, 2::2]
 
 
-def _td_q(cmdp, probs, config, rng):
-    """Tabular TD(0) on Q from on-policy samples (SARSA-style targets), for
-    every objective i = 0..p from one chain; returns the p+1 (S, A) tables.
+def _td_q(cmdp, chain, config):
+    """Tabular TD(0) on Q (SARSA-style targets) for every objective i = 0..p
+    along one chain; returns the p+1 (S, A) tables.
 
-    The chain restarts from rho after every `horizon` updates. Its path does
-    not depend on q, so it is sampled first, one reset segment a row: a
-    segment draws s_0, a_0, s_1, a_1, ..., s_H, a_H (2 + 2H draws), the last
-    one only as far as the K updates reach. Then each objective runs its K
-    scalar updates in order over the same (s, a) -> (s', a') steps, on Python
-    floats, which round as numpy scalars do.
+    chain holds the drawn reset segments, one a row: s_0, a_0, s_1, a_1, ...,
+    s_H, a_H, the last row only as far as the K updates reach. Each objective
+    runs its K scalar updates in order over the same (s, a) -> (s', a') steps,
+    on Python floats, which round as numpy scalars do.
     """
     a_n = cmdp.n_actions
-    horizon = max(2, config.episode_horizon)
-    k = max(0, config.td_iterations)
-    width = 2 + 2 * horizon
-    u = np.zeros((k // horizon + 1) * width)
-    rng.random(out=u[:2 + 2 * k + 2 * (k // horizon)])
-    u = u.reshape(-1, width)
-    x = _rollout(cmdp, cdf(probs, "policy")[None], np.zeros(len(u), dtype=np.intp), u)
-    sa = (x[:, :-2:2] * a_n + x[:, 1:-2:2]).ravel()[:k]    # (s, a) of each update
-    sa_next = (x[:, 2::2] * a_n + x[:, 3::2]).ravel()[:k]  # (s', a') of its target
+    k = config.td_iterations
+    sa = (chain[:, :-2:2] * a_n + chain[:, 1:-2:2]).ravel()[:k]    # (s, a) of each update
+    sa_next = (chain[:, 2::2] * a_n + chain[:, 3::2]).ravel()[:k]  # (s', a') of its target
     sa, sa_next = sa.tolist(), sa_next.tolist()
     step, gamma = config.td_step_size, cmdp.discount
     tables = []
@@ -203,17 +216,40 @@ def _td_q(cmdp, probs, config, rng):
 
 
 def td_critic(cmdp, policy, config, rng=None):
-    """Sampled critic: K_in tabular TD(0) updates of every objective from one
-    on-policy chain. Returns the tuple of p+1 ValueTables, reward first, as
-    `policy_evaluation_exact` does. That is the Exact critic, which
-    `run_crpo` calls itself; an Exact config is refused here."""
+    """One TdSampled CRPO step's samples and critic, from one rollout.
+
+    Draws the step's `episodes_per_step` episodes of `episode_horizon`, then a
+    chain of K = `td_iterations` TD(0) updates that restarts from rho after
+    every max(2, horizon) updates, and runs K tabular TD(0) updates of every
+    objective along the chain. The uniforms come from rng in that order, the
+    episodes' exactly as `sample_episode` takes them, and all rows are walked
+    together: an episode row is padded to the chain's width, 2 + 2 max(2, H),
+    and its padded draws are dropped.
+
+    Returns (values, (states, actions, next_states)): the p+1 ValueTables,
+    reward first, as `policy_evaluation_exact` returns them, and the
+    episodes as `sample_episode` returns them, each (episodes, horizon).
+    The Exact critic is `policy_evaluation_exact`, which `run_crpo` calls
+    itself; an Exact config is refused here.
+    """
     if config.critic_mode != TD_SAMPLED:
         raise InvalidInput(f"td_critic needs critic_mode {TD_SAMPLED!r}, "
                            f"not {config.critic_mode!r}")
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    return tuple(ValueTable(v=(policy.probs * q).sum(axis=1), q=q, objective_index=i)
-                 for i, q in enumerate(_td_q(cmdp, policy.probs, config, rng)))
+    policy_cdf = cdf(policy.probs, "policy")[None]
+    e, horizon = config.episodes_per_step, config.episode_horizon
+    reset = max(2, horizon)
+    k = config.td_iterations
+    u = np.zeros((e + k // reset + 1, 2 + 2 * reset))
+    u[:e, :1 + 2 * horizon] = rng.random((e, 1 + 2 * horizon))
+    # s_0, a_0, then (s', a') per update and (s_0, a_0) per reset
+    rng.random(out=u[e:].reshape(-1)[:2 + 2 * k + 2 * (k // reset)])
+    x = _rollout(cmdp, policy_cdf, np.zeros(len(u), dtype=np.intp), u)
+    episodes = x[:e, :1 + 2 * horizon].copy()
+    values = tuple(ValueTable(v=(policy.probs * q).sum(axis=1), q=q, objective_index=i)
+                   for i, q in enumerate(_td_q(cmdp, x[e:], config)))
+    return values, (episodes[:, :-1:2], episodes[:, 1::2], episodes[:, 2::2])
 
 
 def _discounted_weights(states, actions, t, gamma, s_n, a_n):
@@ -281,10 +317,8 @@ def run_crpo(cmdp, init_policy, config):
             objectives[m] = objective_values(cmdp, values)
             j_bar = objectives[m, 1:]
         else:
-            st, ac, nx = sample_episode(cmdp, policy.probs, horizon, rng,
-                                        config.episodes_per_step)
+            values, (st, ac, nx) = td_critic(cmdp, policy, config, rng)
             episodes.append((st, ac, nx))
-            values = td_critic(cmdp, policy, config, rng)
             tt = np.broadcast_to(np.arange(horizon), st.shape)
             w = _discounted_weights(st.ravel(), ac.ravel(), tt.ravel(), gamma,
                                     cmdp.n_states, cmdp.n_actions)

@@ -190,7 +190,7 @@ def _sgd_fit(dataset, target_policy, gamma, config):
     if n_tr == 0 or n_init == 0:
         raise InvalidInput("Sgd solver needs sampled transitions")
     probs = target_policy.probs
-    policy_cdf = cdf(probs, "target policy")
+    policy_cdf = cdf(probs, "target policy").T.copy()   # (A, S), as draw takes it
     rng = np.random.default_rng(config.rng_seed)
     gamma, lr = float(gamma), float(config.sgd_step_size)
     lr_gamma, lr_init = lr * gamma, lr * (1.0 - gamma)
@@ -202,8 +202,8 @@ def _sgd_fit(dataset, target_policy, gamma, config):
         j, u_init = rng.integers(n_init, size=k), rng.random(k)
         s2, s0 = dataset.s_next[i], dataset.initial_states[j]
         sa = dataset.s[i] * a_n + dataset.a[i]
-        sa_next = s2 * a_n + draw(policy_cdf[s2], u_next)
-        sa_init = s0 * a_n + draw(policy_cdf[s0], u_init)
+        sa_next = s2 * a_n + draw(policy_cdf.take(s2, axis=1), u_next)
+        sa_init = s0 * a_n + draw(policy_cdf.take(s0, axis=1), u_init)
         for k, k2, k0 in zip(sa.tolist(), sa_next.tolist(), sa_init.tolist()):
             resid = z[k] - gamma * z[k2] - zeta[k]
             # ascent in zeta, descent in z

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -39,6 +40,20 @@ class MetaConfig:
     shrinkage: float = 1e-3
     rate_floor: float = 1e-4
     initial_rate: float = None   # defaults to the CRPO learning rate
+
+    def __post_init__(self):
+        for name in ("ogd_step_init", "rate_floor"):
+            if not 0.0 < getattr(self, name) < np.inf:   # NaN fails too
+                raise InvalidInput(f"{name} must be positive and finite")
+        if not 0.0 <= self.ogd_step_sim < np.inf:
+            raise InvalidInput("ogd_step_sim must be nonnegative and finite")
+        if not (isinstance(self.inner_updates, numbers.Integral)
+                and self.inner_updates >= 1):
+            raise InvalidInput("inner_updates must be an integer >= 1")
+        if not 0.0 <= self.shrinkage < 1.0:
+            raise InvalidInput("shrinkage must lie in [0, 1)")
+        if self.initial_rate is not None and not 0.0 < self.initial_rate < np.inf:
+            raise InvalidInput("initial_rate must be positive and finite, or null")
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,9 @@ def project_simplex(v):
     return np.maximum(v - tau, 0.0)
 
 
-def project_row_shrinkage_simplex(v, shrink):
-    """Projection onto {a : sum a = 1, a_i >= shrink}, along the last axis.
+def project_table_shrinkage_simplex(v, shrink):
+    """Projection onto {a : sum a = 1, a_i >= shrink}, along the last axis:
+    one row, or every row of an (S, A) table.
 
     Substituting b = (a - shrink)/(1 - n*shrink) reduces the problem to a
     standard simplex projection (the substitution is a scaled translation,
@@ -54,11 +55,6 @@ def project_row_shrinkage_simplex(v, shrink):
         return np.full(v.shape, shrink)
     b = project_simplex((v - shrink) / scale)
     return shrink + scale * b
-
-
-def project_table_shrinkage_simplex(table, shrink):
-    """Project every row of an (S, A) table onto the shrinkage simplex."""
-    return project_row_shrinkage_simplex(table, shrink)
 
 
 def inexact_ogd_step(x, grad_hat, beta, projector):

@@ -46,6 +46,24 @@ def test_verdicts_follow_wins_spread_and_bound():
     assert rows["run_s"][6] == "within bound" and rows["rate"][5] == 0
 
 
+def test_a_steady_shift_far_inside_the_bound_is_not_a_gain():
+    # a memory metric moved 0.6 % by code layout alone, with no spread
+    spec = {"end_to_end": [{"name": "peak_rss_mb", "unit": "MB", "better": "lower",
+                            "bound": 0.1}]}
+
+    def rss(values):
+        return [{"metrics": {"peak_rss_mb": {"value": v}}} for v in values]
+
+    parent = rss([47.3] * 10)
+    (row,) = bench_pairs.summarize(spec, parent, rss([47.3 * 0.994] * 10))
+    assert row[5] == 10 and row[6] == "within bound"
+    (row,) = bench_pairs.summarize(spec, parent, rss([47.3 * 1.006] * 10))
+    assert row[5] == 0 and row[6] == "within bound"
+    # a shift of more than a tenth of the bound still reads as a gain
+    (row,) = bench_pairs.summarize(spec, parent, rss([47.3 * 0.98] * 10))
+    assert row[6] == "gain"
+
+
 def test_a_workload_list_runs_every_workload_in_every_pair(monkeypatch, capsys):
     calls = []
 

@@ -158,6 +158,17 @@ class TestRun:
         assert f"4 of 6 task runs failed; see {os.path.join(out, 'errors.csv')}" in err
         assert os.path.exists(os.path.join(out, "errors.csv"))
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("meta", "ogd_step_init", 0), ("crpo", "learning_rate", float("nan")),
+        ("crpo", "td_iterations", -5), ("crpo", "steps", 4.5)])
+    def test_invalid_setting_exit_2(self, tmp_path, capsys, section, field, value):
+        doc = {**RUN_DOC, section: {**RUN_DOC.get(section, {}), field: value}}
+        cfg = write_json(tmp_path / "run.json", doc)
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_strategy_exit_2(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", RUN_DOC)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x"),
@@ -168,6 +179,14 @@ class TestExampleConfig:
     def test_test09_example_is_the_test_09_config(self):
         with open(os.path.join(EXAMPLES, "test09.json")) as fh:
             assert ExperimentConfig.from_json(json.load(fh)) == TEST09_CONFIG
+
+
+    def test_every_example_config_loads(self):
+        names = [n for n in sorted(os.listdir(EXAMPLES)) if n.endswith(".json")]
+        assert "test09.json" in names
+        for name in names:
+            with open(os.path.join(EXAMPLES, name)) as fh:
+                ExperimentConfig.from_json(json.load(fh))   # validated when built
 
 
 class TestReport:

@@ -16,6 +16,24 @@ from oracles import (policy_evaluation_reference, random_cmdp,
                      sample_episode_reference, td_q_reference)
 
 
+class TestCrpoConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", np.nan), ("learning_rate", np.inf), ("learning_rate", 0.0),
+        ("tolerance", np.nan), ("tolerance", -0.01),
+        ("td_iterations", -1), ("td_iterations", 10.0),
+        ("td_step_size", np.nan), ("td_step_size", -0.1), ("td_step_size", np.inf),
+        ("steps", 8.5), ("steps", 8.0), ("steps", 0),
+        ("episodes_per_step", 0), ("episode_horizon", 2.0)])
+    def test_rejected_when_built(self, field, value):
+        with pytest.raises(InvalidInput, match=field):
+            CrpoConfig(**{field: value})
+
+    def test_edge_values_accepted(self):
+        CrpoConfig(tolerance=0.0, td_iterations=0, td_step_size=0.0,
+                   steps=np.int64(3), episode_horizon=1)
+        CrpoConfig(tolerance=np.inf)   # every step a reward step
+
+
 class TestBoundFormulas:
     def test_compute_eta_value(self):
         val = compute_eta(dims=(2, 2), alpha=0.5, m_steps=100, kl_bound=1.0,
@@ -82,7 +100,7 @@ class TestTdCritic:
         pol = SoftmaxPolicy.uniform(3, 2)
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=400_000,
                          td_step_size=0.01, episode_horizon=40)
-        values = td_critic(cmdp, pol, cfg, rng=np.random.default_rng(3))
+        values, _ = td_critic(cmdp, pol, cfg, rng=np.random.default_rng(3))
         return values, policy_evaluation_exact(cmdp, pol)
 
     def test_sampled_mode_converges(self):
@@ -198,6 +216,15 @@ def _same_state(rng_a, rng_b):
     return rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
+def _td_step_reference(cmdp, probs, index, cfg, rng):
+    """The old two-call TdSampled step: the step's episodes one rng.choice at
+    a time, then objective `index`'s TD(0) chain; returns (episodes, q)."""
+    episodes = [sample_episode_reference(cmdp, probs, cfg.episode_horizon, rng)
+                for _ in range(cfg.episodes_per_step)]
+    return tuple(map(np.array, zip(*episodes))), td_q_reference(cmdp, probs, index,
+                                                                 cfg, rng)
+
+
 class TestBatchedSampler:
     """The batched sampler against the per-draw rng.choice loops: same
     arrays and the same generator state afterwards."""
@@ -226,21 +253,28 @@ class TestBatchedSampler:
             assert np.array_equal(got_arr, np.array(ref_arr))
         assert _same_state(rng, ref_rng)
 
-    @pytest.mark.parametrize("iterations,horizon", [
-        (0, 50), (7, 1), (120, 60), (10_000, 50)])
-    def test_td_chain_matches_reference(self, iterations, horizon):
+    @pytest.mark.parametrize("iterations,horizon,episodes", [
+        pytest.param(0, 50, 5, id="0-50"), pytest.param(7, 1, 5, id="7-1"),
+        pytest.param(7, 1, 1, id="7-1-one-episode"),
+        pytest.param(120, 60, 2, id="120-60"),
+        pytest.param(10_000, 50, 5, id="10000-50")])
+    def test_td_chain_matches_reference(self, iterations, horizon, episodes):
         cmdp = random_cmdp(np.random.default_rng(3), n_states=5, n_costs=2)
         probs = _with_zero_entries(cmdp, np.random.default_rng(4))
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=iterations,
-                         td_step_size=0.05, episode_horizon=horizon)
+                         td_step_size=0.05, episode_horizon=horizon,
+                         episodes_per_step=episodes)
         rng = np.random.default_rng(iterations)
-        got = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
+        got, drawn = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
         assert len(got) == cmdp.n_costs + 1
         for index, vt in enumerate(got):
             ref_rng = np.random.default_rng(iterations)
+            ref_episodes, ref_q = _td_step_reference(cmdp, probs, index, cfg, ref_rng)
             assert vt.objective_index == index
-            assert np.array_equal(
-                vt.q, td_q_reference(cmdp, probs, index, cfg, ref_rng))
+            assert np.array_equal(vt.q, ref_q)
+            for got_arr, ref_arr in zip(drawn, ref_episodes):
+                assert got_arr.shape == (episodes, horizon)
+                assert np.array_equal(got_arr, ref_arr)
             # one chain: the generator ends where one objective's chain ends
             assert _same_state(rng, ref_rng)
 
@@ -250,10 +284,12 @@ class TestBatchedSampler:
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=500,
                          episode_horizon=60)
         rng = np.random.default_rng(9)
-        got = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
+        got, drawn = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
         for index, vt in enumerate(got):
             ref_rng = np.random.default_rng(9)
-            assert np.array_equal(vt.q, td_q_reference(cmdp, probs, index, cfg, ref_rng))
+            ref_episodes, ref_q = _td_step_reference(cmdp, probs, index, cfg, ref_rng)
+            assert np.array_equal(vt.q, ref_q)
+            assert all(map(np.array_equal, drawn, ref_episodes))
             assert _same_state(rng, ref_rng)
 
     @pytest.mark.parametrize("row", [[0.5, 0.4, 0.1 + 1e-7], [0.5, 0.6, -0.1],
@@ -265,9 +301,11 @@ class TestBatchedSampler:
         with pytest.raises(ValueError):  # rng.choice refuses the row as well
             np.random.default_rng(0).choice(3, p=probs[2])
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=10)
+        rng = np.random.default_rng(0)
         with pytest.raises(SamplerError):
-            td_critic(cmdp, TablePolicy(probs=probs), cfg,
-                      np.random.default_rng(0))
+            td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
+        # refused before the step's episodes or its chain are drawn
+        assert _same_state(rng, np.random.default_rng(0))
         with pytest.raises(SamplerError):
             sample_episode(cmdp, probs, 5, np.random.default_rng(0))
 
@@ -385,6 +423,102 @@ class TestRunCrpoStreams:
         out = run_crpo(cmdp, SoftmaxPolicy.uniform(4, 3), cfg)
         assert out.all_iterates is None
         assert out.iterate_objectives.shape == (5, 2)
+
+
+class TestTdSampledStepReplay:
+    """TdSampled run_crpo against the old two-call step, replayed draw by
+    draw from one generator: every episode with sample_episode_reference,
+    then every objective's TD(0) chain with td_q_reference, each objective
+    from the generator state after the episodes."""
+
+    def _replay(self, cmdp, cfg):
+        init = SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions)
+        generators = []
+        original = crpo.td_critic
+
+        def recording(cmdp, policy, config, rng=None):
+            generators.append(rng)
+            return original(cmdp, policy, config, rng)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crpo, "td_critic", recording)
+            try:
+                out = run_crpo(cmdp, init, cfg)
+            except DegenerateRun as exc:
+                out = exc.outcome
+        assert len(generators) == cfg.steps
+        assert all(g is generators[0] for g in generators)
+
+        rng = np.random.default_rng(cfg.rng_seed)
+        gamma, p, horizon = cmdp.discount, cmdp.n_costs, cfg.episode_horizon
+        logits = np.array(init.logits)
+        reward_steps, constraint_steps = [], [[] for _ in range(p)]
+        estimates, episodes = [], []
+        for m in range(cfg.steps):
+            probs = policy_from_logits(logits).probs
+            assert np.array_equal(out.all_iterates[m].probs, probs)
+            before = rng.bit_generator.state
+            qs = []
+            for index in range(p + 1):
+                rng.bit_generator.state = before
+                drawn, q = _td_step_reference(cmdp, probs, index, cfg, rng)
+                qs.append(q)
+            episodes.append(drawn)
+            st, ac = drawn[0], drawn[1]
+            w = np.zeros((cmdp.n_states, cmdp.n_actions))
+            np.add.at(w, (st.ravel(), ac.ravel()),
+                      gamma ** np.tile(np.arange(horizon), len(st)))
+            w = w / w.sum()
+            j_bar = np.array([(w * qs[i]).sum() for i in range(1, p + 1)])
+            estimates.append(j_bar)
+            excess = j_bar - cmdp.limits - cfg.tolerance
+            if np.all(excess <= 0):
+                reward_steps.append(m)
+                logits = npg_softmax_step(logits, qs[0], cfg.learning_rate,
+                                          "Ascent", gamma)
+            else:
+                worst = int(np.argmax(excess))
+                constraint_steps[worst].append(m)
+                logits = npg_softmax_step(logits, qs[worst + 1], cfg.learning_rate,
+                                          "Descent", gamma)
+
+        assert np.array_equal(out.per_step_estimates, np.array(estimates))
+        assert out.reward_steps == tuple(reward_steps)
+        assert out.constraint_steps == tuple(map(tuple, constraint_steps))
+        if reward_steps:
+            assert out.returned_step == reward_steps[rng.integers(len(reward_steps))]
+        else:
+            assert out.returned_step == cfg.steps - 1
+        assert _same_state(generators[0], rng)
+        states, actions, nexts = (np.concatenate(a) for a in zip(*episodes))
+        ds = out.dataset
+        assert np.array_equal(ds.s, states.ravel())
+        assert np.array_equal(ds.a, actions.ravel())
+        assert np.array_equal(ds.s_next, nexts.ravel())
+        assert np.array_equal(ds.initial_states, states[:, 0])
+        return out
+
+    @pytest.mark.parametrize("horizon,iterations", [(7, 60), (1, 40), (7, 0)])
+    def test_random_cmdp_with_two_costs(self, horizon, iterations):
+        base = random_cmdp(np.random.default_rng(11), n_costs=2)
+        # limits among the TD estimates, so that both kinds of step are taken
+        cmdp = TabularCmdp(kernel=base.kernel, reward=base.reward, costs=base.costs,
+                           limits=np.array([0.3, 0.35]), discount=base.discount,
+                           initial_dist=base.initial_dist, c_max=base.c_max)
+        cfg = CrpoConfig(learning_rate=0.5, steps=6, tolerance=0.05,
+                         critic_mode="TdSampled", td_iterations=iterations,
+                         td_step_size=0.2, episodes_per_step=3,
+                         episode_horizon=horizon, rng_seed=5)
+        self._replay(cmdp, cfg)
+
+    @pytest.mark.parametrize("horizon,iterations", [(60, 300), (1, 30), (60, 0)])
+    def test_4x4_grid(self, horizon, iterations):
+        cmdp = gen_frozen_lake(GridSpec(seed=2, cost_limit=0.004))
+        cfg = CrpoConfig(learning_rate=1.0, steps=4, tolerance=0.05,
+                         critic_mode="TdSampled", td_iterations=iterations,
+                         episodes_per_step=5, episode_horizon=horizon, rng_seed=4)
+        out = self._replay(cmdp, cfg)
+        assert out.dataset.s.size == cfg.steps * cfg.episodes_per_step * horizon
 
 
 def _crpo_decisions(cmdp, init, cfg):

@@ -60,6 +60,20 @@ class TestExperimentConfig:
             with pytest.raises(InvalidInput, match="unknown strategy"):
                 tiny_config(strategies=(name,))
 
+    @pytest.mark.parametrize("field,value", [
+        ("ogd_step_init", 0.0), ("ogd_step_init", -0.5), ("ogd_step_init", np.nan),
+        ("ogd_step_init", np.inf), ("ogd_step_sim", -1.0), ("ogd_step_sim", np.nan),
+        ("inner_updates", 0), ("inner_updates", 1.5), ("shrinkage", -0.1),
+        ("shrinkage", 1.0), ("shrinkage", np.nan), ("rate_floor", 0.0),
+        ("rate_floor", np.nan), ("initial_rate", 0.0), ("initial_rate", np.nan)])
+    def test_meta_config_rejected_when_built(self, field, value):
+        with pytest.raises(InvalidInput, match=field):
+            MetaConfig(**{field: value})
+
+    def test_meta_config_edge_values_accepted(self):
+        assert MetaConfig(ogd_step_sim=0.0, initial_rate=None).ogd_step_sim == 0.0
+        MetaConfig(shrinkage=0.0, initial_rate=0.3, inner_updates=np.int64(2))
+
     def test_pretrained_arg_allowed(self):
         cfg = tiny_config(strategies=("Pretrained:2",))
         assert cfg.strategies == ("Pretrained:2",)

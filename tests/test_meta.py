@@ -13,8 +13,8 @@ from metasrl.meta import (MetaLearnerState, SimConstants,
                           closed_form_similarity_center,
                           contraction_step_count, dynamic_regret_bound,
                           inexact_multi_ogd, inexact_ogd_step, kappa_star,
-                          meta_update, project_row_shrinkage_simplex,
-                          project_simplex, project_table_shrinkage_simplex,
+                          meta_update, project_simplex,
+                          project_table_shrinkage_simplex,
                           rate_regret_objective, regret_report,
                           sim_loss_and_grad, static_regret_bound)
 
@@ -33,9 +33,9 @@ class TestProjections:
 
     def test_shrinkage_bounds_validation(self):
         with pytest.raises(InvalidInput):
-            project_row_shrinkage_simplex(np.array([0.5, 0.5]), 0.6)
+            project_table_shrinkage_simplex(np.array([0.5, 0.5]), 0.6)
         with pytest.raises(InvalidInput):
-            project_row_shrinkage_simplex(np.array([0.5, 0.5]), -0.1)
+            project_table_shrinkage_simplex(np.array([0.5, 0.5]), -0.1)
 
     def test_matches_qp_oracle(self):
         rng = np.random.default_rng(0)
@@ -43,7 +43,7 @@ class TestProjections:
             n = int(rng.integers(2, 6))
             shrink = float(rng.random() * 0.8 / n)
             v = rng.standard_normal(n) * 2.0
-            mine = project_row_shrinkage_simplex(v, shrink)
+            mine = project_table_shrinkage_simplex(v, shrink)
             ref = project_shrinkage_qp(v, shrink)
             assert np.max(np.abs(mine - ref)) < 1e-6
 
@@ -52,10 +52,10 @@ class TestProjections:
     def test_feasibility_and_idempotence(self, v, shrink):
         if shrink >= 1.0 / v.size:
             shrink = 0.9 / v.size
-        out = project_row_shrinkage_simplex(v, shrink)
+        out = project_table_shrinkage_simplex(v, shrink)
         assert abs(out.sum() - 1.0) < 1e-9
         assert np.all(out >= shrink - 1e-12)
-        again = project_row_shrinkage_simplex(out, shrink)
+        again = project_table_shrinkage_simplex(out, shrink)
         assert np.max(np.abs(again - out)) < 1e-9
 
     @given(finite_vec, finite_vec)
