@@ -2,12 +2,16 @@
 
 Alternates natural-gradient reward ascent with constraint descent, gated on
 estimated constraint values against the limits plus a tolerance eta. Critic
-is either an exact Bellman solve or tabular TD(0) from on-policy samples,
+is either an exact Bellman solve or tabular LSTD(0) from on-policy samples,
 one chain a step for all p+1 objectives. A TdSampled step is one call of
-`td_critic`, which draws the step's episodes and its TD(0) chain in one
-rollout and returns the p+1 value tables together with the episodes.
+`td_critic`, which draws the step's episodes and its chain of
+`td_iterations` steps in one rollout, solves the chain's empirical SARSA
+model for all p+1 objectives with one m x m solve (m <= S*A the pairs the
+chain steps from), and returns the p+1 value tables together with the
+episodes.
+LSTD(0) has no step size, so the config has no `td_step_size`.
 
-Every sampled draw, whether an episode step or a TD(0) chain step, goes
+Every sampled draw, whether an episode step or a chain step, goes
 through one batched rollout that steps all rows together and reproduces
 one `Generator.choice` call per draw, bit for bit; its inverse-CDF draw and
 the checks on each probability table live in `metasrl.sampling`, which the
@@ -48,8 +52,7 @@ class CrpoConfig:
     steps: int = 100
     tolerance: float = 0.0
     critic_mode: str = EXACT
-    td_iterations: int = 10_000
-    td_step_size: float = 0.1
+    td_iterations: int = 10_000     # TdSampled chain length, K
     episodes_per_step: int = 5
     episode_horizon: int = 50
     rng_seed: int = 0
@@ -66,8 +69,6 @@ class CrpoConfig:
             raise InvalidInput(f"unknown critic_mode {self.critic_mode!r}")
         if not _is_count(self.td_iterations, 0):
             raise InvalidInput("td_iterations must be an integer >= 0")
-        if not 0.0 <= self.td_step_size < np.inf:
-            raise InvalidInput("td_step_size must be nonnegative and finite")
         if not (_is_count(self.episodes_per_step, 1)
                 and _is_count(self.episode_horizon, 1)):
             raise InvalidInput("episodes_per_step and episode_horizon must be "
@@ -190,38 +191,45 @@ def sample_episode(cmdp, probs, horizon, rng, episodes=1):
 
 
 def _td_q(cmdp, chain, config):
-    """Tabular TD(0) on Q (SARSA-style targets) for every objective i = 0..p
-    along one chain; returns the p+1 (S, A) tables.
+    """Tabular LSTD(0) on Q (SARSA-style targets) for every objective
+    i = 0..p along one chain; returns the (p+1, S, A) tables.
 
     chain holds the drawn reset segments, one a row: s_0, a_0, s_1, a_1, ...,
-    s_H, a_H, the last row only as far as the K updates reach. Each objective
-    runs its K scalar updates in order over the same (s, a) -> (s', a') steps,
-    on Python floats, which round as numpy scalars do.
+    s_H, a_H, the last row only as far as the K steps reach. The K
+    (s, a) -> (s', a') steps are counted into the empirical SARSA model
+    P_hat on the m pairs that are the source of some step, each row divided
+    by its pair's visits, and (I - gamma P_hat) Q = c is solved for all p+1
+    objectives at once: the point batch TD(0) converges to on this chain.
+    P_hat's rows sum to at most 1, so the system is diagonally dominant. A
+    pair that is the source of no step keeps Q = 0, where TD(0) leaves it.
     """
-    a_n = cmdp.n_actions
+    a_n, n = cmdp.n_actions, cmdp.n_states * cmdp.n_actions
     k = config.td_iterations
-    sa = (chain[:, :-2:2] * a_n + chain[:, 1:-2:2]).ravel()[:k]    # (s, a) of each update
-    sa_next = (chain[:, 2::2] * a_n + chain[:, 3::2]).ravel()[:k]  # (s', a') of its target
-    sa, sa_next = sa.tolist(), sa_next.tolist()
-    step, gamma = config.td_step_size, cmdp.discount
-    tables = []
-    for c in cmdp.objective_tables:
-        cost = c.ravel().tolist()
-        q = [0.0] * c.size
-        for i, j in zip(sa, sa_next):
-            qi = q[i]
-            q[i] = qi + step * (cost[i] + gamma * q[j] - qi)
-        tables.append(np.array(q).reshape(c.shape))
-    return tables
+    sa = (chain[:, :-2:2] * a_n + chain[:, 1:-2:2]).ravel()[:k]    # (s, a) of each step
+    sa_next = (chain[:, 2::2] * a_n + chain[:, 3::2]).ravel()[:k]  # (s', a') it steps to
+    visits = np.bincount(sa, minlength=n)
+    source = np.flatnonzero(visits)
+    m = source.size
+    index = np.full(n, m)   # column m: steps into pairs never stepped from, Q = 0
+    index[source] = np.arange(m)
+    counts = np.bincount(index[sa] * (m + 1) + index[sa_next],
+                         minlength=m * (m + 1)).reshape(m, m + 1)[:, :m]
+    system = np.eye(m) - cmdp.discount * counts / visits[source, None]
+    tables = cmdp.objective_tables
+    q = np.zeros((len(tables), n))
+    q[:, source] = np.linalg.solve(system, tables.reshape(-1, n)[:, source].T).T
+    return q.reshape(tables.shape)
 
 
 def td_critic(cmdp, policy, config, rng=None):
     """One TdSampled CRPO step's samples and critic, from one rollout.
 
     Draws the step's `episodes_per_step` episodes of `episode_horizon`, then a
-    chain of K = `td_iterations` TD(0) updates that restarts from rho after
-    every max(2, horizon) updates, and runs K tabular TD(0) updates of every
-    objective along the chain. The uniforms come from rng in that order, the
+    chain of K = `td_iterations` (s, a) -> (s', a') steps that restarts from
+    rho after every max(2, horizon) steps, and solves LSTD(0) for every
+    objective over the chain (`_td_q`): one m x m solve with p+1 right-hand
+    sides, m <= S*A the pairs the chain steps from, with Q = 0 on every
+    other pair. The uniforms come from rng in that order, the
     episodes' exactly as `sample_episode` takes them, and all rows are walked
     together: an episode row is padded to the chain's width, 2 + 2 max(2, H),
     and its padded draws are dropped.
@@ -243,7 +251,7 @@ def td_critic(cmdp, policy, config, rng=None):
     k = config.td_iterations
     u = np.zeros((e + k // reset + 1, 2 + 2 * reset))
     u[:e, :1 + 2 * horizon] = rng.random((e, 1 + 2 * horizon))
-    # s_0, a_0, then (s', a') per update and (s_0, a_0) per reset
+    # s_0, a_0, then (s', a') per step and (s_0, a_0) per reset
     rng.random(out=u[e:].reshape(-1)[:2 + 2 * k + 2 * (k // reset)])
     x = _rollout(cmdp, policy_cdf, np.zeros(len(u), dtype=np.intp), u)
     episodes = x[:e, :1 + 2 * horizon].copy()

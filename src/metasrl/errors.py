@@ -1,8 +1,23 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the check
+that a config section names only known keys."""
+
+from dataclasses import fields
 
 
 class InvalidInput(ValueError):
     """Raised when an argument violates a documented precondition."""
+
+
+def known_keys(doc, cls, where):
+    """doc, a parsed JSON object, once every key in it is a field of the
+    dataclass cls; InvalidInput naming the section `where` otherwise."""
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise InvalidInput(f"unknown key{'s' * (len(unknown) > 1)} "
+                           f"{', '.join(map(repr, unknown))} in {where}")
+    return doc
 
 
 class NumericalFailure(RuntimeError):

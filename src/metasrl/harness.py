@@ -23,7 +23,7 @@ from . import __version__
 from .cmdp import SoftmaxPolicy, all_objectives
 from .crpo import CrpoConfig, run_crpo
 from .dice import DiceConfig, dualdice_fit, visitation_from_corrections
-from .errors import DegenerateRun, InvalidInput, NumericalFailure
+from .errors import DegenerateRun, InvalidInput, NumericalFailure, known_keys
 from .lp import solve_optimal_lp
 from .meta import (MetaLearnerState, SimConstants, meta_update,
                    project_table_shrinkage_simplex, regret_report)
@@ -79,6 +79,7 @@ class ExperimentConfig:
     def from_json(cls, doc):
         if isinstance(doc, str):
             doc = json.loads(doc)
+        known_keys(doc, cls, "the config")
         source = doc["task_source"]
         if isinstance(source, dict):
             source = TaskSequenceConfig.from_dict(source)
@@ -86,9 +87,9 @@ class ExperimentConfig:
             task_source=source,
             strategies=tuple(doc.get("strategies", STRATEGIES)),
             runs_per_strategy=doc.get("runs_per_strategy", 10),
-            crpo=CrpoConfig(**doc.get("crpo", {})),
-            dice=DiceConfig(**doc.get("dice", {})),
-            meta=MetaConfig(**doc.get("meta", {})),
+            crpo=CrpoConfig(**known_keys(doc.get("crpo", {}), CrpoConfig, "crpo")),
+            dice=DiceConfig(**known_keys(doc.get("dice", {}), DiceConfig, "dice")),
+            meta=MetaConfig(**known_keys(doc.get("meta", {}), MetaConfig, "meta")),
             master_seed=doc.get("master_seed", 0),
             holdout_test_task=doc.get("holdout_test_task", True),
         )

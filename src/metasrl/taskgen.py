@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cmdp import TabularCmdp, TablePolicy, VisitationDistribution
-from .errors import GenerationFailure, InvalidInput
+from .errors import GenerationFailure, InvalidInput, known_keys
 
 HIGH_SIMILARITY = "HighSimilarity"
 LOW_SIMILARITY = "LowSimilarity"
@@ -75,8 +75,10 @@ class TaskSequenceConfig:
     @classmethod
     def from_dict(cls, doc):
         """The config of a parsed JSON task-source object."""
+        known_keys(doc, cls, "task_source")
         return cls(mode=doc["mode"], num_tasks=doc["num_tasks"],
-                   base=GridSpec(**doc.get("base", {})),
+                   base=GridSpec(**known_keys(doc.get("base", {}), GridSpec,
+                                              "task_source.base")),
                    low_sim_prob_range=tuple(doc.get("low_sim_prob_range", (0.3, 0.7))),
                    seed=doc.get("seed", 0))
 

@@ -324,11 +324,17 @@ def sample_episode_reference(cmdp, probs, horizon, rng):
     return states, actions, nexts
 
 
-def td_q_reference(cmdp, probs, objective_index, config, rng):
-    """Tabular TD(0) on Q, stepping the chain one rng.choice at a time."""
-    c = cmdp.objective_table(objective_index)
+def lstd_q_reference(cmdp, probs, config, rng):
+    """Tabular LSTD(0) on Q for every objective, stepping the chain one
+    rng.choice at a time; returns the (p+1, S, A) tables.
+
+    Counts the chain's (s, a) -> (s', a') steps over all S*A pairs and
+    solves (I - gamma P_hat) Q = c, P_hat the visit-normalised counts; a
+    pair never stepped from gets an identity row and a zero right-hand side.
+    """
+    n = cmdp.n_states * cmdp.n_actions
     transition = cmdp.transition
-    q = np.zeros((cmdp.n_states, cmdp.n_actions))
+    counts = np.zeros((n, n))
     horizon = max(2, config.episode_horizon)
     s = rng.choice(cmdp.n_states, p=cmdp.initial_dist)
     a = rng.choice(cmdp.n_actions, p=probs[s])
@@ -336,8 +342,7 @@ def td_q_reference(cmdp, probs, objective_index, config, rng):
     for _ in range(config.td_iterations):
         s2 = rng.choice(cmdp.n_states, p=transition[s, a])
         a2 = rng.choice(cmdp.n_actions, p=probs[s2])
-        target = c[s, a] + cmdp.discount * q[s2, a2]
-        q[s, a] += config.td_step_size * (target - q[s, a])
+        counts[s * cmdp.n_actions + a, s2 * cmdp.n_actions + a2] += 1.0
         t += 1
         if t >= horizon:
             s = rng.choice(cmdp.n_states, p=cmdp.initial_dist)
@@ -345,7 +350,13 @@ def td_q_reference(cmdp, probs, objective_index, config, rng):
             t = 0
         else:
             s, a = s2, a2
-    return q
+    visits = counts.sum(axis=1)
+    visited = visits > 0
+    p_hat = np.zeros((n, n))
+    p_hat[visited] = counts[visited] / visits[visited, None]
+    c = np.array([cmdp.objective_table(i).ravel() for i in range(cmdp.n_costs + 1)])
+    q = np.linalg.solve(np.eye(n) - cmdp.discount * p_hat, (c * visited).T).T
+    return q.reshape(-1, cmdp.n_states, cmdp.n_actions)
 
 
 def dualdice_direct_reference(dataset, probs, gamma):

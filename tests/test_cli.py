@@ -51,6 +51,13 @@ class TestGenTasks:
                      "--out", str(tmp_path / "x")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_unknown_key_exit_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "typo.json", {**TASK_DOC, "num_task": 3})
+        assert main(["gen-tasks", "--config", cfg,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert ("config error: unknown key 'num_task' in task_source"
+                in capsys.readouterr().err)
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["gen-tasks", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x")]) == 2
@@ -168,6 +175,35 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section,key", [
+        (None, "runs_per_stratgy"), ("crpo", "td_step_size"), ("dice", "sgd_step"),
+        ("meta", "ogd_step"), ("task_source", "num_task"),
+        ("task_source.base", "row")])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, section, key):
+        doc = json.loads(json.dumps(RUN_DOC))
+        where = doc
+        for name in section.split(".") if section else ():
+            where = where.setdefault(name, {})
+        where[key] = 1
+        cfg = write_json(tmp_path / "run.json", doc)
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert (f"config error: unknown key {key!r} in {section or 'the config'}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_exported_config_loads_and_round_trips(self, tmp_path):
+        cfg = write_json(tmp_path / "run.json", {**RUN_DOC, "strategies": ["Random"]})
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        text = (out / "config.json").read_text()
+        again = ExperimentConfig.from_json(text)
+        assert again.to_json() == text
+        assert again == replace(ExperimentConfig.from_json(RUN_DOC), strategies=("Random",))
+        rerun = tmp_path / "rerun"
+        assert main(["run", "--config", str(out / "config.json"), "--out", str(rerun)]) == 0
+        assert (rerun / "config.json").read_text() == text
 
     def test_bad_strategy_exit_2(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", RUN_DOC)

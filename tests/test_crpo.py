@@ -1,19 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from metasrl import cmdp as cmdp_module, crpo
 from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, TabularCmdp,
-                          all_objectives, policy_evaluation_exact,
-                          policy_from_logits)
+                          all_objectives, objective_values,
+                          policy_evaluation_exact, policy_from_logits)
 from metasrl.crpo import (CrpoConfig, compute_eta, npg_softmax_step, run_crpo,
                           sample_episode, suboptimality_bound, td_critic)
 from metasrl.errors import DegenerateRun, InvalidInput, SamplerError
 from metasrl.lp import solve_optimal_lp
-from metasrl.taskgen import GridSpec, gen_frozen_lake
+from metasrl.taskgen import GridSpec, gen_frozen_lake, gen_task_sequence
 
-from oracles import (policy_evaluation_reference, random_cmdp,
-                     sample_episode_reference, td_q_reference)
+from oracles import (lstd_q_reference, policy_evaluation_reference,
+                     random_cmdp, sample_episode_reference)
+from test_acceptance import TEST09_CONFIG
 
 
 class TestCrpoConfig:
@@ -21,7 +24,6 @@ class TestCrpoConfig:
         ("learning_rate", np.nan), ("learning_rate", np.inf), ("learning_rate", 0.0),
         ("tolerance", np.nan), ("tolerance", -0.01),
         ("td_iterations", -1), ("td_iterations", 10.0),
-        ("td_step_size", np.nan), ("td_step_size", -0.1), ("td_step_size", np.inf),
         ("steps", 8.5), ("steps", 8.0), ("steps", 0),
         ("episodes_per_step", 0), ("episode_horizon", 2.0)])
     def test_rejected_when_built(self, field, value):
@@ -29,8 +31,8 @@ class TestCrpoConfig:
             CrpoConfig(**{field: value})
 
     def test_edge_values_accepted(self):
-        CrpoConfig(tolerance=0.0, td_iterations=0, td_step_size=0.0,
-                   steps=np.int64(3), episode_horizon=1)
+        CrpoConfig(tolerance=0.0, td_iterations=0, steps=np.int64(3),
+                   episode_horizon=1)
         CrpoConfig(tolerance=np.inf)   # every step a reward step
 
 
@@ -99,7 +101,7 @@ class TestTdCritic:
         cmdp = random_cmdp(np.random.default_rng(2), n_states=3, n_actions=2)
         pol = SoftmaxPolicy.uniform(3, 2)
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=400_000,
-                         td_step_size=0.01, episode_horizon=40)
+                         episode_horizon=40)
         values, _ = td_critic(cmdp, pol, cfg, rng=np.random.default_rng(3))
         return values, policy_evaluation_exact(cmdp, pol)
 
@@ -111,6 +113,70 @@ class TestTdCritic:
         values, exact = self._long_chain()
         assert len(values) == 2 and values[1].objective_index == 1
         assert np.max(np.abs(values[1].q - exact[1].q)) < 0.15
+
+
+def _chain_steps(chain, a_n, k):
+    """The first k (s, a) -> (s', a') steps of a chain of reset segments,
+    read one row and one step at a time."""
+    steps = []
+    for row in chain.tolist():
+        for j in range(0, len(row) - 2, 2):
+            steps.append((row[j] * a_n + row[j + 1], row[j + 2] * a_n + row[j + 3]))
+    return steps[:k]
+
+
+class TestLstdCritic:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 400), st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_batch_td_residual_vanishes(self, seed, iterations, horizon):
+        rng = np.random.default_rng(seed)
+        cmdp = random_cmdp(rng, n_states=5, n_costs=2)
+        cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=iterations,
+                         episode_horizon=horizon)
+        # any indices will do: the estimator reads the steps, not the kernel
+        rows = iterations // max(2, horizon) + 1
+        chain = np.empty((rows, 2 + 2 * max(2, horizon)), dtype=np.intp)
+        chain[:, ::2] = rng.integers(cmdp.n_states, size=chain[:, ::2].shape)
+        chain[:, 1::2] = rng.integers(cmdp.n_actions, size=chain[:, 1::2].shape)
+        q = crpo._td_q(cmdp, chain, cfg).reshape(cmdp.n_costs + 1, -1)
+        c = cmdp.objective_tables.reshape(cmdp.n_costs + 1, -1)
+        residual = np.zeros_like(q)
+        visited = np.zeros(q.shape[1], dtype=bool)
+        for i, j in _chain_steps(chain, cmdp.n_actions, iterations):
+            residual[:, i] += c[:, i] + cmdp.discount * q[:, j] - q[:, i]
+            visited[i] = True
+        assert np.abs(residual).max() <= 1e-10
+        assert np.all(q[:, ~visited] == 0.0)
+
+    def test_no_iterations_give_zero_tables(self):
+        cmdp = random_cmdp(np.random.default_rng(4), n_costs=2)
+        cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=0)
+        values, _ = td_critic(cmdp, SoftmaxPolicy.uniform(4, 3), cfg,
+                              np.random.default_rng(0))
+        assert len(values) == 3
+        for vt in values:
+            assert np.all(vt.q == 0.0) and np.all(vt.v == 0.0)
+
+    def test_objectives_near_exact_on_test09_tasks(self):
+        """J_0 and J_1 read off the LSTD(0) tables, against the exact ones:
+        11 tasks x {uniform, one random softmax} x 5 chains. Plain TD(0) with
+        step size 0.1 misses J_1 by a median of about 0.18 here."""
+        tasks = gen_task_sequence(TEST09_CONFIG.task_source)[0]
+        cfg = replace(TEST09_CONFIG.crpo, critic_mode="TdSampled")
+        errors = []
+        for t, cmdp in enumerate(tasks):
+            shape = (cmdp.n_states, cmdp.n_actions)
+            policies = (SoftmaxPolicy.uniform(*shape),
+                        policy_from_logits(np.random.default_rng(t).normal(size=shape)))
+            for policy in policies:
+                exact = objective_values(cmdp, policy_evaluation_exact(cmdp, policy))
+                for seed in range(5):
+                    values, _ = td_critic(cmdp, policy, cfg, np.random.default_rng(seed))
+                    errors.append(np.abs(objective_values(cmdp, values) - exact))
+        errors = np.array(errors)
+        assert errors.shape == (110, 2)
+        assert np.all(np.median(errors, axis=0) <= 0.04)
+        assert np.all(errors.max(axis=0) <= 0.12)
 
 
 class TestRunCrpo:
@@ -216,13 +282,17 @@ def _same_state(rng_a, rng_b):
     return rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-def _td_step_reference(cmdp, probs, index, cfg, rng):
-    """The old two-call TdSampled step: the step's episodes one rng.choice at
-    a time, then objective `index`'s TD(0) chain; returns (episodes, q)."""
+def _td_step_reference(cmdp, probs, cfg, rng):
+    """The two-call TdSampled step: the step's episodes one rng.choice at a
+    time, then the LSTD(0) chain; returns (episodes, (p+1, S, A) tables)."""
     episodes = [sample_episode_reference(cmdp, probs, cfg.episode_horizon, rng)
                 for _ in range(cfg.episodes_per_step)]
-    return tuple(map(np.array, zip(*episodes))), td_q_reference(cmdp, probs, index,
-                                                                 cfg, rng)
+    return tuple(map(np.array, zip(*episodes))), lstd_q_reference(cmdp, probs, cfg, rng)
+
+
+# LSTD(0) tables against lstd_q_reference, whose dense S*A system is
+# assembled and factorised apart from the m x m one
+Q_TOL = 1e-10
 
 
 class TestBatchedSampler:
@@ -262,35 +332,32 @@ class TestBatchedSampler:
         cmdp = random_cmdp(np.random.default_rng(3), n_states=5, n_costs=2)
         probs = _with_zero_entries(cmdp, np.random.default_rng(4))
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=iterations,
-                         td_step_size=0.05, episode_horizon=horizon,
-                         episodes_per_step=episodes)
-        rng = np.random.default_rng(iterations)
+                         episode_horizon=horizon, episodes_per_step=episodes)
+        rng, ref_rng = np.random.default_rng(iterations), np.random.default_rng(iterations)
         got, drawn = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
+        ref_episodes, ref_q = _td_step_reference(cmdp, probs, cfg, ref_rng)
         assert len(got) == cmdp.n_costs + 1
         for index, vt in enumerate(got):
-            ref_rng = np.random.default_rng(iterations)
-            ref_episodes, ref_q = _td_step_reference(cmdp, probs, index, cfg, ref_rng)
             assert vt.objective_index == index
-            assert np.array_equal(vt.q, ref_q)
-            for got_arr, ref_arr in zip(drawn, ref_episodes):
-                assert got_arr.shape == (episodes, horizon)
-                assert np.array_equal(got_arr, ref_arr)
-            # one chain: the generator ends where one objective's chain ends
-            assert _same_state(rng, ref_rng)
+            assert np.abs(vt.q - ref_q[index]).max() <= Q_TOL
+        for got_arr, ref_arr in zip(drawn, ref_episodes):
+            assert got_arr.shape == (episodes, horizon)
+            assert np.array_equal(got_arr, ref_arr)
+        # one chain: the generator ends where the reference chain ends
+        assert _same_state(rng, ref_rng)
 
     def test_td_chain_on_16x16_grid(self):
         cmdp = gen_frozen_lake(GridSpec(rows=16, cols=16, seed=1))
         probs = _with_zero_entries(cmdp, np.random.default_rng(5))
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=500,
                          episode_horizon=60)
-        rng = np.random.default_rng(9)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
         got, drawn = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
+        ref_episodes, ref_q = _td_step_reference(cmdp, probs, cfg, ref_rng)
         for index, vt in enumerate(got):
-            ref_rng = np.random.default_rng(9)
-            ref_episodes, ref_q = _td_step_reference(cmdp, probs, index, cfg, ref_rng)
-            assert np.array_equal(vt.q, ref_q)
-            assert all(map(np.array_equal, drawn, ref_episodes))
-            assert _same_state(rng, ref_rng)
+            assert np.abs(vt.q - ref_q[index]).max() <= Q_TOL
+        assert all(map(np.array_equal, drawn, ref_episodes))
+        assert _same_state(rng, ref_rng)
 
     @pytest.mark.parametrize("row", [[0.5, 0.4, 0.1 + 1e-7], [0.5, 0.6, -0.1],
                                      [0.5, np.nan, 0.5], [0.5, 0.4, 0.0]])
@@ -368,7 +435,7 @@ class TestRunCrpoStreams:
         cmdp = random_cmdp(np.random.default_rng(seed), n_costs=2,
                            feasible_margin=0.05)
         cfg = CrpoConfig(learning_rate=0.5, steps=6, tolerance=0.05,
-                         critic_mode=mode, td_iterations=50, td_step_size=0.2,
+                         critic_mode=mode, td_iterations=50,
                          episodes_per_step=3, episode_horizon=7, rng_seed=seed)
         try:
             out = run_crpo(cmdp, SoftmaxPolicy.uniform(4, 3), cfg)
@@ -380,7 +447,7 @@ class TestRunCrpoStreams:
             episodes += [sample_episode_reference(cmdp, pol.probs, 7, rng)
                          for _ in range(3)]
             if mode == "TdSampled":  # one chain serves all three critics
-                td_q_reference(cmdp, pol.probs, 0, cfg, rng)
+                lstd_q_reference(cmdp, pol.probs, cfg, rng)
         states, actions, nexts = (np.concatenate(a) for a in zip(*episodes))
         ds = out.dataset
         assert np.array_equal(ds.s, states) and np.array_equal(ds.a, actions)
@@ -426,10 +493,13 @@ class TestRunCrpoStreams:
 
 
 class TestTdSampledStepReplay:
-    """TdSampled run_crpo against the old two-call step, replayed draw by
-    draw from one generator: every episode with sample_episode_reference,
-    then every objective's TD(0) chain with td_q_reference, each objective
-    from the generator state after the episodes."""
+    """TdSampled run_crpo against the two-call step, replayed draw by draw
+    from one generator: every episode with sample_episode_reference, then
+    the chain with lstd_q_reference. The draws, the episodes, the decisions
+    and the generator state match bit for bit. The tables match within
+    Q_TOL, so the replay draws each step with the run's own iterate and
+    checks it against the reference iterate within the drift that Q_TOL
+    allows."""
 
     def _replay(self, cmdp, cfg):
         init = SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions)
@@ -451,18 +521,16 @@ class TestTdSampledStepReplay:
 
         rng = np.random.default_rng(cfg.rng_seed)
         gamma, p, horizon = cmdp.discount, cmdp.n_costs, cfg.episode_horizon
+        # each NPG step moves the logits by alpha/(1-gamma) Q, so by at most
+        # that times Q_TOL away from the run's; the softmax at most doubles it
+        drift = 2 * cfg.steps * cfg.learning_rate / (1 - gamma) * Q_TOL
         logits = np.array(init.logits)
         reward_steps, constraint_steps = [], [[] for _ in range(p)]
-        estimates, episodes = [], []
+        episodes = []
         for m in range(cfg.steps):
-            probs = policy_from_logits(logits).probs
-            assert np.array_equal(out.all_iterates[m].probs, probs)
-            before = rng.bit_generator.state
-            qs = []
-            for index in range(p + 1):
-                rng.bit_generator.state = before
-                drawn, q = _td_step_reference(cmdp, probs, index, cfg, rng)
-                qs.append(q)
+            probs = out.all_iterates[m].probs
+            assert np.abs(policy_from_logits(logits).probs - probs).max() <= drift
+            drawn, qs = _td_step_reference(cmdp, probs, cfg, rng)
             episodes.append(drawn)
             st, ac = drawn[0], drawn[1]
             w = np.zeros((cmdp.n_states, cmdp.n_actions))
@@ -470,7 +538,7 @@ class TestTdSampledStepReplay:
                       gamma ** np.tile(np.arange(horizon), len(st)))
             w = w / w.sum()
             j_bar = np.array([(w * qs[i]).sum() for i in range(1, p + 1)])
-            estimates.append(j_bar)
+            assert np.abs(out.per_step_estimates[m] - j_bar).max() <= Q_TOL
             excess = j_bar - cmdp.limits - cfg.tolerance
             if np.all(excess <= 0):
                 reward_steps.append(m)
@@ -482,7 +550,6 @@ class TestTdSampledStepReplay:
                 logits = npg_softmax_step(logits, qs[worst + 1], cfg.learning_rate,
                                           "Descent", gamma)
 
-        assert np.array_equal(out.per_step_estimates, np.array(estimates))
         assert out.reward_steps == tuple(reward_steps)
         assert out.constraint_steps == tuple(map(tuple, constraint_steps))
         if reward_steps:
@@ -501,19 +568,20 @@ class TestTdSampledStepReplay:
     @pytest.mark.parametrize("horizon,iterations", [(7, 60), (1, 40), (7, 0)])
     def test_random_cmdp_with_two_costs(self, horizon, iterations):
         base = random_cmdp(np.random.default_rng(11), n_costs=2)
-        # limits among the TD estimates, so that both kinds of step are taken
+        # limits among the LSTD estimates, so that both kinds of step are taken
         cmdp = TabularCmdp(kernel=base.kernel, reward=base.reward, costs=base.costs,
-                           limits=np.array([0.3, 0.35]), discount=base.discount,
+                           limits=np.array([2.0, 2.3]), discount=base.discount,
                            initial_dist=base.initial_dist, c_max=base.c_max)
         cfg = CrpoConfig(learning_rate=0.5, steps=6, tolerance=0.05,
                          critic_mode="TdSampled", td_iterations=iterations,
-                         td_step_size=0.2, episodes_per_step=3,
+                         episodes_per_step=3,
                          episode_horizon=horizon, rng_seed=5)
         self._replay(cmdp, cfg)
 
     @pytest.mark.parametrize("horizon,iterations", [(60, 300), (1, 30), (60, 0)])
     def test_4x4_grid(self, horizon, iterations):
-        cmdp = gen_frozen_lake(GridSpec(seed=2, cost_limit=0.004))
+        # at horizon 1 the estimates straddle the limit: both kinds of step
+        cmdp = gen_frozen_lake(GridSpec(seed=2, cost_limit=0.15))
         cfg = CrpoConfig(learning_rate=1.0, steps=4, tolerance=0.05,
                          critic_mode="TdSampled", td_iterations=iterations,
                          episodes_per_step=5, episode_horizon=horizon, rng_seed=4)
