@@ -14,7 +14,6 @@ import argparse
 
 import numpy as np
 
-from metasrl.cmdp import TablePolicy
 from metasrl.dice import kl_loss_and_grad
 from metasrl.meta import (closed_form_similarity_center, inexact_ogd_step,
                           project_table_shrinkage_simplex)
@@ -27,7 +26,7 @@ def averaged_regret(stream, horizon, step_scale, shrink):
     x = np.full((s_n, a_n), 1.0 / a_n)
     total = 0.0
     for nu, pi in stream[:horizon]:
-        loss, grad = kl_loss_and_grad(nu, pi, TablePolicy(probs=x))
+        loss, grad = kl_loss_and_grad(nu, pi, x)
         total += loss
         x = inexact_ogd_step(
             x, grad, beta, lambda t: project_table_shrinkage_simplex(t, shrink))

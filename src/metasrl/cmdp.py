@@ -271,20 +271,20 @@ def _fmt(x):
 
 @dataclass(frozen=True)
 class SoftmaxPolicy:
-    """Per-state logits with the induced (cached) action probabilities."""
+    """Row-wise softmax policy of a finite (S, A) logit table; probs holds
+    its action probabilities, computed once with a row-max shift."""
 
     logits: np.ndarray
-    cached_probs: np.ndarray = field(default=None)
+    probs: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "logits", _as_readonly(self.logits))
-        if self.cached_probs is None:
-            object.__setattr__(self, "cached_probs", _softmax_rows(self.logits))
-        object.__setattr__(self, "cached_probs", _as_readonly(self.cached_probs))
-
-    @property
-    def probs(self):
-        return self.cached_probs
+        logits = _as_readonly(self.logits)
+        if logits.ndim != 2:
+            raise InvalidInput("logits must be a (S, A) table")
+        if not np.all(np.isfinite(logits)):
+            raise InvalidInput("logits must be finite")
+        object.__setattr__(self, "logits", logits)
+        object.__setattr__(self, "probs", _as_readonly(_softmax_rows(logits)))
 
     @classmethod
     def uniform(cls, n_states, n_actions):
@@ -295,23 +295,6 @@ def _softmax_rows(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def policy_from_logits(logits):
-    """Row-wise softmax policy from a logit table; stabilized by row-max shift."""
-    logits = np.asarray(logits, dtype=float)
-    if logits.ndim != 2:
-        raise InvalidInput("logits must be a (S, A) table")
-    if not np.all(np.isfinite(logits)):
-        raise InvalidInput("logits must be finite")
-    return SoftmaxPolicy(logits=logits)
-
-
-@dataclass(frozen=True)
-class ValueTable:
-    v: np.ndarray
-    q: np.ndarray
-    objective_index: int
 
 
 @dataclass(frozen=True)
@@ -347,30 +330,18 @@ def _check_dims(cmdp, policy):
         raise InvalidInput("policy dimensions do not match CMDP")
 
 
-def transition_under_policy(cmdp, probs):
-    """State-to-state kernel P_pi(s'|s) = sum_a pi(a|s) P(s'|s,a), one
-    weighted bincount over the successor view. Each entry adds its terms in
-    ascending a, as the dense sum over a does, and the omitted zeros add
-    nothing, so it equals the dense einsum bit for bit."""
-    idx = cmdp.successors[0]
-    s_n = cmdp.n_states
-    return _policy_kernel(cmdp, idx + np.arange(0, s_n * s_n, s_n)[:, None, None], probs)
-
-
-def _policy_kernel(cmdp, bins, probs):
-    """P_pi scattered to the flat positions `bins` of the successor view."""
-    s_n = cmdp.n_states
-    weights = (probs[:, :, None] * cmdp.successors[1]).ravel()
-    return np.bincount(bins.ravel(), weights, minlength=s_n * s_n).reshape(s_n, s_n)
-
-
 def _block_bellman_matrix(cmdp, probs):
     """(I - gamma P_pi, order, n): the Bellman matrix in block order, built
-    as one array over `block_bins` and scaled in place. Every entry gathers
-    the same terms in the same order as in P_pi, so this is bit for bit the
-    permuted np.eye(S) - gamma P_pi."""
+    as one weighted bincount of the successor view over `block_bins` and
+    scaled in place. Each entry of P_pi(s'|s) = sum_a pi(a|s) P(s'|s,a)
+    adds its terms in ascending a, as the dense einsum does, and the omitted
+    zeros add nothing, so this is bit for bit the permuted
+    np.eye(S) - gamma P_pi of the dense kernel."""
     order, n = cmdp.block_order
-    a = _policy_kernel(cmdp, cmdp.block_bins, probs)
+    s_n = cmdp.n_states
+    weights = (probs[:, :, None] * cmdp.successors[1]).ravel()
+    a = np.bincount(cmdp.block_bins.ravel(), weights,
+                    minlength=s_n * s_n).reshape(s_n, s_n)
     a *= cmdp.discount
     np.subtract(0.0, a, out=a)  # 0 - x, not -x: zeros keep their + sign
     a.reshape(-1)[::len(a) + 1] += 1.0
@@ -385,15 +356,17 @@ def _solve(a, b):
 
 
 def policy_evaluation_exact(cmdp, policy):
-    """Value tables (V_i, Q_i) of every objective i = 0..p of one policy.
+    """Value tables (v, q) of every objective i = 0..p of one policy.
 
     All p+1 Bellman systems (I - gamma P_pi) V_i = c_pi,i share one matrix.
     In block order it is [[A_CC, A_CT], [0, A_TT]], so V_T is solved from
     A_TT first and V_C from A_CC against c_C - A_CT V_T, each block with one
     LU and the stacked (., p+1) right-hand side; every column of the whole
-    system must then pass the residual check. Each
-    Q_i = c_i + gamma sum_k prob_k V_i(idx_k) is backed up over the
-    successor view. Returns the tuple of p+1 ValueTables, reward first.
+    system must then pass the residual check. All p+1 tables
+    Q_i = c_i + gamma sum_k prob_k V_i(idx_k) are backed up in one
+    expression over the successor view. Returns (v, q), v of shape
+    (p+1, S) and q of shape (p+1, S, A), row i of each for objective i,
+    reward first.
     """
     _check_dims(cmdp, policy)
     probs = policy.probs
@@ -410,9 +383,7 @@ def policy_evaluation_exact(cmdp, policy):
     v_states[:, order] = v.T
     idx, prob = cmdp.successors
     step = cmdp.discount * prob
-    return tuple(ValueTable(v=v_i, q=tables[i] + (step * v_i[idx]).sum(-1),
-                            objective_index=i)
-                 for i, v_i in enumerate(v_states))
+    return v_states, tables + (step * v_states.take(idx, axis=1)).sum(-1)
 
 
 def visitation_exact(cmdp, policy):
@@ -435,11 +406,6 @@ def visitation_exact(cmdp, policy):
     return VisitationDistribution(nu=nu, nu_sa=nu[:, None] * probs)
 
 
-def objective_values(cmdp, values):
-    """Vector (J_0, ..., J_p), J_i = E_rho[V_i(s)], of one policy's value tables."""
-    return np.array([cmdp.initial_dist @ vt.v for vt in values])
-
-
 def all_objectives(cmdp, policy):
-    """Vector (J_0, J_1, ..., J_p)."""
-    return objective_values(cmdp, policy_evaluation_exact(cmdp, policy))
+    """Vector (J_0, J_1, ..., J_p), J_i = E_rho[V_i(s)]."""
+    return policy_evaluation_exact(cmdp, policy)[0] @ cmdp.initial_dist

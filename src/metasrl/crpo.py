@@ -7,8 +7,9 @@ one chain a step for all p+1 objectives. A TdSampled step is one call of
 `td_critic`, which draws the step's episodes and its chain of
 `td_iterations` steps in one rollout, solves the chain's empirical SARSA
 model for all p+1 objectives with one m x m solve (m <= S*A the pairs the
-chain steps from), and returns the p+1 value tables together with the
-episodes.
+chain steps from), and returns the stacked value tables (v, q) together
+with the episodes. Either critic hands `run_crpo` q of shape (p+1, S, A),
+reward first, and a step moves the logits along one of its rows.
 LSTD(0) has no step size, so the config has no `td_step_size`.
 
 Every sampled draw, whether an episode step or a chain step, goes
@@ -35,9 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cmdp import (SoftmaxPolicy, ValueTable, all_objectives,
-                   objective_values, policy_evaluation_exact,
-                   policy_from_logits)
+from .cmdp import SoftmaxPolicy, all_objectives, policy_evaluation_exact
 from .dice import TrajectoryDataset
 from .errors import DegenerateRun, InvalidInput
 from .sampling import cdf, draw
@@ -128,11 +127,12 @@ def suboptimality_bound(alpha, m_steps, kl_bound, gamma, c_max, s_n, a_n):
         + 4.0 * alpha * c_max ** 2 * s_n * a_n / (1.0 - gamma) ** 3
 
 
-def npg_softmax_step(logits, q_estimate, alpha, direction, gamma):
-    """Natural-gradient softmax update: theta' = theta +/- alpha/(1-gamma) Q."""
+def npg_softmax_step(logits, q, alpha, direction, gamma):
+    """Natural-gradient softmax update: theta' = theta +/- alpha/(1-gamma) Q,
+    for one (S, A) Q table."""
     if alpha < 0:
         raise InvalidInput("alpha must be nonnegative")
-    q = q_estimate.q if hasattr(q_estimate, "q") else np.asarray(q_estimate, dtype=float)
+    q = np.asarray(q, dtype=float)
     if not np.all(np.isfinite(q)):
         raise InvalidInput("non-finite Q estimate")
     sign = {"Ascent": 1.0, "Descent": -1.0}.get(direction)
@@ -234,9 +234,10 @@ def td_critic(cmdp, policy, config, rng=None):
     together: an episode row is padded to the chain's width, 2 + 2 max(2, H),
     and its padded draws are dropped.
 
-    Returns (values, (states, actions, next_states)): the p+1 ValueTables,
-    reward first, as `policy_evaluation_exact` returns them, and the
-    episodes as `sample_episode` returns them, each (episodes, horizon).
+    Returns ((v, q), (states, actions, next_states)): the value tables, v
+    of shape (p+1, S) and q of shape (p+1, S, A), reward first, as
+    `policy_evaluation_exact` returns them, and the episodes as
+    `sample_episode` returns them, each (episodes, horizon).
     The Exact critic is `policy_evaluation_exact`, which `run_crpo` calls
     itself; an Exact config is refused here.
     """
@@ -255,9 +256,9 @@ def td_critic(cmdp, policy, config, rng=None):
     rng.random(out=u[e:].reshape(-1)[:2 + 2 * k + 2 * (k // reset)])
     x = _rollout(cmdp, policy_cdf, np.zeros(len(u), dtype=np.intp), u)
     episodes = x[:e, :1 + 2 * horizon].copy()
-    values = tuple(ValueTable(v=(policy.probs * q).sum(axis=1), q=q, objective_index=i)
-                   for i, q in enumerate(_td_q(cmdp, x[e:], config)))
-    return values, (episodes[:, :-1:2], episodes[:, 1::2], episodes[:, 2::2])
+    q = _td_q(cmdp, x[e:], config)
+    return (((policy.probs * q).sum(axis=2), q),
+            (episodes[:, :-1:2], episodes[:, 1::2], episodes[:, 2::2]))
 
 
 def _discounted_weights(states, actions, t, gamma, s_n, a_n):
@@ -317,31 +318,31 @@ def run_crpo(cmdp, init_policy, config):
     objectives = np.zeros((config.steps, p + 1))
 
     for m in range(config.steps):
-        policy = policy_from_logits(logits)
+        policy = SoftmaxPolicy(logits=logits)
         snapshots.append(policy)
 
         if exact:
-            values = policy_evaluation_exact(cmdp, policy)
-            objectives[m] = objective_values(cmdp, values)
+            v, q = policy_evaluation_exact(cmdp, policy)
+            objectives[m] = v @ cmdp.initial_dist
             j_bar = objectives[m, 1:]
         else:
-            values, (st, ac, nx) = td_critic(cmdp, policy, config, rng)
+            (_, q), (st, ac, nx) = td_critic(cmdp, policy, config, rng)
             episodes.append((st, ac, nx))
             tt = np.broadcast_to(np.arange(horizon), st.shape)
             w = _discounted_weights(st.ravel(), ac.ravel(), tt.ravel(), gamma,
                                     cmdp.n_states, cmdp.n_actions)
-            j_bar = np.array([(w * values[i].q).sum() for i in range(1, p + 1)])
+            j_bar = (w * q[1:]).sum(axis=(1, 2))
             objectives[m] = all_objectives(cmdp, policy)
         estimates[m] = j_bar
 
         excess = j_bar - cmdp.limits - eta
         if np.all(excess <= 0):
             reward_steps.append(m)
-            logits = npg_softmax_step(logits, values[0], alpha, "Ascent", gamma)
+            logits = npg_softmax_step(logits, q[0], alpha, "Ascent", gamma)
         else:
             worst = int(np.argmax(excess))  # argmax returns the lowest tied index
             constraint_steps[worst].append(m)
-            logits = npg_softmax_step(logits, values[worst + 1], alpha, "Descent", gamma)
+            logits = npg_softmax_step(logits, q[worst + 1], alpha, "Descent", gamma)
 
     if exact:
         policies = np.array([pol.probs for pol in snapshots])

@@ -233,13 +233,14 @@ def visitation_from_corrections(dataset, corrections):
 def kl_loss_and_grad(nu_hat, pi_hat, phi):
     """Visitation-weighted KL loss E_nu[D_KL(pi_hat | phi)] and its gradient.
 
-    The gradient is with respect to phi's probability table:
-    d/d phi(a|s) = -nu(s) pi_hat(a|s) / phi(a|s). pi_hat may have zero
-    entries (0 log 0 = 0), as LP-optimal policies do.
+    phi is an (S, A) probability table with positive entries, such as the
+    meta-learner's initialization, and the gradient is with respect to it:
+    d/d phi(a|s) = -nu(s) pi_hat(a|s) / phi(a|s). pi_hat is a policy; it
+    may have zero entries (0 log 0 = 0), as LP-optimal policies do.
     """
     nu = nu_hat.nu
     p = pi_hat.probs
-    q = phi.probs if hasattr(phi, "probs") else np.asarray(phi, dtype=float)
+    q = np.asarray(phi, dtype=float)
     if np.any(q <= 0):
         raise InvalidInput("phi rows must be strictly positive")
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,5 +1,5 @@
 """Exception and warning types shared across the package, and the check
-that a config section names only known keys."""
+that a config section names only known keys and holds its required ones."""
 
 from dataclasses import fields
 
@@ -8,15 +8,17 @@ class InvalidInput(ValueError):
     """Raised when an argument violates a documented precondition."""
 
 
-def known_keys(doc, cls, where):
+def known_keys(doc, cls, where, required=()):
     """doc, a parsed JSON object, once every key in it is a field of the
-    dataclass cls; InvalidInput naming the section `where` otherwise."""
+    dataclass cls and it holds every key of `required`; InvalidInput naming
+    the section `where` otherwise."""
     if not isinstance(doc, dict):
         raise InvalidInput(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
-    if unknown:
-        raise InvalidInput(f"unknown key{'s' * (len(unknown) > 1)} "
-                           f"{', '.join(map(repr, unknown))} in {where}")
+    for kind, keys in (("unknown", sorted(set(doc) - {f.name for f in fields(cls)})),
+                       ("missing", [k for k in required if k not in doc])):
+        if keys:
+            raise InvalidInput(f"{kind} key{'s' * (len(keys) > 1)} "
+                               f"{', '.join(map(repr, keys))} in {where}")
     return doc
 
 

@@ -79,7 +79,7 @@ class ExperimentConfig:
     def from_json(cls, doc):
         if isinstance(doc, str):
             doc = json.loads(doc)
-        known_keys(doc, cls, "the config")
+        known_keys(doc, cls, "the config", required=("task_source",))
         source = doc["task_source"]
         if isinstance(source, dict):
             source = TaskSequenceConfig.from_dict(source)

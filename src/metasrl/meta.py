@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cmdp import TablePolicy, _fmt, visitation_exact
+from .cmdp import _fmt, visitation_exact
 from .dice import kl_loss_and_grad
 from .errors import InvalidInput
 
@@ -176,10 +176,10 @@ def meta_update(state, nu_hat, pi_hat, m_steps, constants):
     rate_floor. Returns the new state, which keeps the task's KL loss at
     the old initialization as `kl_term`.
     """
-    kl_term, _ = kl_loss_and_grad(nu_hat, pi_hat, TablePolicy(probs=state.init_policy))
+    kl_term, _ = kl_loss_and_grad(nu_hat, pi_hat, state.init_policy)
 
     def grad(phi_table):
-        _, g = kl_loss_and_grad(nu_hat, pi_hat, TablePolicy(probs=phi_table))
+        _, g = kl_loss_and_grad(nu_hat, pi_hat, phi_table)
         return g
 
     projector = lambda tab: project_table_shrinkage_simplex(tab, state.shrinkage)
@@ -215,8 +215,7 @@ def closed_form_similarity_center(history, shrink):
     seen = weight > 0
     center[seen] = num[seen] / weight[seen, None]
     center = project_table_shrinkage_simplex(center, shrink)
-    phi = TablePolicy(probs=center)
-    d_sq = np.mean([kl_loss_and_grad(h[0], h[1], phi)[0] for h in history])
+    d_sq = np.mean([kl_loss_and_grad(h[0], h[1], center)[0] for h in history])
     return center, float(d_sq)
 
 
@@ -286,7 +285,7 @@ def regret_report(oracle_solutions, outcomes, cmdps, j_hat, kl_terms, kappas,
 
     def kl_at(tables):
         """Each done task's KL loss at its own initialization table."""
-        return np.array([kl_loss_and_grad(nu, pol, TablePolicy(probs=tab))[0]
+        return np.array([kl_loss_and_grad(nu, pol, tab)[0]
                          for (nu, pol), tab in zip(history, tables)])
 
     d_hat_sq = static_regret = np.nan

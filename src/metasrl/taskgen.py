@@ -75,7 +75,7 @@ class TaskSequenceConfig:
     @classmethod
     def from_dict(cls, doc):
         """The config of a parsed JSON task-source object."""
-        known_keys(doc, cls, "task_source")
+        known_keys(doc, cls, "task_source", required=("mode", "num_tasks"))
         return cls(mode=doc["mode"], num_tasks=doc["num_tasks"],
                    base=GridSpec(**known_keys(doc.get("base", {}), GridSpec,
                                               "task_source.base")),

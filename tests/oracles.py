@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 import scipy.optimize
 
-from metasrl.cmdp import TabularCmdp, ValueTable
+from metasrl.cmdp import TabularCmdp
 from metasrl.errors import NumericalFailure
 from metasrl.taskgen import MOVES, PERP
 
@@ -33,10 +33,11 @@ def value_iteration(cmdp, tol=1e-12, max_iter=200_000):
 
 
 def policy_evaluation_reference(cmdp, policy):
-    """Value tables of every objective, one dense solve per objective: P_pi
-    is rebuilt and (I - gamma P_pi) refactorised for each one."""
+    """Value tables (v, q) of every objective, stacked as
+    `policy_evaluation_exact` returns them, one dense solve per objective:
+    P_pi is rebuilt and (I - gamma P_pi) refactorised for each one."""
     probs = policy.probs
-    values = []
+    vs, qs = [], []
     for i in range(cmdp.n_costs + 1):
         c = cmdp.objective_table(i)
         p_pi = np.einsum("sa,sat->st", probs, cmdp.transition)
@@ -46,9 +47,9 @@ def policy_evaluation_reference(cmdp, policy):
         residual = np.max(np.abs(a @ v - c_pi))
         if residual > 1e-10:
             raise NumericalFailure(f"Bellman residual {residual:.3e}")
-        q = c + cmdp.discount * cmdp.transition @ v
-        values.append(ValueTable(v=v, q=q, objective_index=i))
-    return tuple(values)
+        vs.append(v)
+        qs.append(c + cmdp.discount * cmdp.transition @ v)
+    return np.array(vs), np.array(qs)
 
 
 def occupancy_lp_reference(cmdp):

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, VisitationDistribution,
-                          all_objectives, policy_from_logits, visitation_exact)
+                          all_objectives, visitation_exact)
 from metasrl.crpo import CrpoConfig, run_crpo, suboptimality_bound
 from metasrl.dice import (TrajectoryDataset, dualdice_fit, kl_loss_and_grad,
                           visitation_from_corrections)
@@ -62,7 +62,7 @@ def test_02_exact_visitation_matches_monte_carlo():
         rng = np.random.default_rng(seed)
         cmdp = random_cmdp(rng, n_states=int(rng.integers(3, 6)),
                            n_actions=int(rng.integers(2, 4)))
-        pol = policy_from_logits(rng.standard_normal(
+        pol = SoftmaxPolicy(logits=rng.standard_normal(
             (cmdp.n_states, cmdp.n_actions)))
         nu = visitation_exact(cmdp, pol).nu
         nu_mc = monte_carlo_visitation(cmdp, pol.probs, 100_000, seed=seed)
@@ -112,7 +112,7 @@ def test_04_dice_exact_recovery_and_sample_trend():
         rng = np.random.default_rng(seed)
         cmdp = random_cmdp(rng, n_states=int(rng.integers(3, 5)))
         behavior = SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions)
-        target = policy_from_logits(rng.standard_normal(
+        target = SoftmaxPolicy(logits=rng.standard_normal(
             (cmdp.n_states, cmdp.n_actions)))
         d_sa = visitation_exact(cmdp, behavior).nu_sa
         ds = TrajectoryDataset.from_distribution(d_sa, cmdp.transition,
@@ -125,9 +125,8 @@ def test_04_dice_exact_recovery_and_sample_trend():
         rng = np.random.default_rng(seed)
         cmdp = random_cmdp(rng)
         behavior = SoftmaxPolicy.uniform(4, 3)
-        target = policy_from_logits(rng.standard_normal((4, 3)))
-        phi = TablePolicy(probs=rng.dirichlet(np.ones(3), size=4) * 0.9
-                          + 0.1 / 3)
+        target = SoftmaxPolicy(logits=rng.standard_normal((4, 3)))
+        phi = rng.dirichlet(np.ones(3), size=4) * 0.9 + 0.1 / 3
         flat = visitation_exact(cmdp, behavior).nu_sa.reshape(-1)
         idx = rng.choice(12, size=n, p=flat)
         s, a = idx // 3, idx % 3
@@ -165,7 +164,7 @@ def test_05_online_init_learning_regret_is_sublinear():
         proj = lambda tab: project_table_shrinkage_simplex(tab, shrink)
         total = 0.0
         for nu, pi in stream[:horizon]:
-            loss, grad = kl_loss_and_grad(nu, pi, TablePolicy(probs=x))
+            loss, grad = kl_loss_and_grad(nu, pi, x)
             total += loss
             x = inexact_ogd_step(x, grad, beta, proj)
         _, best = closed_form_similarity_center(stream[:horizon], shrink)
@@ -324,9 +323,9 @@ def test_10_analytic_gradients_match_finite_differences():
         pi = TablePolicy(probs=rng.dirichlet(np.ones(a_n), size=s_n))
         phi = 0.1 + rng.dirichlet(np.ones(a_n), size=s_n)
         phi /= phi.sum(axis=1, keepdims=True)
-        _, grad = kl_loss_and_grad(nu, pi, TablePolicy(probs=phi))
+        _, grad = kl_loss_and_grad(nu, pi, phi)
         fd = central_difference(
-            lambda q: kl_loss_and_grad(nu, pi, TablePolicy(probs=q))[0], phi)
+            lambda q: kl_loss_and_grad(nu, pi, q)[0], phi)
         scale = max(float(np.max(np.abs(fd))), 1.0)
         assert np.max(np.abs(grad - fd)) / scale <= 1e-5
     for _ in range(100):

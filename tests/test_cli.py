@@ -193,6 +193,18 @@ class TestRun:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,key", [
+        (None, "task_source"), ("task_source", "mode"), ("task_source", "num_tasks")])
+    def test_missing_key_exit_2(self, tmp_path, capsys, section, key):
+        doc = json.loads(json.dumps(RUN_DOC))
+        del (doc[section] if section else doc)[key]
+        cfg = write_json(tmp_path / "run.json", doc)
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert (f"config error: missing key {key!r} in {section or 'the config'}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_exported_config_loads_and_round_trips(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", {**RUN_DOC, "strategies": ["Random"]})
         out = tmp_path / "x"

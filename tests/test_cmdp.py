@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from metasrl import cmdp as cmdp_module, meta as meta_module
 from metasrl.cmdp import (SoftmaxPolicy, TabularCmdp, all_objectives,
-                          policy_evaluation_exact, policy_from_logits,
-                          transition_under_policy, visitation_exact)
+                          policy_evaluation_exact, visitation_exact)
 from metasrl.crpo import sample_episode
 from metasrl.errors import InvalidInput, NumericalFailure
 from metasrl.meta import RegretReport
@@ -35,26 +34,32 @@ def two_state_cycle(gamma=0.5):
 
 
 class TestPolicyFromLogits:
+    """SoftmaxPolicy built from a logit table."""
+
     def test_zeros_give_uniform(self):
-        pol = policy_from_logits(np.zeros((3, 2)))
+        pol = SoftmaxPolicy(logits=np.zeros((3, 2)))
         assert np.allclose(pol.probs, 0.5)
 
     def test_log3_row(self):
-        pol = policy_from_logits(np.array([[np.log(3.0), 0.0]]))
+        pol = SoftmaxPolicy(logits=np.array([[np.log(3.0), 0.0]]))
         assert np.allclose(pol.probs, [[0.75, 0.25]], atol=1e-12)
 
     def test_shift_invariance(self):
         logits = np.array([[1.0, -2.0], [0.5, 3.0]])
-        a = policy_from_logits(logits).probs
-        b = policy_from_logits(logits + 7.0).probs
+        a = SoftmaxPolicy(logits=logits).probs
+        b = SoftmaxPolicy(logits=logits + 7.0).probs
         assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInput):
-            policy_from_logits(np.array([[np.inf, 0.0]]))
+            SoftmaxPolicy(logits=np.array([[np.inf, 0.0]]))
+
+    def test_non_table_rejected(self):
+        with pytest.raises(InvalidInput):
+            SoftmaxPolicy(logits=np.zeros(3))
 
     def test_large_logits_stable(self):
-        pol = policy_from_logits(np.array([[1e4, 0.0]]))
+        pol = SoftmaxPolicy(logits=np.array([[1e4, 0.0]]))
         assert np.all(np.isfinite(pol.probs))
         assert abs(pol.probs.sum() - 1.0) < 1e-12
 
@@ -69,34 +74,33 @@ class TestPolicyEvaluation:
                             discount=cmdp.discount,
                             initial_dist=cmdp.initial_dist, c_max=1.0)
         pol = SoftmaxPolicy.uniform(4, 3)
-        vt = policy_evaluation_exact(const, pol)[0]
-        assert np.allclose(vt.v, 0.7 / (1 - const.discount), atol=1e-10)
+        v, _ = policy_evaluation_exact(const, pol)
+        assert np.allclose(v[0], 0.7 / (1 - const.discount), atol=1e-10)
 
     def test_zero_reward(self):
         cmdp = random_cmdp(np.random.default_rng(1))
-        vt = policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(4, 3))[1]
-        assert vt.objective_index == 1
-        vt0 = policy_evaluation_exact(
+        v, q = policy_evaluation_exact(
             TabularCmdp(kernel=cmdp.kernel,
                         reward=np.zeros((4, 3)), costs=cmdp.costs,
                         limits=cmdp.limits, discount=cmdp.discount,
                         initial_dist=cmdp.initial_dist, c_max=1.0),
-            SoftmaxPolicy.uniform(4, 3))[0]
-        assert np.allclose(vt0.v, 0.0) and np.allclose(vt0.q, 0.0)
+            SoftmaxPolicy.uniform(4, 3))
+        assert v.shape == (2, 4) and q.shape == (2, 4, 3)
+        assert np.allclose(v[0], 0.0) and np.allclose(q[0], 0.0)
 
     def test_two_state_cycle(self):
         cmdp = two_state_cycle()
-        vt = policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(2, 2))[0]
-        assert abs(vt.v[0] - 4.0 / 3.0) < 1e-12
-        assert abs(vt.v[1] - 2.0 / 3.0) < 1e-12
+        v, _ = policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(2, 2))
+        assert abs(v[0, 0] - 4.0 / 3.0) < 1e-12
+        assert abs(v[0, 1] - 2.0 / 3.0) < 1e-12
 
     def test_bellman_consistency(self):
         cmdp = random_cmdp(np.random.default_rng(2))
-        pol = policy_from_logits(np.random.default_rng(3).standard_normal((4, 3)))
-        vt = policy_evaluation_exact(cmdp, pol)[0]
-        assert np.max(np.abs((pol.probs * vt.q).sum(axis=1) - vt.v)) < 1e-10
-        assert np.all(vt.v >= -1e-12)
-        assert np.all(vt.v <= cmdp.c_max / (1 - cmdp.discount) + 1e-12)
+        pol = SoftmaxPolicy(logits=np.random.default_rng(3).standard_normal((4, 3)))
+        v, q = (table[0] for table in policy_evaluation_exact(cmdp, pol))
+        assert np.max(np.abs((pol.probs * q).sum(axis=1) - v)) < 1e-10
+        assert np.all(v >= -1e-12)
+        assert np.all(v <= cmdp.c_max / (1 - cmdp.discount) + 1e-12)
 
     def test_objective_tables_built_once(self):
         cmdp = random_cmdp(np.random.default_rng(16), n_costs=2)
@@ -126,8 +130,8 @@ def evaluator_cases():
     cases.append(TabularCmdp(
         kernel=grid.kernel, reward=tables[0], costs=tables[1:], limits=np.ones(2),
         discount=grid.discount, initial_dist=grid.initial_dist, c_max=1.0))
-    return [pytest.param(cmdp, policy_from_logits(
-        rng.standard_normal((cmdp.n_states, cmdp.n_actions))), id=f"case{k}")
+    return [pytest.param(cmdp, SoftmaxPolicy(
+        logits=rng.standard_normal((cmdp.n_states, cmdp.n_actions))), id=f"case{k}")
             for k, cmdp in enumerate(cases)]
 
 
@@ -141,19 +145,18 @@ class TestOneFactorisation:
 
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
     def test_matches_per_objective_solves(self, cmdp, pol):
-        values = policy_evaluation_exact(cmdp, pol)
-        ref = policy_evaluation_reference(cmdp, pol)
-        assert len(values) == cmdp.n_costs + 1
-        for i, (vt, rt) in enumerate(zip(values, ref)):
-            assert vt.objective_index == i
-            assert close(vt.v, rt.v) and close(vt.q, rt.q)
+        v, q = policy_evaluation_exact(cmdp, pol)
+        ref_v, ref_q = policy_evaluation_reference(cmdp, pol)
+        assert v.shape == (cmdp.n_costs + 1, cmdp.n_states)
+        assert q.shape == (cmdp.n_costs + 1, cmdp.n_states, cmdp.n_actions)
+        assert close(v, ref_v) and close(q, ref_q)
         assert close(all_objectives(cmdp, pol),
-                     np.array([cmdp.initial_dist @ rt.v for rt in ref]))
+                     np.array([cmdp.initial_dist @ rv for rv in ref_v]))
 
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
     def test_q_is_one_backup_of_its_own_v(self, cmdp, pol):
-        for i, vt in enumerate(policy_evaluation_exact(cmdp, pol)):
-            assert np.array_equal(vt.q, q_backup_reference(cmdp, i, vt.v))
+        for i, (v, q) in enumerate(zip(*policy_evaluation_exact(cmdp, pol))):
+            assert np.array_equal(q, q_backup_reference(cmdp, i, v))
 
     @pytest.mark.parametrize("column", [0, 1, 2])
     def test_residual_checked_on_every_column(self, monkeypatch, column):
@@ -198,11 +201,6 @@ class TestSuccessorView:
         assert cmdp.successors is cmdp.successors
         assert not cmdp.successors[0].flags.writeable
         assert not cmdp.successors[1].flags.writeable
-
-    @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
-    def test_transition_under_policy_matches_einsum(self, cmdp, pol):
-        assert np.array_equal(transition_under_policy(cmdp, pol.probs),
-                              transition_under_policy_reference(cmdp, pol.probs))
 
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
     def test_visitation_matches_einsum_reference(self, cmdp, pol):
@@ -391,10 +389,9 @@ class TestBlockOrder:
 
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
     def test_values_and_visitation_match_full_lu(self, cmdp, pol):
-        for vt, rt in zip(policy_evaluation_exact(cmdp, pol),
-                          policy_evaluation_reference(cmdp, pol)):
-            assert np.max(np.abs(vt.v - rt.v)) <= 1e-13
-            assert np.max(np.abs(vt.q - rt.q)) <= 1e-13
+        for got, ref in zip(policy_evaluation_exact(cmdp, pol),
+                            policy_evaluation_reference(cmdp, pol)):
+            assert np.max(np.abs(got - ref)) <= 1e-13
         nu = visitation_exact(cmdp, pol).nu
         assert np.max(np.abs(nu - visitation_reference(cmdp, pol.probs))) <= 1e-13
 
@@ -453,7 +450,7 @@ class TestExpectedObjective:
         rng = np.random.default_rng(seed)
         cmdp = random_cmdp(rng, n_states=int(rng.integers(2, 6)),
                            n_actions=int(rng.integers(2, 4)))
-        pol = policy_from_logits(rng.standard_normal(
+        pol = SoftmaxPolicy(logits=rng.standard_normal(
             (cmdp.n_states, cmdp.n_actions)))
         vis = visitation_exact(cmdp, pol)
         for i in range(cmdp.n_costs + 1):

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from metasrl import cmdp as cmdp_module, crpo
 from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, TabularCmdp,
-                          all_objectives, objective_values,
-                          policy_evaluation_exact, policy_from_logits)
+                          all_objectives, policy_evaluation_exact)
 from metasrl.crpo import (CrpoConfig, compute_eta, npg_softmax_step, run_crpo,
                           sample_episode, suboptimality_bound, td_critic)
 from metasrl.errors import DegenerateRun, InvalidInput, SamplerError
@@ -82,10 +81,10 @@ class TestNpgStep:
     def test_ascent_increases_greedy_mass(self):
         cmdp = random_cmdp(np.random.default_rng(0))
         pol = SoftmaxPolicy.uniform(4, 3)
-        vt = policy_evaluation_exact(cmdp, pol)[0]
-        new = policy_from_logits(
-            npg_softmax_step(pol.logits, vt, 0.5, "Ascent", cmdp.discount))
-        greedy = vt.q.argmax(axis=1)
+        q = policy_evaluation_exact(cmdp, pol)[1][0]
+        new = SoftmaxPolicy(logits=npg_softmax_step(pol.logits, q, 0.5, "Ascent",
+                                                    cmdp.discount))
+        greedy = q.argmax(axis=1)
         assert np.all(new.probs[np.arange(4), greedy]
                       >= pol.probs[np.arange(4), greedy])
 
@@ -102,17 +101,17 @@ class TestTdCritic:
         pol = SoftmaxPolicy.uniform(3, 2)
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=400_000,
                          episode_horizon=40)
-        values, _ = td_critic(cmdp, pol, cfg, rng=np.random.default_rng(3))
-        return values, policy_evaluation_exact(cmdp, pol)
+        (_, q), _ = td_critic(cmdp, pol, cfg, rng=np.random.default_rng(3))
+        return q, policy_evaluation_exact(cmdp, pol)[1]
 
     def test_sampled_mode_converges(self):
-        values, exact = self._long_chain()
-        assert np.max(np.abs(values[0].q - exact[0].q)) < 0.15
+        q, exact = self._long_chain()
+        assert np.max(np.abs(q[0] - exact[0])) < 0.15
 
     def test_cost_critic_converges_on_the_shared_chain(self):
-        values, exact = self._long_chain()
-        assert len(values) == 2 and values[1].objective_index == 1
-        assert np.max(np.abs(values[1].q - exact[1].q)) < 0.15
+        q, exact = self._long_chain()
+        assert q.shape == (2, 3, 2)
+        assert np.max(np.abs(q[1] - exact[1])) < 0.15
 
 
 def _chain_steps(chain, a_n, k):
@@ -151,11 +150,10 @@ class TestLstdCritic:
     def test_no_iterations_give_zero_tables(self):
         cmdp = random_cmdp(np.random.default_rng(4), n_costs=2)
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=0)
-        values, _ = td_critic(cmdp, SoftmaxPolicy.uniform(4, 3), cfg,
+        (v, q), _ = td_critic(cmdp, SoftmaxPolicy.uniform(4, 3), cfg,
                               np.random.default_rng(0))
-        assert len(values) == 3
-        for vt in values:
-            assert np.all(vt.q == 0.0) and np.all(vt.v == 0.0)
+        assert v.shape == (3, 4) and q.shape == (3, 4, 3)
+        assert np.all(q == 0.0) and np.all(v == 0.0)
 
     def test_objectives_near_exact_on_test09_tasks(self):
         """J_0 and J_1 read off the LSTD(0) tables, against the exact ones:
@@ -167,12 +165,12 @@ class TestLstdCritic:
         for t, cmdp in enumerate(tasks):
             shape = (cmdp.n_states, cmdp.n_actions)
             policies = (SoftmaxPolicy.uniform(*shape),
-                        policy_from_logits(np.random.default_rng(t).normal(size=shape)))
+                        SoftmaxPolicy(logits=np.random.default_rng(t).normal(size=shape)))
             for policy in policies:
-                exact = objective_values(cmdp, policy_evaluation_exact(cmdp, policy))
+                exact = all_objectives(cmdp, policy)
                 for seed in range(5):
-                    values, _ = td_critic(cmdp, policy, cfg, np.random.default_rng(seed))
-                    errors.append(np.abs(objective_values(cmdp, values) - exact))
+                    (v, _), _ = td_critic(cmdp, policy, cfg, np.random.default_rng(seed))
+                    errors.append(np.abs(v @ cmdp.initial_dist - exact))
         errors = np.array(errors)
         assert errors.shape == (110, 2)
         assert np.all(np.median(errors, axis=0) <= 0.04)
@@ -334,12 +332,11 @@ class TestBatchedSampler:
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=iterations,
                          episode_horizon=horizon, episodes_per_step=episodes)
         rng, ref_rng = np.random.default_rng(iterations), np.random.default_rng(iterations)
-        got, drawn = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
+        (_, got), drawn = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
         ref_episodes, ref_q = _td_step_reference(cmdp, probs, cfg, ref_rng)
-        assert len(got) == cmdp.n_costs + 1
-        for index, vt in enumerate(got):
-            assert vt.objective_index == index
-            assert np.abs(vt.q - ref_q[index]).max() <= Q_TOL
+        assert got.shape == (cmdp.n_costs + 1, cmdp.n_states, cmdp.n_actions)
+        for index, q in enumerate(got):
+            assert np.abs(q - ref_q[index]).max() <= Q_TOL
         for got_arr, ref_arr in zip(drawn, ref_episodes):
             assert got_arr.shape == (episodes, horizon)
             assert np.array_equal(got_arr, ref_arr)
@@ -352,10 +349,10 @@ class TestBatchedSampler:
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=500,
                          episode_horizon=60)
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        got, drawn = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
+        (_, got), drawn = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
         ref_episodes, ref_q = _td_step_reference(cmdp, probs, cfg, ref_rng)
-        for index, vt in enumerate(got):
-            assert np.abs(vt.q - ref_q[index]).max() <= Q_TOL
+        for index, q in enumerate(got):
+            assert np.abs(q - ref_q[index]).max() <= Q_TOL
         assert all(map(np.array_equal, drawn, ref_episodes))
         assert _same_state(rng, ref_rng)
 
@@ -529,7 +526,7 @@ class TestTdSampledStepReplay:
         episodes = []
         for m in range(cfg.steps):
             probs = out.all_iterates[m].probs
-            assert np.abs(policy_from_logits(logits).probs - probs).max() <= drift
+            assert np.abs(SoftmaxPolicy(logits=logits).probs - probs).max() <= drift
             drawn, qs = _td_step_reference(cmdp, probs, cfg, rng)
             episodes.append(drawn)
             st, ac = drawn[0], drawn[1]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, VisitationDistribution,
-                          policy_from_logits, visitation_exact)
+                          visitation_exact)
 from metasrl.crpo import CrpoConfig, run_crpo
 from metasrl.dice import (CorrectionTable, DiceConfig, TrajectoryDataset,
                           dualdice_fit, error_decomposition, kl_loss_and_grad,
@@ -56,7 +56,7 @@ class TestDirectSolve:
         rng = np.random.default_rng(0)
         cmdp = random_cmdp(rng)
         behavior = SoftmaxPolicy.uniform(4, 3)
-        target = policy_from_logits(rng.standard_normal((4, 3)))
+        target = SoftmaxPolicy(logits=rng.standard_normal((4, 3)))
         ds = exact_dataset(cmdp, behavior)
         corr = dualdice_fit(ds, target, cmdp.discount)
         nu_sa = visitation_exact(cmdp, target).nu_sa
@@ -68,7 +68,7 @@ class TestDirectSolve:
     def test_identity_when_target_is_behavior(self):
         rng = np.random.default_rng(1)
         cmdp = random_cmdp(rng)
-        pol = policy_from_logits(rng.standard_normal((4, 3)))
+        pol = SoftmaxPolicy(logits=rng.standard_normal((4, 3)))
         ds = exact_dataset(cmdp, pol)
         corr = dualdice_fit(ds, pol, cmdp.discount)
         assert np.max(np.abs(corr.omega - 1.0)) < 1e-7
@@ -81,7 +81,7 @@ class TestDirectSolve:
         d_sa[0, 0] = 0.0
         ds = TrajectoryDataset.from_distribution(
             d_sa, cmdp.transition, cmdp.initial_dist)
-        target = policy_from_logits(rng.standard_normal((4, 3)))
+        target = SoftmaxPolicy(logits=rng.standard_normal((4, 3)))
         with pytest.warns(CoverageWarning):
             corr = dualdice_fit(ds, target, cmdp.discount)
         assert corr.omega[0, 0] == 0.0
@@ -91,7 +91,7 @@ class TestDirectSolve:
         rng = np.random.default_rng(2)
         cmdp = random_cmdp(rng)
         ds = exact_dataset(cmdp, SoftmaxPolicy.uniform(4, 3))
-        target = policy_from_logits(rng.standard_normal((4, 3)))
+        target = SoftmaxPolicy(logits=rng.standard_normal((4, 3)))
         with warnings.catch_warnings():
             warnings.simplefilter("error", CoverageWarning)
             corr = dualdice_fit(ds, target, cmdp.discount)
@@ -103,8 +103,8 @@ class TestDirectSolve:
         s_n, a_n = int(rng.integers(2, 9)), int(rng.integers(2, 5))
         cmdp = random_cmdp(rng, n_states=s_n, n_actions=a_n,
                            gamma=float(rng.uniform(0.5, 0.99)))
-        behavior = policy_from_logits(rng.standard_normal((s_n, a_n)))
-        target = policy_from_logits(2.0 * rng.standard_normal((s_n, a_n)))
+        behavior = SoftmaxPolicy(logits=rng.standard_normal((s_n, a_n)))
+        target = SoftmaxPolicy(logits=2.0 * rng.standard_normal((s_n, a_n)))
         assert_matches_dense(exact_dataset(cmdp, behavior), target,
                              cmdp.discount)
 
@@ -120,7 +120,7 @@ class TestDirectSolve:
         d_sa[~np.reshape(mask, (4, 3))] = 0.0
         ds = TrajectoryDataset.from_distribution(
             d_sa, cmdp.transition, cmdp.initial_dist)
-        target = policy_from_logits(rng.standard_normal((4, 3)))
+        target = SoftmaxPolicy(logits=rng.standard_normal((4, 3)))
         assert_matches_dense(ds, target, cmdp.discount)
 
     @pytest.mark.parametrize("size,seed", [(4, 0), (4, 97), (8, 0), (8, 97),
@@ -142,7 +142,7 @@ class TestSgdSolver:
         rng = np.random.default_rng(4)
         cmdp = random_cmdp(rng, n_states=3, n_actions=2)
         behavior = SoftmaxPolicy.uniform(3, 2)
-        target = policy_from_logits(0.5 * rng.standard_normal((3, 2)))
+        target = SoftmaxPolicy(logits=0.5 * rng.standard_normal((3, 2)))
         # sampled dataset so the Sgd path has transitions to draw from
         n = 40_000
         s = rng.choice(3, size=n)
@@ -176,7 +176,7 @@ def small_log(n_tr, n_init, seed=0):
     ds = TrajectoryDataset.from_samples(
         4, 3, s=s, a=a, s_next=rng.integers(4, size=n_tr),
         initial_states=rng.integers(4, size=n_init))
-    return cmdp, ds, policy_from_logits(rng.standard_normal((4, 3)))
+    return cmdp, ds, SoftmaxPolicy(logits=rng.standard_normal((4, 3)))
 
 
 class TestSgdDraws:
@@ -264,10 +264,10 @@ class TestVisitationFromCorrections:
 class TestKlLoss:
     def test_zero_at_match(self):
         rng = np.random.default_rng(7)
-        pol = policy_from_logits(rng.standard_normal((3, 2)))
+        pol = SoftmaxPolicy(logits=rng.standard_normal((3, 2)))
         nu = VisitationDistribution(nu=np.array([0.5, 0.3, 0.2]),
                                     nu_sa=None)
-        loss, grad = kl_loss_and_grad(nu, pol, pol)
+        loss, grad = kl_loss_and_grad(nu, pol, pol.probs)
         assert abs(loss) < 1e-12
         # at the minimum over the simplex the gradient rows are constant
         rows = grad + nu.nu[:, None]
@@ -276,8 +276,7 @@ class TestKlLoss:
     def test_hand_value(self):
         nu = VisitationDistribution(nu=np.array([1.0]), nu_sa=None)
         pi = TablePolicy(probs=np.array([[0.75, 0.25]]))
-        phi = TablePolicy(probs=np.array([[0.5, 0.5]]))
-        loss, grad = kl_loss_and_grad(nu, pi, phi)
+        loss, grad = kl_loss_and_grad(nu, pi, np.array([[0.5, 0.5]]))
         expect = 0.75 * np.log(1.5) + 0.25 * np.log(0.5)
         assert abs(loss - expect) < 1e-12
         assert np.allclose(grad, [[-1.5, -0.5]])
@@ -287,7 +286,7 @@ class TestKlLoss:
         sol = solve_optimal_lp(cmdp)
         p = sol.policy.probs
         assert np.any(p == 0.0)
-        phi = TablePolicy(probs=np.full(p.shape, 1.0 / p.shape[1]))
+        phi = np.full(p.shape, 1.0 / p.shape[1])
         loss, grad = kl_loss_and_grad(sol.visitation, sol.policy, phi)
         pos = p > 0
         terms = np.zeros_like(p)
@@ -318,11 +317,11 @@ class TestKlLoss:
         pi = TablePolicy(probs=rng.dirichlet(np.ones(a_n), size=s_n))
         phi = 0.05 + rng.dirichlet(np.ones(a_n), size=s_n)
         phi = phi / phi.sum(axis=1, keepdims=True)
-        loss, grad = kl_loss_and_grad(nu, pi, TablePolicy(probs=phi))
+        loss, grad = kl_loss_and_grad(nu, pi, phi)
         assert loss >= -1e-12
 
         def f(q):
-            return kl_loss_and_grad(nu, pi, TablePolicy(probs=q))[0]
+            return kl_loss_and_grad(nu, pi, q)[0]
 
         fd = central_difference(f, phi)
         assert np.max(np.abs(grad - fd)) < 1e-5
@@ -335,7 +334,7 @@ class TestErrorDecomposition:
         mk_nu = lambda: VisitationDistribution(
             nu=rng.dirichlet(np.ones(s_n)), nu_sa=None)
         mk_pi = lambda: TablePolicy(probs=rng.dirichlet(np.ones(a_n), size=s_n))
-        phi = TablePolicy(probs=np.full((s_n, a_n), 0.5))
+        phi = np.full((s_n, a_n), 0.5)
         return mk_nu(), mk_pi(), mk_nu(), mk_nu(), mk_pi(), phi
 
     def test_sums_exactly(self):
@@ -354,7 +353,7 @@ class TestErrorDecomposition:
             warnings.simplefilter("ignore", CoverageWarning)
             corr = dualdice_fit(ds, pi_hat, cmdp.discount)
         nu_hat = visitation_from_corrections(ds, corr)
-        phi = TablePolicy(probs=np.full(pi_hat.probs.shape, 0.25))
+        phi = np.full(pi_hat.probs.shape, 0.25)
         d = error_decomposition(sol.visitation, sol.policy,
                                 visitation_exact(cmdp, pi_hat), nu_hat,
                                 pi_hat, phi)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metasrl.cmdp import (SoftmaxPolicy, TabularCmdp, all_objectives,
-                          policy_from_logits, visitation_exact)
+                          visitation_exact)
 from metasrl import lp
 from metasrl.errors import NumericalFailure
 from metasrl.harness import solve_oracles
@@ -94,7 +94,7 @@ class TestSolveOptimalLp:
         sol = solve_optimal_lp(cmdp)
         best = sol.objective_values[0]
         for _ in range(1000):
-            pol = policy_from_logits(2.0 * rng.standard_normal((4, 3)))
+            pol = SoftmaxPolicy(logits=2.0 * rng.standard_normal((4, 3)))
             vals = all_objectives(cmdp, pol)
             if np.all(vals[1:] <= cmdp.limits + 1e-10):
                 assert vals[0] <= best + 1e-7

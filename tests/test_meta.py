@@ -174,9 +174,9 @@ class TestMetaUpdate:
         nu = VisitationDistribution(nu=np.array([0.7, 0.3]), nu_sa=None)
         pi = TablePolicy(probs=np.array([[0.9, 0.1], [0.2, 0.8]]))
         c = SimConstants.from_problem(0.9, 1.0, 2, 2)
-        before, _ = kl_loss_and_grad(nu, pi, TablePolicy(probs=state.init_policy))
+        before, _ = kl_loss_and_grad(nu, pi, state.init_policy)
         new = meta_update(state, nu, pi, m_steps=10, constants=c)
-        after, _ = kl_loss_and_grad(nu, pi, TablePolicy(probs=new.init_policy))
+        after, _ = kl_loss_and_grad(nu, pi, new.init_policy)
         assert after < before
         assert state.kl_term is None and new.kl_term == before
 
