@@ -11,6 +11,7 @@ or wall-clock values are written to disk.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import numbers
 import os
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .cmdp import SoftmaxPolicy, all_objectives
+from .cmdp import SoftmaxPolicy, _fmt, all_objectives
 from .crpo import CrpoConfig, run_crpo
 from .dice import DiceConfig, dualdice_fit, visitation_from_corrections
 from .errors import DegenerateRun, InvalidInput, NumericalFailure, known_keys
@@ -68,6 +69,7 @@ class ExperimentConfig:
     holdout_test_task: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "strategies", tuple(self.strategies))
         if self.runs_per_strategy < 1:
             raise InvalidInput("runs_per_strategy must be >= 1")
         if not self.strategies:
@@ -77,45 +79,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc):
+        """The config of a JSON document (text or parsed); keys it leaves
+        out take the dataclass defaults."""
         if isinstance(doc, str):
             doc = json.loads(doc)
-        known_keys(doc, cls, "the config", required=("task_source",))
-        source = doc["task_source"]
-        if isinstance(source, dict):
-            source = TaskSequenceConfig.from_dict(source)
-        return cls(
-            task_source=source,
-            strategies=tuple(doc.get("strategies", STRATEGIES)),
-            runs_per_strategy=doc.get("runs_per_strategy", 10),
-            crpo=CrpoConfig(**known_keys(doc.get("crpo", {}), CrpoConfig, "crpo")),
-            dice=DiceConfig(**known_keys(doc.get("dice", {}), DiceConfig, "dice")),
-            meta=MetaConfig(**known_keys(doc.get("meta", {}), MetaConfig, "meta")),
-            master_seed=doc.get("master_seed", 0),
-            holdout_test_task=doc.get("holdout_test_task", True),
-        )
+        kw = dict(known_keys(doc, cls, "the config", required=("task_source",)))
+        if isinstance(kw["task_source"], dict):
+            kw["task_source"] = TaskSequenceConfig.from_dict(kw["task_source"])
+        for name, section in (("crpo", CrpoConfig), ("dice", DiceConfig),
+                              ("meta", MetaConfig)):
+            if name in kw:
+                kw[name] = section(**known_keys(kw[name], section, name))
+        return cls(**kw)
 
     def to_json(self):
-        doc = {
-            "task_source": (dict(self.task_source.__dict__,
-                                 base=dict(self.task_source.base.__dict__))
-                            if isinstance(self.task_source, TaskSequenceConfig)
-                            else self.task_source),
-            "strategies": list(self.strategies),
-            "runs_per_strategy": self.runs_per_strategy,
-            "crpo": asdict(self.crpo),
-            "dice": asdict(self.dice),
-            "meta": asdict(self.meta),
-            "master_seed": self.master_seed,
-            "holdout_test_task": self.holdout_test_task,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 @dataclass
 class RunRecord:
     strategy: str
     task_index: int
-    seed: int
+    run: int
     per_step_reward: np.ndarray
     per_step_costs: np.ndarray          # (M, p)
     final_objectives: np.ndarray        # (p+1,)
@@ -215,7 +200,7 @@ def solve_oracles(cmdps):
 
 
 def run_experiment(config, tasks=None):
-    """Run every (strategy, seed) pair over the task sequence.
+    """Run every (strategy, run) pair over the task sequence.
 
     Returns (records, reports) where reports maps strategy name to its
     RegretReport over the training tasks. The last task is held out as the
@@ -300,7 +285,7 @@ def run_experiment(config, tasks=None):
                     curves = np.full((config.crpo.steps, cmdp.n_costs + 1), np.nan)
                     j, degenerate, error = curves[-1], False, f"{type(exc).__name__}: {exc}"
                 records.append(RunRecord(
-                    strategy=name, task_index=t, seed=run,
+                    strategy=name, task_index=t, run=run,
                     per_step_reward=curves[:, 0], per_step_costs=curves[:, 1:],
                     final_objectives=j,
                     taog_contribution=(np.nan if is_test else
@@ -331,8 +316,8 @@ def _mean_of_successes(per_run):
         return np.where(ok, per_run, 0.0).sum(axis=0) / ok.sum(axis=0)
 
 
-def _curve_table(records, strategy, n_costs):
-    """Aggregate per-step curves: mean, std and stderr over seeds."""
+def _curve_rows(records, strategy, n_costs):
+    """Aggregate per-step curves: mean, std and stderr over runs."""
     rows = []
     keyed = {}
     for rec in records:
@@ -355,59 +340,56 @@ def _curve_table(records, strategy, n_costs):
     return rows
 
 
+def _csv(header, rows):
+    """A numeric table: integers as they are, every other number with 17
+    significant digits, which reads back exactly."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join(str(v) if isinstance(v, numbers.Integral) else f"{v:.17g}"
+                 for v in row) + "\n" for row in rows)
+
+
 def export_report(records, reports, out_dir, config=None, n_costs=1):
     """Write learning-curve tables, regret summaries and the config snapshot,
     and errors.csv (one row a failed task run) when any run failed.
 
     Byte-identical for identical inputs: fixed column order, sorted keys, no
-    timestamps. The CSV files write floats with 17 significant digits, the
-    JSON files as their shortest repr that reads back exactly.
+    timestamps. The config and regret JSON are their dataclasses' fields,
+    each float as its shortest repr that reads back exactly; the numeric CSV
+    files follow `_csv`, and errors.csv is quoted by the csv module.
     """
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    strategies = sorted({rec.strategy for rec in records} | set(reports))
-    for strategy in strategies:
-        rows = _curve_table(records, strategy, n_costs)
-        cost_cols = []
-        for i in range(n_costs):
-            cost_cols += [f"cost_{i + 1}_mean", f"cost_{i + 1}_std",
-                          f"cost_{i + 1}_stderr"]
-        header = ["task", "is_test", "step", "reward_mean", "reward_std",
-                  "reward_stderr"] + cost_cols
-        path = os.path.join(out_dir, f"curves_{strategy}.csv")
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(
-                    str(v) if isinstance(v, (int, np.integer))
-                    else f"{v:.17g}" for v in row) + "\n")
-        written.append(path)
+    files = {}
+    curve_header = ["task", "is_test", "step", "reward_mean", "reward_std",
+                    "reward_stderr"] + [f"cost_{i + 1}_{stat}" for i in range(n_costs)
+                                        for stat in ("mean", "std", "stderr")]
+    for strategy in sorted({rec.strategy for rec in records} | set(reports)):
+        files[f"curves_{strategy}.csv"] = _csv(
+            curve_header, _curve_rows(records, strategy, n_costs))
         if strategy in reports:
-            rp = os.path.join(out_dir, f"regret_{strategy}.json")
-            with open(rp, "w") as fh:
-                fh.write(reports[strategy].to_json())
-            written.append(rp)
-            rc = os.path.join(out_dir, f"regret_{strategy}.csv")
-            with open(rc, "w") as fh:
-                fh.write(reports[strategy].to_csv())
-            written.append(rc)
+            report = reports[strategy]
+            files[f"regret_{strategy}.json"] = json.dumps(
+                asdict(report), default=_fmt, sort_keys=True, indent=2)
+            files[f"regret_{strategy}.csv"] = _csv(
+                ["task", "taog_contribution",
+                 *(f"tacv_{i + 1}" for i in range(len(report.tacv))),
+                 "kl_term", "kappa", "inexactness"],
+                [[r["task"], r["taog"], *r["tacv"], r["kl_term"], r["kappa"],
+                  r["inexactness"]] for r in report.per_task])
     failed = [rec for rec in records if rec.error is not None]
     if failed:
-        ep = os.path.join(out_dir, "errors.csv")
-        with open(ep, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["strategy", "run", "task", "is_test", "error"])
-            writer.writerows([rec.strategy, rec.seed, rec.task_index,
-                              int(rec.is_test), rec.error] for rec in failed)
-        written.append(ep)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [["strategy", "run", "task", "is_test", "error"]]
+            + [[rec.strategy, rec.run, rec.task_index, int(rec.is_test), rec.error]
+               for rec in failed])
+        files["errors.csv"] = buf.getvalue()
     if config is not None:
-        cp = os.path.join(out_dir, "config.json")
-        with open(cp, "w") as fh:
-            fh.write(config.to_json())
-        written.append(cp)
-    mp = os.path.join(out_dir, "environment.json")
-    with open(mp, "w") as fh:
-        json.dump({"package_version": __version__,
-                   "numpy_version": np.__version__}, fh, sort_keys=True)
-    written.append(mp)
+        files["config.json"] = config.to_json()
+    files["environment.json"] = json.dumps(
+        {"package_version": __version__, "numpy_version": np.__version__},
+        sort_keys=True)
+    written = [os.path.join(out_dir, name) for name in files]
+    for path, text in zip(written, files.values()):
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
     return written

@@ -9,12 +9,11 @@ optimized over [zeta, inf).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cmdp import _fmt, visitation_exact
+from .cmdp import visitation_exact
 from .dice import kl_loss_and_grad
 from .errors import InvalidInput
 
@@ -221,6 +220,9 @@ def closed_form_similarity_center(history, shrink):
 
 @dataclass(frozen=True)
 class RegretReport:
+    """One strategy's regret summary; `harness.export_report` writes its
+    fields as they stand."""
+
     taog: float
     tacv: np.ndarray
     tacv_clipped: np.ndarray
@@ -232,34 +234,6 @@ class RegretReport:
     sq_path_length: float
     inexactness_proxy: np.ndarray
     per_task: list = field(default_factory=list)
-
-    def to_json(self):
-        doc = {
-            "taog": _fmt(self.taog),
-            "tacv": _fmt(self.tacv),
-            "tacv_clipped": _fmt(self.tacv_clipped),
-            "static_regret": _fmt(self.static_regret),
-            "dynamic_regret": _fmt(self.dynamic_regret),
-            "d_hat_sq": _fmt(self.d_hat_sq),
-            "v_hat_sq": _fmt(self.v_hat_sq),
-            "path_length": _fmt(self.path_length),
-            "sq_path_length": _fmt(self.sq_path_length),
-            "inexactness_proxy": _fmt(self.inexactness_proxy),
-            "per_task": self.per_task,
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
-
-    def to_csv(self):
-        header = "task,taog_contribution," + ",".join(
-            f"tacv_{i + 1}" for i in range(len(self.tacv))) \
-            + ",kl_term,kappa,inexactness\n"
-        rows = []
-        for rec in self.per_task:
-            tacv = ",".join(f"{v:.17g}" for v in rec["tacv"])
-            rows.append(f"{rec['task']},{rec['taog']:.17g},{tacv},"
-                        f"{rec['kl_term']:.17g},{rec['kappa']:.17g},"
-                        f"{rec['inexactness']:.17g}\n")
-        return header + "".join(rows)
 
 
 def regret_report(oracle_solutions, outcomes, cmdps, j_hat, kl_terms, kappas,

@@ -20,7 +20,8 @@ as a per-cell loop of += writes into a dense kernel would build.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +63,7 @@ class GridSpec:
 class TaskSequenceConfig:
     mode: str
     num_tasks: int
-    base: GridSpec
+    base: GridSpec = field(default_factory=GridSpec)
     low_sim_prob_range: tuple = (0.3, 0.7)
     seed: int = 0
 
@@ -71,16 +72,23 @@ class TaskSequenceConfig:
             raise InvalidInput(f"unknown mode {self.mode!r}")
         if self.num_tasks < 1:
             raise InvalidInput("num_tasks must be >= 1")
+        lo_hi = self.low_sim_prob_range
+        if not (isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
+                and all(isinstance(v, numbers.Real) for v in lo_hi)
+                and 0.0 <= lo_hi[0] <= lo_hi[1] <= 1.0):   # NaN fails too
+            raise InvalidInput("low_sim_prob_range must be two numbers "
+                               f"0 <= lo <= hi <= 1, got {lo_hi!r}")
+        object.__setattr__(self, "low_sim_prob_range", tuple(lo_hi))
 
     @classmethod
     def from_dict(cls, doc):
-        """The config of a parsed JSON task-source object."""
-        known_keys(doc, cls, "task_source", required=("mode", "num_tasks"))
-        return cls(mode=doc["mode"], num_tasks=doc["num_tasks"],
-                   base=GridSpec(**known_keys(doc.get("base", {}), GridSpec,
-                                              "task_source.base")),
-                   low_sim_prob_range=tuple(doc.get("low_sim_prob_range", (0.3, 0.7))),
-                   seed=doc.get("seed", 0))
+        """The config of a parsed JSON task-source object; keys it leaves
+        out take the dataclass defaults."""
+        kw = dict(known_keys(doc, cls, "task_source", required=("mode", "num_tasks")))
+        if "base" in kw:
+            kw["base"] = GridSpec(**known_keys(kw["base"], GridSpec,
+                                               "task_source.base"))
+        return cls(**kw)
 
 
 def _move_targets(rows, cols):

@@ -62,6 +62,14 @@ class TestGenTasks:
         assert main(["gen-tasks", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x")]) == 2
 
+    def test_bad_prob_range_exit_2(self, tmp_path, capsys):
+        doc = {**TASK_DOC, "mode": "LowSimilarity", "low_sim_prob_range": [0.8, 0.2]}
+        cfg = write_json(tmp_path / "reversed.json", doc)
+        assert main(["gen-tasks", "--config", cfg,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert "low_sim_prob_range" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "x")
+
     def test_generation_failure_exit_3(self, tmp_path, capsys):
         doc = {"mode": "LowSimilarity", "num_tasks": 1,
                "base": {"rows": 2, "cols": 2},

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metasrl import cmdp as cmdp_module, meta as meta_module
+from metasrl import cmdp as cmdp_module, harness as harness_module
 from metasrl.cmdp import (SoftmaxPolicy, TabularCmdp, all_objectives,
                           policy_evaluation_exact, visitation_exact)
 from metasrl.crpo import sample_episode
@@ -468,7 +468,7 @@ class TestSerialization:
         assert np.array_equal(again.transition, cmdp.transition)
         assert np.array_equal(again.reward, cmdp.reward)
 
-    def test_json_bytes_match_the_17_digit_round_trip(self, monkeypatch):
+    def test_json_bytes_match_the_17_digit_round_trip(self, monkeypatch, tmp_path):
         """Exported floats are written as json writes each float64: the same
         bytes as a round trip through 17 significant digits, which is exact."""
         def fmt_17g(x):
@@ -488,17 +488,22 @@ class TestSerialization:
             dynamic_regret=5e-324, d_hat_sq=1.0 / 3.0, v_hat_sq=0.1,
             path_length=np.float64(np.nan), sq_path_length=-np.inf,
             inexactness_proxy=np.zeros(2))
+
+        def report_json():
+            harness_module.export_report([], {"X": report}, str(tmp_path))
+            return (tmp_path / "regret_X.json").read_text()
+
         for text, value in [("NaN", np.nan), ("Infinity", np.inf),
                             ("-Infinity", -np.inf), ("-0.0", -0.0),
                             ("5e-324", 5e-324), ("0.1", 0.1),
                             ("0.3333333333333333", 1.0 / 3.0)]:
             assert json.dumps(cmdp_module._fmt(value)) == text
-        ours = cmdp.to_json(), report.to_json()
+        ours = cmdp.to_json(), report_json()
         assert '"limits": [Infinity, -Infinity, 0.1, 0.3333333333333333, ' \
             '5e-324, -0.0]' in ours[0]
         monkeypatch.setattr(cmdp_module, "_fmt", fmt_17g)
-        monkeypatch.setattr(meta_module, "_fmt", fmt_17g)
-        assert (cmdp.to_json(), report.to_json()) == ours
+        monkeypatch.setattr(harness_module, "_fmt", fmt_17g)
+        assert (cmdp.to_json(), report_json()) == ours
 
     def test_invariant_rejections(self):
         good = random_cmdp(np.random.default_rng(10))

@@ -29,6 +29,15 @@ def tiny_config(**kw):
     return ExperimentConfig(**kw)
 
 
+def export_texts(records, reports, out):
+    """File name -> text of the export of a run."""
+    texts = {}
+    for path in export_report(records, reports, str(out)):
+        with open(path) as fh:
+            texts[os.path.basename(path)] = fh.read()
+    return texts
+
+
 def tiny_tasks(n=3, seed=0):
     rng = np.random.default_rng(seed)
     return [random_cmdp(rng, feasible_margin=0.1) for _ in range(n)]
@@ -47,6 +56,23 @@ class TestExperimentConfig:
         assert again.to_json() == text
         assert again.crpo.steps == 7
         assert again.meta.ogd_step_init == 0.25
+
+    def test_from_json_leaves_absent_keys_to_the_dataclass(self):
+        assert ExperimentConfig.from_json({"task_source": "tasks"}) \
+            == ExperimentConfig(task_source="tasks")
+        cfg = ExperimentConfig.from_json({"task_source": "tasks",
+                                          "strategies": ["FAL"],
+                                          "crpo": {"steps": 3}})
+        assert cfg.strategies == ("FAL",)
+        assert cfg.crpo == CrpoConfig(steps=3)
+        assert cfg.dice == DiceConfig() and cfg.meta == MetaConfig()
+
+    def test_directory_source_round_trip(self):
+        cfg = ExperimentConfig(task_source="runs/tasks", strategies=["MetaSrl"])
+        assert cfg.strategies == ("MetaSrl",)
+        text = cfg.to_json()
+        assert '"task_source": "runs/tasks"' in text
+        assert ExperimentConfig.from_json(text) == cfg
 
     def test_validation(self):
         with pytest.raises(InvalidInput):
@@ -160,19 +186,21 @@ class TestRunExperiment:
         for rep in reports.values():
             assert len(rep.per_task) == 3
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         cfg = tiny_config()
         tasks = tiny_tasks(3)
-        _, rep_a = run_experiment(cfg, tasks=tasks)
-        _, rep_b = run_experiment(cfg, tasks=tasks)
-        for k in rep_a:
-            assert rep_a[k].to_json() == rep_b[k].to_json()
+        a = export_texts(*run_experiment(cfg, tasks=tasks), tmp_path / "a")
+        b = export_texts(*run_experiment(cfg, tasks=tasks), tmp_path / "b")
+        assert "regret_MetaSrl.json" in a
+        assert a == b
 
-    def test_seed_changes_results(self):
+    def test_seed_changes_results(self, tmp_path):
         tasks = tiny_tasks(3)
-        _, rep_a = run_experiment(tiny_config(master_seed=0), tasks=tasks)
-        _, rep_b = run_experiment(tiny_config(master_seed=1), tasks=tasks)
-        assert rep_a["Random"].to_json() != rep_b["Random"].to_json()
+        a = export_texts(*run_experiment(tiny_config(master_seed=0), tasks=tasks),
+                         tmp_path / "a")
+        b = export_texts(*run_experiment(tiny_config(master_seed=1), tasks=tasks),
+                         tmp_path / "b")
+        assert a["regret_Random.json"] != b["regret_Random.json"]
 
     def test_no_holdout(self):
         cfg = tiny_config(holdout_test_task=False,
@@ -415,6 +443,17 @@ class TestExportReport:
         assert rows[1:] == [
             [strategy, str(run), "1", "0", "RuntimeError: task 1 failed, with a comma"]
             for strategy in ("Random", "MetaSrl") for run in range(2)]
+
+    def test_cost_free_regret_csv_has_no_empty_column(self, tmp_path):
+        task = random_cmdp(np.random.default_rng(0))
+        task = replace(task, costs=task.costs[:0], limits=task.limits[:0])
+        cfg = tiny_config(strategies=("Random",), runs_per_strategy=1)
+        out = str(tmp_path / "out")
+        export_report(*run_experiment(cfg, tasks=[task] * 3), out, n_costs=0)
+        with open(os.path.join(out, "regret_Random.csv")) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "task,taog_contribution,kl_term,kappa,inexactness"
+        assert [len(line.split(",")) for line in lines[1:]] == [5, 5]
 
     def test_no_timestamps(self, tmp_path):
         out, _ = self._run(tmp_path)

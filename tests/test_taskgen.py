@@ -185,6 +185,28 @@ class TestTaskSequence:
         for task in manifest["tasks"]:
             assert 0.4 <= task["frozen_prob"] <= 0.6
 
+    @pytest.mark.parametrize("prob_range", [
+        (0.8, 0.2), (0.5, 1.5), (-0.1, 0.5), (0.2,), (0.1, 0.2, 0.3),
+        (np.nan, 0.5), ("0.1", "0.2"), 0.5, None])
+    def test_prob_range_rejected_when_built(self, prob_range):
+        with pytest.raises(InvalidInput, match="low_sim_prob_range"):
+            TaskSequenceConfig(mode="LowSimilarity", num_tasks=2,
+                               low_sim_prob_range=prob_range)
+
+    def test_prob_range_edges_accepted(self):
+        for prob_range in ([0.0, 0.0], (1.0, 1.0), (0, 1)):
+            cfg = TaskSequenceConfig(mode="LowSimilarity", num_tasks=2,
+                                     low_sim_prob_range=prob_range)
+            assert cfg.low_sim_prob_range == tuple(prob_range)
+
+    def test_from_dict_leaves_absent_keys_to_the_dataclass(self):
+        doc = {"mode": "LowSimilarity", "num_tasks": 2}
+        assert TaskSequenceConfig.from_dict(doc) == TaskSequenceConfig(**doc)
+        cfg = TaskSequenceConfig.from_dict({**doc, "base": {"rows": 3},
+                                            "low_sim_prob_range": [0.5, 0.5]})
+        assert cfg.base == GridSpec(rows=3)
+        assert cfg.low_sim_prob_range == (0.5, 0.5)
+
     def test_too_many_tasks(self):
         cfg = TaskSequenceConfig(mode="HighSimilarity", num_tasks=16,
                                  base=GridSpec(seed=3), seed=0)
