@@ -29,7 +29,6 @@ something reads them.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
@@ -38,7 +37,7 @@ import numpy as np
 
 from .cmdp import SoftmaxPolicy, all_objectives, policy_evaluation_exact
 from .dice import TrajectoryDataset
-from .errors import DegenerateRun, InvalidInput
+from .errors import DegenerateRun, InvalidInput, is_count
 from .sampling import cdf, draw
 
 EXACT = "Exact"
@@ -60,23 +59,18 @@ class CrpoConfig:
     def __post_init__(self):
         if not 0.0 < self.learning_rate < np.inf:   # NaN fails too
             raise InvalidInput("learning_rate must be positive and finite")
-        if not _is_count(self.steps, 1):
+        if not is_count(self.steps, 1):
             raise InvalidInput("steps must be an integer >= 1")
         if not self.tolerance >= 0.0:
             raise InvalidInput("tolerance must be nonnegative")
         if self.critic_mode not in (EXACT, TD_SAMPLED):
             raise InvalidInput(f"unknown critic_mode {self.critic_mode!r}")
-        if not _is_count(self.td_iterations, 0):
+        if not is_count(self.td_iterations, 0):
             raise InvalidInput("td_iterations must be an integer >= 0")
-        if not (_is_count(self.episodes_per_step, 1)
-                and _is_count(self.episode_horizon, 1)):
+        if not (is_count(self.episodes_per_step, 1)
+                and is_count(self.episode_horizon, 1)):
             raise InvalidInput("episodes_per_step and episode_horizon must be "
                                "integers >= 1")
-
-
-def _is_count(value, least):
-    """Whether value is an integer, Python or numpy, no less than least."""
-    return isinstance(value, numbers.Integral) and value >= least
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
-"""Exception and warning types shared across the package, and the check
-that a config section names only known keys and holds its required ones."""
+"""Exception and warning types shared across the package, and the checks
+that a config section names only known keys and holds its required ones,
+and that a setting is a count."""
 
+import numbers
 from dataclasses import fields
 
 
@@ -20,6 +22,13 @@ def known_keys(doc, cls, where, required=()):
             raise InvalidInput(f"{kind} key{'s' * (len(keys) > 1)} "
                                f"{', '.join(map(repr, keys))} in {where}")
     return doc
+
+
+def is_count(value, least):
+    """Whether value is an integer, Python or numpy but not a bool, no less
+    than least."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
 
 
 class NumericalFailure(RuntimeError):

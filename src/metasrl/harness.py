@@ -24,7 +24,8 @@ from . import __version__
 from .cmdp import SoftmaxPolicy, _fmt, all_objectives
 from .crpo import CrpoConfig, run_crpo
 from .dice import DiceConfig, dualdice_fit, visitation_from_corrections
-from .errors import DegenerateRun, InvalidInput, NumericalFailure, known_keys
+from .errors import (DegenerateRun, InvalidInput, NumericalFailure, is_count,
+                     known_keys)
 from .lp import solve_optimal_lp
 from .meta import (MetaLearnerState, SimConstants, meta_update,
                    project_table_shrinkage_simplex, regret_report)
@@ -48,8 +49,7 @@ class MetaConfig:
                 raise InvalidInput(f"{name} must be positive and finite")
         if not 0.0 <= self.ogd_step_sim < np.inf:
             raise InvalidInput("ogd_step_sim must be nonnegative and finite")
-        if not (isinstance(self.inner_updates, numbers.Integral)
-                and self.inner_updates >= 1):
+        if not is_count(self.inner_updates, 1):
             raise InvalidInput("inner_updates must be an integer >= 1")
         if not 0.0 <= self.shrinkage < 1.0:
             raise InvalidInput("shrinkage must lie in [0, 1)")
@@ -69,9 +69,20 @@ class ExperimentConfig:
     holdout_test_task: bool = True
 
     def __post_init__(self):
+        if not (isinstance(self.strategies, (list, tuple))
+                and all(isinstance(s, str) for s in self.strategies)):
+            raise InvalidInput("strategies must be a list of strategy names, "
+                               f"got {self.strategies!r}")
         object.__setattr__(self, "strategies", tuple(self.strategies))
-        if self.runs_per_strategy < 1:
-            raise InvalidInput("runs_per_strategy must be >= 1")
+        if not is_count(self.runs_per_strategy, 1):
+            raise InvalidInput("runs_per_strategy must be an integer >= 1, "
+                               f"got {self.runs_per_strategy!r}")
+        if not is_count(self.master_seed, 0):
+            raise InvalidInput("master_seed must be an integer >= 0, "
+                               f"got {self.master_seed!r}")
+        if not isinstance(self.holdout_test_task, bool):
+            raise InvalidInput("holdout_test_task must be true or false, "
+                               f"got {self.holdout_test_task!r}")
         if not self.strategies:
             raise InvalidInput("strategies must be nonempty")
         for s in self.strategies:

@@ -9,6 +9,14 @@ mu(s,a) >= 0:
 
 A dense two-phase simplex with Bland's rule is used; desk scale only
 (|S||A| up to a couple thousand).
+
+Each pivot is vectorised, but its choices and its arithmetic are those of a
+scalar simplex that scans columns and rows one at a time: the first allowed
+column of negative reduced cost enters, the ratio test folds the candidate
+rows in row order, and the pivot updates exactly the rows with a nonzero
+entry in the entering column. So the pivot sequence, every result and every
+failure are the same bit for bit; tests/test_lp.py::TestVectorisedSimplex
+checks this against such a scalar simplex.
 """
 
 from __future__ import annotations
@@ -28,12 +36,17 @@ class _Infeasible(Exception):
 
 
 def _pivot(tab, obj, basis, row, col):
-    tab[row] /= tab[row, col]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    rows = np.flatnonzero(np.abs(factors) > 0.0)
-    tab[rows] -= factors[rows, None] * tab[row]
-    obj -= obj[col] * tab[row]
+    """Pivot in place on (row, col): scale the pivot row, then clear col
+    from obj and from every other row whose entry there is nonzero."""
+    pivot_row = tab[row]
+    pivot_row /= pivot_row[col]
+    others = np.abs(tab[:, col]) > 0.0
+    others[row] = False
+    rows = others.nonzero()[0]
+    block = tab[rows]
+    block -= block[:, col, None] * pivot_row
+    tab[rows] = block
+    obj -= obj[col] * pivot_row
     basis[row] = col
 
 
@@ -42,15 +55,21 @@ def _run_simplex(tab, obj, basis, allowed):
 
     allowed marks columns permitted to enter the basis.
     """
+    # a reduced cost below its column's limit enters: -PIVOT_TOL where the
+    # column is allowed, -inf (never) where it is not or for the value entry
+    limit = np.full(obj.shape, -np.inf)
+    limit[:-1][allowed] = -PIVOT_TOL
+    rhs = tab[:, -1]
     for it in range(MAX_ITER):
-        entering = np.flatnonzero(allowed & (obj[:-1] < -PIVOT_TOL))
-        if entering.size == 0:
+        negative = obj < limit
+        enter = int(negative.argmax())
+        if not negative[enter]:
             return
-        enter = int(entering[0])
         # ratio test, ties broken by smallest basis index (Bland), folded in
         # row order: the tolerance makes the winner depend on that order
-        rows = np.flatnonzero(tab[:, enter] > PIVOT_TOL)
-        ratios = tab[rows, -1] / tab[rows, enter]
+        column = tab[:, enter]
+        rows = (column > PIVOT_TOL).nonzero()[0]
+        ratios = rhs[rows] / column[rows]
         leave, best, best_basis = -1, np.inf, -1
         for i, ratio in zip(rows.tolist(), ratios.tolist()):
             if ratio < best - PIVOT_TOL or (ratio < best + PIVOT_TOL and basis[i] < best_basis):
@@ -135,9 +154,7 @@ def solve_optimal_lp(cmdp):
     gamma = cmdp.discount
 
     # flow balance rows: sum_a mu(s,a) - gamma sum P(s|s',a') mu(s',a') = (1-gamma) rho(s)
-    a_eq = np.zeros((s_n, n))
-    for s in range(s_n):
-        a_eq[s, s * a_n:(s + 1) * a_n] = 1.0
+    a_eq = np.repeat(np.eye(s_n), a_n, axis=1)
     a_eq -= gamma * cmdp.transition.reshape(n, s_n).T
     b_eq = (1.0 - gamma) * cmdp.initial_dist
 

@@ -15,13 +15,21 @@ the two perpendicular slips of PERP, each clipped at the border, and those
 they stand. The reward and cost tables add each row's outcomes that reach
 the goal or a hole, in outcome order, so the CMDP is the same bit for bit
 as a per-cell loop of += writes into a dense kernel would build.
+
+What depends only on the grid's shape, each cell's move targets (nested
+tuples, for the reachability search) and each (state, action) row's
+outcome destinations (an array, for the CMDP), is built once per
+(rows, cols) by _shape_tables and shared read-only by every grid of that
+shape.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,19 +99,33 @@ class TaskSequenceConfig:
         return cls(**kw)
 
 
-def _move_targets(rows, cols):
-    """(rows*cols, 4): the flat cell r*cols + c that each move of MOVES
-    leads to from each flat cell, staying put at the border."""
+class _ShapeTables(NamedTuple):
+    """What the reachability search and the CMDP build need of one grid
+    shape, shared read-only by every grid of that shape."""
+    moves: tuple            # moves[s][a]: the cell move a of MOVES reaches from s
+    outcomes: np.ndarray    # (rows*cols + 1, 4, 3): each (state, action) row's
+                            # destinations, the intended move then the PERP slips
+
+
+@functools.cache
+def _shape_tables(rows, cols):
+    """The _ShapeTables of a rows x cols grid, built on the first call for
+    that shape. A move stays put at the border; the absorbing state's row
+    (the last) names the absorbing state."""
     r, c = np.divmod(np.arange(rows * cols), cols)
     dr, dc = np.array(MOVES).T
-    return (np.clip(r[:, None] + dr, 0, rows - 1) * cols
-            + np.clip(c[:, None] + dc, 0, cols - 1))
+    targets = (np.clip(r[:, None] + dr, 0, rows - 1) * cols
+               + np.clip(c[:, None] + dc, 0, cols - 1))
+    outcomes = np.full((rows * cols + 1, len(MOVES), 3), rows * cols, dtype=np.intp)
+    outcomes[:-1] = targets[:, [(a,) + PERP[a] for a in range(len(MOVES))]]
+    outcomes.setflags(write=False)
+    return _ShapeTables(tuple(map(tuple, targets.tolist())), outcomes)
 
 
 def _goal_reachable(frozen, rows, cols):
     """BFS over frozen cells under deterministic moves, holes blocking."""
     goal = rows * cols - 1
-    targets = _move_targets(rows, cols).tolist()
+    moves = _shape_tables(rows, cols).moves
     open_cells = frozen.ravel().tolist()
     seen = [False] * (goal + 1)
     seen[0] = True
@@ -111,7 +133,7 @@ def _goal_reachable(frozen, rows, cols):
     for s in queue:  # grows while it is read
         if s == goal:
             return True
-        for t in targets[s]:
+        for t in moves[s]:
             if open_cells[t] and not seen[t]:
                 seen[t] = True
                 queue.append(t)
@@ -144,16 +166,17 @@ def grid_to_cmdp(frozen, spec):
     terminal = holes.copy()
     terminal[goal] = terminal[absorbing] = True
 
-    outcomes = [(a,) + PERP[a] for a in range(n_actions)]
-    dest = np.empty((n_states, n_actions, 3), dtype=np.intp)
-    dest[:n_cells] = _move_targets(rows, cols)[:, outcomes]
-    dest[terminal] = absorbing
+    dest = np.where(terminal[:, None, None], absorbing,
+                    _shape_tables(rows, cols).outcomes)
     prob = np.empty((n_states, n_actions, 3))
     prob[:] = (1.0 - spec.slip_prob, spec.slip_prob / 2.0, spec.slip_prob / 2.0)
     prob[terminal] = (1.0, 0.0, 0.0)
 
-    reward = spec.goal_reward * (prob * (dest == goal)).sum(axis=2)
-    cost = spec.hole_cost * (prob * holes[dest]).sum(axis=2)
+    # each row's outcomes that reach the goal, then a hole, added in order
+    reached = prob * np.stack([dest == goal, holes[dest]])
+    reward, cost = (reached[..., 0] + reached[..., 1]) + reached[..., 2]
+    reward = spec.goal_reward * reward
+    cost = spec.hole_cost * cost
     initial_dist = np.zeros(n_states)
     initial_dist[0] = 1.0
     return TabularCmdp(
@@ -199,8 +222,7 @@ def gen_task_sequence(config):
         grids.append(base_grid)
         notes.append({"flip": None, "frozen_prob": config.base.frozen_prob})
         rows, cols = config.base.rows, config.base.cols
-        flippable = [(r, c) for r in range(rows) for c in range(cols)
-                     if (r, c) not in ((0, 0), (rows - 1, cols - 1))]
+        flippable = [divmod(k, cols) for k in range(1, rows * cols - 1)]
         if config.num_tasks - 1 > len(flippable):
             raise InvalidInput("more tasks than flippable cells")
         order = list(rng.permutation(len(flippable)))
@@ -244,19 +266,10 @@ def gen_task_sequence(config):
 
 def grid_ascii(frozen):
     """Render a bitmap for inspection: S start, G goal, . frozen, H hole."""
-    rows, cols = frozen.shape
-    lines = []
-    for r in range(rows):
-        chars = []
-        for c in range(cols):
-            if (r, c) == (0, 0):
-                chars.append("S")
-            elif (r, c) == (rows - 1, cols - 1):
-                chars.append("G")
-            else:
-                chars.append("." if frozen[r, c] else "H")
-        lines.append("".join(chars))
-    return lines
+    chars = np.where(frozen, ".", "H")
+    chars[-1, -1] = "G"
+    chars[0, 0] = "S"
+    return ["".join(row) for row in chars.tolist()]
 
 
 def write_task_sequence(config, out_dir):

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written from scratch (value iteration,
-the gridworld builder's per-cell loop and its tuple breadth-first search,
+the gridworld builder's per-cell loop, its tuple breadth-first search and
+its per-cell ASCII renderer,
 one dense Bellman solve per objective, per-row successor lists, einsum
 state kernels, a breadth-first search for the states that reach the start, the two-array empirical kernel, vectorized Monte-Carlo
 rollouts, per-draw episode, TD(0) and SGD DICE samplers, a dense DualDICE solve,
@@ -119,6 +120,23 @@ def goal_reachable_reference(frozen, rows, cols):
                 seen.add((nr, nc))
                 queue.append((nr, nc))
     return False
+
+
+def grid_ascii_reference(frozen):
+    """Render a bitmap one cell at a time: S start, G goal, . frozen, H hole."""
+    rows, cols = frozen.shape
+    lines = []
+    for r in range(rows):
+        chars = []
+        for c in range(cols):
+            if (r, c) == (0, 0):
+                chars.append("S")
+            elif (r, c) == (rows - 1, cols - 1):
+                chars.append("G")
+            else:
+                chars.append("." if frozen[r, c] else "H")
+        lines.append("".join(chars))
+    return lines
 
 
 def grid_to_cmdp_reference(frozen, spec):

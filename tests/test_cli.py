@@ -184,6 +184,16 @@ class TestRun:
         assert f"config error: {field}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("runs_per_strategy", 2.5), ("holdout_test_task", "no"),
+        ("strategies", "MetaSrl")])
+    def test_badly_typed_field_exit_2(self, tmp_path, capsys, field, value):
+        cfg = write_json(tmp_path / "run.json", {**RUN_DOC, field: value})
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,key", [
         (None, "runs_per_stratgy"), ("crpo", "td_step_size"), ("dice", "sgd_step"),
         ("meta", "ogd_step"), ("task_source", "num_task"),

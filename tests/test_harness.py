@@ -87,6 +87,22 @@ class TestExperimentConfig:
                 tiny_config(strategies=(name,))
 
     @pytest.mark.parametrize("field,value", [
+        ("runs_per_strategy", 2.5), ("runs_per_strategy", "2"),
+        ("runs_per_strategy", True), ("holdout_test_task", "no"),
+        ("holdout_test_task", 0), ("strategies", "MetaSrl"),
+        ("strategies", ["MetaSrl", 3]), ("strategies", {"MetaSrl": 1}),
+        ("master_seed", -1), ("master_seed", 1.5)])
+    def test_badly_typed_field_rejected_when_built(self, field, value):
+        with pytest.raises(InvalidInput, match=f"^{field} must be"):
+            ExperimentConfig.from_json({"task_source": "tasks", field: value})
+
+    def test_typed_fields_accepted(self):
+        cfg = ExperimentConfig(task_source="tasks", strategies=["FAL"],
+                               runs_per_strategy=np.int64(3),
+                               master_seed=np.uint32(5), holdout_test_task=False)
+        assert cfg.strategies == ("FAL",) and cfg.runs_per_strategy == 3
+
+    @pytest.mark.parametrize("field,value", [
         ("ogd_step_init", 0.0), ("ogd_step_init", -0.5), ("ogd_step_init", np.nan),
         ("ogd_step_init", np.inf), ("ogd_step_sim", -1.0), ("ogd_step_sim", np.nan),
         ("inner_updates", 0), ("inner_updates", 1.5), ("shrinkage", -0.1),

@@ -10,7 +10,8 @@ from metasrl import lp
 from metasrl.errors import NumericalFailure
 from metasrl.harness import solve_oracles
 from metasrl.lp import simplex_solve, solve_optimal_lp
-from metasrl.taskgen import GridSpec, gen_frozen_lake
+from metasrl.taskgen import (GridSpec, TaskSequenceConfig, gen_frozen_lake,
+                             gen_task_sequence)
 
 from oracles import (occupancy_lp_reference, pivot_reference, random_cmdp,
                      run_simplex_reference, value_iteration)
@@ -166,6 +167,11 @@ def lp_cases():
                              initial_dist=base.initial_dist, c_max=1.0))
     cases += [gen_frozen_lake(GridSpec(rows=n, cols=n, seed=seed))
               for n, seed in [(4, 0), (5, 0), (5, 27), (5, 39), (6, 3)]]
+    # a test_09 training task (the sweep's own LPs) and a larger solved grid
+    test09 = TaskSequenceConfig(mode="HighSimilarity", num_tasks=11,
+                                base=GridSpec(seed=2), seed=2)
+    cases.append(gen_task_sequence(test09)[0][5])
+    cases.append(gen_frozen_lake(GridSpec(rows=6, cols=6, seed=0)))
     return [pytest.param(c, id=f"lp{k}") for k, c in enumerate(cases)]
 
 

@@ -15,7 +15,8 @@ from metasrl.taskgen import (GridSpec, TaskSequenceConfig, _goal_reachable,
                              quadratic_stream, synthetic_kl_stream,
                              write_task_sequence)
 
-from oracles import goal_reachable_reference, grid_to_cmdp_reference
+from oracles import (goal_reachable_reference, grid_ascii_reference,
+                     grid_to_cmdp_reference)
 
 CMDP_ARRAYS = ("transition", "reward", "costs", "limits", "initial_dist")
 
@@ -137,6 +138,18 @@ class TestReachability:
     def test_open_goal(self):
         assert _goal_reachable(np.ones((2, 2), dtype=bool), 2, 2)
 
+    def test_move_tables_are_built_once_and_read_only(self):
+        tables = taskgen._shape_tables(3, 4)
+        assert taskgen._shape_tables(3, 4) is tables
+        assert tables.moves[5] == (1, 9, 4, 6)   # cell (1, 1): up, down, left, right
+        assert tables.outcomes.shape == (13, 4, 3)
+        assert tables.outcomes[5].tolist() == [[1, 4, 6], [9, 4, 6],
+                                               [4, 1, 9], [6, 1, 9]]
+        with pytest.raises(ValueError, match="read-only"):
+            tables.outcomes[0, 0, 0] = 5
+        with pytest.raises(TypeError):
+            tables.moves[0][0] = 5
+
     def test_generation_failure(self):
         with pytest.raises(GenerationFailure):
             gen_grid(GridSpec(rows=2, cols=2, frozen_prob=0.0), max_attempts=5)
@@ -241,6 +254,7 @@ class TestTaskSequence:
         write_task_sequence(cfg, str(out / "array"))
         monkeypatch.setattr(taskgen, "grid_to_cmdp", grid_to_cmdp_reference)
         monkeypatch.setattr(taskgen, "_goal_reachable", goal_reachable_reference)
+        monkeypatch.setattr(taskgen, "grid_ascii", grid_ascii_reference)
         ref_cmdps, ref_grids, ref_manifest = gen_task_sequence(cfg)
         write_task_sequence(cfg, str(out / "loop"))
         for a, b in zip(cmdps, ref_cmdps, strict=True):
@@ -262,6 +276,10 @@ class TestTaskSequence:
                            [True, False, True, True],
                            [True, True, True, False]])
         assert grid_ascii(frozen) == ["S.H.", ".H..", "...G"]
+        rng = np.random.default_rng(5)
+        for rows, cols in [(1, 1), (1, 3), (3, 1)] + SIZES:
+            frozen = rng.random((rows, cols)) < 0.5
+            assert grid_ascii(frozen) == grid_ascii_reference(frozen)
 
 
 class TestSyntheticStreams:
