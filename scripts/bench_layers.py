@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Time the exact Bellman layer in-process, one grid size after another.
+
+For task 0 of a HighSimilarity task sequence (grid and sequence seed 2) at
+each size, prints the time of three calls, each under the same random
+softmax policy:
+
+- build: building `TabularCmdp.elimination`, its successor view already
+  built;
+- evaluate: one `policy_evaluation_exact`;
+- visitation: one `visitation_exact`.
+
+Each figure is the best, over --repeats rounds, of the mean time of
+--number calls, in microseconds. Uses the standard library and numpy only.
+
+Example:
+    PYTHONPATH=src python3 scripts/bench_layers.py --sizes 4,8,16 --repeats 5
+"""
+
+import argparse
+import time
+
+import numpy as np
+
+from metasrl import cmdp, taskgen
+
+
+def first_task(size):
+    """Task 0 of the HighSimilarity sequence on a size x size grid, seed 2."""
+    base = taskgen.GridSpec(rows=size, cols=size, seed=2)
+    config = taskgen.TaskSequenceConfig(mode="HighSimilarity", num_tasks=2,
+                                        base=base, seed=2)
+    return taskgen.gen_task_sequence(config)[0][0]
+
+
+def best_time(call, repeats, number):
+    """Best over `repeats` rounds of the mean seconds of `number` calls."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(number):
+            call()
+        best = min(best, (time.perf_counter() - start) / number)
+    return best
+
+
+def layer_times(task, repeats, number):
+    """{layer: best seconds} for one task."""
+    policy = cmdp.SoftmaxPolicy(logits=np.random.default_rng(0).standard_normal(
+        (task.n_states, task.n_actions)))
+    task.successors  # built once, as the first evaluation builds it
+    build = type(task).elimination.func  # uncached: a fresh build each call
+    return {
+        "build": best_time(lambda: build(task), repeats, number),
+        "evaluate": best_time(lambda: cmdp.policy_evaluation_exact(task, policy),
+                              repeats, number),
+        "visitation": best_time(lambda: cmdp.visitation_exact(task, policy),
+                                repeats, number),
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--sizes", default="4,8,16",
+                        help="comma-separated grid sizes (default 4,8,16)")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--number", type=int, default=200)
+    args = parser.parse_args(argv)
+    if args.repeats < 1 or args.number < 1:
+        parser.error("--repeats and --number must be at least 1")
+    print(f"{'grid':>6} {'states':>6} {'|I|':>5} {'build_us':>9} "
+          f"{'evaluate_us':>11} {'visitation_us':>13}")
+    for size in (int(s) for s in args.sizes.split(",")):
+        task = first_task(size)
+        times = layer_times(task, args.repeats, args.number)
+        print(f"{f'{size}x{size}':>6} {task.n_states:>6} "
+              f"{task.elimination.blocks[0]:>5} {1e6 * times['build']:>9.1f} "
+              f"{1e6 * times['evaluate']:>11.1f} {1e6 * times['visitation']:>13.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -9,19 +9,27 @@ prob[s, a, k] on state idx[s, a, k]. The gridworlds hand over K = 3 entries
 a row, the intended move and its two slips; a dense kernel P is the entries
 (np.arange(S), P). On first use the CMDP builds one successor view of the
 kernel: each row's states with nonzero mass, ascending, (S, A, K) with K the
-largest row count (at most 3 on the gridworlds). P_pi, the Q backup and the
-sampler's next-state CDF are computed from that view, so their cost grows
-with S*A*K rather than S*A*S. Only the LP oracle and the JSON form read the
-dense (S, A, S) kernel, which `transition` rebuilds on every read.
+largest row count (at most 3 on the gridworlds), padded with zero-mass
+self-loops. P_pi, the Q backup and the sampler's next-state CDF are computed
+from that view, so their cost grows with S*A*K rather than S*A*S. Only the
+LP oracle and the JSON form read the dense (S, A, S) kernel, which
+`transition` rebuilds on every read.
 
-The Bellman solves use one state order, fixed per CMDP and independent of the
-policy: first the n core states, from which some state with rho > 0 can be
-reached, then the rest, T. No successor of a T state is a core state, under
-any action, so in that order I - gamma P_pi is block upper-triangular for
-every policy, and its two diagonal blocks are factorised apart. On the
-gridworlds T holds the holes, the goal, the absorbing state and any cell
-walled off from the start (77 to 143 of the 257 states of the 16x16 grids of
-seeds 0-2); on dense kernels it is empty, a 0 x 0 block.
+The Bellman solves first eliminate an independent set of states, the same
+for every policy. The pattern of P_pi is the union over actions of the
+successor view, plus the diagonal. Taking the states in ascending order, a
+state joins the set I unless a state already in I is one of its successors
+or predecessors (self-loops aside); J holds the rest. No pattern entry links
+two I states, so the I x I block of I - gamma P_pi is the diagonal
+D = 1 - gamma P_pi(i|i) >= 1 - gamma, and one LU, of the Schur complement
+
+    S = I - gamma P_JJ - gamma^2 P_JI D^-1 P_IJ,
+
+solves the system; V_I (or nu_I) then follows from D alone. S is again
+strictly diagonally dominant, so the LU is stable. A solve forms S and the
+coupling blocks D^-1 gamma P_IJ and gamma P_JI dense, never an S x S matrix.
+On the gridworlds I is nearly a checkerboard (128 of the 257 states of the
+16x16 grid of seed 2); on a dense kernel it holds one state.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +54,30 @@ def _as_readonly(a):
     return a
 
 
+class Elimination(NamedTuple):
+    """The policy-independent index arrays of the Bellman solves (see the
+    module docstring), each read-only.
+
+    A state's position is its index in `order`: I holds positions [0, n)
+    and J the rest. The nnz slots of the pattern of P_pi lie in four
+    blocks, each by row and then column position: [0, n) the diagonal of
+    I, [n, b1) the IJ entries, [b1, b2) the JI entries and [b2, nnz) the JJ
+    entries, with blocks = (n, b1, b2, nnz). The dense blocks of one solve
+    share one flat array: S, then R (n x |J|), then A_JI (|J| x n).
+    """
+
+    blocks: tuple
+    order: np.ndarray       # (S,): I ascending, then J ascending
+    rank: np.ndarray        # (S,): the position of each state
+    neg_step: np.ndarray    # (S, A, K): -gamma * prob of the successor view
+    slot: np.ndarray        # (S*A*K,): the slot of each successor-view entry
+    ij_row: np.ndarray      # the I position of each IJ slot
+    fill_ji: np.ndarray     # the JI slot (less b1) of each fill term j -> i -> j'
+    fill_ij: np.ndarray     # the IJ slot (less n) of each fill term
+    bins: np.ndarray        # the flat dense index of each fill term and JJ
+                            # slot (into S), IJ slot (R) and JI slot (A_JI)
+
+
 @dataclass(frozen=True)
 class TabularCmdp:
     """A finite CMDP with one reward table and p cost tables.
@@ -56,7 +89,7 @@ class TabularCmdp:
     (S, A, S) kernel P is (np.arange(S), P). reward has shape
     (S, A); costs (p, S, A); limits (p,); initial_dist (S,).  Infinite
     limits are encoded by any value >= c_max/(1-gamma) + 1.  The successor
-    view, its CDF and the block order of the Bellman solves are built from
+    view, its CDF and the elimination of the Bellman solves are built from
     the kernel on first use and cached on the instance.
     """
 
@@ -157,8 +190,9 @@ class TabularCmdp:
     def successors(self):
         """(idx, prob), each (S, A, K) and read-only: the states with a
         nonzero (!= 0) total in each kernel row, ascending, and those totals,
-        padded with index 0 and probability 0 up to K, the largest count of
-        any row. A state's total adds the row's entries for it in k order."""
+        padded up to K, the largest count of any row, with zero-mass
+        self-loops (the row's own state, probability 0). A state's total
+        adds the row's entries for it in k order."""
         s_n, a_n, _ = self.kernel[1].shape
         weights = self.kernel[1].ravel()
         nonzero = weights != 0   # adding a zero changes no nonzero total
@@ -172,7 +206,8 @@ class TabularCmdp:
         row, state = np.divmod(keys[first][live], s_n)
         counts = np.bincount(row, minlength=s_n * a_n).reshape(s_n, a_n)
         shape = counts.shape + (counts.max(),)
-        idx = np.zeros(shape, dtype=np.intp)
+        idx = np.empty(shape, dtype=np.intp)
+        idx[:] = np.arange(s_n)[:, None, None]
         prob = np.zeros(shape)
         slot = np.arange(shape[2]) < counts[..., None]
         idx[slot] = state
@@ -182,41 +217,56 @@ class TabularCmdp:
         return idx, prob
 
     @cached_property
-    def block_order(self):
-        """(order, n): the state order of the Bellman solves, read-only. The n
-        core states, those from which a state with rho > 0 can be reached,
-        come first, then the closed set T of the others; each part ascending.
-        The core is one breadth-first search backwards from the states with
-        rho > 0, over predecessor lists grouped by successor with one argsort."""
-        idx, prob = self.successors
-        live = prob != 0
-        succ = idx[live]
-        by_succ = np.argsort(succ, kind="stable")
-        preds = np.nonzero(live)[0][by_succ].tolist()  # source state of each entry
-        starts = np.searchsorted(succ[by_succ], np.arange(self.n_states + 1)).tolist()
-        queue = np.flatnonzero(self.initial_dist > 0).tolist()
-        seen = (self.initial_dist > 0).tolist()
-        for t in queue:  # the queue grows while it is walked
-            for s in preds[starts[t]:starts[t + 1]]:
-                if not seen[s]:
-                    seen[s] = True
-                    queue.append(s)
-        core = np.array(seen)
-        order = np.concatenate([np.flatnonzero(core), np.flatnonzero(~core)])
-        order.setflags(write=False)
-        return order, int(core.sum())
+    def elimination(self):
+        """The `Elimination` of the Bellman solves, read-only.
 
-    @cached_property
-    def block_bins(self):
-        """(S, A, K) flat positions, read-only: successor-view entry (s, a, k)
-        sits at row rank(s), column rank(idx[s, a, k]) of the block-ordered
-        S x S matrix, rank(s) being the position of s in `block_order`."""
-        order = self.block_order[0]
+        I is grown greedily over the successor view. The pattern is the
+        sorted distinct (block, row, column) keys over positions of the
+        successor-view entries and the diagonal; the fill pairs each JI slot
+        (j, i) with every IJ slot of row i."""
+        s_n = self.n_states
+        idx = self.successors[0]
+        indep, dep, in_i, blocked = [], [], set(), set()
+        for s, row in enumerate(idx.reshape(s_n, -1).tolist()):
+            if s in blocked or not in_i.isdisjoint(row):  # an I predecessor or successor
+                dep.append(s)
+            else:
+                indep.append(s)
+                in_i.add(s)
+                blocked.update(row)
+        n, m, sq = len(indep), len(dep), s_n * s_n
+        order = np.array(indep + dep)
         rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        bins = rank[:, None, None] * order.size + rank[self.successors[0]]
-        bins.setflags(write=False)
-        return bins
+        rank[order] = np.arange(s_n)
+        in_j = rank >= n      # blocks 0-3: I x I (its diagonal alone), IJ, JI, JJ
+        row_key, col_key = (2 * s_n * in_j + rank) * s_n, sq * in_j + rank
+        entry_keys = (row_key[:, None, None] + col_key[idx]).ravel()
+        keys = np.concatenate((entry_keys, row_key + col_key))
+        keys.sort()
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        pattern = keys[first]
+        slot = np.searchsorted(pattern, entry_keys)
+        b1, b2 = np.searchsorted(pattern, (2 * sq, 3 * sq)).tolist()
+        rows, cols = np.divmod(pattern % sq, s_n)
+        ij_row, ij_col = rows[n:b1], cols[n:b1]
+        ji_row, ji_col = rows[b1:b2], cols[b1:b2]
+        # JI slot e = (j, i) meets the IJ slots [start, start + reps) of row i
+        start = np.searchsorted(ij_row, ji_col)
+        reps = np.searchsorted(ij_row, ji_col, side="right") - start
+        fill_ji = np.repeat(np.arange(reps.size), reps)
+        fill_ij = np.arange(fill_ji.size) + np.repeat(start - np.cumsum(reps) + reps, reps)
+        flat_m = rows * m + cols
+        bins = np.concatenate((ji_row[fill_ji] * m + ij_col[fill_ij] - n * (m + 1),
+                               flat_m[b2:] - n * (m + 1), flat_m[n:b1] + (m * m - n),
+                               ji_row * n + ji_col + (m * m + m * n - n * n)))
+        arrays = dict(order=order, rank=rank, neg_step=-self.discount * self.successors[1],
+                      slot=slot, ij_row=ij_row, fill_ji=fill_ji,
+                      fill_ij=fill_ij, bins=bins)
+        for a in arrays.values():
+            a.setflags(write=False)
+        return Elimination(blocks=(n, b1, b2, pattern.size), **arrays)
 
     @cached_property
     def successor_cdf(self):
@@ -305,9 +355,9 @@ class VisitationDistribution:
 
 @dataclass(frozen=True)
 class TablePolicy:
-    """A bare probability table; rows may touch the simplex boundary.
-
-    Duck-types SoftmaxPolicy for evaluation purposes (only .probs is used).
+    """A policy as a bare probability table whose rows may touch the simplex
+    boundary, as the LP oracle and the synthetic KL streams return them. It
+    holds the same `probs` table as a SoftmaxPolicy, all the exact layer reads.
     """
 
     probs: np.ndarray
@@ -330,22 +380,28 @@ def _check_dims(cmdp, policy):
         raise InvalidInput("policy dimensions do not match CMDP")
 
 
-def _block_bellman_matrix(cmdp, probs):
-    """(I - gamma P_pi, order, n): the Bellman matrix in block order, built
-    as one weighted bincount of the successor view over `block_bins` and
-    scaled in place. Each entry of P_pi(s'|s) = sum_a pi(a|s) P(s'|s,a)
-    adds its terms in ascending a, as the dense einsum does, and the omitted
-    zeros add nothing, so this is bit for bit the permuted
-    np.eye(S) - gamma P_pi of the dense kernel."""
-    order, n = cmdp.block_order
+def _schur_complement(cmdp, probs):
+    """(nd, s, r, a_ji) for one policy: nd = -D = gamma P_pi(i|i) - 1 on I,
+    and dense, the Schur complement S on J, the multipliers
+    R = D^-1 gamma P_IJ and the block A_JI = -gamma P_JI.
+
+    -gamma P_pi is one weighted bincount of the successor view over the
+    pattern slots; each slot adds its terms in ascending a, as a dense
+    einsum does. The dense blocks come from one more bincount: each entry
+    of S adds its fill terms a_ji * r_ij' in ascending i, then its
+    -gamma P_JJ entry, and the diagonal gets 1 added last."""
+    e = cmdp.elimination
+    n, b1, b2, nnz = e.blocks
     s_n = cmdp.n_states
-    weights = (probs[:, :, None] * cmdp.successors[1]).ravel()
-    a = np.bincount(cmdp.block_bins.ravel(), weights,
-                    minlength=s_n * s_n).reshape(s_n, s_n)
-    a *= cmdp.discount
-    np.subtract(0.0, a, out=a)  # 0 - x, not -x: zeros keep their + sign
-    a.reshape(-1)[::len(a) + 1] += 1.0
-    return a, order, n
+    m = s_n - n
+    a = np.bincount(e.slot, (probs[:, :, None] * e.neg_step).ravel(), nnz)
+    nd = -1.0 - a[:n]
+    r = a[n:b1] / nd[e.ij_row]
+    w = np.concatenate((a[b1:b2][e.fill_ji] * r[e.fill_ij], a[b2:], r, a[b1:b2]))
+    dense = np.bincount(e.bins, w, m * (m + 2 * n)).astype(float, copy=False)  # int if empty
+    dense[:m * m:m + 1] += 1.0
+    return (nd, dense[:m * m].reshape(m, m), dense[m * m:m * (m + n)].reshape(n, m),
+            dense[m * (m + n):].reshape(m, n))
 
 
 def _solve(a, b):
@@ -359,49 +415,53 @@ def policy_evaluation_exact(cmdp, policy):
     """Value tables (v, q) of every objective i = 0..p of one policy.
 
     All p+1 Bellman systems (I - gamma P_pi) V_i = c_pi,i share one matrix.
-    In block order it is [[A_CC, A_CT], [0, A_TT]], so V_T is solved from
-    A_TT first and V_C from A_CC against c_C - A_CT V_T, each block with one
-    LU and the stacked (., p+1) right-hand side; every column of the whole
-    system must then pass the residual check. All p+1 tables
+    Eliminating I leaves S V_J = c_J + gamma P_JI D^-1 c_I, solved with one
+    LU and the stacked (., p+1) right-hand side; then
+    V_I = D^-1 (c_I + gamma P_IJ V_J). All p+1 tables
     Q_i = c_i + gamma sum_k prob_k V_i(idx_k) are backed up in one
-    expression over the successor view. Returns (v, q), v of shape
-    (p+1, S) and q of shape (p+1, S, A), row i of each for objective i,
-    reward first.
+    expression over the successor view, and V - sum_a pi Q, which is
+    (I - gamma P_pi) V - c_pi, must pass the residual check on every column
+    of the whole system. Returns (v, q), v of shape (p+1, S) and q of shape
+    (p+1, S, A), row i of each for objective i, reward first.
     """
     _check_dims(cmdp, policy)
     probs = policy.probs
     tables = cmdp.objective_tables
-    a, order, n = _block_bellman_matrix(cmdp, probs)
-    c_pi = (probs * tables).sum(axis=2).T[order]
-    v = np.empty_like(c_pi)
-    v[n:] = _solve(a[n:, n:], c_pi[n:])
-    v[:n] = _solve(a[:n, :n], c_pi[:n] - a[:n, n:] @ v[n:])
-    residual = np.max(np.abs(a @ v - c_pi))
+    e = cmdp.elimination
+    n = e.blocks[0]
+    nd, s, r, a_ji = _schur_complement(cmdp, probs)
+    c = (probs * tables).sum(axis=2)[:, e.order]
+    y = c[:, :n] / nd                          # -D^-1 c_I
+    v_j = _solve(s, (c[:, n:] + y @ a_ji.T).T).T
+    v_i = v_j @ r.T - y
+    v = np.concatenate((v_i, v_j), axis=1)[:, e.rank]
+    # k leading: the k terms add slab by slab in k order, faster than a sum
+    # over a short last axis
+    q = tables - (e.neg_step.transpose(2, 0, 1)
+                  * v.take(cmdp.successors[0].transpose(2, 0, 1), axis=1)).sum(axis=1)
+    residual = np.abs(v - np.einsum("sa,isa->is", probs, q)).max()
     if not residual <= SOLVE_TOL:
         raise NumericalFailure(f"Bellman residual {residual:.3e} exceeds tolerance")
-    v_states = np.empty((len(tables), len(order)))
-    v_states[:, order] = v.T
-    idx, prob = cmdp.successors
-    step = cmdp.discount * prob
-    return v_states, tables + (step * v_states.take(idx, axis=1)).sum(-1)
+    return v, q
 
 
 def visitation_exact(cmdp, policy):
     """Discounted state (and state-action) visitation, by a linear solve.
 
-    nu solves (I - gamma P_pi)^T nu = (1-gamma) rho. In block order that
-    system is lower block-triangular: nu_C comes from A_CC^T, then nu_T
-    from A_TT^T against its share of (1-gamma) rho less A_CT^T nu_C.
+    nu solves (I - gamma P_pi)^T nu = (1-gamma) rho = b. Eliminating I
+    leaves S^T nu_J = b_J + sum_i r_ij b_i, one LU, with r = gamma P_IJ / D;
+    then nu_I = D^-1 (b_I + gamma P_JI^T nu_J). Clipped at 0 and normalized.
     """
     _check_dims(cmdp, policy)
     probs = policy.probs
-    a, order, n = _block_bellman_matrix(cmdp, probs)
-    b = (1.0 - cmdp.discount) * cmdp.initial_dist[order]
-    nu_block = np.empty_like(b)
-    nu_block[:n] = _solve(a[:n, :n].T, b[:n])
-    nu_block[n:] = _solve(a[n:, n:].T, b[n:] - a[:n, n:].T @ nu_block[:n])
-    nu = np.empty_like(nu_block)
-    nu[order] = np.maximum(nu_block, 0.0)
+    e = cmdp.elimination
+    n = e.blocks[0]
+    nd, s, r, a_ji = _schur_complement(cmdp, probs)
+    b = ((1.0 - cmdp.discount) * cmdp.initial_dist)[e.order]
+    b_i = b[:n]
+    nu_j = _solve(s.T, b[n:] + b_i @ r)
+    nu_i = (nu_j @ a_ji - b_i) / nd
+    nu = np.maximum(np.concatenate((nu_i, nu_j))[e.rank], 0.0)
     nu = nu / nu.sum()
     return VisitationDistribution(nu=nu, nu_sa=nu[:, None] * probs)
 

@@ -175,9 +175,12 @@ def meta_update(state, nu_hat, pi_hat, m_steps, constants):
     rate_floor. Returns the new state, which keeps the task's KL loss at
     the old initialization as `kl_term`.
     """
-    kl_term, _ = kl_loss_and_grad(nu_hat, pi_hat, state.init_policy)
+    kl_term, first_grad = kl_loss_and_grad(nu_hat, pi_hat, state.init_policy)
+    pending = [first_grad]  # the first OGD step starts at init_policy
 
     def grad(phi_table):
+        if pending:
+            return pending.pop()
         _, g = kl_loss_and_grad(nu_hat, pi_hat, phi_table)
         return g
 

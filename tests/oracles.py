@@ -4,7 +4,8 @@ Everything here is deliberately written from scratch (value iteration,
 the gridworld builder's per-cell loop, its tuple breadth-first search and
 its per-cell ASCII renderer,
 one dense Bellman solve per objective, per-row successor lists, einsum
-state kernels, a breadth-first search for the states that reach the start, the two-array empirical kernel, vectorized Monte-Carlo
+state kernels, a state-by-state greedy independent set and a dense Schur
+complement, the two-array empirical kernel, vectorized Monte-Carlo
 rollouts, per-draw episode, TD(0) and SGD DICE samplers, a dense DualDICE solve,
 row-by-row simplex projections and simplex pivots, finite differences, scipy-based constrained
 minimization and linear programming) rather than calling into the package under test.
@@ -185,12 +186,13 @@ def grid_to_cmdp_reference(frozen, spec):
 
 def successor_arrays(transition):
     """(idx, prob) of shape (S, A, K): each kernel row's nonzero entries from
-    np.nonzero of that row, padded with index 0 and probability 0 up to K."""
+    np.nonzero of that row, padded up to K with the row's own state and
+    probability 0."""
     s_n, a_n, _ = transition.shape
     rows = [np.nonzero(transition[s, a])[0]
             for s in range(s_n) for a in range(a_n)]
     k = max(r.size for r in rows)
-    idx = np.zeros((s_n * a_n, k), dtype=int)
+    idx = np.repeat(np.arange(s_n), a_n * k).reshape(s_n * a_n, k)
     prob = np.zeros((s_n * a_n, k))
     for i, r in enumerate(rows):
         idx[i, :r.size] = r
@@ -199,10 +201,13 @@ def successor_arrays(transition):
 
 
 def q_backup_reference(cmdp, objective_index, v):
-    """Q = c + gamma sum_k prob_k v(idx_k) over the successor arrays."""
+    """Q = c + gamma sum_k prob_k v(idx_k) over the successor arrays, the
+    k terms added one after another."""
     idx, prob = successor_arrays(cmdp.transition)
-    return cmdp.objective_table(objective_index) \
-        + (cmdp.discount * prob * v[idx]).sum(-1)
+    total = 0.0
+    for k in range(idx.shape[2]):
+        total = total + cmdp.discount * prob[..., k] * v[idx[..., k]]
+    return cmdp.objective_table(objective_index) + total
 
 
 def transition_under_policy_reference(cmdp, probs):
@@ -220,56 +225,54 @@ def visitation_reference(cmdp, probs):
     return nu / nu.sum()
 
 
-def core_states_reference(cmdp):
-    """The set of states from which some state with rho > 0 can be reached,
-    by a plain breadth-first search backwards over the dense kernel."""
-    transition = cmdp.transition.tolist()
-    preds = [set() for _ in range(cmdp.n_states)]
-    for s, rows in enumerate(transition):
+def independent_set_reference(cmdp):
+    """The greedy independent set, state by state over the dense kernel: a
+    state joins unless a state already in the set is one of its successors
+    or predecessors under some action; self-loops do not count."""
+    linked = [set() for _ in range(cmdp.n_states)]
+    for s, rows in enumerate(cmdp.transition.tolist()):
         for row in rows:
             for t, p in enumerate(row):
-                if p != 0:
-                    preds[t].add(s)
-    core = {s for s, r in enumerate(cmdp.initial_dist.tolist()) if r > 0}
-    queue = deque(core)
-    while queue:
-        for s in preds[queue.popleft()]:
-            if s not in core:
-                core.add(s)
-                queue.append(s)
-    return core
+                if p != 0 and t != s:
+                    linked[s].add(t)
+                    linked[t].add(s)
+    chosen = []
+    for s in range(cmdp.n_states):
+        if not linked[s] & set(chosen):
+            chosen.append(s)
+    return chosen
 
 
-def block_order_reference(cmdp):
-    """(order, n) of `TabularCmdp.block_order` by the numpy fixpoint: the
-    core grows by every state with a live successor entry in it, one round
-    per search level, until it stops growing."""
-    idx, prob = cmdp.successors
-    live = prob != 0
-    core = cmdp.initial_dist > 0
-    while True:
-        grown = core | (core[idx] & live).any(axis=(1, 2))
-        if np.array_equal(grown, core):
-            break
-        core = grown
-    return np.concatenate([np.flatnonzero(core), np.flatnonzero(~core)]), int(core.sum())
+def schur_reference(cmdp, probs):
+    """(indep, dep, nd, s, r, a_ji) of the eliminated Bellman system, dense:
+    M = -gamma P_pi from an einsum over the dense kernel, the greedy set I
+    and the rest J, nd = -1 - M_ii on I, R = M_IJ / nd row by row,
+    A_JI = M_JI, and S = I + M_JJ + sum_i M_Ji R_iJ, the outer products
+    added in ascending i before M_JJ."""
+    indep = independent_set_reference(cmdp)
+    dep = sorted(set(range(cmdp.n_states)) - set(indep))
+    m = np.einsum("sa,sat->st", probs, -cmdp.discount * cmdp.transition)
+    nd = -1.0 - m[indep, indep]
+    r = m[np.ix_(indep, dep)] / nd[:, None]
+    a_ji = m[np.ix_(dep, indep)]
+    fill = np.zeros((len(dep), len(dep)))
+    for k in range(len(indep)):
+        fill += np.outer(a_ji[:, k], r[k])
+    s = fill + m[np.ix_(dep, dep)]
+    s[np.diag_indices(len(dep))] += 1.0
+    return indep, dep, nd, s, r, a_ji
 
 
-def visitation_block_reference(cmdp, probs):
-    """Discounted state visitation by the two block solves: the einsum
-    I - gamma P_pi, permuted to the core states (ascending) then the rest
-    (ascending) as found by `core_states_reference`, solved transposed for
-    the core first and then for the rest; clipped at 0 and normalized."""
-    core = core_states_reference(cmdp)
-    order = sorted(core) + sorted(set(range(cmdp.n_states)) - core)
-    n = len(core)
-    p_pi = transition_under_policy_reference(cmdp, probs)
-    a = (np.eye(cmdp.n_states) - cmdp.discount * p_pi)[np.ix_(order, order)]
-    b = (1.0 - cmdp.discount) * cmdp.initial_dist[order]
-    nu_core = np.linalg.solve(a[:n, :n].T, b[:n])
-    nu_rest = np.linalg.solve(a[n:, n:].T, b[n:] - a[:n, n:].T @ nu_core)
+def visitation_schur_reference(cmdp, probs):
+    """Discounted state visitation through `schur_reference`: nu_J solves
+    S^T nu_J = b_J + b_I R, b = (1-gamma) rho, and
+    nu_I = (nu_J A_JI - b_I) / nd; clipped at 0 and normalized."""
+    indep, dep, nd, s, r, a_ji = schur_reference(cmdp, probs)
+    b = (1.0 - cmdp.discount) * cmdp.initial_dist
     nu = np.empty(cmdp.n_states)
-    nu[order] = np.maximum(np.concatenate([nu_core, nu_rest]), 0.0)
+    nu[dep] = np.linalg.solve(s.T, b[dep] + b[indep] @ r)
+    nu[indep] = (nu[dep] @ a_ji - b[indep]) / nd
+    nu = np.maximum(nu, 0.0)
     return nu / nu.sum()
 
 

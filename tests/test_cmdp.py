@@ -12,12 +12,10 @@ from metasrl.errors import InvalidInput, NumericalFailure
 from metasrl.meta import RegretReport
 from metasrl.taskgen import GridSpec, gen_frozen_lake
 
-from oracles import (block_order_reference, core_states_reference,
-                     monte_carlo_objective,
+from oracles import (independent_set_reference, monte_carlo_objective,
                      policy_evaluation_reference, q_backup_reference,
-                     random_cmdp, successor_arrays,
-                     transition_under_policy_reference,
-                     visitation_block_reference, visitation_reference)
+                     random_cmdp, schur_reference, successor_arrays,
+                     visitation_reference, visitation_schur_reference)
 
 
 def two_state_cycle(gamma=0.5):
@@ -183,7 +181,7 @@ class TestSuccessorView:
         assert np.array_equal(dense, cmdp.transition)
         ref_idx, ref_prob = successor_arrays(cmdp.transition)
         assert np.array_equal(prob, ref_prob)
-        assert np.array_equal(idx[prob != 0], ref_idx[ref_prob != 0])
+        assert np.array_equal(idx, ref_idx)
         if np.all(cmdp.transition > 0):  # a random dense kernel: K = S
             assert idx.shape[2] == cmdp.n_states
 
@@ -194,6 +192,7 @@ class TestSuccessorView:
         padded = np.arange(idx.shape[2]) >= counts[..., None]
         assert padded.any()
         assert np.all(prob[padded] == 0.0) and np.all(prob[~padded] != 0.0)
+        assert np.array_equal(idx[padded], np.nonzero(padded)[0])
 
     def test_built_once_on_first_use(self):
         cmdp = gen_frozen_lake(GridSpec(rows=4, cols=4, seed=2))
@@ -205,7 +204,7 @@ class TestSuccessorView:
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
     def test_visitation_matches_einsum_reference(self, cmdp, pol):
         vis = visitation_exact(cmdp, pol)
-        nu = visitation_block_reference(cmdp, pol.probs)
+        nu = visitation_schur_reference(cmdp, pol.probs)
         assert np.array_equal(vis.nu, nu)
         assert np.array_equal(vis.nu_sa, nu[:, None] * pol.probs)
         dense = visitation_reference(cmdp, pol.probs)
@@ -231,7 +230,7 @@ class TestKernelEntries:
         in_order = (0.7 + 0.2) + 0.1
         assert in_order != 0.7 + (0.2 + 0.1)   # the order shows in the total
         succ_idx, succ_prob = cmdp.successors
-        assert succ_idx.tolist() == [[[1, 0], [0, 1]], [[1, 0], [1, 0]]]
+        assert succ_idx.tolist() == [[[1, 0], [0, 1]], [[1, 1], [1, 1]]]
         assert succ_prob.tolist() == [[[in_order, 0.0], [0.1 + 0.3, 0.6]],
                                       [[1.0, 0.0], [1.0, 0.0]]]
         assert cmdp.transition.tolist() == [[[0.0, in_order], [0.1 + 0.3, 0.6]],
@@ -294,8 +293,10 @@ class TestKernelEntries:
         dense = cmdp.n_states * cmdp.n_actions * cmdp.n_states
         stored = [a for value in vars(cmdp).values()
                   for a in (value if isinstance(value, tuple) else (value,))]
-        assert {"successors", "successor_cdf", "block_bins"} <= set(vars(cmdp))
+        assert {"successors", "successor_cdf", "elimination"} <= set(vars(cmdp))
         assert all(np.size(a) < dense for a in stored)
+        n_dep = cmdp.n_states - cmdp.elimination.blocks[0]
+        assert all(np.size(a) < n_dep * n_dep for a in cmdp.elimination)
 
 
 def gridworld_cases():
@@ -303,7 +304,7 @@ def gridworld_cases():
             for n in (4, 5, 8, 16) for seed in range(3)]
 
 
-def block_order_cases():
+def sparse_cases():
     """Dense random CMDPs; random CMDPs whose rows reach at most two states,
     the upper half of them closed, with rho on one state of the lower half;
     and 4x4 and 16x16 gridworlds."""
@@ -324,68 +325,84 @@ def block_order_cases():
                     for n in (4, 16) for seed in range(3)]
 
 
-class TestBlockOrder:
-    """The core states (those that reach a state with rho > 0) come first,
-    the closed set T of the others last."""
+def linked(cmdp, rows, cols):
+    """Whether some action moves from a state of rows to another state of
+    cols, or back."""
+    mass = cmdp.transition.sum(axis=1)
+    np.fill_diagonal(mass, 0.0)
+    return bool(mass[np.ix_(rows, cols)].any() or mass[np.ix_(cols, rows)].any())
+
+
+class TestElimination:
+    """The greedy independent set I, the rest J, and the pattern slots and
+    fill terms that eliminate I."""
 
     @pytest.mark.parametrize("cmdp", [case.values[0] for case in evaluator_cases()]
                              + gridworld_cases())
-    def test_core_and_rest_match_a_plain_search(self, cmdp):
-        order, n = cmdp.block_order
-        core = core_states_reference(cmdp)
-        assert sorted(order) == list(range(cmdp.n_states))
-        assert list(order[:n]) == sorted(core)
-        assert list(order[n:]) == sorted(set(range(cmdp.n_states)) - core)
+    def test_independent_set_matches_a_plain_greedy_reference(self, cmdp):
+        e = cmdp.elimination
+        n = e.blocks[0]
+        indep = independent_set_reference(cmdp)
+        assert list(e.order[:n]) == indep
+        assert list(e.order[n:]) == sorted(set(range(cmdp.n_states)) - set(indep))
+        assert np.array_equal(e.rank[e.order], np.arange(cmdp.n_states))
+
+    @pytest.mark.parametrize("cmdp", sparse_cases())
+    def test_no_pattern_entry_links_two_independent_states(self, cmdp):
+        indep = cmdp.elimination.order[:cmdp.elimination.blocks[0]]
+        for k, s in enumerate(indep):
+            assert not linked(cmdp, [s], indep[k + 1:])
 
     @pytest.mark.parametrize("cmdp", gridworld_cases())
-    def test_rest_is_closed_under_every_action(self, cmdp):
-        order, n = cmdp.block_order
-        core, rest = order[:n], order[n:]
-        assert rest.size > 0  # holes, goal and the absorbing state
-        assert not np.any(cmdp.transition[np.ix_(rest, np.arange(cmdp.n_actions), core)])
-        assert np.all(cmdp.initial_dist[rest] == 0)
+    def test_every_dependent_state_is_linked_to_the_set(self, cmdp):
+        e = cmdp.elimination
+        n = e.blocks[0]
+        assert 0 < n < cmdp.n_states
+        for j in e.order[n:]:
+            assert linked(cmdp, [j], e.order[:n])
 
-    @pytest.mark.parametrize("cmdp", block_order_cases())
-    def test_search_matches_the_fixpoint(self, cmdp):
-        order, n = cmdp.block_order
-        ref_order, ref_n = block_order_reference(cmdp)
-        assert n == ref_n and np.array_equal(order, ref_order)
-
-    def test_rest_is_empty_on_dense_kernels(self):
+    def test_one_independent_state_on_dense_kernels(self):
         rng = np.random.default_rng(14)
         for _ in range(20):
             cmdp = random_cmdp(rng, n_states=int(rng.integers(1, 9)))
-            order, n = cmdp.block_order
-            assert n == cmdp.n_states
-            assert np.array_equal(order, np.arange(cmdp.n_states))
+            e = cmdp.elimination
+            assert e.blocks[0] == 1
+            assert np.array_equal(e.order, np.arange(cmdp.n_states))
 
     def test_cached_and_read_only(self):
         cmdp = gen_frozen_lake(GridSpec(rows=4, cols=4, seed=2))
-        assert "block_order" not in vars(cmdp)
-        assert "block_bins" not in vars(cmdp)
-        assert cmdp.block_order is cmdp.block_order
-        assert cmdp.block_bins is cmdp.block_bins
-        assert not cmdp.block_order[0].flags.writeable
-        assert not cmdp.block_bins.flags.writeable
+        assert "elimination" not in vars(cmdp)
+        e = cmdp.elimination
+        assert e is cmdp.elimination
+        arrays = [a for a in e if isinstance(a, np.ndarray)]
+        assert len(arrays) == len(e) - 1
+        assert not any(a.flags.writeable for a in arrays)
 
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
-    def test_bins_scatter_back_to_the_permuted_kernel(self, cmdp, pol):
-        order, _ = cmdp.block_order
-        prob = cmdp.successors[1]
-        s_n = cmdp.n_states
-        permuted = cmdp.transition[np.ix_(order, np.arange(cmdp.n_actions), order)]
-        for a in range(cmdp.n_actions):
-            flat = np.zeros(s_n * s_n)
-            np.add.at(flat, cmdp.block_bins[:, a], prob[:, a])
-            assert np.array_equal(flat.reshape(s_n, s_n), permuted[:, a])
+    def test_slots_follow_the_pattern_block_by_block(self, cmdp, pol):
+        e = cmdp.elimination
+        n, b1, b2, nnz = e.blocks
+        idx = cmdp.successors[0]
+        rows = np.broadcast_to(np.arange(cmdp.n_states)[:, None, None], idx.shape)
+        pos_s, pos_t = e.rank[rows].ravel(), e.rank[idx].ravel()
+        # one slot per (row, column) pair; only diagonal slots may go unused
+        pairs = {}
+        for slot, key in zip(e.slot.tolist(), zip(pos_s.tolist(), pos_t.tolist())):
+            assert pairs.setdefault(slot, key) == key
+        assert len(set(pairs.values())) == len(pairs)
+        assert set(pairs) <= set(range(nnz))
+        assert nnz - sum(r != c for r, c in pairs.values()) <= cmdp.n_states
+        # blocks 0-3: the I diagonal, IJ, JI, JJ; no slot links two I states
+        for slot, (r, c) in pairs.items():
+            assert r == c or r >= n or c >= n
+            assert (n <= slot) + (b1 <= slot) + (b2 <= slot) == 2 * (r >= n) + (c >= n)
 
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
-    def test_bellman_matrix_is_the_permuted_dense_one_bit_for_bit(self, cmdp, pol):
-        a, order, n = cmdp_module._block_bellman_matrix(cmdp, pol.probs)
-        dense = np.eye(cmdp.n_states) - cmdp.discount \
-            * transition_under_policy_reference(cmdp, pol.probs)
-        assert n == cmdp.block_order[1]
-        assert np.array_equal(a.view(np.int64), dense[np.ix_(order, order)].view(np.int64))
+    def test_blocks_match_a_dense_schur_complement_bit_for_bit(self, cmdp, pol):
+        nd, s, r, a_ji = cmdp_module._schur_complement(cmdp, pol.probs)
+        _, _, ref_nd, ref_s, ref_r, ref_a_ji = schur_reference(cmdp, pol.probs)
+        for got, ref in [(nd, ref_nd), (s, ref_s), (r, ref_r), (a_ji, ref_a_ji)]:
+            assert got.shape == ref.shape and np.array_equal(got, ref)
 
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
     def test_values_and_visitation_match_full_lu(self, cmdp, pol):

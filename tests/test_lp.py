@@ -190,3 +190,36 @@ class TestVectorisedSimplex:
                 assert np.array_equal(x.view(np.int64), y.view(np.int64))
             else:
                 assert x == y
+
+    def test_pivot_leaves_rows_with_a_zero_factor_alone(self):
+        # row 1 has a zero in the entering column and a -0.0 where the scaled
+        # pivot row is negative: updating it anyway would turn -0.0 into +0.0
+        tab = np.array([[2.0, 1.0, -4.0, 3.0],
+                        [0.0, 5.0, -0.0, 1.0],
+                        [3.0, 1.0, 2.0, 4.0]])
+        obj = np.array([-1.0, 0.5, 0.0, 0.0])
+        got = (tab.copy(), obj.copy(), [5, 6, 7])
+        ref = (tab.copy(), obj.copy(), [5, 6, 7])
+        lp._pivot(*got, 0, 0)
+        pivot_reference(*ref, 0, 0)
+        assert np.signbit(got[0][1, 2])
+        for x, y in zip(got[:2], ref[:2]):
+            assert np.array_equal(x.view(np.int64), y.view(np.int64))
+        assert got[2] == ref[2] == [0, 6, 7]
+
+    def test_ratio_tie_is_broken_by_the_quotients(self):
+        # a/b == c/d exactly, so the rows tie and the smaller basis index
+        # (row 0) leaves; a * (1/b) exceeds c * (1/d) by one ulp, 3.7e-9,
+        # more than PIVOT_TOL, so a ratio taken as a product picks row 1
+        a, b, c, d = 114392556.0, 5.0, 343177668.0, 15.0
+        assert a / b == c / d and c * (1.0 / d) < a * (1.0 / b) - lp.PIVOT_TOL
+        tab = np.array([[b, 1.0, 0.0, a], [d, 0.0, 1.0, c]])
+        obj = np.array([-1.0, 0.0, 0.0, 0.0])
+        allowed = np.ones(3, dtype=bool)
+        got = (tab.copy(), obj.copy(), [1, 2])
+        ref = (tab.copy(), obj.copy(), [1, 2])
+        lp._run_simplex(*got, allowed)
+        run_simplex_reference(*ref, allowed, lp.PIVOT_TOL, lp.MAX_ITER)
+        assert got[2] == ref[2] == [0, 2]
+        for x, y in zip(got[:2], ref[:2]):
+            assert np.array_equal(x.view(np.int64), y.view(np.int64))

@@ -1,6 +1,8 @@
 import json
 from types import SimpleNamespace
 
+from metasrl import meta as meta_module
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +181,29 @@ class TestMetaUpdate:
         after, _ = kl_loss_and_grad(nu, pi, new.init_policy)
         assert after < before
         assert state.kl_term is None and new.kl_term == before
+
+    @pytest.mark.parametrize("inner_updates", [1, 3])
+    def test_one_kl_evaluation_per_ogd_step(self, monkeypatch, inner_updates):
+        state = self._state(init_policy=np.array([[0.3, 0.7], [0.6, 0.4]]),
+                            inner_updates=inner_updates, ogd_step_sim=0.2)
+        nu = VisitationDistribution(nu=np.array([0.7, 0.3]), nu_sa=None)
+        pi = TablePolicy(probs=np.array([[0.9, 0.1], [0.2, 0.8]]))
+        c = SimConstants.from_problem(0.9, 1.0, 2, 2)
+        # the K projected steps and the rate step, written out
+        phi = state.init_policy
+        for _ in range(inner_updates):
+            phi = inexact_ogd_step(phi, kl_loss_and_grad(nu, pi, phi)[1], state.ogd_step_init,
+                                   lambda t: project_table_shrinkage_simplex(t, state.shrinkage))
+        kl_term = kl_loss_and_grad(nu, pi, state.init_policy)[0]
+        rate = max(state.rate_floor, state.learning_rate - state.ogd_step_sim
+                   * sim_loss_and_grad(state.learning_rate, kl_term, 10, c)[1])
+        calls = []
+        monkeypatch.setattr(meta_module, "kl_loss_and_grad",
+                            lambda *args: calls.append(args) or kl_loss_and_grad(*args))
+        new = meta_update(state, nu, pi, 10, c)
+        assert len(calls) == inner_updates
+        assert np.array_equal(new.init_policy.view(np.int64), phi.view(np.int64))
+        assert new.kl_term == kl_term and new.learning_rate == rate
 
     def test_rate_floor(self):
         state = self._state(ogd_step_sim=100.0, learning_rate=0.2,
