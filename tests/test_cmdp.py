@@ -333,13 +333,15 @@ def linked(cmdp, rows, cols):
     return bool(mass[np.ix_(rows, cols)].any() or mass[np.ix_(cols, rows)].any())
 
 
-class TestElimination:
-    """The greedy independent set I, the rest J, and the pattern slots and
-    fill terms that eliminate I."""
+class TestBlockOrder:
+    """The elimination's block order: the greedy independent set I first,
+    the rest J last, and the pattern slots and fill terms that eliminate I."""
 
     @pytest.mark.parametrize("cmdp", [case.values[0] for case in evaluator_cases()]
                              + gridworld_cases())
-    def test_independent_set_matches_a_plain_greedy_reference(self, cmdp):
+    def test_core_and_rest_match_a_plain_search(self, cmdp):
+        """I (the leading block) and J (the rest) match a plain-Python
+        greedy search over the dense kernel."""
         e = cmdp.elimination
         n = e.blocks[0]
         indep = independent_set_reference(cmdp)
@@ -348,10 +350,16 @@ class TestElimination:
         assert np.array_equal(e.rank[e.order], np.arange(cmdp.n_states))
 
     @pytest.mark.parametrize("cmdp", sparse_cases())
-    def test_no_pattern_entry_links_two_independent_states(self, cmdp):
-        indep = cmdp.elimination.order[:cmdp.elimination.blocks[0]]
-        for k, s in enumerate(indep):
-            assert not linked(cmdp, [s], indep[k + 1:])
+    def test_search_matches_the_fixpoint(self, cmdp):
+        """I is the fixpoint of the greedy rule: a state is in I exactly when
+        no earlier state of I is linked to it. So no pattern entry links two
+        I states, and every J state is linked to an I state before it."""
+        e = cmdp.elimination
+        indep = e.order[:e.blocks[0]].tolist()
+        in_i = set(indep)
+        for s in range(cmdp.n_states):
+            earlier = [t for t in indep if t < s]
+            assert (s in in_i) == (not linked(cmdp, [s], earlier))
 
     @pytest.mark.parametrize("cmdp", gridworld_cases())
     def test_every_dependent_state_is_linked_to_the_set(self, cmdp):
@@ -379,10 +387,13 @@ class TestElimination:
         assert not any(a.flags.writeable for a in arrays)
 
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
-    def test_slots_follow_the_pattern_block_by_block(self, cmdp, pol):
+    def test_bins_scatter_back_to_the_permuted_kernel(self, cmdp, pol):
+        """The slots follow the pattern block by block, and the successor
+        view scattered through them, one action at a time, is that action's
+        kernel with rows and columns in block order."""
         e = cmdp.elimination
         n, b1, b2, nnz = e.blocks
-        idx = cmdp.successors[0]
+        idx, prob = cmdp.successors
         rows = np.broadcast_to(np.arange(cmdp.n_states)[:, None, None], idx.shape)
         pos_s, pos_t = e.rank[rows].ravel(), e.rank[idx].ravel()
         # one slot per (row, column) pair; only diagonal slots may go unused
@@ -396,11 +407,32 @@ class TestElimination:
         for slot, (r, c) in pairs.items():
             assert r == c or r >= n or c >= n
             assert (n <= slot) + (b1 <= slot) + (b2 <= slot) == 2 * (r >= n) + (c >= n)
+        slots = e.slot.reshape(idx.shape)
+        used = np.array(sorted(pairs))
+        at = np.array([pairs[k] for k in used.tolist()]).T
+        permuted = cmdp.transition[np.ix_(e.order, np.arange(cmdp.n_actions), e.order)]
+        for a in range(cmdp.n_actions):
+            flat = np.zeros(nnz)
+            np.add.at(flat, slots[:, a], prob[:, a])
+            dense = np.zeros((cmdp.n_states, cmdp.n_states))
+            dense[at[0], at[1]] = flat[used]
+            assert np.array_equal(dense, permuted[:, a])
 
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
-    def test_blocks_match_a_dense_schur_complement_bit_for_bit(self, cmdp, pol):
+    def test_bellman_matrix_is_the_permuted_dense_one_bit_for_bit(self, cmdp, pol):
+        """In block order the dense I - gamma P_pi, each entry summed over
+        ascending a as the solve sums it, has the diagonal D as its I x I
+        block and A_JI as its J x I block, bit for bit; S, R, A_JI and D
+        match a dense numpy Schur complement bit for bit."""
         nd, s, r, a_ji = cmdp_module._schur_complement(cmdp, pol.probs)
-        _, _, ref_nd, ref_s, ref_r, ref_a_ji = schur_reference(cmdp, pol.probs)
+        indep, dep, ref_nd, ref_s, ref_r, ref_a_ji = schur_reference(cmdp, pol.probs)
+        n = cmdp.elimination.blocks[0]
+        order = cmdp.elimination.order
+        dense = np.eye(cmdp.n_states) + np.einsum(
+            "sa,sat->st", pol.probs, -cmdp.discount * cmdp.transition)
+        permuted = dense[np.ix_(order, order)]
+        assert np.array_equal(permuted[:n, :n], np.diag(-nd))
+        assert np.array_equal(permuted[n:, :n], a_ji)
         for got, ref in [(nd, ref_nd), (s, ref_s), (r, ref_r), (a_ji, ref_a_ji)]:
             assert got.shape == ref.shape and np.array_equal(got, ref)
 
