@@ -50,7 +50,11 @@ def cmd_run(args):
 
 
 def cmd_report(args):
-    """Re-aggregate regret summaries from a run directory into one table."""
+    """Re-aggregate regret summaries from a run directory into one table:
+    a column for each RegretReport field whose value is not a list, then
+    tacv."""
+    from .meta import RegretReport
+
     in_dir = args.in_dir
     names = sorted(n for n in os.listdir(in_dir)
                    if n.startswith("regret_") and n.endswith(".json"))
@@ -63,8 +67,9 @@ def cmd_report(args):
     if args.format == "json":
         print(json.dumps(merged, sort_keys=True, indent=2))
     else:
-        fields = ["taog", "static_regret", "dynamic_regret", "d_hat_sq",
-                  "v_hat_sq", "path_length", "sq_path_length"]
+        first = merged[min(merged)]
+        fields = [f.name for f in dataclasses.fields(RegretReport)
+                  if not isinstance(first[f.name], list)]
         print("strategy," + ",".join(fields) + ",tacv")
         for strategy in sorted(merged):
             doc = merged[strategy]

@@ -13,7 +13,8 @@ largest row count (at most 3 on the gridworlds), padded with zero-mass
 self-loops. P_pi, the Q backup and the sampler's next-state CDF are computed
 from that view, so their cost grows with S*A*K rather than S*A*S. Only the
 LP oracle and the JSON form read the dense (S, A, S) kernel, which
-`transition` rebuilds on every read.
+`transition` rebuilds on every read. A CMDP read from JSON is stored on
+its successor view, so it holds no dense kernel either.
 
 The Bellman solves first eliminate an independent set of states, the same
 for every policy. The pattern of P_pi is the union over actions of the
@@ -35,7 +36,7 @@ On the gridworlds I is nearly a checkerboard (128 of the 257 states of the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -300,9 +301,13 @@ class TabularCmdp:
 
     @classmethod
     def from_json(cls, text):
+        """The CMDP of a `to_json` document, stored on the successor view of
+        its dense kernel: the view holds the same kernel, and the dense
+        array is dropped once the view is built. A view is its own
+        successor view, so the task keeps it as both."""
         doc = json.loads(text)
         transition = np.array(doc["transition"], dtype=float)
-        return cls(
+        dense = cls(
             kernel=(np.arange(len(transition)), transition),
             reward=np.array(doc["reward"], dtype=float),
             costs=np.array(doc["costs"], dtype=float),
@@ -311,6 +316,9 @@ class TabularCmdp:
             initial_dist=np.array(doc["initial_dist"], dtype=float),
             c_max=float(doc["c_max"]),
         )
+        loaded = replace(dense, kernel=dense.successors)
+        vars(loaded)["successors"] = dense.successors
+        return loaded
 
 
 def _fmt(x):

@@ -23,8 +23,9 @@ against one factorisation of its Bellman matrix, and that one solve also
 gives the exact objectives (J_0..J_p) that a run records for every iterate,
 whichever critic steers it. A run's transition log is built on
 first read of `outcome.dataset`: with the Exact critic no sample feeds
-control flow, so the episodes are drawn, from the run's seed, only when
-something reads them.
+control flow, so the episodes are drawn, from the run's seed and its
+iterates, only when something reads them; a TdSampled run keeps each
+step's episodes and concatenates them then.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class CrpoConfig:
     episodes_per_step: int = 5
     episode_horizon: int = 50
     rng_seed: int = 0
-    store_all_iterates: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate < np.inf:   # NaN fails too
@@ -75,19 +75,23 @@ class CrpoConfig:
 
 @dataclass(frozen=True)
 class CrpoOutcome:
-    returned_policy: SoftmaxPolicy
+    all_iterates: tuple            # the M SoftmaxPolicy iterates, in step order
     reward_steps: tuple            # indices where reward ascent happened
     constraint_steps: tuple        # per-constraint index tuples
     per_step_estimates: np.ndarray  # (M, p) estimated constraint values
     iterate_objectives: np.ndarray  # (M, p+1) exact J_0..J_p of every iterate
     returned_step: int             # iterate index of returned_policy
     log_builder: Callable = field(repr=False, compare=False)
-    all_iterates: tuple = None
 
     @cached_property
     def dataset(self):
         """The run's transition log (a TrajectoryDataset), built on first read."""
         return self.log_builder()
+
+    @property
+    def returned_policy(self):
+        """The returned iterate, all_iterates[returned_step]."""
+        return self.all_iterates[self.returned_step]
 
     @property
     def returned_objectives(self):
@@ -262,21 +266,23 @@ def _discounted_weights(states, actions, t, gamma, s_n, a_n):
     return w / w.sum()
 
 
-def _log_dataset(cmdp, states, actions, nexts):
-    """Transition log from (episodes, horizon) arrays in (step, episode)
-    order."""
+def _log_dataset(cmdp, episodes):
+    """Transition log from each step's (states, actions, next_states)
+    episodes, each (episodes, horizon), concatenated in step order."""
+    states, actions, nexts = (np.concatenate(a) for a in zip(*episodes))
     return TrajectoryDataset.from_samples(
         cmdp.n_states, cmdp.n_actions, s=states.ravel(), a=actions.ravel(),
         s_next=nexts.ravel(), initial_states=states[:, 0])
 
 
-def _sampled_log(cmdp, policies, config):
+def _sampled_log(cmdp, iterates, config):
     """Draw every episode of an Exact-critic run: they are the first draws of
     the run's generator, so they are drawn again from its seed."""
-    episodes = sample_episode(cmdp, policies, config.episode_horizon,
+    episodes = sample_episode(cmdp, np.array([pol.probs for pol in iterates]),
+                              config.episode_horizon,
                               np.random.default_rng(config.rng_seed),
                               config.episodes_per_step)
-    return _log_dataset(cmdp, *episodes)
+    return _log_dataset(cmdp, [episodes])
 
 
 def run_crpo(cmdp, init_policy, config):
@@ -338,25 +344,19 @@ def run_crpo(cmdp, init_policy, config):
             constraint_steps[worst].append(m)
             logits = npg_softmax_step(logits, q[worst + 1], alpha, "Descent", gamma)
 
-    if exact:
-        policies = np.array([pol.probs for pol in snapshots])
-        log_builder = partial(_sampled_log, cmdp, policies, config)
-    else:
-        log_builder = partial(_log_dataset, cmdp,
-                              *(np.concatenate(arrays) for arrays in zip(*episodes)))
+    snapshots = tuple(snapshots)
     outcome_args = dict(
+        all_iterates=snapshots,
         reward_steps=tuple(reward_steps),
         constraint_steps=tuple(tuple(v) for v in constraint_steps),
         per_step_estimates=estimates,
         iterate_objectives=objectives,
-        log_builder=log_builder,
-        all_iterates=tuple(snapshots) if config.store_all_iterates else None,
+        log_builder=(partial(_sampled_log, cmdp, snapshots, config) if exact
+                     else partial(_log_dataset, cmdp, tuple(episodes))),
     )
     if not reward_steps:
         raise DegenerateRun(
             "no reward-ascent step occurred; returned policy undefined",
-            outcome=CrpoOutcome(returned_policy=snapshots[-1],
-                                returned_step=config.steps - 1, **outcome_args))
+            outcome=CrpoOutcome(returned_step=config.steps - 1, **outcome_args))
     chosen = reward_steps[rng.integers(len(reward_steps))]
-    return CrpoOutcome(returned_policy=snapshots[chosen], returned_step=chosen,
-                       **outcome_args)
+    return CrpoOutcome(returned_step=chosen, **outcome_args)

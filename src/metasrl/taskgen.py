@@ -1,6 +1,6 @@
 """Task-family generators: slippery gridworld CMDP sequences with
-controllable similarity, plus synthetic strongly-convex loss streams for the
-online-optimization tests.
+controllable similarity, plus a synthetic exact-KL-loss stream for the
+regret tests.
 
 Grid convention: start at the top-left cell, goal at the bottom-right cell,
 both always frozen. Reaching the goal pays goal_reward once and the episode
@@ -197,7 +197,9 @@ def gen_grid(spec, max_attempts=100):
         frozen = _sample_grid(spec, rng)
         if _goal_reachable(frozen, spec.rows, spec.cols):
             return frozen
-    raise GenerationFailure(f"no reachable grid in {max_attempts} attempts")
+    raise GenerationFailure(f"no reachable {spec.rows}x{spec.cols} grid at "
+                            f"frozen_prob {spec.frozen_prob:.3g} in "
+                            f"{max_attempts} attempts")
 
 
 def gen_frozen_lake(spec, max_attempts=100):
@@ -320,26 +322,4 @@ def synthetic_kl_stream(n_states, n_actions, t_tasks, dispersion, seed,
         nu = rng.dirichlet(np.ones(n_states))
         stream.append((VisitationDistribution(nu=nu),
                        TablePolicy(probs=probs)))
-    return stream
-
-
-def quadratic_stream(dim, t_tasks, lam, drift, seed, box=5.0):
-    """Drifting strongly-convex quadratics f_t(x) = lam/2 ||x - x*_t||^2.
-
-    Comparator minimizers perform a bounded random walk of step `drift`.
-    Returns a list of (minimizer, loss_fn, grad_fn) triples.
-    """
-    rng = np.random.default_rng(seed)
-    x_star = rng.uniform(-box / 2, box / 2, size=dim)
-    stream = []
-    for _ in range(t_tasks):
-        step = rng.standard_normal(dim)
-        step = drift * step / max(np.linalg.norm(step), 1e-12)
-        x_star = np.clip(x_star + step, -box, box)
-        target = x_star.copy()
-        stream.append((
-            target,
-            (lambda x, c=target: 0.5 * lam * float(np.sum((x - c) ** 2))),
-            (lambda x, c=target: lam * (x - c)),
-        ))
     return stream

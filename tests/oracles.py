@@ -9,6 +9,7 @@ complement, the two-array empirical kernel, vectorized Monte-Carlo
 rollouts, per-draw episode, TD(0) and SGD DICE samplers, a dense DualDICE solve,
 row-by-row simplex projections and simplex pivots, finite differences, scipy-based constrained
 minimization and linear programming) rather than calling into the package under test.
+It also holds the drifting quadratic loss stream of the OGD regret test.
 """
 
 from collections import deque
@@ -547,3 +548,25 @@ def random_cmdp(rng, n_states=4, n_actions=3, n_costs=1, gamma=0.8,
     return TabularCmdp(kernel=(np.arange(n_states), transition), reward=reward,
                        costs=costs, limits=limits, discount=gamma, initial_dist=rho,
                        c_max=1.0)
+
+
+def quadratic_stream(dim, t_tasks, lam, drift, seed, box=5.0):
+    """Drifting strongly-convex quadratics f_t(x) = lam/2 ||x - x*_t||^2.
+
+    Comparator minimizers perform a bounded random walk of step `drift`.
+    Returns a list of (minimizer, loss_fn, grad_fn) triples.
+    """
+    rng = np.random.default_rng(seed)
+    x_star = rng.uniform(-box / 2, box / 2, size=dim)
+    stream = []
+    for _ in range(t_tasks):
+        step = rng.standard_normal(dim)
+        step = drift * step / max(np.linalg.norm(step), 1e-12)
+        x_star = np.clip(x_star + step, -box, box)
+        target = x_star.copy()
+        stream.append((
+            target,
+            (lambda x, c=target: 0.5 * lam * float(np.sum((x - c) ** 2))),
+            (lambda x, c=target: lam * (x - c)),
+        ))
+    return stream

@@ -24,11 +24,11 @@ from metasrl.meta import (SimConstants, closed_form_similarity_center,
                           inexact_multi_ogd, inexact_ogd_step, kappa_star,
                           project_table_shrinkage_simplex,
                           rate_regret_objective, sim_loss_and_grad)
-from metasrl.taskgen import (GridSpec, TaskSequenceConfig, quadratic_stream,
-                             synthetic_kl_stream)
+from metasrl.taskgen import GridSpec, TaskSequenceConfig, synthetic_kl_stream
 
 from oracles import (central_difference, minimize_average_kl,
-                     monte_carlo_visitation, random_cmdp, value_iteration)
+                     monte_carlo_visitation, quadratic_stream, random_cmdp,
+                     value_iteration)
 
 
 def test_01_lp_oracle_matches_value_iteration():

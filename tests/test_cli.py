@@ -94,7 +94,8 @@ class TestRun:
 
         assert main(["report", "--in", out, "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0].startswith("strategy,taog,")
+        assert lines[0] == ("strategy,taog,static_regret,dynamic_regret,d_hat_sq,"
+                            "v_hat_sq,path_length,sq_path_length,tacv")
         assert {l.split(",")[0] for l in lines[1:]} == {"Random", "MetaSrl"}
 
         assert main(["report", "--in", out, "--format", "json"]) == 0
@@ -195,7 +196,8 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize("section,key", [
-        (None, "runs_per_stratgy"), ("crpo", "td_step_size"), ("dice", "sgd_step"),
+        (None, "runs_per_stratgy"), ("crpo", "td_step_size"),
+        ("crpo", "store_all_iterates"), ("dice", "sgd_step"),
         ("meta", "ogd_step"), ("task_source", "num_task"),
         ("task_source.base", "row")])
     def test_unknown_key_exit_2(self, tmp_path, capsys, section, key):

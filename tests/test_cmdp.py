@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -286,17 +287,34 @@ class TestKernelEntries:
             assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
 
     def test_16x16_grid_stores_no_dense_array(self):
+        """The task as built and as read back from JSON: neither holds an
+        (S, A, S) array, and the loaded one, stored on its successor view,
+        solves bit for bit as the built one does."""
         cmdp = gen_frozen_lake(GridSpec(rows=16, cols=16, seed=1))
+        loaded = TabularCmdp.from_json(cmdp.to_json())
         pol = SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions)
-        policy_evaluation_exact(cmdp, pol)
-        sample_episode(cmdp, pol.probs, 10, np.random.default_rng(0))
         dense = cmdp.n_states * cmdp.n_actions * cmdp.n_states
-        stored = [a for value in vars(cmdp).values()
-                  for a in (value if isinstance(value, tuple) else (value,))]
-        assert {"successors", "successor_cdf", "elimination"} <= set(vars(cmdp))
-        assert all(np.size(a) < dense for a in stored)
-        n_dep = cmdp.n_states - cmdp.elimination.blocks[0]
-        assert all(np.size(a) < n_dep * n_dep for a in cmdp.elimination)
+        solves = []
+        for task in (cmdp, loaded):
+            v, q = policy_evaluation_exact(task, pol)
+            solves.append((v, q, visitation_exact(task, pol).nu))
+            sample_episode(task, pol.probs, 10, np.random.default_rng(0))
+            stored = [a for value in vars(task).values()
+                      for a in (value if isinstance(value, tuple) else (value,))]
+            assert {"successors", "successor_cdf", "elimination"} <= set(vars(task))
+            assert all(np.size(a) < dense for a in stored)
+            n_dep = task.n_states - task.elimination.blocks[0]
+            assert all(np.size(a) < n_dep * n_dep for a in task.elimination)
+        assert loaded.kernel[1].size <= cmdp.n_states * cmdp.n_actions * 3
+        # the successors of the loaded task, and those rebuilt from its kernel
+        for view in (loaded.successors, replace(loaded).successors):
+            for ours, theirs in zip(view, cmdp.successors):
+                assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        assert loaded.elimination.blocks == cmdp.elimination.blocks
+        for ours, theirs in zip(loaded.elimination[1:], cmdp.elimination[1:]):
+            assert np.array_equal(ours, theirs)
+        for ours, theirs in zip(*solves):
+            assert np.array_equal(ours, theirs)
 
 
 def gridworld_cases():

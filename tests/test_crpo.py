@@ -236,7 +236,9 @@ class TestRunCrpo:
         with pytest.raises(DegenerateRun) as exc:
             run_crpo(cmdp, SoftmaxPolicy.uniform(4, 3), cfg)
         assert exc.value.outcome.reward_steps == ()
-        assert exc.value.outcome.returned_policy is not None
+        outcome = exc.value.outcome
+        assert outcome.returned_step == 4
+        assert outcome.returned_policy is outcome.all_iterates[-1]
 
     def test_near_optimal_on_desk_problem(self):
         rng = np.random.default_rng(6)
@@ -479,14 +481,6 @@ class TestRunCrpoStreams:
         assert calls == []
         assert out.dataset is out.dataset
         assert calls == [1]
-
-    def test_without_stored_iterates(self):
-        cmdp = random_cmdp(np.random.default_rng(1), feasible_margin=0.05)
-        cfg = CrpoConfig(learning_rate=0.5, steps=5, tolerance=0.05,
-                         store_all_iterates=False)
-        out = run_crpo(cmdp, SoftmaxPolicy.uniform(4, 3), cfg)
-        assert out.all_iterates is None
-        assert out.iterate_objectives.shape == (5, 2)
 
 
 class TestTdSampledStepReplay:

@@ -135,7 +135,6 @@ FAL,1,1,1,"ValueError: bad ""row"", at step 2"
     "learning_rate": 0.3333333333333333,
     "rng_seed": 0,
     "steps": 2,
-    "store_all_iterates": true,
     "td_iterations": 10000,
     "tolerance": 0.0
   },

@@ -388,16 +388,6 @@ class TestRunExperiment:
         run_experiment(cfg, tasks=tiny_tasks(3))
         assert dice_seeds[4:] == dice_seeds[:4]
 
-    def test_without_stored_iterates(self):
-        crpo_cfg = CrpoConfig(learning_rate=0.5, steps=5, tolerance=0.05,
-                              episodes_per_step=1, episode_horizon=2,
-                              store_all_iterates=False)
-        records, reports = run_experiment(tiny_config(crpo=crpo_cfg),
-                                          tasks=tiny_tasks(3))
-        assert len(records) == 2 * 2 * 3
-        assert all(rec.error is None for rec in records)
-        assert all(rec.per_step_costs.shape == (5, 1) for rec in records)
-
 
 class TestExportReport:
     def _run(self, tmp_path, cfg=None):

@@ -12,11 +12,10 @@ from metasrl.meta import closed_form_similarity_center
 from metasrl.taskgen import (GridSpec, TaskSequenceConfig, _goal_reachable,
                              gen_frozen_lake, gen_grid, gen_task_sequence,
                              grid_ascii, grid_to_cmdp, load_task_sequence,
-                             quadratic_stream, synthetic_kl_stream,
-                             write_task_sequence)
+                             synthetic_kl_stream, write_task_sequence)
 
 from oracles import (goal_reachable_reference, grid_ascii_reference,
-                     grid_to_cmdp_reference)
+                     grid_to_cmdp_reference, quadratic_stream)
 
 CMDP_ARRAYS = ("transition", "reward", "costs", "limits", "initial_dist")
 
@@ -151,8 +150,9 @@ class TestReachability:
             tables.moves[0][0] = 5
 
     def test_generation_failure(self):
-        with pytest.raises(GenerationFailure):
-            gen_grid(GridSpec(rows=2, cols=2, frozen_prob=0.0), max_attempts=5)
+        with pytest.raises(GenerationFailure, match="no reachable 2x3 grid at "
+                           "frozen_prob 0.0312 in 5 attempts"):
+            gen_grid(GridSpec(rows=2, cols=3, frozen_prob=0.03125), max_attempts=5)
 
 
 class TestGenFrozenLake:
