@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the exact Bellman layer in-process, one grid size after another.
+"""Time the exact Bellman layer and the DICE layer in-process, one grid size
+after another.
 
 For task 0 of a HighSimilarity task sequence (grid and sequence seed 2) at
 each size, prints the time of three calls, each under the same random
@@ -8,9 +9,15 @@ softmax policy:
 - build: building `TabularCmdp.elimination`, its successor view already
   built;
 - evaluate: one `policy_evaluation_exact`;
-- visitation: one `visitation_exact`.
+- visitation: one `visitation_exact`;
 
-Each figure is the best, over --repeats rounds, of the mean time of
+and of one DICE pass on the transition log of a CRPO run on that task (the
+test_09 CRPO settings, seed 2, from the uniform policy): building the
+`TrajectoryDataset` from the log, the DirectSolve `dualdice_fit` under the
+run's returned policy, and `visitation_from_corrections`. dice_peak_kb is
+the tracemalloc peak of that pass, in KiB.
+
+Each time is the best, over --repeats rounds, of the mean time of
 --number calls, in microseconds. Uses the standard library and numpy only.
 
 Example:
@@ -19,10 +26,13 @@ Example:
 
 import argparse
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 
-from metasrl import cmdp, taskgen
+from metasrl import cmdp, crpo, dice, taskgen
+from metasrl.errors import CoverageWarning, DegenerateRun
 
 
 def first_task(size):
@@ -44,18 +54,54 @@ def best_time(call, repeats, number):
     return best
 
 
+def dice_pass(task):
+    """One DICE pass on the log of a CRPO run on `task`, as a call."""
+    config = crpo.CrpoConfig(learning_rate=1.0, steps=8, tolerance=0.05,
+                             episodes_per_step=5, episode_horizon=60, rng_seed=2)
+    try:
+        outcome = crpo.run_crpo(
+            task, cmdp.SoftmaxPolicy.uniform(task.n_states, task.n_actions), config)
+    except DegenerateRun as exc:
+        outcome = exc.outcome
+    log, target = outcome.dataset, outcome.returned_policy
+
+    def call():
+        ds = dice.TrajectoryDataset.from_samples(
+            log.n_states, log.n_actions, log.s, log.a, log.s_next,
+            log.initial_states)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CoverageWarning)
+            corrections = dice.dualdice_fit(ds, target, task.discount)
+        return dice.visitation_from_corrections(ds, corrections)
+    return call
+
+
+def traced_peak(call):
+    """tracemalloc peak bytes of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def layer_times(task, repeats, number):
-    """{layer: best seconds} for one task."""
+    """{layer: best seconds} for one task, and the DICE pass's traced peak
+    bytes as "dice_peak"."""
     policy = cmdp.SoftmaxPolicy(logits=np.random.default_rng(0).standard_normal(
         (task.n_states, task.n_actions)))
     task.successors  # built once, as the first evaluation builds it
     build = type(task).elimination.func  # uncached: a fresh build each call
+    dice_call = dice_pass(task)
     return {
         "build": best_time(lambda: build(task), repeats, number),
         "evaluate": best_time(lambda: cmdp.policy_evaluation_exact(task, policy),
                               repeats, number),
         "visitation": best_time(lambda: cmdp.visitation_exact(task, policy),
                                 repeats, number),
+        "dice": best_time(dice_call, repeats, number),
+        "dice_peak": traced_peak(dice_call),
     }
 
 
@@ -69,13 +115,15 @@ def main(argv=None):
     if args.repeats < 1 or args.number < 1:
         parser.error("--repeats and --number must be at least 1")
     print(f"{'grid':>6} {'states':>6} {'|I|':>5} {'build_us':>9} "
-          f"{'evaluate_us':>11} {'visitation_us':>13}")
+          f"{'evaluate_us':>11} {'visitation_us':>13} {'dice_us':>9} "
+          f"{'dice_peak_kb':>12}")
     for size in (int(s) for s in args.sizes.split(",")):
         task = first_task(size)
         times = layer_times(task, args.repeats, args.number)
         print(f"{f'{size}x{size}':>6} {task.n_states:>6} "
               f"{task.elimination.blocks[0]:>5} {1e6 * times['build']:>9.1f} "
-              f"{1e6 * times['evaluate']:>11.1f} {1e6 * times['visitation']:>13.1f}")
+              f"{1e6 * times['evaluate']:>11.1f} {1e6 * times['visitation']:>13.1f} "
+              f"{1e6 * times['dice']:>9.1f} {times['dice_peak'] / 1024:>12.1f}")
     return 0
 
 

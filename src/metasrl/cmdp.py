@@ -55,6 +55,29 @@ def _as_readonly(a):
     return a
 
 
+def successor_view(row, state, prob, n_states, n_actions):
+    """Kernel entries as (idx, prob), each (S, A, K) and read-only.
+
+    Entry i of the flat arrays puts mass prob[i] on state[i] from row
+    row[i] = s*A + a; the entries come sorted by row, and within a row in
+    the order they take in the view. K is the largest count of any row;
+    shorter rows are padded with zero-mass self-loops (the row's own state,
+    probability 0).
+    """
+    counts = np.bincount(row, minlength=n_states * n_actions).reshape(
+        n_states, n_actions)
+    shape = counts.shape + (counts.max(),)
+    idx = np.empty(shape, dtype=np.intp)
+    idx[:] = np.arange(n_states)[:, None, None]
+    out = np.zeros(shape)
+    slot = np.arange(shape[2]) < counts[..., None]
+    idx[slot] = state
+    out[slot] = prob
+    idx.setflags(write=False)
+    out.setflags(write=False)
+    return idx, out
+
+
 class Elimination(NamedTuple):
     """The policy-independent index arrays of the Bellman solves (see the
     module docstring), each read-only.
@@ -205,17 +228,7 @@ class TabularCmdp:
         totals = np.bincount(np.cumsum(first) - 1, weights[order])
         live = totals != 0
         row, state = np.divmod(keys[first][live], s_n)
-        counts = np.bincount(row, minlength=s_n * a_n).reshape(s_n, a_n)
-        shape = counts.shape + (counts.max(),)
-        idx = np.empty(shape, dtype=np.intp)
-        idx[:] = np.arange(s_n)[:, None, None]
-        prob = np.zeros(shape)
-        slot = np.arange(shape[2]) < counts[..., None]
-        idx[slot] = state
-        prob[slot] = totals[live]
-        idx.setflags(write=False)
-        prob.setflags(write=False)
-        return idx, prob
+        return successor_view(row, state, totals[live], s_n, a_n)
 
     @cached_property
     def elimination(self):

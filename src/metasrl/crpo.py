@@ -261,9 +261,8 @@ def td_critic(cmdp, policy, config, rng=None):
 
 def _discounted_weights(states, actions, t, gamma, s_n, a_n):
     """Normalized discounted visitation weights of observed (s,a) pairs."""
-    w = np.zeros((s_n, a_n))
-    np.add.at(w, (states, actions), gamma ** t)
-    return w / w.sum()
+    w = np.bincount(states * a_n + actions, gamma ** t, minlength=s_n * a_n)
+    return (w / w.sum()).reshape(s_n, a_n)
 
 
 def _log_dataset(cmdp, episodes):

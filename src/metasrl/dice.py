@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cmdp import VisitationDistribution, successor_view
 from .errors import CoverageWarning, DegenerateEstimate, InvalidInput
 from .sampling import cdf, draw
 
@@ -29,8 +30,16 @@ class TrajectoryDataset:
     """Off-policy transitions (s, a, s') and initial states, plus the
     empirical quantities DICE needs.
 
-    s, a and s_next are parallel arrays; d_sa, p_hat and rho_hat are either
-    empirical (from samples) or exact (from_distribution).
+    s, a and s_next are parallel 1-D integer arrays, and initial_states a
+    1-D integer array, each index in range. d_sa, p_hat and rho_hat are
+    either empirical (from samples) or exact (from_distribution). p_hat is
+    the kernel as entries (idx, prob), each (S, A, K), as `TabularCmdp`
+    takes its kernel: entry (s, a, k) puts mass prob[s, a, k] on state
+    idx[s, a, k]. The empirical kernel has one entry per distinct
+    (s, a, s') of the log, p_hat = n(s, a, s')/n(s, a), in ascending s'
+    within a row; K is the largest count of any row, and shorter rows,
+    unseen ones whole, are padded with zero-mass self-loops. No (S, A, S)
+    array is kept.
     """
 
     n_states: int
@@ -40,19 +49,21 @@ class TrajectoryDataset:
     s_next: np.ndarray
     initial_states: np.ndarray
     d_sa: np.ndarray = field(default=None)      # (S, A) data distribution
-    p_hat: np.ndarray = field(default=None)     # (S, A, S) empirical kernel
+    p_hat: tuple = field(default=None)          # (idx, prob), each (S, A, K)
     rho_hat: np.ndarray = field(default=None)   # (S,) empirical initial dist
 
     def __post_init__(self):
-        if self.s.size:
-            bad = (self.s.min() < 0 or self.s.max() >= self.n_states
-                   or self.a.min() < 0 or self.a.max() >= self.n_actions
-                   or self.s_next.min() < 0 or self.s_next.max() >= self.n_states)
-            if bad:
-                raise InvalidInput("transition index out of range")
+        for name, bound in (("s", self.n_states), ("a", self.n_actions),
+                            ("s_next", self.n_states),
+                            ("initial_states", self.n_states)):
+            _check_indices(name, getattr(self, name), bound)
+        if not self.s.size == self.a.size == self.s_next.size:
+            raise InvalidInput("s, a and s_next must have equal lengths")
         if self.d_sa is None:
             if self.s.size == 0:
                 raise InvalidInput("empty trajectory dataset")
+            if self.initial_states.size == 0:
+                raise InvalidInput("no initial-state samples")
             d, p, rho = self._empirical()
             object.__setattr__(self, "d_sa", d)
             object.__setattr__(self, "p_hat", p)
@@ -61,21 +72,15 @@ class TrajectoryDataset:
             raise InvalidInput("d_sa must sum to 1")
 
     def _empirical(self):
-        counts = np.zeros((self.n_states, self.n_actions))
-        np.add.at(counts, (self.s, self.a), 1.0)
-        d = counts / counts.sum()
-        # transition counts, divided in place on the seen pairs into p_hat;
-        # unseen rows hold no counts and stay 0
-        p = np.zeros((self.n_states, self.n_actions, self.n_states))
-        np.add.at(p, (self.s, self.a, self.s_next), 1.0)
-        seen = counts > 0
-        p[seen] /= counts[seen][:, None]
-        rho = np.zeros(self.n_states)
-        np.add.at(rho, self.initial_states, 1.0)
-        if rho.sum() == 0:
-            raise InvalidInput("no initial-state samples")
-        rho /= rho.sum()
-        return d, p, rho
+        s_n, a_n = self.n_states, self.n_actions
+        sa = self.s.astype(np.intp) * a_n + self.a     # no wrap in small dtypes
+        counts = np.bincount(sa, minlength=s_n * a_n)
+        d = (counts / counts.sum()).reshape(s_n, a_n)
+        keys, seen = np.unique(sa * s_n + self.s_next, return_counts=True)
+        row, state = np.divmod(keys, s_n)
+        p = successor_view(row, state, seen / counts[row], s_n, a_n)
+        rho = np.bincount(self.initial_states, minlength=s_n)
+        return d, p, rho / rho.sum()
 
     @classmethod
     def from_samples(cls, n_states, n_actions, s, a, s_next, initial_states):
@@ -85,15 +90,31 @@ class TrajectoryDataset:
 
     @classmethod
     def from_distribution(cls, d_sa, transition, initial_dist):
-        """Exact-expectation dataset: known data distribution and kernel."""
+        """Exact-expectation dataset: known data distribution and dense
+        (S, A, S) kernel, kept as the entries of its nonzero values."""
         d_sa = np.asarray(d_sa, dtype=float)
         s_n, a_n = d_sa.shape
+        transition = np.asarray(transition, dtype=float)
+        if transition.shape != (s_n, a_n, s_n):
+            raise InvalidInput(f"transition of shape {transition.shape} is not "
+                               f"(S, A, S) = {(s_n, a_n, s_n)} for d_sa")
+        keys = np.flatnonzero(transition)
+        row, state = np.divmod(keys, s_n)
         empty = np.zeros(0, dtype=int)
         return cls(n_states=s_n, n_actions=a_n,
                    s=empty, a=empty, s_next=empty, initial_states=empty,
                    d_sa=d_sa / d_sa.sum(),
-                   p_hat=np.asarray(transition, dtype=float),
+                   p_hat=successor_view(row, state, transition.ravel()[keys],
+                                        s_n, a_n),
                    rho_hat=np.asarray(initial_dist, dtype=float))
+
+
+def _check_indices(name, x, bound):
+    """x must be a 1-D integer array with entries in [0, bound)."""
+    if x.ndim != 1:
+        raise InvalidInput(f"{name} must be a 1-D array")
+    if x.size and (x.dtype.kind not in "iu" or x.min() < 0 or x.max() >= bound):
+        raise InvalidInput(f"{name} must hold integer indices in [0, {bound})")
 
 
 @dataclass(frozen=True)
@@ -128,8 +149,12 @@ def dualdice_fit(dataset, target_policy, gamma, config=None):
     full row rank k because ||gamma P_hat^pi||_inf <= gamma < 1. With the
     k x k matrix H = G_C G_C^T, the min-norm solution is
     z = G_C^T H^-1 D_C^-1 H^-1 G_C r (r = (1-gamma) b), so the covered
-    ratios are omega_C = G_C z = D_C^-1 H^-1 G_C r: one k x k solve, cost
-    O(k^2 SA), and no (SA)x(SA) matrix. When k < SA the objective J(z) is
+    ratios are omega_C = G_C z = D_C^-1 H^-1 G_C r: one k x k solve. The
+    nonzero columns of G_C are the pairs (t, b) of the m touched states t,
+    the covered pairs' own states and the successors in their p_hat
+    entries, so G_C is formed on those m*A columns alone: cost O(k^2 m A),
+    at most O(k^2 SA), with no (SA)x(SA) matrix, no k x SA matrix and no
+    (S, A, S) kernel. When k < SA the objective J(z) is
     unbounded below whenever b has a component outside the row space of
     G_C; DirectSolve then returns the min-norm least-squares point of the
     normal equations, as a dense lstsq would. Every least-squares point
@@ -138,7 +163,8 @@ def dualdice_fit(dataset, target_policy, gamma, config=None):
 
     Sgd runs `sgd_steps` stochastic steps on the minimax surrogate, seeded
     by `rng_seed`. Its draws are made ahead in batches of numpy calls; only
-    the O(K) scalar updates run in a Python loop.
+    the O(K) scalar updates run in a Python loop. omega = z - gamma
+    P_hat^pi z then reads the p_hat entries, O(S A K).
 
     Output is clipped at 0 and zeroed on uncovered pairs, and a
     CoverageWarning is raised when any pair is uncovered.
@@ -155,11 +181,23 @@ def dualdice_fit(dataset, target_policy, gamma, config=None):
     if config.solver == "DirectSolve":
         probs = target_policy.probs
         rows = np.flatnonzero(covered)
-        # G_C: row (s,a) is e_(s,a) - gamma p_hat(s'|s,a) pi(a'|s')
-        g_c = -gamma * (dataset.p_hat[covered][:, :, None]
-                        * probs[None]).reshape(rows.size, s_n * a_n)
-        g_c[np.arange(rows.size), rows] += 1.0
-        rhs = (1.0 - gamma) * (dataset.rho_hat[:, None] * probs).reshape(-1)
+        k = rows.size
+        idx, prob = (x.reshape(s_n * a_n, -1)[rows] for x in dataset.p_hat)
+        # G_C has nonzero columns only on the touched pairs: the actions of
+        # the covered pairs' own states and of their successors
+        hit = np.zeros(s_n, dtype=bool)
+        hit[rows // a_n] = True
+        hit[idx] = True
+        touched = np.flatnonzero(hit)
+        col = np.cumsum(hit) - 1     # a touched state's place in `touched`
+        m = touched.size
+        p_c = np.bincount((np.arange(k)[:, None] * m + col[idx]).ravel(),
+                          prob.ravel(), minlength=k * m).reshape(k, m)
+        # G_C: row (s,a) is e_(s,a) - gamma p_hat(t|s,a) pi(b|t), on (t, b)
+        g_c = -gamma * (p_c[:, :, None] * probs[touched]).reshape(k, m * a_n)
+        g_c[np.arange(k), col[rows // a_n] * a_n + rows % a_n] += 1.0
+        rhs = (1.0 - gamma) * (dataset.rho_hat[touched, None]
+                               * probs[touched]).reshape(-1)
         y = np.linalg.solve(g_c @ g_c.T, g_c @ rhs)
         omega = np.zeros((s_n, a_n))
         omega[covered] = y / dataset.d_sa[covered]
@@ -212,9 +250,13 @@ def _sgd_fit(dataset, target_policy, gamma, config):
             z[k2] += lr_gamma * zeta[k]
             z[k0] += lr_init
     z = np.array(z).reshape(s_n, a_n)
-    # omega = z - gamma * expected next z under p_hat and the target policy
-    next_z = np.einsum("sat,tb,tb->sa", dataset.p_hat, probs, z)
-    return z - gamma * next_z
+    # omega = z - gamma * expected next z under p_hat and the target policy:
+    # each row's entries summed in k order
+    idx, prob = dataset.p_hat
+    next_v = (probs * z).sum(axis=1)[idx]
+    rows = np.arange(s_n * a_n).repeat(idx.shape[2])
+    next_z = np.bincount(rows, (prob * next_v).ravel(), minlength=s_n * a_n)
+    return z - gamma * next_z.reshape(s_n, a_n)
 
 
 def visitation_from_corrections(dataset, corrections):
@@ -223,8 +265,6 @@ def visitation_from_corrections(dataset, corrections):
     total = mass.sum()
     if total <= 0:
         raise DegenerateEstimate("corrections carry no visitation mass")
-    from .cmdp import VisitationDistribution
-
     nu = mass / total
     nu_sa = corrections.omega * dataset.d_sa
     return VisitationDistribution(nu=nu, nu_sa=nu_sa / nu_sa.sum())

@@ -382,6 +382,17 @@ def lstd_q_reference(cmdp, probs, config, rng):
     return q.reshape(-1, cmdp.n_states, cmdp.n_actions)
 
 
+def dense_kernel(dataset):
+    """The dataset's p_hat entries scattered into a dense (S, A, S) array,
+    each row's entries for one state added in k order."""
+    idx, prob = dataset.p_hat
+    s_n, a_n = dataset.n_states, dataset.n_actions
+    p = np.zeros((s_n, a_n, s_n))
+    np.add.at(p, (np.arange(s_n)[:, None, None], np.arange(a_n)[:, None], idx),
+              prob)
+    return p
+
+
 def dualdice_direct_reference(dataset, probs, gamma):
     """DualDICE on the dense (SA)x(SA) normal equations G^T D G z = (1-gamma) b.
 
@@ -389,7 +400,7 @@ def dualdice_direct_reference(dataset, probs, gamma):
     """
     s_n, a_n = dataset.n_states, dataset.n_actions
     n = s_n * a_n
-    next_op = np.einsum("sat,tb->satb", dataset.p_hat, probs).reshape(n, n)
+    next_op = np.einsum("sat,tb->satb", dense_kernel(dataset), probs).reshape(n, n)
     g = np.eye(n) - gamma * next_op
     d = dataset.d_sa.reshape(n)
     normal = g.T @ (d[:, None] * g)
@@ -400,13 +411,12 @@ def dualdice_direct_reference(dataset, probs, gamma):
     return omega
 
 
-def sgd_fit_reference(dataset, probs, gamma, config):
-    """DualDICE by SGD, one step at a time.
+def sgd_z_reference(dataset, probs, gamma, config):
+    """The z table of DualDICE by SGD, one step at a time.
 
     The draws come 1024 steps at a time from four batch calls:
     rng.integers(n_tr, size=k), rng.random(k), rng.integers(n_init, size=k),
     rng.random(k). Each action is count(cumsum(p)/cumsum(p)[-1] <= u).
-    omega = z - gamma P_hat^pi z, clipped at 0 and zeroed on uncovered pairs.
     """
     rng = np.random.default_rng(config.rng_seed)
     s_n, a_n = dataset.n_states, dataset.n_actions
@@ -435,7 +445,24 @@ def sgd_fit_reference(dataset, probs, gamma, config):
             z[s, a] -= lr * zeta[s, a]
             z[s2, a2] += lr * gamma * zeta[s, a]
             z[s0, a0] += lr * (1.0 - gamma)
-    next_z = np.einsum("sat,tb,tb->sa", dataset.p_hat, probs, z)
+    return z
+
+
+def sgd_fit_reference(dataset, probs, gamma, config):
+    """DualDICE by SGD: omega = z - gamma P_hat^pi z on the z of
+    `sgd_z_reference`, clipped at 0 and zeroed on uncovered pairs.
+
+    The expected next z of a pair adds p_hat(t|s,a) v(t), with
+    v(t) = sum_b pi(b|t) z(t, b), over the row's nonzero t in ascending
+    order, one term at a time from 0.
+    """
+    z = sgd_z_reference(dataset, probs, gamma, config)
+    p = dense_kernel(dataset)
+    v = (probs * z).sum(axis=1)
+    next_z = np.zeros_like(z)
+    for s, a in np.ndindex(z.shape):
+        for t in np.flatnonzero(p[s, a]):
+            next_z[s, a] += p[s, a, t] * v[t]
     omega = np.maximum(z - gamma * next_z, 0.0)
     omega[dataset.d_sa <= 0] = 0.0
     return omega

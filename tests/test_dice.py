@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,8 +16,9 @@ from metasrl.errors import (CoverageWarning, DegenerateEstimate,
 from metasrl.lp import solve_optimal_lp
 from metasrl.taskgen import GridSpec, gen_frozen_lake
 
-from oracles import (central_difference, dualdice_direct_reference,
-                     empirical_kernel_reference, random_cmdp, sgd_fit_reference)
+from oracles import (central_difference, dense_kernel, dualdice_direct_reference,
+                     empirical_kernel_reference, random_cmdp, sgd_fit_reference,
+                     sgd_z_reference)
 
 
 def exact_dataset(cmdp, behavior):
@@ -130,6 +132,15 @@ class TestDirectSolve:
         assert 0 < np.count_nonzero(ds.d_sa) < ds.d_sa.size
         assert_matches_dense(ds, pi_hat, cmdp.discount)
 
+    def test_covered_state_that_no_transition_enters(self):
+        """State 0 is covered but is no successor, and its row (0, 1) has
+        no padding entry: its own column is still formed."""
+        ds = TrajectoryDataset.from_samples(
+            3, 2, s=[0, 0, 1], a=[1, 1, 0], s_next=[1, 2, 2], initial_states=[0])
+        target = SoftmaxPolicy(
+            logits=np.random.default_rng(11).standard_normal((3, 2)))
+        assert_matches_dense(ds, target, 0.9)
+
     def test_invalid_gamma(self):
         cmdp = random_cmdp(np.random.default_rng(3))
         ds = exact_dataset(cmdp, SoftmaxPolicy.uniform(4, 3))
@@ -238,17 +249,102 @@ class TestDataset:
             initial_states=[0, 0])
         assert np.allclose(ds.d_sa, [[0.5, 0.25], [0.0, 0.25]])
         assert np.allclose(ds.rho_hat, [1.0, 0.0])
-        assert abs(ds.p_hat[0, 0, 1] - 0.5) < 1e-12
+        assert abs(dense_kernel(ds)[0, 0, 1] - 0.5) < 1e-12
 
     @pytest.mark.parametrize("size", [4, 16])
     def test_empirical_kernel_matches_two_array_construction(self, size):
         _, ds, _ = gridworld_log(size, 2)
-        assert np.array_equal(ds.p_hat, empirical_kernel_reference(ds))
+        assert np.array_equal(dense_kernel(ds), empirical_kernel_reference(ds))
+
+    def test_distribution_kernel_keeps_the_dense_values(self):
+        cmdp = random_cmdp(np.random.default_rng(9))
+        ds = exact_dataset(cmdp, SoftmaxPolicy.uniform(4, 3))
+        assert np.array_equal(dense_kernel(ds), cmdp.transition)
+
+    def test_small_integer_dtypes_build_the_same_dataset(self):
+        rng = np.random.default_rng(10)
+        s, a, s2 = (rng.integers(n, size=300) for n in (20, 4, 20))
+        init = rng.integers(20, size=7)
+        wide = TrajectoryDataset.from_samples(20, 4, s, a, s2, init)
+        narrow = TrajectoryDataset.from_samples(
+            20, 4, *(x.astype(np.uint8) for x in (s, a, s2, init)))
+        assert np.array_equal(narrow.d_sa, wide.d_sa)
+        assert np.array_equal(narrow.rho_hat, wide.rho_hat)
+        assert all(np.array_equal(x, y) for x, y in zip(narrow.p_hat, wide.p_hat))
 
     def test_index_validation(self):
         with pytest.raises(InvalidInput):
             TrajectoryDataset.from_samples(
                 2, 2, s=[5], a=[0], s_next=[0], initial_states=[0])
+
+    @pytest.mark.parametrize("bad", [
+        dict(initial_states=[-1]),
+        dict(initial_states=[0, 2]),
+        dict(s=[0.0, 1.0, 0.0]),
+        dict(initial_states=[0.0]),
+        dict(s_next=[1, 0]),
+        dict(a=[0, 1, 1, 0]),
+    ], ids=["negative-initial", "initial-beyond-S", "float-s", "float-initial",
+            "short-s_next", "long-a"])
+    def test_bad_samples_raise(self, bad):
+        args = dict(s=[0, 1, 0], a=[0, 1, 1], s_next=[1, 0, 0],
+                    initial_states=[0])
+        args.update(bad)
+        with pytest.raises(InvalidInput):
+            TrajectoryDataset.from_samples(2, 2, **args)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2, 2), (3, 2, 3), (2, 6)])
+    def test_distribution_kernel_shape_checked(self, shape):
+        d_sa = np.full((2, 3), 1.0 / 6.0)
+        with pytest.raises(InvalidInput):
+            TrajectoryDataset.from_distribution(
+                d_sa, np.full(shape, 0.5), [1.0, 0.0])
+
+
+class TestSparseKernel:
+    """The empirical kernel is kept as entries of the seen rows: no
+    (S, A, S) array in the dataset or the DirectSolve fit."""
+
+    def test_16x16_log_holds_no_dense_kernel(self):
+        _, ds, _ = gridworld_log(16, 0)
+        dense = ds.n_states * ds.n_actions * ds.n_states
+        arrays = (ds.s, ds.a, ds.s_next, ds.initial_states, ds.d_sa,
+                  ds.rho_hat) + tuple(ds.p_hat)
+        assert max(x.size for x in arrays) < dense
+        # a gridworld row has at most 3 successors: the move and two slips
+        assert ds.p_hat[1].shape == (ds.n_states, ds.n_actions, 3)
+
+    @pytest.mark.parametrize("seed", [0, 97])
+    def test_traced_peak_of_a_16x16_fit_under_1mb(self, seed):
+        cmdp, log, pi_hat = gridworld_log(16, seed)
+        tracemalloc.start()
+        try:
+            ds = TrajectoryDataset.from_samples(
+                log.n_states, log.n_actions, log.s, log.a, log.s_next,
+                log.initial_states)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CoverageWarning)
+                corr = dualdice_fit(ds, pi_hat, cmdp.discount)
+            visitation_from_corrections(ds, corr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("size,seed", [(4, 0), (8, 97), (None, 3)])
+    def test_sgd_recovery_matches_dense_einsum(self, size, seed):
+        if size is None:   # random rows, some seen more than once
+            cmdp, ds, target = small_log(60, 5, seed)
+        else:
+            cmdp, ds, target = gridworld_log(size, seed)
+        gamma, probs = cmdp.discount, target.probs
+        cfg = DiceConfig(solver="Sgd", sgd_steps=3000, rng_seed=seed)
+        z = sgd_z_reference(ds, probs, gamma, cfg)
+        ref = np.maximum(
+            z - gamma * np.einsum("sat,tb,tb->sa", dense_kernel(ds), probs, z), 0.0)
+        ref[ds.d_sa <= 0] = 0.0
+        omega = sgd_omega(ds, target, gamma, cfg)
+        assert np.max(np.abs(omega - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
 class TestVisitationFromCorrections:
