@@ -10,12 +10,18 @@ softmax policy:
   built;
 - evaluate: one `policy_evaluation_exact`;
 - visitation: one `visitation_exact`;
+- td: one TdSampled CRPO step's critic, `td_critic` with `td_iterations`
+  10 000 and horizon 60;
 
-and of one DICE pass on the transition log of a CRPO run on that task (the
-test_09 CRPO settings, seed 2, from the uniform policy): building the
-`TrajectoryDataset` from the log, the DirectSolve `dualdice_fit` under the
-run's returned policy, and `visitation_from_corrections`. dice_peak_kb is
-the tracemalloc peak of that pass, in KiB.
+and two on a CRPO run on that task (the test_09 CRPO settings, seed 2,
+from the uniform policy):
+
+- sample: the draw of the run's transition log, one `sample_episode` over
+  its 8 iterates x 5 episodes at horizon 60, as `outcome.dataset` draws it;
+- dice: one DICE pass on that log: building the `TrajectoryDataset`, the
+  DirectSolve `dualdice_fit` under the run's returned policy, and
+  `visitation_from_corrections`. dice_peak_kb is the tracemalloc peak of
+  that pass, in KiB.
 
 Each time is the best, over --repeats rounds, of the mean time of
 --number calls, in microseconds. Uses the standard library and numpy only.
@@ -28,6 +34,7 @@ import argparse
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -54,15 +61,30 @@ def best_time(call, repeats, number):
     return best
 
 
-def dice_pass(task):
-    """One DICE pass on the log of a CRPO run on `task`, as a call."""
-    config = crpo.CrpoConfig(learning_rate=1.0, steps=8, tolerance=0.05,
-                             episodes_per_step=5, episode_horizon=60, rng_seed=2)
+# the test_09 CRPO settings
+CRPO = crpo.CrpoConfig(learning_rate=1.0, steps=8, tolerance=0.05,
+                       episodes_per_step=5, episode_horizon=60, rng_seed=2)
+
+
+def crpo_run(task):
+    """The outcome of a CRPO run on `task` from the uniform policy."""
     try:
-        outcome = crpo.run_crpo(
-            task, cmdp.SoftmaxPolicy.uniform(task.n_states, task.n_actions), config)
+        return crpo.run_crpo(
+            task, cmdp.SoftmaxPolicy.uniform(task.n_states, task.n_actions), CRPO)
     except DegenerateRun as exc:
-        outcome = exc.outcome
+        return exc.outcome
+
+
+def log_draw(task, outcome):
+    """The draw of the run's transition log, as a call."""
+    stack = np.array([pol.probs for pol in outcome.all_iterates])
+    rng = np.random.default_rng(CRPO.rng_seed)
+    return lambda: crpo.sample_episode(task, stack, CRPO.episode_horizon, rng,
+                                       CRPO.episodes_per_step)
+
+
+def dice_pass(task, outcome):
+    """One DICE pass on the log of a CRPO run on `task`, as a call."""
     log, target = outcome.dataset, outcome.returned_policy
 
     def call():
@@ -93,13 +115,19 @@ def layer_times(task, repeats, number):
         (task.n_states, task.n_actions)))
     task.successors  # built once, as the first evaluation builds it
     build = type(task).elimination.func  # uncached: a fresh build each call
-    dice_call = dice_pass(task)
+    td_config = replace(CRPO, critic_mode=crpo.TD_SAMPLED, td_iterations=10_000)
+    rng = np.random.default_rng(0)
+    outcome = crpo_run(task)
+    dice_call = dice_pass(task, outcome)
     return {
         "build": best_time(lambda: build(task), repeats, number),
         "evaluate": best_time(lambda: cmdp.policy_evaluation_exact(task, policy),
                               repeats, number),
         "visitation": best_time(lambda: cmdp.visitation_exact(task, policy),
                                 repeats, number),
+        "td": best_time(lambda: crpo.td_critic(task, policy, td_config, rng),
+                        repeats, number),
+        "sample": best_time(log_draw(task, outcome), repeats, number),
         "dice": best_time(dice_call, repeats, number),
         "dice_peak": traced_peak(dice_call),
     }
@@ -115,7 +143,8 @@ def main(argv=None):
     if args.repeats < 1 or args.number < 1:
         parser.error("--repeats and --number must be at least 1")
     print(f"{'grid':>6} {'states':>6} {'|I|':>5} {'build_us':>9} "
-          f"{'evaluate_us':>11} {'visitation_us':>13} {'dice_us':>9} "
+          f"{'evaluate_us':>11} {'visitation_us':>13} {'td_us':>9} "
+          f"{'sample_us':>9} {'dice_us':>9} "
           f"{'dice_peak_kb':>12}")
     for size in (int(s) for s in args.sizes.split(",")):
         task = first_task(size)
@@ -123,6 +152,7 @@ def main(argv=None):
         print(f"{f'{size}x{size}':>6} {task.n_states:>6} "
               f"{task.elimination.blocks[0]:>5} {1e6 * times['build']:>9.1f} "
               f"{1e6 * times['evaluate']:>11.1f} {1e6 * times['visitation']:>13.1f} "
+              f"{1e6 * times['td']:>9.1f} {1e6 * times['sample']:>9.1f} "
               f"{1e6 * times['dice']:>9.1f} {times['dice_peak'] / 1024:>12.1f}")
     return 0
 

@@ -93,7 +93,6 @@ class Elimination(NamedTuple):
     blocks: tuple
     order: np.ndarray       # (S,): I ascending, then J ascending
     rank: np.ndarray        # (S,): the position of each state
-    neg_step: np.ndarray    # (S, A, K): -gamma * prob of the successor view
     slot: np.ndarray        # (S*A*K,): the slot of each successor-view entry
     ij_row: np.ndarray      # the I position of each IJ slot
     fill_ji: np.ndarray     # the JI slot (less b1) of each fill term j -> i -> j'
@@ -275,9 +274,8 @@ class TabularCmdp:
         bins = np.concatenate((ji_row[fill_ji] * m + ij_col[fill_ij] - n * (m + 1),
                                flat_m[b2:] - n * (m + 1), flat_m[n:b1] + (m * m - n),
                                ji_row * n + ji_col + (m * m + m * n - n * n)))
-        arrays = dict(order=order, rank=rank, neg_step=-self.discount * self.successors[1],
-                      slot=slot, ij_row=ij_row, fill_ji=fill_ji,
-                      fill_ij=fill_ij, bins=bins)
+        arrays = dict(order=order, rank=rank, slot=slot, ij_row=ij_row,
+                      fill_ji=fill_ji, fill_ij=fill_ij, bins=bins)
         for a in arrays.values():
             a.setflags(write=False)
         return Elimination(blocks=(n, b1, b2, pattern.size), **arrays)
@@ -401,21 +399,22 @@ def _check_dims(cmdp, policy):
         raise InvalidInput("policy dimensions do not match CMDP")
 
 
-def _schur_complement(cmdp, probs):
+def _schur_complement(cmdp, probs, neg_step):
     """(nd, s, r, a_ji) for one policy: nd = -D = gamma P_pi(i|i) - 1 on I,
     and dense, the Schur complement S on J, the multipliers
     R = D^-1 gamma P_IJ and the block A_JI = -gamma P_JI.
 
-    -gamma P_pi is one weighted bincount of the successor view over the
-    pattern slots; each slot adds its terms in ascending a, as a dense
-    einsum does. The dense blocks come from one more bincount: each entry
-    of S adds its fill terms a_ji * r_ij' in ascending i, then its
-    -gamma P_JJ entry, and the diagonal gets 1 added last."""
+    neg_step is -gamma times the successor view's probabilities, (S, A, K).
+    -gamma P_pi is one weighted bincount of it over the pattern slots; each
+    slot adds its terms in ascending a, as a dense einsum does. The dense
+    blocks come from one more bincount: each entry of S adds its fill terms
+    a_ji * r_ij' in ascending i, then its -gamma P_JJ entry, and the
+    diagonal gets 1 added last."""
     e = cmdp.elimination
     n, b1, b2, nnz = e.blocks
     s_n = cmdp.n_states
     m = s_n - n
-    a = np.bincount(e.slot, (probs[:, :, None] * e.neg_step).ravel(), nnz)
+    a = np.bincount(e.slot, (probs[:, :, None] * neg_step).ravel(), nnz)
     nd = -1.0 - a[:n]
     r = a[n:b1] / nd[e.ij_row]
     w = np.concatenate((a[b1:b2][e.fill_ji] * r[e.fill_ij], a[b2:], r, a[b1:b2]))
@@ -450,7 +449,8 @@ def policy_evaluation_exact(cmdp, policy):
     tables = cmdp.objective_tables
     e = cmdp.elimination
     n = e.blocks[0]
-    nd, s, r, a_ji = _schur_complement(cmdp, probs)
+    neg_step = -cmdp.discount * cmdp.successors[1]   # shared with the Q backup
+    nd, s, r, a_ji = _schur_complement(cmdp, probs, neg_step)
     c = (probs * tables).sum(axis=2)[:, e.order]
     y = c[:, :n] / nd                          # -D^-1 c_I
     v_j = _solve(s, (c[:, n:] + y @ a_ji.T).T).T
@@ -458,7 +458,7 @@ def policy_evaluation_exact(cmdp, policy):
     v = np.concatenate((v_i, v_j), axis=1)[:, e.rank]
     # k leading: the k terms add slab by slab in k order, faster than a sum
     # over a short last axis
-    q = tables - (e.neg_step.transpose(2, 0, 1)
+    q = tables - (neg_step.transpose(2, 0, 1)
                   * v.take(cmdp.successors[0].transpose(2, 0, 1), axis=1)).sum(axis=1)
     residual = np.abs(v - np.einsum("sa,isa->is", probs, q)).max()
     if not residual <= SOLVE_TOL:
@@ -477,7 +477,7 @@ def visitation_exact(cmdp, policy):
     probs = policy.probs
     e = cmdp.elimination
     n = e.blocks[0]
-    nd, s, r, a_ji = _schur_complement(cmdp, probs)
+    nd, s, r, a_ji = _schur_complement(cmdp, probs, -cmdp.discount * cmdp.successors[1])
     b = ((1.0 - cmdp.discount) * cmdp.initial_dist)[e.order]
     b_i = b[:n]
     nu_j = _solve(s.T, b[n:] + b_i @ r)

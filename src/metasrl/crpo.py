@@ -1,16 +1,17 @@
 """Within-task constrained policy optimization.
 
 Alternates natural-gradient reward ascent with constraint descent, gated on
-estimated constraint values against the limits plus a tolerance eta. Critic
-is either an exact Bellman solve or tabular LSTD(0) from on-policy samples,
-one chain a step for all p+1 objectives. A TdSampled step is one call of
-`td_critic`, which draws the step's episodes and its chain of
-`td_iterations` steps in one rollout, solves the chain's empirical SARSA
-model for all p+1 objectives with one m x m solve (m <= S*A the pairs the
-chain steps from), and returns the stacked value tables (v, q) together
-with the episodes. Either critic hands `run_crpo` q of shape (p+1, S, A),
-reward first, and a step moves the logits along one of its rows.
-LSTD(0) has no step size, so the config has no `td_step_size`.
+estimated constraint values against the limits plus a tolerance eta. A
+critic is either an exact Bellman solve (`policy_evaluation_exact`) or
+tabular LSTD(0) from on-policy samples (`td_critic`), one chain a step for
+all p+1 objectives: it draws a chain of `td_iterations` steps in one
+rollout, solves the chain's empirical SARSA model for all p+1 objectives
+with one m x m solve (m <= S*A the pairs the chain steps from), and returns
+the value tables. Both critics return (v, q), v of shape (p+1, S) and q of
+shape (p+1, S, A), reward first, and `run_crpo` has one step body for both:
+it gates on the estimates J_i = rho . v_i of the step's own critic and
+moves the logits along one row of q. LSTD(0) has no step size, so the
+config has no `td_step_size`.
 
 Every sampled draw, whether an episode step or a chain step, goes
 through one batched rollout that steps all rows together and reproduces
@@ -21,11 +22,11 @@ SGD DICE fit shares. Next states are drawn over the CMDP's successor CDF
 caches once. The exact critic evaluates all p+1 objectives of an iterate
 against one factorisation of its Bellman matrix, and that one solve also
 gives the exact objectives (J_0..J_p) that a run records for every iterate,
-whichever critic steers it. A run's transition log is built on
-first read of `outcome.dataset`: with the Exact critic no sample feeds
-control flow, so the episodes are drawn, from the run's seed and its
-iterates, only when something reads them; a TdSampled run keeps each
-step's episodes and concatenates them then.
+whichever critic steers it. A run's transition log feeds no decision under
+either critic, so it is built on first read of `outcome.dataset`: its
+episodes are the first draws of the run's generator, which the run skips,
+and they are drawn then, from the run's seed and its iterates, in one
+`sample_episode` call.
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ class CrpoConfig:
 
 @dataclass(frozen=True)
 class CrpoOutcome:
+    """What one CRPO run leaves: its iterates, its decisions, every step's
+    constraint estimates rho . v_1..p from the step's own critic, every
+    iterate's exact objectives, and the transition log, which is drawn only
+    when `dataset` is first read."""
+
     all_iterates: tuple            # the M SoftmaxPolicy iterates, in step order
     reward_steps: tuple            # indices where reward ascent happened
     constraint_steps: tuple        # per-constraint index tuples
@@ -220,22 +226,17 @@ def _td_q(cmdp, chain, config):
 
 
 def td_critic(cmdp, policy, config, rng=None):
-    """One TdSampled CRPO step's samples and critic, from one rollout.
+    """One TdSampled CRPO step's critic, from one rollout.
 
-    Draws the step's `episodes_per_step` episodes of `episode_horizon`, then a
-    chain of K = `td_iterations` (s, a) -> (s', a') steps that restarts from
-    rho after every max(2, horizon) steps, and solves LSTD(0) for every
-    objective over the chain (`_td_q`): one m x m solve with p+1 right-hand
-    sides, m <= S*A the pairs the chain steps from, with Q = 0 on every
-    other pair. The uniforms come from rng in that order, the
-    episodes' exactly as `sample_episode` takes them, and all rows are walked
-    together: an episode row is padded to the chain's width, 2 + 2 max(2, H),
-    and its padded draws are dropped.
+    Draws a chain of K = `td_iterations` (s, a) -> (s', a') steps that
+    restarts from rho after every max(2, horizon) steps, and solves LSTD(0)
+    for every objective over the chain (`_td_q`): one m x m solve with p+1
+    right-hand sides, m <= S*A the pairs the chain steps from, with Q = 0 on
+    every other pair. The chain's uniforms are the rng's next draws, and all
+    its reset segments are walked together.
 
-    Returns ((v, q), (states, actions, next_states)): the value tables, v
-    of shape (p+1, S) and q of shape (p+1, S, A), reward first, as
-    `policy_evaluation_exact` returns them, and the episodes as
-    `sample_episode` returns them, each (episodes, horizon).
+    Returns (v, q), v = sum_a pi q of shape (p+1, S) and q of shape
+    (p+1, S, A), reward first, as `policy_evaluation_exact` returns them.
     The Exact critic is `policy_evaluation_exact`, which `run_crpo` calls
     itself; an Exact config is refused here.
     """
@@ -245,49 +246,33 @@ def td_critic(cmdp, policy, config, rng=None):
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
     policy_cdf = cdf(policy.probs, "policy")[None]
-    e, horizon = config.episodes_per_step, config.episode_horizon
-    reset = max(2, horizon)
+    reset = max(2, config.episode_horizon)
     k = config.td_iterations
-    u = np.zeros((e + k // reset + 1, 2 + 2 * reset))
-    u[:e, :1 + 2 * horizon] = rng.random((e, 1 + 2 * horizon))
+    u = np.zeros((k // reset + 1, 2 + 2 * reset))
     # s_0, a_0, then (s', a') per step and (s_0, a_0) per reset
-    rng.random(out=u[e:].reshape(-1)[:2 + 2 * k + 2 * (k // reset)])
-    x = _rollout(cmdp, policy_cdf, np.zeros(len(u), dtype=np.intp), u)
-    episodes = x[:e, :1 + 2 * horizon].copy()
-    q = _td_q(cmdp, x[e:], config)
-    return (((policy.probs * q).sum(axis=2), q),
-            (episodes[:, :-1:2], episodes[:, 1::2], episodes[:, 2::2]))
+    rng.random(out=u.reshape(-1)[:2 + 2 * k + 2 * (k // reset)])
+    q = _td_q(cmdp, _rollout(cmdp, policy_cdf, np.zeros(len(u), dtype=np.intp), u),
+              config)
+    return (policy.probs * q).sum(axis=2), q
 
 
-def _discounted_weights(states, actions, t, gamma, s_n, a_n):
-    """Normalized discounted visitation weights of observed (s,a) pairs."""
-    w = np.bincount(states * a_n + actions, gamma ** t, minlength=s_n * a_n)
-    return (w / w.sum()).reshape(s_n, a_n)
-
-
-def _log_dataset(cmdp, episodes):
-    """Transition log from each step's (states, actions, next_states)
-    episodes, each (episodes, horizon), concatenated in step order."""
-    states, actions, nexts = (np.concatenate(a) for a in zip(*episodes))
+def _sampled_log(cmdp, iterates, config):
+    """The run's transition log: `episodes_per_step` episodes of every
+    iterate, iterate after iterate. They are the first draws of the run's
+    generator, which the run skips, so they are drawn here from its seed."""
+    states, actions, nexts = sample_episode(
+        cmdp, np.array([pol.probs for pol in iterates]), config.episode_horizon,
+        np.random.default_rng(config.rng_seed), config.episodes_per_step)
     return TrajectoryDataset.from_samples(
         cmdp.n_states, cmdp.n_actions, s=states.ravel(), a=actions.ravel(),
         s_next=nexts.ravel(), initial_states=states[:, 0])
 
 
-def _sampled_log(cmdp, iterates, config):
-    """Draw every episode of an Exact-critic run: they are the first draws of
-    the run's generator, so they are drawn again from its seed."""
-    episodes = sample_episode(cmdp, np.array([pol.probs for pol in iterates]),
-                              config.episode_horizon,
-                              np.random.default_rng(config.rng_seed),
-                              config.episodes_per_step)
-    return _log_dataset(cmdp, [episodes])
-
-
 def run_crpo(cmdp, init_policy, config):
     """CRPO loop: gate on estimated constraint values, ascend or descend.
 
-    At each of M steps, estimate every constraint value; if all are within
+    At each of M steps, the config's critic gives the iterate's (v, q) and
+    every constraint value is estimated as rho . v_i. If all are within
     their limit plus tolerance, take a natural-gradient ascent step on the
     reward, otherwise descend on the most-violated constraint (ties to the
     lowest index). Returns the uniform draw from the reward-step snapshots,
@@ -295,19 +280,16 @@ def run_crpo(cmdp, init_policy, config):
     first read).
     """
     rng = np.random.default_rng(config.rng_seed)
+    # the log's episodes feed no decision: skip their draws here, so that the
+    # critic and the final draw see the same stream, and make them when the
+    # log is read
+    rng.bit_generator.advance(
+        config.steps * config.episodes_per_step * (1 + 2 * config.episode_horizon))
     p = cmdp.n_costs
     gamma = cmdp.discount
     alpha = config.learning_rate
     eta = config.tolerance
-    horizon = config.episode_horizon
     exact = config.critic_mode == EXACT
-    if exact:
-        # the episodes feed no decision: skip their draws here, so the final
-        # draw sees the same stream, and make them when the log is read
-        rng.bit_generator.advance(
-            config.steps * config.episodes_per_step * (1 + 2 * horizon))
-    else:
-        episodes = []
 
     logits = np.array(init_policy.logits, dtype=float)
     snapshots = []
@@ -320,21 +302,13 @@ def run_crpo(cmdp, init_policy, config):
         policy = SoftmaxPolicy(logits=logits)
         snapshots.append(policy)
 
-        if exact:
-            v, q = policy_evaluation_exact(cmdp, policy)
-            objectives[m] = v @ cmdp.initial_dist
-            j_bar = objectives[m, 1:]
-        else:
-            (_, q), (st, ac, nx) = td_critic(cmdp, policy, config, rng)
-            episodes.append((st, ac, nx))
-            tt = np.broadcast_to(np.arange(horizon), st.shape)
-            w = _discounted_weights(st.ravel(), ac.ravel(), tt.ravel(), gamma,
-                                    cmdp.n_states, cmdp.n_actions)
-            j_bar = (w * q[1:]).sum(axis=(1, 2))
-            objectives[m] = all_objectives(cmdp, policy)
-        estimates[m] = j_bar
+        v, q = (policy_evaluation_exact(cmdp, policy) if exact
+                else td_critic(cmdp, policy, config, rng))
+        j = v @ cmdp.initial_dist
+        objectives[m] = j if exact else all_objectives(cmdp, policy)
+        estimates[m] = j[1:]
 
-        excess = j_bar - cmdp.limits - eta
+        excess = estimates[m] - cmdp.limits - eta
         if np.all(excess <= 0):
             reward_steps.append(m)
             logits = npg_softmax_step(logits, q[0], alpha, "Ascent", gamma)
@@ -347,11 +321,10 @@ def run_crpo(cmdp, init_policy, config):
     outcome_args = dict(
         all_iterates=snapshots,
         reward_steps=tuple(reward_steps),
-        constraint_steps=tuple(tuple(v) for v in constraint_steps),
+        constraint_steps=tuple(map(tuple, constraint_steps)),
         per_step_estimates=estimates,
         iterate_objectives=objectives,
-        log_builder=(partial(_sampled_log, cmdp, snapshots, config) if exact
-                     else partial(_log_dataset, cmdp, tuple(episodes))),
+        log_builder=partial(_sampled_log, cmdp, snapshots, config),
     )
     if not reward_steps:
         raise DegenerateRun(

@@ -145,13 +145,16 @@ def rate_regret_objective(kappa, u_init, inexactness, t_tasks, v_hat_sq,
 
 @dataclass(frozen=True)
 class MetaLearnerState:
+    """The meta-learner between tasks. Its settings have no defaults here:
+    `harness.MetaConfig` holds them, and `run_experiment` passes them all."""
+
     init_policy: np.ndarray          # (S, A) probability table in the shrinkage simplex
     learning_rate: float
     ogd_step_init: float
     ogd_step_sim: float
-    inner_updates: int = 1
-    shrinkage: float = 1e-3
-    rate_floor: float = 1e-4
+    inner_updates: int
+    shrinkage: float
+    rate_floor: float
     kl_term: float | None = None     # the last update's plug-in KL loss, unclamped
 
     def __post_init__(self):

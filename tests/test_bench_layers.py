@@ -12,7 +12,8 @@ def test_times_the_4x4_layer_once(capsys):
     assert bench_layers.main(["--sizes", "4", "--repeats", "1", "--number", "1"]) == 0
     header, row = capsys.readouterr().out.splitlines()
     assert header.split() == ["grid", "states", "|I|", "build_us", "evaluate_us",
-                              "visitation_us", "dice_us", "dice_peak_kb"]
+                              "visitation_us", "td_us", "sample_us", "dice_us",
+                              "dice_peak_kb"]
     grid, states, indep, *times = row.split()
     assert (grid, states) == ("4x4", "17") and 0 < int(indep) < 17
     assert all(float(t) > 0 for t in times)

@@ -442,7 +442,8 @@ class TestBlockOrder:
         ascending a as the solve sums it, has the diagonal D as its I x I
         block and A_JI as its J x I block, bit for bit; S, R, A_JI and D
         match a dense numpy Schur complement bit for bit."""
-        nd, s, r, a_ji = cmdp_module._schur_complement(cmdp, pol.probs)
+        nd, s, r, a_ji = cmdp_module._schur_complement(
+            cmdp, pol.probs, -cmdp.discount * cmdp.successors[1])
         indep, dep, ref_nd, ref_s, ref_r, ref_a_ji = schur_reference(cmdp, pol.probs)
         n = cmdp.elimination.blocks[0]
         order = cmdp.elimination.order

@@ -101,7 +101,7 @@ class TestTdCritic:
         pol = SoftmaxPolicy.uniform(3, 2)
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=400_000,
                          episode_horizon=40)
-        (_, q), _ = td_critic(cmdp, pol, cfg, rng=np.random.default_rng(3))
+        _, q = td_critic(cmdp, pol, cfg, rng=np.random.default_rng(3))
         return q, policy_evaluation_exact(cmdp, pol)[1]
 
     def test_sampled_mode_converges(self):
@@ -150,8 +150,8 @@ class TestLstdCritic:
     def test_no_iterations_give_zero_tables(self):
         cmdp = random_cmdp(np.random.default_rng(4), n_costs=2)
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=0)
-        (v, q), _ = td_critic(cmdp, SoftmaxPolicy.uniform(4, 3), cfg,
-                              np.random.default_rng(0))
+        v, q = td_critic(cmdp, SoftmaxPolicy.uniform(4, 3), cfg,
+                         np.random.default_rng(0))
         assert v.shape == (3, 4) and q.shape == (3, 4, 3)
         assert np.all(q == 0.0) and np.all(v == 0.0)
 
@@ -169,7 +169,7 @@ class TestLstdCritic:
             for policy in policies:
                 exact = all_objectives(cmdp, policy)
                 for seed in range(5):
-                    (v, _), _ = td_critic(cmdp, policy, cfg, np.random.default_rng(seed))
+                    v, _ = td_critic(cmdp, policy, cfg, np.random.default_rng(seed))
                     errors.append(np.abs(v @ cmdp.initial_dist - exact))
         errors = np.array(errors)
         assert errors.shape == (110, 2)
@@ -201,6 +201,24 @@ class TestRunCrpo:
             else:
                 worst = int(np.argmax(excess))
                 assert m in out.constraint_steps[worst]
+
+    def test_td_sampled_gate_reads_j1_on_test09_tasks(self):
+        """The first TdSampled step's estimate of J_1 from the uniform
+        policy, against the exact J_1, on each of the 11 test_09 tasks,
+        within the bound of the LSTD objectives test above. Weighing Q_1 by
+        the step's own episodes estimates E over d^pi, not over rho, and
+        misses here by up to 0.60."""
+        tasks = gen_task_sequence(TEST09_CONFIG.task_source)[0]
+        cfg = replace(TEST09_CONFIG.crpo, critic_mode="TdSampled", steps=1)
+        assert len(tasks) == 11
+        for cmdp in tasks:
+            init = SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions)
+            try:
+                out = run_crpo(cmdp, init, cfg)
+            except DegenerateRun as exc:
+                out = exc.outcome
+            exact = all_objectives(cmdp, init)[1]
+            assert abs(out.per_step_estimates[0, 0] - exact) <= 0.12
 
     def test_exact_estimates_are_exact(self):
         cmdp, cfg, out = self._run(seed=2)
@@ -282,12 +300,20 @@ def _same_state(rng_a, rng_b):
     return rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
-def _td_step_reference(cmdp, probs, cfg, rng):
-    """The two-call TdSampled step: the step's episodes one rng.choice at a
-    time, then the LSTD(0) chain; returns (episodes, (p+1, S, A) tables)."""
-    episodes = [sample_episode_reference(cmdp, probs, cfg.episode_horizon, rng)
-                for _ in range(cfg.episodes_per_step)]
-    return tuple(map(np.array, zip(*episodes))), lstd_q_reference(cmdp, probs, cfg, rng)
+def _log_reference(cmdp, iterates, cfg, rng):
+    """Every iterate's episodes of a run's log, one rng.choice at a time,
+    iterate after iterate; returns (states, actions, next_states), each
+    (iterates * episodes, horizon)."""
+    episodes = [sample_episode_reference(cmdp, pol.probs, cfg.episode_horizon, rng)
+                for pol in iterates for _ in range(cfg.episodes_per_step)]
+    return tuple(map(np.array, zip(*episodes)))
+
+
+def _assert_log_is(ds, episodes):
+    states, actions, nexts = episodes
+    assert np.array_equal(ds.s, states.ravel()) and np.array_equal(ds.a, actions.ravel())
+    assert np.array_equal(ds.s_next, nexts.ravel())
+    assert np.array_equal(ds.initial_states, states[:, 0])
 
 
 # LSTD(0) tables against lstd_q_reference, whose dense S*A system is
@@ -334,15 +360,14 @@ class TestBatchedSampler:
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=iterations,
                          episode_horizon=horizon, episodes_per_step=episodes)
         rng, ref_rng = np.random.default_rng(iterations), np.random.default_rng(iterations)
-        (_, got), drawn = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
-        ref_episodes, ref_q = _td_step_reference(cmdp, probs, cfg, ref_rng)
+        v, got = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
+        ref_q = lstd_q_reference(cmdp, probs, cfg, ref_rng)
         assert got.shape == (cmdp.n_costs + 1, cmdp.n_states, cmdp.n_actions)
         for index, q in enumerate(got):
             assert np.abs(q - ref_q[index]).max() <= Q_TOL
-        for got_arr, ref_arr in zip(drawn, ref_episodes):
-            assert got_arr.shape == (episodes, horizon)
-            assert np.array_equal(got_arr, ref_arr)
-        # one chain: the generator ends where the reference chain ends
+        assert np.array_equal(v, (probs * got).sum(axis=2))
+        # the chain alone, whatever episodes_per_step is: the generator ends
+        # where the reference chain ends
         assert _same_state(rng, ref_rng)
 
     def test_td_chain_on_16x16_grid(self):
@@ -351,11 +376,10 @@ class TestBatchedSampler:
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=500,
                          episode_horizon=60)
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        (_, got), drawn = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
-        ref_episodes, ref_q = _td_step_reference(cmdp, probs, cfg, ref_rng)
+        _, got = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
+        ref_q = lstd_q_reference(cmdp, probs, cfg, ref_rng)
         for index, q in enumerate(got):
             assert np.abs(q - ref_q[index]).max() <= Q_TOL
-        assert all(map(np.array_equal, drawn, ref_episodes))
         assert _same_state(rng, ref_rng)
 
     @pytest.mark.parametrize("row", [[0.5, 0.4, 0.1 + 1e-7], [0.5, 0.6, -0.1],
@@ -370,7 +394,7 @@ class TestBatchedSampler:
         rng = np.random.default_rng(0)
         with pytest.raises(SamplerError):
             td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
-        # refused before the step's episodes or its chain are drawn
+        # refused before its chain is drawn
         assert _same_state(rng, np.random.default_rng(0))
         with pytest.raises(SamplerError):
             sample_episode(cmdp, probs, 5, np.random.default_rng(0))
@@ -441,17 +465,10 @@ class TestRunCrpoStreams:
         except DegenerateRun as exc:
             out = exc.outcome
         rng = np.random.default_rng(seed)
-        episodes = []
-        for pol in out.all_iterates:
-            episodes += [sample_episode_reference(cmdp, pol.probs, 7, rng)
-                         for _ in range(3)]
-            if mode == "TdSampled":  # one chain serves all three critics
+        _assert_log_is(out.dataset, _log_reference(cmdp, out.all_iterates, cfg, rng))
+        if mode == "TdSampled":  # one chain a step serves all three critics
+            for pol in out.all_iterates:
                 lstd_q_reference(cmdp, pol.probs, cfg, rng)
-        states, actions, nexts = (np.concatenate(a) for a in zip(*episodes))
-        ds = out.dataset
-        assert np.array_equal(ds.s, states) and np.array_equal(ds.a, actions)
-        assert np.array_equal(ds.s_next, nexts)
-        assert np.array_equal(ds.initial_states, states[::7])
         if out.reward_steps:
             chosen = out.reward_steps[rng.integers(len(out.reward_steps))]
             assert out.returned_policy is out.all_iterates[chosen]
@@ -471,26 +488,33 @@ class TestRunCrpoStreams:
                               all_objectives(cmdp, out.returned_policy))
 
     def test_exact_log_sampled_only_when_read(self, monkeypatch):
+        """Under either critic the log is drawn on first read, in one call."""
         calls = []
         original = crpo.sample_episode
         monkeypatch.setattr(crpo, "sample_episode",
                             lambda *a, **k: calls.append(1) or original(*a, **k))
         cmdp = random_cmdp(np.random.default_rng(0), feasible_margin=0.05)
-        cfg = CrpoConfig(learning_rate=0.5, steps=5, tolerance=0.05, rng_seed=3)
-        out = run_crpo(cmdp, SoftmaxPolicy.uniform(4, 3), cfg)
-        assert calls == []
-        assert out.dataset is out.dataset
-        assert calls == [1]
+        for mode in ("Exact", "TdSampled"):
+            cfg = CrpoConfig(learning_rate=0.5, steps=5, tolerance=0.05,
+                             critic_mode=mode, td_iterations=50, rng_seed=3)
+            try:
+                out = run_crpo(cmdp, SoftmaxPolicy.uniform(4, 3), cfg)
+            except DegenerateRun as exc:
+                out = exc.outcome
+            assert calls == []
+            assert out.dataset is out.dataset
+            assert calls == [1]
+            calls.clear()
 
 
 class TestTdSampledStepReplay:
-    """TdSampled run_crpo against the two-call step, replayed draw by draw
-    from one generator: every episode with sample_episode_reference, then
-    the chain with lstd_q_reference. The draws, the episodes, the decisions
-    and the generator state match bit for bit. The tables match within
-    Q_TOL, so the replay draws each step with the run's own iterate and
-    checks it against the reference iterate within the drift that Q_TOL
-    allows."""
+    """TdSampled run_crpo replayed draw by draw from one generator: every
+    iterate's episodes with sample_episode_reference first, then each
+    step's chain with lstd_q_reference. The draws, the log, the decisions
+    and the generator state match bit for bit. The tables, and the
+    estimates rho . sum_a pi q read off them, match within Q_TOL, so the
+    replay draws each step with the run's own iterate and checks it against
+    the reference iterate within the drift that Q_TOL allows."""
 
     def _replay(self, cmdp, cfg):
         init = SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions)
@@ -511,24 +535,19 @@ class TestTdSampledStepReplay:
         assert all(g is generators[0] for g in generators)
 
         rng = np.random.default_rng(cfg.rng_seed)
-        gamma, p, horizon = cmdp.discount, cmdp.n_costs, cfg.episode_horizon
+        gamma, p = cmdp.discount, cmdp.n_costs
         # each NPG step moves the logits by alpha/(1-gamma) Q, so by at most
         # that times Q_TOL away from the run's; the softmax at most doubles it
         drift = 2 * cfg.steps * cfg.learning_rate / (1 - gamma) * Q_TOL
         logits = np.array(init.logits)
         reward_steps, constraint_steps = [], [[] for _ in range(p)]
-        episodes = []
+        episodes = _log_reference(cmdp, out.all_iterates, cfg, rng)
         for m in range(cfg.steps):
             probs = out.all_iterates[m].probs
             assert np.abs(SoftmaxPolicy(logits=logits).probs - probs).max() <= drift
-            drawn, qs = _td_step_reference(cmdp, probs, cfg, rng)
-            episodes.append(drawn)
-            st, ac = drawn[0], drawn[1]
-            w = np.zeros((cmdp.n_states, cmdp.n_actions))
-            np.add.at(w, (st.ravel(), ac.ravel()),
-                      gamma ** np.tile(np.arange(horizon), len(st)))
-            w = w / w.sum()
-            j_bar = np.array([(w * qs[i]).sum() for i in range(1, p + 1)])
+            qs = lstd_q_reference(cmdp, probs, cfg, rng)
+            j_bar = np.array([cmdp.initial_dist @ (probs * qs[i]).sum(axis=1)
+                              for i in range(1, p + 1)])
             assert np.abs(out.per_step_estimates[m] - j_bar).max() <= Q_TOL
             excess = j_bar - cmdp.limits - cfg.tolerance
             if np.all(excess <= 0):
@@ -548,12 +567,7 @@ class TestTdSampledStepReplay:
         else:
             assert out.returned_step == cfg.steps - 1
         assert _same_state(generators[0], rng)
-        states, actions, nexts = (np.concatenate(a) for a in zip(*episodes))
-        ds = out.dataset
-        assert np.array_equal(ds.s, states.ravel())
-        assert np.array_equal(ds.a, actions.ravel())
-        assert np.array_equal(ds.s_next, nexts.ravel())
-        assert np.array_equal(ds.initial_states, states[:, 0])
+        _assert_log_is(out.dataset, episodes)
         return out
 
     @pytest.mark.parametrize("horizon,iterations", [(7, 60), (1, 40), (7, 0)])

@@ -169,6 +169,9 @@ class TestMetaUpdate:
         kw.setdefault("learning_rate", 0.1)
         kw.setdefault("ogd_step_init", 0.5)
         kw.setdefault("ogd_step_sim", 0.0)
+        kw.setdefault("inner_updates", 1)
+        kw.setdefault("shrinkage", 1e-3)
+        kw.setdefault("rate_floor", 1e-4)
         return MetaLearnerState(**kw)
 
     def test_kl_decreases(self):
