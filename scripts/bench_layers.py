@@ -3,21 +3,22 @@
 after another.
 
 For task 0 of a HighSimilarity task sequence (grid and sequence seed 2) at
-each size, prints the time of three calls, each under the same random
-softmax policy:
+each size, prints the time of four calls, the last three under the same
+random softmax policy:
 
 - build: building `TabularCmdp.elimination`, its successor view already
   built;
-- evaluate: one `policy_evaluation_exact`;
+- evaluate: one `policy_evaluation_exact` on the policy's (S, A) table;
 - visitation: one `visitation_exact`;
-- td: one TdSampled CRPO step's critic, `td_critic` with `td_iterations`
-  10 000 and horizon 60;
+- td: one TdSampled CRPO step's critic, `td_critic` on that table with
+  `td_iterations` 10 000 and horizon 60;
 
 and two on a CRPO run on that task (the test_09 CRPO settings, seed 2,
 from the uniform policy):
 
 - sample: the draw of the run's transition log, one `sample_episode` over
-  its 8 iterates x 5 episodes at horizon 60, as `outcome.dataset` draws it;
+  `outcome.iterates`, its (8, S, A) iterate stack, x 5 episodes at horizon
+  60, as `outcome.dataset` draws it;
 - dice: one DICE pass on that log: building the `TrajectoryDataset`, the
   DirectSolve `dualdice_fit` under the run's returned policy, and
   `visitation_from_corrections`. dice_peak_kb is the tracemalloc peak of
@@ -76,11 +77,10 @@ def crpo_run(task):
 
 
 def log_draw(task, outcome):
-    """The draw of the run's transition log, as a call."""
-    stack = np.array([pol.probs for pol in outcome.all_iterates])
+    """The draw of the run's transition log from its iterate stack, as a call."""
     rng = np.random.default_rng(CRPO.rng_seed)
-    return lambda: crpo.sample_episode(task, stack, CRPO.episode_horizon, rng,
-                                       CRPO.episodes_per_step)
+    return lambda: crpo.sample_episode(task, outcome.iterates, CRPO.episode_horizon,
+                                       rng, CRPO.episodes_per_step)
 
 
 def dice_pass(task, outcome):
@@ -121,11 +121,11 @@ def layer_times(task, repeats, number):
     dice_call = dice_pass(task, outcome)
     return {
         "build": best_time(lambda: build(task), repeats, number),
-        "evaluate": best_time(lambda: cmdp.policy_evaluation_exact(task, policy),
+        "evaluate": best_time(lambda: cmdp.policy_evaluation_exact(task, policy.probs),
                               repeats, number),
         "visitation": best_time(lambda: cmdp.visitation_exact(task, policy),
                                 repeats, number),
-        "td": best_time(lambda: crpo.td_critic(task, policy, td_config, rng),
+        "td": best_time(lambda: crpo.td_critic(task, policy.probs, td_config, rng),
                         repeats, number),
         "sample": best_time(log_draw(task, outcome), repeats, number),
         "dice": best_time(dice_call, repeats, number),

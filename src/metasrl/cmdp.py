@@ -369,14 +369,13 @@ def _softmax_rows(logits):
 @dataclass(frozen=True)
 class VisitationDistribution:
     nu: np.ndarray
-    nu_sa: np.ndarray = None
 
 
 @dataclass(frozen=True)
 class TablePolicy:
     """A policy as a bare probability table whose rows may touch the simplex
-    boundary, as the LP oracle and the synthetic KL streams return them. It
-    holds the same `probs` table as a SoftmaxPolicy, all the exact layer reads.
+    boundary, as the LP oracle, the synthetic KL streams and a CRPO run's
+    drawn iterate return them; the per-step critics take the bare table.
     """
 
     probs: np.ndarray
@@ -394,9 +393,9 @@ class OptimalSolution:
     duality_gap: float = 0.0
 
 
-def _check_dims(cmdp, policy):
-    if policy.probs.shape != (cmdp.n_states, cmdp.n_actions):
-        raise InvalidInput("policy dimensions do not match CMDP")
+def _check_dims(cmdp, probs):
+    if np.shape(probs) != (cmdp.n_states, cmdp.n_actions):
+        raise InvalidInput(f"policy table of shape {np.shape(probs)} does not match CMDP")
 
 
 def _schur_complement(cmdp, probs, neg_step):
@@ -431,8 +430,8 @@ def _solve(a, b):
         raise NumericalFailure("singular Bellman system") from exc
 
 
-def policy_evaluation_exact(cmdp, policy):
-    """Value tables (v, q) of every objective i = 0..p of one policy.
+def policy_evaluation_exact(cmdp, probs):
+    """Value tables (v, q) of every objective i = 0..p of one policy table.
 
     All p+1 Bellman systems (I - gamma P_pi) V_i = c_pi,i share one matrix.
     Eliminating I leaves S V_J = c_J + gamma P_JI D^-1 c_I, solved with one
@@ -444,8 +443,7 @@ def policy_evaluation_exact(cmdp, policy):
     of the whole system. Returns (v, q), v of shape (p+1, S) and q of shape
     (p+1, S, A), row i of each for objective i, reward first.
     """
-    _check_dims(cmdp, policy)
-    probs = policy.probs
+    _check_dims(cmdp, probs)
     tables = cmdp.objective_tables
     e = cmdp.elimination
     n = e.blocks[0]
@@ -467,14 +465,14 @@ def policy_evaluation_exact(cmdp, policy):
 
 
 def visitation_exact(cmdp, policy):
-    """Discounted state (and state-action) visitation, by a linear solve.
+    """Discounted state visitation of a policy, by a linear solve.
 
     nu solves (I - gamma P_pi)^T nu = (1-gamma) rho = b. Eliminating I
     leaves S^T nu_J = b_J + sum_i r_ij b_i, one LU, with r = gamma P_IJ / D;
     then nu_I = D^-1 (b_I + gamma P_JI^T nu_J). Clipped at 0 and normalized.
     """
-    _check_dims(cmdp, policy)
     probs = policy.probs
+    _check_dims(cmdp, probs)
     e = cmdp.elimination
     n = e.blocks[0]
     nd, s, r, a_ji = _schur_complement(cmdp, probs, -cmdp.discount * cmdp.successors[1])
@@ -484,9 +482,9 @@ def visitation_exact(cmdp, policy):
     nu_i = (nu_j @ a_ji - b_i) / nd
     nu = np.maximum(np.concatenate((nu_i, nu_j))[e.rank], 0.0)
     nu = nu / nu.sum()
-    return VisitationDistribution(nu=nu, nu_sa=nu[:, None] * probs)
+    return VisitationDistribution(nu=nu)
 
 
 def all_objectives(cmdp, policy):
-    """Vector (J_0, J_1, ..., J_p), J_i = E_rho[V_i(s)]."""
-    return policy_evaluation_exact(cmdp, policy)[0] @ cmdp.initial_dist
+    """Vector (J_0, J_1, ..., J_p), J_i = E_rho[V_i(s)], of a policy."""
+    return policy_evaluation_exact(cmdp, policy.probs)[0] @ cmdp.initial_dist

@@ -7,11 +7,14 @@ tabular LSTD(0) from on-policy samples (`td_critic`), one chain a step for
 all p+1 objectives: it draws a chain of `td_iterations` steps in one
 rollout, solves the chain's empirical SARSA model for all p+1 objectives
 with one m x m solve (m <= S*A the pairs the chain steps from), and returns
-the value tables. Both critics return (v, q), v of shape (p+1, S) and q of
-shape (p+1, S, A), reward first, and `run_crpo` has one step body for both:
-it gates on the estimates J_i = rho . v_i of the step's own critic and
-moves the logits along one row of q. LSTD(0) has no step size, so the
-config has no `td_step_size`.
+the value tables. Both critics take the iterate's (S, A) probability table
+and return (v, q), v of shape (p+1, S) and q of shape (p+1, S, A), reward
+first, and `run_crpo` has one step body for both: it gates on the estimates
+J_i = rho . v_i of the step's own critic and moves the logits along one row
+of q. LSTD(0) has no step size, so the config has no `td_step_size`. A run
+writes each step's softmax into row m of one (M, S, A) iterate stack and
+builds no policy object per step: the init `SoftmaxPolicy` checks the logits
+once, and `npg_softmax_step` refuses a non-finite Q.
 
 Every sampled draw, whether an episode step or a chain step, goes
 through one batched rollout that steps all rows together and reproduces
@@ -25,7 +28,7 @@ gives the exact objectives (J_0..J_p) that a run records for every iterate,
 whichever critic steers it. A run's transition log feeds no decision under
 either critic, so it is built on first read of `outcome.dataset`: its
 episodes are the first draws of the run's generator, which the run skips,
-and they are drawn then, from the run's seed and its iterates, in one
+and they are drawn then, from the run's seed and its iterate stack, in one
 `sample_episode` call.
 """
 
@@ -37,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cmdp import SoftmaxPolicy, all_objectives, policy_evaluation_exact
+from .cmdp import TablePolicy, _check_dims, _softmax_rows, policy_evaluation_exact
 from .dice import TrajectoryDataset
 from .errors import DegenerateRun, InvalidInput, is_count
 from .sampling import cdf, draw
@@ -81,7 +84,7 @@ class CrpoOutcome:
     iterate's exact objectives, and the transition log, which is drawn only
     when `dataset` is first read."""
 
-    all_iterates: tuple            # the M SoftmaxPolicy iterates, in step order
+    iterates: np.ndarray           # (M, S, A) read-only tables, in step order
     reward_steps: tuple            # indices where reward ascent happened
     constraint_steps: tuple        # per-constraint index tuples
     per_step_estimates: np.ndarray  # (M, p) estimated constraint values
@@ -94,10 +97,11 @@ class CrpoOutcome:
         """The run's transition log (a TrajectoryDataset), built on first read."""
         return self.log_builder()
 
-    @property
+    @cached_property
     def returned_policy(self):
-        """The returned iterate, all_iterates[returned_step]."""
-        return self.all_iterates[self.returned_step]
+        """The returned iterate, iterates[returned_step], as a TablePolicy of
+        its own copy: a caller that keeps it keeps no view of the stack."""
+        return TablePolicy(probs=self.iterates[self.returned_step].copy())
 
     @property
     def returned_objectives(self):
@@ -225,8 +229,8 @@ def _td_q(cmdp, chain, config):
     return q.reshape(tables.shape)
 
 
-def td_critic(cmdp, policy, config, rng=None):
-    """One TdSampled CRPO step's critic, from one rollout.
+def td_critic(cmdp, probs, config, rng=None):
+    """One TdSampled CRPO step's critic, from one rollout of the table probs.
 
     Draws a chain of K = `td_iterations` (s, a) -> (s', a') steps that
     restarts from rho after every max(2, horizon) steps, and solves LSTD(0)
@@ -243,9 +247,10 @@ def td_critic(cmdp, policy, config, rng=None):
     if config.critic_mode != TD_SAMPLED:
         raise InvalidInput(f"td_critic needs critic_mode {TD_SAMPLED!r}, "
                            f"not {config.critic_mode!r}")
+    _check_dims(cmdp, probs)
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    policy_cdf = cdf(policy.probs, "policy")[None]
+    policy_cdf = cdf(probs, "policy")[None]
     reset = max(2, config.episode_horizon)
     k = config.td_iterations
     u = np.zeros((k // reset + 1, 2 + 2 * reset))
@@ -253,15 +258,15 @@ def td_critic(cmdp, policy, config, rng=None):
     rng.random(out=u.reshape(-1)[:2 + 2 * k + 2 * (k // reset)])
     q = _td_q(cmdp, _rollout(cmdp, policy_cdf, np.zeros(len(u), dtype=np.intp), u),
               config)
-    return (policy.probs * q).sum(axis=2), q
+    return (probs * q).sum(axis=2), q
 
 
 def _sampled_log(cmdp, iterates, config):
-    """The run's transition log: `episodes_per_step` episodes of every
-    iterate, iterate after iterate. They are the first draws of the run's
+    """The run's transition log: `episodes_per_step` episodes of each row of
+    the iterate stack, in step order. They are the first draws of the run's
     generator, which the run skips, so they are drawn here from its seed."""
     states, actions, nexts = sample_episode(
-        cmdp, np.array([pol.probs for pol in iterates]), config.episode_horizon,
+        cmdp, iterates, config.episode_horizon,
         np.random.default_rng(config.rng_seed), config.episodes_per_step)
     return TrajectoryDataset.from_samples(
         cmdp.n_states, cmdp.n_actions, s=states.ravel(), a=actions.ravel(),
@@ -275,9 +280,9 @@ def run_crpo(cmdp, init_policy, config):
     every constraint value is estimated as rho . v_i. If all are within
     their limit plus tolerance, take a natural-gradient ascent step on the
     reward, otherwise descend on the most-violated constraint (ties to the
-    lowest index). Returns the uniform draw from the reward-step snapshots,
-    the exact objectives of every iterate, and the transition log (built when
-    first read).
+    lowest index). Returns the (M, S, A) iterate stack, the uniform draw from
+    its reward-step rows, the exact objectives of every iterate, and the
+    transition log (built when first read).
     """
     rng = np.random.default_rng(config.rng_seed)
     # the log's episodes feed no decision: skip their draws here, so that the
@@ -292,20 +297,19 @@ def run_crpo(cmdp, init_policy, config):
     exact = config.critic_mode == EXACT
 
     logits = np.array(init_policy.logits, dtype=float)
-    snapshots = []
+    iterates = np.empty((config.steps,) + logits.shape)
     reward_steps = []
     constraint_steps = [[] for _ in range(p)]
     estimates = np.zeros((config.steps, p))
     objectives = np.zeros((config.steps, p + 1))
 
     for m in range(config.steps):
-        policy = SoftmaxPolicy(logits=logits)
-        snapshots.append(policy)
-
-        v, q = (policy_evaluation_exact(cmdp, policy) if exact
-                else td_critic(cmdp, policy, config, rng))
+        iterates[m] = probs = _softmax_rows(logits)
+        v, q = (policy_evaluation_exact(cmdp, probs) if exact
+                else td_critic(cmdp, probs, config, rng))
         j = v @ cmdp.initial_dist
-        objectives[m] = j if exact else all_objectives(cmdp, policy)
+        objectives[m] = (j if exact else
+                         policy_evaluation_exact(cmdp, probs)[0] @ cmdp.initial_dist)
         estimates[m] = j[1:]
 
         excess = estimates[m] - cmdp.limits - eta
@@ -317,14 +321,14 @@ def run_crpo(cmdp, init_policy, config):
             constraint_steps[worst].append(m)
             logits = npg_softmax_step(logits, q[worst + 1], alpha, "Descent", gamma)
 
-    snapshots = tuple(snapshots)
+    iterates.setflags(write=False)
     outcome_args = dict(
-        all_iterates=snapshots,
+        iterates=iterates,
         reward_steps=tuple(reward_steps),
         constraint_steps=tuple(map(tuple, constraint_steps)),
         per_step_estimates=estimates,
         iterate_objectives=objectives,
-        log_builder=partial(_sampled_log, cmdp, snapshots, config),
+        log_builder=partial(_sampled_log, cmdp, iterates, config),
     )
     if not reward_steps:
         raise DegenerateRun(

@@ -265,9 +265,7 @@ def visitation_from_corrections(dataset, corrections):
     total = mass.sum()
     if total <= 0:
         raise DegenerateEstimate("corrections carry no visitation mass")
-    nu = mass / total
-    nu_sa = corrections.omega * dataset.d_sa
-    return VisitationDistribution(nu=nu, nu_sa=nu_sa / nu_sa.sum())
+    return VisitationDistribution(nu=mass / total)
 
 
 def kl_loss_and_grad(nu_hat, pi_hat, phi):

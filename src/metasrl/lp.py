@@ -184,7 +184,7 @@ def solve_optimal_lp(cmdp):
          for i in range(cmdp.n_costs + 1)])
     return OptimalSolution(
         policy=TablePolicy(probs=probs),
-        visitation=VisitationDistribution(nu=nu, nu_sa=nu[:, None] * probs),
+        visitation=VisitationDistribution(nu=nu),
         objective_values=objective_values,
         feasible=True,
         duality_gap=float(gap),

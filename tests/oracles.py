@@ -35,11 +35,10 @@ def value_iteration(cmdp, tol=1e-12, max_iter=200_000):
     raise RuntimeError("value iteration did not converge")
 
 
-def policy_evaluation_reference(cmdp, policy):
-    """Value tables (v, q) of every objective, stacked as
-    `policy_evaluation_exact` returns them, one dense solve per objective:
-    P_pi is rebuilt and (I - gamma P_pi) refactorised for each one."""
-    probs = policy.probs
+def policy_evaluation_reference(cmdp, probs):
+    """Value tables (v, q) of every objective of one (S, A) policy table,
+    stacked as `policy_evaluation_exact` returns them, one dense solve per
+    objective: P_pi is rebuilt and (I - gamma P_pi) refactorised for each one."""
     vs, qs = [], []
     for i in range(cmdp.n_costs + 1):
         c = cmdp.objective_table(i)

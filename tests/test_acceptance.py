@@ -89,7 +89,7 @@ def test_03_crpo_averaged_iterate_meets_its_bound():
         cfg = CrpoConfig(learning_rate=alpha, steps=m_steps, tolerance=bound,
                          episodes_per_step=1, episode_horizon=2, rng_seed=0)
         out = run_crpo(cmdp, SoftmaxPolicy.uniform(4, 3), cfg)
-        snap_j = np.array([all_objectives(cmdp, out.all_iterates[m])
+        snap_j = np.array([all_objectives(cmdp, TablePolicy(probs=out.iterates[m]))
                            for m in out.reward_steps])
         # exact critic makes the iterate path seed-invariant, so 50 seeds
         # differ only in which reward-step snapshot they return
@@ -114,11 +114,11 @@ def test_04_dice_exact_recovery_and_sample_trend():
         behavior = SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions)
         target = SoftmaxPolicy(logits=rng.standard_normal(
             (cmdp.n_states, cmdp.n_actions)))
-        d_sa = visitation_exact(cmdp, behavior).nu_sa
+        d_sa = visitation_exact(cmdp, behavior).nu[:, None] * behavior.probs
         ds = TrajectoryDataset.from_distribution(d_sa, cmdp.transition,
                                                  cmdp.initial_dist)
         corr = dualdice_fit(ds, target, cmdp.discount)
-        nu_sa = visitation_exact(cmdp, target).nu_sa
+        nu_sa = visitation_exact(cmdp, target).nu[:, None] * target.probs
         assert np.max(np.abs(corr.omega - nu_sa / d_sa)) <= 1e-6
 
     def kl_error(seed, n):
@@ -127,7 +127,7 @@ def test_04_dice_exact_recovery_and_sample_trend():
         behavior = SoftmaxPolicy.uniform(4, 3)
         target = SoftmaxPolicy(logits=rng.standard_normal((4, 3)))
         phi = rng.dirichlet(np.ones(3), size=4) * 0.9 + 0.1 / 3
-        flat = visitation_exact(cmdp, behavior).nu_sa.reshape(-1)
+        flat = (visitation_exact(cmdp, behavior).nu[:, None] * behavior.probs).reshape(-1)
         idx = rng.choice(12, size=n, p=flat)
         s, a = idx // 3, idx % 3
         transition = cmdp.transition
@@ -256,7 +256,7 @@ def test_08_similarity_center_matches_numerical_minimizer():
         s_n = int(rng.integers(2, 5))
         a_n = int(rng.integers(2, 4))
         history = [
-            (VisitationDistribution(nu=rng.dirichlet(np.ones(s_n)), nu_sa=None),
+            (VisitationDistribution(nu=rng.dirichlet(np.ones(s_n))),
              TablePolicy(probs=rng.dirichlet(np.ones(a_n), size=s_n)))
             for _ in range(t_n)]
         _, d_sq = closed_form_similarity_center(history, shrink=1e-4)
@@ -319,7 +319,7 @@ def test_10_analytic_gradients_match_finite_differences():
     for _ in range(100):
         s_n = int(rng.integers(2, 5))
         a_n = int(rng.integers(2, 4))
-        nu = VisitationDistribution(nu=rng.dirichlet(np.ones(s_n)), nu_sa=None)
+        nu = VisitationDistribution(nu=rng.dirichlet(np.ones(s_n)))
         pi = TablePolicy(probs=rng.dirichlet(np.ones(a_n), size=s_n))
         phi = 0.1 + rng.dirichlet(np.ones(a_n), size=s_n)
         phi /= phi.sum(axis=1, keepdims=True)

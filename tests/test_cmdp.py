@@ -73,7 +73,7 @@ class TestPolicyEvaluation:
                             discount=cmdp.discount,
                             initial_dist=cmdp.initial_dist, c_max=1.0)
         pol = SoftmaxPolicy.uniform(4, 3)
-        v, _ = policy_evaluation_exact(const, pol)
+        v, _ = policy_evaluation_exact(const, pol.probs)
         assert np.allclose(v[0], 0.7 / (1 - const.discount), atol=1e-10)
 
     def test_zero_reward(self):
@@ -83,23 +83,31 @@ class TestPolicyEvaluation:
                         reward=np.zeros((4, 3)), costs=cmdp.costs,
                         limits=cmdp.limits, discount=cmdp.discount,
                         initial_dist=cmdp.initial_dist, c_max=1.0),
-            SoftmaxPolicy.uniform(4, 3))
+            SoftmaxPolicy.uniform(4, 3).probs)
         assert v.shape == (2, 4) and q.shape == (2, 4, 3)
         assert np.allclose(v[0], 0.0) and np.allclose(q[0], 0.0)
 
     def test_two_state_cycle(self):
         cmdp = two_state_cycle()
-        v, _ = policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(2, 2))
+        v, _ = policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(2, 2).probs)
         assert abs(v[0, 0] - 4.0 / 3.0) < 1e-12
         assert abs(v[0, 1] - 2.0 / 3.0) < 1e-12
 
     def test_bellman_consistency(self):
         cmdp = random_cmdp(np.random.default_rng(2))
         pol = SoftmaxPolicy(logits=np.random.default_rng(3).standard_normal((4, 3)))
-        v, q = (table[0] for table in policy_evaluation_exact(cmdp, pol))
+        v, q = (table[0] for table in policy_evaluation_exact(cmdp, pol.probs))
         assert np.max(np.abs((pol.probs * q).sum(axis=1) - v)) < 1e-10
         assert np.all(v >= -1e-12)
         assert np.all(v <= cmdp.c_max / (1 - cmdp.discount) + 1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 3)], ids=["extra-action", "stack"])
+    def test_refuses_table_of_wrong_shape(self, shape):
+        """The critic takes one (S, A) table: neither a table with an extra
+        action column nor an (M, S, A) stack of valid ones."""
+        cmdp = random_cmdp(np.random.default_rng(0))
+        with pytest.raises(InvalidInput, match="shape"):
+            policy_evaluation_exact(cmdp, np.full(shape, 1.0 / shape[-1]))
 
     def test_objective_tables_built_once(self):
         cmdp = random_cmdp(np.random.default_rng(16), n_costs=2)
@@ -144,8 +152,8 @@ class TestOneFactorisation:
 
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
     def test_matches_per_objective_solves(self, cmdp, pol):
-        v, q = policy_evaluation_exact(cmdp, pol)
-        ref_v, ref_q = policy_evaluation_reference(cmdp, pol)
+        v, q = policy_evaluation_exact(cmdp, pol.probs)
+        ref_v, ref_q = policy_evaluation_reference(cmdp, pol.probs)
         assert v.shape == (cmdp.n_costs + 1, cmdp.n_states)
         assert q.shape == (cmdp.n_costs + 1, cmdp.n_states, cmdp.n_actions)
         assert close(v, ref_v) and close(q, ref_q)
@@ -154,7 +162,7 @@ class TestOneFactorisation:
 
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
     def test_q_is_one_backup_of_its_own_v(self, cmdp, pol):
-        for i, (v, q) in enumerate(zip(*policy_evaluation_exact(cmdp, pol))):
+        for i, (v, q) in enumerate(zip(*policy_evaluation_exact(cmdp, pol.probs))):
             assert np.array_equal(q, q_backup_reference(cmdp, i, v))
 
     @pytest.mark.parametrize("column", [0, 1, 2])
@@ -169,7 +177,7 @@ class TestOneFactorisation:
 
         monkeypatch.setattr(np.linalg, "solve", perturbed)
         with pytest.raises(NumericalFailure):
-            policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(4, 3))
+            policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(4, 3).probs)
 
 
 class TestSuccessorView:
@@ -207,7 +215,7 @@ class TestSuccessorView:
         vis = visitation_exact(cmdp, pol)
         nu = visitation_schur_reference(cmdp, pol.probs)
         assert np.array_equal(vis.nu, nu)
-        assert np.array_equal(vis.nu_sa, nu[:, None] * pol.probs)
+        assert abs(vis.nu.sum() - 1.0) < 1e-10
         dense = visitation_reference(cmdp, pol.probs)
         assert np.max(np.abs(vis.nu - dense)) <= 1e-14
 
@@ -296,7 +304,7 @@ class TestKernelEntries:
         dense = cmdp.n_states * cmdp.n_actions * cmdp.n_states
         solves = []
         for task in (cmdp, loaded):
-            v, q = policy_evaluation_exact(task, pol)
+            v, q = policy_evaluation_exact(task, pol.probs)
             solves.append((v, q, visitation_exact(task, pol).nu))
             sample_episode(task, pol.probs, 10, np.random.default_rng(0))
             stored = [a for value in vars(task).values()
@@ -457,8 +465,8 @@ class TestBlockOrder:
 
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
     def test_values_and_visitation_match_full_lu(self, cmdp, pol):
-        for got, ref in zip(policy_evaluation_exact(cmdp, pol),
-                            policy_evaluation_reference(cmdp, pol)):
+        for got, ref in zip(policy_evaluation_exact(cmdp, pol.probs),
+                            policy_evaluation_reference(cmdp, pol.probs)):
             assert np.max(np.abs(got - ref)) <= 1e-13
         nu = visitation_exact(cmdp, pol).nu
         assert np.max(np.abs(nu - visitation_reference(cmdp, pol.probs))) <= 1e-13
@@ -487,13 +495,6 @@ class TestVisitation:
         nu = visitation_exact(two_state_cycle(), SoftmaxPolicy.uniform(2, 2)).nu
         assert np.allclose(nu, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
-    def test_nu_sa_consistent(self):
-        cmdp = random_cmdp(np.random.default_rng(5))
-        pol = SoftmaxPolicy.uniform(4, 3)
-        vis = visitation_exact(cmdp, pol)
-        assert abs(vis.nu.sum() - 1.0) < 1e-10
-        assert np.allclose(vis.nu_sa.sum(axis=1), vis.nu)
-
 
 class TestExpectedObjective:
     def test_zero_cost(self):
@@ -520,10 +521,10 @@ class TestExpectedObjective:
                            n_actions=int(rng.integers(2, 4)))
         pol = SoftmaxPolicy(logits=rng.standard_normal(
             (cmdp.n_states, cmdp.n_actions)))
-        vis = visitation_exact(cmdp, pol)
+        nu_sa = visitation_exact(cmdp, pol).nu[:, None] * pol.probs
         for i in range(cmdp.n_costs + 1):
             j = all_objectives(cmdp, pol)[i]
-            occ = (vis.nu_sa * cmdp.objective_table(i)).sum() / (1 - cmdp.discount)
+            occ = (nu_sa * cmdp.objective_table(i)).sum() / (1 - cmdp.discount)
             assert abs(j - occ) <= 1e-8
 
 

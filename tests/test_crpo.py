@@ -81,7 +81,7 @@ class TestNpgStep:
     def test_ascent_increases_greedy_mass(self):
         cmdp = random_cmdp(np.random.default_rng(0))
         pol = SoftmaxPolicy.uniform(4, 3)
-        q = policy_evaluation_exact(cmdp, pol)[1][0]
+        q = policy_evaluation_exact(cmdp, pol.probs)[1][0]
         new = SoftmaxPolicy(logits=npg_softmax_step(pol.logits, q, 0.5, "Ascent",
                                                     cmdp.discount))
         greedy = q.argmax(axis=1)
@@ -93,16 +93,26 @@ class TestTdCritic:
     def test_exact_mode_refused(self):
         cmdp = random_cmdp(np.random.default_rng(1))
         with pytest.raises(InvalidInput, match="TdSampled"):
-            td_critic(cmdp, SoftmaxPolicy.uniform(4, 3),
+            td_critic(cmdp, SoftmaxPolicy.uniform(4, 3).probs,
                       CrpoConfig(critic_mode="Exact"))
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 3)], ids=["extra-action", "stack"])
+    def test_refuses_table_of_wrong_shape(self, shape):
+        cmdp = random_cmdp(np.random.default_rng(1))
+        cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=10)
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidInput, match="shape"):
+            td_critic(cmdp, np.full(shape, 1.0 / shape[-1]), cfg, rng)
+        # refused before its chain is drawn
+        assert _same_state(rng, np.random.default_rng(0))
 
     def _long_chain(self):
         cmdp = random_cmdp(np.random.default_rng(2), n_states=3, n_actions=2)
         pol = SoftmaxPolicy.uniform(3, 2)
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=400_000,
                          episode_horizon=40)
-        _, q = td_critic(cmdp, pol, cfg, rng=np.random.default_rng(3))
-        return q, policy_evaluation_exact(cmdp, pol)[1]
+        _, q = td_critic(cmdp, pol.probs, cfg, rng=np.random.default_rng(3))
+        return q, policy_evaluation_exact(cmdp, pol.probs)[1]
 
     def test_sampled_mode_converges(self):
         q, exact = self._long_chain()
@@ -150,7 +160,7 @@ class TestLstdCritic:
     def test_no_iterations_give_zero_tables(self):
         cmdp = random_cmdp(np.random.default_rng(4), n_costs=2)
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=0)
-        v, q = td_critic(cmdp, SoftmaxPolicy.uniform(4, 3), cfg,
+        v, q = td_critic(cmdp, SoftmaxPolicy.uniform(4, 3).probs, cfg,
                          np.random.default_rng(0))
         assert v.shape == (3, 4) and q.shape == (3, 4, 3)
         assert np.all(q == 0.0) and np.all(v == 0.0)
@@ -169,7 +179,7 @@ class TestLstdCritic:
             for policy in policies:
                 exact = all_objectives(cmdp, policy)
                 for seed in range(5):
-                    v, _ = td_critic(cmdp, policy, cfg, np.random.default_rng(seed))
+                    v, _ = td_critic(cmdp, policy.probs, cfg, np.random.default_rng(seed))
                     errors.append(np.abs(v @ cmdp.initial_dist - exact))
         errors = np.array(errors)
         assert errors.shape == (110, 2)
@@ -223,16 +233,50 @@ class TestRunCrpo:
     def test_exact_estimates_are_exact(self):
         cmdp, cfg, out = self._run(seed=2)
         for m in (0, cfg.steps - 1):
-            pol = out.all_iterates[m]
+            pol = TablePolicy(probs=out.iterates[m])
             assert abs(out.per_step_estimates[m, 0]
                        - all_objectives(cmdp, pol)[1]) < 1e-10
 
     def test_returned_policy_is_reward_snapshot(self):
         cmdp, cfg, out = self._run(seed=3)
         match = [m for m in out.reward_steps
-                 if np.array_equal(out.all_iterates[m].probs,
-                                   out.returned_policy.probs)]
+                 if np.array_equal(out.iterates[m], out.returned_policy.probs)]
         assert match
+
+    def test_iterates_are_one_read_only_stack(self):
+        cmdp, cfg, out = self._run(seed=7, steps=6)
+        assert out.iterates.shape == (cfg.steps, 4, 3)
+        assert not out.iterates.flags.writeable
+        with pytest.raises(ValueError):
+            out.iterates[0, 0, 0] = 0.5
+
+    def test_returned_policy_is_a_copy_of_its_row(self):
+        """Bit for bit the drawn row, but its own memory: a caller that keeps
+        the returned policy keeps no view of the whole stack."""
+        cmdp, cfg, out = self._run(seed=3)
+        returned = out.returned_policy
+        assert returned is out.returned_policy
+        assert returned.probs.tobytes() == out.iterates[out.returned_step].tobytes()
+        assert not np.shares_memory(returned.probs, out.iterates)
+
+    def test_builds_no_policy_object_per_step(self, monkeypatch):
+        built = []
+        for cls in (SoftmaxPolicy, TablePolicy):
+            original = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, original=original:
+                                built.append(type(self)) or original(self))
+        cmdp = random_cmdp(np.random.default_rng(5), feasible_margin=0.05)
+        init = SoftmaxPolicy.uniform(4, 3)
+        built.clear()
+        for mode in ("Exact", "TdSampled"):
+            cfg = CrpoConfig(learning_rate=0.5, steps=6, tolerance=0.02,
+                             critic_mode=mode, td_iterations=20, rng_seed=5)
+            try:
+                run_crpo(cmdp, init, cfg)
+            except DegenerateRun:
+                pass
+            assert built == []
 
     def test_dataset_logging(self):
         cmdp, cfg, out = self._run(seed=4, steps=6)
@@ -256,7 +300,7 @@ class TestRunCrpo:
         assert exc.value.outcome.reward_steps == ()
         outcome = exc.value.outcome
         assert outcome.returned_step == 4
-        assert outcome.returned_policy is outcome.all_iterates[-1]
+        assert np.array_equal(outcome.returned_policy.probs, outcome.iterates[-1])
 
     def test_near_optimal_on_desk_problem(self):
         rng = np.random.default_rng(6)
@@ -265,7 +309,7 @@ class TestRunCrpo:
         cfg = CrpoConfig(learning_rate=1.0, steps=500, tolerance=0.05,
                          episodes_per_step=1, episode_horizon=2, rng_seed=6)
         out = run_crpo(cmdp, SoftmaxPolicy.uniform(4, 3), cfg)
-        snap_vals = np.array([all_objectives(cmdp, out.all_iterates[m])
+        snap_vals = np.array([all_objectives(cmdp, TablePolicy(probs=out.iterates[m]))
                               for m in out.reward_steps])
         # some reward-step snapshot reaches the constrained optimum, and
         # every reward-step snapshot respects the gate tolerance
@@ -302,10 +346,10 @@ def _same_state(rng_a, rng_b):
 
 def _log_reference(cmdp, iterates, cfg, rng):
     """Every iterate's episodes of a run's log, one rng.choice at a time,
-    iterate after iterate; returns (states, actions, next_states), each
-    (iterates * episodes, horizon)."""
-    episodes = [sample_episode_reference(cmdp, pol.probs, cfg.episode_horizon, rng)
-                for pol in iterates for _ in range(cfg.episodes_per_step)]
+    iterate after iterate of the (M, S, A) stack; returns (states, actions,
+    next_states), each (M * episodes, horizon)."""
+    episodes = [sample_episode_reference(cmdp, probs, cfg.episode_horizon, rng)
+                for probs in iterates for _ in range(cfg.episodes_per_step)]
     return tuple(map(np.array, zip(*episodes)))
 
 
@@ -360,7 +404,7 @@ class TestBatchedSampler:
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=iterations,
                          episode_horizon=horizon, episodes_per_step=episodes)
         rng, ref_rng = np.random.default_rng(iterations), np.random.default_rng(iterations)
-        v, got = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
+        v, got = td_critic(cmdp, probs, cfg, rng)
         ref_q = lstd_q_reference(cmdp, probs, cfg, ref_rng)
         assert got.shape == (cmdp.n_costs + 1, cmdp.n_states, cmdp.n_actions)
         for index, q in enumerate(got):
@@ -376,7 +420,7 @@ class TestBatchedSampler:
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=500,
                          episode_horizon=60)
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        _, got = td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
+        _, got = td_critic(cmdp, probs, cfg, rng)
         ref_q = lstd_q_reference(cmdp, probs, cfg, ref_rng)
         for index, q in enumerate(got):
             assert np.abs(q - ref_q[index]).max() <= Q_TOL
@@ -393,7 +437,7 @@ class TestBatchedSampler:
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=10)
         rng = np.random.default_rng(0)
         with pytest.raises(SamplerError):
-            td_critic(cmdp, TablePolicy(probs=probs), cfg, rng)
+            td_critic(cmdp, probs, cfg, rng)
         # refused before its chain is drawn
         assert _same_state(rng, np.random.default_rng(0))
         with pytest.raises(SamplerError):
@@ -465,13 +509,14 @@ class TestRunCrpoStreams:
         except DegenerateRun as exc:
             out = exc.outcome
         rng = np.random.default_rng(seed)
-        _assert_log_is(out.dataset, _log_reference(cmdp, out.all_iterates, cfg, rng))
+        _assert_log_is(out.dataset, _log_reference(cmdp, out.iterates, cfg, rng))
         if mode == "TdSampled":  # one chain a step serves all three critics
-            for pol in out.all_iterates:
-                lstd_q_reference(cmdp, pol.probs, cfg, rng)
+            for probs in out.iterates:
+                lstd_q_reference(cmdp, probs, cfg, rng)
         if out.reward_steps:
             chosen = out.reward_steps[rng.integers(len(out.reward_steps))]
-            assert out.returned_policy is out.all_iterates[chosen]
+            assert out.returned_step == chosen
+            assert np.array_equal(out.returned_policy.probs, out.iterates[chosen])
         return cmdp, out
 
     @pytest.mark.parametrize("mode", ["Exact", "TdSampled"])
@@ -482,8 +527,9 @@ class TestRunCrpoStreams:
     @pytest.mark.parametrize("mode", ["Exact", "TdSampled"])
     def test_iterate_objectives_are_exact(self, mode):
         cmdp, out = self._replay(mode, 4)
-        for m, pol in enumerate(out.all_iterates):
-            assert np.array_equal(out.iterate_objectives[m], all_objectives(cmdp, pol))
+        for m, probs in enumerate(out.iterates):
+            assert np.array_equal(out.iterate_objectives[m],
+                                  all_objectives(cmdp, TablePolicy(probs=probs)))
         assert np.array_equal(out.returned_objectives,
                               all_objectives(cmdp, out.returned_policy))
 
@@ -521,9 +567,9 @@ class TestTdSampledStepReplay:
         generators = []
         original = crpo.td_critic
 
-        def recording(cmdp, policy, config, rng=None):
+        def recording(cmdp, probs, config, rng=None):
             generators.append(rng)
-            return original(cmdp, policy, config, rng)
+            return original(cmdp, probs, config, rng)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(crpo, "td_critic", recording)
@@ -541,9 +587,9 @@ class TestTdSampledStepReplay:
         drift = 2 * cfg.steps * cfg.learning_rate / (1 - gamma) * Q_TOL
         logits = np.array(init.logits)
         reward_steps, constraint_steps = [], [[] for _ in range(p)]
-        episodes = _log_reference(cmdp, out.all_iterates, cfg, rng)
+        episodes = _log_reference(cmdp, out.iterates, cfg, rng)
         for m in range(cfg.steps):
-            probs = out.all_iterates[m].probs
+            probs = out.iterates[m]
             assert np.abs(SoftmaxPolicy(logits=logits).probs - probs).max() <= drift
             qs = lstd_q_reference(cmdp, probs, cfg, rng)
             j_bar = np.array([cmdp.initial_dist @ (probs * qs[i]).sum(axis=1)

@@ -24,9 +24,9 @@ from oracles import (central_difference, dense_kernel, dualdice_direct_reference
 def exact_dataset(cmdp, behavior):
     """Exact-expectation dataset whose data distribution is the behavior
     policy's discounted state-action visitation."""
-    vis = visitation_exact(cmdp, behavior)
+    nu = visitation_exact(cmdp, behavior).nu
     return TrajectoryDataset.from_distribution(
-        vis.nu_sa, cmdp.transition, cmdp.initial_dist)
+        nu[:, None] * behavior.probs, cmdp.transition, cmdp.initial_dist)
 
 
 def gridworld_log(size, seed):
@@ -61,7 +61,7 @@ class TestDirectSolve:
         target = SoftmaxPolicy(logits=rng.standard_normal((4, 3)))
         ds = exact_dataset(cmdp, behavior)
         corr = dualdice_fit(ds, target, cmdp.discount)
-        nu_sa = visitation_exact(cmdp, target).nu_sa
+        nu_sa = visitation_exact(cmdp, target).nu[:, None] * target.probs
         assert np.max(np.abs(corr.omega * ds.d_sa - nu_sa)) < 1e-8
         est = visitation_from_corrections(ds, corr)
         ref = visitation_exact(cmdp, target).nu
@@ -78,8 +78,8 @@ class TestDirectSolve:
     def test_uncovered_pairs_warn_and_zero(self):
         rng = np.random.default_rng(2)
         cmdp = random_cmdp(rng)
-        vis = visitation_exact(cmdp, SoftmaxPolicy.uniform(4, 3))
-        d_sa = np.array(vis.nu_sa)
+        behavior = SoftmaxPolicy.uniform(4, 3)
+        d_sa = visitation_exact(cmdp, behavior).nu[:, None] * behavior.probs
         d_sa[0, 0] = 0.0
         ds = TrajectoryDataset.from_distribution(
             d_sa, cmdp.transition, cmdp.initial_dist)
@@ -361,8 +361,7 @@ class TestKlLoss:
     def test_zero_at_match(self):
         rng = np.random.default_rng(7)
         pol = SoftmaxPolicy(logits=rng.standard_normal((3, 2)))
-        nu = VisitationDistribution(nu=np.array([0.5, 0.3, 0.2]),
-                                    nu_sa=None)
+        nu = VisitationDistribution(nu=np.array([0.5, 0.3, 0.2]))
         loss, grad = kl_loss_and_grad(nu, pol, pol.probs)
         assert abs(loss) < 1e-12
         # at the minimum over the simplex the gradient rows are constant
@@ -370,7 +369,7 @@ class TestKlLoss:
         assert np.max(np.abs(rows)) < 1e-12
 
     def test_hand_value(self):
-        nu = VisitationDistribution(nu=np.array([1.0]), nu_sa=None)
+        nu = VisitationDistribution(nu=np.array([1.0]))
         pi = TablePolicy(probs=np.array([[0.75, 0.25]]))
         loss, grad = kl_loss_and_grad(nu, pi, np.array([[0.5, 0.5]]))
         expect = 0.75 * np.log(1.5) + 0.25 * np.log(0.5)
@@ -392,14 +391,14 @@ class TestKlLoss:
 
     def test_positive_rows_keep_the_plain_formula(self):
         rng = np.random.default_rng(8)
-        nu = VisitationDistribution(nu=rng.dirichlet(np.ones(5)), nu_sa=None)
+        nu = VisitationDistribution(nu=rng.dirichlet(np.ones(5)))
         p = rng.dirichlet(np.ones(3), size=5)
         q = rng.dirichlet(np.ones(3), size=5)
         loss, _ = kl_loss_and_grad(nu, TablePolicy(probs=p), q)
         assert loss == float(nu.nu @ (p * (np.log(p) - np.log(q))).sum(axis=1))
 
     def test_rejects_nonpositive_phi(self):
-        nu = VisitationDistribution(nu=np.array([1.0]), nu_sa=None)
+        nu = VisitationDistribution(nu=np.array([1.0]))
         pi = TablePolicy(probs=np.array([[0.5, 0.5]]))
         with pytest.raises(InvalidInput):
             kl_loss_and_grad(nu, pi, np.array([[1.0, 0.0]]))
@@ -409,7 +408,7 @@ class TestKlLoss:
     def test_nonnegative_and_grad_matches_fd(self, seed):
         rng = np.random.default_rng(seed)
         s_n, a_n = 3, 3
-        nu = VisitationDistribution(nu=rng.dirichlet(np.ones(s_n)), nu_sa=None)
+        nu = VisitationDistribution(nu=rng.dirichlet(np.ones(s_n)))
         pi = TablePolicy(probs=rng.dirichlet(np.ones(a_n), size=s_n))
         phi = 0.05 + rng.dirichlet(np.ones(a_n), size=s_n)
         phi = phi / phi.sum(axis=1, keepdims=True)
@@ -428,7 +427,7 @@ class TestErrorDecomposition:
         rng = np.random.default_rng(seed)
         s_n, a_n = 3, 2
         mk_nu = lambda: VisitationDistribution(
-            nu=rng.dirichlet(np.ones(s_n)), nu_sa=None)
+            nu=rng.dirichlet(np.ones(s_n)))
         mk_pi = lambda: TablePolicy(probs=rng.dirichlet(np.ones(a_n), size=s_n))
         phi = np.full((s_n, a_n), 0.5)
         return mk_nu(), mk_pi(), mk_nu(), mk_nu(), mk_pi(), phi

@@ -176,7 +176,7 @@ class TestMetaUpdate:
 
     def test_kl_decreases(self):
         state = self._state()
-        nu = VisitationDistribution(nu=np.array([0.7, 0.3]), nu_sa=None)
+        nu = VisitationDistribution(nu=np.array([0.7, 0.3]))
         pi = TablePolicy(probs=np.array([[0.9, 0.1], [0.2, 0.8]]))
         c = SimConstants.from_problem(0.9, 1.0, 2, 2)
         before, _ = kl_loss_and_grad(nu, pi, state.init_policy)
@@ -189,7 +189,7 @@ class TestMetaUpdate:
     def test_one_kl_evaluation_per_ogd_step(self, monkeypatch, inner_updates):
         state = self._state(init_policy=np.array([[0.3, 0.7], [0.6, 0.4]]),
                             inner_updates=inner_updates, ogd_step_sim=0.2)
-        nu = VisitationDistribution(nu=np.array([0.7, 0.3]), nu_sa=None)
+        nu = VisitationDistribution(nu=np.array([0.7, 0.3]))
         pi = TablePolicy(probs=np.array([[0.9, 0.1], [0.2, 0.8]]))
         c = SimConstants.from_problem(0.9, 1.0, 2, 2)
         # the K projected steps and the rate step, written out
@@ -211,7 +211,7 @@ class TestMetaUpdate:
     def test_rate_floor(self):
         state = self._state(ogd_step_sim=100.0, learning_rate=0.2,
                             rate_floor=0.01)
-        nu = VisitationDistribution(nu=np.array([0.5, 0.5]), nu_sa=None)
+        nu = VisitationDistribution(nu=np.array([0.5, 0.5]))
         pi = TablePolicy(probs=np.array([[0.6, 0.4], [0.6, 0.4]]))
         c = SimConstants.from_problem(0.9, 1.0, 2, 2)
         new = meta_update(state, nu, pi, m_steps=10, constants=c)
@@ -228,7 +228,7 @@ class TestMetaUpdate:
         rng = np.random.default_rng(2)
         c = SimConstants.from_problem(0.9, 1.0, 2, 2)
         for _ in range(5):
-            nu = VisitationDistribution(nu=rng.dirichlet(np.ones(2)), nu_sa=None)
+            nu = VisitationDistribution(nu=rng.dirichlet(np.ones(2)))
             pi = TablePolicy(probs=rng.dirichlet(np.ones(2), size=2))
             state = meta_update(state, nu, pi, m_steps=10, constants=c)
             assert np.all(state.init_policy >= 0.05 - 1e-12)
@@ -240,8 +240,7 @@ class TestSimilarityCenter:
         rng = np.random.default_rng(seed)
         out = []
         for _ in range(t):
-            nu = VisitationDistribution(nu=rng.dirichlet(np.ones(s_n)),
-                                        nu_sa=None)
+            nu = VisitationDistribution(nu=rng.dirichlet(np.ones(s_n)))
             pi = TablePolicy(probs=rng.dirichlet(np.ones(a_n), size=s_n))
             out.append((nu, pi))
         return out
@@ -256,14 +255,14 @@ class TestSimilarityCenter:
 
     def test_identical_history(self):
         pi = TablePolicy(probs=np.array([[0.7, 0.3], [0.4, 0.6]]))
-        nu = VisitationDistribution(nu=np.array([0.5, 0.5]), nu_sa=None)
+        nu = VisitationDistribution(nu=np.array([0.5, 0.5]))
         center, d_sq = closed_form_similarity_center([(nu, pi)] * 4, shrink=0.0)
         assert np.max(np.abs(center - pi.probs)) < 1e-12
         assert d_sq < 1e-12
 
     def test_unvisited_state_defaults_uniform(self):
         pi = TablePolicy(probs=np.array([[0.9, 0.1], [0.9, 0.1]]))
-        nu = VisitationDistribution(nu=np.array([1.0, 0.0]), nu_sa=None)
+        nu = VisitationDistribution(nu=np.array([1.0, 0.0]))
         center, _ = closed_form_similarity_center([(nu, pi)], shrink=0.0)
         assert np.allclose(center[1], [0.5, 0.5])
 
