@@ -20,18 +20,20 @@ from metasrl.meta import (closed_form_similarity_center, inexact_ogd_step,
 from metasrl.taskgen import synthetic_kl_stream
 
 
-def averaged_regret(stream, horizon, step_scale, shrink):
-    s_n, a_n = stream[0][1].probs.shape
+def averaged_regret(nus, pis, horizon, step_scale, shrink):
+    """Regret(T)/T of OGD from uniform on the first `horizon` tasks of a
+    (nus, pis) stream, against the best fixed initialization."""
+    nus, pis = nus[:horizon], pis[:horizon]
     beta = step_scale / np.sqrt(horizon)
-    x = np.full((s_n, a_n), 1.0 / a_n)
+    x = np.full(pis.shape[1:], 1.0 / pis.shape[2])
     total = 0.0
-    for nu, pi in stream[:horizon]:
+    for nu, pi in zip(nus, pis):
         loss, grad = kl_loss_and_grad(nu, pi, x)
         total += loss
         x = inexact_ogd_step(
             x, grad, beta, lambda t: project_table_shrinkage_simplex(t, shrink))
-    _, best = closed_form_similarity_center(stream[:horizon], shrink)
-    return (total - horizon * best) / horizon
+    _, best = closed_form_similarity_center(nus, pis, shrink)
+    return (total - horizon * best.mean()) / horizon
 
 
 def main():
@@ -51,11 +53,11 @@ def main():
     with open(args.out, "w") as fh:
         fh.write("seed,horizon,averaged_regret\n")
         for seed in range(args.seeds):
-            stream = synthetic_kl_stream(args.states, args.actions, max_t,
-                                         dispersion=args.dispersion,
-                                         seed=seed, shrink=args.shrink)
+            nus, pis = synthetic_kl_stream(args.states, args.actions, max_t,
+                                           dispersion=args.dispersion,
+                                           seed=seed, shrink=args.shrink)
             for horizon in args.horizons:
-                value = averaged_regret(stream, horizon, args.step_scale,
+                value = averaged_regret(nus, pis, horizon, args.step_scale,
                                         args.shrink)
                 fh.write(f"{seed},{horizon},{value:.17g}\n")
     print(f"wrote {args.out}")

@@ -374,8 +374,8 @@ class VisitationDistribution:
 @dataclass(frozen=True)
 class TablePolicy:
     """A policy as a bare probability table whose rows may touch the simplex
-    boundary, as the LP oracle, the synthetic KL streams and a CRPO run's
-    drawn iterate return them; the per-step critics take the bare table.
+    boundary, as the LP oracle and a CRPO run's drawn iterate return them;
+    the per-step critics and the meta layer take the bare table.
     """
 
     probs: np.ndarray
@@ -387,7 +387,7 @@ class TablePolicy:
 @dataclass(frozen=True)
 class OptimalSolution:
     policy: TablePolicy
-    visitation: VisitationDistribution
+    nu: np.ndarray                  # (S,) state visitation of policy
     objective_values: np.ndarray
     feasible: bool
     duality_gap: float = 0.0

@@ -42,7 +42,7 @@ import numpy as np
 
 from .cmdp import TablePolicy, _check_dims, _softmax_rows, policy_evaluation_exact
 from .dice import TrajectoryDataset
-from .errors import DegenerateRun, InvalidInput, is_count
+from .errors import DegenerateRun, InvalidInput, check_counts
 from .sampling import cdf, draw
 
 EXACT = "Exact"
@@ -63,18 +63,12 @@ class CrpoConfig:
     def __post_init__(self):
         if not 0.0 < self.learning_rate < np.inf:   # NaN fails too
             raise InvalidInput("learning_rate must be positive and finite")
-        if not is_count(self.steps, 1):
-            raise InvalidInput("steps must be an integer >= 1")
+        check_counts(self, steps=1, td_iterations=0, episodes_per_step=1,
+                     episode_horizon=1, rng_seed=0)
         if not self.tolerance >= 0.0:
             raise InvalidInput("tolerance must be nonnegative")
         if self.critic_mode not in (EXACT, TD_SAMPLED):
             raise InvalidInput(f"unknown critic_mode {self.critic_mode!r}")
-        if not is_count(self.td_iterations, 0):
-            raise InvalidInput("td_iterations must be an integer >= 0")
-        if not (is_count(self.episodes_per_step, 1)
-                and is_count(self.episode_horizon, 1)):
-            raise InvalidInput("episodes_per_step and episode_horizon must be "
-                               "integers >= 1")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cmdp import VisitationDistribution, successor_view
-from .errors import CoverageWarning, DegenerateEstimate, InvalidInput
+from .errors import CoverageWarning, DegenerateEstimate, InvalidInput, check_counts
 from .sampling import cdf, draw
 
 COUNT_TOL = 1e-12
@@ -133,6 +133,7 @@ class DiceConfig:
     def __post_init__(self):
         if self.solver not in ("DirectSolve", "Sgd"):
             raise InvalidInput(f"unknown DICE solver {self.solver!r}")
+        check_counts(self, rng_seed=0)
         if self.solver == "Sgd" and self.sgd_steps < 1:
             raise InvalidInput("sgd_steps must be >= 1")
         if self.solver == "Sgd" and not 0.0 < self.sgd_step_size < np.inf:
@@ -178,8 +179,8 @@ def dualdice_fit(dataset, target_policy, gamma, config=None):
     s_n, a_n = dataset.n_states, dataset.n_actions
     covered = dataset.d_sa > 0
 
+    probs = target_policy.probs
     if config.solver == "DirectSolve":
-        probs = target_policy.probs
         rows = np.flatnonzero(covered)
         k = rows.size
         idx, prob = (x.reshape(s_n * a_n, -1)[rows] for x in dataset.p_hat)
@@ -202,7 +203,7 @@ def dualdice_fit(dataset, target_policy, gamma, config=None):
         omega = np.zeros((s_n, a_n))
         omega[covered] = y / dataset.d_sa[covered]
     else:
-        omega = _sgd_fit(dataset, target_policy, gamma, config)
+        omega = _sgd_fit(dataset, probs, gamma, config)
     if not covered.all():
         warnings.warn("data left correction ratios underdetermined on "
                       "uncovered state-action pairs", CoverageWarning)
@@ -212,7 +213,7 @@ def dualdice_fit(dataset, target_policy, gamma, config=None):
     return CorrectionTable(omega=omega, coverage_mask=covered)
 
 
-def _sgd_fit(dataset, target_policy, gamma, config):
+def _sgd_fit(dataset, probs, gamma, config):
     """K stochastic saddle-point steps on J(z, zeta); returns z - B^pi z on data.
 
     Each step draws a logged transition (s, a, s'), a' ~ pi(s'), a logged
@@ -227,7 +228,6 @@ def _sgd_fit(dataset, target_policy, gamma, config):
     n_tr, n_init = dataset.s.size, dataset.initial_states.size
     if n_tr == 0 or n_init == 0:
         raise InvalidInput("Sgd solver needs sampled transitions")
-    probs = target_policy.probs
     policy_cdf = cdf(probs, "target policy").T.copy()   # (A, S), as draw takes it
     rng = np.random.default_rng(config.rng_seed)
     gamma, lr = float(gamma), float(config.sgd_step_size)
@@ -268,41 +268,46 @@ def visitation_from_corrections(dataset, corrections):
     return VisitationDistribution(nu=mass / total)
 
 
-def kl_loss_and_grad(nu_hat, pi_hat, phi):
-    """Visitation-weighted KL loss E_nu[D_KL(pi_hat | phi)] and its gradient.
+def kl_loss_and_grad(nu, probs, phi):
+    """Visitation-weighted KL loss E_nu[D_KL(probs | phi)] and its gradient.
 
-    phi is an (S, A) probability table with positive entries, such as the
-    meta-learner's initialization, and the gradient is with respect to it:
-    d/d phi(a|s) = -nu(s) pi_hat(a|s) / phi(a|s). pi_hat is a policy; it
-    may have zero entries (0 log 0 = 0), as LP-optimal policies do.
+    nu is a visitation stack (..., S) and probs a table stack (..., S, A);
+    a table may have zero entries (0 log 0 = 0), as LP-optimal policies do.
+    phi, with positive entries, is one (S, A) table, such as the
+    meta-learner's initialization, or a stack (..., S, A), one per loss.
+    The loss is a float without leading axes, else a (...,) array, each
+    entry bit for bit the single-table loss. The gradient (..., S, A) is
+    with respect to phi: d/d phi(a|s) = -nu(s) probs(a|s) / phi(a|s).
     """
-    nu = nu_hat.nu
-    p = pi_hat.probs
-    q = np.asarray(phi, dtype=float)
+    nu, p, q = (np.asarray(x, dtype=float) for x in (nu, probs, phi))
+    if (p.ndim < 2 or nu.shape != p.shape[:-1]
+            or q.shape not in (p.shape[-2:], p.shape)):
+        raise InvalidInput(f"nu {nu.shape}, probs {p.shape} and phi {q.shape} "
+                           "are not (..., S), (..., S, A) and (S, A) or (..., S, A)")
     if np.any(q <= 0):
         raise InvalidInput("phi rows must be strictly positive")
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = p * (np.log(p) - np.log(q))
-    per_state = np.where(p > 0, terms, 0.0).sum(axis=1)
-    loss = float(nu @ per_state)
-    grad = -nu[:, None] * p / q
-    return loss, grad
+    per_state = np.where(p > 0, terms, 0.0).sum(axis=-1)
+    # one dot product per table, as nu @ per_state takes it
+    loss = (nu[..., None, :] @ per_state[..., :, None])[..., 0, 0]
+    grad = -nu[..., :, None] * p / q
+    return (float(loss) if loss.ndim == 0 else loss), grad
 
 
 def error_decomposition(nu_star, pi_star, nu_tilde, nu_hat, pi_hat, phi):
     """Split the plug-in KL error into visitation, estimation and policy parts.
 
-    total = E_{nu*}[KL(pi*|phi)] - E_{nu_hat}[KL(pi_hat|phi)]
+    The visitations are (S,) arrays and the policies (S, A) tables. With
+    L(nu, pi) = E_nu[KL(pi|phi)], four losses in one stacked call give
+
+    total = L(nu*, pi*) - L(nu_hat, pi_hat)
           = (A) visitation mismatch nu* vs nu_tilde on KL(pi*|phi)
           + (C) policy mismatch pi* vs pi_hat under nu_tilde
           + (B) estimation error nu_tilde vs nu_hat on KL(pi_hat|phi).
     """
-    def avg(nu, pol):
-        l, _ = kl_loss_and_grad(nu, pol, phi)
-        return l
-
-    term_a = avg(nu_star, pi_star) - avg(nu_tilde, pi_star)
-    term_c = avg(nu_tilde, pi_star) - avg(nu_tilde, pi_hat)
-    term_b = avg(nu_tilde, pi_hat) - avg(nu_hat, pi_hat)
-    total = avg(nu_star, pi_star) - avg(nu_hat, pi_hat)
-    return {"A": term_a, "B": term_b, "C": term_c, "total": total}
+    star, tilde_star, tilde_hat, hat = kl_loss_and_grad(
+        np.stack([nu_star, nu_tilde, nu_tilde, nu_hat]),
+        np.stack([pi_star, pi_star, pi_hat, pi_hat]), phi)[0].tolist()
+    return {"A": star - tilde_star, "B": tilde_hat - hat,
+            "C": tilde_star - tilde_hat, "total": star - hat}

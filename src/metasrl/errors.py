@@ -24,11 +24,14 @@ def known_keys(doc, cls, where, required=()):
     return doc
 
 
-def is_count(value, least):
-    """Whether value is an integer, Python or numpy but not a bool, no less
-    than least."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least)
+def check_counts(config, **least):
+    """InvalidInput naming the first field `name` of config that is not an
+    integer (Python or numpy, not a bool) no less than least[name]."""
+    for name, low in least.items():
+        value = getattr(config, name)
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                and value >= low):
+            raise InvalidInput(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class NumericalFailure(RuntimeError):

@@ -24,7 +24,7 @@ from . import __version__
 from .cmdp import SoftmaxPolicy, _fmt, all_objectives
 from .crpo import CrpoConfig, run_crpo
 from .dice import DiceConfig, dualdice_fit, visitation_from_corrections
-from .errors import (DegenerateRun, InvalidInput, NumericalFailure, is_count,
+from .errors import (DegenerateRun, InvalidInput, NumericalFailure, check_counts,
                      known_keys)
 from .lp import solve_optimal_lp
 from .meta import (MetaLearnerState, SimConstants, meta_update,
@@ -49,8 +49,7 @@ class MetaConfig:
                 raise InvalidInput(f"{name} must be positive and finite")
         if not 0.0 <= self.ogd_step_sim < np.inf:
             raise InvalidInput("ogd_step_sim must be nonnegative and finite")
-        if not is_count(self.inner_updates, 1):
-            raise InvalidInput("inner_updates must be an integer >= 1")
+        check_counts(self, inner_updates=1)
         if not 0.0 <= self.shrinkage < 1.0:
             raise InvalidInput("shrinkage must lie in [0, 1)")
         if self.initial_rate is not None and not 0.0 < self.initial_rate < np.inf:
@@ -74,12 +73,7 @@ class ExperimentConfig:
             raise InvalidInput("strategies must be a list of strategy names, "
                                f"got {self.strategies!r}")
         object.__setattr__(self, "strategies", tuple(self.strategies))
-        if not is_count(self.runs_per_strategy, 1):
-            raise InvalidInput("runs_per_strategy must be an integer >= 1, "
-                               f"got {self.runs_per_strategy!r}")
-        if not is_count(self.master_seed, 0):
-            raise InvalidInput("master_seed must be an integer >= 0, "
-                               f"got {self.master_seed!r}")
+        check_counts(self, runs_per_strategy=1, master_seed=0)
         if not isinstance(self.holdout_test_task, bool):
             raise InvalidInput("holdout_test_task must be true or false, "
                                f"got {self.holdout_test_task!r}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cmdp import OptimalSolution, TablePolicy, VisitationDistribution
+from .cmdp import OptimalSolution, TablePolicy
 from .errors import NumericalFailure
 
 PIVOT_TOL = 1e-9
@@ -167,7 +167,7 @@ def solve_optimal_lp(cmdp):
     try:
         mu, _, gap = simplex_solve(cost, a_eq, b_eq, a_ub, b_ub)
     except _Infeasible:
-        return OptimalSolution(policy=None, visitation=None,
+        return OptimalSolution(policy=None, nu=None,
                                objective_values=None, feasible=False)
     if gap > GAP_TOL:
         raise NumericalFailure(f"LP duality gap {gap:.3e} exceeds tolerance",
@@ -178,13 +178,12 @@ def solve_optimal_lp(cmdp):
     probs = np.full((s_n, a_n), 1.0 / a_n)
     covered = nu > 1e-13
     probs[covered] = mu[covered] / nu[covered, None]
-    nu = nu / nu.sum()
     objective_values = np.array(
         [float(mu.reshape(n) @ cmdp.objective_table(i).reshape(n)) / (1.0 - gamma)
          for i in range(cmdp.n_costs + 1)])
     return OptimalSolution(
         policy=TablePolicy(probs=probs),
-        visitation=VisitationDistribution(nu=nu),
+        nu=nu / nu.sum(),
         objective_values=objective_values,
         feasible=True,
         duality_gap=float(gap),

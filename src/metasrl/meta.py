@@ -171,20 +171,22 @@ class MetaLearnerState:
 
 
 def meta_update(state, nu_hat, pi_hat, m_steps, constants):
-    """One meta-step after a finished task.
+    """One meta-step after a finished task, from its visitation estimate
+    nu_hat (`.nu`) and its policy pi_hat (`.probs`).
 
     The initialization takes K projected OGD steps on the plug-in KL loss;
     the learning rate takes one OGD step on the rate surrogate, floored at
     rate_floor. Returns the new state, which keeps the task's KL loss at
     the old initialization as `kl_term`.
     """
-    kl_term, first_grad = kl_loss_and_grad(nu_hat, pi_hat, state.init_policy)
+    nu, probs = nu_hat.nu, pi_hat.probs
+    kl_term, first_grad = kl_loss_and_grad(nu, probs, state.init_policy)
     pending = [first_grad]  # the first OGD step starts at init_policy
 
     def grad(phi_table):
         if pending:
             return pending.pop()
-        _, g = kl_loss_and_grad(nu_hat, pi_hat, phi_table)
+        _, g = kl_loss_and_grad(nu, probs, phi_table)
         return g
 
     projector = lambda tab: project_table_shrinkage_simplex(tab, state.shrinkage)
@@ -201,18 +203,18 @@ def meta_update(state, nu_hat, pi_hat, m_steps, constants):
                    kl_term=kl_term)
 
 
-def closed_form_similarity_center(history, shrink):
-    """Best single initialization for a history of (nu_hat, pi_hat) pairs.
+def closed_form_similarity_center(nus, pis, shrink):
+    """Best single initialization for T tasks' visitations nus (T, S) and
+    policy tables pis (T, S, A); returns (center, kl).
 
     Per state, the visitation-weighted mean of the learned policies minimizes
     the average KL; rows never visited default to uniform. The result is
-    projected row-wise onto the shrinkage simplex and the attained average
-    KL is returned alongside.
+    projected row-wise onto the shrinkage simplex. kl is the (T,) KL loss of
+    each task at the center, and D^2 = kl.mean() the attained average.
     """
-    if not history:
+    nus, pis = np.asarray(nus, dtype=float), np.asarray(pis, dtype=float)
+    if len(nus) == 0:
         raise InvalidInput("empty history")
-    nus = np.array([h[0].nu for h in history])
-    pis = np.array([h[1].probs for h in history])
     weight = nus.sum(axis=0)
     num = np.einsum("ts,tsa->sa", nus, pis)
     n_actions = pis.shape[2]
@@ -220,8 +222,7 @@ def closed_form_similarity_center(history, shrink):
     seen = weight > 0
     center[seen] = num[seen] / weight[seen, None]
     center = project_table_shrinkage_simplex(center, shrink)
-    d_sq = np.mean([kl_loss_and_grad(h[0], h[1], center)[0] for h in history])
-    return center, float(d_sq)
+    return center, kl_loss_and_grad(nus, pis, center)[0]
 
 
 @dataclass(frozen=True)
@@ -250,6 +251,15 @@ def regret_report(oracle_solutions, outcomes, cmdps, j_hat, kl_terms, kappas,
     its successful runs, and outcomes[t] is one of those runs. A task with
     none has outcome None and NaN means: it exports NaN, and the similarity
     center and KL statistics skip it.
+
+    What the regret fields hold as `run_experiment` fills them (ROADMAP
+    item 4): static_regret is sum_t (kl_terms[t] - KL_t(center)), where the
+    center comes from each task's last successful run, its exact visitation
+    and returned policy, but kl_terms are run-averaged DICE estimates; the
+    baselines pass kl_terms 0, so their static_regret is negative; without
+    comparators, which the harness never passes, dynamic_regret and v_hat_sq
+    copy static_regret and d_hat_sq and both path lengths are 0; and
+    inexactness_proxy and every per-task inexactness are zeros.
     """
     t_tasks = len(cmdps)
     if len(oracle_solutions) != t_tasks or len(outcomes) != t_tasks:
@@ -259,32 +269,29 @@ def regret_report(oracle_solutions, outcomes, cmdps, j_hat, kl_terms, kappas,
     gaps = np.array([sol.objective_values[0] for sol in oracle_solutions]) - j_hat[:, 0]
     viol = j_hat[:, 1:] - np.array([cmdp.limits for cmdp in cmdps])
     done = [t for t in range(t_tasks) if outcomes[t] is not None]
-    history = [(visitation_exact(cmdps[t], outcomes[t].returned_policy),
-                outcomes[t].returned_policy) for t in done]
     kl_done = kl_terms[done]
-
-    def kl_at(tables):
-        """Each done task's KL loss at its own initialization table."""
-        return np.array([kl_loss_and_grad(nu, pol, tab)[0]
-                         for (nu, pol), tab in zip(history, tables)])
 
     d_hat_sq = static_regret = np.nan
     if done:
-        center, d_hat_sq = closed_form_similarity_center(history, shrink)
-        static_regret = float((kl_done - kl_at([center] * len(done))).sum())
+        pis = np.array([outcomes[t].returned_policy.probs for t in done])
+        nus = np.array([visitation_exact(cmdps[t], outcomes[t].returned_policy).nu
+                        for t in done])
+        _, kl_center = closed_form_similarity_center(nus, pis, shrink)
+        d_hat_sq = float(kl_center.mean())
+        static_regret = float((kl_done - kl_center).sum())
 
     path, sq_path, v_hat_sq, dynamic_regret = 0.0, 0.0, d_hat_sq, static_regret
     if comparators is not None:
-        comp = [np.asarray(c, dtype=float) for c in comparators]
+        comp = np.asarray(comparators, dtype=float)
         if len(comp) != t_tasks:
             raise InvalidInput("comparator sequence misaligned")
         diffs = [np.linalg.norm(comp[i] - comp[i - 1]) for i in range(1, t_tasks)]
         path = float(np.sum(diffs))
         sq_path = float(np.sum(np.square(diffs)))
         if done:
-            kl_at_comp = kl_at([comp[t] for t in done])
-            v_hat_sq = float(kl_at_comp.mean())
-            dynamic_regret = float((kl_done - kl_at_comp).sum())
+            kl_comp = kl_loss_and_grad(nus, pis, comp[done])[0]
+            v_hat_sq = float(kl_comp.mean())
+            dynamic_regret = float((kl_done - kl_comp).sum())
 
     per_task = [{
         "task": t,

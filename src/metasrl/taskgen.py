@@ -1,6 +1,6 @@
 """Task-family generators: slippery gridworld CMDP sequences with
-controllable similarity, plus a synthetic exact-KL-loss stream for the
-regret tests.
+controllable similarity, plus a synthetic exact-KL-loss stream of
+visitation and table stacks for the regret tests.
 
 Grid convention: start at the top-left cell, goal at the bottom-right cell,
 both always frozen. Reaching the goal pays goal_reward once and the episode
@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cmdp import TabularCmdp, TablePolicy, VisitationDistribution
-from .errors import GenerationFailure, InvalidInput, known_keys
+from .cmdp import TabularCmdp
+from .errors import GenerationFailure, InvalidInput, check_counts, known_keys
 
 HIGH_SIMILARITY = "HighSimilarity"
 LOW_SIMILARITY = "LowSimilarity"
@@ -57,8 +57,7 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rows < 2 or self.cols < 2:
-            raise InvalidInput("grid needs at least 2x2 cells")
+        check_counts(self, rows=2, cols=2, seed=0)
         if not (0.0 <= self.frozen_prob <= 1.0 and 0.0 <= self.slip_prob <= 1.0):
             raise InvalidInput("probabilities must lie in [0, 1]")
         for name in ("goal_reward", "hole_cost"):
@@ -78,8 +77,7 @@ class TaskSequenceConfig:
     def __post_init__(self):
         if self.mode not in (HIGH_SIMILARITY, LOW_SIMILARITY):
             raise InvalidInput(f"unknown mode {self.mode!r}")
-        if self.num_tasks < 1:
-            raise InvalidInput("num_tasks must be >= 1")
+        check_counts(self, num_tasks=1, seed=0)
         lo_hi = self.low_sim_prob_range
         if not (isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
                 and all(isinstance(v, numbers.Real) for v in lo_hi)
@@ -302,24 +300,24 @@ def load_task_sequence(in_dir):
 
 def synthetic_kl_stream(n_states, n_actions, t_tasks, dispersion, seed,
                         shrink=1e-3, center=None):
-    """A stream of (visitation, policy) pairs clustered around a center.
+    """A stream of visitations and policies clustered around a center:
+    (nus, pis), a (T, S) visitation stack and a (T, S, A) table stack.
 
     dispersion scales the logit noise of per-task policies; visitations are
-    random Dirichlet draws. Used as an exact-loss stream for regret tests.
+    random Dirichlet draws, each drawn after its task's policy noise. Used
+    as an exact-loss stream for regret tests.
     """
     from .meta import project_table_shrinkage_simplex
 
     rng = np.random.default_rng(seed)
     if center is None:
         center = rng.dirichlet(np.ones(n_actions), size=n_states)
-    stream = []
+    nus, pis = [], []
     for _ in range(t_tasks):
         noisy = np.log(np.maximum(center, 1e-12)) \
             + dispersion * rng.standard_normal((n_states, n_actions))
         probs = np.exp(noisy - noisy.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
-        probs = project_table_shrinkage_simplex(probs, shrink)
-        nu = rng.dirichlet(np.ones(n_states))
-        stream.append((VisitationDistribution(nu=nu),
-                       TablePolicy(probs=probs)))
-    return stream
+        pis.append(project_table_shrinkage_simplex(probs, shrink))
+        nus.append(rng.dirichlet(np.ones(n_states)))
+    return np.array(nus), np.array(pis)

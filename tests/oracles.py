@@ -17,7 +17,7 @@ from collections import deque
 import numpy as np
 import scipy.optimize
 
-from metasrl.cmdp import TabularCmdp
+from metasrl.cmdp import TablePolicy, TabularCmdp, VisitationDistribution
 from metasrl.errors import NumericalFailure
 from metasrl.taskgen import MOVES, PERP
 
@@ -493,6 +493,28 @@ def project_table_shrinkage_reference(table, shrink):
     return np.vstack(rows)
 
 
+def synthetic_kl_stream_reference(n_states, n_actions, t_tasks, dispersion,
+                                  seed, shrink=1e-3, center=None):
+    """The synthetic KL stream as a list of (VisitationDistribution,
+    TablePolicy) pairs, one task at a time: the task's logit noise, its
+    shrinkage projection, then its Dirichlet visitation."""
+    from metasrl.meta import project_table_shrinkage_simplex
+
+    rng = np.random.default_rng(seed)
+    if center is None:
+        center = rng.dirichlet(np.ones(n_actions), size=n_states)
+    stream = []
+    for _ in range(t_tasks):
+        noisy = np.log(np.maximum(center, 1e-12)) \
+            + dispersion * rng.standard_normal((n_states, n_actions))
+        probs = np.exp(noisy - noisy.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs = project_table_shrinkage_simplex(probs, shrink)
+        nu = rng.dirichlet(np.ones(n_states))
+        stream.append((VisitationDistribution(nu=nu), TablePolicy(probs=probs)))
+    return stream
+
+
 def central_difference(fn, x, step=1e-6):
     """Central finite-difference gradient of a scalar function of an array."""
     x = np.asarray(x, dtype=float)
@@ -523,14 +545,14 @@ def project_shrinkage_qp(v, shrink):
     return res.x
 
 
-def minimize_average_kl(history, shrink):
-    """Numerical minimizer of (1/T) sum_t E_{nu_t}[KL(pi_t | phi)].
+def minimize_average_kl(nus, pis, shrink):
+    """Numerical minimizer of (1/T) sum_t E_{nu_t}[KL(pi_t | phi)] over the
+    visitation stack nus (T, S) and the table stack pis (T, S, A).
 
     Solved row by row with SLSQP over the shrunk simplex; returns the
     attained minimum value.
     """
-    nus = np.array([h[0].nu for h in history])
-    pis = np.array([h[1].probs for h in history])
+    nus, pis = np.asarray(nus), np.asarray(pis)
     t_n, s_n, a_n = pis.shape
     total = 0.0
     for s in range(s_n):

@@ -11,8 +11,8 @@ import warnings
 
 import numpy as np
 
-from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, VisitationDistribution,
-                          all_objectives, visitation_exact)
+from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, all_objectives,
+                          visitation_exact)
 from metasrl.crpo import CrpoConfig, run_crpo, suboptimality_bound
 from metasrl.dice import (TrajectoryDataset, dualdice_fit, kl_loss_and_grad,
                           visitation_from_corrections)
@@ -141,9 +141,9 @@ def test_04_dice_exact_recovery_and_sample_trend():
             warnings.simplefilter("ignore")
             corr = dualdice_fit(ds, target, cmdp.discount)
             nu_hat = visitation_from_corrections(ds, corr)
-        l_hat, _ = kl_loss_and_grad(nu_hat, target, phi)
-        l_true, _ = kl_loss_and_grad(visitation_exact(cmdp, target),
-                                     target, phi)
+        l_hat, _ = kl_loss_and_grad(nu_hat.nu, target.probs, phi)
+        l_true, _ = kl_loss_and_grad(visitation_exact(cmdp, target).nu,
+                                     target.probs, phi)
         return abs(l_hat - l_true)
 
     medians = [float(np.median([kl_error(100 + s, n) for s in range(31)]))
@@ -159,16 +159,17 @@ def test_05_online_init_learning_regret_is_sublinear():
     s_n, a_n, shrink = 3, 3, 1e-2
 
     def averaged_regret(stream, horizon):
+        nus, pis = (x[:horizon] for x in stream)
         beta = 5.0 / np.sqrt(horizon)
         x = np.full((s_n, a_n), 1.0 / a_n)
         proj = lambda tab: project_table_shrinkage_simplex(tab, shrink)
         total = 0.0
-        for nu, pi in stream[:horizon]:
+        for nu, pi in zip(nus, pis):
             loss, grad = kl_loss_and_grad(nu, pi, x)
             total += loss
             x = inexact_ogd_step(x, grad, beta, proj)
-        _, best = closed_form_similarity_center(stream[:horizon], shrink)
-        return (total - horizon * best) / horizon
+        _, best = closed_form_similarity_center(nus, pis, shrink)
+        return (total - horizon * best.mean()) / horizon
 
     for seed in range(10):
         center = np.random.default_rng(seed + 500).dirichlet(
@@ -255,12 +256,12 @@ def test_08_similarity_center_matches_numerical_minimizer():
         t_n = int(rng.integers(3, 8))
         s_n = int(rng.integers(2, 5))
         a_n = int(rng.integers(2, 4))
-        history = [
-            (VisitationDistribution(nu=rng.dirichlet(np.ones(s_n))),
-             TablePolicy(probs=rng.dirichlet(np.ones(a_n), size=s_n)))
-            for _ in range(t_n)]
-        _, d_sq = closed_form_similarity_center(history, shrink=1e-4)
-        ref = minimize_average_kl(history, shrink=1e-4)
+        history = [(rng.dirichlet(np.ones(s_n)),
+                    rng.dirichlet(np.ones(a_n), size=s_n)) for _ in range(t_n)]
+        nus, pis = (np.array(x) for x in zip(*history))
+        _, kl = closed_form_similarity_center(nus, pis, shrink=1e-4)
+        d_sq = kl.mean()
+        ref = minimize_average_kl(nus, pis, shrink=1e-4)
         assert abs(d_sq - ref) <= 1e-6
     assert time.monotonic() - t0 < 30.0
 
@@ -319,8 +320,8 @@ def test_10_analytic_gradients_match_finite_differences():
     for _ in range(100):
         s_n = int(rng.integers(2, 5))
         a_n = int(rng.integers(2, 4))
-        nu = VisitationDistribution(nu=rng.dirichlet(np.ones(s_n)))
-        pi = TablePolicy(probs=rng.dirichlet(np.ones(a_n), size=s_n))
+        nu = rng.dirichlet(np.ones(s_n))
+        pi = rng.dirichlet(np.ones(a_n), size=s_n)
         phi = 0.1 + rng.dirichlet(np.ones(a_n), size=s_n)
         phi /= phi.sum(axis=1, keepdims=True)
         _, grad = kl_loss_and_grad(nu, pi, phi)

@@ -185,6 +185,24 @@ class TestRun:
         assert f"config error: {field}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("dice", "rng_seed", -1), ("dice", "rng_seed", True),
+        ("crpo", "rng_seed", True), ("crpo", "rng_seed", 1.0),
+        ("task_source", "num_tasks", True), ("task_source", "num_tasks", 2.5),
+        ("task_source", "seed", -1), ("task_source.base", "rows", 4.0),
+        ("task_source.base", "cols", True), ("task_source.base", "seed", True)])
+    def test_bad_seed_or_count_exit_2(self, tmp_path, capsys, section, field, value):
+        doc = json.loads(json.dumps(RUN_DOC))
+        where = doc
+        for name in section.split("."):
+            where = where.setdefault(name, {})
+        where[field] = value
+        cfg = write_json(tmp_path / "run.json", doc)
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {field} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field,value", [
         ("runs_per_strategy", 2.5), ("holdout_test_task", "no"),
         ("strategies", "MetaSrl")])

@@ -24,7 +24,8 @@ class TestCrpoConfig:
         ("tolerance", np.nan), ("tolerance", -0.01),
         ("td_iterations", -1), ("td_iterations", 10.0),
         ("steps", 8.5), ("steps", 8.0), ("steps", 0),
-        ("episodes_per_step", 0), ("episode_horizon", 2.0)])
+        ("episodes_per_step", 0), ("episode_horizon", 2.0),
+        ("rng_seed", -1), ("rng_seed", True), ("rng_seed", 3.0)])
     def test_rejected_when_built(self, field, value):
         with pytest.raises(InvalidInput, match=field):
             CrpoConfig(**{field: value})

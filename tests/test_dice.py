@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, VisitationDistribution,
-                          visitation_exact)
+from metasrl.cmdp import SoftmaxPolicy, TablePolicy, visitation_exact
 from metasrl.crpo import CrpoConfig, run_crpo
 from metasrl.dice import (CorrectionTable, DiceConfig, TrajectoryDataset,
                           dualdice_fit, error_decomposition, kl_loss_and_grad,
@@ -242,6 +241,14 @@ class TestSgdDraws:
         DiceConfig(sgd_step_size=step_size)   # DirectSolve takes no step
 
 
+@pytest.mark.parametrize("solver", ["DirectSolve", "Sgd"])
+@pytest.mark.parametrize("seed", [-1, True, 2.0, "3", None])
+def test_dice_seed_must_be_a_count(solver, seed):
+    with pytest.raises(InvalidInput, match="rng_seed"):
+        DiceConfig(solver=solver, rng_seed=seed)
+    DiceConfig(solver=solver, rng_seed=np.uint32(4))
+
+
 class TestDataset:
     def test_empirical_counts(self):
         ds = TrajectoryDataset.from_samples(
@@ -361,17 +368,16 @@ class TestKlLoss:
     def test_zero_at_match(self):
         rng = np.random.default_rng(7)
         pol = SoftmaxPolicy(logits=rng.standard_normal((3, 2)))
-        nu = VisitationDistribution(nu=np.array([0.5, 0.3, 0.2]))
-        loss, grad = kl_loss_and_grad(nu, pol, pol.probs)
+        nu = np.array([0.5, 0.3, 0.2])
+        loss, grad = kl_loss_and_grad(nu, pol.probs, pol.probs)
         assert abs(loss) < 1e-12
         # at the minimum over the simplex the gradient rows are constant
-        rows = grad + nu.nu[:, None]
+        rows = grad + nu[:, None]
         assert np.max(np.abs(rows)) < 1e-12
 
     def test_hand_value(self):
-        nu = VisitationDistribution(nu=np.array([1.0]))
-        pi = TablePolicy(probs=np.array([[0.75, 0.25]]))
-        loss, grad = kl_loss_and_grad(nu, pi, np.array([[0.5, 0.5]]))
+        loss, grad = kl_loss_and_grad(np.array([1.0]), np.array([[0.75, 0.25]]),
+                                      np.array([[0.5, 0.5]]))
         expect = 0.75 * np.log(1.5) + 0.25 * np.log(0.5)
         assert abs(loss - expect) < 1e-12
         assert np.allclose(grad, [[-1.5, -0.5]])
@@ -382,34 +388,69 @@ class TestKlLoss:
         p = sol.policy.probs
         assert np.any(p == 0.0)
         phi = np.full(p.shape, 1.0 / p.shape[1])
-        loss, grad = kl_loss_and_grad(sol.visitation, sol.policy, phi)
+        loss, grad = kl_loss_and_grad(sol.nu, p, phi)
         pos = p > 0
         terms = np.zeros_like(p)
         terms[pos] = p[pos] * np.log(p[pos] * p.shape[1])
-        assert abs(loss - sol.visitation.nu @ terms.sum(axis=1)) < 1e-12
+        assert abs(loss - sol.nu @ terms.sum(axis=1)) < 1e-12
         assert np.all(grad[~pos] == 0.0)
 
     def test_positive_rows_keep_the_plain_formula(self):
         rng = np.random.default_rng(8)
-        nu = VisitationDistribution(nu=rng.dirichlet(np.ones(5)))
+        nu = rng.dirichlet(np.ones(5))
         p = rng.dirichlet(np.ones(3), size=5)
         q = rng.dirichlet(np.ones(3), size=5)
-        loss, _ = kl_loss_and_grad(nu, TablePolicy(probs=p), q)
-        assert loss == float(nu.nu @ (p * (np.log(p) - np.log(q))).sum(axis=1))
+        loss, _ = kl_loss_and_grad(nu, p, q)
+        assert loss == float(nu @ (p * (np.log(p) - np.log(q))).sum(axis=1))
 
     def test_rejects_nonpositive_phi(self):
-        nu = VisitationDistribution(nu=np.array([1.0]))
-        pi = TablePolicy(probs=np.array([[0.5, 0.5]]))
         with pytest.raises(InvalidInput):
-            kl_loss_and_grad(nu, pi, np.array([[1.0, 0.0]]))
+            kl_loss_and_grad(np.array([1.0]), np.array([[0.5, 0.5]]),
+                             np.array([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("nu_shape,probs_shape,phi_shape", [
+        ((4,), (3, 2), (3, 2)), ((3,), (3, 2), (3, 3)), ((3,), (3, 2), (4, 2)),
+        ((3,), (3,), (3,)), ((5, 3), (4, 3, 2), (3, 2)),
+        ((5, 3), (5, 3, 2), (4, 3, 2)), ((5, 3), (5, 3, 2), (5, 3, 3)),
+        ((3,), (3, 2), (5, 3, 2))])
+    def test_rejects_mismatched_shapes(self, nu_shape, probs_shape, phi_shape):
+        with pytest.raises(InvalidInput, match="not"):
+            kl_loss_and_grad(np.full(nu_shape, 0.5), np.full(probs_shape, 0.5),
+                             np.full(phi_shape, 0.5))
+
+    @pytest.mark.parametrize("seed", [0, 1, 97])
+    @pytest.mark.parametrize("stacked_phi", [False, True])
+    def test_stack_is_bit_for_bit_the_single_calls(self, seed, stacked_phi):
+        """A (T, S) visitation stack and a (T, S, A) table stack give each
+        task's loss and gradient bit for bit as T single calls, at one
+        shared phi or at a phi per task; rows with zeros included."""
+        rng = np.random.default_rng(seed)
+        t_n, s_n, a_n = 10, 17, 4
+        nus = rng.dirichlet(np.ones(s_n), size=t_n)
+        pis = rng.dirichlet(np.ones(a_n), size=(t_n, s_n))
+        pis[:, ::3, 1] = 0.0
+        pis /= pis.sum(axis=-1, keepdims=True)
+        phi = 0.01 + rng.dirichlet(np.ones(a_n), size=(t_n, s_n))
+        phi /= phi.sum(axis=-1, keepdims=True)
+        phis = phi if stacked_phi else [phi[0]] * t_n
+        loss, grad = kl_loss_and_grad(nus, pis, phi if stacked_phi else phi[0])
+        assert loss.shape == (t_n,) and grad.shape == (t_n, s_n, a_n)
+        for t in range(t_n):
+            one_loss, one_grad = kl_loss_and_grad(nus[t], pis[t], phis[t])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                terms = pis[t] * (np.log(pis[t]) - np.log(phis[t]))
+            plain = float(nus[t] @ np.where(pis[t] > 0, terms, 0.0).sum(axis=1))
+            assert isinstance(one_loss, float)
+            assert loss[t] == one_loss == plain
+            assert np.array_equal(grad[t].view(np.int64), one_grad.view(np.int64))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_nonnegative_and_grad_matches_fd(self, seed):
         rng = np.random.default_rng(seed)
         s_n, a_n = 3, 3
-        nu = VisitationDistribution(nu=rng.dirichlet(np.ones(s_n)))
-        pi = TablePolicy(probs=rng.dirichlet(np.ones(a_n), size=s_n))
+        nu = rng.dirichlet(np.ones(s_n))
+        pi = rng.dirichlet(np.ones(a_n), size=s_n)
         phi = 0.05 + rng.dirichlet(np.ones(a_n), size=s_n)
         phi = phi / phi.sum(axis=1, keepdims=True)
         loss, grad = kl_loss_and_grad(nu, pi, phi)
@@ -426,9 +467,8 @@ class TestErrorDecomposition:
     def _parts(self, seed):
         rng = np.random.default_rng(seed)
         s_n, a_n = 3, 2
-        mk_nu = lambda: VisitationDistribution(
-            nu=rng.dirichlet(np.ones(s_n)))
-        mk_pi = lambda: TablePolicy(probs=rng.dirichlet(np.ones(a_n), size=s_n))
+        mk_nu = lambda: rng.dirichlet(np.ones(s_n))
+        mk_pi = lambda: rng.dirichlet(np.ones(a_n), size=s_n)
         phi = np.full((s_n, a_n), 0.5)
         return mk_nu(), mk_pi(), mk_nu(), mk_nu(), mk_pi(), phi
 
@@ -449,9 +489,9 @@ class TestErrorDecomposition:
             corr = dualdice_fit(ds, pi_hat, cmdp.discount)
         nu_hat = visitation_from_corrections(ds, corr)
         phi = np.full(pi_hat.probs.shape, 0.25)
-        d = error_decomposition(sol.visitation, sol.policy,
-                                visitation_exact(cmdp, pi_hat), nu_hat,
-                                pi_hat, phi)
+        d = error_decomposition(sol.nu, sol.policy.probs,
+                                visitation_exact(cmdp, pi_hat).nu, nu_hat.nu,
+                                pi_hat.probs, phi)
         assert all(np.isfinite(v) for v in d.values())
         assert abs(d["total"] - (d["A"] + d["B"] + d["C"])) <= 1e-10
 

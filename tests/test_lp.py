@@ -76,7 +76,7 @@ class TestSolveOptimalLp:
                            initial_dist=base.initial_dist, c_max=1.0)
         sol = solve_optimal_lp(cmdp)
         assert not sol.feasible
-        assert sol.policy is None and sol.visitation is None
+        assert sol.policy is None and sol.nu is None
 
     def test_solution_is_feasible_and_consistent(self):
         rng = np.random.default_rng(4)
@@ -87,7 +87,7 @@ class TestSolveOptimalLp:
         assert np.max(np.abs(vals - sol.objective_values)) < 1e-7
         assert np.all(sol.objective_values[1:] <= cmdp.limits + 1e-8)
         vis = visitation_exact(cmdp, sol.policy)
-        assert np.max(np.abs(vis.nu - sol.visitation.nu)) < 1e-8
+        assert np.max(np.abs(vis.nu - sol.nu)) < 1e-8
 
     def test_dominates_random_policies(self):
         rng = np.random.default_rng(5)
@@ -153,7 +153,7 @@ def lp_outcome(cmdp):
         return ("failed", str(exc), exc.best_bound)
     if not sol.feasible:
         return ("infeasible",)
-    return (sol.policy.probs, sol.visitation.nu, sol.objective_values,
+    return (sol.policy.probs, sol.nu, sol.objective_values,
             np.array(sol.duality_gap))
 
 

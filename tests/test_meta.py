@@ -179,9 +179,9 @@ class TestMetaUpdate:
         nu = VisitationDistribution(nu=np.array([0.7, 0.3]))
         pi = TablePolicy(probs=np.array([[0.9, 0.1], [0.2, 0.8]]))
         c = SimConstants.from_problem(0.9, 1.0, 2, 2)
-        before, _ = kl_loss_and_grad(nu, pi, state.init_policy)
+        before, _ = kl_loss_and_grad(nu.nu, pi.probs, state.init_policy)
         new = meta_update(state, nu, pi, m_steps=10, constants=c)
-        after, _ = kl_loss_and_grad(nu, pi, new.init_policy)
+        after, _ = kl_loss_and_grad(nu.nu, pi.probs, new.init_policy)
         assert after < before
         assert state.kl_term is None and new.kl_term == before
 
@@ -195,9 +195,10 @@ class TestMetaUpdate:
         # the K projected steps and the rate step, written out
         phi = state.init_policy
         for _ in range(inner_updates):
-            phi = inexact_ogd_step(phi, kl_loss_and_grad(nu, pi, phi)[1], state.ogd_step_init,
+            phi = inexact_ogd_step(phi, kl_loss_and_grad(nu.nu, pi.probs, phi)[1],
+                                   state.ogd_step_init,
                                    lambda t: project_table_shrinkage_simplex(t, state.shrinkage))
-        kl_term = kl_loss_and_grad(nu, pi, state.init_policy)[0]
+        kl_term = kl_loss_and_grad(nu.nu, pi.probs, state.init_policy)[0]
         rate = max(state.rate_floor, state.learning_rate - state.ogd_step_sim
                    * sim_loss_and_grad(state.learning_rate, kl_term, 10, c)[1])
         calls = []
@@ -237,38 +238,50 @@ class TestMetaUpdate:
 
 class TestSimilarityCenter:
     def _history(self, seed, t=6, s_n=3, a_n=2):
+        """(nus, pis) of t tasks, each task's visitation drawn before its
+        policy."""
         rng = np.random.default_rng(seed)
-        out = []
+        nus, pis = [], []
         for _ in range(t):
-            nu = VisitationDistribution(nu=rng.dirichlet(np.ones(s_n)))
-            pi = TablePolicy(probs=rng.dirichlet(np.ones(a_n), size=s_n))
-            out.append((nu, pi))
-        return out
+            nus.append(rng.dirichlet(np.ones(s_n)))
+            pis.append(rng.dirichlet(np.ones(a_n), size=s_n))
+        return np.array(nus), np.array(pis)
 
     def test_matches_numerical_minimizer(self):
         for seed in range(5):
-            hist = self._history(seed)
-            center, d_sq = closed_form_similarity_center(hist, shrink=1e-4)
-            ref = minimize_average_kl(hist, shrink=1e-4)
+            nus, pis = self._history(seed)
+            center, kl = closed_form_similarity_center(nus, pis, shrink=1e-4)
+            d_sq = kl.mean()
+            ref = minimize_average_kl(nus, pis, shrink=1e-4)
             assert d_sq <= ref + 1e-6
             assert abs(d_sq - ref) < 1e-5
 
+    @pytest.mark.parametrize("seed", [0, 1, 97])
+    def test_kl_is_each_task_loss_at_the_center(self, seed):
+        nus, pis = self._history(seed, t=7, s_n=5, a_n=3)
+        center, kl = closed_form_similarity_center(nus, pis, shrink=1e-3)
+        assert kl.shape == (7,)
+        single = np.array([kl_loss_and_grad(nu, pi, center)[0]
+                           for nu, pi in zip(nus, pis)])
+        assert np.array_equal(kl.view(np.int64), single.view(np.int64))
+
     def test_identical_history(self):
-        pi = TablePolicy(probs=np.array([[0.7, 0.3], [0.4, 0.6]]))
-        nu = VisitationDistribution(nu=np.array([0.5, 0.5]))
-        center, d_sq = closed_form_similarity_center([(nu, pi)] * 4, shrink=0.0)
-        assert np.max(np.abs(center - pi.probs)) < 1e-12
-        assert d_sq < 1e-12
+        pi = np.array([[0.7, 0.3], [0.4, 0.6]])
+        nu = np.array([0.5, 0.5])
+        center, kl = closed_form_similarity_center([nu] * 4, [pi] * 4, shrink=0.0)
+        assert np.max(np.abs(center - pi)) < 1e-12
+        assert kl.mean() < 1e-12
 
     def test_unvisited_state_defaults_uniform(self):
-        pi = TablePolicy(probs=np.array([[0.9, 0.1], [0.9, 0.1]]))
-        nu = VisitationDistribution(nu=np.array([1.0, 0.0]))
-        center, _ = closed_form_similarity_center([(nu, pi)], shrink=0.0)
+        pi = np.array([[0.9, 0.1], [0.9, 0.1]])
+        nu = np.array([1.0, 0.0])
+        center, _ = closed_form_similarity_center([nu], [pi], shrink=0.0)
         assert np.allclose(center[1], [0.5, 0.5])
 
     def test_empty_history(self):
         with pytest.raises(InvalidInput):
-            closed_form_similarity_center([], shrink=0.0)
+            closed_form_similarity_center(np.zeros((0, 2)), np.zeros((0, 2, 2)),
+                                          shrink=0.0)
 
 
 class TestRegretBounds:
@@ -354,6 +367,21 @@ class TestRegretReport:
         assert rep.path_length == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-15)
         assert rep.v_hat_sq == pytest.approx(np.log(1.25) / 2, abs=1e-15)
         assert rep.dynamic_regret == pytest.approx(0.4 - np.log(1.25), abs=1e-15)
+
+    @pytest.mark.parametrize("with_comparators", [False, True])
+    def test_one_stacked_kl_pass_per_initialization(self, monkeypatch,
+                                                      with_comparators):
+        """Each done task's KL at the center is evaluated once, and at its
+        comparator once, each as one stacked call."""
+        calls = []
+        monkeypatch.setattr(meta_module, "kl_loss_and_grad",
+                            lambda *args: calls.append(args) or kl_loss_and_grad(*args))
+        regret_report(self.oracles, self.outcomes(), [self.cmdp] * 3,
+                      j_hat=self.j_hat, kl_terms=self.kl_terms, kappas=[0.5] * 3,
+                      shrink=0.0,
+                      comparators=self.comparators if with_comparators else None)
+        assert len(calls) == 1 + with_comparators
+        assert all(np.shape(args[1]) == (3, 1, 2) for args in calls)
 
     def test_misaligned_comparators(self):
         with pytest.raises(InvalidInput):

@@ -15,7 +15,8 @@ from metasrl.taskgen import (GridSpec, TaskSequenceConfig, _goal_reachable,
                              synthetic_kl_stream, write_task_sequence)
 
 from oracles import (goal_reachable_reference, grid_ascii_reference,
-                     grid_to_cmdp_reference, quadratic_stream)
+                     grid_to_cmdp_reference, quadratic_stream,
+                     synthetic_kl_stream_reference)
 
 CMDP_ARRAYS = ("transition", "reward", "costs", "limits", "initial_dist")
 
@@ -48,6 +49,17 @@ class TestGridSpec:
             GridSpec(rows=1)
         with pytest.raises(InvalidInput):
             GridSpec(frozen_prob=1.5)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rows", 4.0), ("rows", True), ("rows", "4"), ("cols", 1), ("cols", 3.5),
+        ("seed", -1), ("seed", True), ("seed", 2.0), ("seed", None)])
+    def test_counts_refused_when_built(self, field, value):
+        with pytest.raises(InvalidInput, match=field):
+            GridSpec(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = GridSpec(rows=np.int64(3), cols=np.uint8(5), seed=np.uint32(7))
+        assert (spec.rows, spec.cols, spec.seed) == (3, 5, 7)
 
     def test_negative_goal_reward_is_named(self):
         with pytest.raises(InvalidInput, match="goal_reward"):
@@ -206,6 +218,14 @@ class TestTaskSequence:
             TaskSequenceConfig(mode="LowSimilarity", num_tasks=2,
                                low_sim_prob_range=prob_range)
 
+    @pytest.mark.parametrize("field,value", [
+        ("num_tasks", 0), ("num_tasks", 2.5), ("num_tasks", True),
+        ("num_tasks", "3"), ("seed", -1), ("seed", True), ("seed", 1.0)])
+    def test_counts_refused_when_built(self, field, value):
+        with pytest.raises(InvalidInput, match=field):
+            TaskSequenceConfig(**{"mode": "HighSimilarity", "num_tasks": 2,
+                                  field: value})
+
     def test_prob_range_edges_accepted(self):
         for prob_range in ([0.0, 0.0], (1.0, 1.0), (0, 1)):
             cfg = TaskSequenceConfig(mode="LowSimilarity", num_tasks=2,
@@ -284,20 +304,37 @@ class TestTaskSequence:
 
 class TestSyntheticStreams:
     def test_kl_stream_shapes_and_feasibility(self):
-        stream = synthetic_kl_stream(3, 2, 5, dispersion=0.5, seed=0,
-                                     shrink=0.01)
-        assert len(stream) == 5
-        for nu, pol in stream:
-            assert abs(nu.nu.sum() - 1.0) < 1e-9
-            assert np.all(pol.probs >= 0.01 - 1e-12)
-            assert np.allclose(pol.probs.sum(axis=1), 1.0)
+        nus, pis = synthetic_kl_stream(3, 2, 5, dispersion=0.5, seed=0,
+                                       shrink=0.01)
+        assert nus.shape == (5, 3) and pis.shape == (5, 3, 2)
+        for nu, probs in zip(nus, pis):
+            assert abs(nu.sum() - 1.0) < 1e-9
+            assert np.all(probs >= 0.01 - 1e-12)
+            assert np.allclose(probs.sum(axis=1), 1.0)
+
+    @pytest.mark.parametrize("s_n,a_n,t_n,dispersion,seed,center", [
+        (3, 2, 5, 0.5, 0, None), (4, 3, 20, 0.1, 1, None),
+        (3, 3, 200, 0.02, 7, "dirichlet")])
+    def test_kl_stream_draws_as_the_per_task_objects(self, s_n, a_n, t_n,
+                                                     dispersion, seed, center):
+        if center == "dirichlet":
+            center = np.random.default_rng(seed + 500).dirichlet(
+                np.full(a_n, 0.3), size=s_n)
+        nus, pis = synthetic_kl_stream(s_n, a_n, t_n, dispersion, seed,
+                                       shrink=1e-2, center=center)
+        ref = synthetic_kl_stream_reference(s_n, a_n, t_n, dispersion, seed,
+                                            shrink=1e-2, center=center)
+        assert len(nus) == len(pis) == len(ref) == t_n
+        for nu, probs, (nu_ref, pol_ref) in zip(nus, pis, ref):
+            assert np.array_equal(nu, nu_ref.nu)
+            assert np.array_equal(probs, pol_ref.probs)
 
     def test_dispersion_orders_similarity(self):
         tight = synthetic_kl_stream(4, 3, 20, dispersion=0.1, seed=1)
         loose = synthetic_kl_stream(4, 3, 20, dispersion=2.0, seed=1)
-        _, d_tight = closed_form_similarity_center(tight, shrink=1e-3)
-        _, d_loose = closed_form_similarity_center(loose, shrink=1e-3)
-        assert d_tight < d_loose
+        _, kl_tight = closed_form_similarity_center(*tight, shrink=1e-3)
+        _, kl_loose = closed_form_similarity_center(*loose, shrink=1e-3)
+        assert kl_tight.mean() < kl_loose.mean()
 
     def test_quadratic_stream_consistency(self):
         stream = quadratic_stream(dim=3, t_tasks=8, lam=2.0, drift=0.3, seed=4)
