@@ -35,7 +35,6 @@ import argparse
 import time
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -65,6 +64,7 @@ def best_time(call, repeats, number):
 # the test_09 CRPO settings
 CRPO = crpo.CrpoConfig(learning_rate=1.0, steps=8, tolerance=0.05,
                        episodes_per_step=5, episode_horizon=60, rng_seed=2)
+TD_ITERATIONS = 10_000   # the td layer's chain length
 
 
 def crpo_run(task):
@@ -115,7 +115,6 @@ def layer_times(task, repeats, number):
         (task.n_states, task.n_actions)))
     task.successors  # built once, as the first evaluation builds it
     build = type(task).elimination.func  # uncached: a fresh build each call
-    td_config = replace(CRPO, critic_mode=crpo.TD_SAMPLED, td_iterations=10_000)
     rng = np.random.default_rng(0)
     outcome = crpo_run(task)
     dice_call = dice_pass(task, outcome)
@@ -125,7 +124,8 @@ def layer_times(task, repeats, number):
                               repeats, number),
         "visitation": best_time(lambda: cmdp.visitation_exact(task, policy),
                                 repeats, number),
-        "td": best_time(lambda: crpo.td_critic(task, policy.probs, td_config, rng),
+        "td": best_time(lambda: crpo.td_critic(task, policy.probs, TD_ITERATIONS,
+                                               CRPO.episode_horizon, rng),
                         repeats, number),
         "sample": best_time(log_draw(task, outcome), repeats, number),
         "dice": best_time(dice_call, repeats, number),

@@ -36,7 +36,7 @@ On the gridworlds I is nearly a checkerboard (128 of the 257 states of the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -112,8 +112,9 @@ class TabularCmdp:
     (S, A, S) kernel P is (np.arange(S), P). reward has shape
     (S, A); costs (p, S, A); limits (p,); initial_dist (S,).  Infinite
     limits are encoded by any value >= c_max/(1-gamma) + 1.  The successor
-    view, its CDF and the elimination of the Bellman solves are built from
-    the kernel on first use and cached on the instance.
+    view, the elimination of the Bellman solves and the sampler's tables
+    (the successor CDF and rho's CDF) are built on first use and cached on
+    the instance.
     """
 
     kernel: tuple
@@ -282,9 +283,17 @@ class TabularCmdp:
 
     @cached_property
     def successor_cdf(self):
-        """Normalized cumulative successor rows (S, A, K), as the sampler
-        draws them: checked once, by `sampling.cdf`, when first built."""
-        return _as_readonly(cdf(self.successors[1], "transition kernel"))
+        """Normalized cumulative successor rows, read-only, in the contiguous
+        (K, S*A) layout the sampler steps through: column s*A + a is row
+        (s, a)'s CDF. Checked once, by `sampling.cdf`, when first built."""
+        rows = cdf(self.successors[1], "transition kernel")
+        return _as_readonly(np.ascontiguousarray(rows.reshape(-1, rows.shape[2]).T))
+
+    @cached_property
+    def initial_cdf(self):
+        """rho's normalized cumulative sums, one read-only (S, 1) column as
+        the sampler draws s_0; checked once, by `sampling.cdf`."""
+        return _as_readonly(cdf(self.initial_dist, "initial distribution")[:, None])
 
     def objective_table(self, objective_index):
         """Reward table for index 0, cost table i for index i >= 1."""
@@ -340,11 +349,10 @@ def _fmt(x):
 
 @dataclass(frozen=True)
 class SoftmaxPolicy:
-    """Row-wise softmax policy of a finite (S, A) logit table; probs holds
-    its action probabilities, computed once with a row-max shift."""
+    """Row-wise softmax policy of a finite (S, A) logit table, checked when
+    built; probs, its action probabilities, is computed on first read."""
 
     logits: np.ndarray
-    probs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         logits = _as_readonly(self.logits)
@@ -353,7 +361,10 @@ class SoftmaxPolicy:
         if not np.all(np.isfinite(logits)):
             raise InvalidInput("logits must be finite")
         object.__setattr__(self, "logits", logits)
-        object.__setattr__(self, "probs", _as_readonly(_softmax_rows(logits)))
+
+    @cached_property
+    def probs(self):
+        return _as_readonly(_softmax_rows(self.logits))
 
     @classmethod
     def uniform(cls, n_states, n_actions):

@@ -14,17 +14,20 @@ J_i = rho . v_i of the step's own critic and moves the logits along one row
 of q. LSTD(0) has no step size, so the config has no `td_step_size`. A run
 writes each step's softmax into row m of one (M, S, A) iterate stack and
 builds no policy object per step: the init `SoftmaxPolicy` checks the logits
-once, and `npg_softmax_step` refuses a non-finite Q.
+once, and `npg_softmax_step` refuses a non-finite Q and adds it times the
+signed step +/- alpha/(1-gamma), which the run computes once.
 
 Every sampled draw, whether an episode step or a chain step, goes
 through one batched rollout that steps all rows together and reproduces
 one `Generator.choice` call per draw, bit for bit; its inverse-CDF draw and
 the checks on each probability table live in `metasrl.sampling`, which the
 SGD DICE fit shares. Next states are drawn over the CMDP's successor CDF
-(K <= 3 entries a row on the gridworlds), which the CMDP builds, checks and
-caches once. The exact critic evaluates all p+1 objectives of an iterate
-against one factorisation of its Bellman matrix, and that one solve also
-gives the exact objectives (J_0..J_p) that a run records for every iterate,
+(K <= 3 entries a row on the gridworlds) and initial states over rho's
+CDF, which the CMDP builds, checks and caches once, in the layout the
+rollout steps through; a rollout builds only its policy tables' CDF. The
+exact critic evaluates all p+1 objectives of an iterate against one
+factorisation of its Bellman matrix, and that one solve also gives the
+exact objectives (J_0..J_p) that a run records for every iterate,
 whichever critic steers it. A run's transition log feeds no decision under
 either critic, so it is built on first read of `outcome.dataset`: its
 episodes are the first draws of the run's generator, which the run skips,
@@ -42,7 +45,7 @@ import numpy as np
 
 from .cmdp import TablePolicy, _check_dims, _softmax_rows, policy_evaluation_exact
 from .dice import TrajectoryDataset
-from .errors import DegenerateRun, InvalidInput, check_counts
+from .errors import DegenerateRun, InvalidInput, check_counts, check_reals
 from .sampling import cdf, draw
 
 EXACT = "Exact"
@@ -61,6 +64,7 @@ class CrpoConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        check_reals(self, "learning_rate", "tolerance")
         if not 0.0 < self.learning_rate < np.inf:   # NaN fails too
             raise InvalidInput("learning_rate must be positive and finite")
         check_counts(self, steps=1, td_iterations=0, episodes_per_step=1,
@@ -129,42 +133,34 @@ def suboptimality_bound(alpha, m_steps, kl_bound, gamma, c_max, s_n, a_n):
         + 4.0 * alpha * c_max ** 2 * s_n * a_n / (1.0 - gamma) ** 3
 
 
-def npg_softmax_step(logits, q, alpha, direction, gamma):
-    """Natural-gradient softmax update: theta' = theta +/- alpha/(1-gamma) Q,
-    for one (S, A) Q table."""
-    if alpha < 0:
-        raise InvalidInput("alpha must be nonnegative")
-    q = np.asarray(q, dtype=float)
+def npg_softmax_step(logits, q, step):
+    """Natural-gradient softmax update theta' = theta + step * Q of one (S, A)
+    logit table: step = alpha/(1-gamma) ascends, -alpha/(1-gamma) descends."""
     if not np.all(np.isfinite(q)):
         raise InvalidInput("non-finite Q estimate")
-    sign = {"Ascent": 1.0, "Descent": -1.0}.get(direction)
-    if sign is None:
-        raise InvalidInput(f"unknown direction {direction!r}")
-    return np.asarray(logits, dtype=float) + sign * (alpha / (1.0 - gamma)) * q
+    return logits + step * q
 
 
 def _rollout(cmdp, policy_cdf, row_policy, u):
     """Walk every row of uniforms u (n, w) along s_0 ~ rho, a_0 ~ pi(s_0),
     s_1 ~ P(s_0, a_0), a_1 ~ pi(s_1), ..., one uniform per draw, all rows
-    stepped together; row i acts with policy table row_policy[i].
+    stepped together; row i acts with the CDF table policy_cdf[row_policy[i]].
 
     Returns the (n, w) drawn indices: states in even columns, actions in odd.
     A next state is drawn over its (s, a)'s successor CDF and mapped back to
     its state index. That is the dense draw bit for bit: the omitted zeros
     add nothing to the cumulative sums, and the padded slots sit at 1.0,
     above every uniform. The walk steps through a transposed copy of u, so
-    each step reads and writes one contiguous row, and keeps the CDF tables
-    transposed, as `draw` takes them.
+    each step reads and writes one contiguous row, and reads the CMDP's
+    cached CDF tables, kept transposed as `draw` takes them.
     """
-    succ = cmdp.successors[0]
-    a_n, k = succ.shape[1:]
-    succ = succ.ravel()
-    succ_cdf = np.ascontiguousarray(cmdp.successor_cdf.reshape(-1, k).T)  # (K, SA)
-    policy_cdf = np.ascontiguousarray(policy_cdf.reshape(-1, a_n).T)      # (A, tables*S)
+    a_n, k = cmdp.successors[0].shape[1:]
+    succ, succ_cdf = cmdp.successors[0].ravel(), cmdp.successor_cdf  # succ_cdf (K, SA)
+    policy_cdf = np.ascontiguousarray(policy_cdf.reshape(-1, a_n).T)  # (A, tables*S)
     table_start = row_policy * cmdp.n_states
     u = np.ascontiguousarray(u.T)
     x = np.empty(u.shape, dtype=np.intp)
-    x[0] = draw(cdf(cmdp.initial_dist, "initial distribution")[:, None], u[0])
+    x[0] = draw(cmdp.initial_cdf, u[0])
     for j in range(1, len(u)):
         if j % 2:
             x[j] = draw(policy_cdf.take(table_start + x[j - 1], axis=1), u[j])
@@ -192,9 +188,10 @@ def sample_episode(cmdp, probs, horizon, rng, episodes=1):
     return x[:, :-1:2], x[:, 1::2], x[:, 2::2]
 
 
-def _td_q(cmdp, chain, config):
+def _td_q(cmdp, chain, iterations):
     """Tabular LSTD(0) on Q (SARSA-style targets) for every objective
-    i = 0..p along one chain; returns the (p+1, S, A) tables.
+    i = 0..p along one chain's first K = `iterations` steps; returns the
+    (p+1, S, A) tables.
 
     chain holds the drawn reset segments, one a row: s_0, a_0, s_1, a_1, ...,
     s_H, a_H, the last row only as far as the K steps reach. The K
@@ -206,7 +203,7 @@ def _td_q(cmdp, chain, config):
     pair that is the source of no step keeps Q = 0, where TD(0) leaves it.
     """
     a_n, n = cmdp.n_actions, cmdp.n_states * cmdp.n_actions
-    k = config.td_iterations
+    k = iterations
     sa = (chain[:, :-2:2] * a_n + chain[:, 1:-2:2]).ravel()[:k]    # (s, a) of each step
     sa_next = (chain[:, 2::2] * a_n + chain[:, 3::2]).ravel()[:k]  # (s', a') it steps to
     visits = np.bincount(sa, minlength=n)
@@ -223,35 +220,27 @@ def _td_q(cmdp, chain, config):
     return q.reshape(tables.shape)
 
 
-def td_critic(cmdp, probs, config, rng=None):
+def td_critic(cmdp, probs, iterations, horizon, rng):
     """One TdSampled CRPO step's critic, from one rollout of the table probs.
 
-    Draws a chain of K = `td_iterations` (s, a) -> (s', a') steps that
-    restarts from rho after every max(2, horizon) steps, and solves LSTD(0)
-    for every objective over the chain (`_td_q`): one m x m solve with p+1
-    right-hand sides, m <= S*A the pairs the chain steps from, with Q = 0 on
-    every other pair. The chain's uniforms are the rng's next draws, and all
-    its reset segments are walked together.
+    Draws a chain of K = `iterations` (s, a) -> (s', a') steps that restarts
+    from rho after every max(2, horizon) steps, and solves LSTD(0) for every
+    objective over the chain (`_td_q`): one m x m solve with p+1 right-hand
+    sides, m <= S*A the pairs the chain steps from, with Q = 0 on every
+    other pair. The chain's uniforms are the rng's next draws, and all its
+    reset segments are walked together.
 
     Returns (v, q), v = sum_a pi q of shape (p+1, S) and q of shape
     (p+1, S, A), reward first, as `policy_evaluation_exact` returns them.
-    The Exact critic is `policy_evaluation_exact`, which `run_crpo` calls
-    itself; an Exact config is refused here.
     """
-    if config.critic_mode != TD_SAMPLED:
-        raise InvalidInput(f"td_critic needs critic_mode {TD_SAMPLED!r}, "
-                           f"not {config.critic_mode!r}")
     _check_dims(cmdp, probs)
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
     policy_cdf = cdf(probs, "policy")[None]
-    reset = max(2, config.episode_horizon)
-    k = config.td_iterations
-    u = np.zeros((k // reset + 1, 2 + 2 * reset))
+    reset = max(2, horizon)
+    u = np.zeros((iterations // reset + 1, 2 + 2 * reset))
     # s_0, a_0, then (s', a') per step and (s_0, a_0) per reset
-    rng.random(out=u.reshape(-1)[:2 + 2 * k + 2 * (k // reset)])
-    q = _td_q(cmdp, _rollout(cmdp, policy_cdf, np.zeros(len(u), dtype=np.intp), u),
-              config)
+    rng.random(out=u.reshape(-1)[:2 + 2 * iterations + 2 * (iterations // reset)])
+    chain = _rollout(cmdp, policy_cdf, np.zeros(len(u), dtype=np.intp), u)
+    q = _td_q(cmdp, chain, iterations)
     return (probs * q).sum(axis=2), q
 
 
@@ -285,8 +274,7 @@ def run_crpo(cmdp, init_policy, config):
     rng.bit_generator.advance(
         config.steps * config.episodes_per_step * (1 + 2 * config.episode_horizon))
     p = cmdp.n_costs
-    gamma = cmdp.discount
-    alpha = config.learning_rate
+    step = config.learning_rate / (1.0 - cmdp.discount)
     eta = config.tolerance
     exact = config.critic_mode == EXACT
 
@@ -300,7 +288,8 @@ def run_crpo(cmdp, init_policy, config):
     for m in range(config.steps):
         iterates[m] = probs = _softmax_rows(logits)
         v, q = (policy_evaluation_exact(cmdp, probs) if exact
-                else td_critic(cmdp, probs, config, rng))
+                else td_critic(cmdp, probs, config.td_iterations,
+                               config.episode_horizon, rng))
         j = v @ cmdp.initial_dist
         objectives[m] = (j if exact else
                          policy_evaluation_exact(cmdp, probs)[0] @ cmdp.initial_dist)
@@ -309,11 +298,11 @@ def run_crpo(cmdp, init_policy, config):
         excess = estimates[m] - cmdp.limits - eta
         if np.all(excess <= 0):
             reward_steps.append(m)
-            logits = npg_softmax_step(logits, q[0], alpha, "Ascent", gamma)
+            logits = npg_softmax_step(logits, q[0], step)
         else:
             worst = int(np.argmax(excess))  # argmax returns the lowest tied index
             constraint_steps[worst].append(m)
-            logits = npg_softmax_step(logits, q[worst + 1], alpha, "Descent", gamma)
+            logits = npg_softmax_step(logits, q[worst + 1], -step)
 
     iterates.setflags(write=False)
     outcome_args = dict(

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cmdp import VisitationDistribution, successor_view
-from .errors import CoverageWarning, DegenerateEstimate, InvalidInput, check_counts
+from .errors import (CoverageWarning, DegenerateEstimate, InvalidInput, check_counts,
+                     check_reals)
 from .sampling import cdf, draw
 
 COUNT_TOL = 1e-12
@@ -134,10 +135,11 @@ class DiceConfig:
         if self.solver not in ("DirectSolve", "Sgd"):
             raise InvalidInput(f"unknown DICE solver {self.solver!r}")
         check_counts(self, rng_seed=0)
-        if self.solver == "Sgd" and self.sgd_steps < 1:
-            raise InvalidInput("sgd_steps must be >= 1")
-        if self.solver == "Sgd" and not 0.0 < self.sgd_step_size < np.inf:
-            raise InvalidInput("sgd_step_size must be positive and finite")
+        check_reals(self, "sgd_step_size")
+        if self.solver == "Sgd":
+            check_counts(self, sgd_steps=1)
+            if not 0.0 < self.sgd_step_size < np.inf:
+                raise InvalidInput("sgd_step_size must be positive and finite")
 
 
 def dualdice_fit(dataset, target_policy, gamma, config=None):

@@ -1,6 +1,6 @@
 """Exception and warning types shared across the package, and the checks
 that a config section names only known keys and holds its required ones,
-and that a setting is a count."""
+and that a setting is a count or a real number."""
 
 import numbers
 from dataclasses import fields
@@ -32,6 +32,20 @@ def check_counts(config, **least):
         if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
                 and value >= low):
             raise InvalidInput(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def is_real(value):
+    """True for a real number, Python or numpy, that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_reals(config, *names):
+    """InvalidInput naming the first field of config among `names` that is
+    not `is_real`; the range checks are the caller's."""
+    for name in names:
+        value = getattr(config, name)
+        if not is_real(value):
+            raise InvalidInput(f"{name} must be a real number, got {value!r}")
 
 
 class NumericalFailure(RuntimeError):

@@ -25,7 +25,7 @@ from .cmdp import SoftmaxPolicy, _fmt, all_objectives
 from .crpo import CrpoConfig, run_crpo
 from .dice import DiceConfig, dualdice_fit, visitation_from_corrections
 from .errors import (DegenerateRun, InvalidInput, NumericalFailure, check_counts,
-                     known_keys)
+                     check_reals, known_keys)
 from .lp import solve_optimal_lp
 from .meta import (MetaLearnerState, SimConstants, meta_update,
                    project_table_shrinkage_simplex, regret_report)
@@ -44,6 +44,9 @@ class MetaConfig:
     initial_rate: float = None   # defaults to the CRPO learning rate
 
     def __post_init__(self):
+        check_reals(self, "ogd_step_init", "ogd_step_sim", "shrinkage", "rate_floor")
+        if self.initial_rate is not None:
+            check_reals(self, "initial_rate")
         for name in ("ogd_step_init", "rate_floor"):
             if not 0.0 < getattr(self, name) < np.inf:   # NaN fails too
                 raise InvalidInput(f"{name} must be positive and finite")

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import functools
 import json
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .cmdp import TabularCmdp
-from .errors import GenerationFailure, InvalidInput, check_counts, known_keys
+from .errors import (GenerationFailure, InvalidInput, check_counts, check_reals, is_real,
+                     known_keys)
 
 HIGH_SIMILARITY = "HighSimilarity"
 LOW_SIMILARITY = "LowSimilarity"
@@ -58,6 +58,8 @@ class GridSpec:
 
     def __post_init__(self):
         check_counts(self, rows=2, cols=2, seed=0)
+        check_reals(self, "frozen_prob", "goal_reward", "hole_cost", "cost_limit",
+                    "slip_prob", "discount")
         if not (0.0 <= self.frozen_prob <= 1.0 and 0.0 <= self.slip_prob <= 1.0):
             raise InvalidInput("probabilities must lie in [0, 1]")
         for name in ("goal_reward", "hole_cost"):
@@ -80,7 +82,7 @@ class TaskSequenceConfig:
         check_counts(self, num_tasks=1, seed=0)
         lo_hi = self.low_sim_prob_range
         if not (isinstance(lo_hi, (list, tuple)) and len(lo_hi) == 2
-                and all(isinstance(v, numbers.Real) for v in lo_hi)
+                and all(map(is_real, lo_hi))
                 and 0.0 <= lo_hi[0] <= lo_hi[1] <= 1.0):   # NaN fails too
             raise InvalidInput("low_sim_prob_range must be two numbers "
                                f"0 <= lo <= hi <= 1, got {lo_hi!r}")
@@ -210,10 +212,12 @@ def gen_task_sequence(config):
 
     HighSimilarity flips exactly one non-terminal cell of the base grid per
     subsequent task (distinct cells, reachability preserved); LowSimilarity
-    redraws every grid with an independent frozen probability.
+    redraws every grid with an independent frozen probability, grid t from
+    child t + 1 of the sequence seed. Child 0 seeds the sequence's own rng,
+    and only the children a mode reads are spawned.
     """
-    seeds = np.random.SeedSequence(config.seed).spawn(config.num_tasks + 1)
-    rng = np.random.default_rng(seeds[0])
+    root = np.random.SeedSequence(config.seed)
+    rng = np.random.default_rng(root.spawn(1)[0])
     cmdps, grids, notes = [], [], []
 
     if config.mode == HIGH_SIMILARITY:
@@ -240,11 +244,11 @@ def gen_task_sequence(config):
                           "frozen_prob": config.base.frozen_prob})
     else:
         lo, hi = config.low_sim_prob_range
-        for t in range(config.num_tasks):
+        for child in root.spawn(config.num_tasks):
             prob = float(lo + (hi - lo) * rng.random())
             spec = GridSpec(**{**config.base.__dict__,
                                "frozen_prob": prob,
-                               "seed": int(seeds[t + 1].generate_state(1)[0])})
+                               "seed": int(child.generate_state(1)[0])})
             grid = gen_grid(spec)
             cmdps.append(grid_to_cmdp(grid, spec))
             grids.append(grid)

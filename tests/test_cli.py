@@ -111,7 +111,8 @@ class TestRun:
         files = os.listdir(out)
         assert "curves_Random.csv" in files
         assert not any("MetaSrl" in f for f in files)
-        written = json.loads(open(os.path.join(out, "config.json")).read())
+        with open(os.path.join(out, "config.json")) as fh:
+            written = json.load(fh)
         assert written["master_seed"] == 3
         assert written["strategies"] == ["Random"]
 
@@ -201,6 +202,28 @@ class TestRun:
         out = tmp_path / "x"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert f"config error: {field} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section,field,value,message", [
+        ("crpo", "learning_rate", True, "a real number"),
+        ("crpo", "tolerance", True, "a real number"),
+        ("dice", "sgd_step_size", True, "a real number"),
+        ("dice", "sgd_steps", 2.5, "an integer"),
+        ("dice", "sgd_steps", True, "an integer"),
+        ("task_source.base", "frozen_prob", True, "a real number")])
+    def test_bool_or_fractional_setting_exit_2(self, tmp_path, capsys, section, field,
+                                               value, message):
+        doc = json.loads(json.dumps(RUN_DOC))
+        where = doc
+        for name in section.split("."):
+            where = where.setdefault(name, {})
+        where[field] = value
+        if section == "dice":
+            where["solver"] = "Sgd"
+        cfg = write_json(tmp_path / "run.json", doc)
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {field} must be {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [

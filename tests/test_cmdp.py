@@ -62,6 +62,22 @@ class TestPolicyFromLogits:
         assert np.all(np.isfinite(pol.probs))
         assert abs(pol.probs.sum() - 1.0) < 1e-12
 
+    def test_probs_computed_on_first_read_only(self, monkeypatch):
+        calls = []
+        original = cmdp_module._softmax_rows
+        monkeypatch.setattr(cmdp_module, "_softmax_rows",
+                            lambda logits: calls.append(1) or original(logits))
+        logits = np.array([[1.0, -2.0], [0.5, 3.0]])
+        pol = SoftmaxPolicy(logits=logits)
+        assert calls == []
+        probs = pol.probs
+        assert calls == [1] and pol.probs is probs
+        assert probs.tobytes() == original(logits).tobytes()
+        with pytest.raises(ValueError):
+            probs[0, 0] = 1.0
+        with pytest.raises(AttributeError):   # FrozenInstanceError
+            pol.probs = np.ones((2, 2))
+
 
 class TestPolicyEvaluation:
     def test_constant_reward(self):

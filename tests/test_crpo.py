@@ -63,56 +63,62 @@ class TestBoundFormulas:
 class TestNpgStep:
     def test_zero_q_is_identity(self):
         logits = np.array([[0.3, -0.2]])
-        out = npg_softmax_step(logits, np.zeros((1, 2)), 0.1, "Ascent", 0.9)
+        out = npg_softmax_step(logits, np.zeros((1, 2)), 0.1 / (1 - 0.9))
         assert np.array_equal(out, logits)
 
     def test_ascent_descent_signs(self):
         logits = np.zeros((1, 2))
         q = np.array([[1.0, 0.0]])
-        up = npg_softmax_step(logits, q, 0.5, "Ascent", 0.5)
-        down = npg_softmax_step(logits, q, 0.5, "Descent", 0.5)
+        step = 0.5 / (1 - 0.5)
+        up = npg_softmax_step(logits, q, step)
+        down = npg_softmax_step(logits, q, -step)
         assert np.allclose(up, [[1.0, 0.0]])    # 0.5/(1-0.5) = 1
         assert np.allclose(down, [[-1.0, 0.0]])
 
-    def test_bad_direction(self):
-        with pytest.raises(InvalidInput):
-            npg_softmax_step(np.zeros((1, 2)), np.zeros((1, 2)), 0.1,
-                             "Sideways", 0.9)
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["ascent", "descent"])
+    def test_signed_step_is_the_plain_update(self, sign):
+        """Bit for bit logits + step * q, and the same bits as the
+        sign * (alpha / (1 - gamma)) step the direction names used to form."""
+        rng = np.random.default_rng(12)
+        logits, q = rng.standard_normal((2, 5, 3))
+        alpha, gamma = 0.7, 0.95
+        step = alpha / (1 - gamma)
+        out = npg_softmax_step(logits, q, sign * step)
+        assert out.tobytes() == (logits + (sign * step) * q).tobytes()
+        assert out.tobytes() == (logits + sign * (alpha / (1.0 - gamma)) * q).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_q(self, bad):
+        q = np.zeros((2, 2))
+        q[1, 0] = bad
+        with pytest.raises(InvalidInput, match="non-finite"):
+            npg_softmax_step(np.zeros((2, 2)), q, 1.0)
 
     def test_ascent_increases_greedy_mass(self):
         cmdp = random_cmdp(np.random.default_rng(0))
         pol = SoftmaxPolicy.uniform(4, 3)
         q = policy_evaluation_exact(cmdp, pol.probs)[1][0]
-        new = SoftmaxPolicy(logits=npg_softmax_step(pol.logits, q, 0.5, "Ascent",
-                                                    cmdp.discount))
+        new = SoftmaxPolicy(logits=npg_softmax_step(pol.logits, q,
+                                                    0.5 / (1 - cmdp.discount)))
         greedy = q.argmax(axis=1)
         assert np.all(new.probs[np.arange(4), greedy]
                       >= pol.probs[np.arange(4), greedy])
 
 
 class TestTdCritic:
-    def test_exact_mode_refused(self):
-        cmdp = random_cmdp(np.random.default_rng(1))
-        with pytest.raises(InvalidInput, match="TdSampled"):
-            td_critic(cmdp, SoftmaxPolicy.uniform(4, 3).probs,
-                      CrpoConfig(critic_mode="Exact"))
-
     @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 3)], ids=["extra-action", "stack"])
     def test_refuses_table_of_wrong_shape(self, shape):
         cmdp = random_cmdp(np.random.default_rng(1))
-        cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=10)
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidInput, match="shape"):
-            td_critic(cmdp, np.full(shape, 1.0 / shape[-1]), cfg, rng)
+            td_critic(cmdp, np.full(shape, 1.0 / shape[-1]), 10, 50, rng)
         # refused before its chain is drawn
         assert _same_state(rng, np.random.default_rng(0))
 
     def _long_chain(self):
         cmdp = random_cmdp(np.random.default_rng(2), n_states=3, n_actions=2)
         pol = SoftmaxPolicy.uniform(3, 2)
-        cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=400_000,
-                         episode_horizon=40)
-        _, q = td_critic(cmdp, pol.probs, cfg, rng=np.random.default_rng(3))
+        _, q = td_critic(cmdp, pol.probs, 400_000, 40, np.random.default_rng(3))
         return q, policy_evaluation_exact(cmdp, pol.probs)[1]
 
     def test_sampled_mode_converges(self):
@@ -141,14 +147,12 @@ class TestLstdCritic:
     def test_batch_td_residual_vanishes(self, seed, iterations, horizon):
         rng = np.random.default_rng(seed)
         cmdp = random_cmdp(rng, n_states=5, n_costs=2)
-        cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=iterations,
-                         episode_horizon=horizon)
         # any indices will do: the estimator reads the steps, not the kernel
         rows = iterations // max(2, horizon) + 1
         chain = np.empty((rows, 2 + 2 * max(2, horizon)), dtype=np.intp)
         chain[:, ::2] = rng.integers(cmdp.n_states, size=chain[:, ::2].shape)
         chain[:, 1::2] = rng.integers(cmdp.n_actions, size=chain[:, 1::2].shape)
-        q = crpo._td_q(cmdp, chain, cfg).reshape(cmdp.n_costs + 1, -1)
+        q = crpo._td_q(cmdp, chain, iterations).reshape(cmdp.n_costs + 1, -1)
         c = cmdp.objective_tables.reshape(cmdp.n_costs + 1, -1)
         residual = np.zeros_like(q)
         visited = np.zeros(q.shape[1], dtype=bool)
@@ -160,8 +164,7 @@ class TestLstdCritic:
 
     def test_no_iterations_give_zero_tables(self):
         cmdp = random_cmdp(np.random.default_rng(4), n_costs=2)
-        cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=0)
-        v, q = td_critic(cmdp, SoftmaxPolicy.uniform(4, 3).probs, cfg,
+        v, q = td_critic(cmdp, SoftmaxPolicy.uniform(4, 3).probs, 0, 50,
                          np.random.default_rng(0))
         assert v.shape == (3, 4) and q.shape == (3, 4, 3)
         assert np.all(q == 0.0) and np.all(v == 0.0)
@@ -180,7 +183,8 @@ class TestLstdCritic:
             for policy in policies:
                 exact = all_objectives(cmdp, policy)
                 for seed in range(5):
-                    v, _ = td_critic(cmdp, policy.probs, cfg, np.random.default_rng(seed))
+                    v, _ = td_critic(cmdp, policy.probs, cfg.td_iterations,
+                                     cfg.episode_horizon, np.random.default_rng(seed))
                     errors.append(np.abs(v @ cmdp.initial_dist - exact))
         errors = np.array(errors)
         assert errors.shape == (110, 2)
@@ -319,6 +323,24 @@ class TestRunCrpo:
         ret = all_objectives(cmdp, out.returned_policy)
         assert ret[1] <= cmdp.limits[0] + cfg.tolerance + 1e-9
 
+    def test_exact_runs_near_the_lp_optimum_on_test09_grids(self):
+        """Exact CRPO from the uniform policy on the ten test_09 training
+        tasks at 64 steps, against the LP oracle, with J_bar the mean exact
+        objectives of the reward-step iterates: the mean reward gap is small
+        (0.0068 when written; 0.090 at test_09's 8 steps) and every J_bar_1
+        is within the gate's tolerance of the limit (at most 0.043 over)."""
+        tasks = gen_task_sequence(TEST09_CONFIG.task_source)[0][:-1]
+        cfg = replace(TEST09_CONFIG.crpo, steps=64)
+        gaps = []
+        for cmdp in tasks:
+            out = run_crpo(cmdp, SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions),
+                           cfg)   # a degenerate run raises DegenerateRun
+            j_bar = out.iterate_objectives[list(out.reward_steps)].mean(axis=0)
+            gaps.append(solve_optimal_lp(cmdp).objective_values[0] - j_bar[0])
+            assert j_bar[1] <= cmdp.limits[0] + cfg.tolerance
+        assert len(gaps) == 10
+        assert np.mean(gaps) <= 0.02
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_partition_property(self, seed):
@@ -405,7 +427,7 @@ class TestBatchedSampler:
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=iterations,
                          episode_horizon=horizon, episodes_per_step=episodes)
         rng, ref_rng = np.random.default_rng(iterations), np.random.default_rng(iterations)
-        v, got = td_critic(cmdp, probs, cfg, rng)
+        v, got = td_critic(cmdp, probs, iterations, horizon, rng)
         ref_q = lstd_q_reference(cmdp, probs, cfg, ref_rng)
         assert got.shape == (cmdp.n_costs + 1, cmdp.n_states, cmdp.n_actions)
         for index, q in enumerate(got):
@@ -421,7 +443,7 @@ class TestBatchedSampler:
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=500,
                          episode_horizon=60)
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        _, got = td_critic(cmdp, probs, cfg, rng)
+        _, got = td_critic(cmdp, probs, cfg.td_iterations, cfg.episode_horizon, rng)
         ref_q = lstd_q_reference(cmdp, probs, cfg, ref_rng)
         for index, q in enumerate(got):
             assert np.abs(q - ref_q[index]).max() <= Q_TOL
@@ -435,10 +457,9 @@ class TestBatchedSampler:
         probs[2] = row
         with pytest.raises(ValueError):  # rng.choice refuses the row as well
             np.random.default_rng(0).choice(3, p=probs[2])
-        cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=10)
         rng = np.random.default_rng(0)
         with pytest.raises(SamplerError):
-            td_critic(cmdp, probs, cfg, rng)
+            td_critic(cmdp, probs, 10, 50, rng)
         # refused before its chain is drawn
         assert _same_state(rng, np.random.default_rng(0))
         with pytest.raises(SamplerError):
@@ -479,7 +500,44 @@ class TestBatchedSampler:
         rng = np.random.default_rng(3)
         sample_episode(cmdp, probs, 20, rng, 2)
         sample_episode(cmdp, probs, 20, rng, 2)
-        assert checked == ["transition kernel"]
+        assert checked == ["transition kernel", "initial distribution"]
+
+    def test_rollout_builds_only_its_policy_cdf(self, monkeypatch):
+        """Once the CMDP's tables are cached, each sample_episode or
+        td_critic call builds one CDF, of its policy tables, and _rollout
+        builds none."""
+        built = []
+        original = crpo.cdf
+        for module in (crpo, cmdp_module):
+            monkeypatch.setattr(module, "cdf", lambda table, what: built.append(
+                (what, np.shape(table))) or original(table, what))
+        cmdp = gen_frozen_lake(GridSpec(seed=2))
+        probs = _with_zero_entries(cmdp, np.random.default_rng(0))
+        cmdp.successor_cdf, cmdp.initial_cdf
+        built.clear()
+        rng = np.random.default_rng(3)
+        sample_episode(cmdp, probs, 20, rng, 2)
+        sample_episode(cmdp, np.stack([probs, probs]), 20, rng)
+        td_critic(cmdp, probs, 100, 20, rng)
+        shape = (cmdp.n_states, cmdp.n_actions)
+        assert built == [("policy", shape), ("policy", (2,) + shape), ("policy", shape)]
+        built.clear()
+        crpo._rollout(cmdp, crpo.cdf(probs, "policy")[None], np.zeros(3, dtype=np.intp),
+                      rng.random((3, 9)))
+        assert built == [("policy", shape)]   # the caller's CDF alone
+
+    def test_sampler_tables_are_cached_read_only_layouts(self):
+        cmdp = gen_frozen_lake(GridSpec(seed=2))
+        k = cmdp.successors[1].shape[2]
+        succ_cdf = cmdp.successor_cdf
+        assert succ_cdf is cmdp.successor_cdf and cmdp.initial_cdf is cmdp.initial_cdf
+        assert succ_cdf.shape == (k, cmdp.n_states * cmdp.n_actions)
+        assert succ_cdf.flags.c_contiguous and not succ_cdf.flags.writeable
+        rows = np.cumsum(cmdp.successors[1], axis=-1)
+        assert succ_cdf.T.tobytes() == (rows / rows[..., -1:]).reshape(-1, k).tobytes()
+        assert cmdp.initial_cdf.shape == (cmdp.n_states, 1)
+        assert not cmdp.initial_cdf.flags.writeable
+        assert np.array_equal(cmdp.initial_cdf[:, 0], np.cumsum(cmdp.initial_dist))
 
     def test_negative_kernel_entry_raises(self):
         # -1e-13 passes the CMDP's own checks but not Generator.choice's
@@ -568,9 +626,9 @@ class TestTdSampledStepReplay:
         generators = []
         original = crpo.td_critic
 
-        def recording(cmdp, probs, config, rng=None):
+        def recording(cmdp, probs, iterations, horizon, rng):
             generators.append(rng)
-            return original(cmdp, probs, config, rng)
+            return original(cmdp, probs, iterations, horizon, rng)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(crpo, "td_critic", recording)
@@ -583,6 +641,7 @@ class TestTdSampledStepReplay:
 
         rng = np.random.default_rng(cfg.rng_seed)
         gamma, p = cmdp.discount, cmdp.n_costs
+        step = cfg.learning_rate / (1 - gamma)
         # each NPG step moves the logits by alpha/(1-gamma) Q, so by at most
         # that times Q_TOL away from the run's; the softmax at most doubles it
         drift = 2 * cfg.steps * cfg.learning_rate / (1 - gamma) * Q_TOL
@@ -599,13 +658,11 @@ class TestTdSampledStepReplay:
             excess = j_bar - cmdp.limits - cfg.tolerance
             if np.all(excess <= 0):
                 reward_steps.append(m)
-                logits = npg_softmax_step(logits, qs[0], cfg.learning_rate,
-                                          "Ascent", gamma)
+                logits = npg_softmax_step(logits, qs[0], step)
             else:
                 worst = int(np.argmax(excess))
                 constraint_steps[worst].append(m)
-                logits = npg_softmax_step(logits, qs[worst + 1], cfg.learning_rate,
-                                          "Descent", gamma)
+                logits = npg_softmax_step(logits, qs[worst + 1], -step)
 
         assert out.reward_steps == tuple(reward_steps)
         assert out.constraint_steps == tuple(map(tuple, constraint_steps))

@@ -112,6 +112,32 @@ class TestExperimentConfig:
         with pytest.raises(InvalidInput, match=field):
             MetaConfig(**{field: value})
 
+    @pytest.mark.parametrize("build,field", [
+        (lambda: CrpoConfig(learning_rate=True), "learning_rate"),
+        (lambda: CrpoConfig(tolerance=True), "tolerance"),
+        (lambda: CrpoConfig(learning_rate="0.1"), "learning_rate"),
+        (lambda: DiceConfig(solver="Sgd", sgd_step_size=True), "sgd_step_size"),
+        (lambda: DiceConfig(sgd_step_size=False), "sgd_step_size"),
+        (lambda: DiceConfig(solver="Sgd", sgd_steps=2.5), "sgd_steps"),
+        (lambda: DiceConfig(solver="Sgd", sgd_steps=True), "sgd_steps"),
+        (lambda: GridSpec(frozen_prob=True), "frozen_prob"),
+        (lambda: GridSpec(discount=False), "discount"),
+        (lambda: MetaConfig(rate_floor=True), "rate_floor"),
+        (lambda: MetaConfig(initial_rate=True), "initial_rate")])
+    def test_bool_or_non_number_setting_rejected_when_built(self, build, field):
+        with pytest.raises(InvalidInput, match=f"^{field} must be"):
+            build()
+
+    def test_bool_setting_rejected_by_from_json(self):
+        with pytest.raises(InvalidInput, match="^learning_rate must be a real number"):
+            ExperimentConfig.from_json({"task_source": "tasks",
+                                        "crpo": {"learning_rate": True}})
+
+    def test_real_settings_accept_numpy_numbers(self):
+        assert CrpoConfig(learning_rate=np.float32(0.5), tolerance=0).tolerance == 0
+        assert DiceConfig(solver="Sgd", sgd_steps=np.int64(3)).sgd_steps == 3
+        assert GridSpec(frozen_prob=np.float64(0.5)).frozen_prob == 0.5
+
     def test_meta_config_edge_values_accepted(self):
         assert MetaConfig(ogd_step_sim=0.0, initial_rate=None).ogd_step_sim == 0.0
         MetaConfig(shrinkage=0.0, initial_rate=0.3, inner_updates=np.int64(2))

@@ -210,9 +210,41 @@ class TestTaskSequence:
         for task in manifest["tasks"]:
             assert 0.4 <= task["frozen_prob"] <= 0.6
 
+    @pytest.mark.parametrize("mode,spawned", [("HighSimilarity", [1]),
+                                              ("LowSimilarity", [1, 4])])
+    def test_spawns_only_the_child_seeds_it_reads(self, monkeypatch, mode, spawned):
+        counts = []
+
+        class Recording(np.random.SeedSequence):
+            def spawn(self, n_children):
+                counts.append(n_children)
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(taskgen.np.random, "SeedSequence", Recording)
+        gen_task_sequence(TaskSequenceConfig(mode=mode, num_tasks=4,
+                                             base=GridSpec(seed=3), seed=11))
+        assert counts == spawned
+
+    def test_low_similarity_grids_use_children_1_to_n(self):
+        """The frozen probabilities are drawn from child 0 and grid t from
+        child t + 1 of spawn(num_tasks + 1), as when all the children were
+        spawned at once."""
+        cfg = TaskSequenceConfig(mode="LowSimilarity", num_tasks=4,
+                                 base=GridSpec(seed=3), seed=11)
+        _, grids, manifest = gen_task_sequence(cfg)
+        children = np.random.SeedSequence(11).spawn(5)
+        rng = np.random.default_rng(children[0])
+        lo, hi = cfg.low_sim_prob_range
+        for grid, task, child in zip(grids, manifest["tasks"], children[1:], strict=True):
+            prob = float(lo + (hi - lo) * rng.random())
+            assert task["frozen_prob"] == prob
+            spec = GridSpec(**{**cfg.base.__dict__, "frozen_prob": prob,
+                               "seed": int(child.generate_state(1)[0])})
+            assert np.array_equal(grid, gen_grid(spec))
+
     @pytest.mark.parametrize("prob_range", [
         (0.8, 0.2), (0.5, 1.5), (-0.1, 0.5), (0.2,), (0.1, 0.2, 0.3),
-        (np.nan, 0.5), ("0.1", "0.2"), 0.5, None])
+        (np.nan, 0.5), ("0.1", "0.2"), (False, True), 0.5, None])
     def test_prob_range_rejected_when_built(self, prob_range):
         with pytest.raises(InvalidInput, match="low_sim_prob_range"):
             TaskSequenceConfig(mode="LowSimilarity", num_tasks=2,
