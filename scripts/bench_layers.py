@@ -25,13 +25,22 @@ from the uniform policy):
   that pass, in KiB.
 
 Each time is the best, over --repeats rounds, of the mean time of
---number calls, in microseconds. Uses the standard library and numpy only.
+--number calls, in microseconds. Next to the times, each layer's `_calls`
+column is the number of Python function calls (builtins included) that one
+more call makes under cProfile, taken after the timed calls and apart from
+them, so that the timings carry no profiler overhead. A count is the same
+on every run, where the times swing with the host. It does not see the time
+spent inside numpy kernels, and the 16x16 exact and DICE solves are bound
+by those kernels: that is why every layer stays timed.
+Uses the standard library and numpy only.
 
 Example:
     PYTHONPATH=src python3 scripts/bench_layers.py --sizes 4,8,16 --repeats 5
 """
 
 import argparse
+import cProfile
+import pstats
 import time
 import tracemalloc
 import warnings
@@ -65,6 +74,7 @@ def best_time(call, repeats, number):
 CRPO = crpo.CrpoConfig(learning_rate=1.0, steps=8, tolerance=0.05,
                        episodes_per_step=5, episode_horizon=60, rng_seed=2)
 TD_ITERATIONS = 10_000   # the td layer's chain length
+LAYERS = ("build", "evaluate", "visitation", "td", "sample", "dice")
 
 
 def crpo_run(task):
@@ -108,28 +118,29 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def layer_times(task, repeats, number):
-    """{layer: best seconds} for one task, and the DICE pass's traced peak
-    bytes as "dice_peak"."""
+def call_count(call):
+    """Python function calls, builtins included, that one call makes."""
+    profile = cProfile.Profile()
+    profile.runcall(call)
+    return pstats.Stats(profile).total_calls
+
+
+def layer_calls(task):
+    """{layer: one call of the layer} for one task."""
     policy = cmdp.SoftmaxPolicy(logits=np.random.default_rng(0).standard_normal(
         (task.n_states, task.n_actions)))
     task.successors  # built once, as the first evaluation builds it
     build = type(task).elimination.func  # uncached: a fresh build each call
     rng = np.random.default_rng(0)
     outcome = crpo_run(task)
-    dice_call = dice_pass(task, outcome)
     return {
-        "build": best_time(lambda: build(task), repeats, number),
-        "evaluate": best_time(lambda: cmdp.policy_evaluation_exact(task, policy.probs),
-                              repeats, number),
-        "visitation": best_time(lambda: cmdp.visitation_exact(task, policy),
-                                repeats, number),
-        "td": best_time(lambda: crpo.td_critic(task, policy.probs, TD_ITERATIONS,
-                                               CRPO.episode_horizon, rng),
-                        repeats, number),
-        "sample": best_time(log_draw(task, outcome), repeats, number),
-        "dice": best_time(dice_call, repeats, number),
-        "dice_peak": traced_peak(dice_call),
+        "build": lambda: build(task),
+        "evaluate": lambda: cmdp.policy_evaluation_exact(task, policy.probs),
+        "visitation": lambda: cmdp.visitation_exact(task, policy),
+        "td": lambda: crpo.td_critic(task, policy.probs, TD_ITERATIONS,
+                                     CRPO.episode_horizon, rng),
+        "sample": log_draw(task, outcome),
+        "dice": dice_pass(task, outcome),
     }
 
 
@@ -142,18 +153,24 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeats < 1 or args.number < 1:
         parser.error("--repeats and --number must be at least 1")
+    calls_header = " ".join(f"{name + '_calls':>{len(name) + 6}}" for name in LAYERS)
     print(f"{'grid':>6} {'states':>6} {'|I|':>5} {'build_us':>9} "
           f"{'evaluate_us':>11} {'visitation_us':>13} {'td_us':>9} "
           f"{'sample_us':>9} {'dice_us':>9} "
-          f"{'dice_peak_kb':>12}")
+          f"{'dice_peak_kb':>12} {calls_header}")
     for size in (int(s) for s in args.sizes.split(",")):
         task = first_task(size)
-        times = layer_times(task, args.repeats, args.number)
+        calls = layer_calls(task)
+        times = {name: best_time(call, args.repeats, args.number)
+                 for name, call in calls.items()}
+        counts = " ".join(f"{call_count(calls[name]):>{len(name) + 6}}"
+                          for name in LAYERS)
         print(f"{f'{size}x{size}':>6} {task.n_states:>6} "
               f"{task.elimination.blocks[0]:>5} {1e6 * times['build']:>9.1f} "
               f"{1e6 * times['evaluate']:>11.1f} {1e6 * times['visitation']:>13.1f} "
               f"{1e6 * times['td']:>9.1f} {1e6 * times['sample']:>9.1f} "
-              f"{1e6 * times['dice']:>9.1f} {times['dice_peak'] / 1024:>12.1f}")
+              f"{1e6 * times['dice']:>9.1f} "
+              f"{traced_peak(calls['dice']) / 1024:>12.1f} {counts}")
     return 0
 
 

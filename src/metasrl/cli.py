@@ -37,14 +37,12 @@ def cmd_run(args):
         config = dataclasses.replace(config, master_seed=args.seed)
     if args.strategy is not None:
         config = dataclasses.replace(config, strategies=(args.strategy,))
-    records, reports = run_experiment(config)
-    n_costs = max(len(r.tacv) for r in reports.values()) if reports else 1
-    written = export_report(records, reports, args.out, config=config,
-                            n_costs=n_costs)
+    result, reports = run_experiment(config)
+    written = export_report(result, reports, args.out, config=config)
     print("\n".join(written))
-    failed = sum(rec.error is not None for rec in records)
+    failed = len(result) - result.ok.sum()
     if failed:
-        print(f"{failed} of {len(records)} task runs failed; see "
+        print(f"{failed} of {len(result)} task runs failed; see "
               f"{os.path.join(args.out, 'errors.csv')}", file=sys.stderr)
     return 0
 

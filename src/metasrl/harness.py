@@ -1,6 +1,6 @@
 """Experiment orchestration: run initialization strategies over a task
-sequence, collect per-step learning curves and regret reports, and export
-reproducible artifacts.
+sequence, collect every run's outcome in one `SweepResult` and each
+strategy's regret report, and export reproducible artifacts.
 
 All exports are deterministic functions of the config (seeds derived from
 master_seed via SeedSequence spawning, one child per (strategy, run), and
@@ -29,6 +29,7 @@ from .errors import (DegenerateRun, InvalidInput, NumericalFailure, check_counts
 from .lp import solve_optimal_lp
 from .meta import (MetaLearnerState, SimConstants, meta_update,
                    project_table_shrinkage_simplex, regret_report)
+from .results import SweepResult
 from .taskgen import TaskSequenceConfig, gen_task_sequence, load_task_sequence
 
 STRATEGIES = ("Random", "Pretrained", "SimpleAverage", "FAL", "MetaSrl")
@@ -76,6 +77,11 @@ class ExperimentConfig:
             raise InvalidInput("strategies must be a list of strategy names, "
                                f"got {self.strategies!r}")
         object.__setattr__(self, "strategies", tuple(self.strategies))
+        if len(set(self.strategies)) < len(self.strategies):
+            raise InvalidInput(f"strategies must not repeat, got {self.strategies!r}")
+        if not isinstance(self.task_source, (str, TaskSequenceConfig)):
+            raise InvalidInput("task_source must be a directory path or a task "
+                               f"sequence object, got {self.task_source!r}")
         check_counts(self, runs_per_strategy=1, master_seed=0)
         if not isinstance(self.holdout_test_task, bool):
             raise InvalidInput("holdout_test_task must be true or false, "
@@ -102,22 +108,6 @@ class ExperimentConfig:
 
     def to_json(self):
         return json.dumps(asdict(self), sort_keys=True, indent=2)
-
-
-@dataclass
-class RunRecord:
-    strategy: str
-    task_index: int
-    run: int
-    per_step_reward: np.ndarray
-    per_step_costs: np.ndarray          # (M, p)
-    final_objectives: np.ndarray        # (p+1,)
-    taog_contribution: float
-    tacv_contribution: np.ndarray
-    is_test: bool = False
-    degenerate: bool = False
-    error: str = None
-    wall_clock: float = 0.0
 
 
 def parse_strategy(name):
@@ -210,10 +200,13 @@ def solve_oracles(cmdps):
 def run_experiment(config, tasks=None):
     """Run every (strategy, run) pair over the task sequence.
 
-    Returns (records, reports) where reports maps strategy name to its
-    RegretReport over the training tasks. The last task is held out as the
-    test task when holdout_test_task is set. Every task must have the
-    n_states, n_actions and n_costs of task 0.
+    Returns (result, reports). The `SweepResult` holds every (strategy,
+    run, task) cell's outcome, and is the only store of them; iterated, it
+    yields the `RunRecord` views. reports maps strategy name to its
+    RegretReport over the training tasks, whose inputs are the result's
+    means over successful runs. The last task is held out as the test task
+    when holdout_test_task is set. Every task must have the n_states,
+    n_actions and n_costs of task 0.
     """
     if tasks is None:
         if isinstance(config.task_source, TaskSequenceConfig):
@@ -256,15 +249,14 @@ def run_experiment(config, tasks=None):
     n_runs, n_train = config.runs_per_strategy, len(train_tasks)
     seed_root = np.random.SeedSequence(config.master_seed)
     children = seed_root.spawn(len(config.strategies) * n_runs)
-    records = []
+    result = SweepResult.allocate(
+        config.strategies, n_runs, config.crpo.steps,
+        limits=[task.limits for task in tasks],
+        optima=[sol.objective_values[0] for sol in oracles])
     reports = {}
 
     for si, name in enumerate(config.strategies):
-        # (run, task) entries of failed runs stay NaN
-        per_task_j = np.full((n_runs, n_train, tasks[0].n_costs + 1), np.nan)
-        kl_terms = np.full((n_runs, n_train), np.nan)
-        kappas = np.full((n_runs, n_train), np.nan)
-        last_outcomes = [None] * n_train
+        last_outcomes = [None] * n_train   # the last successful run of each task
         for run in range(n_runs):
             child = children[si * n_runs + run]
             task_seeds = child.generate_state(n_train + 1, dtype=np.uint32)
@@ -275,6 +267,7 @@ def run_experiment(config, tasks=None):
 
             for t, cmdp in enumerate(tasks):
                 is_test = t == n_train    # the held-out task, if any
+                cell = si, run, t
                 t0 = time.monotonic()
                 try:  # per-run failures never abort the sweep
                     table, alpha = strategy.init(t)
@@ -285,35 +278,27 @@ def run_experiment(config, tasks=None):
                         outcome, degenerate = run_crpo(cmdp, policy, crpo_cfg), False
                     except DegenerateRun as exc:
                         outcome, degenerate = exc.outcome, True
-                    kl_term = 0.0 if is_test else strategy.learn(cmdp, outcome,
-                                                                 task_seeds[t])
-                    curves, j, error = (outcome.iterate_objectives,
-                                        outcome.returned_objectives, None)
+                    if not is_test:
+                        kl_term = strategy.learn(cmdp, outcome, task_seeds[t])
                 except Exception as exc:
-                    curves = np.full((config.crpo.steps, cmdp.n_costs + 1), np.nan)
-                    j, degenerate, error = curves[-1], False, f"{type(exc).__name__}: {exc}"
-                records.append(RunRecord(
-                    strategy=name, task_index=t, run=run,
-                    per_step_reward=curves[:, 0], per_step_costs=curves[:, 1:],
-                    final_objectives=j,
-                    taog_contribution=(np.nan if is_test else
-                                       float(oracles[t].objective_values[0] - j[0])),
-                    tacv_contribution=j[1:] - cmdp.limits,
-                    is_test=is_test, degenerate=degenerate, error=error,
-                    wall_clock=time.monotonic() - t0))
-                if error is None and not is_test:
-                    per_task_j[run, t] = j
-                    kl_terms[run, t] = kl_term
-                    kappas[run, t] = alpha
-                    last_outcomes[t] = outcome
+                    result.errors[cell] = f"{type(exc).__name__}: {exc}"
+                else:
+                    result.curves[cell] = outcome.iterate_objectives
+                    result.returned[cell] = outcome.returned_objectives
+                    result.degenerate[cell] = degenerate
+                    if not is_test:
+                        result.kl_terms[cell] = kl_term
+                        result.kappas[cell] = alpha
+                        last_outcomes[t] = outcome
+                result.wall_clock[cell] = time.monotonic() - t0
 
         reports[name] = regret_report(
             oracles, last_outcomes, train_tasks,
-            j_hat=_mean_of_successes(per_task_j),
-            kl_terms=_mean_of_successes(kl_terms),
-            kappas=_mean_of_successes(kappas),
+            j_hat=_mean_of_successes(result.returned[si, :, :n_train]),
+            kl_terms=_mean_of_successes(result.kl_terms[si]),
+            kappas=_mean_of_successes(result.kappas[si]),
             shrink=meta_cfg.shrinkage)
-    return records, reports
+    return result, reports
 
 
 def _mean_of_successes(per_run):
@@ -324,30 +309,6 @@ def _mean_of_successes(per_run):
         return np.where(ok, per_run, 0.0).sum(axis=0) / ok.sum(axis=0)
 
 
-def _curve_rows(records, strategy, n_costs):
-    """Aggregate per-step curves: mean, std and stderr over runs."""
-    rows = []
-    keyed = {}
-    for rec in records:
-        if rec.strategy != strategy or rec.error is not None:
-            continue
-        keyed.setdefault((rec.task_index, rec.is_test), []).append(rec)
-    for (task, is_test) in sorted(keyed, key=lambda k: (k[1], k[0])):
-        group = keyed[(task, is_test)]
-        rew = np.array([r.per_step_reward for r in group])
-        cost = np.array([r.per_step_costs for r in group])
-        n = len(group)
-        for m in range(rew.shape[1]):
-            row = [task, 1 if is_test else 0, m,
-                   rew[:, m].mean(), rew[:, m].std(ddof=0),
-                   rew[:, m].std(ddof=0) / np.sqrt(n)]
-            for i in range(n_costs):
-                row += [cost[:, m, i].mean(), cost[:, m, i].std(ddof=0),
-                        cost[:, m, i].std(ddof=0) / np.sqrt(n)]
-            rows.append(row)
-    return rows
-
-
 def _csv(header, rows):
     """A numeric table: integers as they are, every other number with 17
     significant digits, which reads back exactly."""
@@ -356,23 +317,29 @@ def _csv(header, rows):
                  for v in row) + "\n" for row in rows)
 
 
-def export_report(records, reports, out_dir, config=None, n_costs=1):
-    """Write learning-curve tables, regret summaries and the config snapshot,
-    and errors.csv (one row a failed task run) when any run failed.
+def export_report(result, reports, out_dir, config=None, n_costs=None):
+    """Write a `SweepResult`'s learning-curve tables, its strategies' regret
+    summaries and the config snapshot, and errors.csv (one row a failed
+    task run, in (strategy, run, task) order) when any run failed.
+
+    The number of costs p is the result's; n_costs, kept for callers that
+    pass it until ROADMAP item 1b, must agree with it.
 
     Byte-identical for identical inputs: fixed column order, sorted keys, no
     timestamps. The config and regret JSON are their dataclasses' fields,
     each float as its shortest repr that reads back exactly; the numeric CSV
     files follow `_csv`, and errors.csv is quoted by the csv module.
     """
+    p = result.curves.shape[-1] - 1
+    if n_costs is not None and n_costs != p:
+        raise InvalidInput(f"n_costs is {n_costs}, the result has {p} costs")
     os.makedirs(out_dir, exist_ok=True)
     files = {}
     curve_header = ["task", "is_test", "step", "reward_mean", "reward_std",
-                    "reward_stderr"] + [f"cost_{i + 1}_{stat}" for i in range(n_costs)
+                    "reward_stderr"] + [f"cost_{i + 1}_{stat}" for i in range(p)
                                         for stat in ("mean", "std", "stderr")]
-    for strategy in sorted({rec.strategy for rec in records} | set(reports)):
-        files[f"curves_{strategy}.csv"] = _csv(
-            curve_header, _curve_rows(records, strategy, n_costs))
+    for s, strategy in sorted(enumerate(result.strategies), key=lambda x: x[1]):
+        files[f"curves_{strategy}.csv"] = _csv(curve_header, result.curve_rows(s))
         if strategy in reports:
             report = reports[strategy]
             files[f"regret_{strategy}.json"] = json.dumps(
@@ -383,13 +350,13 @@ def export_report(records, reports, out_dir, config=None, n_costs=1):
                  "kl_term", "kappa", "inexactness"],
                 [[r["task"], r["taog"], *r["tacv"], r["kl_term"], r["kappa"],
                   r["inexactness"]] for r in report.per_task])
-    failed = [rec for rec in records if rec.error is not None]
+    failed = np.argwhere(~result.ok).tolist()
     if failed:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(
             [["strategy", "run", "task", "is_test", "error"]]
-            + [[rec.strategy, rec.run, rec.task_index, int(rec.is_test), rec.error]
-               for rec in failed])
+            + [[result.strategies[s], run, t, int(t >= result.n_train),
+                result.errors[s, run, t]] for s, run, t in failed])
         files["errors.csv"] = buf.getvalue()
     if config is not None:
         files["config.json"] = config.to_json()

@@ -8,7 +8,8 @@ state kernels, a state-by-state greedy independent set and a dense Schur
 complement, the two-array empirical kernel, vectorized Monte-Carlo
 rollouts, per-draw episode, TD(0) and SGD DICE samplers, a dense DualDICE solve,
 row-by-row simplex projections and simplex pivots, finite differences, scipy-based constrained
-minimization and linear programming) rather than calling into the package under test.
+minimization and linear programming, the learning-curve table grouped record by record)
+rather than calling into the package under test.
 It also holds the drifting quadratic loss stream of the OGD regret test.
 """
 
@@ -596,6 +597,30 @@ def random_cmdp(rng, n_states=4, n_actions=3, n_costs=1, gamma=0.8,
     return TabularCmdp(kernel=(np.arange(n_states), transition), reward=reward,
                        costs=costs, limits=limits, discount=gamma, initial_dist=rho,
                        c_max=1.0)
+
+
+def curve_rows_reference(records, strategy, n_costs):
+    """Aggregate per-step curves: mean, std and stderr over runs."""
+    rows = []
+    keyed = {}
+    for rec in records:
+        if rec.strategy != strategy or rec.error is not None:
+            continue
+        keyed.setdefault((rec.task_index, rec.is_test), []).append(rec)
+    for (task, is_test) in sorted(keyed, key=lambda k: (k[1], k[0])):
+        group = keyed[(task, is_test)]
+        rew = np.array([r.per_step_reward for r in group])
+        cost = np.array([r.per_step_costs for r in group])
+        n = len(group)
+        for m in range(rew.shape[1]):
+            row = [task, 1 if is_test else 0, m,
+                   rew[:, m].mean(), rew[:, m].std(ddof=0),
+                   rew[:, m].std(ddof=0) / np.sqrt(n)]
+            for i in range(n_costs):
+                row += [cost[:, m, i].mean(), cost[:, m, i].std(ddof=0),
+                        cost[:, m, i].std(ddof=0) / np.sqrt(n)]
+            rows.append(row)
+    return rows
 
 
 def quadratic_stream(dim, t_tasks, lam, drift, seed, box=5.0):

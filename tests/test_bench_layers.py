@@ -8,12 +8,26 @@ bench_layers = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_layers)
 
 
-def test_times_the_4x4_layer_once(capsys):
+LAYERS = ["build", "evaluate", "visitation", "td", "sample", "dice"]
+
+
+def run_4x4(capsys):
     assert bench_layers.main(["--sizes", "4", "--repeats", "1", "--number", "1"]) == 0
     header, row = capsys.readouterr().out.splitlines()
-    assert header.split() == ["grid", "states", "|I|", "build_us", "evaluate_us",
-                              "visitation_us", "td_us", "sample_us", "dice_us",
-                              "dice_peak_kb"]
-    grid, states, indep, *times = row.split()
+    return header.split(), row.split()
+
+
+def test_times_the_4x4_layer_once(capsys):
+    header, row = run_4x4(capsys)
+    assert header == ["grid", "states", "|I|", "build_us", "evaluate_us",
+                      "visitation_us", "td_us", "sample_us", "dice_us",
+                      "dice_peak_kb"] + [f"{name}_calls" for name in LAYERS]
+    grid, states, indep, *times = row[:-len(LAYERS)]
     assert (grid, states) == ("4x4", "17") and 0 < int(indep) < 17
     assert all(float(t) > 0 for t in times)
+
+
+def test_call_counts_are_positive_and_repeat(capsys):
+    counts = [run_4x4(capsys)[1][-len(LAYERS):] for _ in range(2)]
+    assert all(c.isdigit() and int(c) > 0 for c in counts[0])
+    assert counts[0] == counts[1]

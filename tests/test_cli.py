@@ -228,7 +228,7 @@ class TestRun:
 
     @pytest.mark.parametrize("field,value", [
         ("runs_per_strategy", 2.5), ("holdout_test_task", "no"),
-        ("strategies", "MetaSrl")])
+        ("strategies", "MetaSrl"), ("task_source", 5), ("task_source", ["tasks"])])
     def test_badly_typed_field_exit_2(self, tmp_path, capsys, field, value):
         cfg = write_json(tmp_path / "run.json", {**RUN_DOC, field: value})
         out = tmp_path / "x"

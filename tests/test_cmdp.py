@@ -11,6 +11,7 @@ from metasrl.cmdp import (SoftmaxPolicy, TabularCmdp, all_objectives,
 from metasrl.crpo import sample_episode
 from metasrl.errors import InvalidInput, NumericalFailure
 from metasrl.meta import RegretReport
+from metasrl.results import SweepResult
 from metasrl.taskgen import GridSpec, gen_frozen_lake
 
 from oracles import (independent_set_reference, monte_carlo_objective,
@@ -575,7 +576,9 @@ class TestSerialization:
             inexactness_proxy=np.zeros(2))
 
         def report_json():
-            harness_module.export_report([], {"X": report}, str(tmp_path))
+            result = SweepResult.allocate(("X",), n_runs=1, steps=1,
+                                          limits=np.zeros((1, 0)), optima=[])
+            harness_module.export_report(result, {"X": report}, str(tmp_path))
             return (tmp_path / "regret_X.json").read_text()
 
         for text, value in [("NaN", np.nan), ("Infinity", np.inf),

@@ -1,4 +1,5 @@
-"""The exact bytes of a run export, from records and a report built by hand.
+"""The exact bytes of a run export, from a sweep result and a report built
+by hand.
 
 The values cover what the format has to get right: integers, NaN, -0.0,
 1/3 (17 significant digits in CSV, the shortest exact repr in JSON), a
@@ -8,34 +9,39 @@ tiny 1e-300, and an error message with a comma and a quote.
 import os
 
 import numpy as np
+import pytest
 
 from metasrl.crpo import CrpoConfig
 from metasrl.dice import DiceConfig
-from metasrl.harness import ExperimentConfig, MetaConfig, RunRecord, export_report
+from metasrl.errors import InvalidInput
+from metasrl.harness import ExperimentConfig, MetaConfig, export_report
 from metasrl.meta import RegretReport
+from metasrl.results import SweepResult
 from metasrl.taskgen import GridSpec, TaskSequenceConfig
 
 nan = np.nan
 
 
-def record(strategy, task, run, reward, costs, is_test=False, error=None):
-    reward, costs = np.array(reward), np.array(costs)
-    # strategy, task index and run index are passed by position
-    return RunRecord(strategy, task, run, per_step_reward=reward,
-                     per_step_costs=costs,
-                     final_objectives=np.append(reward[-1], costs[-1]),
-                     taog_contribution=0.25, tacv_contribution=costs[-1] - 0.5,
-                     is_test=is_test, error=error)
+def sweep_result():
+    """FAL and Random, 2 runs each, over training task 0 and held-out task 1
+    (2 steps, 2 costs). Random ran only task 0 of run 0; its other three
+    cells failed."""
+    result = SweepResult.allocate(("FAL", "Random"), n_runs=2, steps=2,
+                                  limits=np.full((2, 2), 0.5), optima=[1.25])
+    cells = {
+        (0, 0, 0): ([1.0, 0.5], [[0.0, 1.0], [0.25, 2.0]]),
+        (0, 1, 0): ([2.0, 1.5], [[1.0, 1.0], [1 / 3, 3.0]]),
+        (0, 0, 1): ([1 / 3, -0.0], [[1e-300, 7], [-0.0, nan]]),
+        (1, 0, 0): ([0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]]),
+    }
+    for cell, (reward, costs) in cells.items():
+        result.curves[cell] = np.column_stack([reward, costs])
+        result.returned[cell] = result.curves[cell][-1]
+    result.errors[0, 1, 1] = 'ValueError: bad "row", at step 2'
+    for cell in [(1, 0, 1), (1, 1, 0), (1, 1, 1)]:
+        result.errors[cell] = "InvalidInput: Random did not run"
+    return result
 
-
-RECORDS = [
-    record("FAL", 0, 0, [1.0, 0.5], [[0.0, 1.0], [0.25, 2.0]]),
-    record("FAL", 0, 1, [2.0, 1.5], [[1.0, 1.0], [1 / 3, 3.0]]),
-    record("FAL", 1, 0, [1 / 3, -0.0], [[1e-300, 7], [-0.0, nan]], is_test=True),
-    record("FAL", 1, 1, [nan, nan], [[nan, nan], [nan, nan]], is_test=True,
-           error='ValueError: bad "row", at step 2'),
-    record("Random", 0, 0, [0.5, 0.5], [[0.0, 0.0], [0.0, 0.0]]),
-]
 
 REPORT = RegretReport(
     taog=nan, tacv=np.array([-0.0, 1 / 3]), tacv_clipped=np.array([0.0, 1 / 3]),
@@ -125,6 +131,9 @@ task,taog_contribution,tacv_1,tacv_2,kl_term,kappa,inexactness
     "errors.csv": """\
 strategy,run,task,is_test,error
 FAL,1,1,1,"ValueError: bad ""row"", at step 2"
+Random,0,1,1,InvalidInput: Random did not run
+Random,1,0,0,InvalidInput: Random did not run
+Random,1,1,1,InvalidInput: Random did not run
 """,
     "config.json": """\
 {
@@ -184,7 +193,7 @@ FAL,1,1,1,"ValueError: bad ""row"", at step 2"
 
 
 def test_export_bytes(tmp_path):
-    written = export_report(RECORDS, {"FAL": REPORT}, str(tmp_path),
+    written = export_report(sweep_result(), {"FAL": REPORT}, str(tmp_path),
                             config=CONFIG, n_costs=2)
     names = sorted(os.path.basename(p) for p in written)
     assert names == sorted([*EXPECTED, "environment.json"])
@@ -197,3 +206,9 @@ def test_config_json_reads_back_to_the_same_bytes():
     text = EXPECTED["config.json"]
     assert ExperimentConfig.from_json(text) == CONFIG
     assert ExperimentConfig.from_json(text).to_json() == text
+
+
+def test_n_costs_must_agree_with_the_result(tmp_path):
+    with pytest.raises(InvalidInput, match="n_costs is 1, the result has 2 costs"):
+        export_report(sweep_result(), {"FAL": REPORT}, str(tmp_path), n_costs=1)
+    assert not os.listdir(tmp_path)

@@ -85,13 +85,17 @@ class TestExperimentConfig:
                      "Pretrained:1.5", "Random:"):
             with pytest.raises(InvalidInput, match="unknown strategy"):
                 tiny_config(strategies=(name,))
+        # one name, one row of the sweep's arrays and one curves file
+        with pytest.raises(InvalidInput, match="strategies must not repeat"):
+            tiny_config(strategies=("FAL", "Random", "FAL"))
 
     @pytest.mark.parametrize("field,value", [
         ("runs_per_strategy", 2.5), ("runs_per_strategy", "2"),
         ("runs_per_strategy", True), ("holdout_test_task", "no"),
         ("holdout_test_task", 0), ("strategies", "MetaSrl"),
         ("strategies", ["MetaSrl", 3]), ("strategies", {"MetaSrl": 1}),
-        ("master_seed", -1), ("master_seed", 1.5)])
+        ("master_seed", -1), ("master_seed", 1.5), ("task_source", 5),
+        ("task_source", None), ("task_source", ["tasks"])])
     def test_badly_typed_field_rejected_when_built(self, field, value):
         with pytest.raises(InvalidInput, match=f"^{field} must be"):
             ExperimentConfig.from_json({"task_source": "tasks", field: value})
@@ -475,6 +479,35 @@ class TestExportReport:
         assert rows[1:] == [
             [strategy, str(run), "1", "0", "RuntimeError: task 1 failed, with a comma"]
             for strategy in ("Random", "MetaSrl") for run in range(2)]
+
+    def test_errors_csv_keeps_strategy_run_task_order(self, tmp_path, monkeypatch):
+        """Failures on cells of both strategies, held-out task among them,
+        come out in (strategy, run, task) order, each with its own text."""
+        tasks = tiny_tasks(3)
+        run_crpo = harness.run_crpo
+        calls = []
+
+        def failing_on_some_calls(cmdp, *args, **kwargs):
+            calls.append(cmdp)       # one call a cell, in (strategy, run, task) order
+            if len(calls) - 1 in (2, 3, 7, 11):
+                raise RuntimeError(f"call {len(calls) - 1} failed")
+            return run_crpo(cmdp, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_crpo", failing_on_some_calls)
+        cfg = tiny_config()
+        result, reports = run_experiment(cfg, tasks=tasks)
+        assert len(calls) == 12
+        out = str(tmp_path / "out")
+        export_report(result, reports, out, config=cfg)
+        with open(os.path.join(out, "errors.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [["Random", "0", "2", "1", "RuntimeError: call 2 failed"],
+                            ["Random", "1", "0", "0", "RuntimeError: call 3 failed"],
+                            ["MetaSrl", "0", "1", "0", "RuntimeError: call 7 failed"],
+                            ["MetaSrl", "1", "2", "1", "RuntimeError: call 11 failed"]]
+        assert [[rec.strategy, str(rec.run), str(rec.task_index),
+                 str(int(rec.is_test)), rec.error]
+                for rec in result if rec.error is not None] == rows[1:]
 
     def test_cost_free_regret_csv_has_no_empty_column(self, tmp_path):
         task = random_cmdp(np.random.default_rng(0))
