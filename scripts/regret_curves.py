@@ -14,10 +14,10 @@ import argparse
 
 import numpy as np
 
+from metasrl.bounds import synthetic_kl_stream
 from metasrl.dice import kl_loss_and_grad
 from metasrl.meta import (closed_form_similarity_center, inexact_ogd_step,
                           project_table_shrinkage_simplex)
-from metasrl.taskgen import synthetic_kl_stream
 
 
 def averaged_regret(nus, pis, horizon, step_scale, shrink):

@@ -295,12 +295,6 @@ class TabularCmdp:
         the sampler draws s_0; checked once, by `sampling.cdf`."""
         return _as_readonly(cdf(self.initial_dist, "initial distribution")[:, None])
 
-    def objective_table(self, objective_index):
-        """Reward table for index 0, cost table i for index i >= 1."""
-        if 0 <= objective_index <= self.n_costs:
-            return self.objective_tables[objective_index]
-        raise InvalidInput(f"objective_index {objective_index} out of range")
-
     def infinite_limit(self):
         """Sentinel encoding an inactive cost limit."""
         return self.c_max / (1.0 - self.discount) + 1.0

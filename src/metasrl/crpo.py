@@ -107,32 +107,6 @@ class CrpoOutcome:
         return self.iterate_objectives[self.returned_step]
 
 
-def compute_eta(dims, alpha, m_steps, kl_bound, gamma, c_max, p):
-    """Violation tolerance making reward steps provably nonempty.
-
-    eta = 2 kl/(M alpha) + 4 alpha c_max^2 |S||A|/(1-gamma)^3
-          + (p+1) * 2 (3 + (1-gamma)^2 + 3 alpha c_max) / (sqrt(M) (1-gamma)^2).
-    """
-    s_n, a_n = dims
-    if m_steps <= 0 or alpha <= 0:
-        raise InvalidInput("alpha and M must be positive")
-    if kl_bound < 0:
-        raise InvalidInput("kl_bound must be nonnegative")
-    one_m_g = 1.0 - gamma
-    term1 = 2.0 * kl_bound / (m_steps * alpha)
-    term2 = alpha * 4.0 * c_max ** 2 * s_n * a_n / one_m_g ** 3
-    term3 = (p + 1) * 2.0 * (3.0 + one_m_g ** 2 + 3.0 * alpha * c_max) \
-        / (np.sqrt(m_steps) * one_m_g ** 2)
-    return term1 + term2 + term3
-
-
-def suboptimality_bound(alpha, m_steps, kl_bound, gamma, c_max, s_n, a_n):
-    """Upper bound on both the reward gap and constraint violation of the
-    averaged CRPO iterate: 2 kl/(alpha M) + 4 alpha c_max^2 |S||A|/(1-gamma)^3."""
-    return 2.0 * kl_bound / (alpha * m_steps) \
-        + 4.0 * alpha * c_max ** 2 * s_n * a_n / (1.0 - gamma) ** 3
-
-
 def npg_softmax_step(logits, q, step):
     """Natural-gradient softmax update theta' = theta + step * Q of one (S, A)
     logit table: step = alpha/(1-gamma) ascends, -alpha/(1-gamma) descends."""

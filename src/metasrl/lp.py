@@ -179,8 +179,8 @@ def solve_optimal_lp(cmdp):
     covered = nu > 1e-13
     probs[covered] = mu[covered] / nu[covered, None]
     objective_values = np.array(
-        [float(mu.reshape(n) @ cmdp.objective_table(i).reshape(n)) / (1.0 - gamma)
-         for i in range(cmdp.n_costs + 1)])
+        [float(mu.reshape(n) @ table.reshape(n)) / (1.0 - gamma)
+         for table in cmdp.objective_tables])
     return OptimalSolution(
         policy=TablePolicy(probs=probs),
         nu=nu / nu.sum(),

@@ -82,13 +82,6 @@ def inexact_multi_ogd(x, loss_grad, alpha, k_steps, projector):
     return z
 
 
-def contraction_step_count(lam, alpha):
-    """K = ceil(ln 2 / ln(1 + lambda alpha)) giving a 1/2 contraction."""
-    if lam <= 0 or alpha <= 0:
-        raise InvalidInput("lambda and alpha must be positive")
-    return int(np.ceil(np.log(2.0) / np.log1p(lam * alpha)))
-
-
 @dataclass(frozen=True)
 class SimConstants:
     """Scale constants of the learning-rate loss and the regret bounds."""
@@ -110,6 +103,10 @@ class SimConstants:
             c5=2.0 * np.sqrt(one_m_g * n_states * n_actions),
         )
 
+    def rate_slope(self, m_steps):
+        """kappa's coefficient c2 M + c4 sqrt(M), in the rate loss and bound."""
+        return self.c2 * m_steps + self.c4 * np.sqrt(m_steps)
+
 
 def sim_loss_and_grad(kappa, kl_term, m_steps, constants):
     """Learning-rate surrogate loss c1*kl/kappa + kappa (c2 M + c4 sqrt M) + c3 sqrt M."""
@@ -118,29 +115,10 @@ def sim_loss_and_grad(kappa, kl_term, m_steps, constants):
     if kl_term < 0:
         raise InvalidInput("kl_term must be nonnegative")
     root_m = np.sqrt(m_steps)
-    slope = constants.c2 * m_steps + constants.c4 * root_m
+    slope = constants.rate_slope(m_steps)
     loss = constants.c1 * kl_term / kappa + kappa * slope + constants.c3 * root_m
     grad = -constants.c1 * kl_term / kappa ** 2 + slope
     return float(loss), float(grad)
-
-
-def kappa_star(u_init, inexactness, t_tasks, v_hat_sq, m_steps, constants):
-    """Hindsight-optimal within-task rate for the combined regret bound."""
-    slope = constants.c2 * m_steps + constants.c4 * np.sqrt(m_steps)
-    return float(np.sqrt((u_init + inexactness + t_tasks * v_hat_sq) / slope))
-
-
-def rate_regret_objective(kappa, u_init, inexactness, t_tasks, v_hat_sq,
-                          m_steps, constants):
-    """L(kappa): the kappa-dependent part of the combined TAOG/TACV bound.
-
-    Minimized at kappa_star; the kappa-independent additive terms are
-    omitted since they do not affect the argmin.
-    """
-    if kappa <= 0:
-        raise InvalidInput("kappa must be positive")
-    slope = constants.c2 * m_steps + constants.c4 * np.sqrt(m_steps)
-    return float((u_init + inexactness + t_tasks * v_hat_sq) / kappa + kappa * slope)
 
 
 @dataclass(frozen=True)
@@ -314,30 +292,3 @@ def regret_report(oracle_solutions, outcomes, cmdps, j_hat, kl_terms, kappas,
         inexactness_proxy=np.zeros(t_tasks),
         per_task=per_task,
     )
-
-
-def dynamic_regret_bound(l1, l2, lam, beta, alpha, c_sub, x1_gap, path,
-                         sq_path, inexact_sum, inexact_tilde_sum, grad_sq_sum):
-    """Explicit-constant dynamic-regret bound: min of the two branch bounds.
-
-    Branch 1 uses the squared path length and squared comparator gradients;
-    branch 2 uses the plain path length. c_sub is the constant relating
-    surrogate inexactness to squared gradient error.
-    """
-    c1 = 2.0 * (l2 + beta)
-    c2 = (l2 + beta) * (3.0 * c_sub * alpha + 6.0 * alpha * l2) / (2.0 * lam * alpha * l2)
-    c3 = 3.0 * (l2 + beta)
-    c4 = 2.0 * l1 / (2.0 - np.sqrt(2.0))
-    c5 = c4 * np.sqrt((c_sub * alpha + 2.0 * l2 * alpha) / (2.0 * alpha * lam * l2))
-    branch1 = c1 * x1_gap ** 2 + c2 * inexact_sum + c3 * sq_path \
-        + grad_sq_sum / (2.0 * beta)
-    branch2 = c4 * x1_gap + c5 * inexact_tilde_sum + c4 * path
-    return float(min(branch1, branch2))
-
-
-def static_regret_bound(l1, l2, comparator_norm, t_tasks, c_sub, inexact_sum):
-    """Explicit-constant static-regret bound for projected inexact OGD with
-    step size ||x|| / (L1 sqrt(2T))."""
-    return float(l1 * comparator_norm * np.sqrt(2.0 * t_tasks)
-                 + (1.0 + np.sqrt(2.0) * c_sub * l1 * l2 * comparator_norm
-                    / np.sqrt(t_tasks)) * inexact_sum)

@@ -1,6 +1,5 @@
 """Task-family generators: slippery gridworld CMDP sequences with
-controllable similarity, plus a synthetic exact-KL-loss stream of
-visitation and table stacks for the regret tests.
+controllable similarity.
 
 Grid convention: start at the top-left cell, goal at the bottom-right cell,
 both always frozen. Reaching the goal pays goal_reward once and the episode
@@ -300,28 +299,3 @@ def load_task_sequence(in_dir):
         with open(os.path.join(in_dir, name)) as fh:
             cmdps.append(TabularCmdp.from_json(fh.read()))
     return cmdps
-
-
-def synthetic_kl_stream(n_states, n_actions, t_tasks, dispersion, seed,
-                        shrink=1e-3, center=None):
-    """A stream of visitations and policies clustered around a center:
-    (nus, pis), a (T, S) visitation stack and a (T, S, A) table stack.
-
-    dispersion scales the logit noise of per-task policies; visitations are
-    random Dirichlet draws, each drawn after its task's policy noise. Used
-    as an exact-loss stream for regret tests.
-    """
-    from .meta import project_table_shrinkage_simplex
-
-    rng = np.random.default_rng(seed)
-    if center is None:
-        center = rng.dirichlet(np.ones(n_actions), size=n_states)
-    nus, pis = [], []
-    for _ in range(t_tasks):
-        noisy = np.log(np.maximum(center, 1e-12)) \
-            + dispersion * rng.standard_normal((n_states, n_actions))
-        probs = np.exp(noisy - noisy.max(axis=1, keepdims=True))
-        probs /= probs.sum(axis=1, keepdims=True)
-        pis.append(project_table_shrinkage_simplex(probs, shrink))
-        nus.append(rng.dirichlet(np.ones(n_states)))
-    return np.array(nus), np.array(pis)

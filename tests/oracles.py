@@ -42,7 +42,7 @@ def policy_evaluation_reference(cmdp, probs):
     objective: P_pi is rebuilt and (I - gamma P_pi) refactorised for each one."""
     vs, qs = [], []
     for i in range(cmdp.n_costs + 1):
-        c = cmdp.objective_table(i)
+        c = cmdp.objective_tables[i]
         p_pi = np.einsum("sa,sat->st", probs, cmdp.transition)
         c_pi = (probs * c).sum(axis=1)
         a = np.eye(cmdp.n_states) - cmdp.discount * p_pi
@@ -208,7 +208,7 @@ def q_backup_reference(cmdp, objective_index, v):
     total = 0.0
     for k in range(idx.shape[2]):
         total = total + cmdp.discount * prob[..., k] * v[idx[..., k]]
-    return cmdp.objective_table(objective_index) + total
+    return cmdp.objective_tables[objective_index] + total
 
 
 def transition_under_policy_reference(cmdp, probs):
@@ -316,7 +316,7 @@ def monte_carlo_objective(cmdp, probs, objective_index, n_steps, seed):
     gamma = cmdp.discount
     horizon = int(np.ceil(np.log(1e-8) / np.log(gamma)))
     n_ep = max(1, n_steps // horizon)
-    c = cmdp.objective_table(objective_index)
+    c = cmdp.objective_tables[objective_index]
     s = rng.choice(cmdp.n_states, size=n_ep, p=cmdp.initial_dist)
     pol_cdf = np.cumsum(probs, axis=1)
     trans_cdf = np.cumsum(cmdp.transition, axis=2)
@@ -377,7 +377,7 @@ def lstd_q_reference(cmdp, probs, config, rng):
     visited = visits > 0
     p_hat = np.zeros((n, n))
     p_hat[visited] = counts[visited] / visits[visited, None]
-    c = np.array([cmdp.objective_table(i).ravel() for i in range(cmdp.n_costs + 1)])
+    c = cmdp.objective_tables.reshape(cmdp.n_costs + 1, -1)
     q = np.linalg.solve(np.eye(n) - cmdp.discount * p_hat, (c * visited).T).T
     return q.reshape(-1, cmdp.n_states, cmdp.n_actions)
 

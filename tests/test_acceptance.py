@@ -13,18 +13,19 @@ import numpy as np
 
 from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, all_objectives,
                           visitation_exact)
-from metasrl.crpo import CrpoConfig, run_crpo, suboptimality_bound
+from metasrl.bounds import (contraction_step_count, dynamic_regret_bound,
+                            kappa_star, rate_regret_objective,
+                            suboptimality_bound, synthetic_kl_stream)
+from metasrl.crpo import CrpoConfig, run_crpo
 from metasrl.dice import (TrajectoryDataset, dualdice_fit, kl_loss_and_grad,
                           visitation_from_corrections)
 from metasrl.errors import DegenerateRun
 from metasrl.harness import ExperimentConfig, MetaConfig, run_experiment
 from metasrl.lp import solve_optimal_lp
 from metasrl.meta import (SimConstants, closed_form_similarity_center,
-                          contraction_step_count, dynamic_regret_bound,
-                          inexact_multi_ogd, inexact_ogd_step, kappa_star,
-                          project_table_shrinkage_simplex,
-                          rate_regret_objective, sim_loss_and_grad)
-from metasrl.taskgen import GridSpec, TaskSequenceConfig, synthetic_kl_stream
+                          inexact_multi_ogd, inexact_ogd_step,
+                          project_table_shrinkage_simplex, sim_loss_and_grad)
+from metasrl.taskgen import GridSpec, TaskSequenceConfig
 
 from oracles import (central_difference, minimize_average_kl,
                      monte_carlo_visitation, quadratic_stream, random_cmdp,

@@ -81,11 +81,39 @@ def test_a_workload_list_runs_every_workload_in_every_pair(monkeypatch, capsys):
     assert calls == [("old", "a"), (".", "a"), ("old", "b"), (".", "b"),
                      (".", "a"), ("old", "a"), (".", "b"), ("old", "b")]
     out = capsys.readouterr().out
-    assert "a pair 1/2 (parent first): run_s 1 -> 0.5" in out
-    assert "b pair 2/2 (change first): run_s 1 -> 0.5" in out
+    assert "a seed 0 pair 1/2 (parent first): run_s 1 -> 0.5" in out
+    assert "b seed 0 pair 2/2 (change first): run_s 1 -> 0.5" in out
     blocks = out.split("\n\n")[1:]
     assert [b.split()[0] for b in blocks] == ["a", "b"]
     for block, failed in zip(blocks, (0, 2)):
         assert block.count("wins 2/2  gain") == 3
         assert f"parent: failed {failed}/6" in block
         assert f"change: failed {failed}/6" in block
+
+
+def test_a_gain_must_hold_at_every_seed(monkeypatch, capsys):
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((checkout, seed))
+        # the change halves every metric at seed 1 and leaves seed 2 alone
+        value = 0.5 if (checkout == "." and seed == 1) else 1.0
+        return {"metrics": {n: {"value": value} for n in ("run_s", "setup_s",
+                                                          "peak_rss_mb")},
+                "failed": 0, "attempted": 3, "correct": True}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.chdir(ROOT)   # the change's BENCHMARK.json
+    assert bench_pairs.main(["old", ".", "--workload", "a", "--seed", "1,2",
+                             "--pairs", "2", "--seconds", "1"]) == 0
+    assert calls == [("old", 1), (".", 1), ("old", 2), (".", 2),
+                     (".", 1), ("old", 1), (".", 2), ("old", 2)]
+    out = capsys.readouterr().out
+    assert "a seed 2 pair 2/2 (change first): run_s 1 -> 1" in out
+    seed_1, seed_2, overall = out.split("\n\n")[1:]
+    assert seed_1.startswith("a seed 1,") and seed_1.count("wins 2/2  gain") == 3
+    assert seed_2.startswith("a seed 2,") and seed_2.count("wins 0/2  within bound") == 3
+    assert overall.strip() == ("a over seeds 1,2: run_s within bound, "
+                               "setup_s within bound, peak_rss_mb within bound")
+    assert bench_pairs.over_seeds(["gain", "gain"]) == "gain"
+    assert bench_pairs.over_seeds(["gain", "worse beyond bound"]) == "worse beyond bound"

@@ -131,11 +131,6 @@ class TestPolicyEvaluation:
         tables = cmdp.objective_tables
         assert tables is cmdp.objective_tables and not tables.flags.writeable
         assert np.array_equal(tables, np.concatenate([cmdp.reward[None], cmdp.costs]))
-        for i in range(3):
-            assert np.shares_memory(cmdp.objective_table(i), tables)
-            assert np.array_equal(cmdp.objective_table(i), tables[i])
-        with pytest.raises(InvalidInput):
-            cmdp.objective_table(3)
 
 
 def evaluator_cases():
@@ -541,7 +536,7 @@ class TestExpectedObjective:
         nu_sa = visitation_exact(cmdp, pol).nu[:, None] * pol.probs
         for i in range(cmdp.n_costs + 1):
             j = all_objectives(cmdp, pol)[i]
-            occ = (nu_sa * cmdp.objective_table(i)).sum() / (1 - cmdp.discount)
+            occ = (nu_sa * cmdp.objective_tables[i]).sum() / (1 - cmdp.discount)
             assert abs(j - occ) <= 1e-8
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from metasrl import cmdp as cmdp_module, crpo
 from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, TabularCmdp,
                           all_objectives, policy_evaluation_exact)
-from metasrl.crpo import (CrpoConfig, compute_eta, npg_softmax_step, run_crpo,
-                          sample_episode, suboptimality_bound, td_critic)
+from metasrl.crpo import (CrpoConfig, npg_softmax_step, run_crpo, sample_episode,
+                          td_critic)
 from metasrl.errors import DegenerateRun, InvalidInput, SamplerError
 from metasrl.lp import solve_optimal_lp
 from metasrl.taskgen import GridSpec, gen_frozen_lake, gen_task_sequence
@@ -34,30 +34,6 @@ class TestCrpoConfig:
         CrpoConfig(tolerance=0.0, td_iterations=0, steps=np.int64(3),
                    episode_horizon=1)
         CrpoConfig(tolerance=np.inf)   # every step a reward step
-
-
-class TestBoundFormulas:
-    def test_compute_eta_value(self):
-        val = compute_eta(dims=(2, 2), alpha=0.5, m_steps=100, kl_bound=1.0,
-                          gamma=0.5, c_max=1.0, p=1)
-        # 0.04 + 64.0 + 2*2*(3 + 0.25 + 1.5)/(10 * 0.25)
-        assert abs(val - (0.04 + 64.0 + 7.6)) < 1e-12
-
-    def test_suboptimality_bound_value(self):
-        val = suboptimality_bound(alpha=0.5, m_steps=100, kl_bound=1.0,
-                                  gamma=0.5, c_max=1.0, s_n=2, a_n=2)
-        assert abs(val - 64.04) < 1e-12
-
-    def test_bound_scaling(self):
-        lo = suboptimality_bound(0.01, 1000, 1.0, 0.9, 1.0, 4, 3)
-        hi = suboptimality_bound(0.01, 100, 1.0, 0.9, 1.0, 4, 3)
-        assert lo < hi  # more steps shrink the kl term
-
-    def test_eta_rejects_bad_args(self):
-        with pytest.raises(InvalidInput):
-            compute_eta((2, 2), 0.0, 10, 1.0, 0.9, 1.0, 1)
-        with pytest.raises(InvalidInput):
-            compute_eta((2, 2), 0.1, 10, -1.0, 0.9, 1.0, 1)
 
 
 class TestNpgStep:

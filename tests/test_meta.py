@@ -11,14 +11,12 @@ from hypothesis.extra.numpy import arrays
 from metasrl.cmdp import TablePolicy, TabularCmdp, VisitationDistribution
 from metasrl.dice import kl_loss_and_grad
 from metasrl.errors import InvalidInput
+from metasrl.bounds import contraction_step_count
 from metasrl.meta import (MetaLearnerState, SimConstants,
-                          closed_form_similarity_center,
-                          contraction_step_count, dynamic_regret_bound,
-                          inexact_multi_ogd, inexact_ogd_step, kappa_star,
-                          meta_update, project_simplex,
-                          project_table_shrinkage_simplex,
-                          rate_regret_objective, regret_report,
-                          sim_loss_and_grad, static_regret_bound)
+                          closed_form_similarity_center, inexact_multi_ogd,
+                          inexact_ogd_step, meta_update, project_simplex,
+                          project_table_shrinkage_simplex, regret_report,
+                          sim_loss_and_grad)
 
 from oracles import (central_difference, minimize_average_kl,
                      project_shrinkage_qp, project_table_shrinkage_reference)
@@ -112,12 +110,6 @@ class TestOgd:
         with pytest.raises(InvalidInput):
             inexact_ogd_step(np.zeros(2), np.zeros(2), 0.0, lambda z: z)
 
-    def test_contraction_step_count_values(self):
-        assert contraction_step_count(1.0, 1.0) == 1
-        assert contraction_step_count(0.1, 0.5) >= 1
-        with pytest.raises(InvalidInput):
-            contraction_step_count(0.0, 1.0)
-
     def test_multi_ogd_halves_distance(self):
         rng = np.random.default_rng(1)
         # strongly convex quadratic with lam = 0.5, l2 = 2.0
@@ -152,15 +144,6 @@ class TestSimConstants:
             lambda k: sim_loss_and_grad(float(k[0]), 4.0, 9, c)[0],
             np.array([2.0]))
         assert abs(grad - fd[0]) < 1e-5
-
-    def test_kappa_star_minimizes_objective(self):
-        c = SimConstants.from_problem(0.9, 1.0, 4, 3)
-        ks = kappa_star(u_init=3.0, inexactness=0.5, t_tasks=10,
-                        v_hat_sq=0.2, m_steps=50, constants=c)
-        best = rate_regret_objective(ks, 3.0, 0.5, 10, 0.2, 50, c)
-        for k in np.geomspace(ks / 100, ks * 100, 4001):
-            assert best <= rate_regret_objective(float(k), 3.0, 0.5, 10, 0.2,
-                                                 50, c) + 1e-10
 
 
 class TestMetaUpdate:
@@ -282,34 +265,6 @@ class TestSimilarityCenter:
         with pytest.raises(InvalidInput):
             closed_form_similarity_center(np.zeros((0, 2)), np.zeros((0, 2, 2)),
                                           shrink=0.0)
-
-
-class TestRegretBounds:
-    def test_static_bound_value(self):
-        # l1=1, l2=1, norm=1, T=2, c=1, E=0 -> sqrt(2*2) = 2
-        assert abs(static_regret_bound(1.0, 1.0, 1.0, 2, 1.0, 0.0) - 2.0) < 1e-12
-
-    def test_static_bound_monotone_in_inexactness(self):
-        lo = static_regret_bound(1.0, 2.0, 1.0, 10, 2.0, 0.1)
-        hi = static_regret_bound(1.0, 2.0, 1.0, 10, 2.0, 1.0)
-        assert lo < hi
-
-    def test_dynamic_bound_is_min_of_branches(self):
-        val = dynamic_regret_bound(l1=1.0, l2=1.0, lam=0.5, beta=1.0,
-                                   alpha=0.5, c_sub=2.0, x1_gap=1.0,
-                                   path=0.0, sq_path=0.0, inexact_sum=0.0,
-                                   inexact_tilde_sum=0.0, grad_sq_sum=0.0)
-        c1 = 2.0 * (1.0 + 1.0)
-        c4 = 2.0 / (2.0 - np.sqrt(2.0))
-        assert abs(val - min(c1, c4)) < 1e-12
-
-    def test_dynamic_bound_grows_with_path(self):
-        args = dict(l1=1.0, l2=1.0, lam=0.5, beta=1.0, alpha=0.5, c_sub=2.0,
-                    x1_gap=1.0, inexact_sum=0.0, inexact_tilde_sum=0.0,
-                    grad_sq_sum=0.0)
-        lo = dynamic_regret_bound(path=0.0, sq_path=0.0, **args)
-        hi = dynamic_regret_bound(path=3.0, sq_path=9.0, **args)
-        assert lo < hi
 
 
 class TestRegretReport:

@@ -8,15 +8,13 @@ from metasrl import taskgen
 from metasrl.cmdp import SoftmaxPolicy, all_objectives
 from metasrl.errors import GenerationFailure, InvalidInput
 from metasrl.lp import solve_optimal_lp
-from metasrl.meta import closed_form_similarity_center
 from metasrl.taskgen import (GridSpec, TaskSequenceConfig, _goal_reachable,
                              gen_frozen_lake, gen_grid, gen_task_sequence,
                              grid_ascii, grid_to_cmdp, load_task_sequence,
-                             synthetic_kl_stream, write_task_sequence)
+                             write_task_sequence)
 
 from oracles import (goal_reachable_reference, grid_ascii_reference,
-                     grid_to_cmdp_reference, quadratic_stream,
-                     synthetic_kl_stream_reference)
+                     grid_to_cmdp_reference, quadratic_stream)
 
 CMDP_ARRAYS = ("transition", "reward", "costs", "limits", "initial_dist")
 
@@ -335,39 +333,6 @@ class TestTaskSequence:
 
 
 class TestSyntheticStreams:
-    def test_kl_stream_shapes_and_feasibility(self):
-        nus, pis = synthetic_kl_stream(3, 2, 5, dispersion=0.5, seed=0,
-                                       shrink=0.01)
-        assert nus.shape == (5, 3) and pis.shape == (5, 3, 2)
-        for nu, probs in zip(nus, pis):
-            assert abs(nu.sum() - 1.0) < 1e-9
-            assert np.all(probs >= 0.01 - 1e-12)
-            assert np.allclose(probs.sum(axis=1), 1.0)
-
-    @pytest.mark.parametrize("s_n,a_n,t_n,dispersion,seed,center", [
-        (3, 2, 5, 0.5, 0, None), (4, 3, 20, 0.1, 1, None),
-        (3, 3, 200, 0.02, 7, "dirichlet")])
-    def test_kl_stream_draws_as_the_per_task_objects(self, s_n, a_n, t_n,
-                                                     dispersion, seed, center):
-        if center == "dirichlet":
-            center = np.random.default_rng(seed + 500).dirichlet(
-                np.full(a_n, 0.3), size=s_n)
-        nus, pis = synthetic_kl_stream(s_n, a_n, t_n, dispersion, seed,
-                                       shrink=1e-2, center=center)
-        ref = synthetic_kl_stream_reference(s_n, a_n, t_n, dispersion, seed,
-                                            shrink=1e-2, center=center)
-        assert len(nus) == len(pis) == len(ref) == t_n
-        for nu, probs, (nu_ref, pol_ref) in zip(nus, pis, ref):
-            assert np.array_equal(nu, nu_ref.nu)
-            assert np.array_equal(probs, pol_ref.probs)
-
-    def test_dispersion_orders_similarity(self):
-        tight = synthetic_kl_stream(4, 3, 20, dispersion=0.1, seed=1)
-        loose = synthetic_kl_stream(4, 3, 20, dispersion=2.0, seed=1)
-        _, kl_tight = closed_form_similarity_center(*tight, shrink=1e-3)
-        _, kl_loose = closed_form_similarity_center(*loose, shrink=1e-3)
-        assert kl_tight.mean() < kl_loose.mean()
-
     def test_quadratic_stream_consistency(self):
         stream = quadratic_stream(dim=3, t_tasks=8, lam=2.0, drift=0.3, seed=4)
         prev = None
