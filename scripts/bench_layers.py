@@ -13,6 +13,14 @@ random softmax policy:
 - td: one TdSampled CRPO step's critic, `td_critic` on that table with
   `td_iterations` 10 000 and horizon 60;
 
+three on a lockstep of L CRPO runs, L = 1, 5 and 50 (the test_09 CRPO
+settings, the Exact critic, random initial logits, run k with seed k and
+a learning rate drawn from [0.5, 1.5]):
+
+- lanes_<L>: one `crpo_lanes` call, which takes the L runs through their
+  8 steps together; it makes --number / (8 L) calls a round, at least
+  one, as one call is 8 L evaluations;
+
 and two on a CRPO run on that task (the test_09 CRPO settings, seed 2,
 from the uniform policy):
 
@@ -44,6 +52,7 @@ import pstats
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -74,7 +83,9 @@ def best_time(call, repeats, number):
 CRPO = crpo.CrpoConfig(learning_rate=1.0, steps=8, tolerance=0.05,
                        episodes_per_step=5, episode_horizon=60, rng_seed=2)
 TD_ITERATIONS = 10_000   # the td layer's chain length
-LAYERS = ("build", "evaluate", "visitation", "td", "sample", "dice")
+LANES = (1, 5, 50)       # the lockstep widths of the lanes layers
+LAYERS = ("build", "evaluate", "visitation", "td", *(f"lanes_{n}" for n in LANES),
+          "sample", "dice")
 
 
 def crpo_run(task):
@@ -108,6 +119,15 @@ def dice_pass(task, outcome):
     return call
 
 
+def lockstep(task, n_lanes):
+    """One `crpo_lanes` call over n_lanes runs on `task`, as a call."""
+    rng = np.random.default_rng(n_lanes)
+    logits = rng.standard_normal((n_lanes, task.n_states, task.n_actions))
+    configs = [replace(CRPO, learning_rate=float(rng.uniform(0.5, 1.5)), rng_seed=k)
+               for k in range(n_lanes)]
+    return lambda: crpo.crpo_lanes(task, logits, configs)
+
+
 def traced_peak(call):
     """tracemalloc peak bytes of one call."""
     tracemalloc.start()
@@ -139,6 +159,7 @@ def layer_calls(task):
         "visitation": lambda: cmdp.visitation_exact(task, policy),
         "td": lambda: crpo.td_critic(task, policy.probs, TD_ITERATIONS,
                                      CRPO.episode_horizon, rng),
+        **{f"lanes_{n}": lockstep(task, n) for n in LANES},
         "sample": log_draw(task, outcome),
         "dice": dice_pass(task, outcome),
     }
@@ -153,24 +174,23 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.repeats < 1 or args.number < 1:
         parser.error("--repeats and --number must be at least 1")
-    calls_header = " ".join(f"{name + '_calls':>{len(name) + 6}}" for name in LAYERS)
-    print(f"{'grid':>6} {'states':>6} {'|I|':>5} {'build_us':>9} "
-          f"{'evaluate_us':>11} {'visitation_us':>13} {'td_us':>9} "
-          f"{'sample_us':>9} {'dice_us':>9} "
-          f"{'dice_peak_kb':>12} {calls_header}")
+    numbers = {name: args.number for name in LAYERS}
+    numbers.update({f"lanes_{n}": max(1, args.number // (CRPO.steps * n)) for n in LANES})
+    width = {name: max(9, len(name) + 3) for name in LAYERS}
+    print(f"{'grid':>6} {'states':>6} {'|I|':>5} "
+          + " ".join(f"{name + '_us':>{width[name]}}" for name in LAYERS)
+          + f" {'dice_peak_kb':>12} "
+          + " ".join(f"{name + '_calls':>{len(name) + 6}}" for name in LAYERS))
     for size in (int(s) for s in args.sizes.split(",")):
         task = first_task(size)
         calls = layer_calls(task)
-        times = {name: best_time(call, args.repeats, args.number)
+        times = {name: best_time(call, args.repeats, numbers[name])
                  for name, call in calls.items()}
-        counts = " ".join(f"{call_count(calls[name]):>{len(name) + 6}}"
-                          for name in LAYERS)
-        print(f"{f'{size}x{size}':>6} {task.n_states:>6} "
-              f"{task.elimination.blocks[0]:>5} {1e6 * times['build']:>9.1f} "
-              f"{1e6 * times['evaluate']:>11.1f} {1e6 * times['visitation']:>13.1f} "
-              f"{1e6 * times['td']:>9.1f} {1e6 * times['sample']:>9.1f} "
-              f"{1e6 * times['dice']:>9.1f} "
-              f"{traced_peak(calls['dice']) / 1024:>12.1f} {counts}")
+        print(f"{f'{size}x{size}':>6} {task.n_states:>6} {task.elimination.blocks[0]:>5} "
+              + " ".join(f"{1e6 * times[name]:>{width[name]}.1f}" for name in LAYERS)
+              + f" {traced_peak(calls['dice']) / 1024:>12.1f} "
+              + " ".join(f"{call_count(calls[name]):>{len(name) + 6}}"
+                         for name in LAYERS))
     return 0
 
 

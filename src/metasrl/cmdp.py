@@ -366,9 +366,15 @@ class SoftmaxPolicy:
 
 
 def _softmax_rows(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the last axis of a logit table or a stack of them."""
+    # each row's max as elementwise maxima over the action columns, which
+    # is exact, so it has the bits of logits.max(axis=-1) without a
+    # reduction along a short last axis (about 20x slower on a 50-table stack)
+    top = logits[..., 0]
+    for k in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., k])
+    e = np.exp(logits - top[..., None])
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -398,34 +404,57 @@ class OptimalSolution:
     duality_gap: float = 0.0
 
 
-def _check_dims(cmdp, probs):
-    if np.shape(probs) != (cmdp.n_states, cmdp.n_actions):
-        raise InvalidInput(f"policy table of shape {np.shape(probs)} does not match CMDP")
+def _check_dims(cmdp, probs, stacked=False):
+    """Refuse anything but one (S, A) table, or, if stacked, a stack
+    (..., S, A) of them."""
+    shape = np.shape(probs)
+    if (shape[-2:] if stacked else shape) != (cmdp.n_states, cmdp.n_actions):
+        raise InvalidInput(f"policy table of shape {shape} does not match CMDP")
+
+
+def _lane_bins(bins, n_lanes, size):
+    """One table's bincount bins for each of n_lanes tables, lane l's
+    offset by l * size, flat in lane order."""
+    if n_lanes == 1:
+        return bins
+    return (bins + np.arange(0, n_lanes * size, size)[:, None]).ravel()
 
 
 def _schur_complement(cmdp, probs, neg_step):
-    """(nd, s, r, a_ji) for one policy: nd = -D = gamma P_pi(i|i) - 1 on I,
+    """(nd, s, r, a_ji) for a policy table or a stack (..., S, A) of them,
+    each with the table's leading axes: nd = -D = gamma P_pi(i|i) - 1 on I,
     and dense, the Schur complement S on J, the multipliers
     R = D^-1 gamma P_IJ and the block A_JI = -gamma P_JI.
 
     neg_step is -gamma times the successor view's probabilities, (S, A, K).
-    -gamma P_pi is one weighted bincount of it over the pattern slots; each
-    slot adds its terms in ascending a, as a dense einsum does. The dense
-    blocks come from one more bincount: each entry of S adds its fill terms
-    a_ji * r_ij' in ascending i, then its -gamma P_JJ entry, and the
-    diagonal gets 1 added last."""
+    -gamma P_pi is one weighted bincount of it over the pattern slots, lane
+    l's slots offset by l nnz; each slot adds its terms in ascending a, as a
+    dense einsum does. The dense blocks come from one more bincount: each
+    entry of S adds its fill terms a_ji * r_ij' in ascending i, then its
+    -gamma P_JJ entry, and the diagonal gets 1 added last. A lane's bins
+    hold only its own terms, in the order one table alone adds them."""
     e = cmdp.elimination
     n, b1, b2, nnz = e.blocks
     s_n = cmdp.n_states
     m = s_n - n
-    a = np.bincount(e.slot, (probs[:, :, None] * neg_step).ravel(), nnz)
-    nd = -1.0 - a[:n]
-    r = a[n:b1] / nd[e.ij_row]
-    w = np.concatenate((a[b1:b2][e.fill_ji] * r[e.fill_ij], a[b2:], r, a[b1:b2]))
-    dense = np.bincount(e.bins, w, m * (m + 2 * n)).astype(float, copy=False)  # int if empty
-    dense[:m * m:m + 1] += 1.0
-    return (nd, dense[:m * m].reshape(m, m), dense[m * m:m * (m + n)].reshape(n, m),
-            dense[m * (m + n):].reshape(m, n))
+    lead = probs.shape[:-2]
+    stack = probs.reshape((-1,) + probs.shape[-2:] + (1,))
+    n_lanes = len(stack)
+    a = np.bincount(_lane_bins(e.slot, n_lanes, nnz), (stack * neg_step).ravel(),
+                    n_lanes * nnz).reshape(n_lanes, nnz)
+    nd = -1.0 - a[:, :n]
+    r = a[:, n:b1] / nd.take(e.ij_row, axis=1)
+    a_ji = a[:, b1:b2]
+    w = np.concatenate((a_ji.take(e.fill_ji, axis=1) * r.take(e.fill_ij, axis=1),
+                        a[:, b2:], r, a_ji), axis=1)
+    size = m * (m + 2 * n)
+    dense = np.bincount(_lane_bins(e.bins, n_lanes, size), w.ravel(),
+                        n_lanes * size).astype(float, copy=False)  # int if empty
+    dense = dense.reshape(n_lanes, size)
+    dense[:, :m * m:m + 1] += 1.0
+    return (nd.reshape(lead + (n,)), dense[:, :m * m].reshape(lead + (m, m)),
+            dense[:, m * m:m * (m + n)].reshape(lead + (n, m)),
+            dense[:, m * (m + n):].reshape(lead + (m, n)))
 
 
 def _solve(a, b):
@@ -436,37 +465,49 @@ def _solve(a, b):
 
 
 def policy_evaluation_exact(cmdp, probs):
-    """Value tables (v, q) of every objective i = 0..p of one policy table.
+    """Value tables (v, q) of every objective i = 0..p of one policy table,
+    or of each table of a stack (..., S, A).
 
-    All p+1 Bellman systems (I - gamma P_pi) V_i = c_pi,i share one matrix.
-    Eliminating I leaves S V_J = c_J + gamma P_JI D^-1 c_I, solved with one
-    LU and the stacked (., p+1) right-hand side; then
-    V_I = D^-1 (c_I + gamma P_IJ V_J). All p+1 tables
-    Q_i = c_i + gamma sum_k prob_k V_i(idx_k) are backed up in one
-    expression over the successor view, and V - sum_a pi Q, which is
-    (I - gamma P_pi) V - c_pi, must pass the residual check on every column
-    of the whole system. Returns (v, q), v of shape (p+1, S) and q of shape
-    (p+1, S, A), row i of each for objective i, reward first.
+    All p+1 Bellman systems (I - gamma P_pi) V_i = c_pi,i of a table share
+    one matrix. Eliminating I leaves S V_J = c_J + gamma P_JI D^-1 c_I,
+    solved with one LU and the stacked (., p+1) right-hand side; then
+    V_I = D^-1 (c_I + gamma P_IJ V_J). A stack of tables is one stacked
+    solve and stacked products, which give each table the bits it gets
+    alone. All p+1 tables Q_i = c_i + gamma sum_k prob_k V_i(idx_k) are
+    backed up in one expression over the successor view, and
+    V - sum_a pi Q, which is (I - gamma P_pi) V - c_pi, must pass the
+    residual check on every column of every table's system; a failure
+    reports the largest failing residual. Returns (v, q), v of shape
+    (..., p+1, S) and q of shape (..., p+1, S, A), row i of each for
+    objective i, reward first.
     """
-    _check_dims(cmdp, probs)
+    probs = np.asarray(probs)
+    _check_dims(cmdp, probs, stacked=True)
+    lead = probs.shape[:-2]
+    probs = probs.reshape((-1,) + probs.shape[-2:])
     tables = cmdp.objective_tables
     e = cmdp.elimination
     n = e.blocks[0]
     neg_step = -cmdp.discount * cmdp.successors[1]   # shared with the Q backup
     nd, s, r, a_ji = _schur_complement(cmdp, probs, neg_step)
-    c = (probs * tables).sum(axis=2)[:, e.order]
-    y = c[:, :n] / nd                          # -D^-1 c_I
-    v_j = _solve(s, (c[:, n:] + y @ a_ji.T).T).T
-    v_i = v_j @ r.T - y
-    v = np.concatenate((v_i, v_j), axis=1)[:, e.rank]
+    c = (probs[:, None] * tables).sum(axis=3)[:, :, e.order]
+    y = c[:, :, :n] / nd[:, None]                  # -D^-1 c_I
+    v_j = _solve(s, (c[:, :, n:] + y @ a_ji.transpose(0, 2, 1)).transpose(0, 2, 1))
+    v_j = v_j.transpose(0, 2, 1)
+    v_i = v_j @ r.transpose(0, 2, 1) - y
+    # each table's v laid out state-major, (S, p+1) in memory, as one
+    # table's v = concat(...)[:, rank] is: a BLAS product of v, such as
+    # v @ rho, then reads every table's v alike, alone or in a stack
+    v = np.concatenate((v_i, v_j), axis=2).transpose(0, 2, 1).take(e.rank, axis=1)
+    v = v.transpose(0, 2, 1)
     # k leading: the k terms add slab by slab in k order, faster than a sum
     # over a short last axis
     q = tables - (neg_step.transpose(2, 0, 1)
-                  * v.take(cmdp.successors[0].transpose(2, 0, 1), axis=1)).sum(axis=1)
-    residual = np.abs(v - np.einsum("sa,isa->is", probs, q)).max()
+                  * v.take(cmdp.successors[0].transpose(2, 0, 1), axis=2)).sum(axis=2)
+    residual = np.abs(v - np.einsum("lsa,lisa->lis", probs, q)).max()
     if not residual <= SOLVE_TOL:
         raise NumericalFailure(f"Bellman residual {residual:.3e} exceeds tolerance")
-    return v, q
+    return v.reshape(lead + v.shape[1:]), q.reshape(lead + q.shape[1:])
 
 
 def visitation_exact(cmdp, policy):

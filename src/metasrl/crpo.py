@@ -17,6 +17,14 @@ builds no policy object per step: the init `SoftmaxPolicy` checks the logits
 once, and `npg_softmax_step` refuses a non-finite Q and adds it times the
 signed step +/- alpha/(1-gamma), which the run computes once.
 
+Runs on one CMDP step in lockstep: `crpo_lanes` takes L runs, its lanes,
+through their M steps together over an (L, S, A) logit stack, with one
+stacked exact solve a step and a signed step per lane, and returns each
+lane's `CrpoPath`; `run_crpo` makes a run's outcome from its lane's path,
+and a run called alone is a lockstep of one lane, so there is one step
+body. Each lane gets the bits it gets alone. Under TdSampled each lane's
+critic still draws its own chain from its own generator, lane after lane.
+
 Every sampled draw, whether an episode step or a chain step, goes
 through one batched rollout that steps all rows together and reproduces
 one `Generator.choice` call per draw, bit for bit; its inverse-CDF draw and
@@ -39,11 +47,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cmdp import TablePolicy, _check_dims, _softmax_rows, policy_evaluation_exact
+from .cmdp import (TablePolicy, _as_readonly, _check_dims, _softmax_rows,
+                   policy_evaluation_exact)
 from .dice import TrajectoryDataset
 from .errors import DegenerateRun, InvalidInput, check_counts, check_reals
 from .sampling import cdf, draw
@@ -109,8 +118,9 @@ class CrpoOutcome:
 
 def npg_softmax_step(logits, q, step):
     """Natural-gradient softmax update theta' = theta + step * Q of one (S, A)
-    logit table: step = alpha/(1-gamma) ascends, -alpha/(1-gamma) descends."""
-    if not np.all(np.isfinite(q)):
+    logit table, or of a stack (L, S, A) with one step a table, (L, 1, 1):
+    step = alpha/(1-gamma) ascends, -alpha/(1-gamma) descends."""
+    if not np.isfinite(q).all():
         raise InvalidInput("non-finite Q estimate")
     return logits + step * q
 
@@ -230,7 +240,134 @@ def _sampled_log(cmdp, iterates, config):
         s_next=nexts.ravel(), initial_states=states[:, 0])
 
 
-def run_crpo(cmdp, init_policy, config):
+class CrpoPath(NamedTuple):
+    """What one lane of `crpo_lanes` decides before its output draw: the
+    iterates, decisions, estimates and exact objectives of one CRPO run, and
+    the run's generator after its critic's draws."""
+
+    iterates: np.ndarray            # (M, S, A) read-only tables, in step order
+    reward_steps: tuple
+    constraint_steps: tuple
+    per_step_estimates: np.ndarray  # (M, p)
+    iterate_objectives: np.ndarray  # (M, p+1)
+    rng: np.random.Generator
+
+
+def _lane_settings(config):
+    """Every setting of a config but the two a lane may have of its own."""
+    return tuple(v for k, v in vars(config).items()
+                 if k not in ("learning_rate", "rng_seed"))
+
+
+def _lockstep(cmdp, config, logits, step, generators):
+    """One CRPO step of L lanes: logits (L, S, A), step (L, 1, 1) each
+    lane's alpha/(1-gamma), and generators each lane's generator, which
+    only the TdSampled critic draws from (None under Exact).
+
+    Returns (the next logits, the iterates, their exact J_0..J_p, the
+    estimates J_1..J_p that gated them, and the q row each lane moved
+    along: 0 to ascend on the reward, i to descend on cost i)."""
+    rho = cmdp.initial_dist
+    probs = _softmax_rows(logits)
+    if config.critic_mode == EXACT:
+        v, q = policy_evaluation_exact(cmdp, probs)
+        j = objectives = v @ rho
+    else:
+        v, q = map(np.array, zip(*(
+            td_critic(cmdp, table, config.td_iterations, config.episode_horizon, rng)
+            for table, rng in zip(probs, generators))))
+        j = v @ rho
+        objectives = policy_evaluation_exact(cmdp, probs)[0] @ rho
+    excess = j[:, 1:] - cmdp.limits - config.tolerance
+    ascend = (excess <= 0).all(axis=1)
+    if ascend.all():
+        row, q_row = np.zeros(len(ascend), dtype=np.intp), q[:, 0]
+    else:   # argmax returns the lowest tied index
+        row = np.where(ascend, 0, excess.argmax(axis=1) + 1)
+        q_row = q[np.arange(len(row)), row]
+        step = np.where(ascend[:, None, None], step, -step)
+    return npg_softmax_step(logits, q_row, step), probs, objectives, j[:, 1:], row
+
+
+def crpo_lanes(cmdp, logits, configs):
+    """The iterate paths of L CRPO runs on one CMDP, stepped in lockstep.
+
+    logits is the (L, S, A) stack of the runs' initial logits and configs
+    their `CrpoConfig`s, one a lane; lanes may differ in learning_rate and
+    rng_seed only. Each step is one `_lockstep` over the stack: one softmax,
+    one stacked `policy_evaluation_exact` call, a gate per lane, and one
+    `npg_softmax_step` with a signed step per lane. Under TdSampled each
+    lane's critic draws from the lane's own generator, lane after lane. A
+    step that raises is taken again lane by lane, each lane a stack of one
+    from its generator's state before the step, and a lane whose step
+    raises leaves the lockstep. Each lane gets the bits it gets alone.
+
+    Returns one entry a lane: its `CrpoPath`, or the exception that stopped
+    it, which `run_crpo` raises again.
+    """
+    config = configs[0]
+    shared = _lane_settings(config)
+    if any(_lane_settings(c) != shared for c in configs[1:]):
+        raise InvalidInput("lanes may differ only in learning_rate and rng_seed")
+    logits = np.array(logits, dtype=float)
+    if logits.ndim != 3 or len(logits) != len(configs):
+        raise InvalidInput(f"logit stack of shape {logits.shape} for "
+                           f"{len(configs)} lanes")
+    _check_dims(cmdp, logits[0])
+    n, steps, p = len(configs), config.steps, cmdp.n_costs
+    generators = [np.random.default_rng(c.rng_seed) for c in configs]
+    for rng in generators:
+        # the log's episodes feed no decision: skip their draws here, so that
+        # the critic and the final draw see the same stream, and make them
+        # when the log is read
+        rng.bit_generator.advance(
+            steps * config.episodes_per_step * (1 + 2 * config.episode_horizon))
+    step = np.array([c.learning_rate for c in configs])[:, None, None] \
+        / (1.0 - cmdp.discount)
+
+    iterates = np.empty((n, steps) + logits.shape[1:])
+    objectives = np.zeros((n, steps, p + 1))
+    estimates = np.zeros((n, steps, p))
+    rows = np.zeros((n, steps), dtype=np.intp)
+    errors = [None] * n
+    live = np.arange(n)
+    exact = config.critic_mode == EXACT
+    for m in range(steps):
+        # the Exact step draws nothing: no generator state to restore
+        lane_rngs = None if exact else [generators[lane] for lane in live]
+        saved = None if exact else [rng.bit_generator.state for rng in lane_rngs]
+        try:
+            logits, *taken = _lockstep(cmdp, config, logits, step, lane_rngs)
+        except Exception:   # find the lanes that raise: each one alone
+            kept, taken = [], []
+            for i, lane in enumerate(live):
+                if not exact:
+                    lane_rngs[i].bit_generator.state = saved[i]
+                try:
+                    taken.append(_lockstep(cmdp, config, logits[i:i + 1], step[i:i + 1],
+                                           None if exact else lane_rngs[i:i + 1]))
+                except Exception as exc:
+                    errors[lane] = exc
+                else:
+                    kept.append(i)
+            live, step = live[kept], step[kept]
+            if not kept:
+                break
+            logits, *taken = map(np.concatenate, zip(*taken))
+        at = live if len(live) < n else slice(None)
+        iterates[at, m], objectives[at, m], estimates[at, m], rows[at, m] = taken
+
+    return [errors[lane] if errors[lane] is not None else CrpoPath(
+        # each lane's own copy: an outcome that is kept keeps no other lane
+        iterates=_as_readonly(iterates[lane].copy()),
+        reward_steps=tuple(np.flatnonzero(rows[lane] == 0).tolist()),
+        constraint_steps=tuple(tuple(np.flatnonzero(rows[lane] == i + 1).tolist())
+                               for i in range(p)),
+        per_step_estimates=estimates[lane], iterate_objectives=objectives[lane],
+        rng=generators[lane]) for lane in range(n)]
+
+
+def run_crpo(cmdp, init_policy, config, path=None):
     """CRPO loop: gate on estimated constraint values, ascend or descend.
 
     At each of M steps, the config's critic gives the iterate's (v, q) and
@@ -240,56 +377,28 @@ def run_crpo(cmdp, init_policy, config):
     lowest index). Returns the (M, S, A) iterate stack, the uniform draw from
     its reward-step rows, the exact objectives of every iterate, and the
     transition log (built when first read).
+
+    path is the run's entry of a `crpo_lanes` call on init_policy's logits
+    and config, when the caller stepped several runs in lockstep; without
+    it, the run steps alone, as a lockstep of one lane. Either way the
+    output draw is made here, from the run's own generator, and a lane's
+    failure is raised here.
     """
-    rng = np.random.default_rng(config.rng_seed)
-    # the log's episodes feed no decision: skip their draws here, so that the
-    # critic and the final draw see the same stream, and make them when the
-    # log is read
-    rng.bit_generator.advance(
-        config.steps * config.episodes_per_step * (1 + 2 * config.episode_horizon))
-    p = cmdp.n_costs
-    step = config.learning_rate / (1.0 - cmdp.discount)
-    eta = config.tolerance
-    exact = config.critic_mode == EXACT
-
-    logits = np.array(init_policy.logits, dtype=float)
-    iterates = np.empty((config.steps,) + logits.shape)
-    reward_steps = []
-    constraint_steps = [[] for _ in range(p)]
-    estimates = np.zeros((config.steps, p))
-    objectives = np.zeros((config.steps, p + 1))
-
-    for m in range(config.steps):
-        iterates[m] = probs = _softmax_rows(logits)
-        v, q = (policy_evaluation_exact(cmdp, probs) if exact
-                else td_critic(cmdp, probs, config.td_iterations,
-                               config.episode_horizon, rng))
-        j = v @ cmdp.initial_dist
-        objectives[m] = (j if exact else
-                         policy_evaluation_exact(cmdp, probs)[0] @ cmdp.initial_dist)
-        estimates[m] = j[1:]
-
-        excess = estimates[m] - cmdp.limits - eta
-        if np.all(excess <= 0):
-            reward_steps.append(m)
-            logits = npg_softmax_step(logits, q[0], step)
-        else:
-            worst = int(np.argmax(excess))  # argmax returns the lowest tied index
-            constraint_steps[worst].append(m)
-            logits = npg_softmax_step(logits, q[worst + 1], -step)
-
-    iterates.setflags(write=False)
+    if path is None:
+        path, = crpo_lanes(cmdp, init_policy.logits[None], [config])
+    if isinstance(path, Exception):
+        raise path
     outcome_args = dict(
-        iterates=iterates,
-        reward_steps=tuple(reward_steps),
-        constraint_steps=tuple(map(tuple, constraint_steps)),
-        per_step_estimates=estimates,
-        iterate_objectives=objectives,
-        log_builder=partial(_sampled_log, cmdp, iterates, config),
+        iterates=path.iterates,
+        reward_steps=path.reward_steps,
+        constraint_steps=path.constraint_steps,
+        per_step_estimates=path.per_step_estimates,
+        iterate_objectives=path.iterate_objectives,
+        log_builder=partial(_sampled_log, cmdp, path.iterates, config),
     )
-    if not reward_steps:
+    if not path.reward_steps:
         raise DegenerateRun(
             "no reward-ascent step occurred; returned policy undefined",
             outcome=CrpoOutcome(returned_step=config.steps - 1, **outcome_args))
-    chosen = reward_steps[rng.integers(len(reward_steps))]
+    chosen = path.reward_steps[path.rng.integers(len(path.reward_steps))]
     return CrpoOutcome(returned_step=chosen, **outcome_args)

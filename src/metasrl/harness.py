@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .cmdp import SoftmaxPolicy, _fmt, all_objectives
-from .crpo import CrpoConfig, run_crpo
+from .crpo import CrpoConfig, crpo_lanes, run_crpo
 from .dice import DiceConfig, dualdice_fit, visitation_from_corrections
 from .errors import (DegenerateRun, InvalidInput, NumericalFailure, check_counts,
                      check_reals, known_keys)
@@ -200,6 +200,15 @@ def solve_oracles(cmdps):
 def run_experiment(config, tasks=None):
     """Run every (strategy, run) pair over the task sequence.
 
+    The sweep is task-major. On each task every pair's strategy gives its
+    init table and rate (a pair whose init fails records the error and
+    sits the task out), all pairs' CRPO runs step together as the lanes of
+    one `crpo_lanes` lockstep, and then, pair by pair in (strategy, run)
+    order, one `run_crpo` call makes the pair's outcome from its lane (its
+    output draw and its log on its own seed) and the strategy learns from
+    it. Pairs share nothing but the lockstep, so each gets the numbers it
+    gets alone.
+
     Returns (result, reports). The `SweepResult` holds every (strategy,
     run, task) cell's outcome, and is the only store of them; iterated, it
     yields the `RunRecord` views. reports maps strategy name to its
@@ -253,51 +262,68 @@ def run_experiment(config, tasks=None):
         config.strategies, n_runs, config.crpo.steps,
         limits=[task.limits for task in tasks],
         optima=[sol.objective_values[0] for sol in oracles])
-    reports = {}
-
+    learners = {}   # (strategy index, run) -> (strategy, the run's task seeds)
     for si, name in enumerate(config.strategies):
-        last_outcomes = [None] * n_train   # the last successful run of each task
         for run in range(n_runs):
             child = children[si * n_runs + run]
-            task_seeds = child.generate_state(n_train + 1, dtype=np.uint32)
-            strategy = (MetaSrl(meta_start, config.dice, config.crpo.steps, constants)
-                        if name == "MetaSrl" else
-                        Baseline(name, np.random.default_rng(child), uniform,
-                                 config.crpo.learning_rate, meta_cfg.shrinkage))
+            learners[si, run] = (
+                MetaSrl(meta_start, config.dice, config.crpo.steps, constants)
+                if name == "MetaSrl" else
+                Baseline(name, np.random.default_rng(child), uniform,
+                         config.crpo.learning_rate, meta_cfg.shrinkage),
+                child.generate_state(n_train + 1, dtype=np.uint32))
+    # the last successful run of each (strategy, task)
+    last_outcomes = [[None] * n_train for _ in config.strategies]
 
-            for t, cmdp in enumerate(tasks):
-                is_test = t == n_train    # the held-out task, if any
-                cell = si, run, t
-                t0 = time.monotonic()
-                try:  # per-run failures never abort the sweep
-                    table, alpha = strategy.init(t)
-                    policy = SoftmaxPolicy(logits=np.log(np.maximum(table, 1e-300)))
-                    crpo_cfg = replace(config.crpo, learning_rate=alpha,
-                                       rng_seed=int(task_seeds[t]))
-                    try:
-                        outcome, degenerate = run_crpo(cmdp, policy, crpo_cfg), False
-                    except DegenerateRun as exc:
-                        outcome, degenerate = exc.outcome, True
-                    if not is_test:
-                        kl_term = strategy.learn(cmdp, outcome, task_seeds[t])
-                except Exception as exc:
-                    result.errors[cell] = f"{type(exc).__name__}: {exc}"
-                else:
-                    result.curves[cell] = outcome.iterate_objectives
-                    result.returned[cell] = outcome.returned_objectives
-                    result.degenerate[cell] = degenerate
-                    if not is_test:
-                        result.kl_terms[cell] = kl_term
-                        result.kappas[cell] = alpha
-                        last_outcomes[t] = outcome
-                result.wall_clock[cell] = time.monotonic() - t0
+    for t, cmdp in enumerate(tasks):
+        is_test = t == n_train    # the held-out task, if any
+        lanes = []                # (cell, strategy, task seed, policy, CRPO config)
+        for (si, run), (strategy, task_seeds) in learners.items():
+            cell = si, run, t
+            t0 = time.monotonic()
+            try:  # per-run failures never abort the sweep
+                table, alpha = strategy.init(t)
+                policy = SoftmaxPolicy(logits=np.log(np.maximum(table, 1e-300)))
+                crpo_cfg = replace(config.crpo, learning_rate=alpha,
+                                   rng_seed=int(task_seeds[t]))
+            except Exception as exc:
+                result.errors[cell] = f"{type(exc).__name__}: {exc}"
+            else:
+                lanes.append((cell, strategy, task_seeds[t], policy, crpo_cfg))
+            result.wall_clock[cell] = time.monotonic() - t0
+        if not lanes:
+            continue
+        t0 = time.monotonic()
+        paths = crpo_lanes(cmdp, np.array([lane[3].logits for lane in lanes]),
+                           [lane[4] for lane in lanes])
+        share = (time.monotonic() - t0) / len(lanes)
+        for (cell, strategy, task_seed, policy, crpo_cfg), path in zip(lanes, paths):
+            t0 = time.monotonic()
+            try:
+                try:
+                    outcome, degenerate = run_crpo(cmdp, policy, crpo_cfg, path), False
+                except DegenerateRun as exc:
+                    outcome, degenerate = exc.outcome, True
+                if not is_test:
+                    kl_term = strategy.learn(cmdp, outcome, task_seed)
+            except Exception as exc:
+                result.errors[cell] = f"{type(exc).__name__}: {exc}"
+            else:
+                result.curves[cell] = outcome.iterate_objectives
+                result.returned[cell] = outcome.returned_objectives
+                result.degenerate[cell] = degenerate
+                if not is_test:
+                    result.kl_terms[cell] = kl_term
+                    result.kappas[cell] = crpo_cfg.learning_rate
+                    last_outcomes[cell[0]][t] = outcome
+            result.wall_clock[cell] += time.monotonic() - t0 + share
 
-        reports[name] = regret_report(
-            oracles, last_outcomes, train_tasks,
-            j_hat=_mean_of_successes(result.returned[si, :, :n_train]),
-            kl_terms=_mean_of_successes(result.kl_terms[si]),
-            kappas=_mean_of_successes(result.kappas[si]),
-            shrink=meta_cfg.shrinkage)
+    reports = {name: regret_report(
+        oracles, last_outcomes[si], train_tasks,
+        j_hat=_mean_of_successes(result.returned[si, :, :n_train]),
+        kl_terms=_mean_of_successes(result.kl_terms[si]),
+        kappas=_mean_of_successes(result.kappas[si]),
+        shrink=meta_cfg.shrinkage) for si, name in enumerate(config.strategies)}
     return result, reports
 
 

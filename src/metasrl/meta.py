@@ -90,7 +90,6 @@ class SimConstants:
     c2: float
     c3: float
     c4: float
-    c5: float
 
     @classmethod
     def from_problem(cls, gamma, c_max, n_states, n_actions):
@@ -100,7 +99,6 @@ class SimConstants:
             c2=4.0 * c_max ** 2 * n_states * n_actions / one_m_g ** 3,
             c3=(3.0 + one_m_g ** 2) / one_m_g ** 2,
             c4=3.0 * c_max / one_m_g ** 2,
-            c5=2.0 * np.sqrt(one_m_g * n_states * n_actions),
         )
 
     def rate_slope(self, m_steps):

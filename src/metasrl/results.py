@@ -38,6 +38,13 @@ class SweepResult(Sequence):
     A run succeeded when its error is None, whatever its numbers. A failed
     run's objectives, KL term and kappa are NaN. As a sequence, the result
     is read-only `RunRecord` views in (strategy, run, task) order.
+
+    A task's runs take their CRPO steps together, in one lockstep
+    (`crpo.crpo_lanes`), so a cell's wall clock is the time of its own calls
+    (its strategy's init, its `run_crpo` call and its learning step) plus
+    an equal share of its task's lockstep, which is split among the runs
+    that joined it. A run whose init failed joined no lockstep and has only
+    its own time.
     """
 
     strategies: tuple
@@ -46,7 +53,7 @@ class SweepResult(Sequence):
     curves: np.ndarray       # (N, R, T, M, p+1) J_0..J_p of every CRPO iterate
     returned: np.ndarray     # (N, R, T, p+1) J_0..J_p of the returned policy
     degenerate: np.ndarray   # (N, R, T) bool: the run took no reward step
-    wall_clock: np.ndarray   # (N, R, T) seconds, never exported
+    wall_clock: np.ndarray   # (N, R, T) seconds, never exported; see below
     errors: np.ndarray       # (N, R, T) object: None, or the failure's text
     kl_terms: np.ndarray     # (N, R, n_train) each training task's KL term
     kappas: np.ndarray       # (N, R, n_train) the learning rate each run began with

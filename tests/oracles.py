@@ -37,9 +37,15 @@ def value_iteration(cmdp, tol=1e-12, max_iter=200_000):
 
 
 def policy_evaluation_reference(cmdp, probs):
-    """Value tables (v, q) of every objective of one (S, A) policy table,
-    stacked as `policy_evaluation_exact` returns them, one dense solve per
+    """Value tables (v, q) of every objective of one (S, A) policy table, or
+    of each table of a stack (..., S, A), stacked as
+    `policy_evaluation_exact` returns them, one dense solve per table and
     objective: P_pi is rebuilt and (I - gamma P_pi) refactorised for each one."""
+    if np.ndim(probs) > 2:
+        lead = np.shape(probs)[:-2]
+        vs, qs = zip(*(policy_evaluation_reference(cmdp, table) for table in
+                       np.reshape(probs, (-1,) + np.shape(probs)[-2:])))
+        return (np.reshape(vs, lead + vs[0].shape), np.reshape(qs, lead + qs[0].shape))
     vs, qs = [], []
     for i in range(cmdp.n_costs + 1):
         c = cmdp.objective_tables[i]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metasrl import cmdp as cmdp_module, harness as harness_module
-from metasrl.cmdp import (SoftmaxPolicy, TabularCmdp, all_objectives,
+from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, TabularCmdp, all_objectives,
                           policy_evaluation_exact, visitation_exact)
 from metasrl.crpo import sample_episode
 from metasrl.errors import InvalidInput, NumericalFailure
@@ -118,10 +118,11 @@ class TestPolicyEvaluation:
         assert np.all(v >= -1e-12)
         assert np.all(v <= cmdp.c_max / (1 - cmdp.discount) + 1e-12)
 
-    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 3)], ids=["extra-action", "stack"])
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4)], ids=["extra-action", "stack"])
     def test_refuses_table_of_wrong_shape(self, shape):
-        """The critic takes one (S, A) table: neither a table with an extra
-        action column nor an (M, S, A) stack of valid ones."""
+        """The critic takes one (S, A) table or a stack (..., S, A) of them:
+        neither a table with an extra action column nor a stack of such
+        tables."""
         cmdp = random_cmdp(np.random.default_rng(0))
         with pytest.raises(InvalidInput, match="shape"):
             policy_evaluation_exact(cmdp, np.full(shape, 1.0 / shape[-1]))
@@ -184,12 +185,69 @@ class TestOneFactorisation:
 
         def perturbed(a, b):
             x = solve(a, b)
-            x[:, column] += 1e-6
+            x[..., column] += 1e-6   # the solve's right-hand sides are its last axis
             return x
 
         monkeypatch.setattr(np.linalg, "solve", perturbed)
         with pytest.raises(NumericalFailure):
             policy_evaluation_exact(cmdp, SoftmaxPolicy.uniform(4, 3).probs)
+
+
+def stacked_cases():
+    """(cmdp, stack): 6 random CMDPs (p = 1, 2, 3, each rho spread out)
+    under a (5, S, A) stack and a (2, 3, S, A) stack of random softmax
+    tables, and the 16x16 gridworlds of seeds 0-2 under a (5, S, A) stack."""
+    rng = np.random.default_rng(40)
+    cases = []
+    for k in range(6):
+        cmdp = random_cmdp(rng, n_states=int(rng.integers(2, 9)),
+                           n_actions=int(rng.integers(2, 5)), n_costs=1 + k % 3,
+                           gamma=float(rng.uniform(0.5, 0.99)))
+        lead = (5,) if k % 2 else (2, 3)
+        cases.append((cmdp, lead))
+    cases += [(gen_frozen_lake(GridSpec(rows=16, cols=16, seed=s)), (5,))
+              for s in range(3)]
+    return [pytest.param(cmdp, cmdp_module._softmax_rows(rng.standard_normal(
+        lead + (cmdp.n_states, cmdp.n_actions))), id=f"case{k}")
+            for k, (cmdp, lead) in enumerate(cases)]
+
+
+class TestStackedEvaluation:
+    """A stack of tables is evaluated in one call, and each table gets the
+    bits it gets alone: v, q, and J = v @ rho read off the stack."""
+
+    @pytest.mark.parametrize("cmdp, stack", stacked_cases())
+    def test_each_table_as_alone(self, cmdp, stack):
+        v, q = policy_evaluation_exact(cmdp, stack)
+        lead = stack.shape[:-2]
+        assert v.shape == lead + (cmdp.n_costs + 1, cmdp.n_states)
+        assert q.shape == lead + (cmdp.n_costs + 1, cmdp.n_states, cmdp.n_actions)
+        j = v @ cmdp.initial_dist
+        for index in np.ndindex(lead):
+            v1, q1 = policy_evaluation_exact(cmdp, stack[index])
+            assert v[index].tobytes() == v1.tobytes()
+            assert q[index].tobytes() == q1.tobytes()
+            assert j[index].tobytes() == (v1 @ cmdp.initial_dist).tobytes()
+            assert j[index].tobytes() == all_objectives(
+                cmdp, TablePolicy(probs=stack[index])).tobytes()
+
+    def test_one_failing_table_fails_the_stack(self, monkeypatch):
+        """The residual is checked on every table: a stack with one bad
+        table raises, naming the largest residual."""
+        cmdp = random_cmdp(np.random.default_rng(12), n_costs=2)
+        solve = np.linalg.solve
+
+        def perturbed(a, b):
+            x = solve(a, b)
+            if len(x) > 2:
+                x[2] += 1e-6    # the third table's solution only
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        stack = np.full((4, 4, 3), 1.0 / 3.0)
+        with pytest.raises(NumericalFailure, match="Bellman residual"):
+            policy_evaluation_exact(cmdp, stack)
+        policy_evaluation_exact(cmdp, stack[:2])
 
 
 class TestSuccessorView:

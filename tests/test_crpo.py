@@ -9,7 +9,7 @@ from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, TabularCmdp,
                           all_objectives, policy_evaluation_exact)
 from metasrl.crpo import (CrpoConfig, npg_softmax_step, run_crpo, sample_episode,
                           td_critic)
-from metasrl.errors import DegenerateRun, InvalidInput, SamplerError
+from metasrl.errors import DegenerateRun, InvalidInput, NumericalFailure, SamplerError
 from metasrl.lp import solve_optimal_lp
 from metasrl.taskgen import GridSpec, gen_frozen_lake, gen_task_sequence
 
@@ -708,3 +708,153 @@ class TestOneFactorisationDecisions:
         assert decisions == ref_decisions
         err = np.abs(out.iterate_objectives - ref.iterate_objectives)
         assert np.all(err <= 1e-12 * np.maximum(1.0, np.abs(ref.iterate_objectives)))
+
+
+def _per_run_reference(cmdp, init, cfg):
+    """One CRPO run stepped alone, one (S, A) table at a time: the
+    reference every lane of a lockstep must match. Returns (iterates,
+    reward steps, constraint steps, estimates, objectives, the generator
+    after the critic's draws)."""
+    rng = np.random.default_rng(cfg.rng_seed)
+    rng.bit_generator.advance(
+        cfg.steps * cfg.episodes_per_step * (1 + 2 * cfg.episode_horizon))
+    p, rho = cmdp.n_costs, cmdp.initial_dist
+    step = cfg.learning_rate / (1.0 - cmdp.discount)
+    logits = np.array(init.logits)
+    iterates, objectives, estimates = [], [], []
+    reward_steps, constraint_steps = [], [[] for _ in range(p)]
+    for m in range(cfg.steps):
+        probs = SoftmaxPolicy(logits=logits).probs
+        iterates.append(probs)
+        v, q = (policy_evaluation_exact(cmdp, probs) if cfg.critic_mode == "Exact"
+                else td_critic(cmdp, probs, cfg.td_iterations, cfg.episode_horizon, rng))
+        j = v @ rho
+        objectives.append(policy_evaluation_exact(cmdp, probs)[0] @ rho)
+        estimates.append(j[1:])
+        excess = j[1:] - cmdp.limits - cfg.tolerance
+        if np.all(excess <= 0):
+            reward_steps.append(m)
+            logits = npg_softmax_step(logits, q[0], step)
+        else:
+            worst = int(np.argmax(excess))
+            constraint_steps[worst].append(m)
+            logits = npg_softmax_step(logits, q[worst + 1], -step)
+    return (np.array(iterates), tuple(reward_steps), tuple(map(tuple, constraint_steps)),
+            np.array(estimates), np.array(objectives), rng)
+
+
+def _outcome(cmdp, init, cfg, path=None):
+    try:
+        return run_crpo(cmdp, init, cfg, path)
+    except DegenerateRun as exc:
+        return exc.outcome
+
+
+class TestLockstepLanes:
+    """`crpo_lanes` steps runs that differ in init, rate and seed together;
+    every lane gets the bits of its run stepped alone."""
+
+    CMDP = random_cmdp(np.random.default_rng(7), n_costs=2, feasible_margin=0.02)
+    # an init that puts its mass on each state's costliest action: with a
+    # small rate it stays over the limit, and its run takes no reward step
+    COSTLY = np.where(np.arange(3) == CMDP.costs.sum(axis=0).argmax(axis=1)[:, None],
+                      4.0, 0.0)
+    # (init logits, learning rate, seed): two identical lanes, one
+    # degenerate lane, and lanes that differ in init, rate and seed
+    LANES = [(np.zeros((4, 3)), 0.5, 3), (np.zeros((4, 3)), 0.5, 3), (COSTLY, 0.02, 4),
+             (np.random.default_rng(1).standard_normal((4, 3)), 0.3, 5),
+             (np.random.default_rng(2).standard_normal((4, 3)), 0.8, 6),
+             (np.zeros((4, 3)), 0.5, 9)]
+
+    def _configs(self, mode):
+        base = CrpoConfig(steps=6, tolerance=0.0, critic_mode=mode, td_iterations=60,
+                          episodes_per_step=2, episode_horizon=7)
+        return [replace(base, learning_rate=rate, rng_seed=seed)
+                for _, rate, seed in self.LANES]
+
+    def _assert_same_run(self, got, solo, reference):
+        assert got.iterates.tobytes() == solo.iterates.tobytes()
+        for a, b in [(got.per_step_estimates, solo.per_step_estimates),
+                     (got.iterate_objectives, solo.iterate_objectives)]:
+            assert a.tobytes() == b.tobytes()
+        assert (got.reward_steps, got.constraint_steps, got.returned_step) == \
+            (solo.reward_steps, solo.constraint_steps, solo.returned_step)
+        _assert_log_is(got.dataset, (solo.dataset.s.reshape(-1, 7),
+                                     solo.dataset.a.reshape(-1, 7),
+                                     solo.dataset.s_next.reshape(-1, 7)))
+        iterates, reward_steps, constraint_steps, estimates, objectives, rng = reference
+        assert got.iterates.tobytes() == iterates.tobytes()
+        assert got.reward_steps == reward_steps
+        assert got.constraint_steps == constraint_steps
+        assert got.per_step_estimates.tobytes() == estimates.tobytes()
+        assert got.iterate_objectives.tobytes() == objectives.tobytes()
+        if reward_steps:
+            assert got.returned_step == reward_steps[rng.integers(len(reward_steps))]
+
+    @pytest.mark.parametrize("mode", ["Exact", "TdSampled"])
+    def test_every_lane_matches_its_solo_run(self, mode):
+        cmdp, configs = self.CMDP, self._configs(mode)
+        inits = [SoftmaxPolicy(logits=logits) for logits, _, _ in self.LANES]
+        paths = crpo.crpo_lanes(cmdp, np.array([p.logits for p in inits]), configs)
+        assert [type(path) for path in paths] == [crpo.CrpoPath] * len(self.LANES)
+        for init, cfg, path in zip(inits, configs, paths):
+            got, solo = _outcome(cmdp, init, cfg, path), _outcome(cmdp, init, cfg)
+            self._assert_same_run(got, solo, _per_run_reference(cmdp, init, cfg))
+        with pytest.raises(DegenerateRun):
+            run_crpo(cmdp, inits[2], configs[2], paths[2])
+        assert paths[0].iterates.tobytes() == paths[1].iterates.tobytes()
+
+    @pytest.mark.parametrize("mode", ["Exact", "TdSampled"])
+    def test_a_failing_lane_leaves_the_others_unchanged(self, monkeypatch, mode):
+        """Lane 3 fails at step 2 in its critic: its run raises the error
+        it raises alone, and the other lanes, whose TdSampled critics drew
+        before it in the failed stacked step, get their solo bits."""
+        cmdp, configs = self.CMDP, self._configs(mode)
+        inits = [SoftmaxPolicy(logits=logits) for logits, _, _ in self.LANES]
+        bad = _outcome(cmdp, inits[3], configs[3]).iterates[2]
+        exact, sampled = crpo.policy_evaluation_exact, crpo.td_critic
+
+        def failing(probs):
+            if np.any(np.all(probs == bad, axis=(-2, -1))):
+                raise NumericalFailure("made to fail")
+
+        monkeypatch.setattr(crpo, "policy_evaluation_exact", lambda cmdp, probs: (
+            failing(probs) if mode == "Exact" else None) or exact(cmdp, probs))
+        monkeypatch.setattr(crpo, "td_critic", lambda cmdp, probs, *args: (
+            failing(probs) or sampled(cmdp, probs, *args)))
+        paths = crpo.crpo_lanes(cmdp, np.array([p.logits for p in inits]), configs)
+        assert isinstance(paths[3], NumericalFailure)
+        for i, (init, cfg, path) in enumerate(zip(inits, configs, paths)):
+            if i == 3:
+                for p in (path, None):
+                    with pytest.raises(NumericalFailure, match="^made to fail$"):
+                        run_crpo(cmdp, init, cfg, p)
+                continue
+            got, solo = _outcome(cmdp, init, cfg, path), _outcome(cmdp, init, cfg)
+            self._assert_same_run(got, solo, _per_run_reference(cmdp, init, cfg))
+
+    def test_lanes_on_test09_grids(self):
+        """Fifty lanes on a 4x4 and on a 16x16 test_09-style grid, each
+        matching its run stepped alone."""
+        for n in (4, 16):
+            cmdp = gen_frozen_lake(GridSpec(rows=n, cols=n, seed=2))
+            rng = np.random.default_rng(n)
+            logits = rng.standard_normal((50, cmdp.n_states, cmdp.n_actions))
+            configs = [CrpoConfig(learning_rate=float(rng.uniform(0.1, 2.0)), steps=8,
+                                  tolerance=0.05, episodes_per_step=5,
+                                  episode_horizon=60, rng_seed=k) for k in range(50)]
+            paths = crpo.crpo_lanes(cmdp, logits, configs)
+            for k in (0, 17, 49):
+                init = SoftmaxPolicy(logits=logits[k])
+                got = _outcome(cmdp, init, configs[k], paths[k])
+                ref = _per_run_reference(cmdp, init, configs[k])
+                assert got.iterates.tobytes() == ref[0].tobytes()
+                assert (got.reward_steps, got.constraint_steps) == ref[1:3]
+                assert got.iterate_objectives.tobytes() == ref[4].tobytes()
+
+    def test_lanes_share_every_setting_but_rate_and_seed(self):
+        configs = [CrpoConfig(), CrpoConfig(tolerance=0.1)]
+        with pytest.raises(InvalidInput, match="learning_rate and rng_seed"):
+            crpo.crpo_lanes(self.CMDP, np.zeros((2, 4, 3)), configs)
+        with pytest.raises(InvalidInput, match="for 1 lanes"):
+            crpo.crpo_lanes(self.CMDP, np.zeros((2, 4, 3)), configs[:1])

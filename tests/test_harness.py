@@ -287,15 +287,23 @@ class TestRunExperiment:
         """A failed meta update becomes the task's error record; the meta
         state stays as it was and the run goes on to the next task."""
         tasks = tiny_tasks(4)
-        states = []                 # the state each meta_update call starts from
-        meta_update = harness.meta_update
+        # the state each meta_update call starts from, by task and then in
+        # run order; a run's update follows its own CRPO call
+        states = [[] for _ in tasks]
+        running = []
+        run_crpo, meta_update = harness.run_crpo, harness.meta_update
+
+        def recording_crpo(cmdp, *args):
+            running[:] = [next(t for t, task in enumerate(tasks) if task is cmdp)]
+            return run_crpo(cmdp, *args)
 
         def failing_on_task_1(state, *args):
-            states.append(state)
-            if len(states) % 3 == 2:    # task 1 of each run
+            states[running[0]].append(state)
+            if running[0] == 1:
                 raise InvalidInput("non-finite gradient")
             return meta_update(state, *args)
 
+        monkeypatch.setattr(harness, "run_crpo", recording_crpo)
         monkeypatch.setattr(harness, "meta_update", failing_on_task_1)
         records, reports = run_experiment(tiny_config(strategies=("MetaSrl",)),
                                           tasks=tasks)
@@ -303,8 +311,9 @@ class TestRunExperiment:
         for rec in records:
             assert rec.error == ("InvalidInput: non-finite gradient"
                                  if rec.task_index == 1 else None)
+        assert [len(s) for s in states] == [2, 2, 2, 0]
         for run in range(2):
-            s0, s1, s2 = states[3 * run:3 * run + 3]
+            s0, s1, s2 = (states[t][run] for t in range(3))
             assert s1 is not s0
             assert s2 is s1         # task 1's update did not land
         task_1 = reports["MetaSrl"].per_task[1]
@@ -484,17 +493,25 @@ class TestExportReport:
         """Failures on cells of both strategies, held-out task among them,
         come out in (strategy, run, task) order, each with its own text."""
         tasks = tiny_tasks(3)
+        cfg = tiny_config()
         run_crpo = harness.run_crpo
         calls = []
+        # a cell is its task and its CRPO seed, each (strategy, run) drawing
+        # its task seeds from its own child of the master seed; it is named
+        # by its index in (strategy, run, task) order
+        children = np.random.SeedSequence(cfg.master_seed).spawn(4)
+        failing = {(t, int(children[s * 2 + run].generate_state(3, dtype=np.uint32)[t])):
+                   s * 6 + run * 3 + t
+                   for s, run, t in [(0, 0, 2), (0, 1, 0), (1, 0, 1), (1, 1, 2)]}
 
-        def failing_on_some_calls(cmdp, *args, **kwargs):
-            calls.append(cmdp)       # one call a cell, in (strategy, run, task) order
-            if len(calls) - 1 in (2, 3, 7, 11):
-                raise RuntimeError(f"call {len(calls) - 1} failed")
-            return run_crpo(cmdp, *args, **kwargs)
+        def failing_on_some_cells(cmdp, policy, crpo_cfg, *args):
+            calls.append(cmdp)       # one call a cell
+            t = next(t for t, task in enumerate(tasks) if task is cmdp)
+            if (t, crpo_cfg.rng_seed) in failing:
+                raise RuntimeError(f"call {failing[t, crpo_cfg.rng_seed]} failed")
+            return run_crpo(cmdp, policy, crpo_cfg, *args)
 
-        monkeypatch.setattr(harness, "run_crpo", failing_on_some_calls)
-        cfg = tiny_config()
+        monkeypatch.setattr(harness, "run_crpo", failing_on_some_cells)
         result, reports = run_experiment(cfg, tasks=tasks)
         assert len(calls) == 12
         out = str(tmp_path / "out")

@@ -134,10 +134,9 @@ class TestSimConstants:
         assert abs(c.c2 - 128.0) < 1e-12
         assert abs(c.c3 - 13.0) < 1e-12
         assert abs(c.c4 - 12.0) < 1e-12
-        assert abs(c.c5 - 2.0 * np.sqrt(2.0)) < 1e-12
 
     def test_sim_loss_value_and_grad(self):
-        c = SimConstants(c1=2.0, c2=1.0, c3=0.0, c4=0.0, c5=0.0)
+        c = SimConstants(c1=2.0, c2=1.0, c3=0.0, c4=0.0)
         loss, grad = sim_loss_and_grad(2.0, kl_term=4.0, m_steps=9, constants=c)
         assert abs(loss - (2.0 * 4.0 / 2.0 + 2.0 * 9.0)) < 1e-12
         fd = central_difference(
