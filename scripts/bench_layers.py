@@ -18,8 +18,9 @@ settings, the Exact critic, random initial logits, run k with seed k and
 a learning rate drawn from [0.5, 1.5]):
 
 - lanes_<L>: one `crpo_lanes` call, which takes the L runs through their
-  8 steps together; it makes --number / (8 L) calls a round, at least
-  one, as one call is 8 L evaluations;
+  8 steps together and builds each run's outcome, its output draw
+  included; it makes --number / (8 L) calls a round, at least one, as one
+  call is 8 L evaluations;
 
 and two on a CRPO run on that task (the test_09 CRPO settings, seed 2,
 from the uniform policy):

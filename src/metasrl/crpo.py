@@ -19,11 +19,11 @@ signed step +/- alpha/(1-gamma), which the run computes once.
 
 Runs on one CMDP step in lockstep: `crpo_lanes` takes L runs, its lanes,
 through their M steps together over an (L, S, A) logit stack, with one
-stacked exact solve a step and a signed step per lane, and returns each
-lane's `CrpoPath`; `run_crpo` makes a run's outcome from its lane's path,
-and a run called alone is a lockstep of one lane, so there is one step
-body. Each lane gets the bits it gets alone. Under TdSampled each lane's
-critic still draws its own chain from its own generator, lane after lane.
+stacked exact solve a step and a signed step per lane, and makes each
+lane's outcome, its output drawn from the lane's own generator; a run
+called alone is a lockstep of one lane, so one body steps every run and
+makes every outcome. Each lane gets the bits it gets alone. Under
+TdSampled each lane's critic draws its own chain from its own generator.
 
 Every sampled draw, whether an episode step or a chain step, goes
 through one batched rollout that steps all rows together and reproduces
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -82,6 +82,8 @@ class CrpoConfig:
             raise InvalidInput("tolerance must be nonnegative")
         if self.critic_mode not in (EXACT, TD_SAMPLED):
             raise InvalidInput(f"unknown critic_mode {self.critic_mode!r}")
+        if self.critic_mode == TD_SAMPLED and self.td_iterations < 1:
+            raise InvalidInput("td_iterations must be >= 1 under TdSampled")
 
 
 @dataclass(frozen=True)
@@ -240,19 +242,6 @@ def _sampled_log(cmdp, iterates, config):
         s_next=nexts.ravel(), initial_states=states[:, 0])
 
 
-class CrpoPath(NamedTuple):
-    """What one lane of `crpo_lanes` decides before its output draw: the
-    iterates, decisions, estimates and exact objectives of one CRPO run, and
-    the run's generator after its critic's draws."""
-
-    iterates: np.ndarray            # (M, S, A) read-only tables, in step order
-    reward_steps: tuple
-    constraint_steps: tuple
-    per_step_estimates: np.ndarray  # (M, p)
-    iterate_objectives: np.ndarray  # (M, p+1)
-    rng: np.random.Generator
-
-
 def _lane_settings(config):
     """Every setting of a config but the two a lane may have of its own."""
     return tuple(v for k, v in vars(config).items()
@@ -289,21 +278,41 @@ def _lockstep(cmdp, config, logits, step, generators):
     return npg_softmax_step(logits, q_row, step), probs, objectives, j[:, 1:], row
 
 
+def _finish(cmdp, config, rng, iterates, rows, estimates, objectives):
+    """One lane's outcome, its output drawn from its generator rng, from the
+    q row (0 reward, i cost i) that each of its M steps moved along; a
+    `DegenerateRun` returning the last iterate if no step ascended."""
+    reward_steps = tuple(np.flatnonzero(rows == 0).tolist())
+    outcome = CrpoOutcome(
+        iterates=iterates, reward_steps=reward_steps,
+        constraint_steps=tuple(tuple(np.flatnonzero(rows == i + 1).tolist())
+                               for i in range(cmdp.n_costs)),
+        per_step_estimates=estimates, iterate_objectives=objectives,
+        returned_step=reward_steps[rng.integers(len(reward_steps))]
+        if reward_steps else config.steps - 1,
+        log_builder=partial(_sampled_log, cmdp, iterates, config))
+    return outcome if reward_steps else DegenerateRun(
+        "no reward-ascent step occurred; returned policy undefined", outcome=outcome)
+
+
 def crpo_lanes(cmdp, logits, configs):
-    """The iterate paths of L CRPO runs on one CMDP, stepped in lockstep.
+    """L CRPO runs on one CMDP, stepped in lockstep, each finished.
 
     logits is the (L, S, A) stack of the runs' initial logits and configs
     their `CrpoConfig`s, one a lane; lanes may differ in learning_rate and
-    rng_seed only. Each step is one `_lockstep` over the stack: one softmax,
-    one stacked `policy_evaluation_exact` call, a gate per lane, and one
-    `npg_softmax_step` with a signed step per lane. Under TdSampled each
-    lane's critic draws from the lane's own generator, lane after lane. A
-    step that raises is taken again lane by lane, each lane a stack of one
-    from its generator's state before the step, and a lane whose step
-    raises leaves the lockstep. Each lane gets the bits it gets alone.
+    rng_seed only. A lane whose logits are not all finite is refused before
+    the first step and never joins the stack. Each step is one `_lockstep`
+    over the stack: one softmax, one stacked `policy_evaluation_exact`
+    call, a gate per lane, and one `npg_softmax_step` with a signed step
+    per lane. Under TdSampled each lane's critic draws from the lane's own
+    generator, lane after lane. A step that raises is taken again lane by
+    lane, each lane a stack of one from its generator's state before the
+    step, and a lane whose step raises leaves the lockstep. Each lane gets
+    the bits it gets alone.
 
-    Returns one entry a lane: its `CrpoPath`, or the exception that stopped
-    it, which `run_crpo` raises again.
+    Returns one entry a lane: its `CrpoOutcome` (output drawn from its own
+    generator, log built on its own config), a `DegenerateRun` carrying its
+    outcome, or the exception that stopped it.
     """
     config = configs[0]
     shared = _lane_settings(config)
@@ -329,10 +338,12 @@ def crpo_lanes(cmdp, logits, configs):
     objectives = np.zeros((n, steps, p + 1))
     estimates = np.zeros((n, steps, p))
     rows = np.zeros((n, steps), dtype=np.intp)
-    errors = [None] * n
-    live = np.arange(n)
+    finite = np.isfinite(logits).all(axis=(1, 2))
+    errors = [None if ok else InvalidInput("logits must be finite") for ok in finite]
+    live = np.flatnonzero(finite)
+    logits, step = logits[live], step[live]
     exact = config.critic_mode == EXACT
-    for m in range(steps):
+    for m in range(steps if live.size else 0):
         # the Exact step draws nothing: no generator state to restore
         lane_rngs = None if exact else [generators[lane] for lane in live]
         saved = None if exact else [rng.bit_generator.state for rng in lane_rngs]
@@ -357,48 +368,33 @@ def crpo_lanes(cmdp, logits, configs):
         at = live if len(live) < n else slice(None)
         iterates[at, m], objectives[at, m], estimates[at, m], rows[at, m] = taken
 
-    return [errors[lane] if errors[lane] is not None else CrpoPath(
+    return [errors[lane] if errors[lane] is not None else _finish(
         # each lane's own copy: an outcome that is kept keeps no other lane
-        iterates=_as_readonly(iterates[lane].copy()),
-        reward_steps=tuple(np.flatnonzero(rows[lane] == 0).tolist()),
-        constraint_steps=tuple(tuple(np.flatnonzero(rows[lane] == i + 1).tolist())
-                               for i in range(p)),
-        per_step_estimates=estimates[lane], iterate_objectives=objectives[lane],
-        rng=generators[lane]) for lane in range(n)]
+        cmdp, configs[lane], generators[lane], _as_readonly(iterates[lane].copy()),
+        rows[lane], estimates[lane], objectives[lane]) for lane in range(n)]
 
 
-def run_crpo(cmdp, init_policy, config, path=None):
+def run_crpo(cmdp, init_policy, config, lane=None):
     """CRPO loop: gate on estimated constraint values, ascend or descend.
 
     At each of M steps, the config's critic gives the iterate's (v, q) and
     every constraint value is estimated as rho . v_i. If all are within
     their limit plus tolerance, take a natural-gradient ascent step on the
     reward, otherwise descend on the most-violated constraint (ties to the
-    lowest index). Returns the (M, S, A) iterate stack, the uniform draw from
-    its reward-step rows, the exact objectives of every iterate, and the
-    transition log (built when first read).
+    lowest index). Returns the (M, S, A) iterate stack, the uniform draw
+    from its reward-step rows, the exact objectives of every iterate, and
+    the transition log (built when first read); with no reward step, raises
+    `DegenerateRun` carrying that outcome.
 
-    path is the run's entry of a `crpo_lanes` call on init_policy's logits
-    and config, when the caller stepped several runs in lockstep; without
-    it, the run steps alone, as a lockstep of one lane. Either way the
-    output draw is made here, from the run's own generator, and a lane's
-    failure is raised here.
+    lane is the run's entry of a `crpo_lanes` call on init_policy's logits
+    and config: it is returned, or raised if it is an exception. Without
+    it, the run steps alone, as a lockstep of one lane. This call stays,
+    one a run, because `perfbench` counts one `run_crpo` call per record
+    and checks `harness.run_crpo is crpo.run_crpo`; ROADMAP item 1b can
+    fold it into the harness.
     """
-    if path is None:
-        path, = crpo_lanes(cmdp, init_policy.logits[None], [config])
-    if isinstance(path, Exception):
-        raise path
-    outcome_args = dict(
-        iterates=path.iterates,
-        reward_steps=path.reward_steps,
-        constraint_steps=path.constraint_steps,
-        per_step_estimates=path.per_step_estimates,
-        iterate_objectives=path.iterate_objectives,
-        log_builder=partial(_sampled_log, cmdp, path.iterates, config),
-    )
-    if not path.reward_steps:
-        raise DegenerateRun(
-            "no reward-ascent step occurred; returned policy undefined",
-            outcome=CrpoOutcome(returned_step=config.steps - 1, **outcome_args))
-    chosen = path.reward_steps[path.rng.integers(len(path.reward_steps))]
-    return CrpoOutcome(returned_step=chosen, **outcome_args)
+    if lane is None:
+        lane, = crpo_lanes(cmdp, init_policy.logits[None], [config])
+    if isinstance(lane, Exception):
+        raise lane
+    return lane

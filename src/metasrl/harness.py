@@ -204,10 +204,10 @@ def run_experiment(config, tasks=None):
     init table and rate (a pair whose init fails records the error and
     sits the task out), all pairs' CRPO runs step together as the lanes of
     one `crpo_lanes` lockstep, and then, pair by pair in (strategy, run)
-    order, one `run_crpo` call makes the pair's outcome from its lane (its
-    output draw and its log on its own seed) and the strategy learns from
-    it. Pairs share nothing but the lockstep, so each gets the numbers it
-    gets alone.
+    order, one `run_crpo` call hands back the pair's finished lane (its
+    outcome, output drawn and log built on its own seed) and the strategy
+    learns from it. Pairs share nothing but the lockstep, so each gets the
+    numbers it gets alone.
 
     Returns (result, reports). The `SweepResult` holds every (strategy,
     run, task) cell's outcome, and is the only store of them; iterated, it
@@ -222,6 +222,8 @@ def run_experiment(config, tasks=None):
             tasks, _, _ = gen_task_sequence(config.task_source)
         else:
             tasks = load_task_sequence(config.task_source)
+    if not tasks:
+        raise InvalidInput("the task sequence is empty")
     shapes = [(task.n_states, task.n_actions, task.n_costs) for task in tasks]
     for t, shape in enumerate(shapes):
         if shape != shapes[0]:
@@ -272,8 +274,8 @@ def run_experiment(config, tasks=None):
                 Baseline(name, np.random.default_rng(child), uniform,
                          config.crpo.learning_rate, meta_cfg.shrinkage),
                 child.generate_state(n_train + 1, dtype=np.uint32))
-    # the last successful run of each (strategy, task)
-    last_outcomes = [[None] * n_train for _ in config.strategies]
+    # the returned policy of the last successful run of each (strategy, task)
+    last_policies = [[None] * n_train for _ in config.strategies]
 
     for t, cmdp in enumerate(tasks):
         is_test = t == n_train    # the held-out task, if any
@@ -294,14 +296,14 @@ def run_experiment(config, tasks=None):
         if not lanes:
             continue
         t0 = time.monotonic()
-        paths = crpo_lanes(cmdp, np.array([lane[3].logits for lane in lanes]),
-                           [lane[4] for lane in lanes])
+        entries = crpo_lanes(cmdp, np.array([lane[3].logits for lane in lanes]),
+                             [lane[4] for lane in lanes])
         share = (time.monotonic() - t0) / len(lanes)
-        for (cell, strategy, task_seed, policy, crpo_cfg), path in zip(lanes, paths):
+        for (cell, strategy, task_seed, policy, crpo_cfg), entry in zip(lanes, entries):
             t0 = time.monotonic()
             try:
                 try:
-                    outcome, degenerate = run_crpo(cmdp, policy, crpo_cfg, path), False
+                    outcome, degenerate = run_crpo(cmdp, policy, crpo_cfg, entry), False
                 except DegenerateRun as exc:
                     outcome, degenerate = exc.outcome, True
                 if not is_test:
@@ -315,11 +317,11 @@ def run_experiment(config, tasks=None):
                 if not is_test:
                     result.kl_terms[cell] = kl_term
                     result.kappas[cell] = crpo_cfg.learning_rate
-                    last_outcomes[cell[0]][t] = outcome
+                    last_policies[cell[0]][t] = outcome.returned_policy
             result.wall_clock[cell] += time.monotonic() - t0 + share
 
     reports = {name: regret_report(
-        oracles, last_outcomes[si], train_tasks,
+        result.optima, last_policies[si], train_tasks,
         j_hat=_mean_of_successes(result.returned[si, :, :n_train]),
         kl_terms=_mean_of_successes(result.kl_terms[si]),
         kappas=_mean_of_successes(result.kappas[si]),

@@ -219,13 +219,14 @@ class RegretReport:
     per_task: list = field(default_factory=list)
 
 
-def regret_report(oracle_solutions, outcomes, cmdps, j_hat, kl_terms, kappas,
+def regret_report(optima, policies, cmdps, j_hat, kl_terms, kappas,
                   shrink, comparators=None):
     """Task-averaged optimality gap, constraint violations and similarity stats.
 
-    j_hat[t] (J_0..J_p), kl_terms[t] and kappas[t] are task t's means over
-    its successful runs, and outcomes[t] is one of those runs. A task with
-    none has outcome None and NaN means: it exports NaN, and the similarity
+    optima[t] is task t's optimal reward J_0*. j_hat[t] (J_0..J_p),
+    kl_terms[t] and kappas[t] are task t's means over its successful runs,
+    and policies[t] is the returned policy of one of those runs. A task with
+    none has policy None and NaN means: it exports NaN, and the similarity
     center and KL statistics skip it.
 
     What the regret fields hold as `run_experiment` fills them (ROADMAP
@@ -238,20 +239,19 @@ def regret_report(oracle_solutions, outcomes, cmdps, j_hat, kl_terms, kappas,
     inexactness_proxy and every per-task inexactness are zeros.
     """
     t_tasks = len(cmdps)
-    if len(oracle_solutions) != t_tasks or len(outcomes) != t_tasks:
+    if len(optima) != t_tasks or len(policies) != t_tasks:
         raise InvalidInput("misaligned task lists")
     j_hat = np.asarray(j_hat, dtype=float)
     kl_terms = np.asarray(kl_terms, dtype=float)
-    gaps = np.array([sol.objective_values[0] for sol in oracle_solutions]) - j_hat[:, 0]
+    gaps = np.asarray(optima, dtype=float) - j_hat[:, 0]
     viol = j_hat[:, 1:] - np.array([cmdp.limits for cmdp in cmdps])
-    done = [t for t in range(t_tasks) if outcomes[t] is not None]
+    done = [t for t in range(t_tasks) if policies[t] is not None]
     kl_done = kl_terms[done]
 
     d_hat_sq = static_regret = np.nan
     if done:
-        pis = np.array([outcomes[t].returned_policy.probs for t in done])
-        nus = np.array([visitation_exact(cmdps[t], outcomes[t].returned_policy).nu
-                        for t in done])
+        pis = np.array([policies[t].probs for t in done])
+        nus = np.array([visitation_exact(cmdps[t], policies[t]).nu for t in done])
         _, kl_center = closed_form_similarity_center(nus, pis, shrink)
         d_hat_sq = float(kl_center.mean())
         static_regret = float((kl_done - kl_center).sum())

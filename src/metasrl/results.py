@@ -40,11 +40,12 @@ class SweepResult(Sequence):
     is read-only `RunRecord` views in (strategy, run, task) order.
 
     A task's runs take their CRPO steps together, in one lockstep
-    (`crpo.crpo_lanes`), so a cell's wall clock is the time of its own calls
-    (its strategy's init, its `run_crpo` call and its learning step) plus
-    an equal share of its task's lockstep, which is split among the runs
-    that joined it. A run whose init failed joined no lockstep and has only
-    its own time.
+    (`crpo.crpo_lanes`) that also makes each run's outcome and its output
+    draw, so a cell's wall clock is the time of its own calls (its
+    strategy's init, its `run_crpo` call, which hands back its lane, and its
+    learning step) plus an equal share of its task's lockstep, which is
+    split among the runs that joined it. A run whose init failed joined no
+    lockstep and has only its own time.
     """
 
     strategies: tuple

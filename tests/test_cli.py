@@ -126,6 +126,17 @@ class TestRun:
         out = str(tmp_path / "from_dir")
         assert main(["run", "--config", rcfg, "--out", out]) == 0
 
+    @pytest.mark.parametrize("holdout", [False, True])
+    def test_empty_task_directory_exit_2(self, tmp_path, capsys, holdout):
+        tasks_dir = tmp_path / "tasks"
+        tasks_dir.mkdir()
+        rcfg = write_json(tmp_path / "run.json", {
+            **RUN_DOC, "task_source": str(tasks_dir), "holdout_test_task": holdout})
+        out = tmp_path / "x"
+        assert main(["run", "--config", rcfg, "--out", str(out)]) == 2
+        assert "config error: the task sequence is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mixed_task_shapes_exit_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "tasks.json", TASK_DOC)
         tasks_dir = tmp_path / "tasks"

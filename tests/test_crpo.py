@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from metasrl import cmdp as cmdp_module, crpo
 from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, TabularCmdp,
                           all_objectives, policy_evaluation_exact)
-from metasrl.crpo import (CrpoConfig, npg_softmax_step, run_crpo, sample_episode,
-                          td_critic)
+from metasrl.crpo import (CrpoConfig, CrpoOutcome, npg_softmax_step, run_crpo,
+                          sample_episode, td_critic)
 from metasrl.errors import DegenerateRun, InvalidInput, NumericalFailure, SamplerError
 from metasrl.lp import solve_optimal_lp
 from metasrl.taskgen import GridSpec, gen_frozen_lake, gen_task_sequence
@@ -34,6 +35,13 @@ class TestCrpoConfig:
         CrpoConfig(tolerance=0.0, td_iterations=0, steps=np.int64(3),
                    episode_horizon=1)
         CrpoConfig(tolerance=np.inf)   # every step a reward step
+
+    def test_td_sampled_critic_needs_a_chain(self):
+        """With no chain steps the TdSampled critic would read Q = 0 and
+        leave the policy where it starts."""
+        CrpoConfig(critic_mode="TdSampled", td_iterations=1)
+        with pytest.raises(InvalidInput, match="^td_iterations must be >= 1"):
+            CrpoConfig(critic_mode="TdSampled", td_iterations=0)
 
 
 class TestNpgStep:
@@ -400,8 +408,10 @@ class TestBatchedSampler:
     def test_td_chain_matches_reference(self, iterations, horizon, episodes):
         cmdp = random_cmdp(np.random.default_rng(3), n_states=5, n_costs=2)
         probs = _with_zero_entries(cmdp, np.random.default_rng(4))
-        cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=iterations,
-                         episode_horizon=horizon, episodes_per_step=episodes)
+        # the settings the reference chain reads; a TdSampled run refuses a
+        # chain of 0 steps, which td_critic itself still takes
+        cfg = CrpoConfig(td_iterations=iterations, episode_horizon=horizon,
+                         episodes_per_step=episodes)
         rng, ref_rng = np.random.default_rng(iterations), np.random.default_rng(iterations)
         v, got = td_critic(cmdp, probs, iterations, horizon, rng)
         ref_q = lstd_q_reference(cmdp, probs, cfg, ref_rng)
@@ -650,7 +660,7 @@ class TestTdSampledStepReplay:
         _assert_log_is(out.dataset, episodes)
         return out
 
-    @pytest.mark.parametrize("horizon,iterations", [(7, 60), (1, 40), (7, 0)])
+    @pytest.mark.parametrize("horizon,iterations", [(7, 60), (1, 40), (7, 1)])
     def test_random_cmdp_with_two_costs(self, horizon, iterations):
         base = random_cmdp(np.random.default_rng(11), n_costs=2)
         # limits among the LSTD estimates, so that both kinds of step are taken
@@ -663,7 +673,7 @@ class TestTdSampledStepReplay:
                          episode_horizon=horizon, rng_seed=5)
         self._replay(cmdp, cfg)
 
-    @pytest.mark.parametrize("horizon,iterations", [(60, 300), (1, 30), (60, 0)])
+    @pytest.mark.parametrize("horizon,iterations", [(60, 300), (1, 30), (60, 1)])
     def test_4x4_grid(self, horizon, iterations):
         # at horizon 1 the estimates straddle the limit: both kinds of step
         cmdp = gen_frozen_lake(GridSpec(seed=2, cost_limit=0.15))
@@ -743,9 +753,9 @@ def _per_run_reference(cmdp, init, cfg):
             np.array(estimates), np.array(objectives), rng)
 
 
-def _outcome(cmdp, init, cfg, path=None):
+def _outcome(cmdp, init, cfg, lane=None):
     try:
-        return run_crpo(cmdp, init, cfg, path)
+        return run_crpo(cmdp, init, cfg, lane)
     except DegenerateRun as exc:
         return exc.outcome
 
@@ -772,6 +782,21 @@ class TestLockstepLanes:
         return [replace(base, learning_rate=rate, rng_seed=seed)
                 for _, rate, seed in self.LANES]
 
+    def _assert_entries(self, cmdp, inits, configs, entries, kinds):
+        """Each lane's entry is of its kind, a degenerate lane's outcome
+        returns the last iterate, and `run_crpo` on the entry returns that
+        very outcome or raises that very exception."""
+        assert [type(entry) for entry in entries] == kinds
+        for init, cfg, entry in zip(inits, configs, entries):
+            if isinstance(entry, DegenerateRun):
+                assert entry.outcome.returned_step == cfg.steps - 1
+            if not isinstance(entry, Exception):
+                assert run_crpo(cmdp, init, cfg, entry) is entry
+                continue
+            with pytest.raises(type(entry)) as raised:
+                run_crpo(cmdp, init, cfg, entry)
+            assert raised.value is entry
+
     def _assert_same_run(self, got, solo, reference):
         assert got.iterates.tobytes() == solo.iterates.tobytes()
         for a, b in [(got.per_step_estimates, solo.per_step_estimates),
@@ -796,7 +821,8 @@ class TestLockstepLanes:
         cmdp, configs = self.CMDP, self._configs(mode)
         inits = [SoftmaxPolicy(logits=logits) for logits, _, _ in self.LANES]
         paths = crpo.crpo_lanes(cmdp, np.array([p.logits for p in inits]), configs)
-        assert [type(path) for path in paths] == [crpo.CrpoPath] * len(self.LANES)
+        self._assert_entries(cmdp, inits, configs, paths,
+                             [CrpoOutcome] * 2 + [DegenerateRun] + [CrpoOutcome] * 3)
         for init, cfg, path in zip(inits, configs, paths):
             got, solo = _outcome(cmdp, init, cfg, path), _outcome(cmdp, init, cfg)
             self._assert_same_run(got, solo, _per_run_reference(cmdp, init, cfg))
@@ -823,7 +849,8 @@ class TestLockstepLanes:
         monkeypatch.setattr(crpo, "td_critic", lambda cmdp, probs, *args: (
             failing(probs) or sampled(cmdp, probs, *args)))
         paths = crpo.crpo_lanes(cmdp, np.array([p.logits for p in inits]), configs)
-        assert isinstance(paths[3], NumericalFailure)
+        self._assert_entries(cmdp, inits, configs, paths, [CrpoOutcome] * 2
+                             + [DegenerateRun, NumericalFailure] + [CrpoOutcome] * 2)
         for i, (init, cfg, path) in enumerate(zip(inits, configs, paths)):
             if i == 3:
                 for p in (path, None):
@@ -851,6 +878,32 @@ class TestLockstepLanes:
                 assert got.iterates.tobytes() == ref[0].tobytes()
                 assert (got.reward_steps, got.constraint_steps) == ref[1:3]
                 assert got.iterate_objectives.tobytes() == ref[4].tobytes()
+
+    @pytest.mark.parametrize("mode", ["Exact", "TdSampled"])
+    def test_non_finite_lanes_are_refused_before_the_first_step(self, mode):
+        """On a 4x4 grid, lanes with a NaN or an inf logit get the error
+        their run gets alone, no numpy warning fires, and the other lanes
+        keep their solo bits."""
+        cmdp = gen_frozen_lake(GridSpec(rows=4, cols=4, seed=2))
+        logits = np.random.default_rng(4).standard_normal((4, cmdp.n_states,
+                                                           cmdp.n_actions))
+        logits[1, 5, 2], logits[2, 0, 0] = np.nan, np.inf
+        configs = [replace(cfg, steps=4) for cfg in self._configs(mode)[:4]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = crpo.crpo_lanes(cmdp, logits, configs)
+            assert all(isinstance(entry, InvalidInput)
+                       for entry in crpo.crpo_lanes(cmdp, logits[1:3], configs[1:3]))
+        for k in (1, 2):
+            assert isinstance(entries[k], InvalidInput)
+            assert str(entries[k]) == "logits must be finite"
+            with pytest.raises(InvalidInput, match=f"^{entries[k]}$"):
+                SoftmaxPolicy(logits=logits[k])
+        for k in (0, 3):
+            init = SoftmaxPolicy(logits=logits[k])
+            got, solo = _outcome(cmdp, init, configs[k], entries[k]), \
+                _outcome(cmdp, init, configs[k])
+            self._assert_same_run(got, solo, _per_run_reference(cmdp, init, configs[k]))
 
     def test_lanes_share_every_setting_but_rate_and_seed(self):
         configs = [CrpoConfig(), CrpoConfig(tolerance=0.1)]

@@ -1,5 +1,4 @@
 import json
-from types import SimpleNamespace
 
 from metasrl import meta as meta_module
 
@@ -274,24 +273,22 @@ class TestRegretReport:
                        reward=np.zeros((1, 2)), costs=np.zeros((1, 1, 2)),
                        limits=np.array([0.3]), discount=0.9,
                        initial_dist=np.array([1.0]), c_max=1.0)
-    oracles = [SimpleNamespace(objective_values=np.array([v, 0.0]))
-               for v in (1.0, 2.0, 3.0)]
+    optima = [1.0, 2.0, 3.0]
     j_hat = [[0.5, 0.2], [1.5, 0.4], [2.0, 0.3]]
     pis = ([[0.5, 0.5]], [[0.6, 0.4]], [[0.5, 0.5]])
     comparators = ([[0.5, 0.5]], [[0.6, 0.4]], [[0.8, 0.2]])
     kl_terms = [0.1, 0.2, 0.3]
 
-    def report(self, outcomes, j_hat, kl_terms):
-        return regret_report(self.oracles, outcomes, [self.cmdp] * 3, j_hat=j_hat,
+    def report(self, policies, j_hat, kl_terms):
+        return regret_report(self.optima, policies, [self.cmdp] * 3, j_hat=j_hat,
                              kl_terms=kl_terms, kappas=[0.5, 0.5, 0.5], shrink=0.0,
                              comparators=self.comparators)
 
-    def outcomes(self):
-        return [SimpleNamespace(returned_policy=TablePolicy(probs=np.array(p)))
-                for p in self.pis]
+    def policies(self):
+        return [TablePolicy(probs=np.array(p)) for p in self.pis]
 
     def test_comparator_branch_by_hand(self):
-        rep = self.report(self.outcomes(), self.j_hat, self.kl_terms)
+        rep = self.report(self.policies(), self.j_hat, self.kl_terms)
         # comparator steps (0.1, -0.1) and (0.2, -0.2)
         assert rep.path_length == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-15)
         assert rep.sq_path_length == pytest.approx(0.02 + 0.08, abs=1e-15)
@@ -309,10 +306,10 @@ class TestRegretReport:
         assert [row["kl_term"] for row in rep.per_task] == self.kl_terms
 
     def test_task_without_runs_is_skipped(self):
-        outcomes = self.outcomes()
-        outcomes[1] = None
+        policies = self.policies()
+        policies[1] = None
         j_hat = [self.j_hat[0], [np.nan, np.nan], self.j_hat[2]]
-        rep = self.report(outcomes, j_hat, [0.1, np.nan, 0.3])
+        rep = self.report(policies, j_hat, [0.1, np.nan, 0.3])
         assert np.isnan(rep.per_task[1]["taog"]) and np.isnan(rep.taog)
         assert np.isnan(rep.per_task[1]["kl_term"])
         # tasks 0 and 2 both learned (.5, .5): that is the center
@@ -330,7 +327,7 @@ class TestRegretReport:
         calls = []
         monkeypatch.setattr(meta_module, "kl_loss_and_grad",
                             lambda *args: calls.append(args) or kl_loss_and_grad(*args))
-        regret_report(self.oracles, self.outcomes(), [self.cmdp] * 3,
+        regret_report(self.optima, self.policies(), [self.cmdp] * 3,
                       j_hat=self.j_hat, kl_terms=self.kl_terms, kappas=[0.5] * 3,
                       shrink=0.0,
                       comparators=self.comparators if with_comparators else None)
@@ -339,7 +336,7 @@ class TestRegretReport:
 
     def test_misaligned_comparators(self):
         with pytest.raises(InvalidInput):
-            regret_report(self.oracles, self.outcomes(), [self.cmdp] * 3,
+            regret_report(self.optima, self.policies(), [self.cmdp] * 3,
                           j_hat=self.j_hat, kl_terms=self.kl_terms,
                           kappas=[0.5] * 3, shrink=0.0,
                           comparators=self.comparators[:2])
