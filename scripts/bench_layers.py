@@ -38,9 +38,18 @@ Each time is the best, over --repeats rounds, of the mean time of
 column is the number of Python function calls (builtins included) that one
 more call makes under cProfile, taken after the timed calls and apart from
 them, so that the timings carry no profiler overhead. A count is the same
-on every run, where the times swing with the host. It does not see the time
-spent inside numpy kernels, and the 16x16 exact and DICE solves are bound
-by those kernels: that is why every layer stays timed.
+on every run, where the times swing with the host.
+
+A second table, one row a (grid, layer), splits that count by where each
+call is made: `metasrl_calls` from code in the metasrl package,
+`other_calls` elsewhere (numpy's own Python code, and the layer's entry
+call); the two add up to `<layer>_calls`. It also counts, in one more
+call with no profiler, the layer's `np.linalg.solve` calls (`solves`) and
+the shape of each call's matrix (`solve_shapes`: `<shape>*<calls>` in
+first-call order, `-` if none; a leading axis is a stack of systems).
+Call counts do not see the time spent inside numpy kernels, and the 16x16
+exact and DICE solves are bound by those kernels: that is why every layer
+stays timed, and why the solve shapes are recorded.
 Uses the standard library and numpy only.
 
 Example:
@@ -49,6 +58,8 @@ Example:
 
 import argparse
 import cProfile
+import collections
+import os
 import pstats
 import time
 import tracemalloc
@@ -57,6 +68,7 @@ from dataclasses import replace
 
 import numpy as np
 
+import metasrl
 from metasrl import cmdp, crpo, dice, taskgen
 from metasrl.errors import CoverageWarning, DegenerateRun
 
@@ -139,11 +151,48 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def call_count(call):
-    """Python function calls, builtins included, that one call makes."""
+PACKAGE = os.path.dirname(os.path.abspath(metasrl.__file__)) + os.sep
+
+
+def call_counts(call):
+    """(total, metasrl, other): the Python function calls, builtins
+    included, that one call makes, and those made from code in the metasrl
+    package and elsewhere. A call with no recorded caller, such as the
+    entry call, is made elsewhere."""
     profile = cProfile.Profile()
     profile.runcall(call)
-    return pstats.Stats(profile).total_calls
+    stats = pstats.Stats(profile)
+    metasrl_calls = other = 0
+    for (*_, calls, _, _, callers) in stats.stats.values():
+        from_package = sum(c[1] for (path, *_), c in callers.items()
+                           if path.startswith(PACKAGE))
+        metasrl_calls += from_package
+        other += calls - from_package
+    return stats.total_calls, metasrl_calls, other
+
+
+def solve_shapes(call):
+    """The matrix shape of each `np.linalg.solve` call one call makes, in
+    call order."""
+    solve, shapes = np.linalg.solve, []
+
+    def recording(a, b):
+        shapes.append(np.shape(a))
+        return solve(a, b)
+
+    np.linalg.solve = recording
+    try:
+        call()
+    finally:
+        np.linalg.solve = solve
+    return shapes
+
+
+def shape_summary(shapes):
+    """`<shape>*<calls>` for each distinct shape, in first-call order, or
+    `-` if there are none."""
+    counts = collections.Counter("x".join(map(str, shape)) for shape in shapes)
+    return ",".join(f"{key}*{n}" for key, n in counts.items()) or "-"
 
 
 def layer_calls(task):
@@ -182,16 +231,25 @@ def main(argv=None):
           + " ".join(f"{name + '_us':>{width[name]}}" for name in LAYERS)
           + f" {'dice_peak_kb':>12} "
           + " ".join(f"{name + '_calls':>{len(name) + 6}}" for name in LAYERS))
+    work = []
     for size in (int(s) for s in args.sizes.split(",")):
         task = first_task(size)
         calls = layer_calls(task)
         times = {name: best_time(call, args.repeats, numbers[name])
                  for name, call in calls.items()}
+        peak = traced_peak(calls["dice"])
+        counts = {name: call_counts(call) for name, call in calls.items()}
+        shapes = {name: solve_shapes(call) for name, call in calls.items()}
         print(f"{f'{size}x{size}':>6} {task.n_states:>6} {task.elimination.blocks[0]:>5} "
               + " ".join(f"{1e6 * times[name]:>{width[name]}.1f}" for name in LAYERS)
-              + f" {traced_peak(calls['dice']) / 1024:>12.1f} "
-              + " ".join(f"{call_count(calls[name]):>{len(name) + 6}}"
-                         for name in LAYERS))
+              + f" {peak / 1024:>12.1f} "
+              + " ".join(f"{counts[name][0]:>{len(name) + 6}}" for name in LAYERS))
+        work += [f"{f'{size}x{size}':>6} {name:>10} {counts[name][1]:>13} "
+                 f"{counts[name][2]:>11} {len(shapes[name]):>6} "
+                 f"{shape_summary(shapes[name])}" for name in LAYERS]
+    print(f"\n{'grid':>6} {'layer':>10} {'metasrl_calls':>13} {'other_calls':>11} "
+          f"{'solves':>6} solve_shapes")
+    print("\n".join(work))
     return 0
 
 

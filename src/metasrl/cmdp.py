@@ -36,7 +36,7 @@ On the gridworlds I is nearly a checkerboard (128 of the 257 states of the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -55,27 +55,37 @@ def _as_readonly(a):
     return a
 
 
-def successor_view(row, state, prob, n_states, n_actions):
-    """Kernel entries as (idx, prob), each (S, A, K) and read-only.
+def successor_view(keys, weights, n_states, n_actions):
+    """Weighted kernel entries as (idx, prob), each (S, A, K) and read-only.
 
-    Entry i of the flat arrays puts mass prob[i] on state[i] from row
-    row[i] = s*A + a; the entries come sorted by row, and within a row in
-    the order they take in the view. K is the largest count of any row;
-    shorter rows are padded with zero-mass self-loops (the row's own state,
-    probability 0).
+    Entry i puts weights[i] on flat key keys[i] = (s*A + a)*S + s' of the
+    dense (S, A, S) kernel; the keys may come in any order and repeat. A
+    key's total adds its weights in entry order, and keys whose total is 0
+    are dropped. Row (s, a) holds its states ascending with their totals,
+    padded up to K, the largest count of any row, with zero-mass self-loops
+    (the row's own state, probability 0).
     """
+    nonzero = weights != 0   # adding a zero changes no nonzero total
+    keys, weights = keys[nonzero], weights[nonzero]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    totals = np.bincount(np.cumsum(first) - 1, weights[order])
+    live = totals != 0
+    row, state = np.divmod(keys[first][live], n_states)
     counts = np.bincount(row, minlength=n_states * n_actions).reshape(
         n_states, n_actions)
     shape = counts.shape + (counts.max(),)
     idx = np.empty(shape, dtype=np.intp)
     idx[:] = np.arange(n_states)[:, None, None]
-    out = np.zeros(shape)
+    prob = np.zeros(shape)
     slot = np.arange(shape[2]) < counts[..., None]
     idx[slot] = state
-    out[slot] = prob
+    prob[slot] = totals[live]
     idx.setflags(write=False)
-    out.setflags(write=False)
-    return idx, out
+    prob.setflags(write=False)
+    return idx, prob
 
 
 class Elimination(NamedTuple):
@@ -212,23 +222,10 @@ class TabularCmdp:
 
     @cached_property
     def successors(self):
-        """(idx, prob), each (S, A, K) and read-only: the states with a
-        nonzero (!= 0) total in each kernel row, ascending, and those totals,
-        padded up to K, the largest count of any row, with zero-mass
-        self-loops (the row's own state, probability 0). A state's total
-        adds the row's entries for it in k order."""
-        s_n, a_n, _ = self.kernel[1].shape
-        weights = self.kernel[1].ravel()
-        nonzero = weights != 0   # adding a zero changes no nonzero total
-        keys, weights = self._entry_keys()[nonzero], weights[nonzero]
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.ones(keys.size, dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        totals = np.bincount(np.cumsum(first) - 1, weights[order])
-        live = totals != 0
-        row, state = np.divmod(keys[first][live], s_n)
-        return successor_view(row, state, totals[live], s_n, a_n)
+        """The `successor_view` of the kernel's entries: each row's states
+        with a nonzero total (the row's entries for it added in k order)."""
+        return successor_view(self._entry_keys(), self.kernel[1].ravel(),
+                              self.n_states, self.n_actions)
 
     @cached_property
     def elimination(self):
@@ -316,13 +313,17 @@ class TabularCmdp:
     @classmethod
     def from_json(cls, text):
         """The CMDP of a `to_json` document, stored on the successor view of
-        its dense kernel: the view holds the same kernel, and the dense
-        array is dropped once the view is built. A view is its own
-        successor view, so the task keeps it as both."""
+        its dense kernel, which holds the same kernel: no (S, A, S) array is
+        kept. A kernel that is not a nonempty (S, A, S) array is refused."""
         doc = json.loads(text)
         transition = np.array(doc["transition"], dtype=float)
-        dense = cls(
-            kernel=(np.arange(len(transition)), transition),
+        shape = transition.shape
+        if len(shape) != 3 or 0 in shape or shape[2] != shape[0]:
+            raise InvalidInput(f"transition of shape {shape} is not a "
+                               "nonempty (S, A, S) kernel")
+        return cls(
+            kernel=successor_view(np.arange(transition.size), transition.ravel(),
+                                  shape[0], shape[1]),
             reward=np.array(doc["reward"], dtype=float),
             costs=np.array(doc["costs"], dtype=float),
             limits=np.array(doc["limits"], dtype=float),
@@ -330,9 +331,6 @@ class TabularCmdp:
             initial_dist=np.array(doc["initial_dist"], dtype=float),
             c_max=float(doc["c_max"]),
         )
-        loaded = replace(dense, kernel=dense.successors)
-        vars(loaded)["successors"] = dense.successors
-        return loaded
 
 
 def _fmt(x):

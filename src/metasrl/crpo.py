@@ -386,12 +386,12 @@ def run_crpo(cmdp, init_policy, config, lane=None):
     the transition log (built when first read); with no reward step, raises
     `DegenerateRun` carrying that outcome.
 
-    lane is the run's entry of a `crpo_lanes` call on init_policy's logits
-    and config: it is returned, or raised if it is an exception. Without
-    it, the run steps alone, as a lockstep of one lane. This call stays,
-    one a run, because `perfbench` counts one `run_crpo` call per record
-    and checks `harness.run_crpo is crpo.run_crpo`; ROADMAP item 1b can
-    fold it into the harness.
+    lane is the run's entry of a `crpo_lanes` call on the run's logits and
+    config: it is returned, or raised if it is an exception; init_policy is
+    then not read. Without it, the run steps alone from init_policy. This
+    call stays, one a run, because `perfbench` counts one `run_crpo` call
+    per record and checks `harness.run_crpo is crpo.run_crpo`; ROADMAP item
+    1b can fold it into the harness.
     """
     if lane is None:
         lane, = crpo_lanes(cmdp, init_policy.logits[None], [config])

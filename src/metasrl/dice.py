@@ -77,11 +77,12 @@ class TrajectoryDataset:
         sa = self.s.astype(np.intp) * a_n + self.a     # no wrap in small dtypes
         counts = np.bincount(sa, minlength=s_n * a_n)
         d = (counts / counts.sum()).reshape(s_n, a_n)
-        keys, seen = np.unique(sa * s_n + self.s_next, return_counts=True)
-        row, state = np.divmod(keys, s_n)
-        p = successor_view(row, state, seen / counts[row], s_n, a_n)
+        # n(s, a, s') on the view, then each row over n(s, a), or 1 if unseen
+        idx, seen = successor_view(sa * s_n + self.s_next, np.ones(sa.size), s_n, a_n)
+        prob = seen / np.maximum(counts, 1).reshape(s_n, a_n, 1)
+        prob.setflags(write=False)
         rho = np.bincount(self.initial_states, minlength=s_n)
-        return d, p, rho / rho.sum()
+        return d, (idx, prob), rho / rho.sum()
 
     @classmethod
     def from_samples(cls, n_states, n_actions, s, a, s_next, initial_states):
@@ -99,13 +100,11 @@ class TrajectoryDataset:
         if transition.shape != (s_n, a_n, s_n):
             raise InvalidInput(f"transition of shape {transition.shape} is not "
                                f"(S, A, S) = {(s_n, a_n, s_n)} for d_sa")
-        keys = np.flatnonzero(transition)
-        row, state = np.divmod(keys, s_n)
         empty = np.zeros(0, dtype=int)
         return cls(n_states=s_n, n_actions=a_n,
                    s=empty, a=empty, s_next=empty, initial_states=empty,
                    d_sa=d_sa / d_sa.sum(),
-                   p_hat=successor_view(row, state, transition.ravel()[keys],
+                   p_hat=successor_view(np.arange(transition.size), transition.ravel(),
                                         s_n, a_n),
                    rho_hat=np.asarray(initial_dist, dtype=float))
 

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .cmdp import SoftmaxPolicy, _fmt, all_objectives
+from .cmdp import _fmt, all_objectives
 from .crpo import CrpoConfig, crpo_lanes, run_crpo
 from .dice import DiceConfig, dualdice_fit, visitation_from_corrections
 from .errors import (DegenerateRun, InvalidInput, NumericalFailure, check_counts,
@@ -77,7 +77,9 @@ class ExperimentConfig:
             raise InvalidInput("strategies must be a list of strategy names, "
                                f"got {self.strategies!r}")
         object.__setattr__(self, "strategies", tuple(self.strategies))
-        if len(set(self.strategies)) < len(self.strategies):
+        # one strategy under two names ("Pretrained", "Pretrained:0") repeats too
+        parsed = [parse_strategy(s) for s in self.strategies]
+        if len(set(parsed)) < len(parsed):
             raise InvalidInput(f"strategies must not repeat, got {self.strategies!r}")
         if not isinstance(self.task_source, (str, TaskSequenceConfig)):
             raise InvalidInput("task_source must be a directory path or a task "
@@ -88,8 +90,6 @@ class ExperimentConfig:
                                f"got {self.holdout_test_task!r}")
         if not self.strategies:
             raise InvalidInput("strategies must be nonempty")
-        for s in self.strategies:
-            parse_strategy(s)
 
     @classmethod
     def from_json(cls, doc):
@@ -279,31 +279,31 @@ def run_experiment(config, tasks=None):
 
     for t, cmdp in enumerate(tasks):
         is_test = t == n_train    # the held-out task, if any
-        lanes = []                # (cell, strategy, task seed, policy, CRPO config)
+        lanes = []                # (cell, strategy, task seed, table, CRPO config)
         for (si, run), (strategy, task_seeds) in learners.items():
             cell = si, run, t
             t0 = time.monotonic()
             try:  # per-run failures never abort the sweep
                 table, alpha = strategy.init(t)
-                policy = SoftmaxPolicy(logits=np.log(np.maximum(table, 1e-300)))
                 crpo_cfg = replace(config.crpo, learning_rate=alpha,
                                    rng_seed=int(task_seeds[t]))
             except Exception as exc:
                 result.errors[cell] = f"{type(exc).__name__}: {exc}"
             else:
-                lanes.append((cell, strategy, task_seeds[t], policy, crpo_cfg))
+                lanes.append((cell, strategy, task_seeds[t], table, crpo_cfg))
             result.wall_clock[cell] = time.monotonic() - t0
         if not lanes:
             continue
         t0 = time.monotonic()
-        entries = crpo_lanes(cmdp, np.array([lane[3].logits for lane in lanes]),
-                             [lane[4] for lane in lanes])
+        # a lane with a non-finite logit gets its InvalidInput as its entry
+        logits = np.log(np.maximum([lane[3] for lane in lanes], 1e-300))
+        entries = crpo_lanes(cmdp, logits, [lane[4] for lane in lanes])
         share = (time.monotonic() - t0) / len(lanes)
-        for (cell, strategy, task_seed, policy, crpo_cfg), entry in zip(lanes, entries):
+        for (cell, strategy, task_seed, _, crpo_cfg), entry in zip(lanes, entries):
             t0 = time.monotonic()
             try:
-                try:
-                    outcome, degenerate = run_crpo(cmdp, policy, crpo_cfg, entry), False
+                try:  # the entry is the run: no init policy is read
+                    outcome, degenerate = run_crpo(cmdp, None, crpo_cfg, entry), False
                 except DegenerateRun as exc:
                     outcome, degenerate = exc.outcome, True
                 if not is_test:

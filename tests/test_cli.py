@@ -117,14 +117,23 @@ class TestRun:
         assert written["strategies"] == ["Random"]
 
     def test_run_from_task_directory(self, tmp_path):
-        cfg = write_json(tmp_path / "tasks.json", TASK_DOC)
+        """The test_09 sweep read from a gen-tasks directory exports the same
+        curve and regret files, byte for byte, as the sweep on the sequence
+        generated in process: a loaded task is the task it was written from."""
+        example = os.path.join(EXAMPLES, "test09.json")
         tasks_dir = str(tmp_path / "tasks")
-        assert main(["gen-tasks", "--config", cfg, "--out", tasks_dir]) == 0
-        run_doc = {**RUN_DOC, "task_source": tasks_dir,
-                   "strategies": ["Random"], "runs_per_strategy": 1}
-        rcfg = write_json(tmp_path / "run2.json", run_doc)
-        out = str(tmp_path / "from_dir")
-        assert main(["run", "--config", rcfg, "--out", out]) == 0
+        assert main(["gen-tasks", "--config", example, "--out", tasks_dir]) == 0
+        with open(example) as fh:
+            doc = json.load(fh)
+        from_dir = write_json(tmp_path / "from_dir.json", {**doc, "task_source": tasks_dir})
+        exports = {}
+        for name, cfg in (("generated", example), ("loaded", from_dir)):
+            out = tmp_path / name
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+            exports[name] = {path.name: path.read_bytes() for path in out.iterdir()
+                             if path.name.startswith(("curves_", "regret_"))}
+        assert len(exports["generated"]) == 3 * len(doc["strategies"])
+        assert exports["loaded"] == exports["generated"]
 
     @pytest.mark.parametrize("holdout", [False, True])
     def test_empty_task_directory_exit_2(self, tmp_path, capsys, holdout):
@@ -288,6 +297,15 @@ class TestRun:
         rerun = tmp_path / "rerun"
         assert main(["run", "--config", str(out / "config.json"), "--out", str(rerun)]) == 0
         assert (rerun / "config.json").read_text() == text
+
+    @pytest.mark.parametrize("names", [["Pretrained", "Pretrained:0"],
+                                       ["Pretrained:7", "Pretrained:07"]])
+    def test_one_strategy_under_two_names_exit_2(self, tmp_path, capsys, names):
+        cfg = write_json(tmp_path / "run.json", {**RUN_DOC, "strategies": names})
+        out = tmp_path / "x"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: strategies must not repeat" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_strategy_exit_2(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", RUN_DOC)

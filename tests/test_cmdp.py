@@ -607,6 +607,35 @@ class TestSerialization:
         assert np.array_equal(again.transition, cmdp.transition)
         assert np.array_equal(again.reward, cmdp.reward)
 
+    def test_loaded_task_is_built_once_on_its_view(self, monkeypatch):
+        cmdp = gen_frozen_lake(GridSpec(rows=4, cols=4, seed=2))
+        text = cmdp.to_json()
+        built = []
+        validate = TabularCmdp._validate
+        monkeypatch.setattr(TabularCmdp, "_validate",
+                            lambda self: built.append(self) or validate(self))
+        loaded = TabularCmdp.from_json(text)
+        assert built == [loaded] and "successors" not in vars(loaded)
+        for ours, theirs in zip(loaded.kernel, cmdp.successors):
+            assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("transition, match", [
+        ([[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]], "shape"),
+        ([[1.0, 0.0], [0.0, 1.0]], "shape"),
+        ([[[]]], "shape"),
+        ([[[0.5, 0.4]], [[0.0, 1.0]]], "sum to 1"),
+        ([[[1.5, -0.5]], [[0.0, 1.0]]], "negative"),
+        ([[[np.nan, 1.0]], [[0.0, 1.0]]], "NaN"),
+    ])
+    def test_malformed_kernel_refused(self, transition, match):
+        doc = json.loads(TabularCmdp(
+            kernel=(np.arange(2), np.array([[[1.0, 0.0]], [[0.0, 1.0]]])),
+            reward=np.zeros((2, 1)), costs=np.zeros((1, 2, 1)), limits=np.ones(1),
+            discount=0.9, initial_dist=np.array([1.0, 0.0]), c_max=1.0).to_json())
+        doc["transition"] = transition
+        with pytest.raises(InvalidInput, match=match):
+            TabularCmdp.from_json(json.dumps(doc))
+
     def test_json_bytes_match_the_17_digit_round_trip(self, monkeypatch, tmp_path):
         """Exported floats are written as json writes each float64: the same
         bytes as a round trip through 17 significant digits, which is exact."""

@@ -263,6 +263,19 @@ class TestDataset:
         _, ds, _ = gridworld_log(size, 2)
         assert np.array_equal(dense_kernel(ds), empirical_kernel_reference(ds))
 
+    def test_empirical_kernel_on_repeats_and_an_unseen_pair(self):
+        """Row (0, 1) logs s' = 2 three times and s' = 0 once, (1, 1) logs
+        s' = 0 twice, (2, 0) once; (0, 0), (1, 0) and (2, 1) are unseen."""
+        ds = TrajectoryDataset.from_samples(
+            3, 2, s=[0, 0, 1, 0, 2, 0, 1], a=[1, 1, 1, 1, 0, 1, 1],
+            s_next=[2, 2, 0, 0, 1, 2, 0], initial_states=[0])
+        assert np.array_equal(dense_kernel(ds), empirical_kernel_reference(ds))
+        idx, prob = ds.p_hat
+        assert idx.tolist() == [[[0, 0], [0, 2]], [[1, 1], [0, 1]], [[1, 2], [2, 2]]]
+        assert prob.tolist() == [[[0.0, 0.0], [0.25, 0.75]], [[0.0, 0.0], [1.0, 0.0]],
+                                 [[1.0, 0.0], [0.0, 0.0]]]
+        assert not idx.flags.writeable and not prob.flags.writeable
+
     def test_distribution_kernel_keeps_the_dense_values(self):
         cmdp = random_cmdp(np.random.default_rng(9))
         ds = exact_dataset(cmdp, SoftmaxPolicy.uniform(4, 3))

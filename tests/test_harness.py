@@ -489,6 +489,25 @@ class TestExportReport:
             [strategy, str(run), "1", "0", "RuntimeError: task 1 failed, with a comma"]
             for strategy in ("Random", "MetaSrl") for run in range(2)]
 
+    def test_non_finite_init_table_is_the_cell_error(self, tmp_path, monkeypatch):
+        """A strategy whose init table is not finite: `crpo_lanes` refuses
+        the lane, and errors.csv reads the lane's InvalidInput."""
+        init = harness.Baseline.init
+
+        def nan_on_task_1(self, t):
+            table, alpha = init(self, t)
+            return (np.full_like(table, np.nan) if t == 1 else table), alpha
+
+        monkeypatch.setattr(harness.Baseline, "init", nan_on_task_1)
+        cfg = tiny_config()
+        result, reports = run_experiment(cfg, tasks=tiny_tasks(3))
+        out = str(tmp_path / "out")
+        export_report(result, reports, out, config=cfg)
+        with open(os.path.join(out, "errors.csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [["Random", str(run), "1", "0",
+                             "InvalidInput: logits must be finite"] for run in range(2)]
+
     def test_errors_csv_keeps_strategy_run_task_order(self, tmp_path, monkeypatch):
         """Failures on cells of both strategies, held-out task among them,
         come out in (strategy, run, task) order, each with its own text."""
