@@ -49,8 +49,8 @@ def cmd_run(args):
 
 def cmd_report(args):
     """Re-aggregate regret summaries from a run directory into one table:
-    a column for each RegretReport field whose value is not a list, then
-    tacv."""
+    a column for each RegretReport field but per_task, in field order, a
+    list's values joined with ";"."""
     from .meta import RegretReport
 
     in_dir = args.in_dir
@@ -65,15 +65,12 @@ def cmd_report(args):
     if args.format == "json":
         print(json.dumps(merged, sort_keys=True, indent=2))
     else:
-        first = merged[min(merged)]
         fields = [f.name for f in dataclasses.fields(RegretReport)
-                  if not isinstance(first[f.name], list)]
-        print("strategy," + ",".join(fields) + ",tacv")
+                  if f.name != "per_task"]
+        cell = lambda v: ";".join(map(str, v)) if isinstance(v, list) else str(v)
+        print(",".join(["strategy", *fields]))
         for strategy in sorted(merged):
-            doc = merged[strategy]
-            tacv = ";".join(str(v) for v in doc["tacv"])
-            print(strategy + "," + ",".join(str(doc[f]) for f in fields)
-                  + "," + tacv)
+            print(",".join([strategy, *(cell(merged[strategy][f]) for f in fields)]))
     return 0
 
 

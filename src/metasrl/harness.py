@@ -145,8 +145,9 @@ class Baseline:
         return project_table_shrinkage_simplex(table, self.shrink), self.alpha
 
     def learn(self, cmdp, outcome, task_seed):
+        """NaN: a baseline fits no KL term."""
         self.history.append(np.array(outcome.returned_policy.probs))
-        return 0.0
+        return np.nan
 
 
 class MetaSrl:
@@ -375,9 +376,9 @@ def export_report(result, reports, out_dir, config=None, n_costs=None):
             files[f"regret_{strategy}.csv"] = _csv(
                 ["task", "taog_contribution",
                  *(f"tacv_{i + 1}" for i in range(len(report.tacv))),
-                 "kl_term", "kappa", "inexactness"],
-                [[r["task"], r["taog"], *r["tacv"], r["kl_term"], r["kappa"],
-                  r["inexactness"]] for r in report.per_task])
+                 "kl_term", "kappa"],
+                [[r["task"], r["taog"], *r["tacv"], r["kl_term"], r["kappa"]]
+                 for r in report.per_task])
     failed = np.argwhere(~result.ok).tolist()
     if failed:
         buf = io.StringIO()

@@ -210,17 +210,11 @@ class RegretReport:
     tacv: np.ndarray
     tacv_clipped: np.ndarray
     static_regret: float
-    dynamic_regret: float
     d_hat_sq: float
-    v_hat_sq: float
-    path_length: float
-    sq_path_length: float
-    inexactness_proxy: np.ndarray
     per_task: list = field(default_factory=list)
 
 
-def regret_report(optima, policies, cmdps, j_hat, kl_terms, kappas,
-                  shrink, comparators=None):
+def regret_report(optima, policies, cmdps, j_hat, kl_terms, kappas, shrink):
     """Task-averaged optimality gap, constraint violations and similarity stats.
 
     optima[t] is task t's optimal reward J_0*. j_hat[t] (J_0..J_p),
@@ -229,14 +223,12 @@ def regret_report(optima, policies, cmdps, j_hat, kl_terms, kappas,
     none has policy None and NaN means: it exports NaN, and the similarity
     center and KL statistics skip it.
 
-    What the regret fields hold as `run_experiment` fills them (ROADMAP
-    item 4): static_regret is sum_t (kl_terms[t] - KL_t(center)), where the
-    center comes from each task's last successful run, its exact visitation
-    and returned policy, but kl_terms are run-averaged DICE estimates; the
-    baselines pass kl_terms 0, so their static_regret is negative; without
-    comparators, which the harness never passes, dynamic_regret and v_hat_sq
-    copy static_regret and d_hat_sq and both path lengths are 0; and
-    inexactness_proxy and every per-task inexactness are zeros.
+    static_regret is sum_t (kl_terms[t] - KL_t(center)) and d_hat_sq the
+    mean KL_t(center). The two mix visitation sources (ROADMAP item 19): as
+    `run_experiment` fills them, the center comes from each task's last
+    successful run, its exact visitation and returned policy, while kl_terms
+    are run-averaged DICE estimates. A strategy that fits no KL term passes
+    NaN kl_terms, so its static_regret is NaN.
     """
     t_tasks = len(cmdps)
     if len(optima) != t_tasks or len(policies) != t_tasks:
@@ -246,7 +238,6 @@ def regret_report(optima, policies, cmdps, j_hat, kl_terms, kappas,
     gaps = np.asarray(optima, dtype=float) - j_hat[:, 0]
     viol = j_hat[:, 1:] - np.array([cmdp.limits for cmdp in cmdps])
     done = [t for t in range(t_tasks) if policies[t] is not None]
-    kl_done = kl_terms[done]
 
     d_hat_sq = static_regret = np.nan
     if done:
@@ -254,20 +245,7 @@ def regret_report(optima, policies, cmdps, j_hat, kl_terms, kappas,
         nus = np.array([visitation_exact(cmdps[t], policies[t]).nu for t in done])
         _, kl_center = closed_form_similarity_center(nus, pis, shrink)
         d_hat_sq = float(kl_center.mean())
-        static_regret = float((kl_done - kl_center).sum())
-
-    path, sq_path, v_hat_sq, dynamic_regret = 0.0, 0.0, d_hat_sq, static_regret
-    if comparators is not None:
-        comp = np.asarray(comparators, dtype=float)
-        if len(comp) != t_tasks:
-            raise InvalidInput("comparator sequence misaligned")
-        diffs = [np.linalg.norm(comp[i] - comp[i - 1]) for i in range(1, t_tasks)]
-        path = float(np.sum(diffs))
-        sq_path = float(np.sum(np.square(diffs)))
-        if done:
-            kl_comp = kl_loss_and_grad(nus, pis, comp[done])[0]
-            v_hat_sq = float(kl_comp.mean())
-            dynamic_regret = float((kl_done - kl_comp).sum())
+        static_regret = float((kl_terms[done] - kl_center).sum())
 
     per_task = [{
         "task": t,
@@ -275,18 +253,12 @@ def regret_report(optima, policies, cmdps, j_hat, kl_terms, kappas,
         "tacv": [float(v) for v in viol[t]],
         "kl_term": float(kl_terms[t]),
         "kappa": float(kappas[t]),
-        "inexactness": 0.0,
     } for t in range(t_tasks)]
     return RegretReport(
         taog=float(gaps.mean()),
         tacv=viol.mean(axis=0),
         tacv_clipped=np.maximum(viol, 0.0).mean(axis=0),
         static_regret=static_regret,
-        dynamic_regret=dynamic_regret,
         d_hat_sq=d_hat_sq,
-        v_hat_sq=v_hat_sq,
-        path_length=path,
-        sq_path_length=sq_path,
-        inexactness_proxy=np.zeros(t_tasks),
         per_task=per_task,
     )

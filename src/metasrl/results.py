@@ -56,7 +56,8 @@ class SweepResult(Sequence):
     degenerate: np.ndarray   # (N, R, T) bool: the run took no reward step
     wall_clock: np.ndarray   # (N, R, T) seconds, never exported; see below
     errors: np.ndarray       # (N, R, T) object: None, or the failure's text
-    kl_terms: np.ndarray     # (N, R, n_train) each training task's KL term
+    kl_terms: np.ndarray     # (N, R, n_train) each training task's KL term; NaN
+                             # also where the strategy fits none (the baselines)
     kappas: np.ndarray       # (N, R, n_train) the learning rate each run began with
 
     @classmethod

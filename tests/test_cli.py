@@ -94,9 +94,10 @@ class TestRun:
 
         assert main(["report", "--in", out, "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == ("strategy,taog,static_regret,dynamic_regret,d_hat_sq,"
-                            "v_hat_sq,path_length,sq_path_length,tacv")
-        assert {l.split(",")[0] for l in lines[1:]} == {"Random", "MetaSrl"}
+        assert lines[0] == "strategy,taog,tacv,tacv_clipped,static_regret,d_hat_sq"
+        rows = {l.split(",")[0]: l.split(",") for l in lines[1:]}
+        assert rows["Random"][4] == "nan"   # a baseline fits no KL term
+        assert set(rows) == {"Random", "MetaSrl"}
 
         assert main(["report", "--in", out, "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -45,13 +45,11 @@ def sweep_result():
 
 REPORT = RegretReport(
     taog=nan, tacv=np.array([-0.0, 1 / 3]), tacv_clipped=np.array([0.0, 1 / 3]),
-    static_regret=1e-300, dynamic_regret=-0.0, d_hat_sq=np.float64(1 / 3),
-    v_hat_sq=nan, path_length=0.0, sq_path_length=0.0,
-    inexactness_proxy=np.zeros(2),
+    static_regret=1e-300, d_hat_sq=np.float64(1 / 3),
     per_task=[{"task": 0, "taog": 1 / 3, "tacv": [-0.0, 1e-300], "kl_term": nan,
-               "kappa": 0.5, "inexactness": 0.0},
+               "kappa": 0.5},
               {"task": 1, "taog": -0.0, "tacv": [2.0, nan], "kl_term": 1e-300,
-               "kappa": 1 / 3, "inexactness": 0.0}])
+               "kappa": 1 / 3}])
 
 CONFIG = ExperimentConfig(
     task_source=TaskSequenceConfig(
@@ -80,15 +78,8 @@ EXPECTED = {
     "regret_FAL.json": """\
 {
   "d_hat_sq": 0.3333333333333333,
-  "dynamic_regret": -0.0,
-  "inexactness_proxy": [
-    0.0,
-    0.0
-  ],
-  "path_length": 0.0,
   "per_task": [
     {
-      "inexactness": 0.0,
       "kappa": 0.5,
       "kl_term": NaN,
       "tacv": [
@@ -99,7 +90,6 @@ EXPECTED = {
       "task": 0
     },
     {
-      "inexactness": 0.0,
       "kappa": 0.3333333333333333,
       "kl_term": 1e-300,
       "tacv": [
@@ -110,7 +100,6 @@ EXPECTED = {
       "task": 1
     }
   ],
-  "sq_path_length": 0.0,
   "static_regret": 1e-300,
   "tacv": [
     -0.0,
@@ -120,13 +109,12 @@ EXPECTED = {
     0.0,
     0.3333333333333333
   ],
-  "taog": NaN,
-  "v_hat_sq": NaN
+  "taog": NaN
 }""",
     "regret_FAL.csv": """\
-task,taog_contribution,tacv_1,tacv_2,kl_term,kappa,inexactness
-0,0.33333333333333331,-0,1e-300,nan,0.5,0
-1,-0,2,nan,1e-300,0.33333333333333331,0
+task,taog_contribution,tacv_1,tacv_2,kl_term,kappa
+0,0.33333333333333331,-0,1e-300,nan,0.5
+1,-0,2,nan,1e-300,0.33333333333333331
 """,
     "errors.csv": """\
 strategy,run,task,is_test,error

@@ -1,6 +1,6 @@
 import csv
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from metasrl.harness import (Baseline, ExperimentConfig, MetaConfig,
                              export_report, parse_strategy, run_experiment,
                              solve_oracles)
 from metasrl.lp import solve_optimal_lp
-from metasrl.meta import project_table_shrinkage_simplex
+from metasrl.meta import RegretReport, project_table_shrinkage_simplex
 from metasrl.taskgen import GridSpec, TaskSequenceConfig
 
 from oracles import random_cmdp
@@ -350,9 +350,9 @@ class TestRunExperiment:
         gaps = [row["taog"] for row in report.per_task]
         assert np.isfinite(gaps[0]) and np.isnan(gaps[1:]).all()
         assert np.isnan(report.taog)
-        # task 0 alone has runs, and a baseline's KL term is 0
+        # task 0 alone has runs, and a baseline fits no KL term
         assert np.isfinite(report.d_hat_sq)
-        assert report.static_regret == pytest.approx(-report.d_hat_sq)
+        assert np.isnan(report.static_regret)
 
     def test_infeasible_training_task_rejected_before_any_run(self, monkeypatch):
         tasks = tiny_tasks(4)
@@ -545,6 +545,25 @@ class TestExportReport:
                  str(int(rec.is_test)), rec.error]
                 for rec in result if rec.error is not None] == rows[1:]
 
+    def test_regret_report_holds_only_measured_fields(self, tmp_path):
+        """A baseline fits no KL term, so its KL and static regret are NaN;
+        MetaSrl's static regret is its KL terms less T times D^2."""
+        result, reports = run_experiment(tiny_config(), tasks=tiny_tasks(3))
+        out = str(tmp_path / "out")
+        export_report(result, reports, out)
+        assert [f.name for f in fields(RegretReport)] == [
+            "taog", "tacv", "tacv_clipped", "static_regret", "d_hat_sq", "per_task"]
+        random, meta = reports["Random"], reports["MetaSrl"]
+        assert all(np.isnan(row["kl_term"]) for row in random.per_task)
+        assert np.isnan(random.static_regret)
+        kl = [row["kl_term"] for row in meta.per_task]
+        assert np.isfinite(meta.static_regret)
+        assert meta.static_regret == pytest.approx(
+            sum(kl) - len(kl) * meta.d_hat_sq, abs=1e-12)
+        for strategy in ("Random", "MetaSrl"):
+            with open(os.path.join(out, f"regret_{strategy}.csv")) as fh:
+                assert fh.readline() == "task,taog_contribution,tacv_1,kl_term,kappa\n"
+
     def test_cost_free_regret_csv_has_no_empty_column(self, tmp_path):
         task = random_cmdp(np.random.default_rng(0))
         task = replace(task, costs=task.costs[:0], limits=task.limits[:0])
@@ -553,8 +572,8 @@ class TestExportReport:
         export_report(*run_experiment(cfg, tasks=[task] * 3), out, n_costs=0)
         with open(os.path.join(out, "regret_Random.csv")) as fh:
             lines = fh.read().splitlines()
-        assert lines[0] == "task,taog_contribution,kl_term,kappa,inexactness"
-        assert [len(line.split(",")) for line in lines[1:]] == [5, 5]
+        assert lines[0] == "task,taog_contribution,kl_term,kappa"
+        assert [len(line.split(",")) for line in lines[1:]] == [4, 4]
 
     def test_no_timestamps(self, tmp_path):
         out, _ = self._run(tmp_path)

@@ -276,26 +276,17 @@ class TestRegretReport:
     optima = [1.0, 2.0, 3.0]
     j_hat = [[0.5, 0.2], [1.5, 0.4], [2.0, 0.3]]
     pis = ([[0.5, 0.5]], [[0.6, 0.4]], [[0.5, 0.5]])
-    comparators = ([[0.5, 0.5]], [[0.6, 0.4]], [[0.8, 0.2]])
     kl_terms = [0.1, 0.2, 0.3]
 
     def report(self, policies, j_hat, kl_terms):
         return regret_report(self.optima, policies, [self.cmdp] * 3, j_hat=j_hat,
-                             kl_terms=kl_terms, kappas=[0.5, 0.5, 0.5], shrink=0.0,
-                             comparators=self.comparators)
+                             kl_terms=kl_terms, kappas=[0.5, 0.5, 0.5], shrink=0.0)
 
     def policies(self):
         return [TablePolicy(probs=np.array(p)) for p in self.pis]
 
-    def test_comparator_branch_by_hand(self):
+    def test_center_by_hand(self):
         rep = self.report(self.policies(), self.j_hat, self.kl_terms)
-        # comparator steps (0.1, -0.1) and (0.2, -0.2)
-        assert rep.path_length == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-15)
-        assert rep.sq_path_length == pytest.approx(0.02 + 0.08, abs=1e-15)
-        # only task 2 differs from its comparator:
-        # KL((.5, .5) | (.8, .2)) = .5 ln(.5/.8) + .5 ln(.5/.2) = ln 1.25
-        assert rep.v_hat_sq == pytest.approx(np.log(1.25) / 3, abs=1e-15)
-        assert rep.dynamic_regret == pytest.approx(0.6 - np.log(1.25), abs=1e-15)
         # the center is the mean row (8/15, 7/15)
         kl_center = lambda p: p * np.log(p * 15 / 8) + (1 - p) * np.log((1 - p) * 15 / 7)
         d_hat_sq = (2 * kl_center(0.5) + kl_center(0.6)) / 3
@@ -315,31 +306,16 @@ class TestRegretReport:
         # tasks 0 and 2 both learned (.5, .5): that is the center
         assert rep.d_hat_sq == 0.0
         assert rep.static_regret == pytest.approx(0.4, abs=1e-15)
-        assert rep.path_length == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-15)
-        assert rep.v_hat_sq == pytest.approx(np.log(1.25) / 2, abs=1e-15)
-        assert rep.dynamic_regret == pytest.approx(0.4 - np.log(1.25), abs=1e-15)
 
-    @pytest.mark.parametrize("with_comparators", [False, True])
-    def test_one_stacked_kl_pass_per_initialization(self, monkeypatch,
-                                                      with_comparators):
-        """Each done task's KL at the center is evaluated once, and at its
-        comparator once, each as one stacked call."""
+    def test_one_stacked_kl_pass_per_initialization(self, monkeypatch):
+        """Each done task's KL at the center is evaluated once, as one
+        stacked call."""
         calls = []
         monkeypatch.setattr(meta_module, "kl_loss_and_grad",
                             lambda *args: calls.append(args) or kl_loss_and_grad(*args))
-        regret_report(self.optima, self.policies(), [self.cmdp] * 3,
-                      j_hat=self.j_hat, kl_terms=self.kl_terms, kappas=[0.5] * 3,
-                      shrink=0.0,
-                      comparators=self.comparators if with_comparators else None)
-        assert len(calls) == 1 + with_comparators
-        assert all(np.shape(args[1]) == (3, 1, 2) for args in calls)
-
-    def test_misaligned_comparators(self):
-        with pytest.raises(InvalidInput):
-            regret_report(self.optima, self.policies(), [self.cmdp] * 3,
-                          j_hat=self.j_hat, kl_terms=self.kl_terms,
-                          kappas=[0.5] * 3, shrink=0.0,
-                          comparators=self.comparators[:2])
+        self.report(self.policies(), self.j_hat, self.kl_terms)
+        assert len(calls) == 1
+        assert np.shape(calls[0][1]) == (3, 1, 2)
 
 
 class TestEpsilonSubgradient:
