@@ -1,13 +1,14 @@
 """Tabular off-policy visitation correction (DualDICE) and the plug-in KL loss.
 
-The fit minimizes J(z) = 1/2 E_d[(z - T^pi z)^2] - (1-gamma) E_{rho,pi}[z]
-over a fully tabular z, then recovers the correction ratios
-omega(s,a) = (z - B^pi z)(s,a), the estimated visitation nu_hat, and the
-visitation-weighted KL loss the meta-learner descends on.
-
-The Sgd solver draws its steps with numpy's batch calls, `rng.integers` and
-`rng.random`, and turns the uniforms into target-policy actions with the
-inverse-CDF draw of `metasrl.sampling`, which the CRPO sampler shares.
+The fit estimates omega(s,a) = nu_pi(s,a)/d(s,a), hence the visitation
+nu_hat and the visitation-weighted KL loss the meta-learner descends on.
+DirectSolve takes the target policy's visitation in the log's empirical
+model (rho_hat, p_hat), with a unit self-loop on each state-action pair that
+logged no transition. Sgd descends J(z) = 1/2 E_d[(z - T^pi z)^2] -
+(1-gamma) E_{rho,pi}[z] over a tabular z; it draws its steps with numpy's
+batch calls, `rng.integers` and `rng.random`, and turns the uniforms into
+target-policy actions with the inverse-CDF draw of `metasrl.sampling`, which
+the CRPO sampler shares.
 """
 
 from __future__ import annotations
@@ -144,24 +145,16 @@ class DiceConfig:
 def dualdice_fit(dataset, target_policy, gamma, config=None):
     """Fit correction ratios omega = nu_pi(s,a)/d_data(s,a) from off-policy data.
 
-    DirectSolve minimizes the quadratic objective exactly via its normal
-    equations G^T D G z = (1-gamma) b, where G = I - gamma P_hat^pi is the
-    (SA)x(SA) Bellman matrix and D = diag(d_data). It works on the k covered
-    pairs C only: D vanishes off C, so G^T D G = G_C^T D_C G_C, and G_C has
-    full row rank k because ||gamma P_hat^pi||_inf <= gamma < 1. With the
-    k x k matrix H = G_C G_C^T, the min-norm solution is
-    z = G_C^T H^-1 D_C^-1 H^-1 G_C r (r = (1-gamma) b), so the covered
-    ratios are omega_C = G_C z = D_C^-1 H^-1 G_C r: one k x k solve. The
-    nonzero columns of G_C are the pairs (t, b) of the m touched states t,
-    the covered pairs' own states and the successors in their p_hat
-    entries, so G_C is formed on those m*A columns alone: cost O(k^2 m A),
-    at most O(k^2 SA), with no (SA)x(SA) matrix, no k x SA matrix and no
-    (S, A, S) kernel. When k < SA the objective J(z) is
-    unbounded below whenever b has a component outside the row space of
-    G_C; DirectSolve then returns the min-norm least-squares point of the
-    normal equations, as a dense lstsq would. Every least-squares point
-    differs from it by a null vector of G_C, so omega_C does not depend on
-    that choice.
+    DirectSolve returns tabular DualDICE's population solution: the
+    discounted visitation of the log's own empirical model (rho_hat, p_hat)
+    under the target policy. It builds P_pi(s'|s) = sum_a pi(a|s)
+    p_hat(s'|s,a) from the p_hat entries, on the m states the model touches
+    (rho_hat > 0, a row with mass, or a successor with mass); a pair with no
+    logged transition, a p_hat row with no mass, is held in place by a unit
+    self-loop. One m x m solve of (I - gamma P_pi^T) nu_hat =
+    (1-gamma) rho_hat then gives omega = nu_hat(s) pi(a|s) / d(s,a) on the
+    covered pairs. With full coverage these are the ratios of the exact
+    minimizer of J(z); no state outside the m touched ones has mass.
 
     Sgd runs `sgd_steps` stochastic steps on the minimax surrogate, seeded
     by `rng_seed`. Its draws are made ahead in batches of numpy calls; only
@@ -177,41 +170,41 @@ def dualdice_fit(dataset, target_policy, gamma, config=None):
         raise InvalidInput("gamma must lie in (0, 1)")
     if dataset.d_sa.sum() <= 0:
         raise InvalidInput("empty dataset")
-    s_n, a_n = dataset.n_states, dataset.n_actions
     covered = dataset.d_sa > 0
 
     probs = target_policy.probs
     if config.solver == "DirectSolve":
-        rows = np.flatnonzero(covered)
-        k = rows.size
-        idx, prob = (x.reshape(s_n * a_n, -1)[rows] for x in dataset.p_hat)
-        # G_C has nonzero columns only on the touched pairs: the actions of
-        # the covered pairs' own states and of their successors
-        hit = np.zeros(s_n, dtype=bool)
-        hit[rows // a_n] = True
-        hit[idx] = True
-        touched = np.flatnonzero(hit)
-        col = np.cumsum(hit) - 1     # a touched state's place in `touched`
-        m = touched.size
-        p_c = np.bincount((np.arange(k)[:, None] * m + col[idx]).ravel(),
-                          prob.ravel(), minlength=k * m).reshape(k, m)
-        # G_C: row (s,a) is e_(s,a) - gamma p_hat(t|s,a) pi(b|t), on (t, b)
-        g_c = -gamma * (p_c[:, :, None] * probs[touched]).reshape(k, m * a_n)
-        g_c[np.arange(k), col[rows // a_n] * a_n + rows % a_n] += 1.0
-        rhs = (1.0 - gamma) * (dataset.rho_hat[touched, None]
-                               * probs[touched]).reshape(-1)
-        y = np.linalg.solve(g_c @ g_c.T, g_c @ rhs)
-        omega = np.zeros((s_n, a_n))
-        omega[covered] = y / dataset.d_sa[covered]
+        omega = np.zeros(covered.shape)
+        omega[covered] = (_model_visitation(dataset, probs, gamma)[:, None]
+                          * probs)[covered] / dataset.d_sa[covered]
     else:
         omega = _sgd_fit(dataset, probs, gamma, config)
     if not covered.all():
-        warnings.warn("data left correction ratios underdetermined on "
-                      "uncovered state-action pairs", CoverageWarning)
+        warnings.warn("no logged transition on some state-action pairs: their "
+                      "correction ratios are set to 0", CoverageWarning)
 
     omega = np.maximum(omega, 0.0)
     omega[~covered] = 0.0
     return CorrectionTable(omega=omega, coverage_mask=covered)
+
+
+def _model_visitation(dataset, probs, gamma):
+    """nu_hat (S,) of the empirical model, as `dualdice_fit` defines it."""
+    idx, prob = dataset.p_hat
+    mass = prob.sum(axis=2)
+    hit = (dataset.rho_hat > 0) | (mass > 0).any(axis=1)
+    hit[idx[prob > 0]] = True
+    touched = np.flatnonzero(hit)
+    col = np.cumsum(hit) - 1     # a touched state's place in `touched`
+    m = touched.size
+    keys = np.arange(m)[:, None, None] * m + col[idx[touched]]
+    p_pi = np.bincount(keys.ravel(), (probs[touched, :, None] * prob[touched]).ravel(),
+                       minlength=m * m).reshape(m, m)
+    p_pi[np.arange(m), np.arange(m)] += (probs[touched] * (mass[touched] <= 0)).sum(axis=1)
+    nu = np.zeros(dataset.n_states)
+    nu[touched] = np.linalg.solve(np.eye(m) - gamma * p_pi.T,
+                                  (1.0 - gamma) * dataset.rho_hat[touched])
+    return nu
 
 
 def _sgd_fit(dataset, probs, gamma, config):

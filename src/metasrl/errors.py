@@ -78,4 +78,5 @@ class GenerationFailure(RuntimeError):
 
 
 class CoverageWarning(UserWarning):
-    """Off-policy data left some target-support state-actions uncovered."""
+    """No transition was logged on some state-action pairs: their correction
+    ratios are 0, and DirectSolve's empirical model gives each a self-loop."""

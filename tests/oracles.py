@@ -417,6 +417,20 @@ def dualdice_direct_reference(dataset, probs, gamma):
     return omega
 
 
+def model_visitation_reference(dataset, probs, gamma):
+    """The target policy's discounted state visitation (S,) in the dataset's
+    empirical model, on the dense (S, A, S) p_hat: a row with no mass is a
+    unit self-loop, and one dense S x S solve of
+    (I - gamma P_pi^T) nu = (1-gamma) rho_hat gives nu."""
+    s_n = dataset.n_states
+    p = dense_kernel(dataset)
+    s_unseen, a_unseen = np.nonzero(p.sum(axis=2) <= 0)
+    p[s_unseen, a_unseen, s_unseen] = 1.0
+    p_pi = np.einsum("sa,sat->st", probs, p)
+    return np.linalg.solve(np.eye(s_n) - gamma * p_pi.T,
+                           (1.0 - gamma) * dataset.rho_hat)
+
+
 def sgd_z_reference(dataset, probs, gamma, config):
     """The z table of DualDICE by SGD, one step at a time.
 

@@ -8,16 +8,17 @@ from hypothesis import example, given, settings, strategies as st
 from metasrl.cmdp import SoftmaxPolicy, TablePolicy, visitation_exact
 from metasrl.crpo import CrpoConfig, run_crpo
 from metasrl.dice import (CorrectionTable, DiceConfig, TrajectoryDataset,
-                          dualdice_fit, error_decomposition, kl_loss_and_grad,
-                          visitation_from_corrections)
+                          _model_visitation, dualdice_fit, error_decomposition,
+                          kl_loss_and_grad, visitation_from_corrections)
 from metasrl.errors import (CoverageWarning, DegenerateEstimate,
                             DegenerateRun, InvalidInput, SamplerError)
 from metasrl.lp import solve_optimal_lp
-from metasrl.taskgen import GridSpec, gen_frozen_lake
+from metasrl.taskgen import (GridSpec, TaskSequenceConfig, gen_frozen_lake,
+                             gen_task_sequence)
 
 from oracles import (central_difference, dense_kernel, dualdice_direct_reference,
-                     empirical_kernel_reference, random_cmdp, sgd_fit_reference,
-                     sgd_z_reference)
+                     empirical_kernel_reference, model_visitation_reference,
+                     random_cmdp, sgd_fit_reference, sgd_z_reference)
 
 
 def exact_dataset(cmdp, behavior):
@@ -28,28 +29,50 @@ def exact_dataset(cmdp, behavior):
         nu[:, None] * behavior.probs, cmdp.transition, cmdp.initial_dist)
 
 
-def gridworld_log(size, seed):
-    """The transition log and returned policy of a CRPO run on a gridworld,
-    with the test_09 CRPO settings."""
-    cmdp = gen_frozen_lake(GridSpec(rows=size, cols=size, seed=seed))
+def crpo_log(cmdp, rng_seed):
+    """The transition log and returned policy of a CRPO run from uniform on
+    `cmdp`, with the test_09 CRPO settings."""
     config = CrpoConfig(learning_rate=1.0, steps=8, tolerance=0.05,
                         episodes_per_step=5, episode_horizon=60,
-                        rng_seed=seed)
+                        rng_seed=rng_seed)
     try:
         outcome = run_crpo(
             cmdp, SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions), config)
     except DegenerateRun as exc:
         outcome = exc.outcome
-    return cmdp, outcome.dataset, outcome.returned_policy
+    return outcome.dataset, outcome.returned_policy
+
+
+def gridworld_log(size, seed):
+    """A gridworld and the `crpo_log` on it, both from `seed`."""
+    cmdp = gen_frozen_lake(GridSpec(rows=size, cols=size, seed=seed))
+    return (cmdp, *crpo_log(cmdp, seed))
+
+
+def assert_close(omega, ref):
+    """Agreement to 1e-9 relative."""
+    assert np.max(np.abs(omega - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
 
 def assert_matches_dense(ds, target, gamma):
-    """DirectSolve agrees with the dense min-norm lstsq to 1e-9 relative."""
+    """With full coverage, DirectSolve agrees with the dense min-norm lstsq
+    of DualDICE's normal equations."""
+    assert ds.d_sa.all()
+    assert_close(dualdice_fit(ds, target, gamma).omega,
+                 dualdice_direct_reference(ds, target.probs, gamma))
+
+
+def assert_matches_model(ds, target, gamma):
+    """DirectSolve's ratios are the dense empirical model's visitation over
+    d on the covered pairs, 0 elsewhere."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CoverageWarning)
         omega = dualdice_fit(ds, target, gamma).omega
-    ref = dualdice_direct_reference(ds, target.probs, gamma)
-    assert np.max(np.abs(omega - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+    nu = model_visitation_reference(ds, target.probs, gamma)
+    covered = ds.d_sa > 0
+    ref = np.zeros(covered.shape)
+    ref[covered] = np.maximum(nu[:, None] * target.probs, 0.0)[covered] / ds.d_sa[covered]
+    assert_close(omega, ref)
 
 
 class TestDirectSolve:
@@ -122,23 +145,60 @@ class TestDirectSolve:
         ds = TrajectoryDataset.from_distribution(
             d_sa, cmdp.transition, cmdp.initial_dist)
         target = SoftmaxPolicy(logits=rng.standard_normal((4, 3)))
-        assert_matches_dense(ds, target, cmdp.discount)
+        assert_matches_model(ds, target, cmdp.discount)
 
     @pytest.mark.parametrize("size,seed", [(4, 0), (4, 97), (8, 0), (8, 97),
                                            (16, 0)])
     def test_matches_dense_reference_on_gridworld_logs(self, size, seed):
         cmdp, ds, pi_hat = gridworld_log(size, seed)
         assert 0 < np.count_nonzero(ds.d_sa) < ds.d_sa.size
-        assert_matches_dense(ds, pi_hat, cmdp.discount)
+        assert_matches_model(ds, pi_hat, cmdp.discount)
 
     def test_covered_state_that_no_transition_enters(self):
         """State 0 is covered but is no successor, and its row (0, 1) has
-        no padding entry: its own column is still formed."""
+        no padding entry: its own unseen pair (0, 0) is still a self-loop."""
         ds = TrajectoryDataset.from_samples(
             3, 2, s=[0, 0, 1], a=[1, 1, 0], s_next=[1, 2, 2], initial_states=[0])
         target = SoftmaxPolicy(
             logits=np.random.default_rng(11).standard_normal((3, 2)))
-        assert_matches_dense(ds, target, 0.9)
+        assert_matches_model(ds, target, 0.9)
+
+    def test_state_seen_only_as_a_next_state_keeps_its_self_loop_mass(self):
+        """One logged transition (0, 0) -> 1 from s_0 = 0, gamma = 1/2 and a
+        uniform target. Unseen (0, 1) holds pi(1|0) at state 0 and state 1,
+        which has no row with mass, keeps all of its own: nu(0) =
+        (1-gamma)/(1-gamma/2) = 2/3 and nu(1) = (gamma/2) nu(0)/(1-gamma)
+        = 1/3. Only (0, 0) is covered: omega = nu(0) pi(0|0)/d = 1/3."""
+        ds = TrajectoryDataset.from_samples(
+            2, 2, s=[0], a=[0], s_next=[1], initial_states=[0])
+        target = SoftmaxPolicy.uniform(2, 2)
+        for nu in (_model_visitation(ds, target.probs, 0.5),
+                   model_visitation_reference(ds, target.probs, 0.5)):
+            assert np.allclose(nu, [2 / 3, 1 / 3], rtol=0, atol=1e-15)
+        with pytest.warns(CoverageWarning):
+            corr = dualdice_fit(ds, target, 0.5)
+        assert np.allclose(corr.omega, [[1 / 3, 0.0], [0.0, 0.0]], rtol=0, atol=1e-15)
+        assert_matches_model(ds, target, 0.5)
+
+    def test_tv_to_exact_visitation_on_test09_logs(self):
+        """The 100 CRPO logs from uniform of test_09's training tasks, 10 a
+        task (test_09's CRPO settings, rng_seed = 1000 t + r): the estimated
+        visitation of each returned policy is within TV 0.15 of the exact
+        one, and within 0.045 on average. Measured: 0.094 worst, 0.038 mean;
+        the min-norm normal-equations fit read 0.367 and 0.051."""
+        cmdps, _, _ = gen_task_sequence(TaskSequenceConfig(
+            mode="HighSimilarity", num_tasks=11, base=GridSpec(seed=2), seed=2))
+        tvs = []
+        for t, cmdp in enumerate(cmdps[:10]):
+            for r in range(10):
+                ds, pi_hat = crpo_log(cmdp, 1000 * t + r)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", CoverageWarning)
+                    corr = dualdice_fit(ds, pi_hat, cmdp.discount)
+                nu_hat = visitation_from_corrections(ds, corr).nu
+                tvs.append(0.5 * np.abs(nu_hat - visitation_exact(cmdp, pi_hat).nu).sum())
+        assert max(tvs) <= 0.15
+        assert np.mean(tvs) <= 0.045
 
     def test_invalid_gamma(self):
         cmdp = random_cmdp(np.random.default_rng(3))
