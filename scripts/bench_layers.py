@@ -59,12 +59,12 @@ Example:
 import argparse
 import cProfile
 import collections
+import gc
 import os
 import pstats
 import time
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -136,9 +136,8 @@ def lockstep(task, n_lanes):
     """One `crpo_lanes` call over n_lanes runs on `task`, as a call."""
     rng = np.random.default_rng(n_lanes)
     logits = rng.standard_normal((n_lanes, task.n_states, task.n_actions))
-    configs = [replace(CRPO, learning_rate=float(rng.uniform(0.5, 1.5)), rng_seed=k)
-               for k in range(n_lanes)]
-    return lambda: crpo.crpo_lanes(task, logits, configs)
+    rates = [float(rng.uniform(0.5, 1.5)) for _ in range(n_lanes)]
+    return lambda: crpo.crpo_lanes(task, logits, CRPO, rates, range(n_lanes))
 
 
 def traced_peak(call):
@@ -158,9 +157,18 @@ def call_counts(call):
     """(total, metasrl, other): the Python function calls, builtins
     included, that one call makes, and those made from code in the metasrl
     package and elsewhere. A call with no recorded caller, such as the
-    entry call, is made elsewhere."""
+    entry call, is made elsewhere. Garbage collection is held off during
+    the call: a collection inside it would add the calls of whatever gc
+    callbacks are installed (hypothesis installs one), so the count would
+    depend on the garbage left by earlier code."""
     profile = cProfile.Profile()
-    profile.runcall(call)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        profile.runcall(call)
+    finally:
+        if collecting:
+            gc.enable()
     stats = pstats.Stats(profile)
     metasrl_calls = other = 0
     for (*_, calls, _, _, callers) in stats.stats.values():

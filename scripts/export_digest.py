@@ -2,12 +2,15 @@
 """Fingerprint a `metasrl run` export directory, and measure its drift.
 
 With one directory, prints the SHA-256 over its files in sorted name order,
-each file contributing its name and then its bytes. With a second
-directory, prints that directory's digest too, then for every file name the
-largest absolute difference between the numbers of the two versions, taken
-in reading order. A file whose text differs apart from its numbers, or
-that exists on one side only, is reported as such, and the exit code is
-then 1.
+each file contributing its name and then its bytes, then the directory and,
+as the line's last field, the OpenBLAS core that numpy runs on in this
+process (`blas_core`). A digest holds for one numpy build and BLAS kernel,
+so run the script with the environment (OPENBLAS_CORETYPE included) that
+made the export. With a second directory, prints that directory's line
+too, then for every file name the largest absolute difference between the
+numbers of the two versions, taken in reading order, and their `max`. A
+file whose text differs apart from its numbers, or that exists on one side
+only, is reported as such, and the exit code is then 1.
 
 Example:
     metasrl run --config examples/test09.json --seed 0 --out a
@@ -16,11 +19,15 @@ Example:
 """
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import math
 import os
 import re
 import sys
+
+import numpy as np
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)",
                     re.IGNORECASE)
@@ -34,6 +41,22 @@ def digest(directory):
         with open(os.path.join(directory, name), "rb") as fh:
             h.update(fh.read())
     return h.hexdigest()
+
+
+def blas_core():
+    """The name of the OpenBLAS core (kernel) that numpy's bundled library
+    picked, as `scipy_openblas_get_corename64_` reports it (SkylakeX,
+    Haswell, ...), or "unknown" where that library or function is missing.
+    numpy's matrix products run on this kernel, and kernels round apart."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def _split(text):
@@ -75,10 +98,11 @@ def main(argv=None):
     parser.add_argument("dir")
     parser.add_argument("dir2", nargs="?")
     args = parser.parse_args(argv)
-    print(f"sha256 {digest(args.dir)} {args.dir}")
+    core = blas_core()
+    print(f"sha256 {digest(args.dir)} {args.dir} {core}")
     if args.dir2 is None:
         return 0
-    print(f"sha256 {digest(args.dir2)} {args.dir2}")
+    print(f"sha256 {digest(args.dir2)} {args.dir2} {core}")
     report = drift_report(args.dir, args.dir2)
     width = max(len(name) for name in report)
     for name, drift in report.items():

@@ -13,17 +13,15 @@ first, and `run_crpo` has one step body for both: it gates on the estimates
 J_i = rho . v_i of the step's own critic and moves the logits along one row
 of q. LSTD(0) has no step size, so the config has no `td_step_size`. A run
 writes each step's softmax into row m of one (M, S, A) iterate stack and
-builds no policy object per step: the init `SoftmaxPolicy` checks the logits
-once, and `npg_softmax_step` refuses a non-finite Q and adds it times the
-signed step +/- alpha/(1-gamma), which the run computes once.
+builds no policy object per step; `npg_softmax_step` refuses a non-finite Q
+and adds it times the signed step +/- alpha/(1-gamma).
 
 Runs on one CMDP step in lockstep: `crpo_lanes` takes L runs, its lanes,
-through their M steps together over an (L, S, A) logit stack, with one
-stacked exact solve a step and a signed step per lane, and makes each
-lane's outcome, its output drawn from the lane's own generator; a run
-called alone is a lockstep of one lane, so one body steps every run and
-makes every outcome. Each lane gets the bits it gets alone. Under
-TdSampled each lane's critic draws its own chain from its own generator.
+which share one config but for each lane's rate and seed, through their M
+steps together over an (L, S, A) logit stack, with one stacked exact solve
+a step and a signed step per lane. Each lane's output draw, and under
+TdSampled its critic's chains, come from its own generator, so each lane
+gets the bits it gets alone; a run called alone is a lockstep of one lane.
 
 Every sampled draw, whether an episode step or a chain step, goes
 through one batched rollout that steps all rows together and reproduces
@@ -47,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -61,6 +60,21 @@ EXACT = "Exact"
 TD_SAMPLED = "TdSampled"
 
 
+def _lane_error(rate, seed, finite=True):
+    """The InvalidInput that refuses a run's learning rate, seed or (not
+    finite) init logits, or None: `CrpoConfig` raises it for its own rate
+    and seed, and `crpo_lanes` makes it the entry of a lane it refuses."""
+    lane = SimpleNamespace(learning_rate=rate, rng_seed=seed)
+    try:
+        check_reals(lane, "learning_rate")
+        if not 0.0 < rate < np.inf:   # NaN fails too
+            raise InvalidInput("learning_rate must be positive and finite")
+        check_counts(lane, rng_seed=0)
+    except InvalidInput as exc:
+        return exc
+    return None if finite else InvalidInput("logits must be finite")
+
+
 @dataclass(frozen=True)
 class CrpoConfig:
     learning_rate: float = 0.1
@@ -73,11 +87,11 @@ class CrpoConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_reals(self, "learning_rate", "tolerance")
-        if not 0.0 < self.learning_rate < np.inf:   # NaN fails too
-            raise InvalidInput("learning_rate must be positive and finite")
+        if (error := _lane_error(self.learning_rate, self.rng_seed)) is not None:
+            raise error
+        check_reals(self, "tolerance")
         check_counts(self, steps=1, td_iterations=0, episodes_per_step=1,
-                     episode_horizon=1, rng_seed=0)
+                     episode_horizon=1)
         if not self.tolerance >= 0.0:
             raise InvalidInput("tolerance must be nonnegative")
         if self.critic_mode not in (EXACT, TD_SAMPLED):
@@ -230,22 +244,16 @@ def td_critic(cmdp, probs, iterations, horizon, rng):
     return (probs * q).sum(axis=2), q
 
 
-def _sampled_log(cmdp, iterates, config):
+def _sampled_log(cmdp, iterates, config, seed):
     """The run's transition log: `episodes_per_step` episodes of each row of
     the iterate stack, in step order. They are the first draws of the run's
     generator, which the run skips, so they are drawn here from its seed."""
     states, actions, nexts = sample_episode(
         cmdp, iterates, config.episode_horizon,
-        np.random.default_rng(config.rng_seed), config.episodes_per_step)
+        np.random.default_rng(seed), config.episodes_per_step)
     return TrajectoryDataset.from_samples(
         cmdp.n_states, cmdp.n_actions, s=states.ravel(), a=actions.ravel(),
         s_next=nexts.ravel(), initial_states=states[:, 0])
-
-
-def _lane_settings(config):
-    """Every setting of a config but the two a lane may have of its own."""
-    return tuple(v for k, v in vars(config).items()
-                 if k not in ("learning_rate", "rng_seed"))
 
 
 def _lockstep(cmdp, config, logits, step, generators):
@@ -278,10 +286,10 @@ def _lockstep(cmdp, config, logits, step, generators):
     return npg_softmax_step(logits, q_row, step), probs, objectives, j[:, 1:], row
 
 
-def _finish(cmdp, config, rng, iterates, rows, estimates, objectives):
-    """One lane's outcome, its output drawn from its generator rng, from the
-    q row (0 reward, i cost i) that each of its M steps moved along; a
-    `DegenerateRun` returning the last iterate if no step ascended."""
+def _finish(cmdp, config, seed, rng, iterates, rows, estimates, objectives):
+    """One lane's outcome, output drawn from rng and log from seed, by the q
+    row (0 reward, i cost i) each of its M steps moved along; a
+    `DegenerateRun` returning the last iterate if none ascended."""
     reward_steps = tuple(np.flatnonzero(rows == 0).tolist())
     outcome = CrpoOutcome(
         iterates=iterates, reward_steps=reward_steps,
@@ -290,58 +298,52 @@ def _finish(cmdp, config, rng, iterates, rows, estimates, objectives):
         per_step_estimates=estimates, iterate_objectives=objectives,
         returned_step=reward_steps[rng.integers(len(reward_steps))]
         if reward_steps else config.steps - 1,
-        log_builder=partial(_sampled_log, cmdp, iterates, config))
+        log_builder=partial(_sampled_log, cmdp, iterates, config, seed))
     return outcome if reward_steps else DegenerateRun(
         "no reward-ascent step occurred; returned policy undefined", outcome=outcome)
 
 
-def crpo_lanes(cmdp, logits, configs):
+def crpo_lanes(cmdp, logits, config, rates, seeds):
     """L CRPO runs on one CMDP, stepped in lockstep, each finished.
 
-    logits is the (L, S, A) stack of the runs' initial logits and configs
-    their `CrpoConfig`s, one a lane; lanes may differ in learning_rate and
-    rng_seed only. A lane whose logits are not all finite is refused before
-    the first step and never joins the stack. Each step is one `_lockstep`
-    over the stack: one softmax, one stacked `policy_evaluation_exact`
-    call, a gate per lane, and one `npg_softmax_step` with a signed step
-    per lane. Under TdSampled each lane's critic draws from the lane's own
-    generator, lane after lane. A step that raises is taken again lane by
-    lane, each lane a stack of one from its generator's state before the
-    step, and a lane whose step raises leaves the lockstep. Each lane gets
-    the bits it gets alone.
+    logits is the (L, S, A) stack of the runs' initial logits, and the runs
+    share config but for rates and seeds, one learning rate and one
+    generator seed a lane. A lane whose rate or seed fails `CrpoConfig`'s
+    check, or whose logits are not all finite, is refused before the first
+    step. Each step is one `_lockstep` over the stack; under TdSampled each
+    lane's critic draws from the lane's own generator, lane after lane. A
+    step that raises is taken again lane by lane, each from its generator's
+    state before the step, and a lane whose step raises leaves the
+    lockstep. Each lane gets the bits it gets alone.
 
-    Returns one entry a lane: its `CrpoOutcome` (output drawn from its own
-    generator, log built on its own config), a `DegenerateRun` carrying its
-    outcome, or the exception that stopped it.
+    Returns one entry a lane: its `CrpoOutcome` (output drawn and log built
+    on its own seed), a `DegenerateRun` carrying its outcome, or the
+    exception that stopped or refused it.
     """
-    config = configs[0]
-    shared = _lane_settings(config)
-    if any(_lane_settings(c) != shared for c in configs[1:]):
-        raise InvalidInput("lanes may differ only in learning_rate and rng_seed")
     logits = np.array(logits, dtype=float)
-    if logits.ndim != 3 or len(logits) != len(configs):
+    if logits.ndim != 3 or not len(logits) == len(rates) == len(seeds):
         raise InvalidInput(f"logit stack of shape {logits.shape} for "
-                           f"{len(configs)} lanes")
+                           f"{len(rates)} rates and {len(seeds)} seeds")
     _check_dims(cmdp, logits[0])
-    n, steps, p = len(configs), config.steps, cmdp.n_costs
-    generators = [np.random.default_rng(c.rng_seed) for c in configs]
-    for rng in generators:
+    n, steps, p = len(logits), config.steps, cmdp.n_costs
+    errors = [_lane_error(*lane) for lane in
+              zip(rates, seeds, np.isfinite(logits).all(axis=(1, 2)))]
+    live = np.flatnonzero([error is None for error in errors])
+    generators = {lane: np.random.default_rng(seeds[lane]) for lane in live}
+    for rng in generators.values():
         # the log's episodes feed no decision: skip their draws here, so that
         # the critic and the final draw see the same stream, and make them
         # when the log is read
         rng.bit_generator.advance(
             steps * config.episodes_per_step * (1 + 2 * config.episode_horizon))
-    step = np.array([c.learning_rate for c in configs])[:, None, None] \
+    step = np.array([rates[lane] for lane in live], dtype=float)[:, None, None] \
         / (1.0 - cmdp.discount)
 
     iterates = np.empty((n, steps) + logits.shape[1:])
     objectives = np.zeros((n, steps, p + 1))
     estimates = np.zeros((n, steps, p))
     rows = np.zeros((n, steps), dtype=np.intp)
-    finite = np.isfinite(logits).all(axis=(1, 2))
-    errors = [None if ok else InvalidInput("logits must be finite") for ok in finite]
-    live = np.flatnonzero(finite)
-    logits, step = logits[live], step[live]
+    logits = logits[live]
     exact = config.critic_mode == EXACT
     for m in range(steps if live.size else 0):
         # the Exact step draws nothing: no generator state to restore
@@ -370,7 +372,7 @@ def crpo_lanes(cmdp, logits, configs):
 
     return [errors[lane] if errors[lane] is not None else _finish(
         # each lane's own copy: an outcome that is kept keeps no other lane
-        cmdp, configs[lane], generators[lane], _as_readonly(iterates[lane].copy()),
+        cmdp, config, seeds[lane], generators[lane], _as_readonly(iterates[lane].copy()),
         rows[lane], estimates[lane], objectives[lane]) for lane in range(n)]
 
 
@@ -386,15 +388,17 @@ def run_crpo(cmdp, init_policy, config, lane=None):
     the transition log (built when first read); with no reward step, raises
     `DegenerateRun` carrying that outcome.
 
-    lane is the run's entry of a `crpo_lanes` call on the run's logits and
-    config: it is returned, or raised if it is an exception; init_policy is
-    then not read. Without it, the run steps alone from init_policy. This
-    call stays, one a run, because `perfbench` counts one `run_crpo` call
-    per record and checks `harness.run_crpo is crpo.run_crpo`; ROADMAP item
-    1b can fold it into the harness.
+    lane is the run's entry of a `crpo_lanes` call on the run's logits,
+    rate and seed, with config's other settings: it is returned, or raised
+    if it is an exception; init_policy and config are then not read.
+    Without it, the run steps alone from init_policy. This call stays, one
+    a run, because `perfbench` counts one `run_crpo` call per record and
+    checks `harness.run_crpo is crpo.run_crpo`; ROADMAP item 1b can fold it
+    into the harness.
     """
     if lane is None:
-        lane, = crpo_lanes(cmdp, init_policy.logits[None], [config])
+        lane, = crpo_lanes(cmdp, init_policy.logits[None], config,
+                           [config.learning_rate], [config.rng_seed])
     if isinstance(lane, Exception):
         raise lane
     return lane

@@ -121,64 +121,66 @@ def parse_strategy(name):
 
 
 class Baseline:
-    """Random, Pretrained[:i], SimpleAverage and FAL: a fixed rule over the
-    policies the run has learned so far, after the uniform table on task 0."""
+    """Random, Pretrained[:i], SimpleAverage and FAL over R runs: a fixed
+    rule over the policies each run has learned so far, after the uniform
+    table on task 0. Run r draws from the generator rngs[r]."""
 
-    def __init__(self, name, rng, uniform, alpha, shrink):
+    def __init__(self, name, rngs, uniform, alpha, shrink):
         self.kind, self.index = parse_strategy(name)
-        self.rng, self.uniform, self.alpha, self.shrink = rng, uniform, alpha, shrink
-        self.history = []
+        self.rngs, self.uniform, self.alpha, self.shrink = rngs, uniform, alpha, shrink
+        self.histories = [[] for _ in rngs]
 
     def init(self, t):
+        """The runs' (R, S, A) init tables, (R,) rates, and each run's error
+        (None where its init worked; its table is then the uniform one)."""
+        n = len(self.histories)
+        rates, errors = np.full(n, self.alpha), [None] * n
         if t == 0:
-            return self.uniform, self.alpha
+            return np.broadcast_to(self.uniform, (n,) + self.uniform.shape), rates, errors
         if self.kind == "Random":
-            table = self.rng.dirichlet(np.ones(self.uniform.shape[1]),
-                                       size=self.uniform.shape[0])
-        elif len(self.history) <= self.index:   # index is 0 for the averages
-            raise InvalidInput(f"{self.kind} needs {self.index + 1} prior "
-                               f"policies, the run has {len(self.history)}")
-        elif self.kind == "Pretrained":
-            table = self.history[self.index]
+            tables = [rng.dirichlet(np.ones(self.uniform.shape[1]),
+                                    size=self.uniform.shape[0]) for rng in self.rngs]
         else:
-            table = np.mean(self.history, axis=0)
-        return project_table_shrinkage_simplex(table, self.shrink), self.alpha
+            tables = [self.uniform] * n
+            for run, history in enumerate(self.histories):
+                if len(history) <= self.index:   # index is 0 for the averages
+                    errors[run] = InvalidInput(f"{self.kind} needs {self.index + 1} prior "
+                                               f"policies, the run has {len(history)}")
+                else:
+                    tables[run] = history[self.index] if self.kind == "Pretrained" \
+                        else np.mean(history, axis=0)
+        return project_table_shrinkage_simplex(np.array(tables), self.shrink), rates, errors
 
-    def learn(self, cmdp, outcome, task_seed):
+    def learn(self, cmdp, run, outcome, task_seed):
         """NaN: a baseline fits no KL term."""
-        self.history.append(np.array(outcome.returned_policy.probs))
+        self.histories[run].append(np.array(outcome.returned_policy.probs))
         return np.nan
 
 
 class MetaSrl:
-    """The meta-learned initialization and learning rate: each training task
-    fits DICE to the CRPO log, and the meta update moves the state."""
+    """R runs of the meta-learned init and learning rate: each training task
+    fits DICE to a run's CRPO log, and the meta update moves its state."""
 
-    def __init__(self, state, dice_cfg, steps, constants):
-        self.state, self.dice, self.steps, self.constants = \
-            state, dice_cfg, steps, constants
+    def __init__(self, state, n_runs, dice_cfg, steps, constants):
+        self.states, self.dice, self.steps, self.constants = \
+            [state] * n_runs, dice_cfg, steps, constants
 
     def init(self, t):
-        return self.state.init_policy, self.state.learning_rate
+        tables, rates = zip(*((s.init_policy, s.learning_rate) for s in self.states))
+        return np.array(tables), np.array(rates), [None] * len(self.states)
 
-    def learn(self, cmdp, outcome, task_seed):
-        """The task's KL term; the state changes only if every stage succeeds."""
+    def learn(self, cmdp, run, outcome, task_seed):
+        """The task's KL term; the run's state changes only if every stage
+        does. The DICE fit is seeded from the DICE and task seeds, apart from
+        the CRPO stream, so averaging over runs averages the DICE noise too."""
         pi_hat = outcome.returned_policy
-        dice_cfg = replace(self.dice, rng_seed=_dice_seed(self.dice.rng_seed,
-                                                          task_seed))
+        seq = np.random.SeedSequence([self.dice.rng_seed, int(task_seed)])
+        dice_cfg = replace(self.dice, rng_seed=int(seq.generate_state(1)[0]))
         corrections = dualdice_fit(outcome.dataset, pi_hat, cmdp.discount, dice_cfg)
         nu_hat = visitation_from_corrections(outcome.dataset, corrections)
-        self.state = meta_update(self.state, nu_hat, pi_hat, self.steps,
-                                 self.constants)
-        return self.state.kl_term
-
-
-def _dice_seed(dice_seed, task_seed):
-    """Seed of one task's DICE fit, apart from its CRPO seed: every (run,
-    task) pair draws its own stream, so averaging over runs averages the
-    DICE noise too."""
-    seq = np.random.SeedSequence([dice_seed, int(task_seed)])
-    return int(seq.generate_state(1)[0])
+        self.states[run] = meta_update(self.states[run], nu_hat, pi_hat, self.steps,
+                                       self.constants)
+        return self.states[run].kl_term
 
 
 def solve_oracles(cmdps):
@@ -199,24 +201,21 @@ def solve_oracles(cmdps):
 
 
 def run_experiment(config, tasks=None):
-    """Run every (strategy, run) pair over the task sequence.
+    """Run every strategy's R runs over the task sequence.
 
-    The sweep is task-major. On each task every pair's strategy gives its
-    init table and rate (a pair whose init fails records the error and
-    sits the task out), all pairs' CRPO runs step together as the lanes of
-    one `crpo_lanes` lockstep, and then, pair by pair in (strategy, run)
-    order, one `run_crpo` call hands back the pair's finished lane (its
-    outcome, output drawn and log built on its own seed) and the strategy
-    learns from it. Pairs share nothing but the lockstep, so each gets the
-    numbers it gets alone.
+    The sweep is task-major. On each task one `init` call a strategy gives
+    its R runs' init tables and rates (a run whose init fails records the
+    error and sits the task out), all runs step together as the lanes of
+    one `crpo_lanes` lockstep, and then, run by run in (strategy, run)
+    order, one `run_crpo` call hands back the run's finished lane (output
+    drawn and log built on its own seed) and its strategy learns from it.
+    Runs share no state, so each gets the numbers it gets alone.
 
-    Returns (result, reports). The `SweepResult` holds every (strategy,
-    run, task) cell's outcome, and is the only store of them; iterated, it
-    yields the `RunRecord` views. reports maps strategy name to its
-    RegretReport over the training tasks, whose inputs are the result's
-    means over successful runs. The last task is held out as the test task
-    when holdout_test_task is set. Every task must have the n_states,
-    n_actions and n_costs of task 0.
+    Returns (result, reports): the `SweepResult`, the only store of every
+    (strategy, run, task) cell's outcome, and each strategy's RegretReport
+    over the training tasks, from the result's means over successful runs.
+    The last task is held out as the test task when holdout_test_task is
+    set. Every task must have the n_states, n_actions and n_costs of task 0.
     """
     if tasks is None:
         if isinstance(config.task_source, TaskSequenceConfig):
@@ -259,56 +258,53 @@ def run_experiment(config, tasks=None):
         rate_floor=meta_cfg.rate_floor)
 
     n_runs, n_train = config.runs_per_strategy, len(train_tasks)
-    seed_root = np.random.SeedSequence(config.master_seed)
-    children = seed_root.spawn(len(config.strategies) * n_runs)
+    children = np.random.SeedSequence(config.master_seed).spawn(
+        len(config.strategies) * n_runs)
     result = SweepResult.allocate(
         config.strategies, n_runs, config.crpo.steps,
         limits=[task.limits for task in tasks],
         optima=[sol.objective_values[0] for sol in oracles])
-    learners = {}   # (strategy index, run) -> (strategy, the run's task seeds)
-    for si, name in enumerate(config.strategies):
-        for run in range(n_runs):
-            child = children[si * n_runs + run]
-            learners[si, run] = (
-                MetaSrl(meta_start, config.dice, config.crpo.steps, constants)
-                if name == "MetaSrl" else
-                Baseline(name, np.random.default_rng(child), uniform,
-                         config.crpo.learning_rate, meta_cfg.shrinkage),
-                child.generate_state(n_train + 1, dtype=np.uint32))
+    # (N, R, n_train + 1) every run's task seeds, from the run's own child
+    task_seeds = np.reshape([child.generate_state(n_train + 1, dtype=np.uint32)
+                             for child in children], (len(config.strategies), n_runs, -1))
+    strategies = [MetaSrl(meta_start, n_runs, config.dice, config.crpo.steps, constants)
+                  if name == "MetaSrl" else Baseline(
+                      name, [np.random.default_rng(c) for c in children[si * n_runs:][:n_runs]],
+                      uniform, config.crpo.learning_rate, meta_cfg.shrinkage)
+                  for si, name in enumerate(config.strategies)]
     # the returned policy of the last successful run of each (strategy, task)
     last_policies = [[None] * n_train for _ in config.strategies]
 
     for t, cmdp in enumerate(tasks):
         is_test = t == n_train    # the held-out task, if any
-        lanes = []                # (cell, strategy, task seed, table, CRPO config)
-        for (si, run), (strategy, task_seeds) in learners.items():
-            cell = si, run, t
+        lanes = []                # (strategy, run, init table, rate, task seed)
+        for si, strategy in enumerate(strategies):
             t0 = time.monotonic()
-            try:  # per-run failures never abort the sweep
-                table, alpha = strategy.init(t)
-                crpo_cfg = replace(config.crpo, learning_rate=alpha,
-                                   rng_seed=int(task_seeds[t]))
-            except Exception as exc:
-                result.errors[cell] = f"{type(exc).__name__}: {exc}"
-            else:
-                lanes.append((cell, strategy, task_seeds[t], table, crpo_cfg))
-            result.wall_clock[cell] = time.monotonic() - t0
+            tables, rates, errors = strategy.init(t)
+            result.wall_clock[si, :, t] = (time.monotonic() - t0) / n_runs
+            for run, exc in enumerate(errors):   # per-run failures never abort the sweep
+                if exc is None:
+                    lanes.append((si, run, tables[run], rates[run], task_seeds[si, run, t]))
+                else:
+                    result.errors[si, run, t] = f"{type(exc).__name__}: {exc}"
         if not lanes:
             continue
         t0 = time.monotonic()
-        # a lane with a non-finite logit gets its InvalidInput as its entry
-        logits = np.log(np.maximum([lane[3] for lane in lanes], 1e-300))
-        entries = crpo_lanes(cmdp, logits, [lane[4] for lane in lanes])
+        _, _, tables, rates, seeds = zip(*lanes)
+        # a lane with a non-finite logit or rate gets its InvalidInput as its entry
+        entries = crpo_lanes(cmdp, np.log(np.maximum(tables, 1e-300)), config.crpo,
+                             rates, seeds)
         share = (time.monotonic() - t0) / len(lanes)
-        for (cell, strategy, task_seed, _, crpo_cfg), entry in zip(lanes, entries):
+        for (si, run, _, rate, seed), entry in zip(lanes, entries):
+            cell = si, run, t
             t0 = time.monotonic()
             try:
                 try:  # the entry is the run: no init policy is read
-                    outcome, degenerate = run_crpo(cmdp, None, crpo_cfg, entry), False
+                    outcome, degenerate = run_crpo(cmdp, None, config.crpo, entry), False
                 except DegenerateRun as exc:
                     outcome, degenerate = exc.outcome, True
                 if not is_test:
-                    kl_term = strategy.learn(cmdp, outcome, task_seed)
+                    kl_term = strategies[si].learn(cmdp, run, outcome, seed)
             except Exception as exc:
                 result.errors[cell] = f"{type(exc).__name__}: {exc}"
             else:
@@ -317,8 +313,8 @@ def run_experiment(config, tasks=None):
                 result.degenerate[cell] = degenerate
                 if not is_test:
                     result.kl_terms[cell] = kl_term
-                    result.kappas[cell] = crpo_cfg.learning_rate
-                    last_policies[cell[0]][t] = outcome.returned_policy
+                    result.kappas[cell] = rate
+                    last_policies[si][t] = outcome.returned_policy
             result.wall_clock[cell] += time.monotonic() - t0 + share
 
     reports = {name: regret_report(

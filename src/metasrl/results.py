@@ -39,13 +39,13 @@ class SweepResult(Sequence):
     run's objectives, KL term and kappa are NaN. As a sequence, the result
     is read-only `RunRecord` views in (strategy, run, task) order.
 
-    A task's runs take their CRPO steps together, in one lockstep
-    (`crpo.crpo_lanes`) that also makes each run's outcome and its output
-    draw, so a cell's wall clock is the time of its own calls (its
-    strategy's init, its `run_crpo` call, which hands back its lane, and its
-    learning step) plus an equal share of its task's lockstep, which is
-    split among the runs that joined it. A run whose init failed joined no
-    lockstep and has only its own time.
+    A strategy gives its R runs' inits in one call, and a task's runs take
+    their CRPO steps together in one lockstep (`crpo.crpo_lanes`) that also
+    makes each run's outcome, so a cell's wall clock is the time of its own
+    calls (its `run_crpo` call, which hands back its lane, and its learning
+    step), a 1/R share of its strategy's init call, and an equal share of
+    its task's lockstep among the runs that joined it. A run whose init
+    failed joined no lockstep and has only its init share.
     """
 
     strategies: tuple

@@ -60,3 +60,11 @@ class TestLocalSteps:
         names = [name for name, _ in steps]
         assert names[0] == "Tier-1 tests" and ci_local.INSTALL not in names
         assert all(script.strip() for _, script in steps)
+
+    def test_kernel_guard_compares_test09_under_two_kernels(self):
+        """The BLAS-kernel guard runs test_09 under the default kernel and
+        under Prescott, and bounds the export drift between them."""
+        script = dict(ci_local.local_steps())["test_09 across BLAS kernels"]
+        assert script.count("metasrl run --config examples/test09.json --seed 0") == 2
+        assert "OPENBLAS_CORETYPE=Prescott metasrl run" in script
+        assert "export_digest.py" in script and "1e-12" in script

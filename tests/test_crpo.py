@@ -776,11 +776,19 @@ class TestLockstepLanes:
              (np.random.default_rng(2).standard_normal((4, 3)), 0.8, 6),
              (np.zeros((4, 3)), 0.5, 9)]
 
-    def _configs(self, mode):
-        base = CrpoConfig(steps=6, tolerance=0.0, critic_mode=mode, td_iterations=60,
+    RATES = [rate for _, rate, _ in LANES]
+    SEEDS = [seed for _, _, seed in LANES]
+
+    @staticmethod
+    def _base(mode):
+        """The settings every lane shares."""
+        return CrpoConfig(steps=6, tolerance=0.0, critic_mode=mode, td_iterations=60,
                           episodes_per_step=2, episode_horizon=7)
-        return [replace(base, learning_rate=rate, rng_seed=seed)
-                for _, rate, seed in self.LANES]
+
+    def _configs(self, mode):
+        """Each lane's config for its run stepped alone."""
+        return [replace(self._base(mode), learning_rate=rate, rng_seed=seed)
+                for rate, seed in zip(self.RATES, self.SEEDS)]
 
     def _assert_entries(self, cmdp, inits, configs, entries, kinds):
         """Each lane's entry is of its kind, a degenerate lane's outcome
@@ -820,7 +828,8 @@ class TestLockstepLanes:
     def test_every_lane_matches_its_solo_run(self, mode):
         cmdp, configs = self.CMDP, self._configs(mode)
         inits = [SoftmaxPolicy(logits=logits) for logits, _, _ in self.LANES]
-        paths = crpo.crpo_lanes(cmdp, np.array([p.logits for p in inits]), configs)
+        paths = crpo.crpo_lanes(cmdp, np.array([p.logits for p in inits]),
+                                self._base(mode), self.RATES, self.SEEDS)
         self._assert_entries(cmdp, inits, configs, paths,
                              [CrpoOutcome] * 2 + [DegenerateRun] + [CrpoOutcome] * 3)
         for init, cfg, path in zip(inits, configs, paths):
@@ -848,7 +857,8 @@ class TestLockstepLanes:
             failing(probs) if mode == "Exact" else None) or exact(cmdp, probs))
         monkeypatch.setattr(crpo, "td_critic", lambda cmdp, probs, *args: (
             failing(probs) or sampled(cmdp, probs, *args)))
-        paths = crpo.crpo_lanes(cmdp, np.array([p.logits for p in inits]), configs)
+        paths = crpo.crpo_lanes(cmdp, np.array([p.logits for p in inits]),
+                                self._base(mode), self.RATES, self.SEEDS)
         self._assert_entries(cmdp, inits, configs, paths, [CrpoOutcome] * 2
                              + [DegenerateRun, NumericalFailure] + [CrpoOutcome] * 2)
         for i, (init, cfg, path) in enumerate(zip(inits, configs, paths)):
@@ -867,10 +877,12 @@ class TestLockstepLanes:
             cmdp = gen_frozen_lake(GridSpec(rows=n, cols=n, seed=2))
             rng = np.random.default_rng(n)
             logits = rng.standard_normal((50, cmdp.n_states, cmdp.n_actions))
-            configs = [CrpoConfig(learning_rate=float(rng.uniform(0.1, 2.0)), steps=8,
-                                  tolerance=0.05, episodes_per_step=5,
-                                  episode_horizon=60, rng_seed=k) for k in range(50)]
-            paths = crpo.crpo_lanes(cmdp, logits, configs)
+            base = CrpoConfig(steps=8, tolerance=0.05, episodes_per_step=5,
+                              episode_horizon=60)
+            rates = [float(rng.uniform(0.1, 2.0)) for _ in range(50)]
+            configs = [replace(base, learning_rate=rate, rng_seed=k)
+                       for k, rate in enumerate(rates)]
+            paths = crpo.crpo_lanes(cmdp, logits, base, rates, range(50))
             for k in (0, 17, 49):
                 init = SoftmaxPolicy(logits=logits[k])
                 got = _outcome(cmdp, init, configs[k], paths[k])
@@ -888,12 +900,13 @@ class TestLockstepLanes:
         logits = np.random.default_rng(4).standard_normal((4, cmdp.n_states,
                                                            cmdp.n_actions))
         logits[1, 5, 2], logits[2, 0, 0] = np.nan, np.inf
+        base = replace(self._base(mode), steps=4)
         configs = [replace(cfg, steps=4) for cfg in self._configs(mode)[:4]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            entries = crpo.crpo_lanes(cmdp, logits, configs)
-            assert all(isinstance(entry, InvalidInput)
-                       for entry in crpo.crpo_lanes(cmdp, logits[1:3], configs[1:3]))
+            entries = crpo.crpo_lanes(cmdp, logits, base, self.RATES[:4], self.SEEDS[:4])
+            assert all(isinstance(entry, InvalidInput) for entry in crpo.crpo_lanes(
+                cmdp, logits[1:3], base, self.RATES[1:3], self.SEEDS[1:3]))
         for k in (1, 2):
             assert isinstance(entries[k], InvalidInput)
             assert str(entries[k]) == "logits must be finite"
@@ -906,8 +919,31 @@ class TestLockstepLanes:
             self._assert_same_run(got, solo, _per_run_reference(cmdp, init, configs[k]))
 
     def test_lanes_share_every_setting_but_rate_and_seed(self):
-        configs = [CrpoConfig(), CrpoConfig(tolerance=0.1)]
-        with pytest.raises(InvalidInput, match="learning_rate and rng_seed"):
-            crpo.crpo_lanes(self.CMDP, np.zeros((2, 4, 3)), configs)
-        with pytest.raises(InvalidInput, match="for 1 lanes"):
-            crpo.crpo_lanes(self.CMDP, np.zeros((2, 4, 3)), configs[:1])
+        """One config for all lanes, and one rate and one seed a lane."""
+        with pytest.raises(InvalidInput, match="for 1 rates and 1 seeds$"):
+            crpo.crpo_lanes(self.CMDP, np.zeros((2, 4, 3)), CrpoConfig(), [0.1], [0])
+        with pytest.raises(InvalidInput, match="for 2 rates and 1 seeds$"):
+            crpo.crpo_lanes(self.CMDP, np.zeros((2, 4, 3)), CrpoConfig(), [0.1, 0.2], [0])
+
+    @pytest.mark.parametrize("rate, seed", [(0.0, -1), (-0.5, 2.0), (np.inf, True),
+                                            (np.nan, None), ("0.5", "1")])
+    def test_a_lane_rate_or_seed_that_a_config_refuses_is_refused(self, rate, seed):
+        """A lane whose rate is not positive and finite, or whose seed is not
+        a nonnegative integer, gets the InvalidInput that `CrpoConfig` raises
+        for it as its entry, text and all, before the first step; the other
+        lanes keep their solo bits."""
+        cmdp, configs = self.CMDP, self._configs("TdSampled")
+        inits = [SoftmaxPolicy(logits=logits) for logits, _, _ in self.LANES]
+        rates, seeds = list(self.RATES), list(self.SEEDS)
+        rates[1], seeds[4] = rate, seed
+        entries = crpo.crpo_lanes(cmdp, np.array([p.logits for p in inits]),
+                                  self._base("TdSampled"), rates, seeds)
+        for k, setting in ((1, {"learning_rate": rate}), (4, {"rng_seed": seed})):
+            with pytest.raises(InvalidInput) as raised:
+                CrpoConfig(**setting)
+            assert type(entries[k]) is InvalidInput
+            assert str(entries[k]) == str(raised.value)
+        for k in (0, 2, 3, 5):
+            got, solo = _outcome(cmdp, inits[k], configs[k], entries[k]), \
+                _outcome(cmdp, inits[k], configs[k])
+            self._assert_same_run(got, solo, _per_run_reference(cmdp, inits[k], configs[k]))

@@ -47,3 +47,21 @@ class TestExportDigest:
         with open(curves, "a") as fh:
             fh.write("\n")
         assert export_digest.digest(a) != before
+
+    def test_each_digest_line_ends_with_the_blas_core(self, tmp_path, capsys):
+        a = tiny_export(tmp_path, "a")
+        capsys.readouterr()
+        core = export_digest.blas_core()
+        assert core and " " not in core
+        assert export_digest.main([a, a]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split() for line in lines[:2]] == \
+            [["sha256", export_digest.digest(a), a, core]] * 2
+
+    def test_blas_core_is_unknown_without_the_library_or_function(self, monkeypatch):
+        monkeypatch.setattr(export_digest.glob, "glob", lambda pattern: [])
+        assert export_digest.blas_core() == "unknown"
+        # a library that lacks the function
+        monkeypatch.setattr(export_digest.glob, "glob", lambda pattern: ["libother.so"])
+        monkeypatch.setattr(export_digest.ctypes, "CDLL", lambda path: object())
+        assert export_digest.blas_core() == "unknown"

@@ -8,7 +8,7 @@ import pytest
 from metasrl import harness
 from metasrl.crpo import CrpoConfig
 from metasrl.dice import DiceConfig
-from metasrl.errors import InvalidInput, NumericalFailure
+from metasrl.errors import DegenerateRun, InvalidInput, NumericalFailure
 from metasrl.harness import (Baseline, ExperimentConfig, MetaConfig,
                              export_report, parse_strategy, run_experiment,
                              solve_oracles)
@@ -154,50 +154,68 @@ class TestExperimentConfig:
         assert parse_strategy("MetaSrl") == ("MetaSrl", 0)
 
 
-def baseline(name, history=(), seed=0, shrink=0.0, dims=(1, 2)):
+def baseline(name, histories=((),), seed=0, shrink=0.0, dims=(1, 2)):
+    """A baseline of one run a history, run r drawing from seed + r."""
     uniform = np.full(dims, 1.0 / dims[1])
-    strategy = Baseline(name, np.random.default_rng(seed), uniform, 0.5, shrink)
-    strategy.history = [np.asarray(h) for h in history]
+    strategy = Baseline(name, [np.random.default_rng(seed + r) for r in range(len(histories))],
+                        uniform, 0.5, shrink)
+    strategy.histories = [[np.asarray(h) for h in history] for history in histories]
     return strategy
 
 
 class TestBaseline:
     def test_random_feasible(self):
-        strategy = baseline("Random", shrink=0.01, dims=(3, 2))
-        table, alpha = strategy.init(1)
-        assert alpha == 0.5
-        assert np.allclose(table.sum(axis=1), 1.0)
-        assert np.all(table >= 0.01 - 1e-12)
+        strategy = baseline("Random", [()] * 3, shrink=0.01, dims=(3, 2))
+        tables, rates, errors = strategy.init(1)
+        assert tables.shape == (3, 3, 2)
+        assert rates.tolist() == [0.5] * 3 and errors == [None] * 3
+        assert np.allclose(tables.sum(axis=2), 1.0)
+        assert np.all(tables >= 0.01 - 1e-12)
 
     def test_pretrained_picks_index(self):
         hist = [[[0.9, 0.1]], [[0.2, 0.8]]]
-        assert np.allclose(baseline("Pretrained:1", hist).init(2)[0], hist[1])
-        assert np.allclose(baseline("Pretrained", hist).init(2)[0], hist[0])
+        other = [[[0.3, 0.7]], [[0.6, 0.4]], [[0.1, 0.9]]]
+        assert np.allclose(baseline("Pretrained:1", [hist, other]).init(3)[0],
+                           [hist[1], other[1]])
+        assert np.allclose(baseline("Pretrained", [hist, other]).init(3)[0],
+                           [hist[0], other[0]])
 
     def test_average(self):
+        """Each run averages its own history, of whatever length."""
         hist = [[[1.0, 0.0]], [[0.0, 1.0]]]
+        longer = [[[1.0, 0.0]], [[1.0, 0.0]], [[0.25, 0.75]]]
         for name in ("SimpleAverage", "FAL"):
-            table, _ = baseline(name, hist).init(2)
-            assert np.allclose(table, [[0.5, 0.5]])
+            tables, _, errors = baseline(name, [hist, longer]).init(3)
+            assert errors == [None, None]
+            assert np.allclose(tables, [[[0.5, 0.5]], [[0.75, 0.25]]])
 
     def test_too_short_history_rejected(self):
-        with pytest.raises(InvalidInput, match="needs 1 prior"):
-            baseline("SimpleAverage").init(1)
-        with pytest.raises(InvalidInput, match="needs 3 prior"):
-            baseline("Pretrained:2", [[[1.0, 0.0]], [[0.0, 1.0]]]).init(2)
+        """A run whose history is too short gets the error as its own; its
+        sibling runs are served."""
+        tables, _, errors = baseline("SimpleAverage", [(), [[[1.0, 0.0]]]]).init(1)
+        assert isinstance(errors[0], InvalidInput)
+        assert str(errors[0]) == "SimpleAverage needs 1 prior policies, the run has 0"
+        assert errors[1] is None and np.allclose(tables[1], [[1.0, 0.0]])
+        two, three = [[[1.0, 0.0]], [[0.0, 1.0]]], [[[1.0, 0.0]], [[0.0, 1.0]], [[0.5, 0.5]]]
+        tables, _, errors = baseline("Pretrained:2", [three, two]).init(3)
+        assert errors[0] is None and np.allclose(tables[0], [[0.5, 0.5]])
+        assert str(errors[1]) == "Pretrained needs 3 prior policies, the run has 2"
 
     def test_random_generator_draw_order(self):
         """Task 0 takes the uniform table without a draw; each later task
-        makes one dirichlet draw from the run's generator, in task order."""
+        makes one dirichlet draw from each run's generator, in run order and
+        task order, and projects it as the table alone would be."""
         shrink, dims = 1e-3, (3, 2)
-        strategy = baseline("Random", seed=5, shrink=shrink, dims=dims)
-        reference = np.random.default_rng(5)
-        assert np.array_equal(strategy.init(0)[0], strategy.uniform)
+        strategy = baseline("Random", [()] * 3, seed=5, shrink=shrink, dims=dims)
+        references = [np.random.default_rng(5 + r) for r in range(3)]
+        assert all(np.array_equal(table, strategy.uniform) for table in strategy.init(0)[0])
         for t in (1, 2, 3):
-            draw = reference.dirichlet(np.ones(dims[1]), size=dims[0])
-            assert np.array_equal(strategy.init(t)[0],
-                                  project_table_shrinkage_simplex(draw, shrink))
-        assert strategy.rng.bit_generator.state == reference.bit_generator.state
+            tables = strategy.init(t)[0]
+            for table, reference in zip(tables, references):
+                draw = reference.dirichlet(np.ones(dims[1]), size=dims[0])
+                assert np.array_equal(table, project_table_shrinkage_simplex(draw, shrink))
+        assert [rng.bit_generator.state for rng in strategy.rngs] == \
+            [reference.bit_generator.state for reference in references]
 
 
 class TestSolveOracles:
@@ -401,20 +419,82 @@ class TestRunExperiment:
         assert row["taog"] == task_1[1].taog_contribution
         assert row["tacv"] == list(task_1[1].tacv_contribution)
 
+    def test_one_stacked_projection_per_baseline_and_task(self, monkeypatch):
+        """Each baseline projects its R runs' init tables in one call a task
+        after task 0, and MetaSrl none: the harness's only other projection
+        is the uniform table's, once a sweep."""
+        shapes = []
+        project = harness.project_table_shrinkage_simplex
+
+        def counting(table, shrink):
+            shapes.append(np.shape(table))
+            return project(table, shrink)
+
+        monkeypatch.setattr(harness, "project_table_shrinkage_simplex", counting)
+        baselines = ("Random", "Pretrained", "SimpleAverage", "FAL")
+        result, _ = run_experiment(tiny_config(strategies=baselines + ("MetaSrl",),
+                                               runs_per_strategy=3), tasks=tiny_tasks(4))
+        assert result.ok.all()
+        assert shapes == [(4, 3)] + [(3, 4, 3)] * (len(baselines) * 3)
+
+    def test_a_failed_run_averages_only_its_own_history(self, monkeypatch):
+        """SimpleAverage's run 1 raises in its task-1 CRPO call: at tasks 2
+        and 3 it averages its own successful tasks alone, while its sibling
+        runs and FAL's runs average all of theirs."""
+        tasks, shrink = tiny_tasks(4), MetaConfig().shrinkage
+        run_crpo, init = harness.run_crpo, harness.Baseline.init
+        returned = {}   # (strategy, run, task) -> the returned policy's table
+        inits = {}      # (strategy, task) -> the init tables
+
+        def failing_run_1_on_task_1(cmdp, *args):
+            # every run joins every task, its call in (strategy, run) order
+            t = next(t for t, task in enumerate(tasks) if task is cmdp)
+            cell = divmod(sum(key[2] == t for key in returned), 3) + (t,)
+            returned[cell] = None
+            if cell == (0, 1, 1):
+                raise RuntimeError("run 1 failed on task 1")
+            try:
+                outcome = run_crpo(cmdp, *args)
+            except DegenerateRun as exc:
+                returned[cell] = exc.outcome.returned_policy.probs.copy()
+                raise
+            returned[cell] = outcome.returned_policy.probs.copy()
+            return outcome
+
+        def recording_init(self, t):
+            tables, rates, errors = init(self, t)
+            assert errors == [None] * 3
+            inits[self.kind, t] = tables
+            return tables, rates, errors
+
+        monkeypatch.setattr(harness, "run_crpo", failing_run_1_on_task_1)
+        monkeypatch.setattr(harness.Baseline, "init", recording_init)
+        result, _ = run_experiment(tiny_config(strategies=("SimpleAverage", "FAL"),
+                                               runs_per_strategy=3), tasks=tasks)
+        assert [(s, run, t) for s, run, t in np.argwhere(~result.ok)] == [(0, 1, 1)]
+        assert result.errors[0, 1, 1] == "RuntimeError: run 1 failed on task 1"
+        for si, name in enumerate(("SimpleAverage", "FAL")):
+            for t in (2, 3):
+                for run in range(3):
+                    learned = [k for k in range(t) if (si, run, k) != (0, 1, 1)]
+                    mean = np.mean([returned[si, run, k] for k in learned], axis=0)
+                    assert np.array_equal(inits[name, t][run],
+                                          project_table_shrinkage_simplex(mean, shrink))
+
     def test_every_dice_fit_draws_its_own_stream(self, monkeypatch):
         crpo_seeds, dice_seeds = [], []
-        run_crpo, fit = harness.run_crpo, harness.dualdice_fit
+        crpo_lanes, fit = harness.crpo_lanes, harness.dualdice_fit
 
-        def recording_crpo(cmdp, policy, cfg, *args):
-            crpo_seeds.append(cfg.rng_seed)
-            return run_crpo(cmdp, policy, cfg, *args)
+        def recording_crpo(cmdp, logits, cfg, rates, seeds):
+            crpo_seeds.extend(int(seed) for seed in seeds)
+            return crpo_lanes(cmdp, logits, cfg, rates, seeds)
 
         def recording_fit(dataset, target, gamma, cfg):
             assert cfg.solver == "Sgd" and cfg.sgd_steps == 50
             dice_seeds.append(cfg.rng_seed)
             return fit(dataset, target, gamma, cfg)
 
-        monkeypatch.setattr(harness, "run_crpo", recording_crpo)
+        monkeypatch.setattr(harness, "crpo_lanes", recording_crpo)
         monkeypatch.setattr(harness, "dualdice_fit", recording_fit)
         cfg = tiny_config(strategies=("MetaSrl",),
                           dice=DiceConfig(solver="Sgd", sgd_steps=50))
@@ -423,6 +503,7 @@ class TestRunExperiment:
         # 2 runs x 2 training tasks, each fit with its own seed, none of
         # them a CRPO seed
         assert len(dice_seeds) == len(set(dice_seeds)) == 4
+        assert len(crpo_seeds) == len(set(crpo_seeds)) == 2 * 3
         assert not set(dice_seeds) & set(crpo_seeds)
         run_experiment(cfg, tasks=tiny_tasks(3))
         assert dice_seeds[4:] == dice_seeds[:4]
@@ -495,8 +576,8 @@ class TestExportReport:
         init = harness.Baseline.init
 
         def nan_on_task_1(self, t):
-            table, alpha = init(self, t)
-            return (np.full_like(table, np.nan) if t == 1 else table), alpha
+            tables, rates, errors = init(self, t)
+            return (np.full_like(tables, np.nan) if t == 1 else tables), rates, errors
 
         monkeypatch.setattr(harness.Baseline, "init", nan_on_task_1)
         cfg = tiny_config()
@@ -513,8 +594,8 @@ class TestExportReport:
         come out in (strategy, run, task) order, each with its own text."""
         tasks = tiny_tasks(3)
         cfg = tiny_config()
-        run_crpo = harness.run_crpo
-        calls = []
+        run_crpo, crpo_lanes = harness.run_crpo, harness.crpo_lanes
+        calls, lane_seeds = [], []   # each task's lane seeds, in lane order
         # a cell is its task and its CRPO seed, each (strategy, run) drawing
         # its task seeds from its own child of the master seed; it is named
         # by its index in (strategy, run, task) order
@@ -523,13 +604,20 @@ class TestExportReport:
                    s * 6 + run * 3 + t
                    for s, run, t in [(0, 0, 2), (0, 1, 0), (1, 0, 1), (1, 1, 2)]}
 
+        def recording_seeds(cmdp, logits, crpo_cfg, rates, seeds):
+            lane_seeds.append([int(seed) for seed in seeds])
+            return crpo_lanes(cmdp, logits, crpo_cfg, rates, seeds)
+
         def failing_on_some_cells(cmdp, policy, crpo_cfg, *args):
-            calls.append(cmdp)       # one call a cell
+            # one call a cell, a task's calls in the order of its lanes
             t = next(t for t, task in enumerate(tasks) if task is cmdp)
-            if (t, crpo_cfg.rng_seed) in failing:
-                raise RuntimeError(f"call {failing[t, crpo_cfg.rng_seed]} failed")
+            seed = lane_seeds[t][sum(c is cmdp for c in calls)]
+            calls.append(cmdp)
+            if (t, seed) in failing:
+                raise RuntimeError(f"call {failing[t, seed]} failed")
             return run_crpo(cmdp, policy, crpo_cfg, *args)
 
+        monkeypatch.setattr(harness, "crpo_lanes", recording_seeds)
         monkeypatch.setattr(harness, "run_crpo", failing_on_some_cells)
         result, reports = run_experiment(cfg, tasks=tasks)
         assert len(calls) == 12
