@@ -77,9 +77,10 @@ class ExperimentConfig:
             raise InvalidInput("strategies must be a list of strategy names, "
                                f"got {self.strategies!r}")
         object.__setattr__(self, "strategies", tuple(self.strategies))
-        # one strategy under two names ("Pretrained", "Pretrained:0") repeats too
-        parsed = [parse_strategy(s) for s in self.strategies]
-        if len(set(parsed)) < len(parsed):
+        for name in self.strategies:
+            if name not in STRATEGIES:
+                raise InvalidInput(f"unknown strategy {name!r}")
+        if len(set(self.strategies)) < len(self.strategies):
             raise InvalidInput(f"strategies must not repeat, got {self.strategies!r}")
         if not isinstance(self.task_source, (str, TaskSequenceConfig)):
             raise InvalidInput("task_source must be a directory path or a task "
@@ -110,23 +111,14 @@ class ExperimentConfig:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
-def parse_strategy(name):
-    """(kind, index) of a strategy name: kind is one of STRATEGIES, and index
-    is Pretrained's policy index (0 unless given as "Pretrained:i")."""
-    kind, sep, arg = name.partition(":")
-    if kind not in STRATEGIES or sep and not (
-            kind == "Pretrained" and arg.isascii() and arg.isdigit()):
-        raise InvalidInput(f"unknown strategy {name!r}")
-    return kind, int(arg) if sep else 0
-
-
 class Baseline:
-    """Random, Pretrained[:i], SimpleAverage and FAL over R runs: a fixed
-    rule over the policies each run has learned so far, after the uniform
-    table on task 0. Run r draws from the generator rngs[r]."""
+    """Random, Pretrained, SimpleAverage and FAL over R runs: a fixed rule
+    over the policies each run has learned so far, after the uniform table
+    on task 0. Pretrained reads a run's first policy, SimpleAverage and FAL
+    the mean of them all. Run r draws from the generator rngs[r]."""
 
-    def __init__(self, name, rngs, uniform, alpha, shrink):
-        self.kind, self.index = parse_strategy(name)
+    def __init__(self, kind, rngs, uniform, alpha, shrink):
+        self.kind = kind
         self.rngs, self.uniform, self.alpha, self.shrink = rngs, uniform, alpha, shrink
         self.histories = [[] for _ in rngs]
 
@@ -143,11 +135,11 @@ class Baseline:
         else:
             tables = [self.uniform] * n
             for run, history in enumerate(self.histories):
-                if len(history) <= self.index:   # index is 0 for the averages
-                    errors[run] = InvalidInput(f"{self.kind} needs {self.index + 1} prior "
-                                               f"policies, the run has {len(history)}")
+                if not history:   # the run failed task 0
+                    errors[run] = InvalidInput(f"{self.kind} needs 1 prior policies, "
+                                               "the run has 0")
                 else:
-                    tables[run] = history[self.index] if self.kind == "Pretrained" \
+                    tables[run] = history[0] if self.kind == "Pretrained" \
                         else np.mean(history, axis=0)
         return project_table_shrinkage_simplex(np.array(tables), self.shrink), rates, errors
 

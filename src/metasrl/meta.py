@@ -112,11 +112,12 @@ def sim_loss_and_grad(kappa, kl_term, m_steps, constants):
         raise InvalidInput("kappa must be positive")
     if kl_term < 0:
         raise InvalidInput("kl_term must be nonnegative")
-    root_m = np.sqrt(m_steps)
-    slope = constants.rate_slope(m_steps)
-    loss = constants.c1 * kl_term / kappa + kappa * slope + constants.c3 * root_m
-    grad = -constants.c1 * kl_term / kappa ** 2 + slope
-    return float(loss), float(grad)
+    # on Python floats a huge kappa overflows the loss to inf, with no
+    # warning, and the gradient, which never squares kappa, stays finite
+    kappa, slope = float(kappa), float(constants.rate_slope(m_steps))
+    ratio = constants.c1 * float(kl_term) / kappa
+    loss = ratio + kappa * slope + constants.c3 * float(np.sqrt(m_steps))
+    return float(loss), float(slope - ratio / kappa)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,27 @@ def test_call_counts_are_positive_and_repeat(capsys):
     assert lanes["lanes_1"] < lanes["lanes_5"] < lanes["lanes_50"] < 5 * lanes["lanes_1"]
 
 
+def test_call_counts_rise_by_the_calls_added_a_crpo_step(capsys, monkeypatch):
+    """A wrapper around the NPG step adds k = 3 calls a CRPO step: its own
+    and two no-ops. A lockstep takes the config's 8 steps at any lane count,
+    so each lanes layer's count rises by 8 k; no other layer takes a step."""
+    counts = lambda: [int(c) for c in run_4x4(capsys)[1][-len(LAYERS):]]
+    before, step = counts(), bench_layers.crpo.npg_softmax_step
+
+    def noop():
+        pass
+
+    def padded(logits, q, step_size):
+        noop()
+        noop()
+        return step(logits, q, step_size)
+
+    monkeypatch.setattr(bench_layers.crpo, "npg_softmax_step", padded)
+    rise = {name: after - count for name, count, after in zip(LAYERS, before, counts())}
+    assert bench_layers.CRPO.steps == 8
+    assert rise == {name: 8 * 3 if name.startswith("lanes_") else 0 for name in LAYERS}
+
+
 def test_call_split_sums_to_the_total_and_repeats(capsys):
     runs = [run_4x4(capsys) for _ in range(2)]
     assert runs[0][1][-len(LAYERS):] == runs[1][1][-len(LAYERS):]

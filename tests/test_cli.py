@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import metasrl
 from metasrl import harness
 from metasrl.cli import main
 from metasrl.harness import ExperimentConfig
@@ -24,6 +28,19 @@ def write_json(path, doc):
 
 TASK_DOC = {"mode": "HighSimilarity", "num_tasks": 3,
             "base": {"rows": 3, "cols": 3, "seed": 2}, "seed": 1}
+
+# `metasrl run` with every baseline's learning step raising, for `python -c`
+FAILING_LEARN = """
+import sys
+from metasrl import harness
+from metasrl.cli import main
+
+def learn(self, cmdp, run, outcome, task_seed):
+    raise RuntimeError("no policy learned")
+
+harness.Baseline.learn = learn
+sys.exit(main(sys.argv[1:]))
+"""
 
 RUN_DOC = {
     "task_source": TASK_DOC,
@@ -174,7 +191,7 @@ class TestRun:
         assert "runtime failure: NumericalFailure" in err and "J_1" in err
 
     def test_bad_strategy_argument_exit_2(self, tmp_path, capsys):
-        for name in ("MetaSrl:x", "Pretrained:-1"):
+        for name in ("MetaSrl:x", "Pretrained:-1", "Pretrained:0", "Pretrained:07"):
             cfg = write_json(tmp_path / "run.json", {**RUN_DOC, "strategies": [name]})
             assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
             assert f"unknown strategy {name!r}" in capsys.readouterr().err
@@ -186,15 +203,40 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "training task 0 has no policy" in capsys.readouterr().err
 
-    def test_failed_task_runs_reported_exit_0(self, tmp_path, capsys):
+    def test_failed_task_runs_reported_exit_0(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(harness.Baseline, "learn", lambda *args: np.nan)
         cfg = write_json(tmp_path / "run.json",
-                         {**RUN_DOC, "strategies": ["Pretrained:2"]})
+                         {**RUN_DOC, "strategies": ["Pretrained"]})
         out = str(tmp_path / "x")
         assert main(["run", "--config", cfg, "--out", out]) == 0
         err = capsys.readouterr().err
-        # tasks 1 and 2 of each of the 2 runs have no third policy to start from
+        # tasks 1 and 2 of each of the 2 runs have no task-0 policy to start from
         assert f"4 of 6 task runs failed; see {os.path.join(out, 'errors.csv')}" in err
         assert os.path.exists(os.path.join(out, "errors.csv"))
+
+    def test_failing_sweep_export_is_the_same_under_two_hash_seeds(self, tmp_path):
+        """A sweep whose baselines' learning step raises: every baseline run
+        fails task 0, and Pretrained, SimpleAverage and FAL then fail every
+        later task on an empty history. Its export holds errors.csv, and
+        every exported file has the same bytes under two hash seeds."""
+        cfg = write_json(tmp_path / "run.json", {**RUN_DOC, "strategies": [
+            "Random", "Pretrained", "SimpleAverage", "FAL", "MetaSrl"]})
+        exports = []
+        for hash_seed in ("1", "12345"):
+            out = tmp_path / f"hash_seed_{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.path.dirname(
+                os.path.dirname(metasrl.__file__)))
+            proc = subprocess.run(
+                [sys.executable, "-c", FAILING_LEARN, "run", "--config", cfg,
+                 "--out", str(out)], capture_output=True, text=True, timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert "task runs failed" in proc.stderr
+            exports.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert exports[0] == exports[1]
+        errors = exports[0]["errors.csv"].decode()
+        assert "RuntimeError: no policy learned" in errors
+        assert "InvalidInput: FAL needs 1 prior policies, the run has 0" in errors
+        assert "MetaSrl" not in errors
 
     @pytest.mark.parametrize("section,field,value", [
         ("meta", "ogd_step_init", 0), ("crpo", "learning_rate", float("nan")),
@@ -299,19 +341,20 @@ class TestRun:
         assert main(["run", "--config", str(out / "config.json"), "--out", str(rerun)]) == 0
         assert (rerun / "config.json").read_text() == text
 
-    @pytest.mark.parametrize("names", [["Pretrained", "Pretrained:0"],
-                                       ["Pretrained:7", "Pretrained:07"]])
-    def test_one_strategy_under_two_names_exit_2(self, tmp_path, capsys, names):
+    @pytest.mark.parametrize("names", [["FAL", "FAL"], ["MetaSrl", "Random", "MetaSrl"]])
+    def test_strategy_named_twice_exit_2(self, tmp_path, capsys, names):
         cfg = write_json(tmp_path / "run.json", {**RUN_DOC, "strategies": names})
         out = tmp_path / "x"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert "config error: strategies must not repeat" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_strategy_exit_2(self, tmp_path):
+    def test_bad_strategy_exit_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "run.json", RUN_DOC)
-        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x"),
-                     "--strategy", "Bogus"]) == 2
+        for name in ("Bogus", "Pretrained:12"):
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / "x"),
+                         "--strategy", name]) == 2
+            assert f"config error: unknown strategy {name!r}" in capsys.readouterr().err
 
 
 class TestExampleConfig:

@@ -10,8 +10,7 @@ from metasrl.crpo import CrpoConfig
 from metasrl.dice import DiceConfig
 from metasrl.errors import DegenerateRun, InvalidInput, NumericalFailure
 from metasrl.harness import (Baseline, ExperimentConfig, MetaConfig,
-                             export_report, parse_strategy, run_experiment,
-                             solve_oracles)
+                             export_report, run_experiment, solve_oracles)
 from metasrl.lp import solve_optimal_lp
 from metasrl.meta import RegretReport, project_table_shrinkage_simplex
 from metasrl.taskgen import GridSpec, TaskSequenceConfig
@@ -79,10 +78,10 @@ class TestExperimentConfig:
             tiny_config(strategies=("Bogus",))
         with pytest.raises(InvalidInput):
             tiny_config(runs_per_strategy=0)
-        # only Pretrained takes an argument, and only an integer >= 0
+        # a name is one of the five, with no argument on any
         for name in ("MetaSrl:x", "Pretrained:abc", "SimpleAverage:2",
                      "Random:zz", "FAL:0", "Pretrained:-1", "Pretrained:",
-                     "Pretrained:1.5", "Random:"):
+                     "Pretrained:1.5", "Random:", "Pretrained:0", "Pretrained:1"):
             with pytest.raises(InvalidInput, match="unknown strategy"):
                 tiny_config(strategies=(name,))
         # one name, one row of the sweep's arrays and one curves file
@@ -146,12 +145,11 @@ class TestExperimentConfig:
         assert MetaConfig(ogd_step_sim=0.0, initial_rate=None).ogd_step_sim == 0.0
         MetaConfig(shrinkage=0.0, initial_rate=0.3, inner_updates=np.int64(2))
 
-    def test_pretrained_arg_allowed(self):
-        cfg = tiny_config(strategies=("Pretrained:2",))
-        assert cfg.strategies == ("Pretrained:2",)
-        assert parse_strategy("Pretrained:2") == ("Pretrained", 2)
-        assert parse_strategy("Pretrained") == ("Pretrained", 0)
-        assert parse_strategy("MetaSrl") == ("MetaSrl", 0)
+    def test_pretrained_index_refused(self):
+        """Pretrained starts from the policy a run learned on task 0; the
+        policy of a later task names no strategy."""
+        with pytest.raises(InvalidInput, match=r"^unknown strategy 'Pretrained:1'$"):
+            ExperimentConfig(task_source="tasks", strategies=("Pretrained:1",))
 
 
 def baseline(name, histories=((),), seed=0, shrink=0.0, dims=(1, 2)):
@@ -173,12 +171,13 @@ class TestBaseline:
         assert np.all(tables >= 0.01 - 1e-12)
 
     def test_pretrained_picks_index(self):
+        """Each run starts from the first policy of its own history."""
         hist = [[[0.9, 0.1]], [[0.2, 0.8]]]
         other = [[[0.3, 0.7]], [[0.6, 0.4]], [[0.1, 0.9]]]
-        assert np.allclose(baseline("Pretrained:1", [hist, other]).init(3)[0],
-                           [hist[1], other[1]])
-        assert np.allclose(baseline("Pretrained", [hist, other]).init(3)[0],
-                           [hist[0], other[0]])
+        for t in (1, 3):
+            tables, _, errors = baseline("Pretrained", [hist, other]).init(t)
+            assert errors == [None, None]
+            assert np.allclose(tables, [hist[0], other[0]])
 
     def test_average(self):
         """Each run averages its own history, of whatever length."""
@@ -196,10 +195,10 @@ class TestBaseline:
         assert isinstance(errors[0], InvalidInput)
         assert str(errors[0]) == "SimpleAverage needs 1 prior policies, the run has 0"
         assert errors[1] is None and np.allclose(tables[1], [[1.0, 0.0]])
-        two, three = [[[1.0, 0.0]], [[0.0, 1.0]]], [[[1.0, 0.0]], [[0.0, 1.0]], [[0.5, 0.5]]]
-        tables, _, errors = baseline("Pretrained:2", [three, two]).init(3)
+        two = [[[0.5, 0.5]], [[0.0, 1.0]]]
+        tables, _, errors = baseline("Pretrained", [two, ()]).init(3)
         assert errors[0] is None and np.allclose(tables[0], [[0.5, 0.5]])
-        assert str(errors[1]) == "Pretrained needs 3 prior policies, the run has 2"
+        assert str(errors[1]) == "Pretrained needs 1 prior policies, the run has 0"
 
     def test_random_generator_draw_order(self):
         """Task 0 takes the uniform table without a draw; each later task
@@ -237,6 +236,16 @@ class TestSolveOracles:
 
 
 class TestRunExperiment:
+    def test_metasrl_runs_at_a_huge_learning_rate(self):
+        """A valid rate of 1e305 overflows the rate surrogate's loss, which
+        no run reads: no MetaSrl run fails."""
+        cfg = tiny_config(strategies=("MetaSrl",))
+        cfg = replace(cfg, crpo=replace(cfg.crpo, learning_rate=1e305))
+        result, reports = run_experiment(cfg, tasks=tiny_tasks(3))
+        assert result.ok.all()
+        assert result.kappas[0, :, :2].tolist() == [[1e305] * 2] * 2
+        assert np.isfinite(reports["MetaSrl"].taog)
+
     def test_record_shape_and_holdout(self):
         cfg = tiny_config()
         tasks = tiny_tasks(4)
@@ -352,19 +361,21 @@ class TestRunExperiment:
         assert np.isnan(reports["MetaSrl"].static_regret)
         assert np.isfinite(reports["Random"].taog)
 
-    def test_task_failing_in_every_run(self):
-        """Pretrained:2 has no third policy before task 2, so tasks 1 and 2
-        fail in every run; the report reads NaN there and goes on."""
-        tasks = tiny_tasks(4)
+    def test_task_failing_in_every_run(self, monkeypatch):
+        """Pretrained keeps no policy from task 0, so tasks 1 and 2 fail in
+        every run; the report reads NaN there and goes on."""
+        monkeypatch.setattr(harness.Baseline, "learn", lambda *args: np.nan)
         records, reports = run_experiment(
-            tiny_config(strategies=("Pretrained:2",)), tasks=tasks)
+            tiny_config(strategies=("Pretrained",)), tasks=tiny_tasks(4))
         for rec in records:
-            assert (rec.error is None) == (rec.task_index == 0)
+            assert rec.error == (None if rec.task_index == 0 else
+                                 "InvalidInput: Pretrained needs 1 prior policies, "
+                                 "the run has 0")
             if rec.error is not None:   # a failed run's numbers are NaN
                 assert np.isnan(rec.final_objectives).all()
                 assert np.isnan(rec.per_step_reward).all()
                 assert rec.per_step_costs.shape == (5, 1)
-        report = reports["Pretrained:2"]
+        report = reports["Pretrained"]
         gaps = [row["taog"] for row in report.per_task]
         assert np.isfinite(gaps[0]) and np.isnan(gaps[1:]).all()
         assert np.isnan(report.taog)

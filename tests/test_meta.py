@@ -143,6 +143,13 @@ class TestSimConstants:
             np.array([2.0]))
         assert abs(grad - fd[0]) < 1e-5
 
+    def test_sim_loss_overflows_to_inf_at_a_huge_rate(self):
+        """kappa * slope overflows the loss to inf, with no warning (the
+        suite turns warnings into errors); the gradient is the slope."""
+        c = SimConstants(c1=2.0, c2=1000.0, c3=0.0, c4=0.0)
+        loss, grad = sim_loss_and_grad(np.float64(1e305), np.float64(4.0), 9, c)
+        assert loss == np.inf and grad == 9000.0
+
 
 class TestMetaUpdate:
     def _state(self, **kw):
