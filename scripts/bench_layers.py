@@ -10,8 +10,10 @@ random softmax policy:
   built;
 - evaluate: one `policy_evaluation_exact` on the policy's (S, A) table;
 - visitation: one `visitation_exact`;
-- td: one TdSampled CRPO step's critic, `td_critic` on that table with
-  `td_iterations` 10 000 and horizon 60;
+- td: one TdSampled CRPO step of one lane from that policy, as
+  `crpo_lanes` takes it (`crpo._lockstep`), with `td_iterations` 10 000
+  and horizon 60: the chain, its counts, and the one stacked exact solve
+  of the iterate on the task and on the chain's counted model;
 
 three on a lockstep of L CRPO runs, L = 1, 5 and 50 (the test_09 CRPO
 settings, the Exact critic, random initial logits, run k with seed k and
@@ -59,6 +61,7 @@ Example:
 import argparse
 import cProfile
 import collections
+import dataclasses
 import gc
 import os
 import pstats
@@ -96,6 +99,7 @@ def best_time(call, repeats, number):
 CRPO = crpo.CrpoConfig(learning_rate=1.0, steps=8, tolerance=0.05,
                        episodes_per_step=5, episode_horizon=60, rng_seed=2)
 TD_ITERATIONS = 10_000   # the td layer's chain length
+TD = dataclasses.replace(CRPO, critic_mode="TdSampled", td_iterations=TD_ITERATIONS)
 LANES = (1, 5, 50)       # the lockstep widths of the lanes layers
 LAYERS = ("build", "evaluate", "visitation", "td", *(f"lanes_{n}" for n in LANES),
           "sample", "dice")
@@ -138,6 +142,15 @@ def lockstep(task, n_lanes):
     logits = rng.standard_normal((n_lanes, task.n_states, task.n_actions))
     rates = [float(rng.uniform(0.5, 1.5)) for _ in range(n_lanes)]
     return lambda: crpo.crpo_lanes(task, logits, CRPO, rates, range(n_lanes))
+
+
+def td_step(task, policy):
+    """One TdSampled lockstep step of one lane from the policy, as a call;
+    each call starts from empty counts."""
+    rng = np.random.default_rng(0)
+    step = np.full((1, 1, 1), TD.learning_rate / (1.0 - task.discount))
+    counts = np.zeros((1,) + task.successors[1].shape, int)
+    return lambda: crpo._lockstep(task, TD, policy.logits[None], step, [rng], counts)
 
 
 def traced_peak(call):
@@ -209,14 +222,12 @@ def layer_calls(task):
         (task.n_states, task.n_actions)))
     task.successors  # built once, as the first evaluation builds it
     build = type(task).elimination.func  # uncached: a fresh build each call
-    rng = np.random.default_rng(0)
     outcome = crpo_run(task)
     return {
         "build": lambda: build(task),
         "evaluate": lambda: cmdp.policy_evaluation_exact(task, policy.probs),
         "visitation": lambda: cmdp.visitation_exact(task, policy),
-        "td": lambda: crpo.td_critic(task, policy.probs, TD_ITERATIONS,
-                                     CRPO.episode_horizon, rng),
+        "td": td_step(task, policy),
         **{f"lanes_{n}": lockstep(task, n) for n in LANES},
         "sample": log_draw(task, outcome),
         "dice": dice_pass(task, outcome),

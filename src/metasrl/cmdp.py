@@ -228,6 +228,18 @@ class TabularCmdp:
                               self.n_states, self.n_actions)
 
     @cached_property
+    def successor_slots(self):
+        """Read-only (S*A*S,): at the dense key (s*A + a)*S + s' of each
+        (s, a, s') the kernel puts mass on, its successor-view slot
+        (s*A + a)*K + k, flat; -1 at every other key."""
+        idx, prob = self.successors
+        live = np.flatnonzero(prob)
+        slots = np.full(idx.shape[0] * idx.shape[1] * idx.shape[0], -1, dtype=np.intp)
+        slots[live // idx.shape[2] * idx.shape[0] + idx.ravel()[live]] = live
+        slots.setflags(write=False)
+        return slots
+
+    @cached_property
     def elimination(self):
         """The `Elimination` of the Bellman solves, read-only.
 
@@ -424,9 +436,10 @@ def _schur_complement(cmdp, probs, neg_step):
     and dense, the Schur complement S on J, the multipliers
     R = D^-1 gamma P_IJ and the block A_JI = -gamma P_JI.
 
-    neg_step is -gamma times the successor view's probabilities, (S, A, K).
-    -gamma P_pi is one weighted bincount of it over the pattern slots, lane
-    l's slots offset by l nnz; each slot adds its terms in ascending a, as a
+    neg_step is -gamma times successor-view probabilities, (S, A, K) or one
+    (N, S, A, K) a table. -gamma P_pi is one weighted bincount of it over
+    the pattern slots, lane l's slots offset by l nnz; each slot adds its
+    terms in ascending a, as a
     dense einsum does. The dense blocks come from one more bincount: each
     entry of S adds its fill terms a_ji * r_ij' in ascending i, then its
     -gamma P_JJ entry, and the diagonal gets 1 added last. A lane's bins
@@ -462,9 +475,14 @@ def _solve(a, b):
         raise NumericalFailure("singular Bellman system") from exc
 
 
-def policy_evaluation_exact(cmdp, probs):
+def policy_evaluation_exact(cmdp, probs, kernel=None):
     """Value tables (v, q) of every objective i = 0..p of one policy table,
     or of each table of a stack (..., S, A).
+
+    kernel, if given, is each table's own kernel, (..., S, A, K) masses on
+    slots of the CMDP's successor view that hold mass, so the one
+    elimination holds; a row summing to s < 1 ends the rest, 1 - s, in a
+    zero-reward absorbing state. Else every table runs on the CMDP's kernel.
 
     All p+1 Bellman systems (I - gamma P_pi) V_i = c_pi,i of a table share
     one matrix. Eliminating I leaves S V_J = c_J + gamma P_JI D^-1 c_I,
@@ -486,7 +504,11 @@ def policy_evaluation_exact(cmdp, probs):
     tables = cmdp.objective_tables
     e = cmdp.elimination
     n = e.blocks[0]
-    neg_step = -cmdp.discount * cmdp.successors[1]   # shared with the Q backup
+    view = cmdp.successors[1].shape
+    if kernel is not None and np.shape(kernel) != lead + view:
+        raise InvalidInput(f"kernel of shape {np.shape(kernel)} for {lead} tables")
+    neg_step = -cmdp.discount * np.reshape(   # (1 or N, S, A, K), shared with
+        cmdp.successors[1] if kernel is None else kernel, (-1,) + view)  # the Q backup
     nd, s, r, a_ji = _schur_complement(cmdp, probs, neg_step)
     c = (probs[:, None] * tables).sum(axis=3)[:, :, e.order]
     y = c[:, :, :n] / nd[:, None]                  # -D^-1 c_I
@@ -500,7 +522,7 @@ def policy_evaluation_exact(cmdp, probs):
     v = v.transpose(0, 2, 1)
     # k leading: the k terms add slab by slab in k order, faster than a sum
     # over a short last axis
-    q = tables - (neg_step.transpose(2, 0, 1)
+    q = tables - (neg_step.transpose(0, 3, 1, 2)[:, None]
                   * v.take(cmdp.successors[0].transpose(2, 0, 1), axis=2)).sum(axis=2)
     residual = np.abs(v - np.einsum("lsa,lisa->lis", probs, q)).max()
     if not residual <= SOLVE_TOL:

@@ -1,27 +1,32 @@
 """Within-task constrained policy optimization.
 
 Alternates natural-gradient reward ascent with constraint descent, gated on
-estimated constraint values against the limits plus a tolerance eta. A
-critic is either an exact Bellman solve (`policy_evaluation_exact`) or
-tabular LSTD(0) from on-policy samples (`td_critic`), one chain a step for
-all p+1 objectives: it draws a chain of `td_iterations` steps in one
-rollout, solves the chain's empirical SARSA model for all p+1 objectives
-with one m x m solve (m <= S*A the pairs the chain steps from), and returns
-the value tables. Both critics take the iterate's (S, A) probability table
-and return (v, q), v of shape (p+1, S) and q of shape (p+1, S, A), reward
-first, and `run_crpo` has one step body for both: it gates on the estimates
-J_i = rho . v_i of the step's own critic and moves the logits along one row
-of q. LSTD(0) has no step size, so the config has no `td_step_size`. A run
-writes each step's softmax into row m of one (M, S, A) iterate stack and
-builds no policy object per step; `npg_softmax_step` refuses a non-finite Q
-and adds it times the signed step +/- alpha/(1-gamma).
+estimated constraint values against the limits plus a tolerance eta. The
+critic is an exact Bellman solve (`policy_evaluation_exact`) or, under
+TdSampled, certainty-equivalence evaluation on sampled data (Boyan 2002;
+Parr et al. 2008): each step draws one on-policy chain of `td_iterations`
+transitions (`td_critic`), adds its (s, a, s') counts to the run's, kept
+in the CMDP's successor-view slots, and evaluates the iterate exactly on
+the pooled model p_hat = n(s, a, k)/n(s, a). A pair the chain never
+stepped from keeps a zero row, so its Q is c(s, a): one step, then a
+zero-reward absorbing state. Both critics give (v, q), v of shape
+(p+1, S) and q of shape (p+1, S, A), reward first, and a step gates on
+the estimates J_i = rho . v_i of its own critic and moves the logits along
+one row of q. A run writes each step's softmax into row m of one
+(M, S, A) iterate stack and builds no policy object per step;
+`npg_softmax_step` refuses a non-finite Q and adds it times the signed
+step +/- alpha/(1-gamma).
 
 Runs on one CMDP step in lockstep: `crpo_lanes` takes L runs, its lanes,
 which share one config but for each lane's rate and seed, through their M
-steps together over an (L, S, A) logit stack, with one stacked exact solve
-a step and a signed step per lane. Each lane's output draw, and under
-TdSampled its critic's chains, come from its own generator, so each lane
-gets the bits it gets alone; a run called alone is a lockstep of one lane.
+steps together over an (L, S, A) logit stack, with a signed step per lane
+and one stacked exact solve a step. That solve gives the iterates' exact
+objectives, which a run records whichever critic steers it, and under
+TdSampled also evaluates every lane's pooled model, whose pattern lies in
+the CMDP's: one elimination, one LU a table. Each lane's output draw, and
+under TdSampled its chains and counts, come from its own generator, so each
+lane gets the bits it gets alone; a run called alone is a lockstep of one
+lane.
 
 Every sampled draw, whether an episode step or a chain step, goes
 through one batched rollout that steps all rows together and reproduces
@@ -30,15 +35,11 @@ the checks on each probability table live in `metasrl.sampling`, which the
 SGD DICE fit shares. Next states are drawn over the CMDP's successor CDF
 (K <= 3 entries a row on the gridworlds) and initial states over rho's
 CDF, which the CMDP builds, checks and caches once, in the layout the
-rollout steps through; a rollout builds only its policy tables' CDF. The
-exact critic evaluates all p+1 objectives of an iterate against one
-factorisation of its Bellman matrix, and that one solve also gives the
-exact objectives (J_0..J_p) that a run records for every iterate,
-whichever critic steers it. A run's transition log feeds no decision under
-either critic, so it is built on first read of `outcome.dataset`: its
-episodes are the first draws of the run's generator, which the run skips,
-and they are drawn then, from the run's seed and its iterate stack, in one
-`sample_episode` call.
+rollout steps through; a rollout builds only its policy tables' CDF. A
+run's transition log feeds no decision under either critic, so it is
+built on first read of `outcome.dataset`: its episodes are the first draws
+of the run's generator, which the run skips, and they are drawn then, from
+the run's seed and its iterate stack, in one `sample_episode` call.
 """
 
 from __future__ import annotations
@@ -188,60 +189,27 @@ def sample_episode(cmdp, probs, horizon, rng, episodes=1):
     return x[:, :-1:2], x[:, 1::2], x[:, 2::2]
 
 
-def _td_q(cmdp, chain, iterations):
-    """Tabular LSTD(0) on Q (SARSA-style targets) for every objective
-    i = 0..p along one chain's first K = `iterations` steps; returns the
-    (p+1, S, A) tables.
-
-    chain holds the drawn reset segments, one a row: s_0, a_0, s_1, a_1, ...,
-    s_H, a_H, the last row only as far as the K steps reach. The K
-    (s, a) -> (s', a') steps are counted into the empirical SARSA model
-    P_hat on the m pairs that are the source of some step, each row divided
-    by its pair's visits, and (I - gamma P_hat) Q = c is solved for all p+1
-    objectives at once: the point batch TD(0) converges to on this chain.
-    P_hat's rows sum to at most 1, so the system is diagonally dominant. A
-    pair that is the source of no step keeps Q = 0, where TD(0) leaves it.
-    """
-    a_n, n = cmdp.n_actions, cmdp.n_states * cmdp.n_actions
-    k = iterations
-    sa = (chain[:, :-2:2] * a_n + chain[:, 1:-2:2]).ravel()[:k]    # (s, a) of each step
-    sa_next = (chain[:, 2::2] * a_n + chain[:, 3::2]).ravel()[:k]  # (s', a') it steps to
-    visits = np.bincount(sa, minlength=n)
-    source = np.flatnonzero(visits)
-    m = source.size
-    index = np.full(n, m)   # column m: steps into pairs never stepped from, Q = 0
-    index[source] = np.arange(m)
-    counts = np.bincount(index[sa] * (m + 1) + index[sa_next],
-                         minlength=m * (m + 1)).reshape(m, m + 1)[:, :m]
-    system = np.eye(m) - cmdp.discount * counts / visits[source, None]
-    tables = cmdp.objective_tables
-    q = np.zeros((len(tables), n))
-    q[:, source] = np.linalg.solve(system, tables.reshape(-1, n)[:, source].T).T
-    return q.reshape(tables.shape)
-
-
 def td_critic(cmdp, probs, iterations, horizon, rng):
-    """One TdSampled CRPO step's critic, from one rollout of the table probs.
+    """One TdSampled CRPO step's draws, from one rollout of the table probs:
+    the (S, A, K) counts n(s, a, k) of a chain of `iterations` transitions
+    (s, a) -> s', in the CMDP's successor-view slots.
 
-    Draws a chain of K = `iterations` (s, a) -> (s', a') steps that restarts
-    from rho after every max(2, horizon) steps, and solves LSTD(0) for every
-    objective over the chain (`_td_q`): one m x m solve with p+1 right-hand
-    sides, m <= S*A the pairs the chain steps from, with Q = 0 on every
-    other pair. The chain's uniforms are the rng's next draws, and all its
-    reset segments are walked together.
-
-    Returns (v, q), v = sum_a pi q of shape (p+1, S) and q of shape
-    (p+1, S, A), reward first, as `policy_evaluation_exact` returns them.
+    The chain restarts from rho after every max(2, horizon) steps; its
+    uniforms are the rng's next draws, and all its reset segments are
+    walked together. A chain steps only along entries with mass, so each
+    transition has a slot, and `cmdp.successor_slots` gives it in one gather.
     """
     _check_dims(cmdp, probs)
     policy_cdf = cdf(probs, "policy")[None]
     reset = max(2, horizon)
     u = np.zeros((iterations // reset + 1, 2 + 2 * reset))
-    # s_0, a_0, then (s', a') per step and (s_0, a_0) per reset
+    # s_0, a_0, then (s', a') per step and (s_0, a_0) per reset; a segment's
+    # last action starts no transition, so its uniform is drawn, not walked
     rng.random(out=u.reshape(-1)[:2 + 2 * iterations + 2 * (iterations // reset)])
-    chain = _rollout(cmdp, policy_cdf, np.zeros(len(u), dtype=np.intp), u)
-    q = _td_q(cmdp, chain, iterations)
-    return (probs * q).sum(axis=2), q
+    x = _rollout(cmdp, policy_cdf, np.zeros(len(u), dtype=np.intp), u[:, :-1])
+    keys = (x[:, :-1:2] * cmdp.n_actions + x[:, 1::2]) * cmdp.n_states + x[:, 2::2]
+    return np.bincount(cmdp.successor_slots.take(keys.ravel()[:iterations]),
+                       minlength=cmdp.successors[1].size).reshape(cmdp.successors[1].shape)
 
 
 def _sampled_log(cmdp, iterates, config, seed):
@@ -256,25 +224,29 @@ def _sampled_log(cmdp, iterates, config, seed):
         s_next=nexts.ravel(), initial_states=states[:, 0])
 
 
-def _lockstep(cmdp, config, logits, step, generators):
+def _lockstep(cmdp, config, logits, step, generators, counts):
     """One CRPO step of L lanes: logits (L, S, A), step (L, 1, 1) each
-    lane's alpha/(1-gamma), and generators each lane's generator, which
-    only the TdSampled critic draws from (None under Exact).
+    lane's alpha/(1-gamma), and, read only by the TdSampled critic,
+    generators each lane's generator and counts each lane's (S, A, K)
+    chain counts so far, (L, S, A, K) (None and zero-width under Exact).
 
-    Returns (the next logits, the iterates, their exact J_0..J_p, the
-    estimates J_1..J_p that gated them, and the q row each lane moved
-    along: 0 to ascend on the reward, i to descend on cost i)."""
+    Returns (the next logits, the counts, the iterates, their exact
+    J_0..J_p, the estimates J_1..J_p that gated them, and the q row each
+    lane moved along: 0 to ascend on the reward, i to descend on cost i)."""
     rho = cmdp.initial_dist
     probs = _softmax_rows(logits)
     if config.critic_mode == EXACT:
         v, q = policy_evaluation_exact(cmdp, probs)
         j = objectives = v @ rho
     else:
-        v, q = map(np.array, zip(*(
+        counts = counts + np.array([
             td_critic(cmdp, table, config.td_iterations, config.episode_horizon, rng)
-            for table, rng in zip(probs, generators))))
-        j = v @ rho
-        objectives = policy_evaluation_exact(cmdp, probs)[0] @ rho
+            for table, rng in zip(probs, generators)])
+        p_hat = counts / np.maximum(counts.sum(axis=3, keepdims=True), 1)
+        v, q = policy_evaluation_exact(cmdp, np.concatenate((probs, probs)), np.concatenate(
+            (np.broadcast_to(cmdp.successors[1], p_hat.shape), p_hat)))
+        objectives, j = np.split(v @ rho, 2)
+        q = q[len(probs):]
     excess = j[:, 1:] - cmdp.limits - config.tolerance
     ascend = (excess <= 0).all(axis=1)
     if ascend.all():
@@ -283,7 +255,8 @@ def _lockstep(cmdp, config, logits, step, generators):
         row = np.where(ascend, 0, excess.argmax(axis=1) + 1)
         q_row = q[np.arange(len(row)), row]
         step = np.where(ascend[:, None, None], step, -step)
-    return npg_softmax_step(logits, q_row, step), probs, objectives, j[:, 1:], row
+    return (npg_softmax_step(logits, q_row, step), counts, probs, objectives, j[:, 1:],
+            row)
 
 
 def _finish(cmdp, config, seed, rng, iterates, rows, estimates, objectives):
@@ -313,8 +286,8 @@ def crpo_lanes(cmdp, logits, config, rates, seeds):
     step. Each step is one `_lockstep` over the stack; under TdSampled each
     lane's critic draws from the lane's own generator, lane after lane. A
     step that raises is taken again lane by lane, each from its generator's
-    state before the step, and a lane whose step raises leaves the
-    lockstep. Each lane gets the bits it gets alone.
+    state and its counts before the step, and a lane whose step raises
+    leaves the lockstep. Each lane gets the bits it gets alone.
 
     Returns one entry a lane: its `CrpoOutcome` (output drawn and log built
     on its own seed), a `DegenerateRun` carrying its outcome, or the
@@ -345,20 +318,23 @@ def crpo_lanes(cmdp, logits, config, rates, seeds):
     rows = np.zeros((n, steps), dtype=np.intp)
     logits = logits[live]
     exact = config.critic_mode == EXACT
+    counts = np.zeros((live.size,) + ((0,) if exact else cmdp.successors[1].shape), int)
     for m in range(steps if live.size else 0):
         # the Exact step draws nothing: no generator state to restore
         lane_rngs = None if exact else [generators[lane] for lane in live]
         saved = None if exact else [rng.bit_generator.state for rng in lane_rngs]
         try:
-            logits, *taken = _lockstep(cmdp, config, logits, step, lane_rngs)
-        except Exception:   # find the lanes that raise: each one alone
-            kept, taken = [], []
+            logits, counts, *taken = _lockstep(cmdp, config, logits, step, lane_rngs,
+                                               counts)
+        except Exception:   # find the lanes that raise: each one alone, from
+            kept, taken = [], []   # its generator state and counts before the step
             for i, lane in enumerate(live):
                 if not exact:
                     lane_rngs[i].bit_generator.state = saved[i]
                 try:
                     taken.append(_lockstep(cmdp, config, logits[i:i + 1], step[i:i + 1],
-                                           None if exact else lane_rngs[i:i + 1]))
+                                           None if exact else lane_rngs[i:i + 1],
+                                           counts[i:i + 1]))
                 except Exception as exc:
                     errors[lane] = exc
                 else:
@@ -366,7 +342,7 @@ def crpo_lanes(cmdp, logits, config, rates, seeds):
             live, step = live[kept], step[kept]
             if not kept:
                 break
-            logits, *taken = map(np.concatenate, zip(*taken))
+            logits, counts, *taken = map(np.concatenate, zip(*taken))
         at = live if len(live) < n else slice(None)
         iterates[at, m], objectives[at, m], estimates[at, m], rows[at, m] = taken
 

@@ -353,17 +353,12 @@ def sample_episode_reference(cmdp, probs, horizon, rng):
     return states, actions, nexts
 
 
-def lstd_q_reference(cmdp, probs, config, rng):
-    """Tabular LSTD(0) on Q for every objective, stepping the chain one
-    rng.choice at a time; returns the (p+1, S, A) tables.
-
-    Counts the chain's (s, a) -> (s', a') steps over all S*A pairs and
-    solves (I - gamma P_hat) Q = c, P_hat the visit-normalised counts; a
-    pair never stepped from gets an identity row and a zero right-hand side.
-    """
-    n = cmdp.n_states * cmdp.n_actions
+def chain_counts_reference(cmdp, probs, config, rng):
+    """The dense (S, A, S) counts n(s, a, s') of one TdSampled chain of
+    `td_iterations` steps (s, a) -> (s', a'), stepped one rng.choice at a
+    time, restarting from rho after every max(2, episode_horizon) steps."""
     transition = cmdp.transition
-    counts = np.zeros((n, n))
+    counts = np.zeros(transition.shape)
     horizon = max(2, config.episode_horizon)
     s = rng.choice(cmdp.n_states, p=cmdp.initial_dist)
     a = rng.choice(cmdp.n_actions, p=probs[s])
@@ -371,7 +366,7 @@ def lstd_q_reference(cmdp, probs, config, rng):
     for _ in range(config.td_iterations):
         s2 = rng.choice(cmdp.n_states, p=transition[s, a])
         a2 = rng.choice(cmdp.n_actions, p=probs[s2])
-        counts[s * cmdp.n_actions + a, s2 * cmdp.n_actions + a2] += 1.0
+        counts[s, a, s2] += 1.0
         t += 1
         if t >= horizon:
             s = rng.choice(cmdp.n_states, p=cmdp.initial_dist)
@@ -379,12 +374,29 @@ def lstd_q_reference(cmdp, probs, config, rng):
             t = 0
         else:
             s, a = s2, a2
-    visits = counts.sum(axis=1)
-    visited = visits > 0
-    p_hat = np.zeros((n, n))
-    p_hat[visited] = counts[visited] / visits[visited, None]
-    c = cmdp.objective_tables.reshape(cmdp.n_costs + 1, -1)
-    q = np.linalg.solve(np.eye(n) - cmdp.discount * p_hat, (c * visited).T).T
+    return counts
+
+
+def dense_counts(cmdp, counts):
+    """(S, A, K) counts on the CMDP's successor-view slots as a dense
+    (S, A, S) array."""
+    s_n, a_n = cmdp.n_states, cmdp.n_actions
+    dense = np.zeros((s_n, a_n, s_n))
+    np.add.at(dense, (np.arange(s_n)[:, None, None], np.arange(a_n)[:, None],
+                      cmdp.successors[0]), counts)
+    return dense
+
+
+def counted_q_reference(cmdp, probs, counts):
+    """The (p+1, S, A) Q tables of every objective under probs on the
+    counted model p_hat(s'|s, a) = n(s, a, s')/n(s, a) of dense (S, A, S)
+    counts, from the dense S*A system (I - gamma P_hat_pi) Q = c. A pair
+    with no count has a zero row: Q = c there."""
+    n = cmdp.n_states * cmdp.n_actions
+    p_hat = counts / np.maximum(counts.sum(axis=2, keepdims=True), 1.0)
+    next_op = np.einsum("sat,tb->satb", p_hat, probs).reshape(n, n)
+    c = cmdp.objective_tables.reshape(cmdp.n_costs + 1, n)
+    q = np.linalg.solve(np.eye(n) - cmdp.discount * next_op, c.T).T
     return q.reshape(-1, cmdp.n_states, cmdp.n_actions)
 
 

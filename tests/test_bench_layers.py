@@ -44,7 +44,8 @@ def test_call_counts_are_positive_and_repeat(capsys):
 def test_call_counts_rise_by_the_calls_added_a_crpo_step(capsys, monkeypatch):
     """A wrapper around the NPG step adds k = 3 calls a CRPO step: its own
     and two no-ops. A lockstep takes the config's 8 steps at any lane count,
-    so each lanes layer's count rises by 8 k; no other layer takes a step."""
+    so each lanes layer's count rises by 8 k, and the td layer, one step,
+    by k; no other layer takes a step."""
     counts = lambda: [int(c) for c in run_4x4(capsys)[1][-len(LAYERS):]]
     before, step = counts(), bench_layers.crpo.npg_softmax_step
 
@@ -59,7 +60,8 @@ def test_call_counts_rise_by_the_calls_added_a_crpo_step(capsys, monkeypatch):
     monkeypatch.setattr(bench_layers.crpo, "npg_softmax_step", padded)
     rise = {name: after - count for name, count, after in zip(LAYERS, before, counts())}
     assert bench_layers.CRPO.steps == 8
-    assert rise == {name: 8 * 3 if name.startswith("lanes_") else 0 for name in LAYERS}
+    assert rise == {name: 8 * 3 if name.startswith("lanes_") else 3 if name == "td" else 0
+                    for name in LAYERS}
 
 
 def test_call_split_sums_to_the_total_and_repeats(capsys):
@@ -77,8 +79,10 @@ def test_call_split_sums_to_the_total_and_repeats(capsys):
         assert sum(per_shape) == int(solves), name
     shapes = {row[1]: row[5] for row in work}
     # the 4x4 grid keeps 17 - 8 states after elimination: one 9x9 system an
-    # exact evaluation, stacked one a lane, one a CRPO step
+    # exact evaluation, stacked one a lane, one a CRPO step; a TdSampled
+    # step stacks the iterate's system on the task and on its counted model
     assert shapes["build"] == shapes["sample"] == "-"
     assert shapes["evaluate"] == "1x9x9*1" and shapes["visitation"] == "9x9*1"
+    assert shapes["td"] == "2x9x9*1"
     assert [shapes[f"lanes_{n}"] for n in (1, 5, 50)] == \
         ["1x9x9*8", "5x9x9*8", "50x9x9*8"]

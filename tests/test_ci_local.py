@@ -61,6 +61,16 @@ class TestLocalSteps:
         assert names[0] == "Tier-1 tests" and ci_local.INSTALL not in names
         assert all(script.strip() for _, script in steps)
 
+    def test_tdsampled_digest_compares_two_hash_seeds(self):
+        """The TdSampled test_09 sweep runs under two hash seeds, and the
+        step requires the two export digests to be equal."""
+        script = dict(ci_local.local_steps())["TdSampled test_09 export digest"]
+        for seed in (1, 12345):
+            assert (f"PYTHONHASHSEED={seed} metasrl run --config "
+                    "examples/test09_tdsampled.json --seed 0") in script
+        assert script.count("export_digest.py") == 2
+        assert 'test "$first" = "$second"' in script
+
     def test_kernel_guard_compares_test09_under_two_kernels(self):
         """The BLAS-kernel guard runs test_09 under the default kernel and
         under Prescott, and bounds the export drift between them."""

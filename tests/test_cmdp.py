@@ -231,6 +231,28 @@ class TestStackedEvaluation:
             assert j[index].tobytes() == all_objectives(
                 cmdp, TablePolicy(probs=stack[index])).tobytes()
 
+    @pytest.mark.parametrize("cmdp, stack", stacked_cases())
+    def test_a_kernel_a_table(self, cmdp, stack):
+        """Handed the CMDP's own kernel for every table, the evaluation has
+        the default's bits; a kernel of half the mass in every row, whose
+        rest is absorbed at zero reward, evaluates as discounting at
+        gamma/2."""
+        view = cmdp.successors[1]
+        own = np.broadcast_to(view, stack.shape[:-2] + view.shape)
+        for got, want in zip(policy_evaluation_exact(cmdp, stack, own),
+                             policy_evaluation_exact(cmdp, stack)):
+            assert got.tobytes() == want.tobytes()
+        halved = replace(cmdp, discount=cmdp.discount / 2)
+        for got, want in zip(policy_evaluation_exact(cmdp, stack, own / 2),
+                             policy_evaluation_exact(halved, stack)):
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_kernel_of_another_shape_refused(self):
+        cmdp = random_cmdp(np.random.default_rng(12))
+        with pytest.raises(InvalidInput, match=r"^kernel of shape \(4, 3, 4\) for \(2,\)"):
+            policy_evaluation_exact(cmdp, np.full((2, 4, 3), 1.0 / 3.0),
+                                    cmdp.successors[1])
+
     def test_one_failing_table_fails_the_stack(self, monkeypatch):
         """The residual is checked on every table: a stack with one bad
         table raises, naming the largest residual."""
