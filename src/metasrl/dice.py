@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cmdp import VisitationDistribution, successor_view
+from .cmdp import VisitationDistribution, entry_keys, successor_view
 from .errors import (CoverageWarning, DegenerateEstimate, InvalidInput, check_counts,
                      check_reals)
 from .sampling import cdf, draw
@@ -92,21 +92,24 @@ class TrajectoryDataset:
                    initial_states=np.asarray(initial_states))
 
     @classmethod
-    def from_distribution(cls, d_sa, transition, initial_dist):
-        """Exact-expectation dataset: known data distribution and dense
-        (S, A, S) kernel, kept as the entries of its nonzero values."""
+    def from_distribution(cls, d_sa, kernel, initial_dist):
+        """Exact-expectation dataset: known data distribution and kernel entries
+        (idx, prob) as `TabularCmdp` takes them, kept as their successor view."""
         d_sa = np.asarray(d_sa, dtype=float)
         s_n, a_n = d_sa.shape
-        transition = np.asarray(transition, dtype=float)
-        if transition.shape != (s_n, a_n, s_n):
-            raise InvalidInput(f"transition of shape {transition.shape} is not "
-                               f"(S, A, S) = {(s_n, a_n, s_n)} for d_sa")
+        prob = np.asarray(kernel[1], dtype=float)
+        if prob.ndim != 3 or prob.shape[:2] != (s_n, a_n):
+            raise InvalidInput(f"kernel prob of shape {prob.shape} is not (S, A, K) for d_sa")
+        try:
+            idx = np.broadcast_to(kernel[0], prob.shape)
+        except ValueError:
+            raise InvalidInput(f"kernel idx does not broadcast against {prob.shape}") from None
+        _check_indices("kernel idx", idx.ravel(), s_n)
         empty = np.zeros(0, dtype=int)
         return cls(n_states=s_n, n_actions=a_n,
                    s=empty, a=empty, s_next=empty, initial_states=empty,
                    d_sa=d_sa / d_sa.sum(),
-                   p_hat=successor_view(np.arange(transition.size), transition.ravel(),
-                                        s_n, a_n),
+                   p_hat=successor_view(entry_keys(idx), prob.ravel(), s_n, a_n),
                    rho_hat=np.asarray(initial_dist, dtype=float))
 
 

@@ -7,8 +7,10 @@ mu(s,a) >= 0:
     subject to sum_a mu(s,a) - gamma sum_{s',a'} P(s|s',a') mu(s',a') = (1-gamma) rho(s)
                sum mu * c_i / (1-gamma) <= d_i   for each cost i
 
-A dense two-phase simplex with Bland's rule is used; desk scale only
-(|S||A| up to a couple thousand).
+The flow rows are read off the CMDP's successor view, unbuffered: a row's
+zero-mass pads share its self-loop slot, where a buffered -= keeps only the
+last write. A dense two-phase simplex with Bland's rule is used; desk
+scale only (|S||A| up to a couple thousand).
 
 Each pivot is vectorised, but its choices and its arithmetic are those of a
 scalar simplex that scans columns and rows one at a time: the first allowed
@@ -154,14 +156,14 @@ def solve_optimal_lp(cmdp):
     gamma = cmdp.discount
 
     # flow balance rows: sum_a mu(s,a) - gamma sum P(s|s',a') mu(s',a') = (1-gamma) rho(s)
+    idx, prob = cmdp.successors
     a_eq = np.repeat(np.eye(s_n), a_n, axis=1)
-    a_eq -= gamma * cmdp.transition.reshape(n, s_n).T
+    np.subtract.at(a_eq, (idx, np.arange(n).reshape(s_n, a_n, 1)), gamma * prob)
     b_eq = (1.0 - gamma) * cmdp.initial_dist
 
-    inactive = cmdp.limits >= cmdp.infinite_limit() - 1e-9
-    active = [i for i in range(cmdp.n_costs) if not inactive[i]]
-    a_ub = np.array([cmdp.costs[i].reshape(n) / (1.0 - gamma) for i in active])
-    b_ub = np.array([cmdp.limits[i] for i in active])
+    active = cmdp.limits < cmdp.infinite_limit() - 1e-9
+    a_ub = cmdp.costs[active].reshape(-1, n) / (1.0 - gamma)
+    b_ub = cmdp.limits[active]
 
     cost = -cmdp.reward.reshape(n) / (1.0 - gamma)
     try:

@@ -243,12 +243,15 @@ def gen_task_sequence(config):
                           "frozen_prob": config.base.frozen_prob})
     else:
         lo, hi = config.low_sim_prob_range
-        for child in root.spawn(config.num_tasks):
+        for t, child in enumerate(root.spawn(config.num_tasks)):
             prob = float(lo + (hi - lo) * rng.random())
-            spec = GridSpec(**{**config.base.__dict__,
-                               "frozen_prob": prob,
+            spec = GridSpec(**{**config.base.__dict__, "frozen_prob": prob,
                                "seed": int(child.generate_state(1)[0])})
-            grid = gen_grid(spec)
+            try:
+                grid = gen_grid(spec)
+            except GenerationFailure as exc:
+                raise GenerationFailure(f"LowSimilarity task {t} of {config.num_tasks}: {exc}; "
+                                        f"low_sim_prob_range is {(lo, hi)}") from exc
             cmdps.append(grid_to_cmdp(grid, spec))
             grids.append(grid)
             notes.append({"flip": None, "frozen_prob": prob})

@@ -1,6 +1,7 @@
 """Independent reference implementations used to check the package.
 
 Everything here is deliberately written from scratch (value iteration,
+the dense kernel summed one entry slot k at a time, the LP's flow rows from it,
 the gridworld builder's per-cell loop, its tuple breadth-first search and
 its per-cell ASCII renderer,
 one dense Bellman solve per objective, per-row successor lists, einsum
@@ -26,7 +27,7 @@ from metasrl.taskgen import MOVES, PERP
 def value_iteration(cmdp, tol=1e-12, max_iter=200_000):
     """Optimal unconstrained value via V(s) = max_a [c0 + gamma P V]."""
     v = np.zeros(cmdp.n_states)
-    transition = cmdp.transition
+    transition = dense_kernel(cmdp.kernel)
     for _ in range(max_iter):
         q = cmdp.reward + cmdp.discount * transition @ v
         v_new = q.max(axis=1)
@@ -46,10 +47,11 @@ def policy_evaluation_reference(cmdp, probs):
         vs, qs = zip(*(policy_evaluation_reference(cmdp, table) for table in
                        np.reshape(probs, (-1,) + np.shape(probs)[-2:])))
         return (np.reshape(vs, lead + vs[0].shape), np.reshape(qs, lead + qs[0].shape))
+    transition = dense_kernel(cmdp.kernel)
     vs, qs = [], []
     for i in range(cmdp.n_costs + 1):
         c = cmdp.objective_tables[i]
-        p_pi = np.einsum("sa,sat->st", probs, cmdp.transition)
+        p_pi = np.einsum("sa,sat->st", probs, transition)
         c_pi = (probs * c).sum(axis=1)
         a = np.eye(cmdp.n_states) - cmdp.discount * p_pi
         v = np.linalg.solve(a, c_pi)
@@ -57,20 +59,28 @@ def policy_evaluation_reference(cmdp, probs):
         if residual > 1e-10:
             raise NumericalFailure(f"Bellman residual {residual:.3e}")
         vs.append(v)
-        qs.append(c + cmdp.discount * cmdp.transition @ v)
+        qs.append(c + cmdp.discount * transition @ v)
     return np.array(vs), np.array(qs)
+
+
+def flow_rows_reference(cmdp):
+    """The occupancy LP's flow-balance rows from the dense kernel P:
+    sum_a mu(s, a) - gamma sum_{s', a'} P(s|s', a') mu(s', a'), column by
+    state-action pair, state-major."""
+    s_n, a_n = cmdp.n_states, cmdp.n_actions
+    transition = dense_kernel(cmdp.kernel).reshape(s_n * a_n, s_n)
+    return np.repeat(np.eye(s_n), a_n, axis=1) - cmdp.discount * transition.T
 
 
 def occupancy_lp_reference(cmdp):
     """Optimal J_0 of the occupancy-measure LP, solved by scipy's HiGHS."""
     s_n, a_n = cmdp.n_states, cmdp.n_actions
     n, gamma = s_n * a_n, cmdp.discount
-    flow = np.repeat(np.eye(s_n), a_n, axis=1) - gamma * cmdp.transition.reshape(n, s_n).T
     active = cmdp.limits < cmdp.infinite_limit() - 1e-9
     res = scipy.optimize.linprog(
         -cmdp.reward.reshape(n) / (1.0 - gamma),
         A_ub=cmdp.costs[active].reshape(-1, n) / (1.0 - gamma),
-        b_ub=cmdp.limits[active], A_eq=flow,
+        b_ub=cmdp.limits[active], A_eq=flow_rows_reference(cmdp),
         b_eq=(1.0 - gamma) * cmdp.initial_dist, bounds=(0, None), method="highs")
     if res.status != 0:
         raise RuntimeError(f"HiGHS: {res.message}")
@@ -210,7 +220,7 @@ def successor_arrays(transition):
 def q_backup_reference(cmdp, objective_index, v):
     """Q = c + gamma sum_k prob_k v(idx_k) over the successor arrays, the
     k terms added one after another."""
-    idx, prob = successor_arrays(cmdp.transition)
+    idx, prob = successor_arrays(dense_kernel(cmdp.kernel))
     total = 0.0
     for k in range(idx.shape[2]):
         total = total + cmdp.discount * prob[..., k] * v[idx[..., k]]
@@ -219,7 +229,7 @@ def q_backup_reference(cmdp, objective_index, v):
 
 def transition_under_policy_reference(cmdp, probs):
     """P_pi(s'|s) by a dense einsum over the (S, A, S) kernel."""
-    return np.einsum("sa,sat->st", probs, cmdp.transition)
+    return np.einsum("sa,sat->st", probs, dense_kernel(cmdp.kernel))
 
 
 def visitation_reference(cmdp, probs):
@@ -237,7 +247,7 @@ def independent_set_reference(cmdp):
     state joins unless a state already in the set is one of its successors
     or predecessors under some action; self-loops do not count."""
     linked = [set() for _ in range(cmdp.n_states)]
-    for s, rows in enumerate(cmdp.transition.tolist()):
+    for s, rows in enumerate(dense_kernel(cmdp.kernel).tolist()):
         for row in rows:
             for t, p in enumerate(row):
                 if p != 0 and t != s:
@@ -258,7 +268,7 @@ def schur_reference(cmdp, probs):
     added in ascending i before M_JJ."""
     indep = independent_set_reference(cmdp)
     dep = sorted(set(range(cmdp.n_states)) - set(indep))
-    m = np.einsum("sa,sat->st", probs, -cmdp.discount * cmdp.transition)
+    m = np.einsum("sa,sat->st", probs, -cmdp.discount * dense_kernel(cmdp.kernel))
     nd = -1.0 - m[indep, indep]
     r = m[np.ix_(indep, dep)] / nd[:, None]
     a_ji = m[np.ix_(dep, indep)]
@@ -304,7 +314,7 @@ def monte_carlo_visitation(cmdp, probs, n_rollouts, seed):
     s = rng.choice(cmdp.n_states, size=n_rollouts, p=cmdp.initial_dist)
     weights = np.zeros(cmdp.n_states)
     pol_cdf = np.cumsum(probs, axis=1)
-    trans_cdf = np.cumsum(cmdp.transition, axis=2)
+    trans_cdf = np.cumsum(dense_kernel(cmdp.kernel), axis=2)
     w = 1.0 - gamma
     for _ in range(horizon):
         np.add.at(weights, s, w)
@@ -325,7 +335,7 @@ def monte_carlo_objective(cmdp, probs, objective_index, n_steps, seed):
     c = cmdp.objective_tables[objective_index]
     s = rng.choice(cmdp.n_states, size=n_ep, p=cmdp.initial_dist)
     pol_cdf = np.cumsum(probs, axis=1)
-    trans_cdf = np.cumsum(cmdp.transition, axis=2)
+    trans_cdf = np.cumsum(dense_kernel(cmdp.kernel), axis=2)
     returns = np.zeros(n_ep)
     w = 1.0
     for _ in range(horizon):
@@ -340,7 +350,7 @@ def monte_carlo_objective(cmdp, probs, objective_index, n_steps, seed):
 
 def sample_episode_reference(cmdp, probs, horizon, rng):
     """One rollout of fixed horizon, one rng.choice per draw."""
-    transition = cmdp.transition
+    transition = dense_kernel(cmdp.kernel)
     s = rng.choice(cmdp.n_states, p=cmdp.initial_dist)
     states = np.empty(horizon, dtype=int)
     actions = np.empty(horizon, dtype=int)
@@ -357,7 +367,7 @@ def chain_counts_reference(cmdp, probs, config, rng):
     """The dense (S, A, S) counts n(s, a, s') of one TdSampled chain of
     `td_iterations` steps (s, a) -> (s', a'), stepped one rng.choice at a
     time, restarting from rho after every max(2, episode_horizon) steps."""
-    transition = cmdp.transition
+    transition = dense_kernel(cmdp.kernel)
     counts = np.zeros(transition.shape)
     horizon = max(2, config.episode_horizon)
     s = rng.choice(cmdp.n_states, p=cmdp.initial_dist)
@@ -377,13 +387,19 @@ def chain_counts_reference(cmdp, probs, config, rng):
     return counts
 
 
-def dense_counts(cmdp, counts):
-    """(S, A, K) counts on the CMDP's successor-view slots as a dense
-    (S, A, S) array."""
-    s_n, a_n = cmdp.n_states, cmdp.n_actions
+def dense_kernel(kernel):
+    """Kernel entries (idx, prob), each (S, A, K), as a dense (S, A, S)
+    array, one k at a time: entry k of every row is added before entry
+    k + 1, so each row's entries for one state add in k order. Takes a
+    CMDP's `kernel` or `successors`, a dataset's `p_hat`, or counts on a
+    CMDP's successor-view slots, (cmdp.successors[0], counts)."""
+    prob = np.asarray(kernel[1], dtype=float)
+    s_n, a_n, k_n = prob.shape
+    idx = np.broadcast_to(kernel[0], prob.shape)
+    s, a = np.indices((s_n, a_n))
     dense = np.zeros((s_n, a_n, s_n))
-    np.add.at(dense, (np.arange(s_n)[:, None, None], np.arange(a_n)[:, None],
-                      cmdp.successors[0]), counts)
+    for k in range(k_n):     # entry k names one state a row: no repeats
+        dense[s, a, idx[..., k]] += prob[..., k]
     return dense
 
 
@@ -400,17 +416,6 @@ def counted_q_reference(cmdp, probs, counts):
     return q.reshape(-1, cmdp.n_states, cmdp.n_actions)
 
 
-def dense_kernel(dataset):
-    """The dataset's p_hat entries scattered into a dense (S, A, S) array,
-    each row's entries for one state added in k order."""
-    idx, prob = dataset.p_hat
-    s_n, a_n = dataset.n_states, dataset.n_actions
-    p = np.zeros((s_n, a_n, s_n))
-    np.add.at(p, (np.arange(s_n)[:, None, None], np.arange(a_n)[:, None], idx),
-              prob)
-    return p
-
-
 def dualdice_direct_reference(dataset, probs, gamma):
     """DualDICE on the dense (SA)x(SA) normal equations G^T D G z = (1-gamma) b.
 
@@ -418,7 +423,7 @@ def dualdice_direct_reference(dataset, probs, gamma):
     """
     s_n, a_n = dataset.n_states, dataset.n_actions
     n = s_n * a_n
-    next_op = np.einsum("sat,tb->satb", dense_kernel(dataset), probs).reshape(n, n)
+    next_op = np.einsum("sat,tb->satb", dense_kernel(dataset.p_hat), probs).reshape(n, n)
     g = np.eye(n) - gamma * next_op
     d = dataset.d_sa.reshape(n)
     normal = g.T @ (d[:, None] * g)
@@ -435,7 +440,7 @@ def model_visitation_reference(dataset, probs, gamma):
     unit self-loop, and one dense S x S solve of
     (I - gamma P_pi^T) nu = (1-gamma) rho_hat gives nu."""
     s_n = dataset.n_states
-    p = dense_kernel(dataset)
+    p = dense_kernel(dataset.p_hat)
     s_unseen, a_unseen = np.nonzero(p.sum(axis=2) <= 0)
     p[s_unseen, a_unseen, s_unseen] = 1.0
     p_pi = np.einsum("sa,sat->st", probs, p)
@@ -489,7 +494,7 @@ def sgd_fit_reference(dataset, probs, gamma, config):
     order, one term at a time from 0.
     """
     z = sgd_z_reference(dataset, probs, gamma, config)
-    p = dense_kernel(dataset)
+    p = dense_kernel(dataset.p_hat)
     v = (probs * z).sum(axis=1)
     next_z = np.zeros_like(z)
     for s, a in np.ndindex(z.shape):

@@ -11,8 +11,7 @@ import warnings
 
 import numpy as np
 
-from metasrl.cmdp import (SoftmaxPolicy, TablePolicy, all_objectives,
-                          visitation_exact)
+from metasrl.cmdp import SoftmaxPolicy, all_objectives, visitation_exact
 from metasrl.bounds import (contraction_step_count, dynamic_regret_bound,
                             kappa_star, rate_regret_objective,
                             suboptimality_bound, synthetic_kl_stream)
@@ -27,7 +26,7 @@ from metasrl.meta import (SimConstants, closed_form_similarity_center,
                           project_table_shrinkage_simplex, sim_loss_and_grad)
 from metasrl.taskgen import GridSpec, TaskSequenceConfig
 
-from oracles import (central_difference, minimize_average_kl,
+from oracles import (central_difference, dense_kernel, minimize_average_kl,
                      monte_carlo_visitation, quadratic_stream, random_cmdp,
                      value_iteration)
 
@@ -90,8 +89,11 @@ def test_03_crpo_averaged_iterate_meets_its_bound():
         cfg = CrpoConfig(learning_rate=alpha, steps=m_steps, tolerance=bound,
                          episodes_per_step=1, episode_horizon=2, rng_seed=0)
         out = run_crpo(cmdp, SoftmaxPolicy.uniform(4, 3), cfg)
-        snap_j = np.array([all_objectives(cmdp, TablePolicy(probs=out.iterates[m]))
-                           for m in out.reward_steps])
+        # every iterate's exact objectives, as run_crpo computed them; the
+        # returned one is checked against a fresh evaluation
+        snap_j = out.iterate_objectives[list(out.reward_steps)]
+        assert np.array_equal(out.returned_objectives,
+                              all_objectives(cmdp, out.returned_policy))
         # exact critic makes the iterate path seed-invariant, so 50 seeds
         # differ only in which reward-step snapshot they return
         draws = np.array([
@@ -116,7 +118,7 @@ def test_04_dice_exact_recovery_and_sample_trend():
         target = SoftmaxPolicy(logits=rng.standard_normal(
             (cmdp.n_states, cmdp.n_actions)))
         d_sa = visitation_exact(cmdp, behavior).nu[:, None] * behavior.probs
-        ds = TrajectoryDataset.from_distribution(d_sa, cmdp.transition,
+        ds = TrajectoryDataset.from_distribution(d_sa, cmdp.kernel,
                                                  cmdp.initial_dist)
         corr = dualdice_fit(ds, target, cmdp.discount)
         nu_sa = visitation_exact(cmdp, target).nu[:, None] * target.probs
@@ -131,7 +133,7 @@ def test_04_dice_exact_recovery_and_sample_trend():
         flat = (visitation_exact(cmdp, behavior).nu[:, None] * behavior.probs).reshape(-1)
         idx = rng.choice(12, size=n, p=flat)
         s, a = idx // 3, idx % 3
-        transition = cmdp.transition
+        transition = dense_kernel(cmdp.kernel)
         s_next = np.array([rng.choice(4, p=transition[s[i], a[i]])
                            for i in range(n)])
         ds = TrajectoryDataset.from_samples(

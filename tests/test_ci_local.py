@@ -72,9 +72,18 @@ class TestLocalSteps:
         assert 'test "$first" = "$second"' in script
 
     def test_kernel_guard_compares_test09_under_two_kernels(self):
-        """The BLAS-kernel guard runs test_09 under the default kernel and
-        under Prescott, and bounds the export drift between them."""
-        script = dict(ci_local.local_steps())["test_09 across BLAS kernels"]
-        assert script.count("metasrl run --config examples/test09.json --seed 0") == 2
-        assert "OPENBLAS_CORETYPE=Prescott metasrl run" in script
-        assert "export_digest.py" in script and "1e-12" in script
+        """The BLAS-kernel guard runs test_09 under Prescott only, and bounds
+        its export drift from the default-kernel export that the digest
+        step, which comes first, wrote with the same config and seed."""
+        steps = ci_local.local_steps()
+        names = [name for name, _ in steps]
+        script, digest = (dict(steps)[name] for name in
+                          ("test_09 across BLAS kernels", "test_09 export digest"))
+        assert names.index("test_09 export digest") < names.index("test_09 across BLAS kernels")
+        run = "metasrl run --config examples/test09.json --seed 0"
+        assert script.count(run) == 1
+        assert f"OPENBLAS_CORETYPE=Prescott {run}" in script
+        assert f'PYTHONHASHSEED=1 {run} --out "$RUNNER_TEMP/test09"' in digest
+        assert ('export_digest.py "$RUNNER_TEMP/test09" "$RUNNER_TEMP/kernel_prescott"'
+                in script)
+        assert "1e-12" in script

@@ -14,7 +14,7 @@ from metasrl.meta import RegretReport
 from metasrl.results import SweepResult
 from metasrl.taskgen import GridSpec, gen_frozen_lake
 
-from oracles import (independent_set_reference, monte_carlo_objective,
+from oracles import (dense_kernel, independent_set_reference, monte_carlo_objective,
                      policy_evaluation_reference, q_backup_reference,
                      random_cmdp, schur_reference, successor_arrays,
                      visitation_reference, visitation_schur_reference)
@@ -276,20 +276,18 @@ class TestSuccessorView:
     @pytest.mark.parametrize("cmdp, pol", evaluator_cases())
     def test_scatters_back_to_the_kernel(self, cmdp, pol):
         idx, prob = cmdp.successors
-        dense = np.zeros_like(cmdp.transition)
-        s, a, _ = np.indices(idx.shape)
-        np.add.at(dense, (s, a, idx), prob)
-        assert np.array_equal(dense, cmdp.transition)
-        ref_idx, ref_prob = successor_arrays(cmdp.transition)
+        transition = dense_kernel(cmdp.kernel)
+        assert np.array_equal(dense_kernel(cmdp.successors), transition)
+        ref_idx, ref_prob = successor_arrays(transition)
         assert np.array_equal(prob, ref_prob)
         assert np.array_equal(idx, ref_idx)
-        if np.all(cmdp.transition > 0):  # a random dense kernel: K = S
+        if np.all(transition > 0):  # a random dense kernel: K = S
             assert idx.shape[2] == cmdp.n_states
 
     def test_padded_entries_have_probability_zero(self):
         cmdp = gen_frozen_lake(GridSpec(rows=8, cols=8, seed=2))
         idx, prob = cmdp.successors
-        counts = (cmdp.transition != 0).sum(axis=2)
+        counts = (dense_kernel(cmdp.kernel) != 0).sum(axis=2)
         padded = np.arange(idx.shape[2]) >= counts[..., None]
         assert padded.any()
         assert np.all(prob[padded] == 0.0) and np.all(prob[~padded] != 0.0)
@@ -334,16 +332,16 @@ class TestKernelEntries:
         assert succ_idx.tolist() == [[[1, 0], [0, 1]], [[1, 1], [1, 1]]]
         assert succ_prob.tolist() == [[[in_order, 0.0], [0.1 + 0.3, 0.6]],
                                       [[1.0, 0.0], [1.0, 0.0]]]
-        assert cmdp.transition.tolist() == [[[0.0, in_order], [0.1 + 0.3, 0.6]],
-                                            [[0.0, 1.0], [0.0, 1.0]]]
-        assert not cmdp.transition.flags.writeable
+        # the task file's dense kernel adds them in the same order
+        assert json.loads(cmdp.to_json())["transition"] == [
+            [[0.0, in_order], [0.1 + 0.3, 0.6]], [[0.0, 1.0], [0.0, 1.0]]]
 
     def test_dense_kernel_is_its_own_entries(self):
         cmdp = random_cmdp(np.random.default_rng(15))
         idx, prob = cmdp.kernel   # from (np.arange(S), P)
         assert idx.shape == prob.shape and not idx.flags.writeable
         assert np.array_equal(idx, np.broadcast_to(np.arange(cmdp.n_states), prob.shape))
-        assert np.array_equal(cmdp.transition, prob)
+        assert np.array_equal(json.loads(cmdp.to_json())["transition"], prob)
         again = TabularCmdp(kernel=(np.array(idx), prob),
                             reward=cmdp.reward, costs=cmdp.costs, limits=cmdp.limits,
                             discount=cmdp.discount, initial_dist=cmdp.initial_dist,
@@ -355,7 +353,7 @@ class TestKernelEntries:
     def test_entries_that_total_zero_are_dropped(self, slip):
         cmdp = gen_frozen_lake(GridSpec(rows=5, cols=5, slip_prob=slip, seed=1))
         idx, prob = cmdp.successors
-        ref_idx, ref_prob = successor_arrays(cmdp.transition)
+        ref_idx, ref_prob = successor_arrays(dense_kernel(cmdp.kernel))
         assert np.array_equal(prob, ref_prob)
         assert np.array_equal(idx[prob != 0], ref_idx[ref_prob != 0])
         assert idx.shape[2] == (1 if slip == 0.0 else 2)
@@ -430,7 +428,7 @@ def sparse_cases():
     cases = [random_cmdp(rng, n_states=n) for n in (1, 3, 6, 9)]
     for n in (2, 5, 8, 12, 20):
         base = random_cmdp(rng, n_states=n)
-        transition = np.zeros_like(base.transition)
+        transition = np.zeros((n, base.n_actions, n))
         for s, a in np.ndindex(n, base.n_actions):
             low = n // 2 if s >= n // 2 else 0
             np.add.at(transition[s, a], rng.integers(low, n, size=2),
@@ -446,7 +444,7 @@ def sparse_cases():
 def linked(cmdp, rows, cols):
     """Whether some action moves from a state of rows to another state of
     cols, or back."""
-    mass = cmdp.transition.sum(axis=1)
+    mass = dense_kernel(cmdp.kernel).sum(axis=1)
     np.fill_diagonal(mass, 0.0)
     return bool(mass[np.ix_(rows, cols)].any() or mass[np.ix_(cols, rows)].any())
 
@@ -528,7 +526,7 @@ class TestBlockOrder:
         slots = e.slot.reshape(idx.shape)
         used = np.array(sorted(pairs))
         at = np.array([pairs[k] for k in used.tolist()]).T
-        permuted = cmdp.transition[np.ix_(e.order, np.arange(cmdp.n_actions), e.order)]
+        permuted = dense_kernel(cmdp.kernel)[np.ix_(e.order, range(cmdp.n_actions), e.order)]
         for a in range(cmdp.n_actions):
             flat = np.zeros(nnz)
             np.add.at(flat, slots[:, a], prob[:, a])
@@ -548,7 +546,7 @@ class TestBlockOrder:
         n = cmdp.elimination.blocks[0]
         order = cmdp.elimination.order
         dense = np.eye(cmdp.n_states) + np.einsum(
-            "sa,sat->st", pol.probs, -cmdp.discount * cmdp.transition)
+            "sa,sat->st", pol.probs, -cmdp.discount * dense_kernel(cmdp.kernel))
         permuted = dense[np.ix_(order, order)]
         assert np.array_equal(permuted[:n, :n], np.diag(-nd))
         assert np.array_equal(permuted[n:, :n], a_ji)
@@ -626,7 +624,7 @@ class TestSerialization:
         text = cmdp.to_json()
         again = TabularCmdp.from_json(text)
         assert again.to_json() == text
-        assert np.array_equal(again.transition, cmdp.transition)
+        assert np.array_equal(json.loads(text)["transition"], cmdp.kernel[1])
         assert np.array_equal(again.reward, cmdp.reward)
 
     def test_loaded_task_is_built_once_on_its_view(self, monkeypatch):
@@ -697,7 +695,7 @@ class TestSerialization:
 
     def test_invariant_rejections(self):
         good = random_cmdp(np.random.default_rng(10))
-        bad_p = np.array(good.transition)
+        bad_p = dense_kernel(good.kernel)
         bad_p[0, 0, 0] += 0.1
         with pytest.raises(InvalidInput):
             TabularCmdp(kernel=(np.arange(len(bad_p)), bad_p), reward=good.reward,

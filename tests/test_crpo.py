@@ -14,7 +14,7 @@ from metasrl.errors import DegenerateRun, InvalidInput, NumericalFailure, Sample
 from metasrl.lp import solve_optimal_lp
 from metasrl.taskgen import GridSpec, gen_frozen_lake, gen_task_sequence
 
-from oracles import (chain_counts_reference, counted_q_reference, dense_counts,
+from oracles import (chain_counts_reference, counted_q_reference, dense_kernel,
                      policy_evaluation_reference, random_cmdp,
                      sample_episode_reference)
 from test_acceptance import TEST09_CONFIG
@@ -142,7 +142,7 @@ class TestLstdCritic:
         counts = td_critic(cmdp, probs, iterations, horizon, rng)
         assert counts.sum() == iterations
         v, q = _counted_q(cmdp, probs, counts)
-        dense = dense_counts(cmdp, counts)
+        dense = dense_kernel((cmdp.successors[0], counts))
         visits = dense.sum(axis=2)
         p_hat = dense / np.maximum(visits, 1)[..., None]
         c = cmdp.objective_tables
@@ -308,7 +308,7 @@ class TestRunCrpo:
         ds = out.dataset
         assert ds.s.size == n
         # next-state transitions must be reachable under the kernel
-        assert np.all(cmdp.transition[ds.s, ds.a, ds.s_next] > 0)
+        assert np.all(dense_kernel(cmdp.kernel)[ds.s, ds.a, ds.s_next] > 0)
 
     def test_degenerate_run(self):
         rng = np.random.default_rng(5)
@@ -474,7 +474,7 @@ class TestBatchedSampler:
         counts = td_critic(cmdp, probs, iterations, horizon, rng)
         assert counts.shape == cmdp.successors[1].shape and counts.dtype.kind == "i"
         assert np.all(cmdp.successors[1][counts > 0] > 0)   # only slots with mass
-        assert np.array_equal(dense_counts(cmdp, counts),
+        assert np.array_equal(dense_kernel((cmdp.successors[0], counts)),
                               chain_counts_reference(cmdp, probs, cfg, ref_rng))
         # the chain alone, whatever episodes_per_step is: the generator ends
         # where the reference chain ends
@@ -488,7 +488,7 @@ class TestBatchedSampler:
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
         counts = td_critic(cmdp, probs, cfg.td_iterations, cfg.episode_horizon, rng)
         ref = chain_counts_reference(cmdp, probs, cfg, ref_rng)
-        assert np.array_equal(dense_counts(cmdp, counts), ref)
+        assert np.array_equal(dense_kernel((cmdp.successors[0], counts)), ref)
         # pooled over two chains, the counted model's tables match the dense solve
         counts = counts + td_critic(cmdp, probs, cfg.td_iterations, cfg.episode_horizon, rng)
         ref = ref + chain_counts_reference(cmdp, probs, cfg, ref_rng)
@@ -590,7 +590,7 @@ class TestBatchedSampler:
     def test_negative_kernel_entry_raises(self):
         # -1e-13 passes the CMDP's own checks but not Generator.choice's
         base = random_cmdp(np.random.default_rng(6))
-        transition = np.array(base.transition)
+        transition = dense_kernel(base.kernel)
         transition[1, 2, :2] = [0.5 + 1e-13, -1e-13]
         transition[1, 2, 2:] = 0.5 / (base.n_states - 2)
         cmdp = TabularCmdp(kernel=(np.arange(base.n_states), transition),

@@ -26,7 +26,7 @@ def exact_dataset(cmdp, behavior):
     policy's discounted state-action visitation."""
     nu = visitation_exact(cmdp, behavior).nu
     return TrajectoryDataset.from_distribution(
-        nu[:, None] * behavior.probs, cmdp.transition, cmdp.initial_dist)
+        nu[:, None] * behavior.probs, cmdp.kernel, cmdp.initial_dist)
 
 
 def crpo_log(cmdp, rng_seed):
@@ -104,7 +104,7 @@ class TestDirectSolve:
         d_sa = visitation_exact(cmdp, behavior).nu[:, None] * behavior.probs
         d_sa[0, 0] = 0.0
         ds = TrajectoryDataset.from_distribution(
-            d_sa, cmdp.transition, cmdp.initial_dist)
+            d_sa, cmdp.kernel, cmdp.initial_dist)
         target = SoftmaxPolicy(logits=rng.standard_normal((4, 3)))
         with pytest.warns(CoverageWarning):
             corr = dualdice_fit(ds, target, cmdp.discount)
@@ -143,7 +143,7 @@ class TestDirectSolve:
         d_sa = rng.dirichlet(np.ones(12)).reshape(4, 3)
         d_sa[~np.reshape(mask, (4, 3))] = 0.0
         ds = TrajectoryDataset.from_distribution(
-            d_sa, cmdp.transition, cmdp.initial_dist)
+            d_sa, cmdp.kernel, cmdp.initial_dist)
         target = SoftmaxPolicy(logits=rng.standard_normal((4, 3)))
         assert_matches_model(ds, target, cmdp.discount)
 
@@ -217,7 +217,7 @@ class TestSgdSolver:
         n = 40_000
         s = rng.choice(3, size=n)
         a = rng.choice(2, size=n)
-        transition = cmdp.transition
+        transition = dense_kernel(cmdp.kernel)
         s_next = np.array([rng.choice(3, p=transition[s[i], a[i]])
                            for i in range(n)])
         ds = TrajectoryDataset.from_samples(
@@ -316,12 +316,12 @@ class TestDataset:
             initial_states=[0, 0])
         assert np.allclose(ds.d_sa, [[0.5, 0.25], [0.0, 0.25]])
         assert np.allclose(ds.rho_hat, [1.0, 0.0])
-        assert abs(dense_kernel(ds)[0, 0, 1] - 0.5) < 1e-12
+        assert abs(dense_kernel(ds.p_hat)[0, 0, 1] - 0.5) < 1e-12
 
     @pytest.mark.parametrize("size", [4, 16])
     def test_empirical_kernel_matches_two_array_construction(self, size):
         _, ds, _ = gridworld_log(size, 2)
-        assert np.array_equal(dense_kernel(ds), empirical_kernel_reference(ds))
+        assert np.array_equal(dense_kernel(ds.p_hat), empirical_kernel_reference(ds))
 
     def test_empirical_kernel_on_repeats_and_an_unseen_pair(self):
         """Row (0, 1) logs s' = 2 three times and s' = 0 once, (1, 1) logs
@@ -329,7 +329,7 @@ class TestDataset:
         ds = TrajectoryDataset.from_samples(
             3, 2, s=[0, 0, 1, 0, 2, 0, 1], a=[1, 1, 1, 1, 0, 1, 1],
             s_next=[2, 2, 0, 0, 1, 2, 0], initial_states=[0])
-        assert np.array_equal(dense_kernel(ds), empirical_kernel_reference(ds))
+        assert np.array_equal(dense_kernel(ds.p_hat), empirical_kernel_reference(ds))
         idx, prob = ds.p_hat
         assert idx.tolist() == [[[0, 0], [0, 2]], [[1, 1], [0, 1]], [[1, 2], [2, 2]]]
         assert prob.tolist() == [[[0.0, 0.0], [0.25, 0.75]], [[0.0, 0.0], [1.0, 0.0]],
@@ -339,7 +339,15 @@ class TestDataset:
     def test_distribution_kernel_keeps_the_dense_values(self):
         cmdp = random_cmdp(np.random.default_rng(9))
         ds = exact_dataset(cmdp, SoftmaxPolicy.uniform(4, 3))
-        assert np.array_equal(dense_kernel(ds), cmdp.transition)
+        assert np.array_equal(dense_kernel(ds.p_hat), dense_kernel(cmdp.kernel))
+
+    def test_distribution_kernel_is_the_cmdp_view(self):
+        """A gridworld's entries, which name a state twice at the border,
+        are kept as the CMDP's own successor view."""
+        cmdp = gen_frozen_lake(GridSpec(rows=5, cols=5, seed=1))
+        ds = exact_dataset(cmdp, SoftmaxPolicy.uniform(cmdp.n_states, cmdp.n_actions))
+        for ours, theirs in zip(ds.p_hat, cmdp.successors):
+            assert np.array_equal(ours, theirs)
 
     def test_small_integer_dtypes_build_the_same_dataset(self):
         rng = np.random.default_rng(10)
@@ -378,7 +386,15 @@ class TestDataset:
         d_sa = np.full((2, 3), 1.0 / 6.0)
         with pytest.raises(InvalidInput):
             TrajectoryDataset.from_distribution(
-                d_sa, np.full(shape, 0.5), [1.0, 0.0])
+                d_sa, (np.arange(2), np.full(shape, 0.5)), [1.0, 0.0])
+
+    @pytest.mark.parametrize("idx", [[0, 2], [-1, 0], [0.0, 1.0]],
+                             ids=["beyond-S", "negative", "float"])
+    def test_distribution_kernel_idx_checked(self, idx):
+        with pytest.raises(InvalidInput, match="kernel idx"):
+            TrajectoryDataset.from_distribution(
+                np.full((2, 3), 1.0 / 6.0), (np.array(idx), np.full((2, 3, 2), 0.5)),
+                [1.0, 0.0])
 
 
 class TestSparseKernel:
@@ -421,7 +437,7 @@ class TestSparseKernel:
         cfg = DiceConfig(solver="Sgd", sgd_steps=3000, rng_seed=seed)
         z = sgd_z_reference(ds, probs, gamma, cfg)
         ref = np.maximum(
-            z - gamma * np.einsum("sat,tb,tb->sa", dense_kernel(ds), probs, z), 0.0)
+            z - gamma * np.einsum("sat,tb,tb->sa", dense_kernel(ds.p_hat), probs, z), 0.0)
         ref[ds.d_sa <= 0] = 0.0
         omega = sgd_omega(ds, target, gamma, cfg)
         assert np.max(np.abs(omega - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))

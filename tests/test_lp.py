@@ -13,8 +13,9 @@ from metasrl.lp import simplex_solve, solve_optimal_lp
 from metasrl.taskgen import (GridSpec, TaskSequenceConfig, gen_frozen_lake,
                              gen_task_sequence)
 
-from oracles import (occupancy_lp_reference, pivot_reference, random_cmdp,
-                     run_simplex_reference, value_iteration)
+from oracles import (flow_rows_reference, occupancy_lp_reference, pivot_reference,
+                     random_cmdp, run_simplex_reference, value_iteration)
+from test_acceptance import TEST09_CONFIG
 
 
 class TestSimplexSolve:
@@ -143,6 +144,50 @@ class TestGridworldOracle:
                        reason="LP is unbounded")
     def test_6x6_seed_3(self):
         check_grid_against_highs(6, 3)
+
+
+class _Stop(Exception):
+    pass
+
+
+def flow_row_cases():
+    """test_09's 11 tasks, a 16x16 grid and random dense CMDPs with one to
+    three costs."""
+    tasks = gen_task_sequence(TEST09_CONFIG.task_source)[0]
+    cases = [pytest.param(c, id=f"test09_task{t}") for t, c in enumerate(tasks)]
+    cases.append(pytest.param(gen_frozen_lake(GridSpec(rows=16, cols=16, seed=0)),
+                              id="grid16"))
+    cases += [pytest.param(random_cmdp(np.random.default_rng(20 + p), n_states=3 + p,
+                                       n_costs=p), id=f"dense_p{p}")
+              for p in (1, 2, 3)]
+    return cases
+
+
+class TestFlowRows:
+    @pytest.mark.parametrize("cmdp", flow_row_cases())
+    def test_match_the_dense_kernel_rows_bit_for_bit(self, monkeypatch, cmdp):
+        """The a_eq the oracle hands the simplex (stopped there, so no solve
+        runs) holds the bits of the rows built from the dense kernel. On a
+        gridworld some border row has a real self-loop in the slot its
+        zero-mass pads repeat."""
+        seen = []
+
+        def record(cost, a_eq, *rest):
+            seen.append(a_eq)
+            raise _Stop
+
+        monkeypatch.setattr(lp, "simplex_solve", record)
+        with pytest.raises(_Stop):
+            solve_optimal_lp(cmdp)
+        ref = flow_rows_reference(cmdp)
+        assert seen[0].shape == ref.shape
+        assert np.array_equal(seen[0].view(np.int64), ref.view(np.int64))
+        idx, prob = cmdp.successors
+        on_self = idx == np.arange(cmdp.n_states)[:, None, None]
+        shared = ((on_self & (prob > 0)).any(axis=2)
+                  & (on_self & (prob == 0)).any(axis=2))
+        if (prob == 0).any():   # the gridworlds; a dense kernel has no pads
+            assert shared.any()
 
 
 def lp_outcome(cmdp):

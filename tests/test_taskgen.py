@@ -13,17 +13,19 @@ from metasrl.taskgen import (GridSpec, TaskSequenceConfig, _goal_reachable,
                              grid_ascii, grid_to_cmdp, load_task_sequence,
                              write_task_sequence)
 
-from oracles import (goal_reachable_reference, grid_ascii_reference,
+from oracles import (dense_kernel, goal_reachable_reference, grid_ascii_reference,
                      grid_to_cmdp_reference, quadratic_stream)
 
-CMDP_ARRAYS = ("transition", "reward", "costs", "limits", "initial_dist")
+CMDP_ARRAYS = ("reward", "costs", "limits", "initial_dist")
 
 
 def assert_same_cmdp(a, b):
-    """Every field equal, the arrays bit for bit."""
+    """Every field equal, the arrays and the dense kernels bit for bit."""
     for name in CMDP_ARRAYS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    x, y = dense_kernel(a.kernel), dense_kernel(b.kernel)
+    assert x.shape == y.shape and x.tobytes() == y.tobytes(), "kernel"
     assert a.discount == b.discount and a.c_max == b.c_max
 
 
@@ -74,9 +76,10 @@ class TestGridToCmdp:
         frozen = np.ones((2, 2), dtype=bool)
         cmdp = grid_to_cmdp(frozen, spec)
         assert cmdp.n_states == 5 and cmdp.n_actions == 4
+        transition = dense_kernel(cmdp.kernel)
         # goal (state 3) and the absorbing state (4) absorb
-        assert np.all(cmdp.transition[3, :, 4] == 1.0)
-        assert np.all(cmdp.transition[4, :, 4] == 1.0)
+        assert np.all(transition[3, :, 4] == 1.0)
+        assert np.all(transition[4, :, 4] == 1.0)
         # from (1,0): action right goes to the goal w.p. 2/3, so the
         # expected reward is 2 * 2/3
         assert abs(cmdp.reward[2, 3] - 4.0 / 3.0) < 1e-12
@@ -96,18 +99,18 @@ class TestGridToCmdp:
     def test_slip_distribution(self):
         spec = GridSpec(rows=3, cols=3)
         frozen = np.ones((3, 3), dtype=bool)
-        cmdp = grid_to_cmdp(frozen, spec)
+        transition = dense_kernel(grid_to_cmdp(frozen, spec).kernel)
         # center cell (state 4), action up: 2/3 to state 1, 1/6 each to 3 and 5
-        assert abs(cmdp.transition[4, 0, 1] - 2.0 / 3.0) < 1e-12
-        assert abs(cmdp.transition[4, 0, 3] - 1.0 / 6.0) < 1e-12
-        assert abs(cmdp.transition[4, 0, 5] - 1.0 / 6.0) < 1e-12
+        assert abs(transition[4, 0, 1] - 2.0 / 3.0) < 1e-12
+        assert abs(transition[4, 0, 3] - 1.0 / 6.0) < 1e-12
+        assert abs(transition[4, 0, 5] - 1.0 / 6.0) < 1e-12
 
     def test_edge_clipping(self):
         spec = GridSpec(rows=2, cols=2)
         frozen = np.ones((2, 2), dtype=bool)
-        cmdp = grid_to_cmdp(frozen, spec)
+        transition = dense_kernel(grid_to_cmdp(frozen, spec).kernel)
         # from start, action up clips in place with the non-slip mass
-        assert cmdp.transition[0, 0, 0] >= 2.0 / 3.0 - 1e-12
+        assert transition[0, 0, 0] >= 2.0 / 3.0 - 1e-12
 
 
 class TestGridToCmdpMatchesTheLoop:
@@ -207,6 +210,18 @@ class TestTaskSequence:
         cmdps, grids, manifest = gen_task_sequence(cfg)
         for task in manifest["tasks"]:
             assert 0.4 <= task["frozen_prob"] <= 0.6
+
+    def test_low_similarity_failure_names_its_task_and_range(self):
+        """At 16x16 the default range can draw a frozen probability at which
+        no reachable grid turns up; the error says which task and range."""
+        cfg = TaskSequenceConfig(mode="LowSimilarity", num_tasks=11,
+                                 base=GridSpec(rows=16, cols=16, seed=4), seed=9)
+        with pytest.raises(GenerationFailure) as info:
+            gen_task_sequence(cfg)
+        assert str(info.value) == (
+            "LowSimilarity task 0 of 11: no reachable 16x16 grid at frozen_prob "
+            "0.406 in 100 attempts; low_sim_prob_range is (0.3, 0.7)")
+        assert isinstance(info.value.__cause__, GenerationFailure)
 
     @pytest.mark.parametrize("mode,spawned", [("HighSimilarity", [1]),
                                               ("LowSimilarity", [1, 4])])
