@@ -12,8 +12,9 @@ kernel: each row's states with nonzero mass, ascending, (S, A, K) with K the
 largest row count (at most 3 on the gridworlds), padded with zero-mass
 self-loops. P_pi, the Q backup, the sampler's next-state CDF and the LP
 oracle's flow rows are computed from that view, so their cost grows with
-S*A*K rather than S*A*S. The dense (S, A, S) kernel is only the task-file
-form, which `to_json` writes and `from_json` reads back onto the view.
+S*A*K rather than S*A*S. The task file holds that view too: `to_json`
+writes it as the kernel, and `from_json` builds the CMDP on it. So the
+package builds no dense (S, A, S) kernel; a caller may still pass one.
 
 The Bellman solves first eliminate an independent set of states, the same
 for every policy. The pattern of P_pi is the union over actions of the
@@ -35,13 +36,13 @@ On the gridworlds I is nearly a checkerboard (128 of the 257 states of the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, NumericalFailure
+from .errors import InvalidInput, NumericalFailure, known_keys
 from .sampling import cdf
 
 PROB_TOL = 1e-12
@@ -66,13 +67,10 @@ def successor_view(keys, weights, n_states, n_actions):
     """
     nonzero = weights != 0   # adding a zero changes no nonzero total
     keys, weights = keys[nonzero], weights[nonzero]
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.ones(keys.size, dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    totals = np.bincount(np.cumsum(first) - 1, weights[order])
+    keys, inverse = np.unique(keys, return_inverse=True)
+    totals = np.bincount(inverse, weights, minlength=keys.size)
     live = totals != 0
-    row, state = np.divmod(keys[first][live], n_states)
+    row, state = np.divmod(keys[live], n_states)
     counts = np.bincount(row, minlength=n_states * n_actions).reshape(
         n_states, n_actions)
     shape = counts.shape + (counts.max(),)
@@ -298,42 +296,26 @@ class TabularCmdp:
         return self.c_max / (1.0 - self.discount) + 1.0
 
     def to_json(self):
-        s_n, a_n, _ = self.kernel[1].shape   # the dense kernel adds a row's entries in k order
-        transition = np.bincount(entry_keys(self.kernel[0]), self.kernel[1].ravel(),
-                                 minlength=s_n * a_n * s_n).reshape(s_n, a_n, s_n)
-        doc = {
-            "n_states": s_n,
-            "n_actions": a_n,
-            "transition": _fmt(transition),
-            "reward": _fmt(self.reward),
-            "costs": _fmt(self.costs),
-            "limits": _fmt(self.limits),
-            "discount": _fmt(self.discount),
-            "initial_dist": _fmt(self.initial_dist),
-            "c_max": _fmt(self.c_max),
-        }
-        return json.dumps(doc, sort_keys=True)
+        """The CMDP's fields as one JSON object, keys sorted, floats as `_fmt`
+        writes them; the kernel is its successor view {"idx": ..., "prob": ...},
+        each (S, A, K), never larger than the raw entries."""
+        doc = {f.name: _fmt(getattr(self, f.name)) for f in fields(self) if f.name != "kernel"}
+        idx, prob = self.successors
+        return json.dumps({**doc, "kernel": {"idx": idx.tolist(), "prob": _fmt(prob)}},
+                          sort_keys=True)
 
     @classmethod
     def from_json(cls, text):
-        """The CMDP of a `to_json` document, stored on the successor view of
-        its dense kernel, which holds the same kernel: no (S, A, S) array is
-        kept. A kernel that is not a nonempty (S, A, S) array is refused."""
-        doc = json.loads(text)
-        transition = np.array(doc["transition"], dtype=float)
-        shape = transition.shape
-        if len(shape) != 3 or 0 in shape or shape[2] != shape[0]:
-            raise InvalidInput(f"transition of shape {shape} is not a "
-                               "nonempty (S, A, S) kernel")
-        return cls(
-            kernel=successor_view(np.arange(transition.size), transition.ravel(), *shape[:2]),
-            reward=np.array(doc["reward"], dtype=float),
-            costs=np.array(doc["costs"], dtype=float),
-            limits=np.array(doc["limits"], dtype=float),
-            discount=float(doc["discount"]),
-            initial_dist=np.array(doc["initial_dist"], dtype=float),
-            c_max=float(doc["c_max"]),
-        )
+        """The CMDP of a `to_json` document, built once on the kernel it
+        holds. The document must hold exactly the fields of the class, its
+        kernel an object with keys idx and prob; the constructor checks the
+        rest."""
+        doc = known_keys(json.loads(text), cls, "the task file",
+                         required=[f.name for f in fields(cls)])
+        kernel = doc["kernel"]
+        if not (isinstance(kernel, dict) and sorted(kernel) == ["idx", "prob"]):
+            raise InvalidInput("kernel must be an object with keys 'idx' and 'prob'")
+        return cls(**{**doc, "kernel": (kernel["idx"], kernel["prob"])})
 
 
 def _fmt(x):

@@ -293,12 +293,28 @@ def write_task_sequence(config, out_dir):
 
 
 def load_task_sequence(in_dir):
+    """The CMDPs of the task_*.json files of in_dir, in name order. If a
+    manifest.json is there, the files must be exactly task_000 ... task_{n-1}
+    for its num_tasks; a file that does not read as a CMDP is refused, naming
+    the file."""
     import os
 
     names = sorted(n for n in os.listdir(in_dir)
                    if n.startswith("task_") and n.endswith(".json"))
+    manifest = os.path.join(in_dir, "manifest.json")
+    if os.path.exists(manifest):
+        with open(manifest) as fh:
+            n_tasks = json.load(fh)["num_tasks"]
+        if names != [f"task_{t:03d}.json" for t in range(n_tasks)]:
+            raise InvalidInput(f"{manifest} lists {n_tasks} tasks, but {in_dir} holds "
+                               f"{len(names)} task files, not task_000.json to "
+                               f"task_{n_tasks - 1:03d}.json")
     cmdps = []
     for name in names:
-        with open(os.path.join(in_dir, name)) as fh:
-            cmdps.append(TabularCmdp.from_json(fh.read()))
+        path = os.path.join(in_dir, name)
+        with open(path) as fh:
+            try:
+                cmdps.append(TabularCmdp.from_json(fh.read()))
+            except (ValueError, TypeError) as exc:
+                raise InvalidInput(f"{path}: {exc}") from exc
     return cmdps

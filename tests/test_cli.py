@@ -179,6 +179,38 @@ class TestRun:
             "task 0 has (10, 4, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_stale_task_files_exit_2(self, tmp_path, capsys):
+        """gen-tasks run twice into one directory, 6 tasks then 3, leaves
+        task_003 to task_005 from the first run: the manifest lists 3 tasks,
+        so the directory is refused rather than run on 6."""
+        tasks_dir = tmp_path / "tasks"
+        for n in (6, 3):
+            cfg = write_json(tmp_path / "tasks.json", {**TASK_DOC, "num_tasks": n})
+            assert main(["gen-tasks", "--config", cfg, "--out", str(tasks_dir)]) == 0
+        assert len(list(tasks_dir.glob("task_*.json"))) == 6
+        rcfg = write_json(tmp_path / "run.json", {**RUN_DOC, "task_source": str(tasks_dir)})
+        out = tmp_path / "x"
+        assert main(["run", "--config", rcfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{tasks_dir / 'manifest.json'} lists 3 tasks, but {tasks_dir} holds " \
+            "6 task files, not task_000.json to task_002.json" in err
+        assert not out.exists()
+
+    def test_dense_format_task_file_exit_2(self, tmp_path, capsys):
+        """A task file in the dense form written before the successor-view
+        format is refused, naming the file and the keys it no longer has."""
+        tasks_dir = tmp_path / "tasks"
+        tasks_dir.mkdir()
+        dense = {"n_states": 2, "n_actions": 1,
+                 "transition": [[[1.0, 0.0]], [[0.0, 1.0]]],
+                 "reward": [[0.0], [1.0]], "costs": [[[0.0], [0.0]]], "limits": [1.0],
+                 "discount": 0.9, "initial_dist": [1.0, 0.0], "c_max": 1.0}
+        (tasks_dir / "task_000.json").write_text(json.dumps(dense, sort_keys=True))
+        rcfg = write_json(tmp_path / "run.json", {**RUN_DOC, "task_source": str(tasks_dir)})
+        assert main(["run", "--config", rcfg, "--out", str(tmp_path / "x")]) == 2
+        assert f"config error: {tasks_dir / 'task_000.json'}: unknown keys 'n_actions', " \
+            "'n_states', 'transition' in the task file" in capsys.readouterr().err
+
     def test_oracle_revalidation_failure_exit_3(self, tmp_path, capsys, monkeypatch):
         def off_in_j1(cmdp):
             sol = solve_optimal_lp(cmdp)

@@ -332,16 +332,17 @@ class TestKernelEntries:
         assert succ_idx.tolist() == [[[1, 0], [0, 1]], [[1, 1], [1, 1]]]
         assert succ_prob.tolist() == [[[in_order, 0.0], [0.1 + 0.3, 0.6]],
                                       [[1.0, 0.0], [1.0, 0.0]]]
-        # the task file's dense kernel adds them in the same order
-        assert json.loads(cmdp.to_json())["transition"] == [
-            [[0.0, in_order], [0.1 + 0.3, 0.6]], [[0.0, 1.0], [0.0, 1.0]]]
+        # the task file writes that view, totals and pads as they are
+        assert json.loads(cmdp.to_json())["kernel"] == {
+            "idx": succ_idx.tolist(), "prob": succ_prob.tolist()}
 
     def test_dense_kernel_is_its_own_entries(self):
         cmdp = random_cmdp(np.random.default_rng(15))
         idx, prob = cmdp.kernel   # from (np.arange(S), P)
         assert idx.shape == prob.shape and not idx.flags.writeable
         assert np.array_equal(idx, np.broadcast_to(np.arange(cmdp.n_states), prob.shape))
-        assert np.array_equal(json.loads(cmdp.to_json())["transition"], prob)
+        kernel = json.loads(cmdp.to_json())["kernel"]   # P > 0: the view is P
+        assert np.array_equal(kernel["idx"], idx) and np.array_equal(kernel["prob"], prob)
         again = TabularCmdp(kernel=(np.array(idx), prob),
                             reward=cmdp.reward, costs=cmdp.costs, limits=cmdp.limits,
                             discount=cmdp.discount, initial_dist=cmdp.initial_dist,
@@ -377,12 +378,25 @@ class TestKernelEntries:
                         initial_dist=np.ones(1), c_max=1.0)
 
     def test_16x16_round_trip_keeps_the_view_and_the_bytes(self):
+        """The file's kernel is the (S, A, K) successor view, and the task
+        read back has the view, the elimination and the exact values of
+        a random policy of the task it was written from, bit for bit."""
         cmdp = gen_frozen_lake(GridSpec(rows=16, cols=16, seed=1))
         text = cmdp.to_json()
+        kernel = json.loads(text)["kernel"]
+        assert np.shape(kernel["idx"]) == np.shape(kernel["prob"]) == cmdp.successors[1].shape
         again = TabularCmdp.from_json(text)
         assert again.to_json() == text
         for ours, theirs in zip(again.successors, cmdp.successors):
             assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        assert again.elimination.blocks == cmdp.elimination.blocks
+        for ours, theirs in zip(again.elimination[1:], cmdp.elimination[1:]):
+            assert np.array_equal(ours, theirs)
+        probs = SoftmaxPolicy(logits=np.random.default_rng(3).standard_normal(
+            (cmdp.n_states, cmdp.n_actions))).probs
+        for ours, theirs in zip(policy_evaluation_exact(again, probs),
+                                policy_evaluation_exact(cmdp, probs)):
+            assert np.array_equal(ours, theirs)
 
     def test_16x16_grid_stores_no_dense_array(self):
         """The task as built and as read back from JSON: neither holds an
@@ -624,7 +638,9 @@ class TestSerialization:
         text = cmdp.to_json()
         again = TabularCmdp.from_json(text)
         assert again.to_json() == text
-        assert np.array_equal(json.loads(text)["transition"], cmdp.kernel[1])
+        kernel = json.loads(text)["kernel"]
+        assert np.array_equal(kernel["idx"], cmdp.kernel[0])
+        assert np.array_equal(kernel["prob"], cmdp.kernel[1])
         assert np.array_equal(again.reward, cmdp.reward)
 
     def test_loaded_task_is_built_once_on_its_view(self, monkeypatch):
@@ -639,20 +655,24 @@ class TestSerialization:
         for ours, theirs in zip(loaded.kernel, cmdp.successors):
             assert np.array_equal(ours, theirs)
 
+    # transition: the task file's kernel, as in test_nan_rejected
     @pytest.mark.parametrize("transition, match", [
-        ([[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]], "shape"),
-        ([[1.0, 0.0], [0.0, 1.0]], "shape"),
-        ([[[]]], "shape"),
-        ([[[0.5, 0.4]], [[0.0, 1.0]]], "sum to 1"),
-        ([[[1.5, -0.5]], [[0.0, 1.0]]], "negative"),
-        ([[[np.nan, 1.0]], [[0.0, 1.0]]], "NaN"),
+        ({"idx": [[[0]], [[2]]], "prob": [[[1.0]], [[1.0]]]}, "out of range"),
+        ({"idx": [[[0.0]], [[1.0]]], "prob": [[[1.0]], [[1.0]]]}, "integer"),
+        ({"idx": [[[0, 1, 0]], [[1, 0, 1]]], "prob": [[[1.0, 0.0]], [[1.0, 0.0]]]},
+         "broadcast"),
+        ({"idx": [[[0, 1]], [[1, 0]]], "prob": [[[0.5, 0.4]], [[1.0, 0.0]]]}, "sum to 1"),
+        ({"idx": [[[0, 1]], [[1, 0]]], "prob": [[[1.5, -0.5]], [[1.0, 0.0]]]}, "negative"),
+        ({"idx": [[[0, 1]], [[1, 0]]], "prob": [[[np.nan, 1.0]], [[1.0, 0.0]]]}, "NaN"),
+        ([[[1.0]], [[1.0]]], "keys 'idx' and 'prob'"),
+        ({"idx": [[[0]], [[1]]]}, "keys 'idx' and 'prob'"),
     ])
     def test_malformed_kernel_refused(self, transition, match):
         doc = json.loads(TabularCmdp(
             kernel=(np.arange(2), np.array([[[1.0, 0.0]], [[0.0, 1.0]]])),
             reward=np.zeros((2, 1)), costs=np.zeros((1, 2, 1)), limits=np.ones(1),
             discount=0.9, initial_dist=np.array([1.0, 0.0]), c_max=1.0).to_json())
-        doc["transition"] = transition
+        doc["kernel"] = transition
         with pytest.raises(InvalidInput, match=match):
             TabularCmdp.from_json(json.dumps(doc))
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -302,6 +303,18 @@ class TestTaskSequence:
             assert a.to_json() == b.to_json()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["num_tasks"] == 3
+
+    def test_malformed_task_file_is_named(self, tmp_path):
+        cfg = TaskSequenceConfig(mode="HighSimilarity", num_tasks=2,
+                                 base=GridSpec(seed=5), seed=2)
+        write_task_sequence(cfg, str(tmp_path))
+        path = tmp_path / "task_001.json"
+        doc = json.loads(path.read_text())
+        doc["kernel"]["prob"][0][0][0] += 0.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInput, match=f"^{re.escape(str(path))}: "
+                           "transition rows must sum to 1$"):
+            load_task_sequence(str(tmp_path))
 
     @pytest.mark.parametrize("mode", ["HighSimilarity", "LowSimilarity"])
     def test_same_sequence_as_the_references(self, mode, monkeypatch, tmp_path):
