@@ -52,47 +52,100 @@ first-call order, `-` if none; a leading axis is a stack of systems).
 Call counts do not see the time spent inside numpy kernels, and the 16x16
 exact and DICE solves are bound by those kernels: that is why every layer
 stays timed, and why the solve shapes are recorded.
+
+With --against DIR, the script also imports the package under
+DIR/src/metasrl, under a module name of its own, and builds each grid's
+task with that package's own `taskgen`: the metasrl the script imports is
+the change, DIR's is the parent. It times every layer of the two round by
+round, --repeats rounds of --number calls a side (the lanes layers as
+above), alternating which side goes first, and prints one row a (grid,
+layer) and nothing else: each side's best time in microseconds
+(`change_us`, `parent_us`), the median of the per-round ratios
+change/parent (`ratio`) and the share of rounds the change was faster
+(`won`). Both sides of a round run under the same host load, which two
+separate runs of the script do not. A DIR without src/metasrl exits 2.
 Uses the standard library and numpy only.
 
-Example:
+Examples:
     PYTHONPATH=src python3 scripts/bench_layers.py --sizes 4,8,16 --repeats 5
+    PYTHONPATH=src python3 scripts/bench_layers.py --against ../parent --repeats 21
 """
 
 import argparse
 import cProfile
 import collections
 import dataclasses
+import functools
 import gc
+import importlib
+import importlib.util
 import os
 import pstats
+import sys
 import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
 import metasrl
-from metasrl import cmdp, crpo, dice, taskgen
-from metasrl.errors import CoverageWarning, DegenerateRun
+from metasrl import cmdp, crpo, dice, errors, taskgen
+
+MODULES = ("cmdp", "crpo", "dice", "errors", "taskgen")
+HERE = SimpleNamespace(cmdp=cmdp, crpo=crpo, dice=dice, errors=errors, taskgen=taskgen)
 
 
-def first_task(size):
+@functools.cache
+def load_package(path):
+    """The modules a layer call uses of the metasrl package in directory
+    path, imported under a module name of their own, beside the metasrl
+    this script imports."""
+    name = f"metasrl_against_{abs(hash(path))}"
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(path, "__init__.py"), submodule_search_locations=[path])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
+
+
+def first_task(size, pkg=HERE):
     """Task 0 of the HighSimilarity sequence on a size x size grid, seed 2."""
-    base = taskgen.GridSpec(rows=size, cols=size, seed=2)
-    config = taskgen.TaskSequenceConfig(mode="HighSimilarity", num_tasks=2,
-                                        base=base, seed=2)
-    return taskgen.gen_task_sequence(config)[0][0]
+    base = pkg.taskgen.GridSpec(rows=size, cols=size, seed=2)
+    config = pkg.taskgen.TaskSequenceConfig(mode="HighSimilarity", num_tasks=2,
+                                            base=base, seed=2)
+    return pkg.taskgen.gen_task_sequence(config)[0][0]
+
+
+def mean_time(call, number):
+    """The mean seconds of `number` calls."""
+    start = time.perf_counter()
+    for _ in range(number):
+        call()
+    return (time.perf_counter() - start) / number
 
 
 def best_time(call, repeats, number):
     """Best over `repeats` rounds of the mean seconds of `number` calls."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(number):
-            call()
-        best = min(best, (time.perf_counter() - start) / number)
-    return best
+    return min(mean_time(call, number) for _ in range(repeats))
+
+
+def paired_times(change, parent, repeats, number):
+    """(best change time, best parent time, per-round change/parent ratios)
+    of two calls timed round by round, `number` calls a side a round; the
+    change goes first in even rounds, the parent in odd ones."""
+    rounds = []
+    for r in range(repeats):
+        if r % 2:
+            t_parent = mean_time(parent, number)
+            t_change = mean_time(change, number)
+        else:
+            t_change = mean_time(change, number)
+            t_parent = mean_time(parent, number)
+        rounds.append((t_change, t_parent))
+    t_change, t_parent = np.array(rounds).T
+    return t_change.min(), t_parent.min(), t_change / t_parent
 
 
 # the test_09 CRPO settings
@@ -105,52 +158,61 @@ LAYERS = ("build", "evaluate", "visitation", "td", *(f"lanes_{n}" for n in LANES
           "sample", "dice")
 
 
-def crpo_run(task):
+def own(pkg, config):
+    """config as the package pkg's own `CrpoConfig`."""
+    return pkg.crpo.CrpoConfig(**dataclasses.asdict(config))
+
+
+def crpo_run(task, pkg=HERE):
     """The outcome of a CRPO run on `task` from the uniform policy."""
     try:
-        return crpo.run_crpo(
-            task, cmdp.SoftmaxPolicy.uniform(task.n_states, task.n_actions), CRPO)
-    except DegenerateRun as exc:
+        return pkg.crpo.run_crpo(
+            task, pkg.cmdp.SoftmaxPolicy.uniform(task.n_states, task.n_actions),
+            own(pkg, CRPO))
+    except pkg.errors.DegenerateRun as exc:
         return exc.outcome
 
 
-def log_draw(task, outcome):
+def log_draw(task, outcome, pkg=HERE):
     """The draw of the run's transition log from its iterate stack, as a call."""
     rng = np.random.default_rng(CRPO.rng_seed)
-    return lambda: crpo.sample_episode(task, outcome.iterates, CRPO.episode_horizon,
-                                       rng, CRPO.episodes_per_step)
+    return lambda: pkg.crpo.sample_episode(task, outcome.iterates, CRPO.episode_horizon,
+                                           rng, CRPO.episodes_per_step)
 
 
-def dice_pass(task, outcome):
+def dice_pass(task, outcome, pkg=HERE):
     """One DICE pass on the log of a CRPO run on `task`, as a call."""
-    log, target = outcome.dataset, outcome.returned_policy
+    log, target, dice = outcome.dataset, outcome.returned_policy, pkg.dice
 
     def call():
         ds = dice.TrajectoryDataset.from_samples(
             log.n_states, log.n_actions, log.s, log.a, log.s_next,
             log.initial_states)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CoverageWarning)
+            warnings.simplefilter("ignore", pkg.errors.CoverageWarning)
             corrections = dice.dualdice_fit(ds, target, task.discount)
         return dice.visitation_from_corrections(ds, corrections)
     return call
 
 
-def lockstep(task, n_lanes):
+def lockstep(task, n_lanes, pkg=HERE):
     """One `crpo_lanes` call over n_lanes runs on `task`, as a call."""
     rng = np.random.default_rng(n_lanes)
     logits = rng.standard_normal((n_lanes, task.n_states, task.n_actions))
     rates = [float(rng.uniform(0.5, 1.5)) for _ in range(n_lanes)]
-    return lambda: crpo.crpo_lanes(task, logits, CRPO, rates, range(n_lanes))
+    config = own(pkg, CRPO)
+    return lambda: pkg.crpo.crpo_lanes(task, logits, config, rates, range(n_lanes))
 
 
-def td_step(task, policy):
+def td_step(task, policy, pkg=HERE):
     """One TdSampled lockstep step of one lane from the policy, as a call;
     each call starts from empty counts."""
     rng = np.random.default_rng(0)
     step = np.full((1, 1, 1), TD.learning_rate / (1.0 - task.discount))
     counts = np.zeros((1,) + task.successors[1].shape, int)
-    return lambda: crpo._lockstep(task, TD, policy.logits[None], step, [rng], counts)
+    config = own(pkg, TD)
+    return lambda: pkg.crpo._lockstep(task, config, policy.logits[None], step, [rng],
+                                      counts)
 
 
 def traced_peak(call):
@@ -216,22 +278,40 @@ def shape_summary(shapes):
     return ",".join(f"{key}*{n}" for key, n in counts.items()) or "-"
 
 
-def layer_calls(task):
-    """{layer: one call of the layer} for one task."""
+def layer_calls(task, pkg=HERE):
+    """{layer: one call of the layer} for one task of the package pkg."""
+    cmdp = pkg.cmdp
     policy = cmdp.SoftmaxPolicy(logits=np.random.default_rng(0).standard_normal(
         (task.n_states, task.n_actions)))
     task.successors  # built once, as the first evaluation builds it
     build = type(task).elimination.func  # uncached: a fresh build each call
-    outcome = crpo_run(task)
+    outcome = crpo_run(task, pkg)
     return {
         "build": lambda: build(task),
         "evaluate": lambda: cmdp.policy_evaluation_exact(task, policy.probs),
         "visitation": lambda: cmdp.visitation_exact(task, policy),
-        "td": td_step(task, policy),
-        **{f"lanes_{n}": lockstep(task, n) for n in LANES},
-        "sample": log_draw(task, outcome),
-        "dice": dice_pass(task, outcome),
+        "td": td_step(task, policy, pkg),
+        **{f"lanes_{n}": lockstep(task, n, pkg) for n in LANES},
+        "sample": log_draw(task, outcome, pkg),
+        "dice": dice_pass(task, outcome, pkg),
     }
+
+
+def print_pairs(sizes, parent, repeats, numbers):
+    """The interleaved table: per (grid, layer), the change's and the
+    parent's best time, the median per-round ratio and the change's share
+    of won rounds."""
+    print(f"{'grid':>6} {'layer':>10} {'change_us':>10} {'parent_us':>10} "
+          f"{'ratio':>6} {'won':>5}")
+    for size in sizes:
+        change_calls = layer_calls(first_task(size))
+        parent_calls = layer_calls(first_task(size, parent), parent)
+        for name in LAYERS:
+            t_change, t_parent, ratios = paired_times(
+                change_calls[name], parent_calls[name], repeats, numbers[name])
+            print(f"{f'{size}x{size}':>6} {name:>10} {1e6 * t_change:>10.1f} "
+                  f"{1e6 * t_parent:>10.1f} {np.median(ratios):>6.3f} "
+                  f"{np.mean(ratios < 1.0):>5.2f}")
 
 
 def main(argv=None):
@@ -240,18 +320,28 @@ def main(argv=None):
                         help="comma-separated grid sizes (default 4,8,16)")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--number", type=int, default=200)
+    parser.add_argument("--against", metavar="DIR",
+                        help="time each layer interleaved with the package "
+                             "under DIR/src/metasrl, the parent")
     args = parser.parse_args(argv)
     if args.repeats < 1 or args.number < 1:
         parser.error("--repeats and --number must be at least 1")
     numbers = {name: args.number for name in LAYERS}
     numbers.update({f"lanes_{n}": max(1, args.number // (CRPO.steps * n)) for n in LANES})
+    sizes = [int(s) for s in args.sizes.split(",")]
+    if args.against is not None:
+        path = os.path.realpath(os.path.join(args.against, "src", "metasrl"))
+        if not os.path.isfile(os.path.join(path, "__init__.py")):
+            parser.error(f"no metasrl package under {args.against}/src")
+        print_pairs(sizes, load_package(path), args.repeats, numbers)
+        return 0
     width = {name: max(9, len(name) + 3) for name in LAYERS}
     print(f"{'grid':>6} {'states':>6} {'|I|':>5} "
           + " ".join(f"{name + '_us':>{width[name]}}" for name in LAYERS)
           + f" {'dice_peak_kb':>12} "
           + " ".join(f"{name + '_calls':>{len(name) + 6}}" for name in LAYERS))
     work = []
-    for size in (int(s) for s in args.sizes.split(",")):
+    for size in sizes:
         task = first_task(size)
         calls = layer_calls(task)
         times = {name: best_time(call, args.repeats, numbers[name])

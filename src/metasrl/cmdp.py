@@ -10,11 +10,12 @@ a row, the intended move and its two slips; a dense kernel P is the entries
 (np.arange(S), P). On first use the CMDP builds one successor view of the
 kernel: each row's states with nonzero mass, ascending, (S, A, K) with K the
 largest row count (at most 3 on the gridworlds), padded with zero-mass
-self-loops. P_pi, the Q backup, the sampler's next-state CDF and the LP
-oracle's flow rows are computed from that view, so their cost grows with
-S*A*K rather than S*A*S. The task file holds that view too: `to_json`
-writes it as the kernel, and `from_json` builds the CMDP on it. So the
-package builds no dense (S, A, S) kernel; a caller may still pass one.
+self-loops. P_pi, the Q backup, the sampler's next-state CDF, the sampled
+critic's counts and the LP oracle's flow rows are computed from that view,
+so their cost grows with S*A*K rather than S*A*S. The task file holds that
+view too: `to_json` writes it as the kernel, and `from_json` builds the
+CMDP on it. So the package builds no (S, A, S) array; a caller may still
+pass a dense kernel.
 
 The Bellman solves first eliminate an independent set of states, the same
 for every policy. The pattern of P_pi is the union over actions of the
@@ -128,7 +129,8 @@ class TabularCmdp:
     limits are encoded by any value >= c_max/(1-gamma) + 1.  The successor
     view, the elimination of the Bellman solves and the sampler's tables
     (the successor CDF and rho's CDF) are built on first use and cached on
-    the instance.
+    the instance. No cache grows with S*A*S: the sampler draws, and the
+    sampled critic counts, the successor view's own slots.
     """
 
     kernel: tuple
@@ -213,22 +215,6 @@ class TabularCmdp:
         with a nonzero total (the row's entries for it added in k order)."""
         return successor_view(entry_keys(self.kernel[0]), self.kernel[1].ravel(),
                               self.n_states, self.n_actions)
-
-    @cached_property
-    def successor_slots(self):
-        """Read-only (S*A*S,): at the dense key (s*A + a)*S + s' of each
-        (s, a, s') the kernel puts mass on, its successor-view slot
-        (s*A + a)*K + k, flat; -1 at every other key.
-
-        Built only under TdSampled. A `searchsorted` over the live keys gives
-        the same slots with no table, but took 361 us against the gather's 6
-        us for a 10 000-step 4x4 chain, on a 0.83 ms `td_critic` call (Xeon)."""
-        idx, prob = self.successors
-        live = np.flatnonzero(prob)
-        slots = np.full(idx.shape[0] * idx.shape[1] * idx.shape[0], -1, dtype=np.intp)
-        slots[entry_keys(idx)[live]] = live
-        slots.setflags(write=False)
-        return slots
 
     @cached_property
     def elimination(self):

@@ -5,11 +5,11 @@ estimated constraint values against the limits plus a tolerance eta. The
 critic is an exact Bellman solve (`policy_evaluation_exact`) or, under
 TdSampled, certainty-equivalence evaluation on sampled data (Boyan 2002;
 Parr et al. 2008): each step draws one on-policy chain of `td_iterations`
-transitions (`td_critic`), adds its (s, a, s') counts to the run's, kept
-in the CMDP's successor-view slots, and evaluates the iterate exactly on
-the pooled model p_hat = n(s, a, k)/n(s, a). A pair the chain never
-stepped from keeps a zero row, so its Q is c(s, a): one step, then a
-zero-reward absorbing state. Both critics give (v, q), v of shape
+transitions (`td_critic`), adds its counts n(s, a, k) of the CMDP's
+successor-view slots it drew to the run's, and evaluates the iterate
+exactly on the pooled model p_hat = n(s, a, k)/n(s, a). A pair the chain
+never stepped from keeps a zero row, so its Q is c(s, a): one step, then
+a zero-reward absorbing state. Both critics give (v, q), v of shape
 (p+1, S) and q of shape (p+1, S, A), reward first, and a step gates on
 the estimates J_i = rho . v_i of its own critic and moves the logits along
 one row of q. A run writes each step's softmax into row m of one
@@ -32,11 +32,12 @@ Every sampled draw, whether an episode step or a chain step, goes
 through one batched rollout that steps all rows together and reproduces
 one `Generator.choice` call per draw, bit for bit; its inverse-CDF draw and
 the checks on each probability table live in `metasrl.sampling`, which the
-SGD DICE fit shares. Next states are drawn over the CMDP's successor CDF
-(K <= 3 entries a row on the gridworlds) and initial states over rho's
-CDF, which the CMDP builds, checks and caches once, in the layout the
-rollout steps through; a rollout builds only its policy tables' CDF. A
-run's transition log feeds no decision under either critic, so it is
+SGD DICE fit shares. It draws each next state as a slot of the CMDP's
+successor view, over that view's CDF (K <= 3 entries a row on the
+gridworlds), and records the slot, which the sampled critic counts and an
+episode maps to its state; it draws s_0 over rho's CDF. The CMDP builds,
+checks and caches both CDFs once, in the layout the rollout steps through;
+a rollout builds only its policy tables' CDF. A run's transition log feeds no decision under either critic, so it is
 built on first read of `outcome.dataset`: its episodes are the first draws
 of the run's generator, which the run skips, and they are drawn then, from
 the run's seed and its iterate stack, in one `sample_episode` call.
@@ -147,13 +148,14 @@ def _rollout(cmdp, policy_cdf, row_policy, u):
     s_1 ~ P(s_0, a_0), a_1 ~ pi(s_1), ..., one uniform per draw, all rows
     stepped together; row i acts with the CDF table policy_cdf[row_policy[i]].
 
-    Returns the (n, w) drawn indices: states in even columns, actions in odd.
-    A next state is drawn over its (s, a)'s successor CDF and mapped back to
-    its state index. That is the dense draw bit for bit: the omitted zeros
-    add nothing to the cumulative sums, and the padded slots sit at 1.0,
-    above every uniform. The walk steps through a transposed copy of u, so
-    each step reads and writes one contiguous row, and reads the CMDP's
-    cached CDF tables, kept transposed as `draw` takes them.
+    Returns the (n, w) drawn indices: s_0 in column 0, actions in odd
+    columns, and in every even column from 2 on the slot (s*A + a)*K + k,
+    flat into `cmdp.successors`, drawn over (s, a)'s successor CDF. That
+    is the dense draw bit for bit: the omitted zeros add nothing to the
+    cumulative sums, and the padded slots sit at 1.0, above every uniform,
+    so every drawn slot carries mass. The walk steps through a transposed
+    copy of u, so each step reads and writes one contiguous row, and reads
+    the CMDP's cached CDF tables, kept transposed as `draw` takes them.
     """
     a_n, k = cmdp.successors[0].shape[1:]
     succ, succ_cdf = cmdp.successors[0].ravel(), cmdp.successor_cdf  # succ_cdf (K, SA)
@@ -161,13 +163,14 @@ def _rollout(cmdp, policy_cdf, row_policy, u):
     table_start = row_policy * cmdp.n_states
     u = np.ascontiguousarray(u.T)
     x = np.empty(u.shape, dtype=np.intp)
-    x[0] = draw(cmdp.initial_cdf, u[0])
+    x[0] = state = draw(cmdp.initial_cdf, u[0])
     for j in range(1, len(u)):
         if j % 2:
-            x[j] = draw(policy_cdf.take(table_start + x[j - 1], axis=1), u[j])
+            x[j] = draw(policy_cdf.take(table_start + state, axis=1), u[j])
         else:
-            sa = x[j - 2] * a_n + x[j - 1]
-            x[j] = succ.take(sa * k + draw(succ_cdf.take(sa, axis=1), u[j]))
+            sa = state * a_n + x[j - 1]
+            x[j] = sa * k + draw(succ_cdf.take(sa, axis=1), u[j])
+            state = succ.take(x[j])
     return x.T
 
 
@@ -186,7 +189,8 @@ def sample_episode(cmdp, probs, horizon, rng, episodes=1):
     row_policy = np.repeat(np.arange(len(policy_cdf)), episodes)
     x = _rollout(cmdp, policy_cdf, row_policy,
                  rng.random((row_policy.size, 1 + 2 * horizon)))
-    return x[:, :-1:2], x[:, 1::2], x[:, 2::2]
+    nexts = cmdp.successors[0].ravel().take(x[:, 2::2])
+    return np.concatenate((x[:, :1], nexts[:, :-1]), axis=1), x[:, 1::2], nexts
 
 
 def td_critic(cmdp, probs, iterations, horizon, rng):
@@ -196,8 +200,8 @@ def td_critic(cmdp, probs, iterations, horizon, rng):
 
     The chain restarts from rho after every max(2, horizon) steps; its
     uniforms are the rng's next draws, and all its reset segments are
-    walked together. A chain steps only along entries with mass, so each
-    transition has a slot, and `cmdp.successor_slots` gives it in one gather.
+    walked together. The rollout records the slot of each transition it
+    draws, and the counts are one bincount of those slots.
     """
     _check_dims(cmdp, probs)
     policy_cdf = cdf(probs, "policy")[None]
@@ -207,8 +211,7 @@ def td_critic(cmdp, probs, iterations, horizon, rng):
     # last action starts no transition, so its uniform is drawn, not walked
     rng.random(out=u.reshape(-1)[:2 + 2 * iterations + 2 * (iterations // reset)])
     x = _rollout(cmdp, policy_cdf, np.zeros(len(u), dtype=np.intp), u[:, :-1])
-    keys = (x[:, :-1:2] * cmdp.n_actions + x[:, 1::2]) * cmdp.n_states + x[:, 2::2]
-    return np.bincount(cmdp.successor_slots.take(keys.ravel()[:iterations]),
+    return np.bincount(x[:, 2::2].ravel()[:iterations],
                        minlength=cmdp.successors[1].size).reshape(cmdp.successors[1].shape)
 
 

@@ -16,9 +16,9 @@ Each pivot is vectorised, but its choices and its arithmetic are those of a
 scalar simplex that scans columns and rows one at a time: the first allowed
 column of negative reduced cost enters, the ratio test folds the candidate
 rows in row order, and the pivot updates exactly the rows with a nonzero
-entry in the entering column. So the pivot sequence, every result and every
-failure are the same bit for bit; tests/test_lp.py::TestVectorisedSimplex
-checks this against such a scalar simplex.
+entry in the entering column, the objective (the tableau's last row) among
+them. So the pivot sequence, every result and every failure are the same
+bit for bit; tests/test_lp.py::TestVectorisedSimplex checks this.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ class _Infeasible(Exception):
     pass
 
 
-def _pivot(tab, obj, basis, row, col):
+def _pivot(tab, basis, row, col):
     """Pivot in place on (row, col): scale the pivot row, then clear col
-    from obj and from every other row whose entry there is nonzero."""
+    from every other row, the objective row included, whose entry there is
+    nonzero."""
     pivot_row = tab[row]
     pivot_row /= pivot_row[col]
     others = np.abs(tab[:, col]) > 0.0
@@ -48,20 +49,20 @@ def _pivot(tab, obj, basis, row, col):
     block = tab[rows]
     block -= block[:, col, None] * pivot_row
     tab[rows] = block
-    obj -= obj[col] * pivot_row
     basis[row] = col
 
 
-def _run_simplex(tab, obj, basis, allowed):
-    """Bland-rule simplex on an in-place tableau; obj holds reduced costs.
+def _run_simplex(tab, basis, allowed):
+    """Bland-rule simplex on an in-place tableau whose last row holds the
+    reduced costs.
 
     allowed marks columns permitted to enter the basis.
     """
     # a reduced cost below its column's limit enters: -PIVOT_TOL where the
     # column is allowed, -inf (never) where it is not or for the value entry
+    obj = tab[-1]
     limit = np.full(obj.shape, -np.inf)
     limit[:-1][allowed] = -PIVOT_TOL
-    rhs = tab[:, -1]
     for it in range(MAX_ITER):
         negative = obj < limit
         enter = int(negative.argmax())
@@ -69,16 +70,16 @@ def _run_simplex(tab, obj, basis, allowed):
             return
         # ratio test, ties broken by smallest basis index (Bland), folded in
         # row order: the tolerance makes the winner depend on that order
-        column = tab[:, enter]
-        rows = (column > PIVOT_TOL).nonzero()[0]
-        ratios = rhs[rows] / column[rows]
         leave, best, best_basis = -1, np.inf, -1
-        for i, ratio in zip(rows.tolist(), ratios.tolist()):
-            if ratio < best - PIVOT_TOL or (ratio < best + PIVOT_TOL and basis[i] < best_basis):
-                leave, best, best_basis = i, ratio, basis[i]
+        for i, (c, r) in enumerate(zip(tab[:-1, enter].tolist(), tab[:-1, -1].tolist())):
+            if c > PIVOT_TOL:
+                ratio = r / c
+                if ratio < best - PIVOT_TOL or (ratio < best + PIVOT_TOL
+                                                and basis[i] < best_basis):
+                    leave, best, best_basis = i, ratio, basis[i]
         if leave < 0:
             raise NumericalFailure("LP is unbounded", best_bound=float(-obj[-1]))
-        _pivot(tab, obj, basis, leave, enter)
+        _pivot(tab, basis, leave, enter)
     raise NumericalFailure("simplex iteration cap reached", best_bound=float(-obj[-1]))
 
 
@@ -108,36 +109,37 @@ def simplex_solve(c, a_eq, b_eq, a_ub=None, b_ub=None):
     b = np.abs(b)
 
     # phase 1: artificials with unit cost, priced out of the objective row
-    tab = np.hstack([a, np.eye(m), b[:, None]])
+    # (the tableau's last row)
+    tab = np.block([[a, np.eye(m), b[:, None]],
+                    [-a.sum(axis=0), np.zeros(m), -b.sum()]])
     basis = list(range(n_tot, n_tot + m))
-    obj = np.concatenate([-a.sum(axis=0), np.zeros(m), [-b.sum()]])
     allowed = np.ones(n_tot + m, dtype=bool)
-    _run_simplex(tab, obj, basis, allowed)
-    if -obj[-1] > 1e-9:
+    _run_simplex(tab, basis, allowed)
+    if -tab[m, -1] > 1e-9:
         raise _Infeasible
     # drive leftover artificials out of the basis where possible
     for i in range(m):
         if basis[i] >= n_tot:
             for j in range(n_tot):
                 if abs(tab[i, j]) > PIVOT_TOL:
-                    _pivot(tab, obj, basis, i, j)
+                    _pivot(tab, basis, i, j)
                     break
 
     # phase 2 on the true cost; artificials stay as columns (their reduced
     # costs expose the duals) but may not re-enter the basis
     allowed[n_tot:] = False
-    obj = np.zeros(n_tot + m + 1)
-    obj[:n_tot] = cost
+    obj = tab[m]
+    obj[:] = np.concatenate((cost, np.zeros(m + 1)))
     for i, bi in enumerate(basis):
         if bi < n_tot and abs(cost[bi]) > 0.0:
             obj -= cost[bi] * tab[i]
-    _run_simplex(tab, obj, basis, allowed)
+    _run_simplex(tab, basis, allowed)
 
     x = np.zeros(n_tot)
     for i, bi in enumerate(basis):
         if bi < n_tot:
             x[bi] = tab[i, -1]
-    duals = -obj[n_tot:n_tot + m]
+    duals = -tab[m, n_tot:n_tot + m]
     primal = float(cost @ x)
     dual = float(duals @ b)
     gap = abs(primal - dual)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -278,14 +279,24 @@ def grid_ascii(frozen):
     return ["".join(row) for row in chars.tolist()]
 
 
-def write_task_sequence(config, out_dir):
-    """Write numbered CMDP JSON files plus a manifest to out_dir."""
-    import os
+def _task_files(directory):
+    """The task_*.json names in directory, sorted."""
+    return sorted(n for n in os.listdir(directory)
+                  if n.startswith("task_") and n.endswith(".json"))
 
+
+def write_task_sequence(config, out_dir):
+    """Write numbered CMDP JSON files plus a manifest to out_dir; if out_dir
+    holds a task file that they would not replace, write nothing and raise."""
+    names = [f"task_{t:03d}.json" for t in range(config.num_tasks)]
+    if os.path.isdir(out_dir) and (stale := sorted(set(_task_files(out_dir)) - set(names))):
+        raise InvalidInput(f"{out_dir} holds {len(stale)} task files besides {names[0]} "
+                           f"to {names[-1]}, the first {stale[0]}; remove them or "
+                           "write elsewhere")
     cmdps, _, manifest = gen_task_sequence(config)
     os.makedirs(out_dir, exist_ok=True)
-    for t, cmdp in enumerate(cmdps):
-        with open(os.path.join(out_dir, f"task_{t:03d}.json"), "w") as fh:
+    for name, cmdp in zip(names, cmdps):
+        with open(os.path.join(out_dir, name), "w") as fh:
             fh.write(cmdp.to_json())
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -297,10 +308,7 @@ def load_task_sequence(in_dir):
     manifest.json is there, the files must be exactly task_000 ... task_{n-1}
     for its num_tasks; a file that does not read as a CMDP is refused, naming
     the file."""
-    import os
-
-    names = sorted(n for n in os.listdir(in_dir)
-                   if n.startswith("task_") and n.endswith(".json"))
+    names = _task_files(in_dir)
     manifest = os.path.join(in_dir, "manifest.json")
     if os.path.exists(manifest):
         with open(manifest) as fh:

@@ -1,6 +1,8 @@
 import importlib.util
 import os
 
+import pytest
+
 SCRIPT = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "scripts", "bench_layers.py")
 spec = importlib.util.spec_from_file_location("bench_layers", SCRIPT)
@@ -8,6 +10,7 @@ bench_layers = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_layers)
 
 
+ROOT = os.path.dirname(os.path.dirname(SCRIPT))
 LAYERS = ["build", "evaluate", "visitation", "td", "lanes_1", "lanes_5", "lanes_50",
           "sample", "dice"]
 
@@ -86,3 +89,22 @@ def test_call_split_sums_to_the_total_and_repeats(capsys):
     assert shapes["td"] == "2x9x9*1"
     assert [shapes[f"lanes_{n}"] for n in (1, 5, 50)] == \
         ["1x9x9*8", "5x9x9*8", "50x9x9*8"]
+
+
+def test_pairs_against_the_repository_itself(capsys):
+    """--against the repository's own root times every layer of two copies
+    of one package: a ratio and a share of won rounds for each."""
+    assert bench_layers.main(["--sizes", "4", "--repeats", "3", "--number", "1",
+                              "--against", ROOT]) == 0
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert header == ["grid", "layer", "change_us", "parent_us", "ratio", "won"]
+    assert [row[:2] for row in rows] == [["4x4", name] for name in LAYERS]
+    for _, _, change_us, parent_us, ratio, won in rows:
+        assert float(change_us) > 0 and float(parent_us) > 0 and float(ratio) > 0
+        assert 0.0 <= float(won) <= 1.0
+
+
+def test_against_a_directory_without_the_package_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        bench_layers.main(["--sizes", "4", "--against", str(tmp_path)])
+    assert exc.value.code == 2

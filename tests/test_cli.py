@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -180,21 +181,39 @@ class TestRun:
         assert not out.exists()
 
     def test_stale_task_files_exit_2(self, tmp_path, capsys):
-        """gen-tasks run twice into one directory, 6 tasks then 3, leaves
-        task_003 to task_005 from the first run: the manifest lists 3 tasks,
-        so the directory is refused rather than run on 6."""
+        """A 3-task directory that also holds a task_005.json (copied in by
+        hand): the manifest lists 3 tasks, so the directory is refused
+        rather than run on 4."""
         tasks_dir = tmp_path / "tasks"
-        for n in (6, 3):
-            cfg = write_json(tmp_path / "tasks.json", {**TASK_DOC, "num_tasks": n})
-            assert main(["gen-tasks", "--config", cfg, "--out", str(tasks_dir)]) == 0
-        assert len(list(tasks_dir.glob("task_*.json"))) == 6
+        cfg = write_json(tmp_path / "tasks.json", {**TASK_DOC, "num_tasks": 3})
+        assert main(["gen-tasks", "--config", cfg, "--out", str(tasks_dir)]) == 0
+        shutil.copyfile(tasks_dir / "task_000.json", tasks_dir / "task_005.json")
         rcfg = write_json(tmp_path / "run.json", {**RUN_DOC, "task_source": str(tasks_dir)})
         out = tmp_path / "x"
         assert main(["run", "--config", rcfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{tasks_dir / 'manifest.json'} lists 3 tasks, but {tasks_dir} holds " \
-            "6 task files, not task_000.json to task_002.json" in err
+            "4 task files, not task_000.json to task_002.json" in err
         assert not out.exists()
+
+    def test_gen_tasks_over_stale_task_files_exit_2(self, tmp_path, capsys):
+        """gen-tasks with 6 tasks and then 3 into one directory: the second
+        run would leave task_003 to task_005, so it is refused and every
+        file keeps its bytes. Rewriting with as many tasks or more works."""
+        tasks_dir = tmp_path / "tasks"
+        cfg = write_json(tmp_path / "tasks.json", {**TASK_DOC, "num_tasks": 6})
+        assert main(["gen-tasks", "--config", cfg, "--out", str(tasks_dir)]) == 0
+        before = {p.name: p.read_bytes() for p in tasks_dir.iterdir()}
+        capsys.readouterr()
+        cfg = write_json(tmp_path / "tasks.json", {**TASK_DOC, "num_tasks": 3})
+        assert main(["gen-tasks", "--config", cfg, "--out", str(tasks_dir)]) == 2
+        assert f"config error: {tasks_dir} holds 3 task files besides task_000.json " \
+            "to task_002.json, the first task_003.json" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in tasks_dir.iterdir()} == before
+        for n in (6, 7):
+            cfg = write_json(tmp_path / "tasks.json", {**TASK_DOC, "num_tasks": n})
+            assert main(["gen-tasks", "--config", cfg, "--out", str(tasks_dir)]) == 0
+        assert len(list(tasks_dir.glob("task_*.json"))) == 7
 
     def test_dense_format_task_file_exit_2(self, tmp_path, capsys):
         """A task file in the dense form written before the successor-view

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -409,6 +410,20 @@ def _same_state(rng_a, rng_b):
     return rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
+def _recorded_slots(monkeypatch):
+    """A list that gets the next-state columns, (n, horizon) successor-view
+    slots, of every `crpo._rollout` call made from now on."""
+    slots, rollout = [], crpo._rollout
+
+    def recording(*args):
+        x = rollout(*args)
+        slots.append(x[:, 2::2])
+        return x
+
+    monkeypatch.setattr(crpo, "_rollout", recording)
+    return slots
+
+
 def _log_reference(cmdp, iterates, cfg, rng):
     """Every iterate's episodes of a run's log, one rng.choice at a time,
     iterate after iterate of the (M, S, A) stack; returns (states, actions,
@@ -463,7 +478,8 @@ class TestBatchedSampler:
         pytest.param(7, 1, 1, id="7-1-one-episode"),
         pytest.param(120, 60, 2, id="120-60"),
         pytest.param(10_000, 50, 5, id="10000-50")])
-    def test_td_chain_matches_reference(self, iterations, horizon, episodes):
+    def test_td_chain_matches_reference(self, monkeypatch, iterations, horizon, episodes):
+        slots = _recorded_slots(monkeypatch)
         cmdp = random_cmdp(np.random.default_rng(3), n_states=5, n_costs=2)
         probs = _with_zero_entries(cmdp, np.random.default_rng(4))
         # the settings the reference chain reads; a TdSampled run refuses a
@@ -474,13 +490,17 @@ class TestBatchedSampler:
         counts = td_critic(cmdp, probs, iterations, horizon, rng)
         assert counts.shape == cmdp.successors[1].shape and counts.dtype.kind == "i"
         assert np.all(cmdp.successors[1][counts > 0] > 0)   # only slots with mass
+        # every slot the rollout records carries mass, the walked ones and
+        # those of the unwalked tail of the last reset segment alike
+        assert len(slots) == 1 and np.all(cmdp.successors[1].ravel()[slots[0]] > 0)
         assert np.array_equal(dense_kernel((cmdp.successors[0], counts)),
                               chain_counts_reference(cmdp, probs, cfg, ref_rng))
         # the chain alone, whatever episodes_per_step is: the generator ends
         # where the reference chain ends
         assert _same_state(rng, ref_rng)
 
-    def test_td_chain_on_16x16_grid(self):
+    def test_td_chain_on_16x16_grid(self, monkeypatch):
+        slots = _recorded_slots(monkeypatch)
         cmdp = gen_frozen_lake(GridSpec(rows=16, cols=16, seed=1))
         probs = _with_zero_entries(cmdp, np.random.default_rng(5))
         cfg = CrpoConfig(critic_mode="TdSampled", td_iterations=500,
@@ -496,6 +516,26 @@ class TestBatchedSampler:
         for index, q in enumerate(got):
             assert np.abs(q - ref_q[index]).max() <= Q_TOL
         assert _same_state(rng, ref_rng)
+        assert len(slots) == 2
+        assert all(np.all(cmdp.successors[1].ravel()[chain] > 0) for chain in slots)
+
+    def test_td_chain_on_16x16_grid_builds_no_table(self):
+        """The first chain on a fresh 16x16 task, its successor view and
+        CDFs built, keeps nothing (a slot table S*A*S long would keep
+        2.1 MB) and peaks under 1 MiB, about four copies of its 160 KiB of
+        uniforms."""
+        cmdp = gen_frozen_lake(GridSpec(rows=16, cols=16, seed=1))
+        cmdp.successors, cmdp.successor_cdf, cmdp.initial_cdf
+        probs = np.full((cmdp.n_states, cmdp.n_actions), 1.0 / cmdp.n_actions)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            td_critic(cmdp, probs, 10_000, 60, rng)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a few hundred bytes of interpreter bookkeeping remain
+        assert retained < 4 * 1024 and peak < 1024 * 1024
 
     @pytest.mark.parametrize("row", [[0.5, 0.4, 0.1 + 1e-7], [0.5, 0.6, -0.1],
                                      [0.5, np.nan, 0.5], [0.5, 0.4, 0.0]])

@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,13 +218,22 @@ def lp_cases():
     return [pytest.param(c, id=f"lp{k}") for k, c in enumerate(cases)]
 
 
+def pivot_on_views(tab, basis, row, col):
+    """`pivot_reference` on a tableau whose last row is the objective."""
+    pivot_reference(tab[:-1], tab[-1], basis, row, col)
+
+
+def run_simplex_on_views(tab, basis, allowed):
+    """`run_simplex_reference` on a tableau whose last row is the objective."""
+    run_simplex_reference(tab[:-1], tab[-1], basis, allowed, lp.PIVOT_TOL, lp.MAX_ITER)
+
+
 class TestVectorisedSimplex:
     @pytest.mark.parametrize("cmdp", lp_cases())
     def test_matches_row_by_row_simplex_bit_for_bit(self, monkeypatch, cmdp):
         got = lp_outcome(cmdp)
-        monkeypatch.setattr(lp, "_pivot", pivot_reference)
-        monkeypatch.setattr(lp, "_run_simplex", partial(
-            run_simplex_reference, pivot_tol=lp.PIVOT_TOL, max_iter=lp.MAX_ITER))
+        monkeypatch.setattr(lp, "_pivot", pivot_on_views)
+        monkeypatch.setattr(lp, "_run_simplex", run_simplex_on_views)
         ref = lp_outcome(cmdp)
         assert len(got) == len(ref)
         for x, y in zip(got, ref):
@@ -239,18 +246,17 @@ class TestVectorisedSimplex:
     def test_pivot_leaves_rows_with_a_zero_factor_alone(self):
         # row 1 has a zero in the entering column and a -0.0 where the scaled
         # pivot row is negative: updating it anyway would turn -0.0 into +0.0
+        # the last row is the objective
         tab = np.array([[2.0, 1.0, -4.0, 3.0],
                         [0.0, 5.0, -0.0, 1.0],
-                        [3.0, 1.0, 2.0, 4.0]])
-        obj = np.array([-1.0, 0.5, 0.0, 0.0])
-        got = (tab.copy(), obj.copy(), [5, 6, 7])
-        ref = (tab.copy(), obj.copy(), [5, 6, 7])
+                        [3.0, 1.0, 2.0, 4.0],
+                        [-1.0, 0.5, 0.0, 0.0]])
+        got, ref = (tab.copy(), [5, 6, 7]), (tab.copy(), [5, 6, 7])
         lp._pivot(*got, 0, 0)
-        pivot_reference(*ref, 0, 0)
+        pivot_on_views(*ref, 0, 0)
         assert np.signbit(got[0][1, 2])
-        for x, y in zip(got[:2], ref[:2]):
-            assert np.array_equal(x.view(np.int64), y.view(np.int64))
-        assert got[2] == ref[2] == [0, 6, 7]
+        assert np.array_equal(got[0].view(np.int64), ref[0].view(np.int64))
+        assert got[1] == ref[1] == [0, 6, 7]
 
     def test_ratio_tie_is_broken_by_the_quotients(self):
         # a/b == c/d exactly, so the rows tie and the smaller basis index
@@ -258,13 +264,10 @@ class TestVectorisedSimplex:
         # more than PIVOT_TOL, so a ratio taken as a product picks row 1
         a, b, c, d = 114392556.0, 5.0, 343177668.0, 15.0
         assert a / b == c / d and c * (1.0 / d) < a * (1.0 / b) - lp.PIVOT_TOL
-        tab = np.array([[b, 1.0, 0.0, a], [d, 0.0, 1.0, c]])
-        obj = np.array([-1.0, 0.0, 0.0, 0.0])
+        tab = np.array([[b, 1.0, 0.0, a], [d, 0.0, 1.0, c], [-1.0, 0.0, 0.0, 0.0]])
         allowed = np.ones(3, dtype=bool)
-        got = (tab.copy(), obj.copy(), [1, 2])
-        ref = (tab.copy(), obj.copy(), [1, 2])
+        got, ref = (tab.copy(), [1, 2]), (tab.copy(), [1, 2])
         lp._run_simplex(*got, allowed)
-        run_simplex_reference(*ref, allowed, lp.PIVOT_TOL, lp.MAX_ITER)
-        assert got[2] == ref[2] == [0, 2]
-        for x, y in zip(got[:2], ref[:2]):
-            assert np.array_equal(x.view(np.int64), y.view(np.int64))
+        run_simplex_on_views(*ref, allowed)
+        assert got[1] == ref[1] == [0, 2]
+        assert np.array_equal(got[0].view(np.int64), ref[0].view(np.int64))
